@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -376,15 +377,11 @@ func cmdPut(node *core.Node, args []string) {
 	if len(args) < 1 {
 		log.Fatal("put: missing file")
 	}
-	d, err := node.BitDew.CreateDataFromFile(args[0])
+	d, err := node.BitDew.CreateData(filepath.Base(args[0]))
 	if err != nil {
 		log.Fatal(err)
 	}
-	content, err := os.ReadFile(args[0])
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := node.BitDew.Put(d, content); err != nil {
+	if err := node.BitDew.PutFile(d, args[0]); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("put %s\n", d)

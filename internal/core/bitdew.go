@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -132,24 +134,47 @@ func (b *BitDew) CreateDataFromBytes(name string, content []byte) (*data.Data, e
 	return d, nil
 }
 
-// CreateDataFromFile creates a slot from a local file.
+// CreateDataFromFile creates a slot from a local file, streaming it into
+// local storage and fingerprinting it in the same pass.
 func (b *BitDew) CreateDataFromFile(path string) (*data.Data, error) {
-	content, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bitdew: %w", err)
-	}
-	d, err := data.NewFromFile(path)
-	if err != nil {
+	d := data.New(filepath.Base(path))
+	if err := b.storeFile(d, path); err != nil {
 		return nil, err
 	}
-	if err := b.backend.Put(string(d.UID), content); err != nil {
-		return nil, err
-	}
-	err = b.set.homeCall(d.UID, func(c *Comms) error { return c.DC.Register(*d) })
+	err := b.set.homeCall(d.UID, func(c *Comms) error { return c.DC.Register(*d) })
 	if err != nil {
 		return nil, fmt.Errorf("bitdew: createData %s: %w", path, err)
 	}
 	return d, nil
+}
+
+// storeFile streams the file at path into d's local ref and records its
+// size and MD5 in d, reading the file once.
+func (b *BitDew) storeFile(d *data.Data, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("bitdew: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("bitdew: %w", err)
+	}
+	w, err := repository.OpenWriter(b.backend, string(d.UID), 0, st.Size())
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	sum := data.NewChecksum()
+	n, err := io.Copy(w, io.TeeReader(f, sum))
+	if err != nil {
+		return fmt.Errorf("bitdew: storing %s: %w", path, err)
+	}
+	if err := w.Commit(); err != nil {
+		return err
+	}
+	d.Size, d.Checksum = n, data.ChecksumOf(sum)
+	return nil
 }
 
 // Put copies content into the datum's slot: local storage, upload to the
@@ -182,6 +207,12 @@ func (b *BitDew) PutAll(ds []*data.Data, contents [][]byte) error {
 			return err
 		}
 	}
+	return b.putStored(ds)
+}
+
+// putStored is PutAll for data whose content is in local storage and whose
+// meta-information describes it.
+func (b *BitDew) putStored(ds []*data.Data) error {
 	// The per-shard protocol (register, locators, upload, publish) is
 	// put-overwrite idempotent end to end, so a wave caught mid-rebalance
 	// simply reruns against the refreshed placement.
@@ -253,13 +284,12 @@ func (b *BitDew) putShard(c *Comms, ds []*data.Data) error {
 	return nil
 }
 
-// PutFile is Put reading content from a local file.
+// PutFile is Put streaming content from a local file.
 func (b *BitDew) PutFile(d *data.Data, path string) error {
-	content, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("bitdew: %w", err)
+	if err := b.storeFile(d, path); err != nil {
+		return err
 	}
-	return b.Put(d, content)
+	return b.putStored([]*data.Data{d})
 }
 
 // Get starts fetching the datum's content from the data space into local
@@ -471,11 +501,23 @@ func (b *BitDew) download(d data.Data, locs []data.Locator) error {
 
 // GetFile is a blocking Get writing the content to a local file.
 func (b *BitDew) GetFile(d data.Data, path string) error {
-	content, err := b.GetBytes(d)
+	if err := b.Fetch(d, ""); err != nil {
+		return err
+	}
+	content, _, err := repository.OpenReader(b.backend, string(d.UID))
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, content, 0o644)
+	defer content.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(f, content); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // locatorsFor lists every candidate source for d, in preference order:

@@ -485,8 +485,8 @@ func TestFileAPIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Name != "input.bin" || d.Size != int64(len(content)) {
-		t.Fatalf("datum = %+v", d)
+	if d.Name != "input.bin" || !d.Matches(content) {
+		t.Fatalf("datum = %+v, want the file's name, size and MD5", d)
 	}
 	if err := n.BitDew.PutFile(d, src); err != nil {
 		t.Fatal(err)

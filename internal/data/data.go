@@ -10,8 +10,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -124,36 +124,6 @@ func NewFromBytes(name string, content []byte) *Data {
 	return d
 }
 
-// NewFromFile creates a data slot from a file on the local file system,
-// computing size and MD5 the way the Java API does when creating a datum
-// from a java.io.File.
-func NewFromFile(path string) (*Data, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("data: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("data: %w", err)
-	}
-	sum, err := ChecksumReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("data: checksum %s: %w", path, err)
-	}
-	d := New(baseName(path))
-	d.Size = st.Size()
-	d.Checksum = sum
-	return d, nil
-}
-
-func baseName(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 // WithContent returns a copy of d updated for new content.
 func (d Data) WithContent(content []byte) *Data {
 	d.Size = int64(len(content))
@@ -178,13 +148,20 @@ func ChecksumBytes(content []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// NewChecksum returns the hash a datum's checksum is taken with, for
+// content that streams past; ChecksumOf renders its state as a Checksum.
+func NewChecksum() hash.Hash { return md5.New() }
+
+// ChecksumOf returns the checksum of everything written to h so far.
+func ChecksumOf(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
+
 // ChecksumReader returns the hex MD5 of everything readable from r.
 func ChecksumReader(r io.Reader) (string, error) {
-	h := md5.New()
+	h := NewChecksum()
 	if _, err := io.Copy(h, r); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return ChecksumOf(h), nil
 }
 
 // Locator tells a node how to remotely access one concrete copy of a datum,

@@ -2,8 +2,6 @@ package data
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -75,31 +73,6 @@ func TestNewFromBytes(t *testing.T) {
 	}
 	if d.Matches([]byte("tampered")) {
 		t.Errorf("Matches(tampered) = true")
-	}
-}
-
-func TestNewFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "big_data_to_update")
-	content := bytes.Repeat([]byte("bitdew"), 1000)
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewFromFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "big_data_to_update" {
-		t.Errorf("Name = %q", d.Name)
-	}
-	if !d.Matches(content) {
-		t.Errorf("file content does not match its own data object")
-	}
-}
-
-func TestNewFromFileMissing(t *testing.T) {
-	if _, err := NewFromFile("/nonexistent/nope"); err == nil {
-		t.Fatal("want error for missing file")
 	}
 }
 
@@ -190,18 +163,5 @@ func TestDataString(t *testing.T) {
 	s := d.String()
 	if !strings.Contains(s, "n") || !strings.Contains(s, string(d.UID)) {
 		t.Errorf("String() = %q", s)
-	}
-}
-
-func TestBaseName(t *testing.T) {
-	cases := map[string]string{
-		"/a/b/c.txt": "c.txt",
-		"c.txt":      "c.txt",
-		"/c":         "c",
-	}
-	for in, want := range cases {
-		if got := baseName(in); got != want {
-			t.Errorf("baseName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -26,9 +26,6 @@ import (
 	"bitdew/internal/repository"
 )
 
-// DefaultChunk is the transfer chunk size.
-const DefaultChunk = 64 * 1024
-
 // DefaultIdleTimeout bounds how long a connection may sit without making
 // progress (no command read, no payload byte transferred) before the
 // server severs it. A peer that dies without closing its socket would
@@ -202,98 +199,103 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// arm pushes conn's deadline out by the idle timeout. Transfer loops call
-// it once per chunk, so the deadline measures stall, not total duration:
-// a slow-but-moving peer (throttled benchmarks included) keeps re-arming,
-// while a dead one trips it within one idleTimeout.
+// arm pushes conn's deadline out by the idle timeout. The payload streams
+// call it once per chunk, so the deadline measures stall, not total
+// duration: a slow-but-moving peer (throttled benchmarks included) keeps
+// re-arming, while a dead one trips it within one idleTimeout.
 func (s *Server) arm(conn net.Conn) {
 	if s.idleTimeout > 0 {
 		conn.SetDeadline(time.Now().Add(s.idleTimeout))
 	}
 }
 
-// retr streams ref from offset to the client.
+// armedReader is the payload stream of a STOR: every chunk that arrives
+// re-arms the connection's deadline.
+type armedReader struct {
+	s    *Server
+	conn net.Conn
+	r    io.Reader
+}
+
+func (a armedReader) Read(b []byte) (int, error) {
+	n, err := a.r.Read(b)
+	if n > 0 {
+		a.s.arm(a.conn)
+	}
+	return n, err
+}
+
+// pacedWriter is the payload stream of a RETR: every chunk sent re-arms the
+// connection's deadline and waits out the throttle.
+type pacedWriter struct {
+	s       *Server
+	conn    net.Conn
+	w       io.Writer
+	limiter *throttleState
+}
+
+func (p pacedWriter) Write(b []byte) (int, error) {
+	n, err := p.w.Write(b)
+	if n > 0 {
+		p.s.arm(p.conn)
+		p.limiter.wait(int64(n))
+	}
+	return n, err
+}
+
+// retr streams ref from offset to the client, out of the backend's reader.
 func (s *Server) retr(conn net.Conn, w *bufio.Writer, ref string, off int64) error {
-	size, err := s.backend.Size(ref)
+	content, size, err := repository.OpenReader(s.backend, ref)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return w.Flush()
 	}
+	defer content.Close()
 	if off < 0 || off > size {
 		fmt.Fprintf(w, "ERR offset %d out of range\n", off)
 		return w.Flush()
 	}
-	remaining := size - off
-	if _, err := fmt.Fprintf(w, "OK %d\n", remaining); err != nil {
+	if _, err := content.Seek(off, io.SeekStart); err != nil {
+		fmt.Fprintf(w, "ERR %v\n", err)
+		return w.Flush()
+	}
+	if _, err := fmt.Fprintf(w, "OK %d\n", size-off); err != nil {
 		return err
 	}
-	limiter := newThrottle(s.throttle)
-	for remaining > 0 {
-		chunkLen := int64(DefaultChunk)
-		if chunkLen > remaining {
-			chunkLen = remaining
-		}
-		chunk, err := s.backend.GetRange(ref, off, chunkLen)
-		if err != nil {
-			return err
-		}
-		if len(chunk) == 0 {
-			return fmt.Errorf("ftp: content of %s shrank mid-transfer", ref)
-		}
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
-		off += int64(len(chunk))
-		remaining -= int64(len(chunk))
-		s.arm(conn)
-		limiter.wait(int64(len(chunk)))
+	// Exactly the announced count, in chunks: a copy cut short or run long
+	// would leave the client reading payload as status lines.
+	out := pacedWriter{s: s, conn: conn, w: w, limiter: newThrottle(s.throttle)}
+	if _, err := io.CopyN(out, content, size-off); err != nil {
+		return err
 	}
 	return w.Flush()
 }
 
-// stor receives n bytes into ref at offset. A non-zero offset must equal the
-// current stored size (append-resume); offset zero restarts the file.
+// stor streams n bytes into the backend's writer for ref at offset. A
+// non-zero offset must equal the current stored size (append-resume); offset
+// zero restarts the file. What arrived before a broken stream is kept, as
+// the prefix the client's next STOR resumes from.
 func (s *Server) stor(conn net.Conn, r *bufio.Reader, w *bufio.Writer, ref string, off, n int64) error {
-	cur, err := s.backend.Size(ref)
+	dst, err := repository.OpenWriter(s.backend, ref, off, off+n)
 	if err != nil {
-		cur = 0
-	}
-	if off == 0 {
-		if err := s.backend.Put(ref, nil); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return w.Flush()
-		}
-	} else if off != cur {
-		fmt.Fprintf(w, "ERR resume offset %d does not match stored size %d\n", off, cur)
+		fmt.Fprintf(w, "ERR %v\n", err)
 		return w.Flush()
 	}
+	defer dst.Close()
 	if _, err := fmt.Fprintf(w, "OK\n"); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	buf := make([]byte, DefaultChunk)
-	remaining := n
-	for remaining > 0 {
-		chunkLen := int64(len(buf))
-		if chunkLen > remaining {
-			chunkLen = remaining
-		}
-		read, err := io.ReadFull(r, buf[:chunkLen])
-		if read > 0 {
-			if aerr := s.backend.Append(ref, buf[:read]); aerr != nil {
-				return aerr
-			}
-			remaining -= int64(read)
-			s.arm(conn)
-		}
-		if err != nil {
-			return err
-		}
+	_, err = io.CopyN(dst, armedReader{s: s, conn: conn, r: r}, n)
+	if cerr := dst.Commit(); err == nil {
+		err = cerr
 	}
-	_, err = fmt.Fprintf(w, "DONE\n")
 	if err != nil {
+		return err
+	}
+	if _, err = fmt.Fprintf(w, "DONE\n"); err != nil {
 		return err
 	}
 	return w.Flush()

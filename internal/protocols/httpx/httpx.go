@@ -6,6 +6,7 @@
 package httpx
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -51,15 +52,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.Method {
-	case http.MethodHead:
-		size, err := s.backend.Size(ref)
-		if err != nil {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		w.Header().Set("Accept-Ranges", "bytes")
-	case http.MethodGet:
+	case http.MethodHead, http.MethodGet:
 		s.get(w, r, ref)
 	case http.MethodPut:
 		s.put(w, r, ref)
@@ -74,110 +67,62 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// get serves ref from the backend's reader: size, Range and HEAD are
+// http.ServeContent's, which copies straight from the reader to the
+// connection (sendfile when the reader is a file).
 func (s *Server) get(w http.ResponseWriter, r *http.Request, ref string) {
-	size, err := s.backend.Size(ref)
+	content, _, err := repository.OpenReader(s.backend, ref)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	off := int64(0)
-	end := size // exclusive
-	status := http.StatusOK
-	if rng := r.Header.Get("Range"); rng != "" {
-		var parseErr error
-		off, end, parseErr = parseRange(rng, size)
-		if parseErr != nil {
-			http.Error(w, parseErr.Error(), http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		status = http.StatusPartialContent
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, end-1, size))
-	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("Content-Length", strconv.FormatInt(end-off, 10))
-	w.WriteHeader(status)
-	const chunk = 64 * 1024
-	for off < end {
-		n := int64(chunk)
-		if n > end-off {
-			n = end - off
-		}
-		payload, err := s.backend.GetRange(ref, off, n)
-		if err != nil || len(payload) == 0 {
-			return
-		}
-		if _, err := w.Write(payload); err != nil {
-			return
-		}
-		off += int64(len(payload))
-	}
+	defer content.Close()
+	// Repository content is opaque; naming its type keeps ServeContent from
+	// reading the head of it to guess one.
+	w.Header().Set("Content-Type", "application/octet-stream")
+	http.ServeContent(w, r, "", time.Time{}, content)
 }
 
-// parseRange handles the single-range form "bytes=from-[to]".
-func parseRange(header string, size int64) (off, end int64, err error) {
-	spec, ok := strings.CutPrefix(header, "bytes=")
-	if !ok || strings.Contains(spec, ",") {
-		return 0, 0, fmt.Errorf("httpx: unsupported range %q", header)
-	}
-	from, to, ok := strings.Cut(spec, "-")
-	if !ok {
-		return 0, 0, fmt.Errorf("httpx: malformed range %q", header)
-	}
-	off, err = strconv.ParseInt(strings.TrimSpace(from), 10, 64)
-	if err != nil || off < 0 || off > size {
-		return 0, 0, fmt.Errorf("httpx: bad range start %q for size %d", from, size)
-	}
-	end = size
-	if t := strings.TrimSpace(to); t != "" {
-		last, err := strconv.ParseInt(t, 10, 64)
-		if err != nil || last < off {
-			return 0, 0, fmt.Errorf("httpx: bad range end %q", to)
-		}
-		end = last + 1
-		if end > size {
-			end = size
-		}
-	}
-	return off, end, nil
-}
-
+// put streams the request body into the backend's writer, sized by
+// Content-Length. Content-Range "bytes <off>-*/*" resumes at off, which must
+// be the stored size; absent means a whole-content upload, which replaces
+// the ref only once the whole body has arrived.
 func (s *Server) put(w http.ResponseWriter, r *http.Request, ref string) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Content-Range "bytes <off>-*/*" appends at off (resume); absent means
-	// whole-file upload.
+	var off int64
 	if cr := r.Header.Get("Content-Range"); cr != "" {
-		fields := strings.Fields(strings.TrimPrefix(cr, "bytes"))
-		if len(fields) == 0 {
+		from, _, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(cr, "bytes")), "-")
+		var err error
+		if off, err = strconv.ParseInt(from, 10, 64); err != nil || off < 0 {
 			http.Error(w, "malformed Content-Range", http.StatusBadRequest)
 			return
 		}
-		from, _, _ := strings.Cut(fields[0], "-")
-		off, err := strconv.ParseInt(from, 10, 64)
-		if err != nil {
-			http.Error(w, "malformed Content-Range offset", http.StatusBadRequest)
-			return
+		// A ranged upload from zero extends nothing, so nothing may be
+		// there; past zero OpenWriter holds the offset against the size.
+		if off == 0 {
+			if cur, err := s.backend.Size(ref); err == nil && cur != 0 {
+				http.Error(w, fmt.Sprintf("resume offset 0 != stored size %d", cur), http.StatusConflict)
+				return
+			}
 		}
-		cur, serr := s.backend.Size(ref)
-		if serr != nil {
-			cur = 0
-		}
-		if off != cur {
-			http.Error(w, fmt.Sprintf("resume offset %d != stored size %d", off, cur), http.StatusConflict)
-			return
-		}
-		if err := s.backend.Append(ref, body); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else {
-		if err := s.backend.Put(ref, body); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	}
+	// A chunked body announces -1, which OpenWriter reads as unknown.
+	dst, err := repository.OpenWriter(s.backend, ref, off, off+r.ContentLength)
+	if errors.Is(err, repository.ErrOffset) {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	defer dst.Close()
+	if _, err := io.Copy(dst, r.Body); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := dst.Commit(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -228,11 +173,29 @@ func (c *Client) Get(addr, ref string, offset int64, w io.Writer) (int64, error)
 	return io.Copy(w, resp.Body)
 }
 
-// Put uploads content as the whole of ref on addr.
+// Put uploads content as the whole of ref on addr. Content that can seek —
+// a repository reader, a *bytes.Reader, a file — is sent with its length
+// announced, so the server reserves room for it once.
 func (c *Client) Put(addr, ref string, content io.Reader) error {
+	return c.upload(addr, ref, "", content)
+}
+
+// Append uploads chunk at offset of ref (resume); offset must match the
+// currently stored size.
+func (c *Client) Append(addr, ref string, offset int64, chunk io.Reader) error {
+	return c.upload(addr, ref, fmt.Sprintf("bytes %d-*/*", offset), chunk)
+}
+
+func (c *Client) upload(addr, ref, contentRange string, content io.Reader) error {
 	req, err := http.NewRequest(http.MethodPut, url(addr, ref), content)
 	if err != nil {
 		return err
+	}
+	if err := announceLength(req, content); err != nil {
+		return err
+	}
+	if contentRange != "" {
+		req.Header.Set("Content-Range", contentRange)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -245,23 +208,35 @@ func (c *Client) Put(addr, ref string, content io.Reader) error {
 	return nil
 }
 
-// Append uploads chunk at offset of ref (resume); offset must match the
-// currently stored size.
-func (c *Client) Append(addr, ref string, offset int64, chunk io.Reader) error {
-	req, err := http.NewRequest(http.MethodPut, url(addr, ref), chunk)
+// announceLength does for any seekable content what http.NewRequest does
+// for the three reader types it knows: measure what is left to read, send it
+// as Content-Length, and let the transport rewind the body to replay the
+// request when a kept-alive connection turns out to be dead. The content
+// stays the caller's to close.
+func announceLength(req *http.Request, content io.Reader) error {
+	s, ok := content.(io.Seeker)
+	if !ok || req.GetBody != nil {
+		return nil
+	}
+	start, err := s.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Range", fmt.Sprintf("bytes %d-*/*", offset))
-	resp, err := c.hc.Do(req)
+	end, err := s.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("httpx: PUT(range) %s: %s", ref, resp.Status)
+	if end == start {
+		req.Body, req.GetBody = http.NoBody, func() (io.ReadCloser, error) { return http.NoBody, nil }
+		return nil
 	}
-	return nil
+	req.ContentLength = end - start
+	req.GetBody = func() (io.ReadCloser, error) {
+		_, err := s.Seek(start, io.SeekStart)
+		return io.NopCloser(content), err
+	}
+	req.Body, err = req.GetBody()
+	return err
 }
 
 // Delete removes ref on addr.

@@ -2,9 +2,13 @@ package httpx
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"bitdew/internal/repository"
 )
@@ -112,33 +116,81 @@ func TestAppendResumeUpload(t *testing.T) {
 	}
 }
 
-func TestParseRange(t *testing.T) {
+// TestGetRanges pins the Range forms on the wire: what a resuming client
+// sends, what it gets, and that an unsatisfiable range is refused.
+func TestGetRanges(t *testing.T) {
+	srv, backend := newServer(t)
+	content := randBytes(100, 6)
+	backend.Put("f", content)
 	cases := []struct {
 		header   string
-		size     int64
-		off, end int64
-		wantErr  bool
+		off, end int // of content; status 206
+		refused  bool
 	}{
-		{"bytes=0-", 100, 0, 100, false},
-		{"bytes=10-", 100, 10, 100, false},
-		{"bytes=10-19", 100, 10, 20, false},
-		{"bytes=10-999", 100, 10, 100, false},
-		{"bytes=100-", 100, 100, 100, false}, // empty tail is satisfiable
-		{"bytes=101-", 100, 0, 0, true},
-		{"bytes=-5", 100, 0, 0, true},
-		{"bytes=5-2", 100, 0, 0, true},
-		{"bytes=0-5,10-12", 100, 0, 0, true},
-		{"bits=0-5", 100, 0, 0, true},
+		{"bytes=0-", 0, 100, false},
+		{"bytes=10-", 10, 100, false},
+		{"bytes=10-19", 10, 20, false},
+		{"bytes=10-999", 10, 100, false},
+		{"bytes=100-", 0, 0, true},
+		{"bytes=101-", 0, 0, true},
+		{"bytes=5-2", 0, 0, true},
+		{"bits=0-5", 0, 0, true},
 	}
 	for _, tc := range cases {
-		off, end, err := parseRange(tc.header, tc.size)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("parseRange(%q): err = %v, wantErr %v", tc.header, err, tc.wantErr)
+		req, err := http.NewRequest(http.MethodGet, url(srv.Addr(), "f"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Range", tc.header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.refused {
+			if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+				t.Errorf("Range %q: status %d, want 416", tc.header, resp.StatusCode)
+			}
 			continue
 		}
-		if err == nil && (off != tc.off || end != tc.end) {
-			t.Errorf("parseRange(%q) = (%d,%d), want (%d,%d)", tc.header, off, end, tc.off, tc.end)
+		if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(got, content[tc.off:tc.end]) {
+			t.Errorf("Range %q: status %d, %d bytes, want 206 and content[%d:%d]", tc.header, resp.StatusCode, len(got), tc.off, tc.end)
 		}
+	}
+}
+
+// TestPutStreamsAndPublishesWhole covers the upload path's two promises: a
+// body of unknown length (chunked) is stored whole, and a whole-content
+// upload whose body breaks off leaves the previous content in place.
+func TestPutStreamsAndPublishesWhole(t *testing.T) {
+	srv, backend := newServer(t)
+	c := NewClient()
+	content := randBytes(300_000, 7)
+	// An io.Reader that cannot seek is sent chunked.
+	if err := c.Put(srv.Addr(), "up", io.MultiReader(bytes.NewReader(content))); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := backend.Get("up"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("chunked upload stored %d bytes, %v", len(got), err)
+	}
+	// A body that fails half way: the transport gives up on the request.
+	broken := io.MultiReader(bytes.NewReader(content[:100_000]), iotest.ErrReader(errors.New("source died")))
+	if err := c.Put(srv.Addr(), "up", broken); err == nil {
+		t.Fatal("upload of a broken body succeeded")
+	}
+	if got, err := backend.Get("up"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("after a broken upload the ref holds %d bytes, %v; want the previous content", len(got), err)
+	}
+	// Empty content is content.
+	if err := c.Put(srv.Addr(), "empty", bytes.NewReader(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := backend.Size("empty"); err != nil || n != 0 {
+		t.Fatalf("empty upload: size %d, %v", n, err)
 	}
 }
 

@@ -34,8 +34,10 @@ type Engine struct {
 
 	sem chan struct{}
 
-	mu      sync.Mutex
-	handles map[data.UID][]*Handle // by data UID
+	mu sync.Mutex
+	// handles holds, per datum, the transfers in flight and the last one
+	// that finished — what WaitFor waits on — and nothing older.
+	handles map[data.UID][]*Handle
 	// inflight coalesces concurrent downloads of one datum onto a single
 	// transfer. Two goroutines appending the same stream into one backend
 	// ref interleave into oversized content, which verification then deletes
@@ -99,6 +101,8 @@ type Handle struct {
 	state    State
 	err      error
 	done     chan struct{}
+
+	retired bool // guarded by Engine.mu: the transfer has ended
 }
 
 // Err returns the terminal error (nil while running or on success).
@@ -215,16 +219,32 @@ func (e *Engine) start(d data.Data, loc data.Locator, kind string, dtID data.UID
 	e.handles[d.UID] = append(e.handles[d.UID], h)
 	e.mu.Unlock()
 	go func() {
-		e.run(h, d, loc, dtID, dtOpened)
-		if kind == "download" {
-			e.mu.Lock()
-			if e.inflight[d.UID] == h {
-				delete(e.inflight, d.UID)
-			}
-			e.mu.Unlock()
-		}
+		state, err := e.run(h, d, loc, dtID, dtOpened)
+		// Retire before finish wakes the waiters: one of them may start the
+		// next download of this datum at once, and must not be handed this
+		// finished handle out of inflight.
+		e.retire(h)
+		h.finish(state, err)
 	}()
 	return h
+}
+
+// retire takes an ended transfer out of the engine's books: its inflight
+// slot, and every earlier finished handle of its datum.
+func (e *Engine) retire(h *Handle) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.inflight[h.DataUID] == h {
+		delete(e.inflight, h.DataUID)
+	}
+	h.retired = true
+	live := e.handles[h.DataUID][:0]
+	for _, o := range e.handles[h.DataUID] {
+		if !o.retired {
+			live = append(live, o)
+		}
+	}
+	e.handles[h.DataUID] = append(live, h)
 }
 
 // WaitFor blocks until every transfer of the given datum completes,
@@ -254,11 +274,12 @@ func Barrier(handles ...*Handle) error {
 	return first
 }
 
-// run executes one transfer with retry/resume, monitoring and verification.
-// dtID is the pre-opened DT registration (UploadAll's batched open), or
-// empty to open one here — unless dtOpened says the batched attempt
-// already failed, in which case the transfer runs unreported.
-func (e *Engine) run(h *Handle, d data.Data, loc data.Locator, dtID data.UID, dtOpened bool) {
+// run executes one transfer with retry/resume, monitoring and verification,
+// and returns its terminal state. dtID is the pre-opened DT registration
+// (UploadAll's batched open), or empty to open one here — unless dtOpened
+// says the batched attempt already failed, in which case the transfer runs
+// unreported.
+func (e *Engine) run(h *Handle, d data.Data, loc data.Locator, dtID data.UID, dtOpened bool) (State, error) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
@@ -287,37 +308,33 @@ func (e *Engine) run(h *Handle, d data.Data, loc data.Locator, dtID data.UID, dt
 		t, err := New(d, loc, e.backend)
 		if err != nil {
 			report(Progress{}, StateFailed, err.Error())
-			h.finish(StateFailed, err)
-			return
+			return StateFailed, err
 		}
-		err = e.attempt(t, h, d, report)
+		err = e.attempt(t, h, report)
+		// Receiver-driven verification: the receiver checks size and MD5
+		// signature of what landed before declaring success.
+		if err == nil && h.Kind == "download" {
+			if err = e.verify(d, t); err != nil {
+				// Corrupt content: discard and retry from scratch.
+				e.backend.Delete(string(d.UID))
+			}
+		}
 		t.Disconnect()
 		if err == nil {
-			// Receiver-driven verification: the receiver checks size and
-			// MD5 signature of what landed before declaring success.
-			if h.Kind == "download" {
-				if verr := e.verify(d); verr != nil {
-					// Corrupt content: discard and retry from scratch.
-					e.backend.Delete(string(d.UID))
-					lastErr = verr
-					continue
-				}
-			}
 			p := Progress{Bytes: d.Size, Total: d.Size, Done: true}
 			report(p, StateComplete, "")
-			h.finish(StateComplete, nil)
-			return
+			return StateComplete, nil
 		}
 		lastErr = err
 	}
 	report(h.Probe(), StateFailed, lastErr.Error())
-	h.finish(StateFailed, fmt.Errorf("transfer: %s of %s failed after %d attempts: %w",
-		h.Kind, d.UID, e.MaxAttempts, lastErr))
+	return StateFailed, fmt.Errorf("transfer: %s of %s failed after %d attempts: %w",
+		h.Kind, d.UID, e.MaxAttempts, lastErr)
 }
 
 // attempt performs one protocol run while a monitor goroutine samples
 // progress on the monitoring period.
-func (e *Engine) attempt(t OOBTransfer, h *Handle, d data.Data, report func(Progress, State, string)) error {
+func (e *Engine) attempt(t OOBTransfer, h *Handle, report func(Progress, State, string)) error {
 	if err := t.Connect(); err != nil {
 		return err
 	}
@@ -351,19 +368,36 @@ func (e *Engine) attempt(t OOBTransfer, h *Handle, d data.Data, report func(Prog
 }
 
 // verify checks the downloaded content against the datum's recorded size
-// and MD5 checksum. Data with no recorded checksum (empty slots) pass.
-func (e *Engine) verify(d data.Data) error {
+// and MD5 checksum. Data with no recorded checksum (empty slots) pass. The
+// checksum is the one the receiver took while the bytes landed; a protocol
+// that stores content some other way has it hashed off the backend's reader.
+func (e *Engine) verify(d data.Data, t OOBTransfer) error {
 	if d.Checksum == "" && d.Size == 0 {
 		return nil
 	}
-	content, err := e.backend.Get(string(d.UID))
+	stored, err := e.backend.Size(string(d.UID))
 	if err != nil {
 		return fmt.Errorf("transfer: verifying %s: %w", d.UID, err)
 	}
-	if int64(len(content)) != d.Size {
-		return fmt.Errorf("transfer: %s: received %d bytes, want %d", d.UID, len(content), d.Size)
+	if stored != d.Size {
+		return fmt.Errorf("transfer: %s: received %d bytes, want %d", d.UID, stored, d.Size)
 	}
-	if sum := data.ChecksumBytes(content); sum != d.Checksum {
+	var sum string
+	if p, err := t.Probe(); err == nil {
+		sum = p.Checksum
+	}
+	if sum == "" {
+		content, _, err := repository.OpenReader(e.backend, string(d.UID))
+		if err != nil {
+			return fmt.Errorf("transfer: verifying %s: %w", d.UID, err)
+		}
+		sum, err = data.ChecksumReader(content)
+		content.Close()
+		if err != nil {
+			return fmt.Errorf("transfer: verifying %s: %w", d.UID, err)
+		}
+	}
+	if sum != d.Checksum {
 		return fmt.Errorf("transfer: %s: checksum %s != recorded %s", d.UID, sum, d.Checksum)
 	}
 	return nil

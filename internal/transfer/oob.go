@@ -13,11 +13,13 @@
 package transfer
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bitdew/internal/data"
@@ -36,6 +38,10 @@ type Progress struct {
 	// Done reports logical completion (all bytes landed and verified when
 	// verification is the protocol's job).
 	Done bool
+	// Checksum is the hex MD5 of the stored bytes, set with Done by a
+	// receiver that hashed them as they landed; the engine then verifies
+	// against it instead of reading the content back.
+	Checksum string
 }
 
 // OOBTransfer is one out-of-band transfer of one datum, bound at creation
@@ -110,19 +116,143 @@ func init() {
 // errNotConnected is returned by operations before Connect.
 var errNotConnected = errors.New("transfer: not connected")
 
-// ftpTransfer moves a datum over the ftp protocol with offset resume.
-type ftpTransfer struct {
+// httpClient is the process's one client for http transfers.
+var httpClient = httpx.NewClient()
+
+// tally is the checksum and the count of the bytes stored under one datum.
+type tally struct {
+	sum hash.Hash
+	n   atomic.Int64
+}
+
+func (t *tally) Write(p []byte) (int, error) {
+	t.n.Add(int64(len(p)))
+	return t.sum.Write(p)
+}
+
+// landing is where one download attempt lands: the backend's writer for the
+// datum, with every byte stored under the datum — the prefix an earlier
+// attempt left included — hashed on its way in, so that verifying the
+// download does not read it back. Handed to io.Copy it passes the source on
+// to the backend writer's ReadFrom: the bytes land in the backend's own
+// reservation and are hashed there.
+type landing struct {
+	w      repository.Writer
+	stored tally
+	offset int64 // where this attempt resumes
+}
+
+// openLanding opens d's local ref for a download: from the end of the stored
+// prefix when there is a usable one, else from scratch.
+func openLanding(backend repository.Backend, d data.Data) (*landing, error) {
+	l := &landing{stored: tally{sum: data.NewChecksum()}}
+	ref := string(d.UID)
+	if prefix, size, err := repository.OpenReader(backend, ref); err == nil {
+		// A stored copy larger than the datum is stale: start over.
+		if size <= d.Size {
+			// Should the ref grow meanwhile, OpenWriter refuses the offset.
+			l.offset, err = io.Copy(&l.stored, prefix)
+		}
+		prefix.Close()
+		if err != nil {
+			return nil, fmt.Errorf("transfer: hashing the stored prefix of %s: %w", d.UID, err)
+		}
+	}
+	var err error
+	l.w, err = repository.OpenWriter(backend, ref, l.offset, d.Size)
+	return l, err
+}
+
+func (l *landing) Write(p []byte) (int, error) {
+	n, err := l.w.Write(p)
+	l.stored.Write(p[:n])
+	return n, err
+}
+
+func (l *landing) ReadFrom(r io.Reader) (int64, error) {
+	return l.w.ReadFrom(io.TeeReader(r, &l.stored))
+}
+
+// close ends the attempt that failed with err, or did not. What landed is
+// committed either way: after a failure it is the prefix the next attempt
+// resumes from. An attempt that failed before its first byte commits
+// nothing, so that it does not replace stored content with an empty one.
+func (l *landing) close(err error) error {
+	if err == nil || l.stored.n.Load() > l.offset {
+		if cerr := l.w.Commit(); err == nil {
+			err = cerr
+		}
+	}
+	l.w.Close()
+	return err
+}
+
+// receiver is the receiving side the single-source protocols share.
+type receiver struct {
 	d       data.Data
 	loc     data.Locator
 	backend repository.Backend
 
-	mu     sync.Mutex
-	client *ftp.Client
-	done   bool
+	mu      sync.Mutex
+	landing *landing
+	done    bool
+}
+
+// Probe reports the bytes stored so far and, once they have all landed,
+// their checksum.
+func (t *receiver) Probe() (Progress, error) {
+	t.mu.Lock()
+	l, done := t.landing, t.done
+	t.mu.Unlock()
+	p := Progress{Total: t.d.Size, Done: done}
+	if l == nil {
+		if stored, err := t.backend.Size(string(t.d.UID)); err == nil {
+			p.Bytes = stored
+		}
+		return p, nil
+	}
+	p.Bytes = l.stored.n.Load()
+	if done {
+		p.Checksum = data.ChecksumOf(l.stored.sum)
+	}
+	return p, nil
+}
+
+// receive runs one download attempt: fetch is handed the offset to resume
+// from and the landing to write the rest to.
+func (t *receiver) receive(fetch func(offset int64, w io.Writer) error) error {
+	l, err := openLanding(t.backend, t.d)
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	t.landing = l
+	t.mu.Unlock()
+	// A datum that is all there already has nothing left to ask for.
+	if l.offset < t.d.Size || t.d.Size == 0 {
+		err = fetch(l.offset, l)
+	}
+	if err = l.close(err); err != nil {
+		return err
+	}
+	t.finish()
+	return nil
+}
+
+func (t *receiver) finish() {
+	t.mu.Lock()
+	t.done = true
+	t.mu.Unlock()
+}
+
+// ftpTransfer moves a datum over the ftp protocol with offset resume.
+type ftpTransfer struct {
+	receiver
+	client *ftp.Client // guarded by receiver.mu
 }
 
 func newFTPTransfer(d data.Data, loc data.Locator, backend repository.Backend) (OOBTransfer, error) {
-	return &ftpTransfer{d: d, loc: loc, backend: backend}, nil
+	return &ftpTransfer{receiver: receiver{d: d, loc: loc, backend: backend}}, nil
 }
 
 func (t *ftpTransfer) Connect() error {
@@ -150,98 +280,60 @@ func (t *ftpTransfer) Disconnect() error {
 	return err
 }
 
-func (t *ftpTransfer) Probe() (Progress, error) {
-	stored, err := t.backend.Size(string(t.d.UID))
-	if err != nil {
-		stored = 0
-	}
+// connected returns the open client.
+func (t *ftpTransfer) connected() (*ftp.Client, error) {
 	t.mu.Lock()
-	done := t.done
-	t.mu.Unlock()
-	return Progress{Bytes: stored, Total: t.d.Size, Done: done}, nil
+	defer t.mu.Unlock()
+	if t.client == nil {
+		return nil, errNotConnected
+	}
+	return t.client, nil
 }
 
 func (t *ftpTransfer) Receive() error {
-	t.mu.Lock()
-	c := t.client
-	t.mu.Unlock()
-	if c == nil {
-		return errNotConnected
-	}
-	// Resume from the locally stored prefix.
-	offset, err := t.backend.Size(string(t.d.UID))
+	c, err := t.connected()
 	if err != nil {
-		offset = 0
-	}
-	if offset > t.d.Size {
-		// Stale larger content: restart.
-		if err := t.backend.Put(string(t.d.UID), nil); err != nil {
-			return err
-		}
-		offset = 0
-	}
-	w := &backendWriter{backend: t.backend, ref: string(t.d.UID)}
-	if _, err := c.Retrieve(t.loc.Ref, offset, w); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-	return nil
+	return t.receive(func(offset int64, w io.Writer) error {
+		_, err := c.Retrieve(t.loc.Ref, offset, w)
+		return err
+	})
 }
 
 func (t *ftpTransfer) Send() error {
-	t.mu.Lock()
-	c := t.client
-	t.mu.Unlock()
-	if c == nil {
-		return errNotConnected
+	c, err := t.connected()
+	if err != nil {
+		return err
 	}
-	content, err := t.backend.Get(string(t.d.UID))
+	content, size, err := repository.OpenReader(t.backend, string(t.d.UID))
 	if err != nil {
 		return fmt.Errorf("transfer: local content of %s: %w", t.d.UID, err)
 	}
+	defer content.Close()
 	// Resume an interrupted upload where the server left off.
 	offset, err := c.Size(t.loc.Ref)
-	if err != nil || offset > int64(len(content)) {
+	if err != nil || offset > size {
 		offset = 0
 	}
-	if err := c.Store(t.loc.Ref, offset, int64(len(content))-offset, bytes.NewReader(content[offset:])); err != nil {
+	if _, err := content.Seek(offset, io.SeekStart); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-	return nil
-}
-
-// backendWriter appends a download stream into a backend ref.
-type backendWriter struct {
-	backend repository.Backend
-	ref     string
-}
-
-func (w *backendWriter) Write(p []byte) (int, error) {
-	if err := w.backend.Append(w.ref, p); err != nil {
-		return 0, err
+	if err := c.Store(t.loc.Ref, offset, size-offset, content); err != nil {
+		return err
 	}
-	return len(p), nil
+	t.finish()
+	return nil
 }
 
 // httpTransfer moves a datum over HTTP with Range resume.
 type httpTransfer struct {
-	d       data.Data
-	loc     data.Locator
-	backend repository.Backend
-
-	mu        sync.Mutex
-	client    *httpx.Client
-	connected bool
-	done      bool
+	receiver
+	connected bool // guarded by receiver.mu
 }
 
 func newHTTPTransfer(d data.Data, loc data.Locator, backend repository.Backend) (OOBTransfer, error) {
-	return &httpTransfer{d: d, loc: loc, backend: backend, client: httpx.NewClient()}, nil
+	return &httpTransfer{receiver: receiver{d: d, loc: loc, backend: backend}}, nil
 }
 
 func (t *httpTransfer) Connect() error {
@@ -258,63 +350,38 @@ func (t *httpTransfer) Disconnect() error {
 	return nil
 }
 
-func (t *httpTransfer) Probe() (Progress, error) {
-	stored, err := t.backend.Size(string(t.d.UID))
-	if err != nil {
-		stored = 0
-	}
+func (t *httpTransfer) checkConnected() error {
 	t.mu.Lock()
-	done := t.done
-	t.mu.Unlock()
-	return Progress{Bytes: stored, Total: t.d.Size, Done: done}, nil
-}
-
-func (t *httpTransfer) Receive() error {
-	t.mu.Lock()
-	ok := t.connected
-	t.mu.Unlock()
-	if !ok {
+	defer t.mu.Unlock()
+	if !t.connected {
 		return errNotConnected
 	}
-	offset, err := t.backend.Size(string(t.d.UID))
-	if err != nil {
-		offset = 0
-	}
-	if offset > t.d.Size {
-		if err := t.backend.Put(string(t.d.UID), nil); err != nil {
-			return err
-		}
-		offset = 0
-	}
-	w := &backendWriter{backend: t.backend, ref: string(t.d.UID)}
-	if offset == t.d.Size && t.d.Size > 0 {
-		// Already fully stored; nothing to fetch.
-	} else if _, err := t.client.Get(t.loc.Host, t.loc.Ref, offset, w); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
 	return nil
 }
 
-func (t *httpTransfer) Send() error {
-	t.mu.Lock()
-	ok := t.connected
-	t.mu.Unlock()
-	if !ok {
-		return errNotConnected
+func (t *httpTransfer) Receive() error {
+	if err := t.checkConnected(); err != nil {
+		return err
 	}
-	content, err := t.backend.Get(string(t.d.UID))
+	return t.receive(func(offset int64, w io.Writer) error {
+		_, err := httpClient.Get(t.loc.Host, t.loc.Ref, offset, w)
+		return err
+	})
+}
+
+func (t *httpTransfer) Send() error {
+	if err := t.checkConnected(); err != nil {
+		return err
+	}
+	content, _, err := repository.OpenReader(t.backend, string(t.d.UID))
 	if err != nil {
 		return fmt.Errorf("transfer: local content of %s: %w", t.d.UID, err)
 	}
-	if err := t.client.Put(t.loc.Host, t.loc.Ref, bytes.NewReader(content)); err != nil {
+	defer content.Close()
+	if err := httpClient.Put(t.loc.Host, t.loc.Ref, content); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
+	t.finish()
 	return nil
 }
 
