@@ -1,32 +1,33 @@
-// Command bitdew-service runs a BitDew service host: the four D* services
-// (Data Catalog, Data Repository, Data Transfer, Data Scheduler) plus the
-// protocol back-ends (FTP-like server, HTTP server, swarm tracker) over
-// shared storage. This is the "stable node" of the paper's architecture.
+// Command bitdew-service runs BitDew's stable node: a service container
+// hosting the four D* services (Data Catalog, Data Repository, Data
+// Transfer, Data Scheduler) plus the protocol back-ends (FTP-like server,
+// HTTP server, swarm tracker) over shared storage.
 //
 // Usage:
 //
-//	bitdew-service -addr 0.0.0.0:4567 [-state-dir ./state] [-wal bitdew.wal] [-datadir ./store]
-//	bitdew-service -addr 127.0.0.1:4600 -shards 4 [-state-dir ./state]
-//	bitdew-service -addr 127.0.0.1:4601 -shard-id 0 -peers 127.0.0.1:4601,127.0.0.1:4602 [-state-dir ./state]
+//	bitdew-service -addr 127.0.0.1:4567 [-state-dir ./state] [-datadir ./store]
+//	bitdew-service -addr 127.0.0.1:4601 -shard-id 0 -peers 127.0.0.1:4601,127.0.0.1:4602 [-replicas 2] [-state-dir ./state]
+//	bitdew-service -addr 127.0.0.1:4600 -shards 4 [-replicas 2] [-state-dir ./state]
 //
-// With -state-dir, the whole service plane is durable: catalog data and
-// locators, scheduler placements and repository endpoints are checkpointed
-// under <state-dir>/meta (snapshot + compacted write-ahead log) and
-// repository content under <state-dir>/data, and all of it is recovered on
-// restart (the paper's transient fault model for service hosts — an
-// administrator restarts them). The older -wal flag persists the service
-// tables to a single uncompacted append-only log and is kept for
-// compatibility.
+// A service plane is N containers, and every container is one shard of one:
+// it serves the membership table under the "ring" rpc service (bitdew ring)
+// and either replicates its key ranges onto R-1 successors with automatic
+// failover (-replicas R > 1) or takes part in live grow/shrink (bitdew ring
+// add/drain). The ordered -peers list is the membership table every process
+// and every client must share, because data home onto shards by consistent
+// hash over that order, and it is what the shard advertises — so it names
+// addresses clients can dial. A bare -addr A is shard 0 of the one-shard
+// plane [A]; to bind a wildcard, say which address to advertise:
+// -addr 0.0.0.0:4567 -shard-id 0 -peers myhost:4567. -shards N hosts a
+// whole plane in this process instead, shard i listening on the -addr
+// port + i.
 //
-// The service plane shards horizontally. -shards N runs N independent
-// containers in this process, shard i listening on the -addr port + i and
-// checkpointing under <state-dir>/shard-<i>. For one shard per machine,
-// run each process with -shard-id I -peers addr0,addr1,... — the ordered
-// peer list is the membership table every process and every client must
-// share, because data home onto shards by consistent hash over that order
-// (connect clients with the same comma-separated list). Each shard also
-// serves the table under the "ring" rpc service for inspection
-// (bitdew ring).
+// With -state-dir, a shard's catalog data and locators, scheduler
+// placements and repository endpoints are checkpointed under
+// <state-dir>/meta (snapshot + compacted write-ahead log) and repository
+// content under <state-dir>/data (per shard under <state-dir>/shard-<i>
+// with -shards), and all of it is recovered on restart — the paper's
+// transient fault model for service hosts: an administrator restarts them.
 package main
 
 import (
@@ -41,7 +42,6 @@ import (
 	"syscall"
 
 	"bitdew/internal/core"
-	"bitdew/internal/db"
 	"bitdew/internal/repository"
 	"bitdew/internal/runtime"
 )
@@ -51,7 +51,6 @@ import (
 type options struct {
 	addr     string
 	stateDir string
-	walPath  string
 	dataDir  string
 	throttle int64
 	shards   int
@@ -64,28 +63,23 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:4567", "rpc listen address (with -shards, shard i listens on port+i)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "directory checkpointing ALL service state (metadata + content); restart recovers it")
-	flag.StringVar(&o.walPath, "wal", "", "legacy uncompacted write-ahead-log file (superseded by -state-dir)")
 	flag.StringVar(&o.dataDir, "datadir", "", "directory for repository content (default: in-memory, or <state-dir>/data)")
 	flag.Int64Var(&o.throttle, "throttle", 0, "ftp server per-connection rate cap in bytes/s (0 = unlimited)")
-	flag.IntVar(&o.shards, "shards", 0, "run a whole sharded service plane of N containers in this process")
+	flag.IntVar(&o.shards, "shards", 0, "run a whole service plane of N containers in this process")
 	flag.IntVar(&o.shardID, "shard-id", -1, "serve one shard of a multi-process plane (requires -peers)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated shard addresses of the whole plane, in placement order")
-	flag.IntVar(&o.replicas, "replicas", 1, "replication factor R of a sharded plane: each key range lives on its home shard plus R-1 successors, with automatic failover (needs -shards or -shard-id/-peers)")
+	flag.IntVar(&o.replicas, "replicas", 1, "replication factor R of the plane: each key range lives on its home shard plus R-1 successors, with automatic failover (needs -shards or -shard-id/-peers)")
 	flag.Parse()
 
 	if o.replicas > 1 && o.shards < 1 && o.shardID < 0 {
 		log.Fatalf("-replicas %d needs a sharded plane (-shards N, or -shard-id/-peers)", o.replicas)
 	}
-
 	if o.shards < 0 {
 		log.Fatalf("-shards %d: want a positive shard count", o.shards)
 	}
-	// -shards 1 still runs the sharded layout (state under shard-0, ring
-	// service mounted), so asking for shards always yields the sharded
-	// state layout and membership service rather than silently falling
-	// back to the legacy single-container paths. (Changing the shard
-	// count of an EXISTING state dir re-homes data without migrating
-	// them; redistribute through a client before growing a plane.)
+	// (Changing the shard count of an EXISTING -shards state dir re-homes
+	// data without migrating them; grow a live plane with `bitdew ring
+	// add` instead.)
 	if o.shards >= 1 {
 		if err := runShardedPlane(o); err != nil {
 			log.Fatal(err)
@@ -93,66 +87,25 @@ func main() {
 		return
 	}
 
-	peers, self, err := shardMembership(o)
+	cfg, err := buildConfig(o)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	cfg, cleanup, err := buildConfig(o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	var table *runtime.MembershipTable
-	if o.replicas > 1 && peers != nil {
-		// One shard of a multi-process replicated plane. Boots always
-		// probe (no SkipBootCheck): this process cannot know whether a
-		// peer promoted over its ranges while it was down.
-		cfg.Replication = &runtime.ReplicationConfig{
-			Shard:    self,
-			Addrs:    peers,
-			Replicas: o.replicas,
-			Logf:     log.Printf,
-		}
-	} else if peers != nil {
-		// One shard of an unreplicated multi-process plane: elastic. The
-		// shard serves the rebalance protocol, so `bitdew ring add`/`drain`
-		// can reshape the plane live; every committed membership change is
-		// published through the shard's ring table.
-		table = runtime.NewMembershipTable(self, peers, o.replicas, 1)
-		cfg.Rebalance = &runtime.RebalanceConfig{
-			Shard:    self,
-			Shards:   len(peers),
-			OnCommit: table.Set,
-			Logf:     log.Printf,
-		}
-	}
-
+	// A lone process cannot know whether a peer promoted over its ranges
+	// while it was down, so it always boots probing (no SkipBootCheck).
 	c, err := runtime.NewContainer(cfg)
 	if err != nil {
 		log.Fatalf("starting services: %v", err)
 	}
 	defer c.Close()
 
-	if peers != nil {
-		if table != nil {
-			// A restarted shard of a previously reshaped plane recovered its
-			// committed epoch; announce it (the operator restarts with the
-			// matching -peers list).
-			table.Set(c.Rebalance().Epoch(), peers)
-			table.Mount(c.Mux)
-		} else {
-			runtime.MountMembership(c.Mux, self, peers, o.replicas)
-		}
-		fmt.Printf("bitdew-service shard %d of %d listening\n", self, len(peers))
-		fmt.Printf("  membership:        %s\n", strings.Join(peers, ","))
-		if o.replicas > 1 {
-			fmt.Printf("  replication:       R=%d (automatic failover)\n", o.replicas)
-		} else {
-			fmt.Printf("  elastic:           epoch %d (grow/shrink with `bitdew ring add/drain`)\n", c.Rebalance().Epoch())
-		}
+	table := c.Membership()
+	fmt.Printf("bitdew-service shard %d of %d listening\n", table.Self, len(table.Addrs))
+	fmt.Printf("  membership:        %s\n", strings.Join(table.Addrs, ","))
+	if table.Replicas > 1 {
+		fmt.Printf("  replication:       R=%d (automatic failover)\n", table.Replicas)
 	} else {
-		fmt.Printf("bitdew-service listening\n")
+		fmt.Printf("  elastic:           epoch %d (grow/shrink with `bitdew ring add/drain`)\n", table.Epoch)
 	}
 	fmt.Printf("  rpc (dc/dr/dt/ds): %s\n", c.Addr())
 	if o.stateDir != "" {
@@ -179,9 +132,14 @@ func awaitSignal() {
 }
 
 // shardMembership resolves the -shard-id/-peers pair into the membership
-// table ("" peers with no shard-id means an unsharded host).
+// table; neither means the one-shard plane at -addr, which the container
+// fills in from the address it actually bound — and advertises, so it must
+// be one clients can dial.
 func shardMembership(o options) ([]string, int, error) {
 	if o.shardID < 0 && o.peers == "" {
+		if host, _, err := net.SplitHostPort(o.addr); err == nil && (host == "" || net.ParseIP(host).IsUnspecified()) {
+			return nil, 0, fmt.Errorf("-addr %s binds every interface; say which address clients dial: -shard-id 0 -peers HOST:PORT", o.addr)
+		}
 		return nil, 0, nil
 	}
 	if o.shardID < 0 || o.peers == "" {
@@ -217,8 +175,8 @@ func shardAddrs(base string, n int) ([]string, error) {
 
 // runShardedPlane serves a whole N-shard plane from this process.
 func runShardedPlane(o options) error {
-	if o.walPath != "" || o.dataDir != "" {
-		return fmt.Errorf("-shards manages per-shard state; use -state-dir, not -wal/-datadir")
+	if o.dataDir != "" {
+		return fmt.Errorf("-shards manages per-shard state; use -state-dir, not -datadir")
 	}
 	if o.shardID >= 0 || o.peers != "" {
 		return fmt.Errorf("-shards runs the whole plane; -shard-id/-peers are for one-shard-per-process deployments")
@@ -256,76 +214,19 @@ func runShardedPlane(o options) error {
 	return nil
 }
 
-// buildConfig turns CLI options into a container configuration. The
-// returned cleanup releases resources the configuration holds open (the
-// legacy WAL file) and must run after the container closes.
-func buildConfig(o options) (runtime.ContainerConfig, func(), error) {
+// buildConfig turns CLI options into the configuration of the one container
+// this process hosts.
+func buildConfig(o options) (runtime.ContainerConfig, error) {
 	cfg := runtime.ContainerConfig{Addr: o.addr, FTPThrottle: o.throttle, StateDir: o.stateDir}
-	cleanup := func() {}
-
-	if o.stateDir != "" && o.walPath != "" {
-		return cfg, cleanup, fmt.Errorf("-state-dir already persists the catalog; drop -wal")
-	}
-
-	if o.walPath != "" {
-		store, walCleanup, err := openLegacyWAL(o.walPath)
-		if err != nil {
-			return cfg, cleanup, err
-		}
-		cfg.Store = store
-		cleanup = walCleanup
-	}
-
-	if o.dataDir != "" {
-		backend, err := repository.NewDirBackend(o.dataDir)
-		if err != nil {
-			cleanup()
-			return cfg, func() {}, fmt.Errorf("opening datadir: %w", err)
-		}
-		cfg.Backend = backend
-	}
-	return cfg, cleanup, nil
-}
-
-// openLegacyWAL recovers a -wal file into a fresh store that keeps
-// appending to it (the pre-state-dir persistence path: a bare append-only
-// log — no snapshots, no compaction, so the file grows without bound;
-// prefer -state-dir).
-func openLegacyWAL(walPath string) (db.Store, func(), error) {
-	store := db.NewRowStore()
-	if f, err := os.Open(walPath); err == nil {
-		if err := store.Replay(f); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("replaying %s: %w", walPath, err)
-		}
-		f.Close()
-		log.Printf("recovered catalog state from %s", walPath)
-	}
-	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	peers, self, err := shardMembership(o)
 	if err != nil {
-		return nil, nil, fmt.Errorf("opening WAL: %w", err)
+		return cfg, err
 	}
-	walStore := db.NewRowStore(db.WithWAL(wal))
-	if err := copyStore(store, walStore); err != nil {
-		wal.Close()
-		return nil, nil, fmt.Errorf("restoring state: %w", err)
-	}
-	return walStore, func() { wal.Close() }, nil
-}
-
-// copyStore copies every row from src into dst.
-func copyStore(src *db.RowStore, dst db.Store) error {
-	// Tables used by the services are fixed; scanning a superset is safe.
-	// All four services write through the container's store, so the legacy
-	// WAL accumulates scheduler and repository rows too — recover them all
-	// rather than silently dropping what was paid for on the append path.
-	for _, table := range []string{"dc_data", "dc_locators", "ds_entries", "dr_endpoints"} {
-		err := src.Scan(table, func(k string, v []byte) bool {
-			return dst.Put(table, k, v) == nil
-		})
-		if err != nil {
-			return err
+	cfg.Plane = runtime.Plane{Shard: self, Addrs: peers, Replicas: o.replicas, Logf: log.Printf}
+	if o.dataDir != "" {
+		if cfg.Backend, err = repository.NewDirBackend(o.dataDir); err != nil {
+			return cfg, fmt.Errorf("opening datadir: %w", err)
 		}
 	}
-	return nil
+	return cfg, nil
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"bitdew/internal/attr"
@@ -13,7 +11,8 @@ import (
 // startFromOptions builds the container exactly as main does.
 func startFromOptions(t *testing.T, o options) (*runtime.Container, func()) {
 	t.Helper()
-	cfg, cleanup, err := buildConfig(o)
+	o.shardID = -1 // the flag's default: no -shard-id/-peers
+	cfg, err := buildConfig(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +21,9 @@ func startFromOptions(t *testing.T, o options) (*runtime.Container, func()) {
 	cfg.DisableSwarm = true
 	c, err := runtime.NewContainer(cfg)
 	if err != nil {
-		cleanup()
 		t.Fatal(err)
 	}
-	return c, func() {
-		c.Close()
-		cleanup()
-	}
+	return c, func() { c.Close() }
 }
 
 // populate puts one scheduled datum through the service plane.
@@ -82,45 +77,5 @@ func TestStateDirSurvivesRestart(t *testing.T) {
 	res := re.DS.Sync("fresh-worker", nil)
 	if len(res.Fetch) != 1 || res.Fetch[0].Data.Name != "greeting" {
 		t.Fatalf("restarted scheduler assigned %+v", res.Fetch)
-	}
-}
-
-func TestLegacyWALReplaysCatalog(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "bitdew.wal")
-	o := options{walPath: walPath}
-
-	c, stop := startFromOptions(t, o)
-	populate(t, c)
-	stop()
-
-	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("legacy WAL not written: %v", err)
-	}
-
-	re, stop2 := startFromOptions(t, o)
-	defer stop2()
-	node, err := core.NewNode(core.NodeConfig{Host: "cli2", Comms: core.ConnectLocal(re.Mux)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.SetClientOnly(true)
-	d, err := node.BitDew.SearchDataFirst("greeting")
-	if err != nil {
-		t.Fatalf("catalog lost after -wal restart: %v", err)
-	}
-	if locs, err := re.DC.Locators(d.UID); err != nil || len(locs) == 0 {
-		t.Fatalf("locators lost after -wal restart: %v, %v", locs, err)
-	}
-	// The legacy log carries the scheduler's rows too (every service
-	// writes through the container's store), and copyStore recovers them.
-	if entries := re.DS.Entries(); len(entries) != 1 || entries[0].Data.UID != d.UID {
-		t.Fatalf("scheduler entries lost after -wal restart: %+v", entries)
-	}
-}
-
-func TestStateDirAndWALAreExclusive(t *testing.T) {
-	_, _, err := buildConfig(options{stateDir: "x", walPath: "y"})
-	if err == nil {
-		t.Fatal("buildConfig accepted both -state-dir and -wal")
 	}
 }

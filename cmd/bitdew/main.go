@@ -35,7 +35,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"bitdew/internal/attr"
@@ -176,16 +175,22 @@ func fetchRing(addr string) runtime.Membership {
 const ringOpTimeout = 10 * time.Minute
 
 // elasticRing fetches the membership table and refuses planes that cannot
-// rebalance (static or replicated ones).
+// rebalance: a replicated plane's membership is static (epoch 0).
 func elasticRing(addrs []string, op string) runtime.Membership {
 	table := fetchRing(addrs[0])
 	if table.Epoch == 0 {
-		log.Fatalf("ring %s: the plane is not elastic (no membership epoch); start every shard with -shard-id/-peers and no -replicas", op)
-	}
-	if table.Replicas > 1 {
-		log.Fatalf("ring %s: replicated planes reshape through repl, not elastic rebalancing", op)
+		log.Fatalf("ring %s: replicated planes (R=%d) reshape through repl, not elastic rebalancing", op, table.Replicas)
 	}
 	return table
+}
+
+// ringClients opens one rebalance-protocol connection per shard address.
+func ringClients(addrs []string) []*rebalance.Client {
+	clients := make([]*rebalance.Client, len(addrs))
+	for i, a := range addrs {
+		clients[i] = rebalance.NewClient(rpc.DialAutoLazy(a, rpc.WithCallTimeout(ringOpTimeout)))
+	}
+	return clients
 }
 
 // cmdRingAdd grows the plane by one shard under live traffic. The new
@@ -193,7 +198,7 @@ func elasticRing(addrs []string, op string) runtime.Membership {
 //
 //	bitdew-service -addr <newaddr> -shard-id N -peers <cur...,newaddr>
 //
-// The protocol stages every current shard's moving rows onto it, cuts
+// rebalance.Grow stages every current shard's moving rows onto it, cuts
 // ownership over, and commits the bumped epoch everywhere — clients follow
 // through their membership polling; no restart anywhere.
 func cmdRingAdd(addrs []string, newAddr string) {
@@ -205,103 +210,38 @@ func cmdRingAdd(addrs []string, newAddr string) {
 		}
 	}
 	newAddrs := append(append([]string(nil), cur...), newAddr)
-
-	newClient := rebalance.NewClient(rpc.DialAutoLazy(newAddr, rpc.WithCallTimeout(ringOpTimeout)))
-	st, err := newClient.Status()
-	if err != nil {
-		log.Fatalf("ring add: new shard %s unreachable: %v\nstart it first: bitdew-service -addr %s -shard-id %d -peers %s",
-			newAddr, err, newAddr, len(cur), strings.Join(newAddrs, ","))
-	}
-	if st.Self != len(cur) || st.Shards != len(newAddrs) {
-		log.Fatalf("ring add: %s runs as shard %d of %d; the joining shard must be started with -shard-id %d -peers %s",
-			newAddr, st.Self, st.Shards, len(cur), strings.Join(newAddrs, ","))
-	}
-
-	sources := make([]*rebalance.Client, len(cur))
-	for i, a := range cur {
-		sources[i] = rebalance.NewClient(rpc.DialAutoLazy(a, rpc.WithCallTimeout(ringOpTimeout)))
-	}
-	abort := func() {
-		for _, src := range sources {
-			//vet:ignore errlost abort is best-effort cleanup after the failure being reported
-			src.Abort()
-		}
-	}
-	// Stage in parallel: every source streams its moving rows to the new
-	// shard while continuing to serve.
-	errs := make([]error, len(sources))
-	var wg sync.WaitGroup
-	for i, src := range sources {
-		wg.Add(1)
-		go func(i int, src *rebalance.Client) {
-			defer wg.Done()
-			if _, err := src.Stage(newAddrs); err != nil {
-				errs[i] = err
-			}
-		}(i, src)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			abort()
-			log.Fatalf("ring add: shard %d stage: %v", i, err)
-		}
-	}
-	for i, src := range sources {
-		if err := src.Cutover(); err != nil {
-			abort()
-			log.Fatalf("ring add: shard %d cutover: %v", i, err)
-		}
-	}
 	epoch := table.Epoch + 1
-	for i, src := range sources {
-		if err := src.Commit(epoch, newAddrs); err != nil {
-			log.Fatalf("ring add: shard %d commit: %v", i, err)
-		}
-	}
-	if err := newClient.Commit(epoch, newAddrs); err != nil {
-		log.Fatalf("ring add: shard %d commit: %v", len(cur), err)
+	committed, err := rebalance.Grow(ringClients(newAddrs), newAddrs, epoch)
+	if !committed {
+		log.Fatalf("ring add: %v\n(the joining shard must already run as: bitdew-service -addr %s -shard-id %d -peers %s)",
+			err, newAddr, len(cur), strings.Join(newAddrs, ","))
 	}
 	fmt.Printf("added shard %d (%s) at epoch %d\n", len(cur), newAddr, epoch)
 	printRing(addrs[0])
+	if err != nil {
+		log.Fatalf("ring add: %v", err)
+	}
 }
 
-// cmdRingDrain retires the plane's last shard: its rows stream to the
-// survivors, ownership cuts over, and the shrunk membership commits. The
-// drained process is NOT stopped — it keeps answering stale reads with
-// retained content and points old clients at the survivors — stop it once
-// clients have converged.
+// cmdRingDrain retires the plane's last shard through rebalance.Drain: its
+// rows stream to the survivors, ownership cuts over, and the shrunk
+// membership commits. The drained process is NOT stopped — it keeps
+// answering stale reads with retained content and points old clients at the
+// survivors — stop it once clients have converged.
 func cmdRingDrain(addrs []string) {
 	table := elasticRing(addrs, "drain")
 	cur := table.Addrs
-	n := len(cur)
-	if n < 2 {
-		log.Fatal("ring drain: cannot drain the last shard")
-	}
-	newAddrs := append([]string(nil), cur[:n-1]...)
-	last := rebalance.NewClient(rpc.DialAutoLazy(cur[n-1], rpc.WithCallTimeout(ringOpTimeout)))
-	if _, err := last.Stage(newAddrs); err != nil {
-		//vet:ignore errlost abort is best-effort cleanup after the failure being reported
-		last.Abort()
-		log.Fatalf("ring drain: shard %d stage: %v", n-1, err)
-	}
-	if err := last.Cutover(); err != nil {
-		//vet:ignore errlost abort is best-effort cleanup after the failure being reported
-		last.Abort()
-		log.Fatalf("ring drain: shard %d cutover: %v", n-1, err)
-	}
+	last := len(cur) - 1
 	epoch := table.Epoch + 1
-	for i := 0; i < n-1; i++ {
-		src := rebalance.NewClient(rpc.DialAutoLazy(cur[i], rpc.WithCallTimeout(ringOpTimeout)))
-		if err := src.Commit(epoch, newAddrs); err != nil {
-			log.Fatalf("ring drain: shard %d commit: %v", i, err)
-		}
+	committed, err := rebalance.Drain(ringClients(cur), cur[:last], epoch)
+	if !committed {
+		log.Fatalf("ring drain: %v", err)
 	}
-	if err := last.Commit(epoch, newAddrs); err != nil {
-		log.Fatalf("ring drain: shard %d commit: %v", n-1, err)
-	}
-	fmt.Printf("drained shard %d (%s) at epoch %d; stop its process once clients converge\n", n-1, cur[n-1], epoch)
+	fmt.Printf("drained shard %d (%s) at epoch %d; stop its process once clients converge\n", last, cur[last], epoch)
 	printRing(addrs[0])
+	if err != nil {
+		log.Fatalf("ring drain: %v", err)
+	}
 }
 
 // cmdRepl prints each shard's replication status — owned ranges, stream

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"bitdew/internal/data"
 	"bitdew/internal/repl"
@@ -389,26 +388,23 @@ func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
 // A shard whose frame fails outright marks only its own data's errs slots
 // — shards fail independently, exactly like the heartbeat fan-out. On an
 // elastic plane, data refused as not-owner (their range moved mid-lookup)
-// are retried against a refreshed membership view, recomputing the pending
-// set each pass so only the moved data go back to the wire.
+// are retried through retryElastic, recomputing the pending set each pass so
+// only the moved data go back to the wire.
 func (b *BitDew) lookupLocators(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) {
 	pending := miss
-	for pass := 0; len(pending) > 0; pass++ {
-		retry := b.lookupLocatorsOnce(ds, protocol, pending, candidates, errs)
-		if len(retry) == 0 || !b.set.elastic() || pass >= elasticRetryPasses-1 {
-			return
+	// The verdict per datum is in errs; the loop's own error only says that
+	// some data were still refused when the retry budget ran out.
+	_ = b.set.retryElastic(func() error {
+		pending = b.lookupLocatorsOnce(ds, protocol, pending, candidates, errs)
+		if len(pending) > 0 {
+			return repl.ErrNotOwner
 		}
-		if !b.set.Refresh() {
-			time.Sleep(elasticRetryBackoff)
-			b.set.Refresh()
-		}
-		pending = retry
-	}
+		return nil
+	})
 }
 
 // lookupLocatorsOnce runs one lookup pass over the current membership view
-// and returns the miss entries that failed with a not-owner handoff (worth
-// retrying after a refresh on an elastic plane).
+// and returns the miss entries that failed with a not-owner handoff.
 func (b *BitDew) lookupLocatorsOnce(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) []int {
 	if len(miss) == 0 {
 		return nil

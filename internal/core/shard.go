@@ -449,12 +449,16 @@ func sameAddrs(a, b []string) bool {
 	return true
 }
 
-// homeCall runs fn against uid's home shard. On an elastic plane a
-// not-owner refusal means a rebalance moved the key mid-call: the set
-// refreshes its membership view and retries against the new home, bounded
-// by elasticRetryPasses. All other errors — including deadlines, which may
-// have executed — return unretried.
-func (s *ShardSet) homeCall(uid data.UID, fn func(c *Comms) error) error {
+// retryElastic runs attempt and, while an elastic plane refuses it as
+// not-owner — a rebalance moved its keys mid-call — reruns it under a
+// refreshed membership view, elasticRetryPasses attempts in all. It is the
+// client's one retry loop for membership changes: single-datum calls come
+// through homeCall, fan-outs re-partition inside attempt, so a batch caught
+// mid-rebalance converges on the committed placement. attempt must be safe
+// to repeat wholesale (a not-owner refusal precedes execution, and all
+// batch writes on this plane are put-overwrite idempotent). All other
+// errors — including deadlines, which may have executed — return unretried.
+func (s *ShardSet) retryElastic(attempt func() error) error {
 	var err error
 	for pass := 0; pass < elasticRetryPasses; pass++ {
 		if pass > 0 && !s.Refresh() {
@@ -463,7 +467,7 @@ func (s *ShardSet) homeCall(uid data.UID, fn func(c *Comms) error) error {
 			time.Sleep(elasticRetryBackoff)
 			s.Refresh()
 		}
-		err = fn(s.For(uid))
+		err = attempt()
 		if err == nil || !s.elastic() || !repl.IsNotOwner(err) {
 			return err
 		}
@@ -471,27 +475,10 @@ func (s *ShardSet) homeCall(uid data.UID, fn func(c *Comms) error) error {
 	return err
 }
 
-// retryElastic reruns an idempotent fan-out while an elastic plane answers
-// not-owner — each pass re-partitions under a freshly refreshed view, so a
-// batch caught mid-rebalance converges on the committed placement. attempt
-// must be safe to repeat wholesale (all batch writes on this plane are
-// put-overwrite idempotent).
-func (s *ShardSet) retryElastic(attempt func() error) error {
-	err := attempt()
-	if err == nil || !s.elastic() || !repl.IsNotOwner(err) {
-		return err
-	}
-	for pass := 1; pass < elasticRetryPasses; pass++ {
-		if !s.Refresh() {
-			time.Sleep(elasticRetryBackoff)
-			s.Refresh()
-		}
-		err = attempt()
-		if err == nil || !repl.IsNotOwner(err) {
-			return err
-		}
-	}
-	return err
+// homeCall runs fn against uid's home shard, re-resolved on every
+// retryElastic pass.
+func (s *ShardSet) homeCall(uid data.UID, fn func(c *Comms) error) error {
+	return s.retryElastic(func() error { return fn(s.For(uid)) })
 }
 
 // partition groups the indexes 0..n-1 by the home shard of uidAt(i) under

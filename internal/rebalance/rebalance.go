@@ -11,9 +11,9 @@
 // snapshot+tail mutation stream (PR 9's replication shipper); rebalance
 // reuses it to ship exactly the rows whose key hashes into a moving arc.
 //
-// Three phases, driven per source shard by a coordinator
-// (runtime.ShardedContainer for in-process planes, `bitdew ring add/drain`
-// for live ones):
+// Three phases, driven per source shard by Grow and Drain (coordinator.go)
+// over one Client per shard — in-process for runtime.ShardedContainer, over
+// TCP for `bitdew ring add/drain`:
 //
 //   - Stage: compute this shard's outbound moves from Diff(old, new), cut
 //     an atomic snapshot+subscription of the feed, and Install the moving
@@ -41,8 +41,8 @@
 // commit-time GC unschedules them — workers never observe a Drop for a
 // datum that merely changed shards.
 //
-// Replicated planes (R > 1) rebalance through repl's ownership protocol,
-// not this one: Stage refuses when the container replicates.
+// Replicated planes (R > 1) move ranges through repl's ownership protocol,
+// not this one: their containers mount no rebalance node.
 package rebalance
 
 import (
@@ -96,11 +96,11 @@ type Config struct {
 	Self   int
 	Shards int
 	// Feed is the live meta store, feed-wrapped: every service write flows
-	// through it (and through Guard), and migrations snapshot+follow it.
-	// The node writes incoming rows directly to it, beneath the guard.
+	// through it (behind the GateKey gate), and migrations snapshot+follow
+	// it. The node writes incoming rows directly to it, beneath the gate.
 	Feed *db.FeedStore
-	// Tables are the UID-keyed catalog tables that migrate and that Guard
-	// gates (catalog data + locators).
+	// Tables are the UID-keyed catalog tables that migrate (catalog data +
+	// locators) — the ones the container gates with GateKey.
 	Tables []string
 	// SchedulerTable is the UID-keyed scheduler persistence table; its rows
 	// migrate through AdoptScheduler/DropScheduler so the target's
@@ -132,12 +132,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Node is one shard's rebalancing endpoint: it serves the ownership guard
+// Node is one shard's rebalancing endpoint: it answers the ownership gate
 // in steady state, stages and cuts over outbound migrations as a source,
 // and installs inbound rows as a target. Mount it on the container's Mux.
 type Node struct {
 	cfg      Config
-	gated    map[string]bool // guard-gated tables (catalog)
 	migrated map[string]bool // feed-filtered tables (catalog + scheduler)
 
 	mu       sync.Mutex
@@ -167,13 +166,11 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		gated:    make(map[string]bool, len(cfg.Tables)),
 		migrated: make(map[string]bool, len(cfg.Tables)+1),
 		epoch:    1,
 		place:    dht.NewPlacement(cfg.Shards),
 	}
 	for _, t := range cfg.Tables {
-		n.gated[t] = true
 		n.migrated[t] = true
 	}
 	if cfg.SchedulerTable != "" {
@@ -236,79 +233,6 @@ func (n *Node) GateKey(key string) error {
 		return fmt.Errorf("%w: key %q homes on shard %d (epoch %d)", repl.ErrNotOwner, key, owner, n.epoch)
 	}
 	return nil
-}
-
-// servesKey is GateKey as a boolean, for table walks.
-func (n *Node) servesKey(key string) bool { return n.GateKey(key) == nil }
-
-// guardStore enforces the ownership gate over the UID-keyed catalog
-// tables: point operations on a key this shard does not (or no longer)
-// own are refused with ErrNotOwner before touching state, and table walks
-// skip unowned rows — which is what keeps rows installed by an inbound
-// migration invisible until its commit, and ghost rows invisible after
-// one.
-type guardStore struct {
-	db.Store
-	n *Node
-}
-
-// Guard wraps the live store with the ownership gate. Tables not listed in
-// cfg.Tables pass through untouched.
-func (n *Node) Guard(inner db.Store) db.Store {
-	return &guardStore{Store: inner, n: n}
-}
-
-func (g *guardStore) Put(table, key string, value []byte) error {
-	if g.n.gated[table] {
-		if err := g.n.GateKey(key); err != nil {
-			return err
-		}
-	}
-	return g.Store.Put(table, key, value)
-}
-
-func (g *guardStore) Get(table, key string) ([]byte, bool, error) {
-	if g.n.gated[table] {
-		if err := g.n.GateKey(key); err != nil {
-			return nil, false, err
-		}
-	}
-	return g.Store.Get(table, key)
-}
-
-func (g *guardStore) Delete(table, key string) error {
-	if g.n.gated[table] {
-		if err := g.n.GateKey(key); err != nil {
-			return err
-		}
-	}
-	return g.Store.Delete(table, key)
-}
-
-func (g *guardStore) Keys(table string) ([]string, error) {
-	keys, err := g.Store.Keys(table)
-	if err != nil || !g.n.gated[table] {
-		return keys, err
-	}
-	kept := keys[:0]
-	for _, k := range keys {
-		if g.n.servesKey(k) {
-			kept = append(kept, k)
-		}
-	}
-	return kept, nil
-}
-
-func (g *guardStore) Scan(table string, fn func(key string, value []byte) bool) error {
-	if !g.n.gated[table] {
-		return g.Store.Scan(table, fn)
-	}
-	return g.Store.Scan(table, func(k string, v []byte) bool {
-		if !g.n.servesKey(k) {
-			return true
-		}
-		return fn(k, v)
-	})
 }
 
 func (n *Node) logf(format string, args ...any) {

@@ -37,7 +37,8 @@
 //     a range back would need every client to re-route without the death
 //     signal they key on.
 //
-// The ownership gate (Node.Guard / Node.GateUID) is what makes rejoin
+// The ownership gate (Node.GateUID, which the container installs over the
+// catalog tables with db.NewGatedStore) is what makes rejoin
 // split-brain-free: a shard refuses reads and writes for ranges it does not
 // currently own with ErrNotOwner, which clients treat as a safe-to-retry
 // redirect (the call was refused, never executed).
@@ -281,87 +282,13 @@ func (n *Node) ServingRanges() map[int]uint64 {
 
 // GateUID is the per-key ownership gate: nil when uid's range is served
 // here, ErrNotOwner otherwise. The scheduler consults it directly; the
-// catalog tables go through Guard.
+// catalog tables sit behind it through db.NewGatedStore.
 func (n *Node) GateUID(uid string) error {
 	rangeID := n.place.ShardOf(uid)
 	if n.Serves(rangeID) {
 		return nil
 	}
 	return fmt.Errorf("%w: key %q homes on range %d", ErrNotOwner, uid, rangeID)
-}
-
-// guardStore enforces the ownership gate over the UID-keyed gated tables:
-// point operations on a key whose range is not served here are refused with
-// ErrNotOwner (before touching state, so they are always safe to retry on
-// the real owner), and table walks skip unowned rows so a rejoined shard's
-// stale rows are invisible to searches.
-type guardStore struct {
-	db.Store
-	n     *Node
-	gated map[string]bool
-}
-
-// Guard wraps the live store with the ownership gate. Tables not listed in
-// GatedTables pass through untouched.
-func (n *Node) Guard(inner db.Store) db.Store {
-	gated := make(map[string]bool, len(n.cfg.GatedTables))
-	for _, t := range n.cfg.GatedTables {
-		gated[t] = true
-	}
-	return &guardStore{Store: inner, n: n, gated: gated}
-}
-
-func (g *guardStore) Put(table, key string, value []byte) error {
-	if g.gated[table] {
-		if err := g.n.GateUID(key); err != nil {
-			return err
-		}
-	}
-	return g.Store.Put(table, key, value)
-}
-
-func (g *guardStore) Get(table, key string) ([]byte, bool, error) {
-	if g.gated[table] {
-		if err := g.n.GateUID(key); err != nil {
-			return nil, false, err
-		}
-	}
-	return g.Store.Get(table, key)
-}
-
-func (g *guardStore) Delete(table, key string) error {
-	if g.gated[table] {
-		if err := g.n.GateUID(key); err != nil {
-			return err
-		}
-	}
-	return g.Store.Delete(table, key)
-}
-
-func (g *guardStore) Keys(table string) ([]string, error) {
-	keys, err := g.Store.Keys(table)
-	if err != nil || !g.gated[table] {
-		return keys, err
-	}
-	kept := keys[:0]
-	for _, k := range keys {
-		if g.n.Serves(g.n.place.ShardOf(k)) {
-			kept = append(kept, k)
-		}
-	}
-	return kept, nil
-}
-
-func (g *guardStore) Scan(table string, fn func(key string, value []byte) bool) error {
-	if !g.gated[table] {
-		return g.Store.Scan(table, fn)
-	}
-	return g.Store.Scan(table, func(k string, v []byte) bool {
-		if !g.n.Serves(g.n.place.ShardOf(k)) {
-			return true
-		}
-		return fn(k, v)
-	})
 }
 
 // nsTable maps a (source shard, live table) pair to its replica-namespace

@@ -377,7 +377,7 @@ func TestGuardStore(t *testing.T) {
 	place := dht.NewPlacement(2)
 	mine := keyOn(place, 0, "guard", 0)
 	theirs := keyOn(place, 1, "guard", 1)
-	g := p.shards[0].node.Guard(p.shards[0].feed)
+	g := db.NewGatedStore(p.shards[0].feed, p.shards[0].node.GateUID, "dc_data", "dc_locators")
 	if err := g.Put("dc_data", mine, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}

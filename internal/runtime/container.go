@@ -61,58 +61,42 @@ type ContainerConfig struct {
 	// capacity from one machine.
 	RPCOptions []rpc.ServerOption
 	// Listener, when set, serves rpc on this pre-bound listener instead of
-	// Addr. A replicated plane pre-listens every shard so the full
-	// membership table exists before the first container boots.
+	// Addr; the container owns it from here on. A plane hosted in one
+	// process pre-listens every shard so the full membership table exists
+	// before the first container boots.
 	Listener net.Listener
-	// Replication, when set with Replicas >= 2, wires this container into
-	// the shard-replication plane: its meta store is feed-wrapped and
-	// shipped to its successor shards, the ownership gate guards its key
-	// ranges, and the repl service (failover, rejoin) is mounted.
-	Replication *ReplicationConfig
-	// Rebalance, when set, wires this container into the elastic-membership
-	// plane: its meta store is feed-wrapped behind the rebalance ownership
-	// guard and the rebal service (Stage/Cutover/Commit/Install) is
-	// mounted, so the plane can grow and shrink under live traffic.
-	// Mutually exclusive with Replication (replicated planes move ranges
-	// through repl's ownership protocol instead).
-	Rebalance *RebalanceConfig
+	// Plane says which shard of which service plane this container is. The
+	// zero value is a one-shard plane at the container's own address.
+	Plane Plane
 }
 
-// RebalanceConfig is the per-shard elastic-membership wiring of a
-// container.
-type RebalanceConfig struct {
-	// Shard is this container's index; Shards the plane's shard count at
-	// boot (a persisted committed epoch overrides it on restart).
-	Shard  int
-	Shards int
-	// OnCommit observes every committed membership change; the sharded
-	// runtime publishes it through the ring table.
-	OnCommit func(epoch uint64, addrs []string)
-	// DialOpts contributes extra dial options per outbound peer address.
-	DialOpts func(addr string) []rpc.DialOption
-	// Logf receives rebalance life-cycle events.
-	Logf func(format string, args ...any)
-}
-
-// ReplicationConfig is the per-shard replication wiring of a container.
-type ReplicationConfig struct {
+// Plane describes the service plane a container is one shard of. It is the
+// same description whether the other shards share the process
+// (ShardedContainer) or run on other hosts (bitdew-service -shard-id/-peers),
+// and NewContainer is the one place it is acted on: the container
+// feed-wraps its meta store, joins the replication protocol (Replicas > 1)
+// or the elastic-membership protocol (otherwise), gates its key ranges with
+// that protocol's ownership gate, and serves the membership table.
+type Plane struct {
 	// Shard is this container's index in Addrs; Addrs is the full
-	// membership table in placement order.
+	// membership table in placement order (a restarted shard that recovered
+	// a committed reshape trusts its recovered shard count over len(Addrs)).
 	Shard int
 	Addrs []string
 	// Replicas is R: each key range lives on its home shard plus R-1
-	// successors on the placement circle.
+	// successors on the placement circle, with automatic failover. Capped
+	// at len(Addrs); 0 or 1 leaves the plane unreplicated and elastic.
 	Replicas int
-	// ProbeTimeout bounds each failover liveness probe (0 = default).
-	ProbeTimeout time.Duration
 	// SkipBootCheck may be set only on a coordinated fresh boot of the
 	// whole plane (nobody can have promoted anything yet); restarts must
 	// always resolve ownership by probing.
 	SkipBootCheck bool
+	// ProbeTimeout bounds each failover liveness probe (0 = default).
+	ProbeTimeout time.Duration
 	// DialOpts contributes extra dial options per outbound peer address —
 	// the fault-injection hook of the failover crash-point tests.
 	DialOpts func(addr string) []rpc.DialOption
-	// Logf receives replication life-cycle events.
+	// Logf receives replication and rebalance life-cycle events.
 	Logf func(format string, args ...any)
 }
 
@@ -133,13 +117,13 @@ type Container struct {
 	// ownStore is the durable store this container opened from StateDir
 	// (nil when the caller supplied Store); Close flushes and closes it.
 	ownStore *db.DurableStore
-	// node and ownFeed exist only on replicated containers: the feed wraps
-	// the meta store (its stream ships to the successor shards) and node is
-	// the shard's replication endpoint. rnode is the elastic-membership
-	// counterpart (feed-wrapped too, mutually exclusive with node).
-	node    *repl.Node
-	rnode   *rebalance.Node
-	ownFeed *db.FeedStore
+	// feed wraps the meta store: its mutation stream is what replication
+	// ships and what a migration snapshots and follows. Exactly one of node
+	// (Plane.Replicas > 1) and rnode speaks for the shard's key ranges.
+	feed  *db.FeedStore
+	node  *repl.Node
+	rnode *rebalance.Node
+	ring  *MembershipTable
 
 	mu      sync.Mutex
 	seeders map[data.UID]*swarm.Peer
@@ -148,185 +132,163 @@ type Container struct {
 
 // NewContainer builds and starts a service container.
 func NewContainer(cfg ContainerConfig) (*Container, error) {
-	var ownStore *db.DurableStore
+	c := &Container{
+		Mux:     rpc.NewMux(),
+		DT:      transfer.NewService(),
+		seeders: make(map[data.UID]*swarm.Peer),
+	}
+	lis := cfg.Listener
+	fail := func(err error) (*Container, error) {
+		if lis != nil {
+			lis.Close() // the rpc server, built last, never got to own it
+		}
+		c.Close()
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	var err error
+	// Bind first, serve last: the membership table needs the real address,
+	// and connections made meanwhile wait in the accept backlog.
+	if lis == nil && cfg.Addr != "" {
+		if lis, err = net.Listen("tcp", cfg.Addr); err != nil {
+			return fail(err)
+		}
+	}
 	if cfg.Store == nil {
 		if cfg.StateDir != "" {
-			var err error
-			ownStore, err = db.OpenDurable(filepath.Join(cfg.StateDir, "meta"),
+			c.ownStore, err = db.OpenDurable(filepath.Join(cfg.StateDir, "meta"),
 				db.WithCompactEvery(cfg.CompactEvery),
 				db.WithCompactInterval(time.Minute))
 			if err != nil {
-				return nil, fmt.Errorf("runtime: %w", err)
+				return fail(err)
 			}
-			cfg.Store = ownStore
+			cfg.Store = c.ownStore
 		} else {
 			cfg.Store = db.NewRowStore()
 		}
 	}
-	if cfg.Backend == nil {
+	backend := cfg.Backend
+	if backend == nil {
 		if cfg.StateDir != "" {
-			backend, err := repository.NewDirBackend(filepath.Join(cfg.StateDir, "data"))
-			if err != nil {
-				if ownStore != nil {
-					ownStore.Close()
-				}
-				return nil, fmt.Errorf("runtime: %w", err)
+			if backend, err = repository.NewDirBackend(filepath.Join(cfg.StateDir, "data")); err != nil {
+				return fail(err)
 			}
-			cfg.Backend = backend
 		} else {
-			cfg.Backend = repository.NewMemBackend()
+			backend = repository.NewMemBackend()
 		}
 	}
-	var (
-		ownFeed *db.FeedStore
-		node    *repl.Node
-		rnode   *rebalance.Node
-		c       *Container // late-bound: replication hooks capture it
-	)
-	fail := func(err error) (*Container, error) {
-		if node != nil {
-			node.Stop()
+
+	plane := cfg.Plane
+	if len(plane.Addrs) == 0 {
+		plane.Shard, plane.Addrs = 0, []string{""}
+		if lis != nil {
+			plane.Addrs[0] = lis.Addr().String()
 		}
-		if rnode != nil {
-			rnode.Stop()
-		}
-		if ownFeed != nil {
-			ownFeed.Close()
-		}
-		if ownStore != nil {
-			ownStore.Close()
-		}
-		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	if cfg.Replication != nil && cfg.Replication.Replicas > 1 && cfg.Rebalance != nil {
-		return fail(fmt.Errorf("a container replicates or rebalances, not both — replicated planes move ranges through repl"))
+	if plane.Replicas > len(plane.Addrs) {
+		plane.Replicas = len(plane.Addrs)
 	}
-	if cfg.Replication != nil && cfg.Replication.Replicas > 1 {
-		rc := cfg.Replication
-		var err error
-		// The stream epoch is minted per boot: a restarted shard recovers
-		// its rows from disk but not its sequence counter, and the fresh
-		// epoch is what tells its replicas to resync from a snapshot.
-		ownFeed, err = db.NewFeedStore(cfg.Store, uint64(time.Now().UnixNano()))
-		if err != nil {
-			return fail(err)
-		}
-		backend := cfg.Backend
-		node, err = repl.NewNode(repl.Config{
-			Shard:          rc.Shard,
-			Addrs:          rc.Addrs,
-			Replicas:       rc.Replicas,
-			Feed:           ownFeed,
-			GatedTables:    []string{catalog.TableData, catalog.TableLocators},
+	// Epoch 0 is a static membership (a replicated plane's); an elastic
+	// shard publishes its committed epoch below.
+	c.ring = &MembershipTable{table: Membership{
+		Self:     plane.Shard,
+		Addrs:    append([]string(nil), plane.Addrs...),
+		Replicas: plane.Replicas,
+	}}
+	// The stream epoch is minted per boot: a restarted shard recovers its
+	// rows from disk but not its sequence counter, and the fresh epoch is
+	// what tells its replicas to resync from a snapshot.
+	if c.feed, err = db.NewFeedStore(cfg.Store, uint64(time.Now().UnixNano())); err != nil {
+		return fail(err)
+	}
+	tables := []string{catalog.TableData, catalog.TableLocators}
+	adoptScheduler := func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) }
+	hasContent := func(uid string) bool {
+		_, err := backend.Size(uid)
+		return err == nil
+	}
+	var gate func(key string) error
+	if plane.Replicas > 1 {
+		c.node, err = repl.NewNode(repl.Config{
+			Shard:          plane.Shard,
+			Addrs:          plane.Addrs,
+			Replicas:       plane.Replicas,
+			Feed:           c.feed,
+			GatedTables:    tables,
 			SchedulerTable: scheduler.TableEntries,
 			ContentTable:   catalog.TableLocators,
-			AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
+			AdoptScheduler: adoptScheduler,
 			GetContent:     backend.Get,
 			PutContent:     backend.Put,
-			HasContent: func(uid string) bool {
-				_, err := backend.Size(uid)
-				return err == nil
-			},
-			DialOpts:      rc.DialOpts,
-			ProbeTimeout:  rc.ProbeTimeout,
-			SkipBootCheck: rc.SkipBootCheck,
-			Logf:          rc.Logf,
+			HasContent:     hasContent,
+			DialOpts:       plane.DialOpts,
+			ProbeTimeout:   plane.ProbeTimeout,
+			SkipBootCheck:  plane.SkipBootCheck,
+			Logf:           plane.Logf,
 		})
 		if err != nil {
 			return fail(err)
 		}
-		// Every service write now flows feed-first (shipping to replicas)
-		// behind the ownership gate (refusing ranges this shard lost).
-		cfg.Store = node.Guard(ownFeed)
-	} else if cfg.Rebalance != nil {
-		rb := cfg.Rebalance
-		var err error
-		ownFeed, err = db.NewFeedStore(cfg.Store, uint64(time.Now().UnixNano()))
-		if err != nil {
-			return fail(err)
-		}
-		backend := cfg.Backend
-		rnode, err = rebalance.NewNode(rebalance.Config{
-			Self:           rb.Shard,
-			Shards:         rb.Shards,
-			Feed:           ownFeed,
-			Tables:         []string{catalog.TableData, catalog.TableLocators},
+		gate = c.node.GateUID
+	} else {
+		c.rnode, err = rebalance.NewNode(rebalance.Config{
+			Self:           plane.Shard,
+			Shards:         len(plane.Addrs),
+			Feed:           c.feed,
+			Tables:         tables,
 			SchedulerTable: scheduler.TableEntries,
 			ContentTable:   catalog.TableLocators,
 			Endpoints:      func() map[string]string { return c.DR.Endpoints() },
 			GetContent:     backend.Get,
 			PutContent:     backend.Put,
-			HasContent: func(uid string) bool {
-				_, err := backend.Size(uid)
-				return err == nil
-			},
-			AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
+			HasContent:     hasContent,
+			AdoptScheduler: adoptScheduler,
 			DropScheduler:  func(uid string) error { return c.DS.Unschedule(data.UID(uid)) },
-			OnCommit:       rb.OnCommit,
-			DialOpts:       rb.DialOpts,
-			Logf:           rb.Logf,
+			OnCommit:       c.ring.Set,
+			DialOpts:       plane.DialOpts,
+			Logf:           plane.Logf,
 		})
 		if err != nil {
 			return fail(err)
 		}
-		// Every service write flows through the feed (migrations snapshot
-		// and follow it) behind the ownership guard (refusing keys that
-		// departed in a cutover or never homed here).
-		cfg.Store = rnode.Guard(ownFeed)
+		gate = c.rnode.GateKey
+		c.ring.Set(c.rnode.Epoch(), plane.Addrs)
 	}
-	ds, err := scheduler.NewDurable(cfg.Store)
-	if err != nil {
+	// Every service write flows feed-first (shipping to replicas, followed
+	// by migrations) behind the ownership gate, which refuses keys whose
+	// range this shard lost, has not been handed yet, or never homed.
+	store := db.NewGatedStore(c.feed, gate, tables...)
+	if c.DS, err = scheduler.NewDurable(store); err != nil {
 		return fail(err)
 	}
-	if node != nil {
-		ds.SetRangeGate(func(uid data.UID) error { return node.GateUID(string(uid)) })
-	}
-	if rnode != nil {
-		ds.SetRangeGate(func(uid data.UID) error { return rnode.GateKey(string(uid)) })
-	}
-	dr, err := repository.NewDurableService(cfg.Backend, cfg.Store)
-	if err != nil {
+	c.DS.SetRangeGate(func(uid data.UID) error { return gate(string(uid)) })
+	if c.DR, err = repository.NewDurableService(backend, store); err != nil {
 		return fail(err)
 	}
-	c = &Container{
-		Mux:      rpc.NewMux(),
-		DC:       catalog.NewService(cfg.Store),
-		DR:       dr,
-		DT:       transfer.NewService(),
-		DS:       ds,
-		ownStore: ownStore,
-		node:     node,
-		rnode:    rnode,
-		ownFeed:  ownFeed,
-		seeders:  make(map[data.UID]*swarm.Peer),
-	}
+	c.DC = catalog.NewService(store)
+
 	if !cfg.DisableFTP {
 		var opts []ftp.Option
 		if cfg.FTPThrottle > 0 {
 			opts = append(opts, ftp.WithThrottle(cfg.FTPThrottle))
 		}
-		if c.FTP, err = ftp.NewServer(cfg.Backend, "127.0.0.1:0", opts...); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("runtime: %w", err)
+		if c.FTP, err = ftp.NewServer(backend, "127.0.0.1:0", opts...); err != nil {
+			return fail(err)
 		}
 		c.DR.RegisterEndpoint("ftp", c.FTP.Addr())
 	}
 	if !cfg.DisableHTTP {
-		if c.HTTP, err = httpx.NewServer(cfg.Backend, "127.0.0.1:0"); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("runtime: %w", err)
+		if c.HTTP, err = httpx.NewServer(backend, "127.0.0.1:0"); err != nil {
+			return fail(err)
 		}
 		c.DR.RegisterEndpoint("http", c.HTTP.Addr())
 	}
 	if !cfg.DisableSwarm {
 		if c.Tracker, err = swarm.NewTracker("127.0.0.1:0"); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("runtime: %w", err)
+			return fail(err)
 		}
 		c.DR.RegisterEndpoint("bittorrent", c.Tracker.Addr())
 		// Lazily start a seeder the first time a bittorrent locator for a
 		// datum is requested, so every swarm has a permanent first source.
-		backend := cfg.Backend
 		c.DR.SetLocatorHook(func(uid data.UID, protocol string) error {
 			if protocol != "bittorrent" {
 				return nil
@@ -339,6 +301,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	c.DR.Mount(c.Mux)
 	c.DT.Mount(c.Mux)
 	c.DS.Mount(c.Mux)
+	c.ring.Mount(c.Mux)
 	if c.node != nil {
 		c.node.Mount(c.Mux)
 		// Ownership is resolved before the rpc server answers: no peer or
@@ -346,29 +309,21 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		// whether it (or a promoted successor) owns its ranges — the
 		// ordering half of the split-brain argument.
 		c.node.Start()
-	}
-	if c.rnode != nil {
+	} else {
 		c.rnode.Mount(c.Mux)
 	}
-
-	if cfg.Listener != nil {
-		c.rpcServer = rpc.NewServer(cfg.Listener, c.Mux, cfg.RPCOptions...)
-	} else if cfg.Addr != "" {
-		if c.rpcServer, err = rpc.Listen(cfg.Addr, c.Mux, cfg.RPCOptions...); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
+	if lis != nil {
+		c.rpcServer = rpc.NewServer(lis, c.Mux, cfg.RPCOptions...)
 	}
 	return c, nil
 }
 
-// Repl returns the container's replication node (nil when the container is
-// not part of a replicated plane).
-func (c *Container) Repl() *repl.Node { return c.node }
+// Membership returns the membership table this shard serves.
+func (c *Container) Membership() Membership { return c.ring.Table() }
 
-// Rebalance returns the container's elastic-membership node (nil when the
-// container is not part of an elastic plane).
-func (c *Container) Rebalance() *rebalance.Node { return c.rnode }
+// Repl returns the container's replication node (nil on an unreplicated
+// plane).
+func (c *Container) Repl() *repl.Node { return c.node }
 
 // Checkpoint forces a compaction of the container's durable store (a full
 // snapshot plus WAL rotation), bounding the replay a subsequent restart
@@ -444,8 +399,8 @@ func (c *Container) Close() error {
 	if c.Tracker != nil {
 		c.Tracker.Close()
 	}
-	if c.ownFeed != nil {
-		c.ownFeed.Close()
+	if c.feed != nil {
+		c.feed.Close()
 	}
 	if c.ownStore != nil {
 		c.ownStore.Close()

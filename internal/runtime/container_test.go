@@ -18,7 +18,9 @@ func TestContainerServesAllServices(t *testing.T) {
 	}
 	defer c.Close()
 	got := c.Mux.Services()
-	want := []string{"dc", "dr", "ds", "dt"}
+	// Even a lone container is a (one-shard) plane: it serves the membership
+	// table and the elastic-membership protocol beside the four D* services.
+	want := []string{"dc", "dr", "ds", "dt", "rebal", "ring"}
 	if len(got) != len(want) {
 		t.Fatalf("Services = %v", got)
 	}

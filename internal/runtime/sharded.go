@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"bitdew/internal/rebalance"
 	"bitdew/internal/rpc"
 )
 
@@ -35,22 +36,12 @@ type Membership struct {
 }
 
 // MembershipTable serves a shard's (possibly changing) membership view
-// under the "ring" service. Static planes never call Set; elastic planes
-// Set on every committed rebalance, which is how clients learn the plane
-// grew or shrank.
+// under the "ring" service. Every container owns one: a replicated shard's
+// stays at epoch 0, an elastic shard's is Set on every committed rebalance,
+// which is how clients learn the plane grew or shrank.
 type MembershipTable struct {
 	mu    sync.Mutex
 	table Membership
-}
-
-// NewMembershipTable builds the table with an initial view.
-func NewMembershipTable(self int, addrs []string, replicas int, epoch uint64) *MembershipTable {
-	return &MembershipTable{table: Membership{
-		Self:     self,
-		Addrs:    append([]string(nil), addrs...),
-		Replicas: replicas,
-		Epoch:    epoch,
-	}}
 }
 
 // Mount serves the table on a shard's Mux.
@@ -78,12 +69,6 @@ func (t *MembershipTable) Table() Membership {
 	out := t.table
 	out.Addrs = append([]string(nil), t.table.Addrs...)
 	return out
-}
-
-// MountMembership serves a static membership table on a shard's Mux (epoch
-// 0: nothing will ever change; clients skip epoch polling).
-func MountMembership(m *rpc.Mux, self int, addrs []string, replicas int) {
-	NewMembershipTable(self, addrs, replicas, 0).Mount(m)
 }
 
 // Members fetches the membership table from any one shard.
@@ -152,24 +137,21 @@ type ShardedConfig struct {
 	ReplLogf func(format string, args ...any)
 }
 
-// ShardedContainer is a sharded D* service plane: N independent service
-// containers — each a complete Data Catalog, Data Repository, Data Transfer
-// and Data Scheduler over its own store — bound together only by the
-// shared membership table. There is no cross-shard traffic at all: clients
-// place each datum on its home shard by consistent hash of the UID
-// (dht.Placement over the membership order), so the containers scale out
-// without coordinating. Shards can be killed and restarted independently;
-// a restarted shard recovers from its own StateDir and re-listens on its
-// original address, and the survivors never notice.
+// ShardedContainer is a sharded D* service plane hosted in one process: N
+// independent service containers — each a complete Data Catalog, Data
+// Repository, Data Transfer and Data Scheduler over its own store — each
+// wired into the plane by NewContainer exactly as a bitdew-service process
+// started with -shard-id/-peers would be. Clients place each datum on its
+// home shard by consistent hash of the UID (dht.Placement over the
+// membership order), so the containers scale out without coordinating.
+// Shards can be killed and restarted independently; a restarted shard
+// recovers from its own StateDir and re-listens on its original address.
 type ShardedContainer struct {
 	cfg ShardedConfig
 
 	mu     sync.Mutex
 	shards []*Container // nil at indexes whose shard is killed
 	addrs  []string     // placement order; AddShard/DrainShard grow and shrink it
-	// tables[i] is shard i's live membership table; an elastic commit
-	// Sets every one so clients polling any shard learn the new epoch.
-	tables []*MembershipTable
 	// epoch is the committed membership epoch (>= 1 on an elastic plane,
 	// 0 on a replicated one — those planes are static).
 	epoch uint64
@@ -189,156 +171,81 @@ func NewShardedContainer(cfg ShardedConfig) (*ShardedContainer, error) {
 	if len(cfg.Addrs) != 0 && len(cfg.Addrs) != cfg.Shards {
 		return nil, fmt.Errorf("runtime: %d shards but %d addresses", cfg.Shards, len(cfg.Addrs))
 	}
-	if cfg.Replicas > cfg.Shards {
-		cfg.Replicas = cfg.Shards
-	}
 	s := &ShardedContainer{
 		cfg:    cfg,
 		shards: make([]*Container, cfg.Shards),
 		addrs:  make([]string, cfg.Shards),
 	}
-	if cfg.Replicas > 1 {
-		// A replicated plane pre-listens every shard: replication needs the
-		// full membership table up front (shippers, failover probes), but
-		// the containers boot sequentially. Connections made to a not-yet-
-		// booted shard simply wait in its accept backlog.
-		liss := make([]net.Listener, cfg.Shards)
-		for i := range liss {
-			addr := "127.0.0.1:0"
-			if len(cfg.Addrs) != 0 {
-				addr = cfg.Addrs[i]
-			}
-			lis, err := net.Listen("tcp", addr)
-			if err != nil {
-				for _, l := range liss[:i] {
-					l.Close()
-				}
-				return nil, fmt.Errorf("runtime: shard %d: listen %s: %w", i, addr, err)
-			}
-			liss[i] = lis
-			s.addrs[i] = lis.Addr().String()
+	// Pre-listen every shard: each container needs the full membership
+	// table up front (ring service, shippers, failover probes), but they
+	// boot sequentially. Connections made to a not-yet-booted shard simply
+	// wait in its accept backlog.
+	liss := make([]net.Listener, cfg.Shards)
+	closeAll := func(ls []net.Listener) {
+		for _, l := range ls {
+			l.Close()
 		}
-		for i := range liss {
-			ccfg := s.containerConfig(i, "")
-			ccfg.Listener = liss[i]
-			// SkipBootCheck: the whole plane is booting together here, so
-			// no shard can have promoted anything while another was down.
-			ccfg.Replication = s.replicationConfig(i, true)
-			c, err := NewContainer(ccfg)
-			if err != nil {
-				for _, l := range liss[i:] {
-					l.Close()
-				}
-				s.Close()
-				return nil, fmt.Errorf("runtime: shard %d: %w", i, err)
-			}
-			s.shards[i] = c
+	}
+	for i := range liss {
+		addr := "127.0.0.1:0"
+		if len(cfg.Addrs) != 0 {
+			addr = cfg.Addrs[i]
 		}
-	} else {
-		for i := 0; i < cfg.Shards; i++ {
-			addr := "127.0.0.1:0"
-			if len(cfg.Addrs) != 0 {
-				addr = cfg.Addrs[i]
-			}
-			ccfg := s.containerConfig(i, addr)
-			ccfg.Rebalance = s.rebalanceConfig(i, cfg.Shards)
-			c, err := NewContainer(ccfg)
-			if err != nil {
-				s.Close()
-				return nil, fmt.Errorf("runtime: shard %d: %w", i, err)
-			}
-			s.shards[i] = c
-			s.addrs[i] = c.Addr()
+		lis, err := net.Listen("tcp", addr)
+		if err != nil {
+			closeAll(liss[:i])
+			return nil, fmt.Errorf("runtime: shard %d: listen %s: %w", i, addr, err)
 		}
+		liss[i] = lis
+		s.addrs[i] = lis.Addr().String()
+	}
+	for i, lis := range liss {
+		// SkipBootCheck: the whole plane is booting together here, so no
+		// shard can have promoted anything while another was down.
+		c, err := NewContainer(s.containerConfig(i, s.addrs, lis, true))
+		if err != nil {
+			closeAll(liss[i+1:])
+			s.Close()
+			return nil, fmt.Errorf("runtime: shard %d: %w", i, err)
+		}
+		s.shards[i] = c
 		// An elastic plane's epoch survives restarts through each shard's
 		// persisted rebalance state; adopt the highest any shard recovered.
-		s.epoch = 1
-		for _, c := range s.shards {
-			if rn := c.Rebalance(); rn != nil && rn.Epoch() > s.epoch {
-				s.epoch = rn.Epoch()
-			}
+		if e := c.Membership().Epoch; e > s.epoch {
+			s.epoch = e
 		}
 	}
-	// The membership table needs every address, so it mounts after all
-	// shards are listening; mounting is idempotent per Mux.
-	s.tables = make([]*MembershipTable, len(s.shards))
-	for i, c := range s.shards {
-		s.tables[i] = NewMembershipTable(i, s.addrs, cfg.Replicas, s.epoch)
-		s.tables[i].Mount(c.Mux)
-	}
+	// NewContainer capped R at the membership size; report what runs.
+	s.cfg.Replicas = s.shards[0].Membership().Replicas
 	return s, nil
 }
 
-// replicationConfig derives shard i's replication wiring (nil when the
-// plane is unreplicated).
-func (s *ShardedContainer) replicationConfig(i int, skipBootCheck bool) *ReplicationConfig {
-	if s.cfg.Replicas < 2 {
-		return nil
-	}
-	rc := &ReplicationConfig{
-		Shard:         i,
-		Addrs:         s.addrs,
-		Replicas:      s.cfg.Replicas,
-		ProbeTimeout:  s.cfg.ReplProbeTimeout,
-		SkipBootCheck: skipBootCheck,
-		Logf:          s.cfg.ReplLogf,
-	}
-	if s.cfg.ReplDialOpts != nil {
-		from, hook := i, s.cfg.ReplDialOpts
-		rc.DialOpts = func(addr string) []rpc.DialOption { return hook(from, addr) }
-	}
-	return rc
-}
-
-// rebalanceConfig derives shard i's elastic-rebalance wiring (nil when the
-// plane is replicated — R>1 planes reshape through repl, not rebalance).
-func (s *ShardedContainer) rebalanceConfig(i, shards int) *RebalanceConfig {
-	if s.cfg.Replicas > 1 {
-		return nil
-	}
-	rc := &RebalanceConfig{
-		Shard:  i,
-		Shards: shards,
-		Logf:   s.cfg.ReplLogf,
-		OnCommit: func(epoch uint64, addrs []string) {
-			s.publishEpoch(i, epoch, addrs)
-		},
-	}
-	if s.cfg.ReplDialOpts != nil {
-		from, hook := i, s.cfg.ReplDialOpts
-		rc.DialOpts = func(addr string) []rpc.DialOption { return hook(from, addr) }
-	}
-	return rc
-}
-
-// publishEpoch updates shard i's membership table after its rebalance node
-// committed a new epoch (no-op while the shard's table is not mounted yet —
-// a joining shard's table is built from the committed view directly).
-func (s *ShardedContainer) publishEpoch(i int, epoch uint64, addrs []string) {
-	s.mu.Lock()
-	var t *MembershipTable
-	if i < len(s.tables) {
-		t = s.tables[i]
-	}
-	s.mu.Unlock()
-	if t != nil {
-		t.Set(epoch, addrs)
-	}
-}
-
-// containerConfig derives shard i's container configuration.
-func (s *ShardedContainer) containerConfig(i int, addr string) ContainerConfig {
+// containerConfig derives the configuration of shard i of the membership
+// addrs, served on lis (nil re-listens on addrs[i]).
+func (s *ShardedContainer) containerConfig(i int, addrs []string, lis net.Listener, skipBootCheck bool) ContainerConfig {
 	cfg := ContainerConfig{
-		Addr:         addr,
+		Addr:         addrs[i],
+		Listener:     lis,
 		CompactEvery: s.cfg.CompactEvery,
 		DisableFTP:   s.cfg.DisableFTP,
 		DisableHTTP:  s.cfg.DisableHTTP,
 		DisableSwarm: s.cfg.DisableSwarm,
 		FTPThrottle:  s.cfg.FTPThrottle,
 		RPCOptions:   s.cfg.RPCOptions,
+		Plane: Plane{
+			Shard:         i,
+			Addrs:         addrs,
+			Replicas:      s.cfg.Replicas,
+			SkipBootCheck: skipBootCheck,
+			ProbeTimeout:  s.cfg.ReplProbeTimeout,
+			Logf:          s.cfg.ReplLogf,
+		},
 	}
 	if s.cfg.StateDir != "" {
 		cfg.StateDir = filepath.Join(s.cfg.StateDir, fmt.Sprintf("shard-%d", i))
+	}
+	if hook := s.cfg.ReplDialOpts; hook != nil {
+		cfg.Plane.DialOpts = func(addr string) []rpc.DialOption { return hook(i, addr) }
 	}
 	return cfg
 }
@@ -381,6 +288,10 @@ func (s *ShardedContainer) Shard(i int) *Container {
 // keep serving — a client loses exactly the data homed on i.
 func (s *ShardedContainer) KillShard(i int) error {
 	s.mu.Lock()
+	if i < 0 || i >= len(s.shards) {
+		s.mu.Unlock()
+		return fmt.Errorf("runtime: no shard %d in the current membership", i)
+	}
 	c := s.shards[i]
 	s.shards[i] = nil
 	s.mu.Unlock()
@@ -400,30 +311,20 @@ func (s *ShardedContainer) RestartShard(i int) error {
 		return fmt.Errorf("runtime: no shard %d in the current membership", i)
 	}
 	running := s.shards[i] != nil
-	addr := s.addrs[i]
 	addrs := append([]string(nil), s.addrs...)
-	epoch := s.epoch
 	s.mu.Unlock()
 	if running {
 		return fmt.Errorf("runtime: shard %d still running", i)
 	}
-	ccfg := s.containerConfig(i, addr)
 	// A restarting shard must resolve ownership by probing: a successor may
 	// have been promoted over its ranges while it was down, in which case
 	// it rejoins as a replica instead of serving stale state.
-	ccfg.Replication = s.replicationConfig(i, false)
-	ccfg.Rebalance = s.rebalanceConfig(i, len(addrs))
-	c, err := NewContainer(ccfg)
+	c, err := NewContainer(s.containerConfig(i, addrs, nil, false))
 	if err != nil {
 		return fmt.Errorf("runtime: restart shard %d: %w", i, err)
 	}
-	t := NewMembershipTable(i, addrs, s.cfg.Replicas, epoch)
-	t.Mount(c.Mux)
 	s.mu.Lock()
 	s.shards[i] = c
-	if i < len(s.tables) {
-		s.tables[i] = t
-	}
 	s.mu.Unlock()
 	return nil
 }
@@ -481,136 +382,70 @@ func (s *ShardedContainer) endRebalance() {
 	s.mu.Unlock()
 }
 
+// rebalanceClients drives each shard's rebalance service by direct dispatch
+// on its Mux — the same protocol `bitdew ring add/drain` speaks over TCP.
+func rebalanceClients(shards []*Container) []*rebalance.Client {
+	clients := make([]*rebalance.Client, len(shards))
+	for i, c := range shards {
+		clients[i] = rebalance.NewClient(rpc.NewLocalClient(c.Mux, 0))
+	}
+	return clients
+}
+
 // AddShard grows the plane by one shard under live traffic: it boots the
-// new container (invisible to clients until commit), stages every source
-// shard's moving key ranges onto it while the sources keep serving, cuts
-// ownership over atomically per shard, then commits the bumped membership
-// epoch everywhere. Returns the new shard's index.
+// new container as the last shard of the grown membership (invisible to
+// clients until the commit publishes its address) and rebalance.Grow moves
+// the key ranges. Returns the new shard's index; an error beside a valid
+// index means the change committed but some shard refused the commit.
 func (s *ShardedContainer) AddShard() (int, error) {
-	sources, cur, epoch, err := s.beginRebalance()
+	shards, cur, epoch, err := s.beginRebalance()
 	if err != nil {
 		return -1, err
 	}
+	defer s.endRebalance()
 	newIdx := len(cur)
-	// The joining shard boots already believing the NEW placement, so
-	// installed rows pass its guard immediately; it is unreachable by
-	// clients until the commit publishes its address.
-	ccfg := s.containerConfig(newIdx, "127.0.0.1:0")
-	ccfg.Rebalance = s.rebalanceConfig(newIdx, newIdx+1)
-	c, err := NewContainer(ccfg)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		s.endRebalance()
 		return -1, fmt.Errorf("runtime: booting shard %d: %w", newIdx, err)
 	}
-	newAddrs := append(append([]string(nil), cur...), c.Addr())
-	abort := func() {
-		for _, src := range sources {
-			src.Rebalance().Abort()
-		}
+	newAddrs := append(cur, lis.Addr().String())
+	c, err := NewContainer(s.containerConfig(newIdx, newAddrs, lis, true))
+	if err != nil {
+		return -1, fmt.Errorf("runtime: booting shard %d: %w", newIdx, err)
+	}
+	shards = append(shards, c)
+	committed, err := rebalance.Grow(rebalanceClients(shards), newAddrs, epoch+1)
+	if !committed {
 		c.Close()
-		s.endRebalance()
+		return -1, fmt.Errorf("runtime: %w", err)
 	}
-	// Stage in parallel: each source streams its moving catalog rows,
-	// scheduler entries and content to the new shard.
-	errs := make([]error, len(sources))
-	var wg sync.WaitGroup
-	for i, src := range sources {
-		wg.Add(1)
-		go func(i int, src *Container) {
-			defer wg.Done()
-			errs[i] = src.Rebalance().Stage(newAddrs)
-		}(i, src)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			abort()
-			return -1, fmt.Errorf("runtime: shard %d stage: %w", i, err)
-		}
-	}
-	for i, src := range sources {
-		if err := src.Rebalance().Cutover(); err != nil {
-			abort()
-			return -1, fmt.Errorf("runtime: shard %d cutover: %w", i, err)
-		}
-	}
-	// Point of no return: every source now refuses its departed ranges.
-	// Commit the bumped epoch everywhere (commit only errors on an epoch
-	// regression, which cannot happen under the rebalancing reservation).
-	epoch++
-	var commitErr error
-	for i, src := range sources {
-		if err := src.Rebalance().Commit(epoch, newAddrs); err != nil && commitErr == nil {
-			commitErr = fmt.Errorf("runtime: shard %d commit: %w", i, err)
-		}
-	}
-	if err := c.Rebalance().Commit(epoch, newAddrs); err != nil && commitErr == nil {
-		commitErr = fmt.Errorf("runtime: shard %d commit: %w", newIdx, err)
-	}
-	t := NewMembershipTable(newIdx, newAddrs, s.cfg.Replicas, epoch)
-	t.Mount(c.Mux)
 	s.mu.Lock()
-	s.addrs = newAddrs
-	s.shards = append(s.shards, c)
-	s.tables = append(s.tables, t)
-	s.epoch = epoch
-	s.rebalancing = false
+	s.shards, s.addrs, s.epoch = shards, newAddrs, epoch+1
 	s.mu.Unlock()
-	return newIdx, commitErr
+	return newIdx, err
 }
 
-// DrainShard shrinks the plane by retiring the last shard: its rows,
-// scheduler entries and content stream to their new homes among the
-// survivors, ownership cuts over, and the shrunk membership commits at a
-// bumped epoch. The drained container is kept ALIVE (its cached locators
+// DrainShard shrinks the plane by retiring the last shard through
+// rebalance.Drain. The drained container is kept ALIVE (its cached locators
 // and in-flight reads still answer) until ReleaseDrained; its own commit
 // makes it refuse every data operation with the not-owner handoff. Returns
-// the retired shard's former index.
+// the retired shard's former index, with AddShard's error contract.
 func (s *ShardedContainer) DrainShard() (int, error) {
 	shards, cur, epoch, err := s.beginRebalance()
 	if err != nil {
 		return -1, err
 	}
-	n := len(cur)
-	if n < 2 {
-		s.endRebalance()
-		return -1, fmt.Errorf("runtime: cannot drain the last shard")
-	}
-	last := shards[n-1]
-	newAddrs := append([]string(nil), cur[:n-1]...)
-	rn := last.Rebalance()
-	if err := rn.Stage(newAddrs); err != nil {
-		rn.Abort()
-		s.endRebalance()
-		return -1, fmt.Errorf("runtime: shard %d stage: %w", n-1, err)
-	}
-	if err := rn.Cutover(); err != nil {
-		rn.Abort()
-		s.endRebalance()
-		return -1, fmt.Errorf("runtime: shard %d cutover: %w", n-1, err)
-	}
-	epoch++
-	var commitErr error
-	for i := 0; i < n-1; i++ {
-		if err := shards[i].Rebalance().Commit(epoch, newAddrs); err != nil && commitErr == nil {
-			commitErr = fmt.Errorf("runtime: shard %d commit: %w", i, err)
-		}
-	}
-	// The drained shard commits last: from here it refuses everything and
-	// garbage-collects its rows, while its membership table now points
-	// lingering clients at the survivors.
-	if err := rn.Commit(epoch, newAddrs); err != nil && commitErr == nil {
-		commitErr = fmt.Errorf("runtime: shard %d commit: %w", n-1, err)
+	defer s.endRebalance()
+	last := len(cur) - 1
+	committed, err := rebalance.Drain(rebalanceClients(shards), cur[:last], epoch+1)
+	if !committed {
+		return -1, fmt.Errorf("runtime: %w", err)
 	}
 	s.mu.Lock()
-	s.addrs = newAddrs
-	s.shards = s.shards[:n-1]
-	s.tables = s.tables[:n-1]
-	s.retired = append(s.retired, last)
-	s.epoch = epoch
-	s.rebalancing = false
+	s.shards, s.addrs, s.epoch = shards[:last], cur[:last], epoch+1
+	s.retired = append(s.retired, shards[last])
 	s.mu.Unlock()
-	return n - 1, commitErr
+	return last, err
 }
 
 // ReleaseDrained closes every container retired by DrainShard, once all
