@@ -11,9 +11,9 @@
 //
 // A service plane is N containers, and every container is one shard of one:
 // it serves the membership table under the "ring" rpc service (bitdew ring)
-// and either replicates its key ranges onto R-1 successors with automatic
-// failover (-replicas R > 1) or takes part in live grow/shrink (bitdew ring
-// add/drain). The ordered -peers list is the membership table every process
+// and runs the range-ownership protocol: with -replicas R > 1 its key ranges
+// replicate onto R-1 successors with automatic failover, otherwise it takes
+// part in live grow/shrink (bitdew ring add/drain). The ordered -peers list is the membership table every process
 // and every client must share, because data home onto shards by consistent
 // hash over that order, and it is what the shard advertises — so it names
 // addresses clients can dial. A bare -addr A is shard 0 of the one-shard
@@ -101,11 +101,9 @@ func main() {
 
 	table := c.Membership()
 	fmt.Printf("bitdew-service shard %d of %d listening\n", table.Self, len(table.Addrs))
-	fmt.Printf("  membership:        %s\n", strings.Join(table.Addrs, ","))
+	fmt.Printf("  membership:        %s (epoch %d)\n", strings.Join(table.Addrs, ","), table.Epoch)
 	if table.Replicas > 1 {
 		fmt.Printf("  replication:       R=%d (automatic failover)\n", table.Replicas)
-	} else {
-		fmt.Printf("  elastic:           epoch %d (grow/shrink with `bitdew ring add/drain`)\n", table.Epoch)
 	}
 	fmt.Printf("  rpc (dc/dr/dt/ds): %s\n", c.Addr())
 	if o.stateDir != "" {

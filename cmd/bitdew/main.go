@@ -24,7 +24,7 @@
 // as a comma-separated list in membership order (the same list the shards
 // were started with): data then route to their home shards exactly as the
 // runtime does. `where` prints a datum's home shard, `ring` prints the
-// membership table a shard serves.
+// membership a shard has committed, `repl` every shard's ownership state.
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
-	"bitdew/internal/rebalance"
 	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 	"bitdew/internal/runtime"
@@ -139,15 +138,19 @@ func cmdRing(addrs []string, args []string) {
 	}
 }
 
+// printRing prints the membership the shard at addr has committed: epoch
+// and shard count from its ownership status, addresses from its ring table.
 func printRing(addr string) {
 	table := fetchRing(addr)
-	printTable(table)
-}
-
-func printTable(table runtime.Membership) {
-	if table.Epoch > 0 {
-		fmt.Printf("epoch %d\n", table.Epoch)
+	st, err := shardStatus(addr)
+	if err != nil {
+		log.Fatalf("status of %s: %v", addr, err)
 	}
+	staging := ""
+	if st.Staging {
+		staging = "  (staging a reshape)"
+	}
+	fmt.Printf("epoch %d  %d shards%s\n", st.Epoch, st.Shards, staging)
 	for i, a := range table.Addrs {
 		marker := " "
 		if i == table.Self {
@@ -170,25 +173,27 @@ func fetchRing(addr string) runtime.Membership {
 	return table
 }
 
-// ringOpTimeout bounds each rebalance protocol call. Staging streams every
+// shardStatus is the one reader of a shard's ownership state: membership
+// epoch and shard count, served ranges with their claims, ship targets with
+// their acks, and whether a reshape is staged.
+func shardStatus(addr string) (repl.StatusReply, error) {
+	c, err := rpc.Dial(addr, rpc.WithCallTimeout(5*time.Second))
+	if err != nil {
+		return repl.StatusReply{}, err
+	}
+	defer c.Close()
+	return repl.NewClient(c).Status()
+}
+
+// ringOpTimeout bounds each reshape protocol call. Staging streams every
 // moving row and its content, so the budget is generous.
 const ringOpTimeout = 10 * time.Minute
 
-// elasticRing fetches the membership table and refuses planes that cannot
-// rebalance: a replicated plane's membership is static (epoch 0).
-func elasticRing(addrs []string, op string) runtime.Membership {
-	table := fetchRing(addrs[0])
-	if table.Epoch == 0 {
-		log.Fatalf("ring %s: replicated planes (R=%d) reshape through repl, not elastic rebalancing", op, table.Replicas)
-	}
-	return table
-}
-
-// ringClients opens one rebalance-protocol connection per shard address.
-func ringClients(addrs []string) []*rebalance.Client {
-	clients := make([]*rebalance.Client, len(addrs))
+// ringClients opens one reshape-protocol connection per shard address.
+func ringClients(addrs []string) []*repl.Client {
+	clients := make([]*repl.Client, len(addrs))
 	for i, a := range addrs {
-		clients[i] = rebalance.NewClient(rpc.DialAutoLazy(a, rpc.WithCallTimeout(ringOpTimeout)))
+		clients[i] = repl.NewClient(rpc.DialAutoLazy(a, rpc.WithCallTimeout(ringOpTimeout)))
 	}
 	return clients
 }
@@ -198,11 +203,11 @@ func ringClients(addrs []string) []*rebalance.Client {
 //
 //	bitdew-service -addr <newaddr> -shard-id N -peers <cur...,newaddr>
 //
-// rebalance.Grow stages every current shard's moving rows onto it, cuts
+// repl.Grow makes it a follower of every current shard's moving arcs, cuts
 // ownership over, and commits the bumped epoch everywhere — clients follow
 // through their membership polling; no restart anywhere.
 func cmdRingAdd(addrs []string, newAddr string) {
-	table := elasticRing(addrs, "add")
+	table := fetchRing(addrs[0])
 	cur := table.Addrs
 	for _, a := range cur {
 		if a == newAddr {
@@ -211,7 +216,7 @@ func cmdRingAdd(addrs []string, newAddr string) {
 	}
 	newAddrs := append(append([]string(nil), cur...), newAddr)
 	epoch := table.Epoch + 1
-	committed, err := rebalance.Grow(ringClients(newAddrs), newAddrs, epoch)
+	committed, err := repl.Grow(ringClients(newAddrs), newAddrs, epoch)
 	if !committed {
 		log.Fatalf("ring add: %v\n(the joining shard must already run as: bitdew-service -addr %s -shard-id %d -peers %s)",
 			err, newAddr, len(cur), strings.Join(newAddrs, ","))
@@ -223,17 +228,17 @@ func cmdRingAdd(addrs []string, newAddr string) {
 	}
 }
 
-// cmdRingDrain retires the plane's last shard through rebalance.Drain: its
+// cmdRingDrain retires the plane's last shard through repl.Drain: its
 // rows stream to the survivors, ownership cuts over, and the shrunk
 // membership commits. The drained process is NOT stopped — it keeps
 // answering stale reads with retained content and points old clients at the
 // survivors — stop it once clients have converged.
 func cmdRingDrain(addrs []string) {
-	table := elasticRing(addrs, "drain")
+	table := fetchRing(addrs[0])
 	cur := table.Addrs
 	last := len(cur) - 1
 	epoch := table.Epoch + 1
-	committed, err := rebalance.Drain(ringClients(cur), cur[:last], epoch)
+	committed, err := repl.Drain(ringClients(cur), cur[:last], epoch)
 	if !committed {
 		log.Fatalf("ring drain: %v", err)
 	}
@@ -244,8 +249,9 @@ func cmdRingDrain(addrs []string) {
 	}
 }
 
-// cmdRepl prints each shard's replication status — owned ranges, stream
-// position, and how far each ship target has acknowledged. `repl wait`
+// cmdRepl prints each shard's ownership status — membership epoch, owned
+// ranges and their claims, stream position, and how far each ship target
+// has acknowledged. `repl wait`
 // blocks until every live shard's outbound streams are fully acknowledged
 // with no outstanding content pulls: the convergence barrier scripts use
 // before killing a shard (the CI failover smoke relies on it).
@@ -258,15 +264,10 @@ func cmdRepl(addrs []string, args []string) {
 	for {
 		statuses := make([]*repl.StatusReply, len(addrs))
 		for i, addr := range addrs {
-			c, err := rpc.Dial(addr, rpc.WithCallTimeout(5*time.Second))
-			if err != nil {
-				continue // down: printed as such below
-			}
-			var rep repl.StatusReply
-			if err := c.Call(repl.ServiceName, "Status", repl.StatusArgs{}, &rep); err == nil {
+			// An unreachable shard stays nil: printed as down below.
+			if rep, err := shardStatus(addr); err == nil {
 				statuses[i] = &rep
 			}
-			c.Close()
 		}
 		converged := true
 		for _, st := range statuses {
@@ -290,8 +291,12 @@ func cmdRepl(addrs []string, args []string) {
 					ranges = append(ranges, fmt.Sprintf("%d:%d", r, epoch))
 				}
 				sort.Strings(ranges)
-				fmt.Printf("shard %d  %s  epoch %d  seq %d  serves [%s]\n",
-					i, addrs[i], st.Epoch, st.Seq, strings.Join(ranges, " "))
+				staging := ""
+				if st.Staging {
+					staging = "  staging"
+				}
+				fmt.Printf("shard %d  %s  epoch %d  seq %d  serves [%s]%s\n",
+					i, addrs[i], st.Epoch, st.Seq, strings.Join(ranges, " "), staging)
 				for _, tgt := range st.Targets {
 					state := "lagging"
 					if tgt.Synced && tgt.Acked >= st.Seq && tgt.PendingContent == 0 {

@@ -639,13 +639,9 @@ func (b *BitDew) fanOutSearch(query func(*Comms) ([]data.Data, error)) ([]data.D
 		out = append(out, p...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].UID < out[j].UID })
-	if b.set.Replicated() || b.set.elastic() {
-		// Replicated: owner moves mid-query can answer a range twice.
-		// Elastic: a query racing a commit's garbage collection can see a
-		// migrated datum on both its old and new home for a moment.
-		out = dedupeByUID(out)
-	}
-	return out, nil
+	// A query racing an owner move, or a reshape commit's garbage
+	// collection, can see a datum on both its old and new home.
+	return dedupeByUID(out), nil
 }
 
 // dedupeByUID collapses adjacent duplicates in a UID-sorted slice.

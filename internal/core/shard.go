@@ -24,12 +24,12 @@ import (
 // set also carries a bounded client-side locator cache shared by the node's
 // APIs, so repeat lookups of the same datum skip the wire entirely.
 //
-// Over an ELASTIC plane (unreplicated, servers built with rebalance wiring)
-// the membership can change while the client runs: AddShard/DrainShard
-// commit a new address list at a bumped epoch. The set then swaps in a new
-// immutable view — reusing the connections of unchanged shards, flushing
-// the locator cache — and the call paths retry not-owner refusals through a
-// refresh, so a rebalance is invisible to the application.
+// Over an ELASTIC plane (unreplicated) the membership can change while the
+// client runs: AddShard/DrainShard commit a new address list at a bumped
+// epoch. The set then swaps in a new immutable view — reusing the
+// connections of unchanged shards, flushing the locator cache — and the call
+// paths retry not-owner refusals through a refresh, so a reshape is
+// invisible to the application.
 type ShardSet struct {
 	mu   sync.Mutex
 	view *shardView
@@ -53,7 +53,6 @@ type ShardSet struct {
 	closed     bool
 	lastPoll   time.Time
 	pollIdx    int
-	pollOff    bool
 }
 
 // shardView is one immutable membership view: every call path captures a
@@ -233,8 +232,9 @@ func (s *ShardSet) currentView() *shardView {
 // elastic reports whether this set follows membership changes.
 func (s *ShardSet) elastic() bool { return s.dial != nil && s.router == nil }
 
-// Epoch returns the membership epoch of the current view (0 until an
-// elastic plane's epoch has been learned; always 0 on static planes).
+// Epoch returns the membership epoch of the current view (0 until the
+// plane's epoch has been learned, and always on sets that do not follow
+// membership changes).
 func (s *ShardSet) Epoch() uint64 { return s.currentView().epoch }
 
 // N returns the number of shards.
@@ -267,9 +267,6 @@ func (s *ShardSet) OwnerOf(i int) int {
 	}
 	return s.router.ownerOf(i)
 }
-
-// Replicated reports whether this client routes over a replicated plane.
-func (s *ShardSet) Replicated() bool { return s.router != nil }
 
 // RoundTrips sums the request frames sent to every shard.
 func (s *ShardSet) RoundTrips() uint64 {
@@ -366,11 +363,10 @@ func (s *ShardSet) Refresh() bool {
 
 // PollEpoch is the heartbeat-path membership probe: at most once per
 // epochPollPeriod it asks one shard (round-robin) for the ring table and
-// adopts any newer epoch. Static planes (epoch 0) disable themselves after
-// the first answer.
+// adopts any newer epoch.
 func (s *ShardSet) PollEpoch() {
 	s.mu.Lock()
-	if !s.elastic() || s.closed || s.pollOff || time.Since(s.lastPoll) < epochPollPeriod {
+	if !s.elastic() || s.closed || time.Since(s.lastPoll) < epochPollPeriod {
 		s.mu.Unlock()
 		return
 	}
@@ -380,23 +376,15 @@ func (s *ShardSet) PollEpoch() {
 	s.pollIdx++
 	s.mu.Unlock()
 	t, err := fetchRing(v.shards[idx])
-	if err != nil {
-		return
+	if err == nil {
+		s.adoptTable(t)
 	}
-	if t.Epoch == 0 {
-		// The plane predates elastic membership; nothing will ever change.
-		s.mu.Lock()
-		s.pollOff = true
-		s.mu.Unlock()
-		return
-	}
-	s.adoptTable(t)
 }
 
 // adoptTable swaps in a view built from a fetched membership table when the
 // table is newer than the current view. Returns true when the view changed.
 func (s *ShardSet) adoptTable(t ringTable) bool {
-	if t.Epoch == 0 || len(t.Addrs) == 0 {
+	if len(t.Addrs) == 0 {
 		return false
 	}
 	s.mu.Lock()
@@ -450,11 +438,11 @@ func sameAddrs(a, b []string) bool {
 }
 
 // retryElastic runs attempt and, while an elastic plane refuses it as
-// not-owner — a rebalance moved its keys mid-call — reruns it under a
+// not-owner — a reshape moved its keys mid-call — reruns it under a
 // refreshed membership view, elasticRetryPasses attempts in all. It is the
 // client's one retry loop for membership changes: single-datum calls come
 // through homeCall, fan-outs re-partition inside attempt, so a batch caught
-// mid-rebalance converges on the committed placement. attempt must be safe
+// mid-reshape converges on the committed placement. attempt must be safe
 // to repeat wholesale (a not-owner refusal precedes execution, and all
 // batch writes on this plane are put-overwrite idempotent). All other
 // errors — including deadlines, which may have executed — return unretried.

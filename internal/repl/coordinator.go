@@ -1,4 +1,4 @@
-package rebalance
+package repl
 
 import (
 	"fmt"
@@ -8,9 +8,9 @@ import (
 // Grow splices a new shard into the plane as the last shard of addrs;
 // shards[i] speaks to addrs[i]. Every current shard stages its moving ranges
 // onto the joiner in parallel while it keeps serving, ownership cuts over
-// shard by shard, and addrs commits at epoch everywhere, the joiner last.
+// shard by shard, and addrs commits at epoch everywhere, the joiner first.
 // The joiner must already run as the last shard of addrs: it boots believing
-// the NEW placement, so installed rows pass its gate the moment it commits,
+// the NEW placement, so adopted rows pass its gate the moment it commits,
 // and no client can reach it before the commit publishes its address.
 //
 // Grow and Drain report whether the change committed. false means it was
@@ -19,14 +19,14 @@ import (
 func Grow(shards []*Client, addrs []string, epoch uint64) (committed bool, err error) {
 	n := len(addrs) - 1
 	if n < 1 || len(shards) != len(addrs) {
-		return false, fmt.Errorf("rebalance: growing to %d shards over %d connections", len(addrs), len(shards))
+		return false, fmt.Errorf("repl: growing to %d shards over %d connections", len(addrs), len(shards))
 	}
 	st, err := shards[n].Status()
 	if err != nil {
-		return false, fmt.Errorf("rebalance: joining shard unreachable: %w", err)
+		return false, fmt.Errorf("repl: joining shard unreachable: %w", err)
 	}
 	if st.Self != n || st.Shards != len(addrs) {
-		return false, fmt.Errorf("rebalance: joining shard runs as shard %d of %d, want shard %d of %d",
+		return false, fmt.Errorf("repl: joining shard runs as shard %d of %d, want shard %d of %d",
 			st.Self, st.Shards, n, len(addrs))
 	}
 	return reshape(shards, 0, n, addrs, epoch)
@@ -42,18 +42,22 @@ func Grow(shards []*Client, addrs []string, epoch uint64) (committed bool, err e
 func Drain(shards []*Client, addrs []string, epoch uint64) (committed bool, err error) {
 	n := len(shards)
 	if n < 2 || len(addrs) != n-1 {
-		return false, fmt.Errorf("rebalance: cannot drain a plane of %d shards down to %d", n, len(addrs))
+		return false, fmt.Errorf("repl: cannot drain a plane of %d shards down to %d", n, len(addrs))
 	}
 	return reshape(shards, n-1, n, addrs, epoch)
 }
 
 // reshape runs one membership change: all[from:to] are the shards losing
-// ranges, all is every shard that adopts the new membership, in commit
-// order. Until every source has cut over, any failure aborts every source —
-// their departure gates disengage and they resume serving the moving ranges
-// — and nothing commits. Past that point every shard is asked to commit
-// regardless of the others' answers (a shard that missed the commit adopts
-// it with the next change); the first error is returned.
+// ranges, all is every shard that adopts the new membership. Until every
+// source has cut over, any failure aborts every source — their departure
+// gates disengage and they resume serving the moving ranges — and nothing
+// commits. Past that point every shard is asked to commit regardless of the
+// others' answers, and the first error is returned: a shard that missed the
+// commit keeps the moving rows (a source in its store, behind the departure
+// gate; a target in its namespace, refusing the arcs) until the commit is
+// sent again. The shards that only gain ranges commit first: their adopt
+// puts the moved rows in a live store before any source's commit
+// garbage-collects the originals.
 func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committed bool, err error) {
 	sources := all[from:to]
 	abort := func(phase string, i int, err error) (bool, error) {
@@ -61,7 +65,7 @@ func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committ
 			//vet:ignore errlost abort is best-effort cleanup after the failure being reported
 			src.Abort()
 		}
-		return false, fmt.Errorf("rebalance: shard %d %s: %w", from+i, phase, err)
+		return false, fmt.Errorf("repl: shard %d %s: %w", from+i, phase, err)
 	}
 	errs := make([]error, len(sources))
 	var wg sync.WaitGroup
@@ -69,7 +73,7 @@ func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committ
 		wg.Add(1)
 		go func(i int, src *Client) {
 			defer wg.Done()
-			_, errs[i] = src.Stage(addrs)
+			errs[i] = src.Stage(addrs)
 		}(i, src)
 	}
 	wg.Wait()
@@ -84,10 +88,15 @@ func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committ
 		}
 	}
 	var first error
-	for i, c := range all {
-		if err := c.Commit(epoch, addrs); err != nil && first == nil {
-			first = fmt.Errorf("rebalance: shard %d commit: %w", i, err)
+	commit := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := all[i].Commit(epoch, addrs); err != nil && first == nil {
+				first = fmt.Errorf("repl: shard %d commit: %w", i, err)
+			}
 		}
 	}
+	commit(0, from)
+	commit(to, len(all))
+	commit(from, to)
 	return true, first
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"bitdew/internal/db"
 )
 
 // Promotion and boot-time ownership resolution.
@@ -60,7 +58,7 @@ func (n *Node) Promote(rangeID int) error {
 	// Split-brain guard: any earlier candidate that answers at all — serving,
 	// promoting, or merely alive — outranks us. Probes run outside n.mu.
 	for _, c := range cands[:pos] {
-		rep, err := n.probeOwner(n.cfg.Addrs[c], rangeID)
+		rep, err := n.probeOwner(n.addrOf(c), rangeID)
 		if err != nil {
 			continue // dead for this pass
 		}
@@ -70,63 +68,104 @@ func (n *Node) Promote(rangeID int) error {
 	return n.commitPromotion(rangeID)
 }
 
-// commitPromotion adopts rangeID: pick the newest claim visible here, copy
-// that stream's rows for the range into the live store (re-feeding them, so
-// they ship onward to our own replicas), rebuild scheduler state, bump the
-// claim, and open the gate.
+// commitPromotion adopts rangeID: pick the newest claim visible here, adopt
+// that stream's rows for the range, bump the claim, and open the gate.
 func (n *Node) commitPromotion(rangeID int) error {
 	src, claim := n.bestClaim(rangeID)
 	adopted := 0
 	if src >= 0 {
-		for _, tbl := range n.cfg.GatedTables {
-			rows, err := n.claimRows(src, tbl, rangeID)
-			if err != nil {
-				return err
-			}
-			keys := make([]string, 0, len(rows))
-			for k := range rows {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if err := n.cfg.Feed.Put(tbl, k, rows[k]); err != nil {
-					return fmt.Errorf("repl: promote range %d: adopting %s/%s: %w", rangeID, tbl, k, err)
-				}
-				if tbl == n.cfg.ContentTable {
-					n.pull.enqueue(k)
-				}
-				adopted++
-			}
-		}
-		if n.cfg.SchedulerTable != "" && n.cfg.AdoptScheduler != nil {
-			rows, err := n.claimRows(src, n.cfg.SchedulerTable, rangeID)
-			if err != nil {
-				return err
-			}
-			if len(rows) > 0 {
-				if err := n.cfg.AdoptScheduler(rows); err != nil {
-					return fmt.Errorf("repl: promote range %d: adopting scheduler rows: %w", rangeID, err)
-				}
-				adopted += len(rows)
-			}
+		n.mu.Lock()
+		place := n.place
+		n.mu.Unlock()
+		var err error
+		adopted, err = n.adoptRows(src, func(k string) bool { return place.ShardOf(k) == rangeID })
+		if err != nil {
+			return fmt.Errorf("repl: promote range %d: %w", rangeID, err)
 		}
 	}
-	if err := n.cfg.Feed.Put(TableOwner, ownerKey(rangeID), encodeClaim(claim+1)); err != nil {
-		return fmt.Errorf("repl: promote range %d: writing claim: %w", rangeID, err)
+	if err := n.serve(rangeID, claim+1); err != nil {
+		return fmt.Errorf("repl: promote range %d: %w", rangeID, err)
 	}
-	n.mu.Lock()
-	n.serving[rangeID] = claim + 1
-	// The adopted range's surviving candidates must now receive OUR stream:
-	// they are the next line of defence for the range, and (when the dead
-	// primary returns) the retrying shipper doubles as its rejoin catch-up.
-	for _, c := range n.successors(rangeID) {
-		if c != n.cfg.Shard {
-			n.startShipperLocked(n.cfg.Addrs[c])
-		}
-	}
-	n.mu.Unlock()
 	n.logf("repl: shard %d promoted to owner of range %d (claim %d, %d rows adopted from %s)",
 		n.cfg.Shard, rangeID, claim+1, adopted, claimSource(src))
+	return nil
+}
+
+// adoptRows is the one place another shard's rows enter the live store: it
+// copies the rows of stream src's namespace whose key passes want into the
+// live tables — through the feed, so they ship onward to our own followers —
+// and hands the scheduler rows to the scheduler. Failover promotion adopts
+// one range from the best-claim stream; a reshape's commit adopts what homes
+// here under the new placement from every move stream, rewriting locators
+// that named the source's repository endpoints to ours.
+func (n *Node) adoptRows(src int, want func(key string) bool) (adopted int, err error) {
+	n.mu.Lock()
+	var from string
+	var srcEndpoints map[string]string
+	if st := n.replicas[src]; st != nil {
+		from, srcEndpoints = st.addr, st.endpoints
+	}
+	n.mu.Unlock()
+	collect := func(table string) (map[string][]byte, error) {
+		rows := make(map[string][]byte)
+		err := n.rstore.Scan(nsTable(src, table), func(k string, v []byte) bool {
+			if want(k) {
+				rows[k] = append([]byte(nil), v...)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("collecting shard %d's %s rows: %w", src, table, err)
+		}
+		return rows, nil
+	}
+	for _, tbl := range n.cfg.GatedTables {
+		rows, err := collect(tbl)
+		if err != nil {
+			return adopted, err
+		}
+		keys := make([]string, 0, len(rows))
+		for k := range rows {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			v := rows[k]
+			if tbl == n.cfg.ContentTable {
+				v = n.rewriteLocators(srcEndpoints, v)
+				n.pull.enqueue(k, from)
+			}
+			if err := n.cfg.Feed.Put(tbl, k, v); err != nil {
+				return adopted, fmt.Errorf("adopting %s/%s: %w", tbl, k, err)
+			}
+			adopted++
+		}
+	}
+	if n.cfg.SchedulerTable != "" && n.cfg.AdoptScheduler != nil {
+		rows, err := collect(n.cfg.SchedulerTable)
+		if err != nil {
+			return adopted, err
+		}
+		if len(rows) > 0 {
+			if err := n.cfg.AdoptScheduler(rows); err != nil {
+				return adopted, fmt.Errorf("adopting scheduler rows: %w", err)
+			}
+			adopted += len(rows)
+		}
+	}
+	return adopted, nil
+}
+
+// serve writes rangeID's ownership claim, marks the range served here and
+// makes its other candidates ship targets.
+func (n *Node) serve(rangeID int, claim uint64) error {
+	if err := n.cfg.Feed.Put(TableOwner, ownerKey(rangeID), encodeClaim(claim)); err != nil {
+		return fmt.Errorf("writing claim: %w", err)
+	}
+	n.mu.Lock()
+	n.serving[rangeID] = claim
+	n.shipToLocked(rangeID)
+	n.mu.Unlock()
 	return nil
 }
 
@@ -138,12 +177,13 @@ func claimSource(src int) string {
 }
 
 // bestClaim picks the stream holding the newest ownership claim on rangeID
-// visible at this shard: our own live store (src -1) or any replica
+// visible at this shard: our own live store (src -1) or any follower
 // namespace. Higher claim epoch wins; our own store wins ties, so a shard
 // that was itself the last owner adopts from its own (freshest) rows.
 func (n *Node) bestClaim(rangeID int) (src int, epoch uint64) {
 	src = -1
-	if v, ok, _ := n.cfg.Feed.Get(TableOwner, ownerKey(rangeID)); ok {
+	v, hasLocal, _ := n.cfg.Feed.Get(TableOwner, ownerKey(rangeID))
+	if hasLocal {
 		epoch = decodeClaim(v)
 	}
 	n.mu.Lock()
@@ -158,37 +198,13 @@ func (n *Node) bestClaim(rangeID int) (src int, epoch uint64) {
 		if err != nil || !ok {
 			continue
 		}
-		if e := decodeClaim(v); e > epoch || (src == -1 && epoch == 0 && e == 0) {
-			// A remote claim-0 beats NO local claim (epoch 0 with no row):
-			// the original owner's replicated rows are better than nothing.
-			if _, hasLocal, _ := n.cfg.Feed.Get(TableOwner, ownerKey(rangeID)); e > epoch || !hasLocal {
-				src, epoch = s, e
-			}
+		// A remote claim-0 beats NO local claim: the original owner's
+		// replicated rows are better than nothing.
+		if e := decodeClaim(v); e > epoch || (src == -1 && !hasLocal && e == 0) {
+			src, epoch = s, e
 		}
 	}
 	return src, epoch
-}
-
-// claimRows collects rangeID's rows of one table from a stream: src -1
-// reads the live store, otherwise the source's replica namespace. Only keys
-// homing on rangeID qualify — a stream carries its shard's whole state,
-// which after promotions can span several ranges.
-func (n *Node) claimRows(src int, table string, rangeID int) (map[string][]byte, error) {
-	store, tbl := db.Store(n.cfg.Feed), table
-	if src >= 0 {
-		store, tbl = n.rstore, nsTable(src, table)
-	}
-	rows := make(map[string][]byte)
-	err := store.Scan(tbl, func(k string, v []byte) bool {
-		if n.place.ShardOf(k) == rangeID {
-			rows[k] = append([]byte(nil), v...)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("repl: collecting %s rows of range %d: %w", table, rangeID, err)
-	}
-	return rows, nil
 }
 
 // claimedRanges lists every range this shard's live store holds an
@@ -229,12 +245,12 @@ func (n *Node) bootResolveRange(rangeID int) {
 			if c == n.cfg.Shard {
 				continue
 			}
-			rep, err := n.probeOwner(n.cfg.Addrs[c], rangeID)
+			rep, err := n.probeOwner(n.addrOf(c), rangeID)
 			if err != nil {
 				continue
 			}
 			if rep.Serving {
-				ownerAddr = n.cfg.Addrs[c]
+				ownerAddr = n.addrOf(c)
 				break
 			}
 			if rep.Promoting {
@@ -250,7 +266,7 @@ func (n *Node) bootResolveRange(rangeID int) {
 			return
 		case promoting:
 			// An in-flight promotion will land Serving or die; wait it out.
-			if !n.sleepStop(100 * time.Millisecond) {
+			if !sleepStop(n.stop, 100*time.Millisecond) {
 				return
 			}
 		default:
@@ -267,28 +283,23 @@ func (n *Node) bootResolveRange(rangeID int) {
 // promotion) reaches us anyway; this just shortens the catch-up.
 func (n *Node) rejoinOwner(ownerAddr string) {
 	for i := 0; i < 5; i++ {
-		if err := n.callRejoin(ownerAddr); err == nil {
+		var rep RejoinReply
+		if err := n.ask(ownerAddr, n.probeTimeout, "Rejoin", RejoinArgs{Addr: n.self()}, &rep); err == nil {
 			return
 		}
-		if !n.sleepStop(200 * time.Millisecond) {
+		if !sleepStop(n.stop, 200*time.Millisecond) {
 			return
 		}
 	}
 	n.logf("repl: shard %d could not rejoin owner %s; waiting for its shipper", n.cfg.Shard, ownerAddr)
 }
 
-// adoptOwnRange is the fresh-boot fast path (SkipBootCheck): the whole
-// plane is starting together, so nobody can have promoted anything — each
-// shard takes its home range, keeping any claim recovered from disk.
-func (n *Node) adoptOwnRange() {
-	n.adopt(n.cfg.Shard, false)
-}
-
-// adopt marks rangeID served here. bump writes a claim strictly above our
-// stored one — required on restart readoption, where a peer may have owned
-// the range while we were down and died before we returned: without the
-// bump, its (unreachable) higher claim would outrank our live one at the
-// next promotion and resurrect staler rows.
+// adopt marks rangeID served here under the claim our store holds for it.
+// bump writes a claim strictly above that one — required on restart
+// readoption, where a peer may have owned the range while we were down and
+// died before we returned: without the bump, its (unreachable) higher claim
+// would outrank our live one at the next promotion and resurrect staler
+// rows.
 func (n *Node) adopt(rangeID int, bump bool) {
 	var claim uint64
 	if v, ok, _ := n.cfg.Feed.Get(TableOwner, ownerKey(rangeID)); ok {
@@ -297,16 +308,9 @@ func (n *Node) adopt(rangeID int, bump bool) {
 			claim++
 		}
 	}
-	if err := n.cfg.Feed.Put(TableOwner, ownerKey(rangeID), encodeClaim(claim)); err != nil {
-		n.logf("repl: shard %d adopting range %d: writing claim: %v", n.cfg.Shard, rangeID, err)
+	if err := n.serve(rangeID, claim); err != nil {
+		n.logf("repl: shard %d adopting range %d: %v", n.cfg.Shard, rangeID, err)
+		return
 	}
-	n.mu.Lock()
-	n.serving[rangeID] = claim
-	for _, c := range n.successors(rangeID) {
-		if c != n.cfg.Shard {
-			n.startShipperLocked(n.cfg.Addrs[c])
-		}
-	}
-	n.mu.Unlock()
 	n.logf("repl: shard %d serving range %d (claim %d)", n.cfg.Shard, rangeID, claim)
 }

@@ -1,51 +1,69 @@
-// Package repl replicates each shard's key range onto its successor shards
-// on the dht.Placement circle, primary/backup style, and drives automatic
-// failover when a primary dies.
+// Package repl is the service plane's one range-ownership protocol: it says
+// which shard serves which key range, replicates a range onto the shards
+// that may have to take it over, and moves authority over a range between
+// shards — because its owner died (failover) or because the membership
+// changed (scale-out, drain). Both end in the same reassignment, so both run
+// through the same three pieces: one stream, one sink, one adopt.
 //
-// BitDew's sharded D* service plane (runtime.ShardedContainer, PR 3) spreads
-// catalog, repository and scheduler state across N independent containers;
-// losing one container made its key range unreachable until an administrator
-// intervened. The paper's descendants solved exactly this with replication —
-// Sector/Sphere replicates user data across slave servers so a node loss
-// costs nothing, and BlobSeer keeps versioned replicated metadata readable
-// through churn (PAPERS.md). This package gives the plane the same property:
+// The paper's descendants get node loss and data (re)placement out of one
+// replicate-then-reassign mechanism — Sector/Sphere replicates user data
+// across slave servers so a node loss costs nothing, BlobSeer keeps
+// versioned replicated metadata readable through churn (PAPERS.md). Here:
 //
-//   - Every shard wraps its live meta store in a db.FeedStore and SHIPS the
-//     ordered mutation stream to the R-1 distinct successor shards of its
-//     key range (dht.Placement.Successors) — a snapshot first, then the
-//     tail, with acked sequence numbers and per-boot stream epochs. A
-//     replica that misses mutations or sees a new epoch resynchronises from
-//     a fresh snapshot instead of guessing.
-//   - Replicas store shipped rows in a SEPARATE in-memory namespace (one
-//     per source shard), never in their own live tables, so replica state
-//     can never leak into a replica's own outbound stream and cascade.
-//   - Content (repository payloads) is pulled, not pushed: a replica that
-//     applies a locator row fetches the datum's bytes from the range's
-//     members and stores them in its own backend, ready to serve the moment
-//     it is promoted.
-//   - On primary loss, the client-side failover router (core) asks the
-//     first LIVE successor to Promote the range. Promotion probes every
-//     earlier candidate (split-brain guard: a live earlier candidate always
-//     wins), then atomically adopts the replicated rows into the live
-//     store — re-feeding them, so they ship onward to the promoted shard's
-//     own successors — and bumps the range's ownership epoch.
-//   - A recovered shard asks its successors who owns its range BEFORE it
-//     serves: if a successor promoted while it was down, it rejoins as a
-//     replica (the owner adds it as an extra ship target) and its stale
-//     rows are hidden by the ownership gate. There is no automatic
-//     handback — ownership only moves when an owner dies — because handing
-//     a range back would need every client to re-route without the death
-//     signal they key on.
+//   - The stream. Every shard wraps its live meta store in a db.FeedStore; a
+//     shipper cuts an atomic snapshot+subscription and SHIPS it to one
+//     follower — the snapshot first (Sync), then the tail in batches (Apply)
+//     that carry the sequence span they cover, with acked sequence numbers
+//     and per-boot stream epochs. A follower that misses a span or sees a new
+//     epoch resynchronises from a fresh snapshot instead of guessing. In
+//     steady state a shard ships everything to the R-1 distinct successors
+//     of its range (dht.Placement.Successors); a reshape ships only the
+//     moving arcs (dht.Diff) to their new home.
+//   - The sink. Followers store shipped rows in a SEPARATE in-memory
+//     namespace (one per source shard), never in their own live tables, so
+//     follower state can never leak into a follower's own outbound stream,
+//     and rows staged for a change that is then aborted never become
+//     visible. Content (repository payloads) is pulled, not pushed: a
+//     follower that applies a locator row fetches the datum's bytes from the
+//     stream's source and stores them in its own backend, ready to serve the
+//     moment it is promoted.
+//   - The adopt. Promotion copies a namespace's rows for the range into the
+//     live store — re-feeding them, so they ship onward to the new owner's
+//     own successors — rebuilds scheduler state, and bumps the range's
+//     ownership claim. Failover promotion (Promote) and a reshape target's
+//     Commit both call it.
 //
-// The ownership gate (Node.GateUID, which the container installs over the
-// catalog tables with db.NewGatedStore) is what makes rejoin
-// split-brain-free: a shard refuses reads and writes for ranges it does not
-// currently own with ErrNotOwner, which clients treat as a safe-to-retry
-// redirect (the call was refused, never executed).
+// Two triggers move a range. OWNER DIED: the client-side failover router
+// (core) asks the first LIVE successor to Promote the range; promotion
+// probes every earlier candidate (split-brain guard: a live earlier
+// candidate always wins). A recovered shard asks its successors who owns its
+// range BEFORE it serves: if a successor promoted while it was down, it
+// rejoins as a follower and its stale rows are hidden by the gate. There is
+// no automatic handback. MEMBERSHIP CHANGED: Grow and Drain (coordinator.go)
+// drive Stage / Cutover / Commit on every shard over one Client each —
+// in-process for runtime.ShardedContainer, over TCP for `bitdew ring
+// add/drain`. Stage makes each target a follower of the moving arcs while
+// the source keeps serving; Cutover engages the source's departure gate and
+// waits for the target's ack to reach the feed's sequence number (the gate
+// precedes the barrier read, so no moving-key mutation can follow it);
+// Commit adopts on the targets, swaps in the new placement and epoch
+// everywhere, persists it, and garbage-collects rows that no longer home
+// here. Moved repository content is deliberately NOT deleted from the
+// source's backend: a client still fetching through a pre-bump cached
+// locator reads the old copy byte-exact.
+//
+// The gate (Node.GateUID, installed over the catalog tables with
+// db.NewGatedStore and over the scheduler) answers one question: is the
+// key's range served here under the committed placement, and neither
+// mid-departure nor staged-but-not-yet-adopted? Otherwise the operation is
+// refused with ErrNotOwner before any state changes, which clients treat as
+// a safe-to-retry redirect.
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"strconv"
@@ -58,16 +76,25 @@ import (
 	"bitdew/internal/rpc"
 )
 
-// ServiceName is the rpc service the replication protocol is served under.
+// ServiceName is the rpc service the ownership protocol is served under.
 const ServiceName = "repl"
 
 // TableOwner is the live-store table holding one ownership claim per range
 // this shard serves: key = range id (decimal), value = 8-byte big-endian
-// owner epoch. The rows ship in the feed like any other, so every replica
+// owner epoch. The rows ship in the feed like any other, so every follower
 // knows which stream's claim on a range is newest — promotion picks the
 // highest epoch and writes claim+1, giving ownership a total order that
 // survives arbitrary kill/promote/rejoin interleavings.
 const TableOwner = "repl_owner"
+
+// tableState persists the committed membership epoch and shard count, so a
+// restarted shard recovers the post-reshape placement instead of the one it
+// was first booted with. (The name predates the merge of the rebalance
+// package into this one; state dirs written then still recover.)
+const (
+	tableState = "rebal_state"
+	stateKey   = "membership"
+)
 
 // ErrNotOwner is returned (and recognised across the wire by IsNotOwner)
 // when a shard refuses an operation on a key range it does not currently
@@ -91,38 +118,48 @@ func IsNotOwner(err error) bool {
 // answer Owner in this window is treated as dead for this pass.
 const DefaultProbeTimeout = 750 * time.Millisecond
 
-// Config wires a replication node into its container.
+// Config wires the ownership node into its container.
 type Config struct {
 	// Shard is this container's own shard index; Addrs is the full
-	// membership table in placement order (Addrs[Shard] is our address).
+	// membership table in placement order (Addrs[Shard] is our address). A
+	// persisted state row from an earlier reshape overrides len(Addrs) as
+	// the placement's shard count.
 	Shard int
 	Addrs []string
 	// Replicas is R: each range lives on its primary plus R-1 successors.
+	// R <= 1 has no successors, so no steady-state shippers.
 	Replicas int
 	// Feed is the live meta store, feed-wrapped: every service write flows
-	// through it and ships to the replicas. The node also uses it directly
-	// (bypassing the ownership gate) to adopt rows at promotion.
+	// through it and ships to the followers. The node also uses it directly
+	// (bypassing the ownership gate) to adopt rows.
 	Feed *db.FeedStore
-	// GatedTables are the UID-keyed live tables that replicate and that the
-	// ownership gate protects (catalog data + locators).
+	// GatedTables are the UID-keyed live tables the ownership gate protects
+	// (catalog data + locators).
 	GatedTables []string
 	// SchedulerTable is the UID-keyed scheduler persistence table; its rows
-	// replicate like the gated ones but adoption goes through
-	// AdoptScheduler so the in-memory scheduler state is rebuilt too.
+	// ship like the gated ones but adoption goes through AdoptScheduler (and
+	// garbage collection through DropScheduler) so the in-memory scheduler
+	// state follows.
 	SchedulerTable string
 	// ContentTable is the table whose Put records mean "this datum's
 	// content is committed at the source" (catalog locators); applying one
-	// on a replica triggers a content pull.
-	ContentTable string
-	// AdoptScheduler hands adopted scheduler rows (raw persisted entries,
-	// keyed by UID) to the container's scheduler at promotion.
+	// on a follower triggers a content pull.
+	ContentTable   string
 	AdoptScheduler func(rows map[string][]byte) error
+	DropScheduler  func(uid string) error
+	// Endpoints returns this shard's protocol → host:port repository
+	// endpoints; a reshape rewrites moved locators from the source's to the
+	// target's.
+	Endpoints func() map[string]string
 	// GetContent / PutContent / HasContent bridge to the repository
-	// backend: serving FetchContent to replicas, storing pulled content,
+	// backend: serving FetchContent to followers, storing pulled content,
 	// and skipping pulls for content already present.
 	GetContent func(uid string) ([]byte, error)
 	PutContent func(uid string, content []byte) error
 	HasContent func(uid string) bool
+	// OnCommit, when set, observes every committed membership change — the
+	// runtime publishes it through the ring table.
+	OnCommit func(epoch uint64, addrs []string)
 	// DialOpts, when set, contributes extra dial options for every outbound
 	// connection to the given address — the fault-injection hook the
 	// crash-point tests script ship-cycle failures through.
@@ -133,26 +170,33 @@ type Config struct {
 	// caller that KNOWS the whole plane is booting fresh (no shard can have
 	// promoted anything yet) may set it; restarts must always probe.
 	SkipBootCheck bool
-	// Logf, when set, receives replication life-cycle events.
+	// Logf, when set, receives ownership life-cycle events.
 	Logf func(format string, args ...any)
 }
 
 // replicaState tracks one inbound stream (rows shipped TO us by source).
 type replicaState struct {
 	epoch  uint64
-	last   uint64 // last applied sequence number
+	last   uint64 // last sequence number covered
 	synced bool
 	tables map[string]bool // live tables seen, for wholesale resync
+	addr   string          // the source's rpc address: where its content is
+	// arcs marks a reshape's move stream: the arcs it is filtered to, gated
+	// here until Commit adopts them. endpoints are the source's repository
+	// endpoints, rewritten to ours at that adopt.
+	arcs      []dht.Range
+	endpoints map[string]string
 }
 
-// Node is one shard's replication endpoint: it ships the shard's own feed
-// to its successors, applies the streams shipped to it, answers ownership
-// queries, and performs promotion and rejoin. Mount it on the container's
-// Mux and Start it before the rpc server begins answering.
+// Node is one shard's ownership endpoint: it ships the shard's feed to its
+// followers, applies the streams shipped to it, answers the gate and
+// ownership queries, and performs promotion, rejoin and reshapes. Mount it
+// on the container's Mux and Start it before the rpc server begins
+// answering.
 type Node struct {
 	cfg          Config
-	place        *dht.Placement
-	rstore       *db.RowStore // replica namespaces: table "r<src>!<table>"
+	moveTables   []string     // tables a move stream carries: gated + scheduler
+	rstore       *db.RowStore // follower namespaces: table "r<src>!<table>"
 	probeTimeout time.Duration
 
 	stop chan struct{}
@@ -160,20 +204,29 @@ type Node struct {
 	pull *puller
 
 	mu        sync.Mutex
-	serving   map[int]uint64 // range -> ownership epoch
+	epoch     uint64         // committed membership epoch (>= 1)
+	place     *dht.Placement // committed placement
+	serving   map[int]uint64 // range -> ownership claim
 	promoting map[int]bool
 	replicas  map[int]*replicaState
 	shippers  map[string]*shipper
+	departed  []dht.Range // cutover→commit window on a source
+	inbound   []dht.Range // staged→commit window on a target: union of the move streams' arcs
+	staged    *staging
 	started   bool
 	stopped   bool
 }
 
-// NewNode builds the replication node. The container must Mount it and,
-// once every service is constructed, Start it (before serving rpc).
+type persistedState struct {
+	Epoch  uint64
+	Shards int
+}
+
+// NewNode builds the ownership node, recovering a previously committed
+// membership epoch and shard count from the store when present. The
+// container must Mount it and, once every service is constructed, Start it
+// (before serving rpc).
 func NewNode(cfg Config) (*Node, error) {
-	if cfg.Replicas < 2 {
-		return nil, fmt.Errorf("repl: replication needs >= 2 replicas, got %d", cfg.Replicas)
-	}
 	if cfg.Shard < 0 || cfg.Shard >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("repl: shard %d outside membership of %d", cfg.Shard, len(cfg.Addrs))
 	}
@@ -182,14 +235,27 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:          cfg,
-		place:        dht.NewPlacement(len(cfg.Addrs)),
+		moveTables:   append(append([]string(nil), cfg.GatedTables...), cfg.SchedulerTable),
 		rstore:       db.NewRowStore(),
 		probeTimeout: cfg.ProbeTimeout,
 		stop:         make(chan struct{}),
+		epoch:        1,
+		place:        dht.NewPlacement(len(cfg.Addrs)),
 		serving:      make(map[int]uint64),
 		promoting:    make(map[int]bool),
 		replicas:     make(map[int]*replicaState),
 		shippers:     make(map[string]*shipper),
+	}
+	if raw, ok, err := cfg.Feed.Get(tableState, stateKey); err == nil && ok {
+		var st persistedState
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err == nil && st.Epoch > n.epoch && st.Shards >= 1 {
+			if st.Shards != len(cfg.Addrs) {
+				n.logf("repl: shard %d: recovered epoch %d places over %d shards, boot said %d — trusting the recovered state",
+					cfg.Shard, st.Epoch, st.Shards, len(cfg.Addrs))
+			}
+			n.epoch = st.Epoch
+			n.place = dht.NewPlacement(st.Shards)
+		}
 	}
 	if n.probeTimeout <= 0 {
 		n.probeTimeout = DefaultProbeTimeout
@@ -198,13 +264,41 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Epoch returns this boot's stream epoch.
-func (n *Node) Epoch() uint64 { return n.cfg.Feed.Epoch() }
+// Epoch returns the committed membership epoch (1 for a never-reshaped
+// plane).
+func (n *Node) Epoch() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.epoch
+}
 
-// successors returns the replica set of rangeID under this plane's R.
-func (n *Node) successors(rangeID int) []int {
+// successorsLocked returns the replica set of rangeID under the committed
+// placement and this plane's R. A range the placement no longer has (a
+// drained shard's own) lives nowhere else. Caller holds n.mu.
+func (n *Node) successorsLocked(rangeID int) []int {
+	if rangeID < 0 || rangeID >= n.place.Shards() {
+		return []int{rangeID}
+	}
 	return n.place.Successors(rangeID, n.cfg.Replicas)
 }
+
+func (n *Node) successors(rangeID int) []int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.successorsLocked(rangeID)
+}
+
+// addrOf returns shard i's address in the boot membership ("" for a shard
+// that joined after this one booted: only reshapes reach those, and their
+// streams carry the address).
+func (n *Node) addrOf(i int) string {
+	if i < 0 || i >= len(n.cfg.Addrs) {
+		return ""
+	}
+	return n.cfg.Addrs[i]
+}
+
+func (n *Node) self() string { return n.cfg.Addrs[n.cfg.Shard] }
 
 func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
@@ -228,23 +322,22 @@ func (n *Node) Start() {
 	n.mu.Unlock()
 
 	if n.cfg.SkipBootCheck {
-		n.adoptOwnRange()
+		// The whole plane is starting together, so nobody can have promoted
+		// anything — each shard takes its home range, keeping any claim
+		// recovered from disk.
+		n.adopt(n.cfg.Shard, false)
 	} else {
 		n.bootCheck()
 	}
-
 	n.mu.Lock()
-	for _, succ := range n.successors(n.cfg.Shard) {
-		if succ != n.cfg.Shard {
-			n.startShipperLocked(n.cfg.Addrs[succ])
-		}
-	}
+	n.shipToLocked(n.cfg.Shard)
 	n.mu.Unlock()
 	n.wg.Add(1)
 	go n.pull.run()
 }
 
-// Stop terminates the shippers and puller and waits for them.
+// Stop aborts any staged reshape, terminates the shippers and puller and
+// waits for them.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if n.stopped {
@@ -254,6 +347,7 @@ func (n *Node) Stop() {
 	n.stopped = true
 	started := n.started
 	n.mu.Unlock()
+	n.Abort()
 	close(n.stop)
 	if started {
 		n.wg.Wait()
@@ -269,7 +363,7 @@ func (n *Node) Serves(rangeID int) bool {
 	return ok
 }
 
-// ServingRanges returns the owned ranges and their ownership epochs.
+// ServingRanges returns the owned ranges and their ownership claims.
 func (n *Node) ServingRanges() map[int]uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -281,17 +375,40 @@ func (n *Node) ServingRanges() map[int]uint64 {
 }
 
 // GateUID is the per-key ownership gate: nil when uid's range is served
-// here, ErrNotOwner otherwise. The scheduler consults it directly; the
-// catalog tables sit behind it through db.NewGatedStore.
+// here under the committed placement and uid is neither mid-departure (a
+// source between Cutover and Commit) nor staged but not yet adopted (a
+// target before Commit); ErrNotOwner otherwise. The scheduler consults it
+// directly; the catalog tables sit behind it through db.NewGatedStore.
 func (n *Node) GateUID(uid string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.departed)+len(n.inbound) > 0 {
+		id := dht.HashID(uid)
+		if onAny(n.departed, id) {
+			return fmt.Errorf("%w: key %q departed this shard (epoch %d reshape)", ErrNotOwner, uid, n.epoch)
+		}
+		if onAny(n.inbound, id) {
+			return fmt.Errorf("%w: key %q is staged here but not yet adopted (epoch %d)", ErrNotOwner, uid, n.epoch)
+		}
+	}
 	rangeID := n.place.ShardOf(uid)
-	if n.Serves(rangeID) {
+	if _, ok := n.serving[rangeID]; ok {
 		return nil
 	}
-	return fmt.Errorf("%w: key %q homes on range %d", ErrNotOwner, uid, rangeID)
+	return fmt.Errorf("%w: key %q homes on range %d (epoch %d)", ErrNotOwner, uid, rangeID, n.epoch)
 }
 
-// nsTable maps a (source shard, live table) pair to its replica-namespace
+// onAny reports whether id lies on one of arcs.
+func onAny(arcs []dht.Range, id dht.ID) bool {
+	for _, r := range arcs {
+		if r.Contains(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// nsTable maps a (source shard, live table) pair to its follower-namespace
 // table in rstore.
 func nsTable(src int, table string) string {
 	return "r" + strconv.Itoa(src) + "!" + table
@@ -324,12 +441,12 @@ func (n *Node) dialOpts(addr string, timeout time.Duration) []rpc.DialOption {
 	return opts
 }
 
-// sleepStop waits d or until the node stops; false means stopped.
-func (n *Node) sleepStop(d time.Duration) bool {
+// sleepStop waits d or until stop closes; false means stopped.
+func sleepStop(stop <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-n.stop:
+	case <-stop:
 		return false
 	case <-t.C:
 		return true

@@ -157,19 +157,7 @@ func (p *plane) kill(i int) {
 // new stream epoch — the in-memory analogue of a process restart.
 func (p *plane) restart(i int) {
 	p.t.Helper()
-	var lis net.Listener
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		lis, err = net.Listen("tcp", p.addrs[i])
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		p.t.Fatalf("rebinding %s: %v", p.addrs[i], err)
-	}
-	p.shards[i] = p.boot(i, lis, false)
+	p.shards[i] = p.boot(i, listen(p.t, p.addrs[i]), false)
 }
 
 // keyOn derives a key homing on range r.

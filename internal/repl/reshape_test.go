@@ -1,15 +1,16 @@
-package rebalance
+package repl
 
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
-	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 )
 
@@ -18,34 +19,69 @@ const (
 	tblLocators = "dc_locators"
 )
 
-// testShard is one real Node over a RowStore behind a FeedStore, wired the
+// moveShard is one real Node over a RowStore behind a FeedStore, wired the
 // way the container wires it: services write through the gated store,
-// peers install over a loopback rpc server, and the coordinator drives the
+// peers ship over a loopback rpc server, and the coordinator drives the
 // node by direct dispatch on its Mux.
-type testShard struct {
+type moveShard struct {
 	node   *Node
+	feed   *db.FeedStore
 	store  db.Store // the feed behind the ownership gate
 	mux    *rpc.Mux
 	addr   string
 	client *Client
 
+	stop func() // server, node and feed; safe to call twice
+
 	mu      sync.Mutex
 	content map[string][]byte
 }
 
-func bootShard(t *testing.T, self, shards int) *testShard {
+func bootShard(t *testing.T, self, shards int) *moveShard {
+	t.Helper()
+	return bootShardOn(t, self, shards, listen(t, "127.0.0.1:0"), nil)
+}
+
+// listen binds addr, retrying while a just-closed listener releases it.
+func listen(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	for attempt := 0; ; attempt++ {
+		lis, err := net.Listen("tcp", addr)
+		if err == nil {
+			return lis
+		}
+		if attempt == 50 {
+			t.Fatalf("binding %s: %v", addr, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// bootShardOn is bootShard on a given listener (a restart re-listens on the
+// old address) with the outbound-dial hook armed (the move stream's
+// crash-point tests script faults through it).
+func bootShardOn(t *testing.T, self, shards int, lis net.Listener, dialOpts func(addr string) []rpc.DialOption) *moveShard {
 	t.Helper()
 	feed, err := db.NewFeedStore(db.NewRowStore(), uint64(self+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &testShard{mux: rpc.NewMux(), content: make(map[string][]byte)}
+	s := &moveShard{feed: feed, mux: rpc.NewMux(), content: make(map[string][]byte)}
+	srv := rpc.NewServer(lis, s.mux)
+	s.addr = srv.Addr()
+	// Only this shard's own address is known at boot, as for a joiner whose
+	// peers a reshape names later.
+	addrs := make([]string, shards)
+	addrs[self] = s.addr
 	s.node, err = NewNode(Config{
-		Self:         self,
-		Shards:       shards,
-		Feed:         feed,
-		Tables:       []string{tblData, tblLocators},
-		ContentTable: tblLocators,
+		Shard:         self,
+		Addrs:         addrs,
+		Feed:          feed,
+		GatedTables:   []string{tblData, tblLocators},
+		ContentTable:  tblLocators,
+		SkipBootCheck: true,
+		DialOpts:      dialOpts,
+		Logf:          t.Logf,
 		GetContent: func(uid string) ([]byte, error) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -65,34 +101,42 @@ func bootShard(t *testing.T, self, shards int) *testShard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.store = db.NewGatedStore(feed, s.node.GateKey, tblData, tblLocators)
+	s.store = db.NewGatedStore(feed, s.node.GateUID, tblData, tblLocators)
 	s.node.Mount(s.mux)
-	srv, err := rpc.Listen("127.0.0.1:0", s.mux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.addr = srv.Addr()
+	s.node.Start()
 	s.client = NewClient(rpc.NewLocalClient(s.mux, 0))
-	t.Cleanup(func() {
+	s.stop = func() {
 		srv.Close()
 		s.node.Stop()
 		feed.Close()
-	})
+	}
+	t.Cleanup(s.stop)
 	return s
 }
 
 // testPlane is an n-shard plane with rows on every shard, some of which
 // move under n→n+1 and n→n-1.
 type testPlane struct {
-	shards []*testShard
+	shards []*moveShard
 	keys   []string
 }
 
 func bootPlane(t *testing.T, n int) *testPlane {
 	t.Helper()
+	return bootPlaneWith(t, n, nil)
+}
+
+// bootPlaneWith arms shard `from`'s outbound dials with dialOpts(from, addr).
+func bootPlaneWith(t *testing.T, n int, dialOpts func(from int, addr string) []rpc.DialOption) *testPlane {
+	t.Helper()
 	p := &testPlane{}
 	for i := 0; i < n; i++ {
-		p.shards = append(p.shards, bootShard(t, i, n))
+		var hook func(addr string) []rpc.DialOption
+		if dialOpts != nil {
+			from := i
+			hook = func(addr string) []rpc.DialOption { return dialOpts(from, addr) }
+		}
+		p.shards = append(p.shards, bootShardOn(t, i, n, listen(t, "127.0.0.1:0"), hook))
 	}
 	place := dht.NewPlacement(n)
 	for i := 0; i < 64; i++ {
@@ -111,11 +155,11 @@ func bootPlane(t *testing.T, n int) *testPlane {
 }
 
 // with returns the plane's shards followed by a joiner.
-func (p *testPlane) with(joiner *testShard) []*testShard {
-	return append(append([]*testShard(nil), p.shards...), joiner)
+func (p *testPlane) with(joiner *moveShard) []*moveShard {
+	return append(append([]*moveShard(nil), p.shards...), joiner)
 }
 
-func clients(shards []*testShard) []*Client {
+func clients(shards []*moveShard) []*Client {
 	out := make([]*Client, len(shards))
 	for i, s := range shards {
 		out[i] = s.client
@@ -123,7 +167,7 @@ func clients(shards []*testShard) []*Client {
 	return out
 }
 
-func addrs(shards []*testShard) []string {
+func addrs(shards []*moveShard) []string {
 	out := make([]string, len(shards))
 	for i, s := range shards {
 		out[i] = s.addr
@@ -132,7 +176,7 @@ func addrs(shards []*testShard) []string {
 }
 
 // grow runs Grow of the plane onto joiner at epoch 2.
-func (p *testPlane) grow(joiner *testShard) (bool, error) {
+func (p *testPlane) grow(joiner *moveShard) (bool, error) {
 	all := p.with(joiner)
 	return Grow(clients(all), addrs(all), 2)
 }
@@ -178,14 +222,14 @@ func (p *testPlane) assertUnchanged(t *testing.T) {
 
 // assertServedUnder checks every row, and its content, is served by exactly
 // its home among shards under their committed placement.
-func assertServedUnder(t *testing.T, keys []string, shards []*testShard) {
+func assertServedUnder(t *testing.T, keys []string, shards []*moveShard) {
 	t.Helper()
 	place := dht.NewPlacement(len(shards))
 	for _, k := range keys {
 		for i, s := range shards {
 			v, ok, err := s.store.Get(tblData, k)
 			if i != place.ShardOf(k) {
-				if !repl.IsNotOwner(err) {
+				if !IsNotOwner(err) {
 					t.Fatalf("shard %d answers for %s homed on %d: %q %v", i, k, place.ShardOf(k), v, err)
 				}
 				continue
@@ -205,7 +249,7 @@ func assertServedUnder(t *testing.T, keys []string, shards []*testShard) {
 
 // refuseOnce scripts one refusal of a protocol method; the shard answers
 // for itself again from the next call on.
-func refuseOnce(s *testShard, method string) {
+func refuseOnce(s *moveShard, method string) {
 	s.mux.Handle(ServiceName, method, func([]byte) ([]byte, error) {
 		s.node.Mount(s.mux)
 		return nil, errors.New("scripted refusal")
@@ -244,18 +288,18 @@ func TestGrowRefusesMisplacedJoiner(t *testing.T) {
 	p.assertUnchanged(t)
 }
 
-// TestGrowStageFailureAborts: source 1's installs are refused by the
-// joiner, so its stage fails after source 0 staged fine. Every source must
-// be aborted, nothing committed, and the same change must then go through.
+// TestGrowStageFailureAborts: source 1's stream is refused by the joiner,
+// so its stage fails after source 0 staged fine. Every source must be
+// aborted, nothing committed, and the same change must then go through.
 func TestGrowStageFailureAborts(t *testing.T) {
 	p := bootPlane(t, 2)
 	joiner := bootShard(t, 2, 3)
 	p.movingFrom(t, 1, 3)
-	rpc.Register(joiner.mux, ServiceName, "Install", func(a InstallArgs) (InstallReply, error) {
-		if a.Source == 1 {
-			return InstallReply{}, errors.New("scripted refusal")
+	rpc.Register(joiner.mux, ServiceName, "Sync", func(a SyncArgs) (SyncReply, error) {
+		if a.Shard == 1 {
+			return SyncReply{}, errors.New("scripted refusal")
 		}
-		return joiner.node.handleInstall(a)
+		return joiner.node.handleSync(a)
 	})
 	committed, err := p.grow(joiner)
 	if committed || err == nil || !strings.Contains(err.Error(), "shard 1 stage") {
@@ -287,7 +331,7 @@ func TestGrowCutoverFailureAborts(t *testing.T) {
 		t.Fatalf("Grow with a failing cutover = %v, %v", committed, err)
 	}
 	p.assertUnchanged(t)
-	if err := p.shards[0].node.GateKey(moving[0]); err != nil {
+	if err := p.shards[0].node.GateUID(moving[0]); err != nil {
 		t.Fatalf("source 0 still gates %s after the abort: %v", moving[0], err)
 	}
 
@@ -296,6 +340,42 @@ func TestGrowCutoverFailureAborts(t *testing.T) {
 		t.Fatalf("re-run after abort = %v, %v", committed, err)
 	}
 	assertServedUnder(t, p.keys, p.with(joiner))
+}
+
+// TestAbortedStageCannotResurrectADeletedDatum: source 0 stages a moving
+// key onto the joiner, the change aborts (source 1 refuses its cutover), the
+// key is deleted at its source, and the change is run again. The re-stage's
+// snapshot no longer carries the key, so the committed joiner must not serve
+// it — which holds because staged rows sit in the joiner's namespace, which a
+// re-stage replaces wholesale, and never in its live store.
+func TestAbortedStageCannotResurrectADeletedDatum(t *testing.T) {
+	p := bootPlane(t, 2)
+	joiner := bootShard(t, 2, 3)
+	gone := p.movingFrom(t, 0, 3)[0]
+	refuseOnce(p.shards[1], "Cutover")
+	if committed, err := p.grow(joiner); committed || err == nil {
+		t.Fatalf("Grow with a failing cutover = %v, %v", committed, err)
+	}
+	for _, tbl := range []string{tblData, tblLocators} {
+		if err := p.shards[0].store.Delete(tbl, gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if committed, err := p.grow(joiner); !committed || err != nil {
+		t.Fatalf("re-run after abort = %v, %v", committed, err)
+	}
+	for _, tbl := range []string{tblData, tblLocators} {
+		if v, ok, err := joiner.store.Get(tbl, gone); err != nil || ok {
+			t.Fatalf("deleted %s/%s resurrected on its new home: %q %v", tbl, gone, v, err)
+		}
+	}
+	var kept []string
+	for _, k := range p.keys {
+		if k != gone {
+			kept = append(kept, k)
+		}
+	}
+	assertServedUnder(t, kept, p.with(joiner))
 }
 
 // TestCommitFailureStillCommitsTheOthers: past the cutovers there is no way
@@ -308,7 +388,7 @@ func TestCommitFailureStillCommitsTheOthers(t *testing.T) {
 	if !committed || err == nil || !strings.Contains(err.Error(), "shard 0 commit") {
 		t.Fatalf("Grow with a failing commit = %v, %v", committed, err)
 	}
-	for _, s := range []*testShard{p.shards[1], joiner} {
+	for _, s := range []*moveShard{p.shards[1], joiner} {
 		if st, _ := s.client.Status(); st.Epoch != 2 || st.Shards != 3 {
 			t.Fatalf("shard %d did not commit past shard 0's refusal: %+v", st.Self, st)
 		}
@@ -348,7 +428,7 @@ func TestDrainCommitsTheDrainedShardLast(t *testing.T) {
 	}
 	assertServedUnder(t, p.keys, p.shards[:2])
 	for _, k := range p.keys {
-		if _, _, err := p.shards[2].store.Get(tblData, k); !repl.IsNotOwner(err) {
+		if _, _, err := p.shards[2].store.Get(tblData, k); !IsNotOwner(err) {
 			t.Fatalf("drained shard still answers for %s: %v", k, err)
 		}
 	}

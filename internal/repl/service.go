@@ -2,49 +2,54 @@ package repl
 
 import (
 	"fmt"
+	"time"
 
 	"bitdew/internal/db"
+	"bitdew/internal/dht"
 	"bitdew/internal/rpc"
 )
 
 // Wire types of the replication protocol. All fields are concrete (splice-
 // safe); mutation batches ride the same db.Mutation records the feed emits.
 
-// PingArgs/PingReply probe liveness; a shard answers the moment its rpc
-// server is up, which is exactly the instant the split-brain ordering
-// argument needs (a shard that answers Ping has already resolved who owns
-// its range).
-type PingArgs struct{}
-type PingReply struct {
-	Shard int
-	Epoch uint64
-}
-
-// ApplyArgs ships a batch of tail mutations of one source shard's stream.
-// An empty Muts slice is a heartbeat: the reply reports the replica's
-// current ack state without changing anything.
+// ApplyArgs ships a batch of tail mutations of one source shard's stream:
+// the mutations of sequence span (Prev, Last] that belong in the stream —
+// all of them in steady state, the moving arcs' only in a reshape, which is
+// why the span and not the mutations' own numbers detects gaps. An empty
+// Muts slice with Prev == Last is a heartbeat: the reply reports the
+// follower's current ack state without changing anything.
 type ApplyArgs struct {
-	Shard int    // source shard (whose stream this is)
-	Epoch uint64 // source stream epoch
-	Muts  []db.Mutation
+	Shard      int    // source shard (whose stream this is)
+	Epoch      uint64 // source stream epoch
+	Prev, Last uint64
+	Muts       []db.Mutation
 }
 
-// ApplyReply acks the highest contiguously-applied sequence number.
-// NeedSync asks the shipper to restart from a snapshot: the replica has
+// ApplyReply acks the highest sequence number covered without a gap.
+// NeedSync asks the shipper to restart from a snapshot: the follower has
 // never synced, saw a different epoch (source rebooted), or detected a gap.
 type ApplyReply struct {
 	AckSeq         uint64
 	NeedSync       bool
-	PendingContent int // content pulls not yet completed on this replica
+	PendingContent int // content pulls not yet completed on this follower
 }
 
-// SyncArgs replaces the replica's whole namespace for the source shard
-// with a snapshot cut at sequence number Seq.
+// SyncArgs replaces the follower's whole namespace for the source shard
+// with a snapshot cut at sequence number Seq. Addr is the source's rpc
+// address, where the follower pulls announced content from. A reshape's
+// move stream additionally names the Arcs it is filtered to (the follower
+// refuses them until its Commit adopts the rows), the source's committed
+// membership epoch, and the source's repository Endpoints, which the adopt
+// rewrites moved locators away from.
 type SyncArgs struct {
-	Shard    int
-	Epoch    uint64
-	Seq      uint64
-	Snapshot []db.Mutation
+	Shard     int
+	Epoch     uint64
+	Seq       uint64
+	Snapshot  []db.Mutation
+	Addr      string
+	Arcs      []dht.Range
+	Member    uint64
+	Endpoints map[string]string
 }
 
 type SyncReply struct {
@@ -57,10 +62,9 @@ type SyncReply struct {
 // (callers must wait for it to resolve rather than assume either outcome).
 type OwnerArgs struct{ Range int }
 type OwnerReply struct {
-	Shard      int
-	Serving    bool
-	Promoting  bool
-	OwnerEpoch uint64
+	Shard     int
+	Serving   bool
+	Promoting bool
 }
 
 // PromoteArgs asks this shard to take ownership of a range whose earlier
@@ -80,23 +84,36 @@ type FetchContentReply struct {
 	Content []byte
 }
 
-// StatusArgs/StatusReply expose the node's replication state (CLI `bitdew
-// repl`, tests, convergence waits).
+// StageArgs proposes a membership change: the full new address list in
+// placement order. CutoverArgs flips ownership of the staged arcs; AbortArgs
+// cancels the staged reshape. Success is the answer to all three.
+type StageArgs struct{ NewAddrs []string }
+type StageReply struct{}
+type CutoverArgs struct{}
+type CutoverReply struct{}
+type AbortArgs struct{}
+type AbortReply struct{}
+
+// CommitArgs adopts a committed membership on any shard.
+type CommitArgs struct {
+	Epoch uint64
+	Addrs []string
+}
+type CommitReply struct{}
+
+// StatusArgs/StatusReply expose the node's ownership state (CLI `bitdew
+// ring` and `bitdew repl`, the coordinator, tests, convergence waits).
 type StatusArgs struct{}
 type StatusReply struct {
-	Shard          int
-	Epoch          uint64
+	Self           int
+	Epoch          uint64         // committed membership epoch
+	Shards         int            // committed placement's shard count
+	Staging        bool           // an outbound reshape is staged here
+	Stream         uint64         // this boot's stream epoch
 	Seq            uint64         // last sequence number fed locally
-	Serving        map[int]uint64 // owned ranges -> ownership epoch
-	Replicas       map[int]ReplicaStatus
-	Targets        []TargetStatus
+	Serving        map[int]uint64 // owned ranges -> ownership claim
+	Targets        []TargetStatus // steady-state and reshape ship targets
 	PendingContent int
-}
-
-type ReplicaStatus struct {
-	Epoch  uint64
-	AckSeq uint64
-	Synced bool
 }
 
 type TargetStatus struct {
@@ -106,11 +123,8 @@ type TargetStatus struct {
 	PendingContent int
 }
 
-// Mount registers the replication protocol on the shard's Mux.
+// Mount registers the ownership protocol on the shard's Mux.
 func (n *Node) Mount(m *rpc.Mux) {
-	rpc.Register(m, ServiceName, "Ping", func(PingArgs) (PingReply, error) {
-		return PingReply{Shard: n.cfg.Shard, Epoch: n.Epoch()}, nil
-	})
 	rpc.Register(m, ServiceName, "Apply", n.handleApply)
 	rpc.Register(m, ServiceName, "Sync", n.handleSync)
 	rpc.Register(m, ServiceName, "Owner", n.handleOwner)
@@ -118,19 +132,33 @@ func (n *Node) Mount(m *rpc.Mux) {
 	rpc.Register(m, ServiceName, "Rejoin", n.handleRejoin)
 	rpc.Register(m, ServiceName, "FetchContent", n.handleFetchContent)
 	rpc.Register(m, ServiceName, "Status", n.handleStatus)
+	rpc.Register(m, ServiceName, "Stage", func(a StageArgs) (StageReply, error) {
+		return StageReply{}, n.Stage(a.NewAddrs)
+	})
+	rpc.Register(m, ServiceName, "Cutover", func(CutoverArgs) (CutoverReply, error) {
+		return CutoverReply{}, n.Cutover()
+	})
+	rpc.Register(m, ServiceName, "Abort", func(AbortArgs) (AbortReply, error) {
+		n.Abort()
+		return AbortReply{}, nil
+	})
+	rpc.Register(m, ServiceName, "Commit", func(a CommitArgs) (CommitReply, error) {
+		return CommitReply{}, n.Commit(a.Epoch, a.Addrs)
+	})
 }
 
-// handleApply applies a tail batch to the source's replica namespace.
-// Duplicates (Seq <= last applied) are dropped — re-sending a possibly-
-// delivered batch after an ambiguous failure is safe by design, which is
-// why the shipper may retry Apply even after rpc.ErrDeadline. A gap means
-// mutations were lost between shipper and replica; the replica refuses the
-// whole suffix and asks for a snapshot instead of applying out of order.
+// handleApply applies a tail batch to the source's namespace. Duplicates
+// (Seq <= last covered) are dropped — re-sending a possibly-delivered batch
+// after an ambiguous failure is safe by design, which is why the shipper
+// may retry Apply even after rpc.ErrDeadline. A batch that starts past the
+// last covered sequence number means mutations were lost between shipper
+// and follower; the follower refuses it and asks for a snapshot instead of
+// applying out of order.
 func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.replicas[a.Shard]
-	if st == nil || !st.synced || st.epoch != a.Epoch {
+	if st == nil || !st.synced || st.epoch != a.Epoch || a.Prev > st.last {
 		var ack uint64
 		if st != nil {
 			ack = st.last
@@ -141,19 +169,20 @@ func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 		if m.Seq <= st.last {
 			continue // duplicate delivery
 		}
-		if m.Seq != st.last+1 {
-			return ApplyReply{AckSeq: st.last, NeedSync: true, PendingContent: n.pull.pending()}, nil
-		}
 		if err := n.applyOneLocked(a.Shard, st, m); err != nil {
 			return ApplyReply{AckSeq: st.last}, err
 		}
 		st.last = m.Seq
 	}
+	if a.Last > st.last {
+		st.last = a.Last
+	}
 	return ApplyReply{AckSeq: st.last, PendingContent: n.pull.pending()}, nil
 }
 
-// applyOneLocked writes one mutation into the source's namespace and
-// schedules a content pull when it announces committed content.
+// applyOneLocked writes one mutation into the source's namespace; a locator
+// row schedules a pull of the content it announces, its deletion cancels
+// one still queued.
 func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
 	tbl := nsTable(src, m.Table)
 	st.tables[m.Table] = true
@@ -163,11 +192,14 @@ func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
 			return fmt.Errorf("repl: apply: %w", err)
 		}
 		if m.Table == n.cfg.ContentTable {
-			n.pull.enqueue(m.Key)
+			n.pull.enqueue(m.Key, st.addr)
 		}
 	case 'D':
 		if err := n.rstore.Delete(tbl, m.Key); err != nil {
 			return fmt.Errorf("repl: apply: %w", err)
+		}
+		if m.Table == n.cfg.ContentTable {
+			n.pull.cancel(m.Key)
 		}
 	default:
 		return fmt.Errorf("repl: apply: unknown op %q", m.Op)
@@ -175,26 +207,44 @@ func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
 	return nil
 }
 
-// handleSync replaces the source's namespace wholesale with the snapshot.
-func (n *Node) handleSync(a SyncArgs) (SyncReply, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	old := n.replicas[a.Shard]
-	if old != nil {
-		for tbl := range old.tables {
-			keys, err := n.rstore.Keys(nsTable(a.Shard, tbl))
-			if err != nil {
-				return SyncReply{}, fmt.Errorf("repl: sync: %w", err)
-			}
-			for _, k := range keys {
-				if err := n.rstore.Delete(nsTable(a.Shard, tbl), k); err != nil {
-					return SyncReply{}, fmt.Errorf("repl: sync: %w", err)
-				}
+// clearNamespaceLocked deletes every row stream src shipped here.
+func (n *Node) clearNamespaceLocked(src int, st *replicaState) error {
+	for tbl := range st.tables {
+		keys, err := n.rstore.Keys(nsTable(src, tbl))
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if err := n.rstore.Delete(nsTable(src, tbl), k); err != nil {
+				return err
 			}
 		}
 	}
-	st := &replicaState{epoch: a.Epoch, last: a.Seq, synced: true, tables: make(map[string]bool)}
+	st.tables = make(map[string]bool)
+	return nil
+}
+
+// handleSync replaces the source's namespace wholesale with the snapshot. A
+// move stream's arcs join the gate here and leave it at Commit.
+func (n *Node) handleSync(a SyncArgs) (SyncReply, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if a.Arcs != nil && a.Member < n.epoch {
+		return SyncReply{}, fmt.Errorf("repl: shard %d committed membership epoch %d; shard %d stages from epoch %d",
+			n.cfg.Shard, n.epoch, a.Shard, a.Member)
+	}
+	if old := n.replicas[a.Shard]; old != nil {
+		if err := n.clearNamespaceLocked(a.Shard, old); err != nil {
+			return SyncReply{}, fmt.Errorf("repl: sync: %w", err)
+		}
+	}
+	st := &replicaState{epoch: a.Epoch, last: a.Seq, synced: true, tables: make(map[string]bool),
+		addr: a.Addr, arcs: a.Arcs, endpoints: a.Endpoints}
 	n.replicas[a.Shard] = st
+	n.inbound = nil
+	for _, r := range n.replicas {
+		n.inbound = append(n.inbound, r.arcs...)
+	}
 	for _, m := range a.Snapshot {
 		if err := n.applyOneLocked(a.Shard, st, m); err != nil {
 			st.synced = false
@@ -209,13 +259,8 @@ func (n *Node) handleSync(a SyncArgs) (SyncReply, error) {
 func (n *Node) handleOwner(a OwnerArgs) (OwnerReply, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	epoch, serving := n.serving[a.Range]
-	return OwnerReply{
-		Shard:      n.cfg.Shard,
-		Serving:    serving,
-		Promoting:  n.promoting[a.Range],
-		OwnerEpoch: epoch,
-	}, nil
+	_, serving := n.serving[a.Range]
+	return OwnerReply{Shard: n.cfg.Shard, Serving: serving, Promoting: n.promoting[a.Range]}, nil
 }
 
 func (n *Node) handlePromote(a PromoteArgs) (PromoteReply, error) {
@@ -226,7 +271,7 @@ func (n *Node) handlePromote(a PromoteArgs) (PromoteReply, error) {
 }
 
 func (n *Node) handleRejoin(a RejoinArgs) (RejoinReply, error) {
-	if a.Addr == "" || a.Addr == n.cfg.Addrs[n.cfg.Shard] {
+	if a.Addr == "" || a.Addr == n.self() {
 		return RejoinReply{}, fmt.Errorf("repl: rejoin: bad address %q", a.Addr)
 	}
 	n.mu.Lock()
@@ -253,46 +298,86 @@ func (n *Node) handleStatus(StatusArgs) (StatusReply, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rep := StatusReply{
-		Shard:          n.cfg.Shard,
-		Epoch:          n.Epoch(),
+		Self:           n.cfg.Shard,
+		Epoch:          n.epoch,
+		Shards:         n.place.Shards(),
+		Staging:        n.staged != nil,
 		Seq:            n.cfg.Feed.Seq(),
 		Serving:        make(map[int]uint64, len(n.serving)),
-		Replicas:       make(map[int]ReplicaStatus, len(n.replicas)),
 		PendingContent: n.pull.pending(),
 	}
 	for r, e := range n.serving {
 		rep.Serving[r] = e
 	}
-	for src, st := range n.replicas {
-		rep.Replicas[src] = ReplicaStatus{Epoch: st.epoch, AckSeq: st.last, Synced: st.synced}
+	target := func(s *shipper) {
+		acked, synced, pending, _ := s.state()
+		rep.Targets = append(rep.Targets, TargetStatus{Addr: s.target, Acked: acked, Synced: synced, PendingContent: pending})
 	}
 	for _, s := range n.shippers {
-		acked, synced, pending := s.state()
-		rep.Targets = append(rep.Targets, TargetStatus{Addr: s.target, Acked: acked, Synced: synced, PendingContent: pending})
+		target(s)
+	}
+	if n.staged != nil {
+		for _, s := range n.staged.shippers {
+			target(s)
+		}
 	}
 	return rep, nil
 }
 
-// probeOwner asks the shard at addr who owns rangeID, on a fresh bounded
-// connection. Any error means "treat as dead for this pass".
-func (n *Node) probeOwner(addr string, rangeID int) (OwnerReply, error) {
-	c, err := rpc.Dial(addr, n.dialOpts(addr, n.probeTimeout)...)
-	if err != nil {
-		return OwnerReply{}, err
-	}
-	defer c.Close()
-	var rep OwnerReply
-	err = c.Call(ServiceName, "Owner", OwnerArgs{Range: rangeID}, &rep)
-	return rep, err
-}
-
-// callRejoin asks the owner at addr to add us as an extra ship target.
-func (n *Node) callRejoin(addr string) error {
-	c, err := rpc.Dial(addr, n.dialOpts(addr, n.probeTimeout)...)
+// ask makes one call on a fresh connection bounded by timeout.
+func (n *Node) ask(addr string, timeout time.Duration, method string, args, reply any) error {
+	c, err := rpc.Dial(addr, n.dialOpts(addr, timeout)...)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	var rep RejoinReply
-	return c.Call(ServiceName, "Rejoin", RejoinArgs{Addr: n.cfg.Addrs[n.cfg.Shard]}, &rep)
+	return c.Call(ServiceName, method, args, reply)
+}
+
+// probeOwner asks the shard at addr who owns rangeID. Any error means
+// "treat as dead for this pass".
+func (n *Node) probeOwner(addr string, rangeID int) (OwnerReply, error) {
+	var rep OwnerReply
+	err := n.ask(addr, n.probeTimeout, "Owner", OwnerArgs{Range: rangeID}, &rep)
+	return rep, err
+}
+
+// Client drives a shard's reshape verbs (the coordinator's view of a shard:
+// in-process for ShardedContainer, over TCP for `bitdew ring add/drain`).
+type Client struct {
+	c rpc.Client
+}
+
+// NewClient wraps an rpc connection to a shard.
+func NewClient(c rpc.Client) *Client { return &Client{c: c} }
+
+// Stage proposes the membership change on the shard.
+func (cl *Client) Stage(newAddrs []string) error {
+	var rep StageReply
+	return cl.c.Call(ServiceName, "Stage", StageArgs{NewAddrs: newAddrs}, &rep)
+}
+
+// Cutover flips ownership of the staged arcs on the shard.
+func (cl *Client) Cutover() error {
+	var rep CutoverReply
+	return cl.c.Call(ServiceName, "Cutover", CutoverArgs{}, &rep)
+}
+
+// Abort cancels the shard's staged reshape.
+func (cl *Client) Abort() error {
+	var rep AbortReply
+	return cl.c.Call(ServiceName, "Abort", AbortArgs{}, &rep)
+}
+
+// Commit adopts the committed membership on the shard.
+func (cl *Client) Commit(epoch uint64, addrs []string) error {
+	var rep CommitReply
+	return cl.c.Call(ServiceName, "Commit", CommitArgs{Epoch: epoch, Addrs: addrs}, &rep)
+}
+
+// Status reports the shard's ownership state.
+func (cl *Client) Status() (StatusReply, error) {
+	var rep StatusReply
+	err := cl.c.Call(ServiceName, "Status", StatusArgs{}, &rep)
+	return rep, err
 }

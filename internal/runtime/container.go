@@ -20,7 +20,6 @@ import (
 	"bitdew/internal/protocols/ftp"
 	"bitdew/internal/protocols/httpx"
 	"bitdew/internal/protocols/swarm"
-	"bitdew/internal/rebalance"
 	"bitdew/internal/repl"
 	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
@@ -74,9 +73,9 @@ type ContainerConfig struct {
 // same description whether the other shards share the process
 // (ShardedContainer) or run on other hosts (bitdew-service -shard-id/-peers),
 // and NewContainer is the one place it is acted on: the container
-// feed-wraps its meta store, joins the replication protocol (Replicas > 1)
-// or the elastic-membership protocol (otherwise), gates its key ranges with
-// that protocol's ownership gate, and serves the membership table.
+// feed-wraps its meta store, mounts the range-ownership node (internal/repl),
+// gates its key ranges with the node's gate, and serves the membership
+// table.
 type Plane struct {
 	// Shard is this container's index in Addrs; Addrs is the full
 	// membership table in placement order (a restarted shard that recovered
@@ -85,7 +84,8 @@ type Plane struct {
 	Addrs []string
 	// Replicas is R: each key range lives on its home shard plus R-1
 	// successors on the placement circle, with automatic failover. Capped
-	// at len(Addrs); 0 or 1 leaves the plane unreplicated and elastic.
+	// at len(Addrs); 0 or 1 leaves the plane unreplicated (and, for now, the
+	// only kind that reshapes).
 	Replicas int
 	// SkipBootCheck may be set only on a coordinated fresh boot of the
 	// whole plane (nobody can have promoted anything yet); restarts must
@@ -96,7 +96,7 @@ type Plane struct {
 	// DialOpts contributes extra dial options per outbound peer address —
 	// the fault-injection hook of the failover crash-point tests.
 	DialOpts func(addr string) []rpc.DialOption
-	// Logf receives replication and rebalance life-cycle events.
+	// Logf receives ownership life-cycle events.
 	Logf func(format string, args ...any)
 }
 
@@ -117,13 +117,12 @@ type Container struct {
 	// ownStore is the durable store this container opened from StateDir
 	// (nil when the caller supplied Store); Close flushes and closes it.
 	ownStore *db.DurableStore
-	// feed wraps the meta store: its mutation stream is what replication
-	// ships and what a migration snapshots and follows. Exactly one of node
-	// (Plane.Replicas > 1) and rnode speaks for the shard's key ranges.
-	feed  *db.FeedStore
-	node  *repl.Node
-	rnode *rebalance.Node
-	ring  *MembershipTable
+	// feed wraps the meta store: its mutation stream is what node, which
+	// speaks for the shard's key ranges, ships to followers and to the new
+	// homes of moving arcs.
+	feed *db.FeedStore
+	node *repl.Node
+	ring *MembershipTable
 
 	mu      sync.Mutex
 	seeders map[data.UID]*swarm.Peer
@@ -187,8 +186,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	if plane.Replicas > len(plane.Addrs) {
 		plane.Replicas = len(plane.Addrs)
 	}
-	// Epoch 0 is a static membership (a replicated plane's); an elastic
-	// shard publishes its committed epoch below.
 	c.ring = &MembershipTable{table: Membership{
 		Self:     plane.Shard,
 		Addrs:    append([]string(nil), plane.Addrs...),
@@ -196,71 +193,46 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	}}
 	// The stream epoch is minted per boot: a restarted shard recovers its
 	// rows from disk but not its sequence counter, and the fresh epoch is
-	// what tells its replicas to resync from a snapshot.
+	// what tells its followers to resync from a snapshot.
 	if c.feed, err = db.NewFeedStore(cfg.Store, uint64(time.Now().UnixNano())); err != nil {
 		return fail(err)
 	}
 	tables := []string{catalog.TableData, catalog.TableLocators}
-	adoptScheduler := func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) }
-	hasContent := func(uid string) bool {
-		_, err := backend.Size(uid)
-		return err == nil
+	c.node, err = repl.NewNode(repl.Config{
+		Shard:          plane.Shard,
+		Addrs:          plane.Addrs,
+		Replicas:       plane.Replicas,
+		Feed:           c.feed,
+		GatedTables:    tables,
+		SchedulerTable: scheduler.TableEntries,
+		ContentTable:   catalog.TableLocators,
+		AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
+		DropScheduler:  func(uid string) error { return c.DS.Unschedule(data.UID(uid)) },
+		Endpoints:      func() map[string]string { return c.DR.Endpoints() },
+		GetContent:     backend.Get,
+		PutContent:     backend.Put,
+		HasContent: func(uid string) bool {
+			_, err := backend.Size(uid)
+			return err == nil
+		},
+		OnCommit:      c.ring.Set,
+		DialOpts:      plane.DialOpts,
+		ProbeTimeout:  plane.ProbeTimeout,
+		SkipBootCheck: plane.SkipBootCheck,
+		Logf:          plane.Logf,
+	})
+	if err != nil {
+		return fail(err)
 	}
-	var gate func(key string) error
-	if plane.Replicas > 1 {
-		c.node, err = repl.NewNode(repl.Config{
-			Shard:          plane.Shard,
-			Addrs:          plane.Addrs,
-			Replicas:       plane.Replicas,
-			Feed:           c.feed,
-			GatedTables:    tables,
-			SchedulerTable: scheduler.TableEntries,
-			ContentTable:   catalog.TableLocators,
-			AdoptScheduler: adoptScheduler,
-			GetContent:     backend.Get,
-			PutContent:     backend.Put,
-			HasContent:     hasContent,
-			DialOpts:       plane.DialOpts,
-			ProbeTimeout:   plane.ProbeTimeout,
-			SkipBootCheck:  plane.SkipBootCheck,
-			Logf:           plane.Logf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		gate = c.node.GateUID
-	} else {
-		c.rnode, err = rebalance.NewNode(rebalance.Config{
-			Self:           plane.Shard,
-			Shards:         len(plane.Addrs),
-			Feed:           c.feed,
-			Tables:         tables,
-			SchedulerTable: scheduler.TableEntries,
-			ContentTable:   catalog.TableLocators,
-			Endpoints:      func() map[string]string { return c.DR.Endpoints() },
-			GetContent:     backend.Get,
-			PutContent:     backend.Put,
-			HasContent:     hasContent,
-			AdoptScheduler: adoptScheduler,
-			DropScheduler:  func(uid string) error { return c.DS.Unschedule(data.UID(uid)) },
-			OnCommit:       c.ring.Set,
-			DialOpts:       plane.DialOpts,
-			Logf:           plane.Logf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		gate = c.rnode.GateKey
-		c.ring.Set(c.rnode.Epoch(), plane.Addrs)
-	}
-	// Every service write flows feed-first (shipping to replicas, followed
-	// by migrations) behind the ownership gate, which refuses keys whose
-	// range this shard lost, has not been handed yet, or never homed.
-	store := db.NewGatedStore(c.feed, gate, tables...)
+	c.ring.Set(c.node.Epoch(), plane.Addrs)
+	// Every service write flows feed-first behind the ownership gate, which
+	// refuses keys whose range this shard lost, has not been handed yet, or
+	// never homed.
+	store := db.NewGatedStore(c.feed, c.node.GateUID, tables...)
 	if c.DS, err = scheduler.NewDurable(store); err != nil {
 		return fail(err)
 	}
-	c.DS.SetRangeGate(func(uid data.UID) error { return gate(string(uid)) })
+	c.DS.SetRangeGate(func(uid data.UID) error { return c.node.GateUID(string(uid)) })
 	if c.DR, err = repository.NewDurableService(backend, store); err != nil {
 		return fail(err)
 	}
@@ -302,16 +274,12 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	c.DT.Mount(c.Mux)
 	c.DS.Mount(c.Mux)
 	c.ring.Mount(c.Mux)
-	if c.node != nil {
-		c.node.Mount(c.Mux)
-		// Ownership is resolved before the rpc server answers: no peer or
-		// client can observe this shard alive while it is still deciding
-		// whether it (or a promoted successor) owns its ranges — the
-		// ordering half of the split-brain argument.
-		c.node.Start()
-	} else {
-		c.rnode.Mount(c.Mux)
-	}
+	c.node.Mount(c.Mux)
+	// Ownership is resolved before the rpc server answers: no peer or client
+	// can observe this shard alive while it is still deciding whether it (or
+	// a promoted successor) owns its ranges — the ordering half of the
+	// split-brain argument.
+	c.node.Start()
 	if lis != nil {
 		c.rpcServer = rpc.NewServer(lis, c.Mux, cfg.RPCOptions...)
 	}
@@ -321,8 +289,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 // Membership returns the membership table this shard serves.
 func (c *Container) Membership() Membership { return c.ring.Table() }
 
-// Repl returns the container's replication node (nil on an unreplicated
-// plane).
+// Repl returns the container's range-ownership node.
 func (c *Container) Repl() *repl.Node { return c.node }
 
 // Checkpoint forces a compaction of the container's durable store (a full
@@ -386,9 +353,6 @@ func (c *Container) Close() error {
 	}
 	if c.node != nil {
 		c.node.Stop()
-	}
-	if c.rnode != nil {
-		c.rnode.Stop()
 	}
 	if c.FTP != nil {
 		c.FTP.Close()

@@ -19,8 +19,8 @@ func TestContainerServesAllServices(t *testing.T) {
 	defer c.Close()
 	got := c.Mux.Services()
 	// Even a lone container is a (one-shard) plane: it serves the membership
-	// table and the elastic-membership protocol beside the four D* services.
-	want := []string{"dc", "dr", "ds", "dt", "rebal", "ring"}
+	// table and the range-ownership protocol beside the four D* services.
+	want := []string{"dc", "dr", "ds", "dt", "repl", "ring"}
 	if len(got) != len(want) {
 		t.Fatalf("Services = %v", got)
 	}

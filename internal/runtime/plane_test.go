@@ -8,7 +8,7 @@ import (
 
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
-	"bitdew/internal/rebalance"
+	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 	"bitdew/internal/runtime"
 )
@@ -38,9 +38,9 @@ func TestKillShardOutsideMembership(t *testing.T) {
 }
 
 // TestReplicasCappedAtMembership: the container, not its host, caps R at
-// the membership size and picks the ownership protocol from the result, so
-// `bitdew-service -shard-id 0 -peers A -replicas 2` runs — and advertises —
-// an unreplicated one-shard plane.
+// the membership size, so `bitdew-service -shard-id 0 -peers A -replicas 2`
+// runs — and advertises — an unreplicated one-shard plane. Every R mounts
+// the same ownership node, at membership epoch 1.
 func TestReplicasCappedAtMembership(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -72,18 +72,11 @@ func TestReplicasCappedAtMembership(t *testing.T) {
 			if table.Replicas != tc.want {
 				t.Fatalf("advertises R=%d, want %d", table.Replicas, tc.want)
 			}
-			replicated := tc.want > 1
-			if (c.Repl() != nil) != replicated {
-				t.Fatalf("replication node present = %v at R=%d", c.Repl() != nil, tc.want)
+			if c.Repl() == nil {
+				t.Fatalf("no ownership node at R=%d", tc.want)
 			}
-			// A replicated membership is static (epoch 0); an elastic one
-			// starts at epoch 1.
-			wantEpoch := uint64(1)
-			if replicated {
-				wantEpoch = 0
-			}
-			if table.Epoch != wantEpoch {
-				t.Fatalf("epoch %d at R=%d, want %d", table.Epoch, tc.want, wantEpoch)
+			if table.Epoch != 1 {
+				t.Fatalf("epoch %d at R=%d, want 1", table.Epoch, tc.want)
 			}
 		})
 	}
@@ -92,7 +85,16 @@ func TestReplicasCappedAtMembership(t *testing.T) {
 // planeAnswers is what a shard tells the outside about the plane it is in.
 type planeAnswers struct {
 	Members runtime.Membership
-	Status  rebalance.StatusReply
+	Status  membershipStatus
+}
+
+// membershipStatus is the membership part of repl/Status — the rest of the
+// reply (stream epoch, sequence number) differs from boot to boot.
+type membershipStatus struct {
+	Self    int
+	Epoch   uint64
+	Shards  int
+	Staging bool
 }
 
 func askPlane(t *testing.T, addr string) planeAnswers {
@@ -106,7 +108,7 @@ func askPlane(t *testing.T, addr string) planeAnswers {
 	if a.Members, err = runtime.Members(c); err != nil {
 		t.Fatal(err)
 	}
-	if a.Status, err = rebalance.NewClient(c).Status(); err != nil {
+	if err = c.Call(repl.ServiceName, "Status", repl.StatusArgs{}, &a.Status); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Members.Addrs) != 1 || a.Members.Addrs[0] != addr {
@@ -118,7 +120,7 @@ func askPlane(t *testing.T, addr string) planeAnswers {
 
 // TestDeploymentEquivalence pins "one plane, one code path": a one-shard
 // plane hosted by ShardedContainer and a lone NewContainer given the same
-// Plane answer ring/Members and rebal/Status identically, and each recovers
+// Plane answer ring/Members and repl/Status identically, and each recovers
 // the state directory the OTHER one wrote.
 func TestDeploymentEquivalence(t *testing.T) {
 	dirs := [2]string{t.TempDir(), t.TempDir()}
@@ -170,7 +172,7 @@ func TestDeploymentEquivalence(t *testing.T) {
 	}
 	want := planeAnswers{
 		Members: runtime.Membership{Self: 0, Replicas: 0, Epoch: 1},
-		Status:  rebalance.StatusReply{Self: 0, Epoch: 1, Shards: 1},
+		Status:  membershipStatus{Self: 0, Epoch: 1, Shards: 1},
 	}
 	for i, got := range answers {
 		if !reflect.DeepEqual(got, want) {

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"bitdew/internal/rebalance"
+	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 )
 
@@ -28,17 +28,15 @@ type Membership struct {
 	// Replicas is the plane's replication factor R (0 or 1 when the plane
 	// is unreplicated); clients use it to build failover-aware routing.
 	Replicas int
-	// Epoch numbers the membership: an elastic plane bumps it on every
-	// committed AddShard/DrainShard, and clients that see a higher epoch
-	// than their view rebuild their shard set around the new Addrs. 0
-	// marks a static plane (fixed at boot, nothing to poll for).
+	// Epoch numbers the membership: it starts at 1 and every committed
+	// AddShard/DrainShard bumps it; clients that see a higher epoch than
+	// their view rebuild their shard set around the new Addrs.
 	Epoch uint64
 }
 
 // MembershipTable serves a shard's (possibly changing) membership view
-// under the "ring" service. Every container owns one: a replicated shard's
-// stays at epoch 0, an elastic shard's is Set on every committed rebalance,
-// which is how clients learn the plane grew or shrank.
+// under the "ring" service. Every container owns one, Set on every committed
+// reshape, which is how clients learn the plane grew or shrank.
 type MembershipTable struct {
 	mu    sync.Mutex
 	table Membership
@@ -152,8 +150,7 @@ type ShardedContainer struct {
 	mu     sync.Mutex
 	shards []*Container // nil at indexes whose shard is killed
 	addrs  []string     // placement order; AddShard/DrainShard grow and shrink it
-	// epoch is the committed membership epoch (>= 1 on an elastic plane,
-	// 0 on a replicated one — those planes are static).
+	// epoch is the committed membership epoch (>= 1).
 	epoch uint64
 	// rebalancing serializes AddShard/DrainShard: one membership change at
 	// a time, plane-wide.
@@ -209,8 +206,8 @@ func NewShardedContainer(cfg ShardedConfig) (*ShardedContainer, error) {
 			return nil, fmt.Errorf("runtime: shard %d: %w", i, err)
 		}
 		s.shards[i] = c
-		// An elastic plane's epoch survives restarts through each shard's
-		// persisted rebalance state; adopt the highest any shard recovered.
+		// The epoch survives restarts through each shard's persisted
+		// membership state; adopt the highest any shard recovered.
 		if e := c.Membership().Epoch; e > s.epoch {
 			s.epoch = e
 		}
@@ -265,7 +262,7 @@ func (s *ShardedContainer) Addrs() []string {
 	return append([]string(nil), s.addrs...)
 }
 
-// Epoch returns the committed membership epoch (0 on a replicated plane).
+// Epoch returns the committed membership epoch.
 func (s *ShardedContainer) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,7 +338,7 @@ func (s *ShardedContainer) WaitReplicated(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for i := 0; i < s.N(); i++ {
 		c := s.Shard(i)
-		if c == nil || c.Repl() == nil {
+		if c == nil {
 			continue
 		}
 		remaining := time.Until(deadline)
@@ -360,9 +357,6 @@ func (s *ShardedContainer) WaitReplicated(timeout time.Duration) error {
 func (s *ShardedContainer) beginRebalance() ([]*Container, []string, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Replicas > 1 {
-		return nil, nil, 0, fmt.Errorf("runtime: replicated planes reshape through repl, not elastic rebalancing")
-	}
 	if s.rebalancing {
 		return nil, nil, 0, fmt.Errorf("runtime: a membership change is already in flight")
 	}
@@ -382,19 +376,19 @@ func (s *ShardedContainer) endRebalance() {
 	s.mu.Unlock()
 }
 
-// rebalanceClients drives each shard's rebalance service by direct dispatch
-// on its Mux — the same protocol `bitdew ring add/drain` speaks over TCP.
-func rebalanceClients(shards []*Container) []*rebalance.Client {
-	clients := make([]*rebalance.Client, len(shards))
+// reshapeClients drives each shard's ownership node by direct dispatch on
+// its Mux — the same protocol `bitdew ring add/drain` speaks over TCP.
+func reshapeClients(shards []*Container) []*repl.Client {
+	clients := make([]*repl.Client, len(shards))
 	for i, c := range shards {
-		clients[i] = rebalance.NewClient(rpc.NewLocalClient(c.Mux, 0))
+		clients[i] = repl.NewClient(rpc.NewLocalClient(c.Mux, 0))
 	}
 	return clients
 }
 
 // AddShard grows the plane by one shard under live traffic: it boots the
 // new container as the last shard of the grown membership (invisible to
-// clients until the commit publishes its address) and rebalance.Grow moves
+// clients until the commit publishes its address) and repl.Grow moves
 // the key ranges. Returns the new shard's index; an error beside a valid
 // index means the change committed but some shard refused the commit.
 func (s *ShardedContainer) AddShard() (int, error) {
@@ -414,7 +408,7 @@ func (s *ShardedContainer) AddShard() (int, error) {
 		return -1, fmt.Errorf("runtime: booting shard %d: %w", newIdx, err)
 	}
 	shards = append(shards, c)
-	committed, err := rebalance.Grow(rebalanceClients(shards), newAddrs, epoch+1)
+	committed, err := repl.Grow(reshapeClients(shards), newAddrs, epoch+1)
 	if !committed {
 		c.Close()
 		return -1, fmt.Errorf("runtime: %w", err)
@@ -426,7 +420,7 @@ func (s *ShardedContainer) AddShard() (int, error) {
 }
 
 // DrainShard shrinks the plane by retiring the last shard through
-// rebalance.Drain. The drained container is kept ALIVE (its cached locators
+// repl.Drain. The drained container is kept ALIVE (its cached locators
 // and in-flight reads still answer) until ReleaseDrained; its own commit
 // makes it refuse every data operation with the not-owner handoff. Returns
 // the retired shard's former index, with AddShard's error contract.
@@ -437,7 +431,7 @@ func (s *ShardedContainer) DrainShard() (int, error) {
 	}
 	defer s.endRebalance()
 	last := len(cur) - 1
-	committed, err := rebalance.Drain(rebalanceClients(shards), cur[:last], epoch+1)
+	committed, err := repl.Drain(reshapeClients(shards), cur[:last], epoch+1)
 	if !committed {
 		return -1, fmt.Errorf("runtime: %w", err)
 	}
