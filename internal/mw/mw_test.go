@@ -74,17 +74,12 @@ func TestMasterWorkerEcho(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
-	// Results ride asynchronous upload + schedule pipelines on the workers;
-	// pause between short rounds so sleep-free heartbeats cannot outrun them.
 	drive(t, mnode, wnodes, 20, func() bool {
 		for {
 			select {
 			case r := <-master.Results():
 				got[r.Task] = string(r.Content)
 			default:
-				if len(got) < tasks {
-					time.Sleep(5 * time.Millisecond)
-				}
 				return len(got) == tasks
 			}
 		}

@@ -51,13 +51,14 @@ func Drain(shards []*Client, addrs []string, epoch uint64) (committed bool, err 
 // ranges, all is every shard that adopts the new membership. Until every
 // source has cut over, any failure aborts every source — their departure
 // gates disengage and they resume serving the moving ranges — and nothing
-// commits. Past that point every shard is asked to commit regardless of the
-// others' answers, and the first error is returned: a shard that missed the
+// commits. Past that point there is no way back: the first error is returned
+// but does not stop the commits, with one exception. The shards that only
+// gain ranges commit first — their adopt puts the moved rows in a live store
+// before any source's commit garbage-collects the originals — so when one of
+// them fails, no source is asked to commit at all. A shard that missed the
 // commit keeps the moving rows (a source in its store, behind the departure
 // gate; a target in its namespace, refusing the arcs) until the commit is
-// sent again. The shards that only gain ranges commit first: their adopt
-// puts the moved rows in a live store before any source's commit
-// garbage-collects the originals.
+// sent again.
 func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committed bool, err error) {
 	sources := all[from:to]
 	abort := func(phase string, i int, err error) (bool, error) {
@@ -97,6 +98,8 @@ func reshape(all []*Client, from, to int, addrs []string, epoch uint64) (committ
 	}
 	commit(0, from)
 	commit(to, len(all))
-	commit(from, to)
+	if first == nil {
+		commit(from, to)
+	}
 	return true, first
 }

@@ -86,8 +86,8 @@ func (n *Node) commitPromotion(rangeID int) error {
 	if err := n.serve(rangeID, claim+1); err != nil {
 		return fmt.Errorf("repl: promote range %d: %w", rangeID, err)
 	}
-	n.logf("repl: shard %d promoted to owner of range %d (claim %d, %d rows adopted from %s)",
-		n.cfg.Shard, rangeID, claim+1, adopted, claimSource(src))
+	n.logf("repl: shard %d promoted to owner of range %d (claim %d, %d rows adopted from stream %d)",
+		n.cfg.Shard, rangeID, claim+1, adopted, src)
 	return nil
 }
 
@@ -169,13 +169,6 @@ func (n *Node) serve(rangeID int, claim uint64) error {
 	return nil
 }
 
-func claimSource(src int) string {
-	if src < 0 {
-		return "own live store"
-	}
-	return "stream of shard " + strconv.Itoa(src)
-}
-
 // bestClaim picks the stream holding the newest ownership claim on rangeID
 // visible at this shard: our own live store (src -1) or any follower
 // namespace. Higher claim epoch wins; our own store wins ties, so a shard
@@ -223,19 +216,13 @@ func (n *Node) claimedRanges() []int {
 	return ranges
 }
 
-// bootCheck resolves ownership of every range this shard has a stake in
-// BEFORE the rpc server answers: for each, if a peer candidate is serving
-// it we stand down (and, for our home range, rejoin its owner as a
-// replica); if a promotion is in flight we wait for it to resolve; if
-// nobody has it, we adopt it with a bumped claim. The ordering — resolve
-// first, serve after — is what makes a restart split-brain-free: no client
-// or peer can observe this shard alive while its ownership is undecided.
-func (n *Node) bootCheck() {
-	for _, r := range n.claimedRanges() {
-		n.bootResolveRange(r)
-	}
-}
-
+// bootResolveRange resolves ownership of a range this shard has a stake in
+// BEFORE the rpc server answers: if a peer candidate is serving it we stand
+// down (its shipper, started at its promotion, makes us a follower); if a
+// promotion is in flight we wait for it to resolve; if nobody has it, we
+// adopt it with a bumped claim. The ordering — resolve first, serve after —
+// is what makes a restart split-brain-free: no client or peer can observe
+// this shard alive while its ownership is undecided.
 func (n *Node) bootResolveRange(rangeID int) {
 	cands := n.successors(rangeID)
 	for pass := 0; pass < bootProbePasses; pass++ {
@@ -259,10 +246,9 @@ func (n *Node) bootResolveRange(rangeID int) {
 		}
 		switch {
 		case ownerAddr != "":
+			// The owner has shipped to every member of the range's replica set
+			// since it promoted (serve); its retrying shipper is our catch-up.
 			n.logf("repl: shard %d range %d is owned by %s; standing down", n.cfg.Shard, rangeID, ownerAddr)
-			if rangeID == n.cfg.Shard {
-				n.rejoinOwner(ownerAddr)
-			}
 			return
 		case promoting:
 			// An in-flight promotion will land Serving or die; wait it out.
@@ -276,22 +262,6 @@ func (n *Node) bootResolveRange(rangeID int) {
 	}
 	// The promotion never resolved (its shard died mid-flight): take over.
 	n.adopt(rangeID, true)
-}
-
-// rejoinOwner registers us as an extra ship target of our range's current
-// owner. Best-effort: the owner's own retrying shipper (started at its
-// promotion) reaches us anyway; this just shortens the catch-up.
-func (n *Node) rejoinOwner(ownerAddr string) {
-	for i := 0; i < 5; i++ {
-		var rep RejoinReply
-		if err := n.ask(ownerAddr, n.probeTimeout, "Rejoin", RejoinArgs{Addr: n.self()}, &rep); err == nil {
-			return
-		}
-		if !sleepStop(n.stop, 200*time.Millisecond) {
-			return
-		}
-	}
-	n.logf("repl: shard %d could not rejoin owner %s; waiting for its shipper", n.cfg.Shard, ownerAddr)
 }
 
 // adopt marks rangeID served here under the claim our store holds for it.

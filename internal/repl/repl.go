@@ -24,9 +24,9 @@
 //     follower state can never leak into a follower's own outbound stream,
 //     and rows staged for a change that is then aborted never become
 //     visible. Content (repository payloads) is pulled, not pushed: a
-//     follower that applies a locator row fetches the datum's bytes from the
-//     stream's source and stores them in its own backend, ready to serve the
-//     moment it is promoted.
+//     follower that applies locator rows fetches the data's bytes from the
+//     stream's source, a batch per frame, into its own backend, ready to
+//     serve the moment it is promoted.
 //   - The adopt. Promotion copies a namespace's rows for the range into the
 //     live store — re-feeding them, so they ship onward to the new owner's
 //     own successors — rebuilds scheduler state, and bumps the range's
@@ -47,10 +47,11 @@
 // waits for the target's ack to reach the feed's sequence number (the gate
 // precedes the barrier read, so no moving-key mutation can follow it);
 // Commit adopts on the targets, swaps in the new placement and epoch
-// everywhere, persists it, and garbage-collects rows that no longer home
-// here. Moved repository content is deliberately NOT deleted from the
-// source's backend: a client still fetching through a pre-bump cached
-// locator reads the old copy byte-exact.
+// everywhere, persists it, and — once a source has verified its targets still
+// hold the stream — garbage-collects rows that no longer home here. Moved
+// repository content is deliberately NOT deleted from the source's backend:
+// a client still fetching through a pre-bump cached locator reads the old
+// copy byte-exact.
 //
 // The gate (Node.GateUID, installed over the catalog tables with
 // db.NewGatedStore and over the scheduler) answers one question: is the
@@ -66,6 +67,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,8 +155,10 @@ type Config struct {
 	Endpoints func() map[string]string
 	// GetContent / PutContent / HasContent bridge to the repository
 	// backend: serving FetchContent to followers, storing pulled content,
-	// and skipping pulls for content already present.
-	GetContent func(uid string) ([]byte, error)
+	// and skipping pulls for content already present. GetContent answers
+	// found=false only when the backend definitely holds nothing for uid;
+	// any other failure is an error (a follower retries it).
+	GetContent func(uid string) (content []byte, found bool, err error)
 	PutContent func(uid string, content []byte) error
 	HasContent func(uid string) bool
 	// OnCommit, when set, observes every committed membership change — the
@@ -194,10 +198,9 @@ type replicaState struct {
 // on the container's Mux and Start it before the rpc server begins
 // answering.
 type Node struct {
-	cfg          Config
-	moveTables   []string     // tables a move stream carries: gated + scheduler
-	rstore       *db.RowStore // follower namespaces: table "r<src>!<table>"
-	probeTimeout time.Duration
+	cfg        Config
+	moveTables []string     // tables a move stream carries: gated + scheduler
+	rstore     *db.RowStore // follower namespaces: table "r<src>!<table>"
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -234,17 +237,16 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("repl: nil feed store")
 	}
 	n := &Node{
-		cfg:          cfg,
-		moveTables:   append(append([]string(nil), cfg.GatedTables...), cfg.SchedulerTable),
-		rstore:       db.NewRowStore(),
-		probeTimeout: cfg.ProbeTimeout,
-		stop:         make(chan struct{}),
-		epoch:        1,
-		place:        dht.NewPlacement(len(cfg.Addrs)),
-		serving:      make(map[int]uint64),
-		promoting:    make(map[int]bool),
-		replicas:     make(map[int]*replicaState),
-		shippers:     make(map[string]*shipper),
+		cfg:        cfg,
+		moveTables: append(append([]string(nil), cfg.GatedTables...), cfg.SchedulerTable),
+		rstore:     db.NewRowStore(),
+		stop:       make(chan struct{}),
+		epoch:      1,
+		place:      dht.NewPlacement(len(cfg.Addrs)),
+		serving:    make(map[int]uint64),
+		promoting:  make(map[int]bool),
+		replicas:   make(map[int]*replicaState),
+		shippers:   make(map[string]*shipper),
 	}
 	if raw, ok, err := cfg.Feed.Get(tableState, stateKey); err == nil && ok {
 		var st persistedState
@@ -257,8 +259,8 @@ func NewNode(cfg Config) (*Node, error) {
 			n.place = dht.NewPlacement(st.Shards)
 		}
 	}
-	if n.probeTimeout <= 0 {
-		n.probeTimeout = DefaultProbeTimeout
+	if n.cfg.ProbeTimeout <= 0 {
+		n.cfg.ProbeTimeout = DefaultProbeTimeout
 	}
 	n.pull = newPuller(n)
 	return n, nil
@@ -327,7 +329,9 @@ func (n *Node) Start() {
 		// recovered from disk.
 		n.adopt(n.cfg.Shard, false)
 	} else {
-		n.bootCheck()
+		for _, r := range n.claimedRanges() {
+			n.bootResolveRange(r)
+		}
 	}
 	n.mu.Lock()
 	n.shipToLocked(n.cfg.Shard)
@@ -353,25 +357,6 @@ func (n *Node) Stop() {
 		n.wg.Wait()
 	}
 	n.rstore.Close()
-}
-
-// Serves reports whether this shard currently owns rangeID.
-func (n *Node) Serves(rangeID int) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.serving[rangeID]
-	return ok
-}
-
-// ServingRanges returns the owned ranges and their ownership claims.
-func (n *Node) ServingRanges() map[int]uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[int]uint64, len(n.serving))
-	for r, e := range n.serving {
-		out[r] = e
-	}
-	return out
 }
 
 // GateUID is the per-key ownership gate: nil when uid's range is served
@@ -400,12 +385,7 @@ func (n *Node) GateUID(uid string) error {
 
 // onAny reports whether id lies on one of arcs.
 func onAny(arcs []dht.Range, id dht.ID) bool {
-	for _, r := range arcs {
-		if r.Contains(id) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(arcs, func(r dht.Range) bool { return r.Contains(id) })
 }
 
 // nsTable maps a (source shard, live table) pair to its follower-namespace
@@ -439,6 +419,14 @@ func (n *Node) dialOpts(addr string, timeout time.Duration) []rpc.DialOption {
 		opts = append(opts, n.cfg.DialOpts(addr)...)
 	}
 	return opts
+}
+
+// signal wakes the goroutine receiving from c; one already pending suffices.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // sleepStop waits d or until stop closes; false means stopped.

@@ -19,8 +19,9 @@ import (
 const testWait = 15 * time.Second
 
 type contentBox struct {
-	mu sync.Mutex
-	m  map[string][]byte
+	mu        sync.Mutex
+	m         map[string][]byte
+	failReads int // reads left to fail with a backend error
 }
 
 func (b *contentBox) put(uid string, c []byte) error {
@@ -30,14 +31,15 @@ func (b *contentBox) put(uid string, c []byte) error {
 	return nil
 }
 
-func (b *contentBox) get(uid string) ([]byte, error) {
+func (b *contentBox) get(uid string) ([]byte, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c, ok := b.m[uid]
-	if !ok {
-		return nil, fmt.Errorf("no content %s", uid)
+	if b.failReads > 0 {
+		b.failReads--
+		return nil, false, fmt.Errorf("scripted read error on %s", uid)
 	}
-	return c, nil
+	c, ok := b.m[uid]
+	return c, ok, nil
 }
 
 func (b *contentBox) has(uid string) bool {
@@ -160,6 +162,17 @@ func (p *plane) restart(i int) {
 	p.shards[i] = p.boot(i, listen(p.t, p.addrs[i]), false)
 }
 
+// serving reads the shard's owned ranges and their claims off its Status.
+func serving(s *testShard) map[int]uint64 {
+	st, _ := s.node.handleStatus(StatusArgs{})
+	return st.Serving
+}
+
+func serves(s *testShard, rangeID int) bool {
+	_, ok := serving(s)[rangeID]
+	return ok
+}
+
 // keyOn derives a key homing on range r.
 func keyOn(place *dht.Placement, r int, salt string, i int) string {
 	for j := 0; ; j++ {
@@ -242,7 +255,7 @@ func TestReplicaRestartResync(t *testing.T) {
 		}
 	}
 	// The restarted shard re-owns its own (unclaimed) range.
-	if !p.shards[1].node.Serves(1) {
+	if !serves(p.shards[1], 1) {
 		t.Fatal("restarted shard does not serve its own range")
 	}
 }
@@ -272,7 +285,7 @@ func TestPromotion(t *testing.T) {
 	if err := p.shards[succ].node.Promote(0); err != nil {
 		t.Fatal(err)
 	}
-	if !p.shards[succ].node.Serves(0) {
+	if !serves(p.shards[succ], 0) {
 		t.Fatal("promoted shard does not serve the range")
 	}
 	for i, k := range keys {
@@ -281,7 +294,7 @@ func TestPromotion(t *testing.T) {
 			t.Fatalf("adopted row %s = %q %v %v", k, v, ok, err)
 		}
 	}
-	if got := p.shards[succ].node.ServingRanges()[0]; got != 1 {
+	if got := serving(p.shards[succ])[0]; got != 1 {
 		t.Fatalf("ownership claim = %d, want 1", got)
 	}
 	// Promote is idempotent on the owner.
@@ -319,7 +332,7 @@ func TestRejoinAfterPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.restart(0)
-	if p.shards[0].node.Serves(0) {
+	if serves(p.shards[0], 0) {
 		t.Fatal("rejoined shard serves a range it lost (split brain)")
 	}
 	if err := p.shards[0].node.GateUID(k); !IsNotOwner(err) {
@@ -351,9 +364,9 @@ func TestContentPull(t *testing.T) {
 	if err := p.shards[0].node.WaitReplicated(testWait); err != nil {
 		t.Fatal(err)
 	}
-	c, err := p.shards[1].content.get(uid)
-	if err != nil || string(c) != "payload" {
-		t.Fatalf("replica content = %q, %v", c, err)
+	c, ok, _ := p.shards[1].content.get(uid)
+	if !ok || string(c) != "payload" {
+		t.Fatalf("replica content = %q, %v", c, ok)
 	}
 }
 

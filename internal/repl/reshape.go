@@ -21,6 +21,7 @@ type staging struct {
 	arcs     []dht.Range
 	shippers []*shipper
 	stop     chan struct{}
+	barrier  uint64 // the feed's sequence number the targets acked at Cutover
 }
 
 // Stage prepares this shard's side of a membership change to newAddrs: it
@@ -94,8 +95,11 @@ func (n *Node) Cutover() error {
 	n.mu.Unlock()
 
 	barrier := n.cfg.Feed.Seq()
+	n.mu.Lock()
+	rs.barrier = barrier
+	n.mu.Unlock()
 	for _, s := range rs.shippers {
-		s.record(0, 0) // forget what it acked before the gate
+		s.record(false, 0, 0) // forget what it answered before the gate
 	}
 	atBarrier := func() uint64 { return barrier }
 	if err := n.waitShipped(rs.shippers, atBarrier, rs.stop, time.Now().Add(cutoverWait)); err != nil {
@@ -131,8 +135,10 @@ func (n *Node) abort(rs *staging) {
 // succeeded: a target first adopts, from its move streams, the rows that
 // home here under the new placement; then the new placement and epoch
 // become live, both gates clear, the state persists, and rows that no
-// longer home here are garbage-collected. Re-committing an already-adopted
-// epoch is a no-op.
+// longer home here are garbage-collected. A source first verifies that every
+// target still holds what it was shipped (stillShipped), and refuses —
+// keeping the rows behind its departure gate — when one does not.
+// Re-committing an already-adopted epoch is a no-op.
 func (n *Node) Commit(epoch uint64, addrs []string) error {
 	if len(addrs) < 1 {
 		return fmt.Errorf("repl: committing an empty membership")
@@ -152,7 +158,15 @@ func (n *Node) Commit(epoch uint64, addrs []string) error {
 		}
 	}
 	claim := n.serving[n.cfg.Shard]
+	var shipped []*shipper
+	var barrier uint64
+	if n.staged != nil {
+		shipped, barrier = n.staged.shippers, n.staged.barrier
+	}
 	n.mu.Unlock()
+	if err := n.stillShipped(shipped, barrier); err != nil {
+		return fmt.Errorf("repl: shard %d commit of epoch %d: %w", n.cfg.Shard, epoch, err)
+	}
 
 	next := dht.NewPlacement(len(addrs))
 	homesHere := func(k string) bool { return next.ShardOf(k) == n.cfg.Shard }
@@ -175,8 +189,8 @@ func (n *Node) Commit(epoch uint64, addrs []string) error {
 	n.staged, n.departed, n.inbound = nil, nil, nil
 	n.epoch, n.place = epoch, next
 	for _, src := range moves {
-		// The stream's bookkeeping stays (a source that has not committed yet
-		// keeps heartbeating it); its rows and its hold on the gate go.
+		// The stream's bookkeeping stays (its source has yet to commit, and
+		// asks after it first); its rows and its hold on the gate go.
 		st := n.replicas[src]
 		n.clearNamespaceLocked(src, st)
 		st.arcs, st.endpoints = nil, nil
@@ -191,6 +205,28 @@ func (n *Node) Commit(epoch uint64, addrs []string) error {
 	n.logf("repl: shard %d committed epoch %d over %d shards (%d rows adopted)", n.cfg.Shard, epoch, len(addrs), adopted)
 	if n.cfg.OnCommit != nil {
 		n.cfg.OnCommit(epoch, append([]string(nil), addrs...))
+	}
+	return nil
+}
+
+// stillShipped is a source's last look before its commit garbage-collects
+// the moved rows: each target must still hold this boot's stream, up to the
+// cutover barrier. A target that restarted since the cutover lost its
+// namespace — if it committed meanwhile, it adopted nothing and cannot know —
+// and answers NeedSync; one whose shipper resynced it in time holds the rows
+// again and passes. The stream's bookkeeping outlives the target's own
+// commit for exactly this question.
+func (n *Node) stillShipped(shippers []*shipper, barrier uint64) error {
+	for _, s := range shippers {
+		var rep ApplyReply
+		beat := ApplyArgs{Shard: n.cfg.Shard, Epoch: n.cfg.Feed.Epoch()}
+		if err := n.ask(s.target, shipCallTimeout, "Apply", beat, &rep); err != nil {
+			return fmt.Errorf("target %s: %w", s.target, err)
+		}
+		if rep.NeedSync || rep.AckSeq < barrier {
+			return fmt.Errorf("target %s no longer holds the moved rows (acked %d of %d, resync wanted: %v); they stay here",
+				s.target, rep.AckSeq, barrier, rep.NeedSync)
+		}
 	}
 	return nil
 }

@@ -201,3 +201,45 @@ func TestCutoverDemandsFreshAcks(t *testing.T) {
 	}
 	assertServedUnder(t, p.keys, all)
 }
+
+// TestCommitRefusedWhenTargetLostTheStream: the joiner restarts between the
+// sources' cutovers and its own commit. Its namespace is gone, so its commit
+// adopts nothing — and cannot know it should have. The sources must notice
+// before they garbage-collect the originals: their commits refuse, the moved
+// rows stay in their stores behind the departure gate, and an abort puts
+// them back in service.
+func TestCommitRefusedWhenTargetLostTheStream(t *testing.T) {
+	p := bootPlane(t, 2)
+	joiner := bootShard(t, 2, 3)
+	grown := addrs(p.with(joiner))
+	for i, s := range p.shards {
+		if err := s.client.Stage(grown); err != nil {
+			t.Fatalf("stage on shard %d: %v", i, err)
+		}
+	}
+	for i, s := range p.shards {
+		if err := s.client.Cutover(); err != nil {
+			t.Fatalf("cutover on shard %d: %v", i, err)
+		}
+	}
+	joiner.stop()
+	joiner = bootShardOn(t, 2, 3, listen(t, joiner.addr), nil)
+	if err := joiner.client.Commit(2, grown); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range p.shards {
+		if err := s.client.Commit(2, grown); err == nil || !strings.Contains(err.Error(), "no longer holds the moved rows") {
+			t.Fatalf("source %d committed over a joiner that lost its rows: %v", i, err)
+		}
+		for _, k := range p.movingFrom(t, i, 3) {
+			if v, ok, err := s.feed.Get(tblData, k); err != nil || !ok || string(v) != "row "+k {
+				t.Fatalf("source %d dropped %s, which lives nowhere else: %q %v %v", i, k, v, ok, err)
+			}
+			if err := s.node.GateUID(k); !IsNotOwner(err) {
+				t.Fatalf("source %d serves %s while its commit is refused: %v", i, k, err)
+			}
+		}
+		s.node.Abort()
+	}
+	p.assertUnchanged(t)
+}

@@ -82,14 +82,11 @@ func bootShardOn(t *testing.T, self, shards int, lis net.Listener, dialOpts func
 		SkipBootCheck: true,
 		DialOpts:      dialOpts,
 		Logf:          t.Logf,
-		GetContent: func(uid string) ([]byte, error) {
+		GetContent: func(uid string) ([]byte, bool, error) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			c, ok := s.content[uid]
-			if !ok {
-				return nil, fmt.Errorf("no content for %s", uid)
-			}
-			return c, nil
+			return c, ok, nil
 		},
 		PutContent: func(uid string, c []byte) error {
 			s.mu.Lock()
@@ -396,6 +393,37 @@ func TestCommitFailureStillCommitsTheOthers(t *testing.T) {
 	// The straggler adopts the membership when the commit reaches it.
 	if err := p.shards[0].client.Commit(2, addrs(p.with(joiner))); err != nil {
 		t.Fatal(err)
+	}
+	assertServedUnder(t, p.keys, p.with(joiner))
+}
+
+// TestGainerCommitFailureHoldsTheSources: the joiner refuses its commit, so
+// the moved rows are live nowhere but on their sources — which must then not
+// be asked to commit (and garbage-collect them) at all. Once the commit
+// reaches the joiner, then the sources, the change completes.
+func TestGainerCommitFailureHoldsTheSources(t *testing.T) {
+	p := bootPlane(t, 2)
+	joiner := bootShard(t, 2, 3)
+	grown := addrs(p.with(joiner))
+	refuseOnce(joiner, "Commit")
+	committed, err := p.grow(joiner)
+	if !committed || err == nil || !strings.Contains(err.Error(), "shard 2 commit") {
+		t.Fatalf("Grow with the joiner refusing its commit = %v, %v", committed, err)
+	}
+	for i, s := range p.shards {
+		if st, _ := s.client.Status(); st.Epoch != 1 || !st.Staging {
+			t.Fatalf("source %d was committed past the joiner's refusal: %+v", i, st)
+		}
+		for _, k := range p.movingFrom(t, i, 3) {
+			if _, ok, _ := s.feed.Get(tblData, k); !ok {
+				t.Fatalf("source %d dropped %s before the joiner adopted it", i, k)
+			}
+		}
+	}
+	for _, s := range []*moveShard{joiner, p.shards[0], p.shards[1]} {
+		if err := s.client.Commit(2, grown); err != nil {
+			t.Fatal(err)
+		}
 	}
 	assertServedUnder(t, p.keys, p.with(joiner))
 }

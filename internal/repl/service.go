@@ -72,14 +72,14 @@ type OwnerReply struct {
 type PromoteArgs struct{ Range int }
 type PromoteReply struct{ Promoted bool }
 
-// RejoinArgs registers a recovered shard as an extra ship target of this
-// shard's stream, so it catches up and can be promoted later.
-type RejoinArgs struct{ Addr string }
-type RejoinReply struct{ Accepted bool }
-
-// FetchContentArgs pulls one datum's content bytes.
-type FetchContentArgs struct{ UID string }
-type FetchContentReply struct {
+// FetchContentArgs pulls the content bytes of a batch of data. The reply
+// answers a PREFIX of UIDs, in order: it is cut (after at least one item)
+// once it carries pullBytesMax of content, and the puller asks again for the
+// rest. Found=false is a definite "this shard holds no such content"; a
+// backend that could not tell fails the call instead.
+type FetchContentArgs struct{ UIDs []string }
+type FetchContentReply struct{ Items []ContentItem }
+type ContentItem struct {
 	Found   bool
 	Content []byte
 }
@@ -129,7 +129,6 @@ func (n *Node) Mount(m *rpc.Mux) {
 	rpc.Register(m, ServiceName, "Sync", n.handleSync)
 	rpc.Register(m, ServiceName, "Owner", n.handleOwner)
 	rpc.Register(m, ServiceName, "Promote", n.handlePromote)
-	rpc.Register(m, ServiceName, "Rejoin", n.handleRejoin)
 	rpc.Register(m, ServiceName, "FetchContent", n.handleFetchContent)
 	rpc.Register(m, ServiceName, "Status", n.handleStatus)
 	rpc.Register(m, ServiceName, "Stage", func(a StageArgs) (StageReply, error) {
@@ -264,34 +263,28 @@ func (n *Node) handleOwner(a OwnerArgs) (OwnerReply, error) {
 }
 
 func (n *Node) handlePromote(a PromoteArgs) (PromoteReply, error) {
-	if err := n.Promote(a.Range); err != nil {
-		return PromoteReply{}, err
-	}
-	return PromoteReply{Promoted: true}, nil
-}
-
-func (n *Node) handleRejoin(a RejoinArgs) (RejoinReply, error) {
-	if a.Addr == "" || a.Addr == n.self() {
-		return RejoinReply{}, fmt.Errorf("repl: rejoin: bad address %q", a.Addr)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		return RejoinReply{}, fmt.Errorf("repl: rejoin: node stopped")
-	}
-	n.startShipperLocked(a.Addr)
-	return RejoinReply{Accepted: true}, nil
+	err := n.Promote(a.Range)
+	return PromoteReply{Promoted: err == nil}, err
 }
 
 func (n *Node) handleFetchContent(a FetchContentArgs) (FetchContentReply, error) {
 	if n.cfg.GetContent == nil {
-		return FetchContentReply{}, nil
+		return FetchContentReply{Items: make([]ContentItem, len(a.UIDs))}, nil
 	}
-	content, err := n.cfg.GetContent(a.UID)
-	if err != nil {
-		return FetchContentReply{}, nil // absent content is not an error: the puller falls back
+	var rep FetchContentReply
+	size := 0
+	for _, uid := range a.UIDs {
+		content, found, err := n.cfg.GetContent(uid)
+		if err != nil {
+			// Not "absent": the puller must retry, not drop the pull for good.
+			return FetchContentReply{}, fmt.Errorf("repl: shard %d reading content %s: %w", n.cfg.Shard, uid, err)
+		}
+		rep.Items = append(rep.Items, ContentItem{Found: found, Content: content})
+		if size += len(content); size >= pullBytesMax {
+			break
+		}
 	}
-	return FetchContentReply{Found: true, Content: content}, nil
+	return rep, nil
 }
 
 func (n *Node) handleStatus(StatusArgs) (StatusReply, error) {
@@ -312,6 +305,9 @@ func (n *Node) handleStatus(StatusArgs) (StatusReply, error) {
 	target := func(s *shipper) {
 		acked, synced, pending, _ := s.state()
 		rep.Targets = append(rep.Targets, TargetStatus{Addr: s.target, Acked: acked, Synced: synced, PendingContent: pending})
+		if pending > 0 {
+			signal(s.poke) // an idle shipper's report goes stale: refresh it for the next reader
+		}
 	}
 	for _, s := range n.shippers {
 		target(s)
@@ -338,7 +334,7 @@ func (n *Node) ask(addr string, timeout time.Duration, method string, args, repl
 // "treat as dead for this pass".
 func (n *Node) probeOwner(addr string, rangeID int) (OwnerReply, error) {
 	var rep OwnerReply
-	err := n.ask(addr, n.probeTimeout, "Owner", OwnerArgs{Range: rangeID}, &rep)
+	err := n.ask(addr, n.cfg.ProbeTimeout, "Owner", OwnerArgs{Range: rangeID}, &rep)
 	return rep, err
 }
 

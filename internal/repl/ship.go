@@ -27,6 +27,10 @@ const (
 
 	shipBackoff    = 50 * time.Millisecond
 	shipBackoffMax = 2 * time.Second
+
+	// pullBytesMax cuts a FetchContent reply: the holder stops adding data
+	// once the reply carries this much content.
+	pullBytesMax = 4 << 20
 )
 
 // shipper streams this shard's feed to one follower: snapshot first, then
@@ -101,17 +105,11 @@ func (s *shipper) state() (acked uint64, synced bool, pendingContent int, err er
 	return s.acked, s.synced, s.pending, s.err
 }
 
-func (s *shipper) record(ack uint64, pendingContent int) {
+// record notes what the follower last answered (zeroes: nothing yet).
+func (s *shipper) record(synced bool, ack uint64, pendingContent int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.acked = ack
-	s.pending = pendingContent
-}
-
-func (s *shipper) setSynced(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.synced = v
+	s.synced, s.acked, s.pending = synced, ack, pendingContent
 }
 
 // ships reports whether mutation m belongs in this shipper's stream.
@@ -135,7 +133,7 @@ func (s *shipper) run() {
 		if err != nil {
 			return // store closed: the container is shutting down
 		}
-		s.setSynced(false)
+		s.record(false, 0, 0)
 		kept := snap[:0]
 		for _, m := range snap {
 			if s.ships(m) {
@@ -144,7 +142,6 @@ func (s *shipper) run() {
 		}
 		again := s.pushSnapshot(seq, kept)
 		if again {
-			s.setSynced(true)
 			s.n.logf("repl: shard %d shipped snapshot seq %d (%d rows) to %s", s.n.cfg.Shard, seq, len(kept), s.target)
 			again = s.stream(feed, seq)
 		}
@@ -199,7 +196,7 @@ func (s *shipper) pushSnapshot(seq uint64, snap []db.Mutation) bool {
 	if !s.call("Sync", args, &rep) {
 		return false
 	}
-	s.record(rep.AckSeq, rep.PendingContent)
+	s.record(true, rep.AckSeq, rep.PendingContent)
 	return true
 }
 
@@ -243,7 +240,7 @@ func (s *shipper) stream(feed *db.Feed, sent uint64) (resync bool) {
 		if !s.call("Apply", args, &rep) {
 			return false
 		}
-		s.record(rep.AckSeq, rep.PendingContent)
+		s.record(!rep.NeedSync, rep.AckSeq, rep.PendingContent)
 		if rep.NeedSync {
 			return true
 		}
@@ -267,10 +264,7 @@ func (n *Node) waitShipped(shippers []*shipper, seq func() uint64, stop <-chan s
 			}
 			if !synced || acked < want || pendingContent > 0 {
 				lagging++
-				select {
-				case s.poke <- struct{}{}:
-				default:
-				}
+				signal(s.poke)
 			}
 		}
 		if lagging == 0 {
@@ -301,23 +295,24 @@ func (n *Node) WaitReplicated(timeout time.Duration) error {
 
 // puller fetches content for locator rows the follower streams in, storing
 // it in this shard's own backend so a promoted shard serves bytes, not just
-// metadata, from the first request. Pulls are idempotent: already-present
-// content is skipped, a pull that found a holder unreachable is retried,
-// and one that every holder answered "not here" is dropped — the datum was
-// deleted (or never uploaded), and waiting for it would wedge every
-// convergence wait for ever.
+// metadata, from the first request. It pulls in batches — one FetchContent
+// frame for everything one stream announced, up to shipBatchMax data — so a
+// snapshot's worth of content costs a handful of round trips, not one per
+// datum. Pulls are idempotent: already-present content is skipped, a pull
+// that found a holder unreachable is retried, and one that every holder
+// answered "not here" is dropped — the datum was deleted (or never
+// uploaded), and waiting for it would wedge every convergence wait for ever.
 type puller struct {
 	n    *Node
 	kick chan struct{}
 
-	mu       sync.Mutex
-	queue    []string
-	queued   map[string]string // uid -> rpc address of the stream that announced it
-	inflight int
+	mu     sync.Mutex
+	want   map[string]string // queued: uid -> rpc address of the stream that announced it
+	flying map[string]bool   // the batch in flight
 }
 
 func newPuller(n *Node) *puller {
-	return &puller{n: n, kick: make(chan struct{}, 1), queued: make(map[string]string)}
+	return &puller{n: n, kick: make(chan struct{}, 1), want: make(map[string]string), flying: make(map[string]bool)}
 }
 
 // enqueue schedules a pull of uid's content, announced by the stream from
@@ -326,67 +321,58 @@ func newPuller(n *Node) *puller {
 // the backend probe is real I/O on dir backends.
 func (p *puller) enqueue(uid, from string) {
 	p.mu.Lock()
-	if _, ok := p.queued[uid]; !ok {
-		p.queued[uid] = from
-		p.queue = append(p.queue, uid)
+	if _, ok := p.want[uid]; !ok {
+		p.want[uid] = from
 	}
 	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
+	signal(p.kick)
 }
 
-// cancel drops uid's queued pull: its locator row was deleted upstream. A
-// pull already in flight finishes and is not requeued.
+// cancel drops uid's pull: its locator row was deleted upstream. One already
+// in flight finishes and is not requeued.
 func (p *puller) cancel(uid string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.queued[uid]; !ok {
-		return
-	}
-	delete(p.queued, uid)
-	for i, q := range p.queue {
-		if q == uid {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			break
-		}
-	}
+	delete(p.want, uid)
+	delete(p.flying, uid)
 }
 
 // pending counts queued plus in-flight pulls.
 func (p *puller) pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue) + p.inflight
+	return len(p.want) + len(p.flying)
 }
 
-func (p *puller) pop() (uid, from string, ok bool) {
+// pop takes a queued pull and, up to one frame's worth, every other one
+// announced by the same stream.
+func (p *puller) pop() (uids []string, from string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		return "", "", false
+	for uid, f := range p.want {
+		if len(uids) == 0 {
+			from = f
+		}
+		if f == from && len(uids) < shipBatchMax {
+			uids = append(uids, uid)
+			delete(p.want, uid)
+			p.flying[uid] = true
+		}
 	}
-	uid = p.queue[0]
-	p.queue = p.queue[1:]
-	p.inflight++
-	return uid, p.queued[uid], true
+	return uids, from
 }
 
-// finish retires an in-flight pull; one that must be retried requeues for
-// the next round, unless it was cancelled meanwhile.
-func (p *puller) finish(uid string, done bool) {
+// finish retires the batch in flight; the pulls that must be retried requeue
+// for the next round, unless they were cancelled meanwhile.
+func (p *puller) finish(retry []string, from string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.inflight--
-	if _, ok := p.queued[uid]; !ok {
-		return
+	for _, uid := range retry {
+		if _, again := p.want[uid]; p.flying[uid] && !again {
+			p.want[uid] = from
+		}
 	}
-	if done {
-		delete(p.queued, uid)
-	} else {
-		p.queue = append(p.queue, uid)
-	}
+	clear(p.flying)
 }
 
 func (p *puller) run() {
@@ -398,61 +384,90 @@ func (p *puller) run() {
 		case <-p.kick:
 		}
 		for {
-			uid, from, ok := p.pop()
-			if !ok {
+			uids, from := p.pop()
+			if len(uids) == 0 {
 				break
 			}
-			//vet:ignore deadlineprop the loop drains a finite queue (every iteration pops or breaks), and a round of failed pulls breaks out through sleepStop's stop-gated backoff — it cannot spin against dead peers
-			done := p.pullOne(uid, from)
-			p.finish(uid, done)
-			// A holder was unreachable (the whole replica set may be mid-
-			// failover): the pull went back on the queue; back off before
-			// the next one instead of spinning against dead peers.
-			if !done && !sleepStop(p.n.stop, 200*time.Millisecond) {
+			//vet:ignore deadlineprop the loop drains a finite queue (every iteration pops or breaks), and a round that retired nothing breaks out through sleepStop's stop-gated backoff — it cannot spin against dead peers
+			retry := p.pull(uids, from)
+			p.finish(retry, from)
+			// Nothing retired: a holder is unreachable (the whole replica set
+			// may be mid-failover). Back off before the next round instead of
+			// spinning against dead peers.
+			if len(retry) == len(uids) && !sleepStop(p.n.stop, 200*time.Millisecond) {
 				return
 			}
 		}
 	}
 }
 
-// pullOne fetches uid's content from the stream that announced it, then
-// from any member of its range's replica set. True means the pull is over:
-// the content is present locally, or every holder answered that it has
-// none. False means a holder could not be asked — retry.
-func (p *puller) pullOne(uid, from string) bool {
+// pull fetches the batch's content: one frame to the stream that announced
+// it, then, for what that shard does not hold, the other members of each
+// datum's replica set. A pull is over when the content is present locally or
+// every holder answered that it has none; retry lists the others — a holder
+// could not be asked, or a reply stopped short of them.
+func (p *puller) pull(uids []string, from string) (retry []string) {
 	n := p.n
-	if n.cfg.HasContent != nil && n.cfg.HasContent(uid) {
-		return true
-	}
 	if n.cfg.PutContent == nil {
-		return true // container ships metadata only
+		return nil // container ships metadata only
 	}
-	holders := []string{from}
-	n.mu.Lock()
-	for _, member := range n.successorsLocked(n.place.ShardOf(uid)) {
-		holders = append(holders, n.addrOf(member))
+	missing := make([]string, 0, len(uids))
+	for _, uid := range uids {
+		if n.cfg.HasContent == nil || !n.cfg.HasContent(uid) {
+			missing = append(missing, uid)
+		}
 	}
-	n.mu.Unlock()
-	asked := map[string]bool{"": true, n.self(): true}
-	over := true
-	for _, addr := range holders {
-		if asked[addr] {
-			continue
-		}
-		asked[addr] = true
-		var rep FetchContentReply
-		if err := n.ask(addr, shipCallTimeout, "FetchContent", FetchContentArgs{UID: uid}, &rep); err != nil {
-			over = false
-			continue
-		}
-		if !rep.Found {
-			continue
-		}
-		if err := n.cfg.PutContent(uid, rep.Content); err != nil {
-			n.logf("repl: shard %d: storing pulled content %s: %v", n.cfg.Shard, uid, err)
-			return false
-		}
-		return true
+	absent, retry, err := p.fetch(from, missing)
+	if err != nil {
+		absent = missing // the stream's source could not be asked; the others may
 	}
-	return over
+	for _, uid := range absent {
+		over := err == nil
+		n.mu.Lock()
+		members := n.successorsLocked(n.place.ShardOf(uid))
+		n.mu.Unlock()
+		for _, m := range members {
+			addr := n.addrOf(m)
+			if addr == from {
+				continue
+			}
+			notHere, short, err := p.fetch(addr, []string{uid})
+			if err != nil || len(short) > 0 {
+				over = false
+			} else if len(notHere) == 0 {
+				over = true // stored
+				break
+			}
+		}
+		if !over {
+			retry = append(retry, uid)
+		}
+	}
+	return retry
+}
+
+// fetch asks the shard at addr for uids' content in one frame and stores
+// what it holds. absent are the data it does not hold (all of them, for an
+// address that is unknown or our own); short are the ones its reply stopped
+// short of, or whose content could not be stored here. An error means it
+// answered for none.
+func (p *puller) fetch(addr string, uids []string) (absent, short []string, err error) {
+	n := p.n
+	if len(uids) == 0 || addr == "" || addr == n.self() {
+		return uids, nil, nil
+	}
+	var rep FetchContentReply
+	if err := n.ask(addr, shipCallTimeout, "FetchContent", FetchContentArgs{UIDs: uids}, &rep); err != nil {
+		return nil, nil, err
+	}
+	answered := min(len(rep.Items), len(uids))
+	for i, item := range rep.Items[:answered] {
+		if !item.Found {
+			absent = append(absent, uids[i])
+		} else if err := n.cfg.PutContent(uids[i], item.Content); err != nil {
+			n.logf("repl: shard %d: storing pulled content %s: %v", n.cfg.Shard, uids[i], err)
+			short = append(short, uids[i])
+		}
+	}
+	return absent, append(short, uids[answered:]...), nil
 }

@@ -8,6 +8,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -209,8 +210,14 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
 		DropScheduler:  func(uid string) error { return c.DS.Unschedule(data.UID(uid)) },
 		Endpoints:      func() map[string]string { return c.DR.Endpoints() },
-		GetContent:     backend.Get,
-		PutContent:     backend.Put,
+		GetContent: func(uid string) ([]byte, bool, error) {
+			content, err := backend.Get(uid)
+			if errors.Is(err, repository.ErrNoContent) {
+				return nil, false, nil
+			}
+			return content, err == nil, err
+		},
+		PutContent: backend.Put,
 		HasContent: func(uid string) bool {
 			_, err := backend.Size(uid)
 			return err == nil
