@@ -79,7 +79,7 @@ func IsPkgFunc(fn *types.Func, pkgName, name string) bool {
 
 // InterfacePath walks t and returns the field path of the first reachable
 // interface-, channel- or func-typed component ("" when none): the exact
-// reachability rule of rpc.spliceSafe, so a type this function rejects is a
+// reachability rule of codec.spliceSafe, so a type this function rejects is a
 // type the splice fast path will refuse at runtime. Unexported struct
 // fields are skipped (gob ignores them).
 func InterfacePath(t types.Type) string {

@@ -1,16 +1,17 @@
-// Package spliceiface enforces the wire-format gate of the rpc splice
-// pools (internal/rpc/splice.go): a type used as an rpc payload must not
-// reach an interface-, channel- or func-typed component.
+// Package spliceiface enforces the format gate of the splice pools
+// (internal/codec): a type used as an rpc payload or stored as a row must
+// not reach an interface-, channel- or func-typed component.
 //
 // The splice fast path caches a type's gob definition prefix and reuses
 // warm encoder streams; a payload with a reachable interface field could
-// introduce a new dynamic type mid-stream, so splice.go demotes such types
+// introduce a new dynamic type mid-stream, so codec demotes such types
 // to the fresh (slow) path at runtime — silently. PR 4's allocation budget
 // (20→2 allocs per encode) therefore regresses without any test failing if
 // someone adds an interface field to a payload struct. This analyzer turns
 // the runtime demotion into a compile-time finding at every payload
 // declaration site: rpc.Register type arguments, rpc.NewCall arguments,
-// and args/reply expressions of Client.Call.
+// args/reply expressions of Client.Call, and the value codec.Marshal and
+// codec.Unmarshal are handed (stored rows).
 package spliceiface
 
 import (
@@ -23,9 +24,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "spliceiface",
-	Doc: "rpc payload types must stay splice-safe: no reachable interface, channel or func components\n\n" +
-		"Flags rpc.Register instantiations and Call/NewCall argument types that the splice pool " +
-		"(internal/rpc/splice.go) would demote to the allocation-heavy fresh path at runtime.",
+	Doc: "rpc payload and stored row types must stay splice-safe: no reachable interface, channel or func components\n\n" +
+		"Flags rpc.Register instantiations and Call/NewCall/codec.Marshal/codec.Unmarshal argument types that the " +
+		"splice pool (internal/codec) would demote to the allocation-heavy fresh path at runtime.",
 	Run: run,
 }
 
@@ -41,11 +42,15 @@ func run(pass *analysis.Pass) (any, error) {
 			case astq.IsPkgFunc(fn, "rpc", "Register"):
 				checkRegister(pass, call)
 			case astq.IsPkgFunc(fn, "rpc", "NewCall") && len(call.Args) == 4:
-				checkPayloadExpr(pass, call.Args[2], "args")
-				checkPayloadExpr(pass, call.Args[3], "reply")
+				checkPayloadExpr(pass, call.Args[2], "rpc args")
+				checkPayloadExpr(pass, call.Args[3], "rpc reply")
 			case astq.IsMethodNamed(fn, "rpc", "Call") && len(call.Args) == 4:
-				checkPayloadExpr(pass, call.Args[2], "args")
-				checkPayloadExpr(pass, call.Args[3], "reply")
+				checkPayloadExpr(pass, call.Args[2], "rpc args")
+				checkPayloadExpr(pass, call.Args[3], "rpc reply")
+			case astq.IsPkgFunc(fn, "codec", "Marshal") && len(call.Args) == 1:
+				checkPayloadExpr(pass, call.Args[0], "codec blob")
+			case astq.IsPkgFunc(fn, "codec", "Unmarshal") && len(call.Args) == 2:
+				checkPayloadExpr(pass, call.Args[1], "codec blob")
 			}
 			return true
 		})
@@ -64,12 +69,12 @@ func checkRegister(pass *analysis.Pass, call *ast.CallExpr) {
 	if !ok || inst.TypeArgs == nil {
 		return
 	}
-	roles := [...]string{"args", "reply"}
+	roles := [...]string{"rpc args", "rpc reply"}
 	for i := 0; i < inst.TypeArgs.Len() && i < len(roles); i++ {
 		t := inst.TypeArgs.At(i)
 		if p := astq.InterfacePath(t); p != "" {
 			pass.Reportf(call.Pos(),
-				"rpc %s type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/rpc/splice.go); use concrete field types",
+				"%s type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/codec); use concrete field types",
 				roles[i], astq.TypeName(t), p)
 		}
 	}
@@ -113,7 +118,7 @@ func checkPayloadExpr(pass *analysis.Pass, e ast.Expr, role string) {
 	}
 	if p := astq.InterfacePath(t); p != "" {
 		pass.Reportf(e.Pos(),
-			"rpc %s type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/rpc/splice.go); use concrete field types",
+			"%s type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/codec); use concrete field types",
 			role, astq.TypeName(t), p)
 	}
 }

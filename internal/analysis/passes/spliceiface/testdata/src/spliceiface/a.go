@@ -2,7 +2,10 @@
 // interface-typed components.
 package spliceiface
 
-import "rpc"
+import (
+	"codec"
+	"rpc"
+)
 
 // Clean is fully concrete: splice-safe.
 type Clean struct {
@@ -49,4 +52,15 @@ func callSites(c rpc.Client) {
 	// check at this site.
 	var opaque any = clean
 	_ = c.Call("svc", "opaque", opaque, nil)
+}
+
+// storedRows: a type kept as a row goes through the same codec, so it is
+// held to the same rule as an rpc payload.
+func storedRows(raw []byte) {
+	var clean Clean
+	var dirty Dirty
+	_, _ = codec.Marshal(clean)
+	_ = codec.Unmarshal(raw, &clean)
+	_, _ = codec.Marshal(dirty)      // want "codec blob type spliceiface.Dirty reaches interface-typed component at Payload"
+	_ = codec.Unmarshal(raw, &dirty) // want "codec blob type spliceiface.Dirty reaches interface-typed component at Payload"
 }

@@ -3,7 +3,7 @@
 // position through helpers, or a payload type instantiated far from its
 // Register site, must still be splice-safe (no reachable interface,
 // channel or func component — the condition for the splice fast path of
-// internal/rpc/splice.go).
+// internal/codec).
 //
 // spliceiface checks the literal Register/NewCall/Call sites; it is blind
 // to two interprocedural escapes this pass closes with facts:
@@ -82,7 +82,7 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) (any, error) {
 	if astq.PkgIs(pass.Pkg, "rpc") {
 		// The transport itself juggles any-typed payloads by design; its
-		// internals are gated by TestSpliceMatchesFreshEncoder instead.
+		// payloads are gated by codec's TestSpliceMatchesFreshEncoder instead.
 		return nil, nil
 	}
 	graph := pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph)
@@ -340,7 +340,7 @@ func checkCarrierCallSite(pass *analysis.Pass, carriers map[*types.Func][]int, c
 		}
 		if p := astq.InterfacePath(t); p != "" {
 			pass.Reportf(arg.Pos(),
-				"rpc payload through %s (parameter %d): type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/rpc/splice.go); use concrete field types",
+				"rpc payload through %s (parameter %d): type %s reaches interface-typed component at %s: it will never take the splice fast path (internal/codec); use concrete field types",
 				funcLabel(fn), idx, astq.TypeName(t), p)
 		}
 	}
@@ -365,7 +365,7 @@ func checkConstruction(pass *analysis.Pass, lit *ast.CompositeLit) {
 	}
 	if p := astq.InterfacePath(t); p != "" {
 		pass.Reportf(lit.Pos(),
-			"construction of rpc payload type %s reaches interface-typed component at %s (payload type registered splice-safe at %s): it will never take the splice fast path (internal/rpc/splice.go); use concrete type arguments",
+			"construction of rpc payload type %s reaches interface-typed component at %s (payload type registered splice-safe at %s): it will never take the splice fast path (internal/codec); use concrete type arguments",
 			astq.TypeName(t), p, fact.At)
 	}
 }

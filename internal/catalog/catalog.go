@@ -11,13 +11,12 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
@@ -54,25 +53,13 @@ func NewService(store db.Store) *Service {
 	return &Service{store: store}
 }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(raw []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
-}
-
 // Register records a datum (creating its slot in the data space) or updates
 // its meta-information after content is attached.
 func (s *Service) Register(d data.Data) error {
 	if d.UID == "" {
 		return fmt.Errorf("catalog: register: datum has no uid")
 	}
-	raw, err := encodeGob(d)
+	raw, err := codec.Marshal(d)
 	if err != nil {
 		return fmt.Errorf("catalog: encode %s: %w", d.UID, err)
 	}
@@ -89,7 +76,7 @@ func (s *Service) Get(uid data.UID) (data.Data, error) {
 		return data.Data{}, fmt.Errorf("%w: %s", ErrNotFound, uid)
 	}
 	var d data.Data
-	if err := decodeGob(raw, &d); err != nil {
+	if err := codec.Unmarshal(raw, &d); err != nil {
 		return data.Data{}, fmt.Errorf("catalog: decode %s: %w", uid, err)
 	}
 	return d, nil
@@ -107,40 +94,25 @@ func (s *Service) Delete(uid data.UID) error {
 // SearchByName returns every datum labelled name, sorted by UID. Names are
 // not unique, so several data may match (the paper's searchData).
 func (s *Service) SearchByName(name string) ([]data.Data, error) {
-	var out []data.Data
-	var scanErr error
-	err := s.store.Scan(tableData, func(_ string, raw []byte) bool {
-		var d data.Data
-		if err := decodeGob(raw, &d); err != nil {
-			scanErr = err
-			return false
-		}
-		if d.Name == name {
-			out = append(out, d)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UID < out[j].UID })
-	return out, nil
+	return s.scan(func(d *data.Data) bool { return d.Name == name })
 }
 
 // SearchByPrefix returns every datum whose name starts with prefix.
 func (s *Service) SearchByPrefix(prefix string) ([]data.Data, error) {
+	return s.scan(func(d *data.Data) bool { return strings.HasPrefix(d.Name, prefix) })
+}
+
+// scan decodes every row of the data table and returns the data match
+// accepts, sorted by UID.
+func (s *Service) scan(match func(*data.Data) bool) ([]data.Data, error) {
 	var out []data.Data
 	var scanErr error
 	err := s.store.Scan(tableData, func(_ string, raw []byte) bool {
 		var d data.Data
-		if err := decodeGob(raw, &d); err != nil {
-			scanErr = err
+		if scanErr = codec.Unmarshal(raw, &d); scanErr != nil {
 			return false
 		}
-		if strings.HasPrefix(d.Name, prefix) {
+		if match(&d) {
 			out = append(out, d)
 		}
 		return true
@@ -207,8 +179,11 @@ func (s *Service) AddLocator(l data.Locator) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
-	if _, err := s.Get(l.DataUID); err != nil {
+	// Only presence matters: the datum's row is not decoded.
+	if _, ok, err := s.store.Get(tableData, string(l.DataUID)); err != nil {
 		return err
+	} else if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, l.DataUID)
 	}
 	var locs []data.Locator
 	raw, ok, err := s.store.Get(tableLocators, string(l.DataUID))
@@ -216,7 +191,7 @@ func (s *Service) AddLocator(l data.Locator) error {
 		return err
 	}
 	if ok {
-		if err := decodeGob(raw, &locs); err != nil {
+		if err := codec.Unmarshal(raw, &locs); err != nil {
 			return err
 		}
 	}
@@ -226,7 +201,7 @@ func (s *Service) AddLocator(l data.Locator) error {
 		}
 	}
 	locs = append(locs, l)
-	enc, err := encodeGob(locs)
+	enc, err := codec.Marshal(locs)
 	if err != nil {
 		return err
 	}
@@ -240,7 +215,7 @@ func (s *Service) Locators(uid data.UID) ([]data.Locator, error) {
 		return nil, err
 	}
 	var locs []data.Locator
-	if err := decodeGob(raw, &locs); err != nil {
+	if err := codec.Unmarshal(raw, &locs); err != nil {
 		return nil, err
 	}
 	return locs, nil

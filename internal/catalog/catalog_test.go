@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"testing"
@@ -128,8 +130,8 @@ func TestLocators(t *testing.T) {
 		t.Errorf("Locators = %v, want 2", locs)
 	}
 	// Locator for unknown datum refused.
-	if err := s.AddLocator(data.Locator{DataUID: "nope", Protocol: "ftp", Host: "h"}); err == nil {
-		t.Error("AddLocator for unknown datum succeeded")
+	if err := s.AddLocator(data.Locator{DataUID: "nope", Protocol: "ftp", Host: "h"}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("AddLocator for unknown datum: %v, want ErrNotFound", err)
 	}
 	// Invalid locator refused.
 	if err := s.AddLocator(data.Locator{DataUID: d.UID}); err == nil {
@@ -140,6 +142,40 @@ func TestLocators(t *testing.T) {
 	locs, _ = s.Locators(d.UID)
 	if len(locs) != 0 {
 		t.Errorf("locators survive datum deletion: %v", locs)
+	}
+}
+
+// TestStoredRowsAreFreshGob pins the stored format: what Register and
+// AddLocator put in the store is the output of a fresh gob encoder, byte for
+// byte — the rows every state dir written before internal/codec holds.
+func TestStoredRowsAreFreshGob(t *testing.T) {
+	store := db.NewRowStore()
+	s := NewService(store)
+	fresh := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := 0; i < 3; i++ { // past the codec's warm-up
+		d := *data.NewFromBytes(fmt.Sprintf("file-%d", i), []byte("content"))
+		var locs []data.Locator
+		if err := s.Register(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, proto := range []string{"ftp", "http"} {
+			locs = append(locs, data.Locator{DataUID: d.UID, Protocol: proto, Host: "a:1", Ref: string(d.UID)})
+			if err := s.AddLocator(locs[len(locs)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if raw, _, _ := store.Get(TableData, string(d.UID)); !bytes.Equal(raw, fresh(d)) {
+			t.Errorf("datum %d: stored row differs from a fresh encoder's", i)
+		}
+		if raw, _, _ := store.Get(TableLocators, string(d.UID)); !bytes.Equal(raw, fresh(locs)) {
+			t.Errorf("datum %d: stored locator row differs from a fresh encoder's", i)
+		}
 	}
 }
 

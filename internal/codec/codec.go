@@ -1,33 +1,34 @@
-package rpc
-
-import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
-	"sync"
-	"sync/atomic"
-)
-
-// ---- Type-keyed splice pools for the wire hot path ----
+// Package codec is the one gob codec for every standalone blob in the plane:
+// rpc payloads (internal/rpc) and the rows the D* services keep serialised in
+// their db.Store (catalog, scheduler, repl, collective). Streams — rpc frames
+// on a connection, the db WAL and snapshots, swarm — hold one encoder or
+// decoder for their whole life and do not come through here.
 //
-// Every rpc payload is a standalone gob blob: the far side decodes it with a
-// fresh decoder, so each blob must open with the type definitions of its
-// value. A fresh gob.Encoder re-derives and re-emits those definitions every
-// time — measured at ~16 of the ~20 allocations of one encode, and the same
-// shape again on decode. Under the sustained-load harness every operation
-// pays that tax at least twice (args out, reply back), so it dominates the
-// wire hot path.
+// A standalone blob must open with the type definitions of its value, because
+// whoever decodes it has seen nothing before. A fresh gob.Encoder re-derives
+// and re-emits those definitions every time, and a fresh gob.Decoder compiles
+// a decode engine from them every time: ~16 of the ~20 allocations of one
+// encode, and ~7 KB per decoded value. Every operation pays that for each
+// payload it sends and each row it reads back.
 //
-// The splice pool removes the tax without changing the wire format. For each
+// The splice pool removes the cost without changing the format. For each
 // concrete type it caches the definition bytes a fresh encoder emits before
 // the first value (the prefix) and keeps a pool of warm encoders that have
 // already emitted them; a warm encoder then produces just the value bytes,
-// and the cached prefix is spliced back in front. gob type ids are assigned
-// deterministically from the type's structure, so the spliced blob is
-// byte-identical to a fresh encoder's output — any decoder anywhere reads it
-// unchanged. Decoding mirrors the trick: when a blob starts with the
-// receiver type's own prefix, the prefix is stripped and the value bytes go
-// to a pooled decoder that saw the definitions once at warm-up.
+// and the cached prefix is spliced back in front. The result is
+// byte-identical to what a fresh encoder in this process produces, so any
+// decoder anywhere reads it unchanged. Decoding mirrors the trick: when a
+// blob opens with the receiver type's own prefix, the prefix is stripped and
+// the value bytes go to a pooled decoder that saw the definitions once at
+// warm-up.
+//
+// The prefix carries the type's NAME and the type ids gob hands out per
+// process in first-use order. A blob from a differently named type (or from
+// a process that met its types in another order) therefore does not open
+// with the receiver's prefix and is decoded by a fresh decoder — always
+// correct, never warm. Hence the rule for rpc methods: one declared argument
+// type and one reply type, shared by Register and the client. ForeignDecodes
+// counts the blobs that broke it.
 //
 // Splicing is only sound for types whose encoder state cannot grow after
 // warm-up. A value with a reachable interface field may introduce a new
@@ -38,6 +39,64 @@ import (
 // the fresh path. Every other failure mode — prefix mismatch on decode, an
 // encode error on a warm encoder — falls back to a fresh encoder/decoder,
 // whose output and behaviour are always correct.
+package codec
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"sync"
+	"sync/atomic"
+)
+
+// bufPool recycles scratch buffers for the fresh encode path.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// foreign counts decodes of a splice-safe receiver whose blob opened with
+// another type's prefix.
+var foreign atomic.Uint64
+
+// ForeignDecodes returns how many blobs so far were decoded by a fresh
+// decoder because they did not open with their receiver type's own prefix —
+// the signature of a sender and a receiver declaring two types for one
+// payload. Types that can never splice (reachable interface) are not counted.
+func ForeignDecodes() uint64 { return foreign.Load() }
+
+// Marshal gob-encodes v into a standalone blob (type definitions included).
+// Splice-safe types go through the warm pools — byte-identical output at a
+// fraction of the allocations; everything else takes a fresh encoder over a
+// pooled buffer.
+func Marshal(v any) ([]byte, error) {
+	if v != nil {
+		if out, handled, err := splicerFor(reflect.TypeOf(v)).spliceEncode(v); handled {
+			return out, err
+		}
+	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		bufPool.Put(buf)
+		return nil, err
+	}
+	out := make([]byte, buf.Len())
+	copy(out, buf.Bytes())
+	bufPool.Put(buf)
+	return out, nil
+}
+
+// Unmarshal reads a standalone gob blob into v (a pointer). Blobs opening
+// with the receiver type's own definition prefix ride the warm decoder pool;
+// any other layout falls back to a fresh decoder. Like gob, it leaves alone
+// the fields of *v that the blob omits (zero values are not sent): decode
+// into a zero receiver unless merging is what you want.
+func Unmarshal(raw []byte, v any) error {
+	if v != nil {
+		if handled, err := splicerFor(reflect.TypeOf(v)).spliceDecode(raw, v); handled {
+			return err
+		}
+	}
+	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
+}
 
 // splicer is the per-type state: the safety verdict, the definition prefix,
 // and pools of warm encoder/decoder streams.
@@ -76,8 +135,8 @@ type spliceDec struct {
 }
 
 // splicers maps reflect.Type to *splicer. Entries are never removed: the
-// set of payload types is the set of registered rpc signatures, a small
-// closed universe.
+// set of types is the registered rpc signatures plus the stored row types, a
+// small closed universe.
 var splicers sync.Map
 
 func splicerFor(t reflect.Type) *splicer {
@@ -132,7 +191,8 @@ func spliceSafe(t reflect.Type, seen map[reflect.Type]bool) bool {
 
 // derivePrefix computes the type-definition prefix from a live value: a
 // fresh encoder's first blob is prefix+value, its second is value alone, and
-// both value encodings are byte-identical, so the prefix is the difference.
+// both value encodings have the same length (a map may reorder its entries,
+// nothing else differs), so the prefix is the difference.
 // It publishes the splicer's state — enabled with the prefix, or disabled on
 // any anomaly — and returns the complete first blob (a valid result for the
 // caller). Must run with s.mu held, exactly once per splicer.
@@ -244,6 +304,7 @@ func (s *splicer) spliceDecode(raw []byte, v any) (handled bool, err error) {
 	if !bytes.HasPrefix(raw, st.prefix) {
 		// Foreign sender layout (different build, compatible-but-different
 		// type): the fresh path handles it.
+		foreign.Add(1)
 		return false, nil
 	}
 	d, _ := s.decs.Get().(*spliceDec)

@@ -8,14 +8,13 @@
 package collective
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/mw"
 )
 
@@ -120,24 +119,6 @@ type MapFunc func(split []byte, emit func(key string, value []byte)) error
 // ReduceFunc folds all values of one key into a final value.
 type ReduceFunc func(key string, values [][]byte) ([]byte, error)
 
-// encodeKVs/decodeKVs serialise intermediate data for transport through
-// the data space.
-func encodeKVs(kvs []KV) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(kvs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeKVs(raw []byte) ([]KV, error) {
-	var kvs []KV
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&kvs); err != nil {
-		return nil, err
-	}
-	return kvs, nil
-}
-
 // partition assigns a key to one of r reduce partitions.
 func partition(key string, r int) int {
 	h := fnv.New32a()
@@ -160,10 +141,10 @@ func WorkerFunc(mapFn MapFunc, reduceFn ReduceFunc) mw.TaskFunc {
 			if err != nil {
 				return nil, fmt.Errorf("collective: map %s: %w", task, err)
 			}
-			return encodeKVs(kvs)
+			return codec.Marshal(kvs)
 		case strings.HasPrefix(task, "reduce:"):
-			kvs, err := decodeKVs(input)
-			if err != nil {
+			var kvs []KV
+			if err := codec.Unmarshal(input, &kvs); err != nil {
 				return nil, fmt.Errorf("collective: reduce %s: decode: %w", task, err)
 			}
 			grouped := make(map[string][][]byte)
@@ -183,7 +164,7 @@ func WorkerFunc(mapFn MapFunc, reduceFn ReduceFunc) mw.TaskFunc {
 				}
 				out = append(out, KV{Key: key, Value: v})
 			}
-			return encodeKVs(out)
+			return codec.Marshal(out)
 		default:
 			return nil, fmt.Errorf("collective: unknown task kind %q", task)
 		}
@@ -214,8 +195,8 @@ func RunMapReduce(master *mw.Master, job string, splits [][]byte, r, rounds int)
 	// Shuffle: group intermediate pairs into r partitions.
 	parts := make([][]KV, r)
 	for _, res := range mapResults {
-		kvs, err := decodeKVs(res.Content)
-		if err != nil {
+		var kvs []KV
+		if err := codec.Unmarshal(res.Content, &kvs); err != nil {
 			return nil, fmt.Errorf("collective: intermediate of %s: %w", res.Task, err)
 		}
 		for _, kv := range kvs {
@@ -229,7 +210,7 @@ func RunMapReduce(master *mw.Master, job string, splits [][]byte, r, rounds int)
 		if len(kvs) == 0 {
 			continue
 		}
-		raw, err := encodeKVs(kvs)
+		raw, err := codec.Marshal(kvs)
 		if err != nil {
 			return nil, err
 		}
@@ -246,8 +227,8 @@ func RunMapReduce(master *mw.Master, job string, splits [][]byte, r, rounds int)
 	}
 	out := make(map[string][]byte)
 	for _, res := range reduceResults {
-		kvs, err := decodeKVs(res.Content)
-		if err != nil {
+		var kvs []KV
+		if err := codec.Unmarshal(res.Content, &kvs); err != nil {
 			return nil, fmt.Errorf("collective: output of %s: %w", res.Task, err)
 		}
 		for _, kv := range kvs {

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/core"
 	"bitdew/internal/mw"
 	"bitdew/internal/runtime"
@@ -77,18 +78,18 @@ func TestQuickPartitionStableAndBounded(t *testing.T) {
 
 func TestKVCodecRoundTrip(t *testing.T) {
 	in := []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: nil}}
-	raw, err := encodeKVs(in)
+	raw, err := codec.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeKVs(raw)
-	if err != nil {
+	var out []KV
+	if err := codec.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 || out[0].Key != "a" || string(out[0].Value) != "1" || out[1].Key != "b" {
 		t.Errorf("round trip = %+v", out)
 	}
-	if _, err := decodeKVs([]byte("junk")); err == nil {
+	if err := codec.Unmarshal([]byte("junk"), &out); err == nil {
 		t.Error("decoding junk succeeded")
 	}
 }

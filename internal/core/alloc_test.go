@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"bitdew/internal/core"
 )
 
 // TestTransferAllocAcceptance guards the streaming content path: moving an
@@ -24,19 +26,62 @@ func TestTransferAllocAcceptance(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	const payload = 8 << 20
-	h := newHarness(t, true)
-	n := h.node("client")
-	content := randBytes(payload, 77)
-	d, err := n.BitDew.CreateData("bulk")
+	put, fetch := putFetchAlloc(t, newHarness(t, true).node("client"), randBytes(payload, 77), 4)
+	if got := put / payload; got > 3.5 {
+		t.Errorf("an 8 MiB put allocates %.2f payloads, want ≤ 3.5 (measured 2.0, 8.0 before streaming)", got)
+	}
+	if got := fetch / payload; got > 2.5 {
+		t.Errorf("an 8 MiB fetch allocates %.2f payloads, want ≤ 2.5 (measured 2.0, 7.9 before streaming)", got)
+	}
+}
+
+// TestSmallOpAllocAcceptance guards the small end of the same chain, where
+// the cost is rows and frames, not bytes: what a 256 B put and fetch
+// allocate on a 2-shard plane, every service included. With a fresh gob
+// decoder per stored row and per mismatched rpc argument these were 53.6 and
+// 28.5 KB; with every standalone blob on the warm codec (internal/codec)
+// 22.5 and 14.5 KB. CI runs this test by name, without -race.
+func TestSmallOpAllocAcceptance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	n := newShardedHarness(t, 2).node("client")
+	n.SetClientOnly(true)
+	put, fetch := putFetchAlloc(t, n, randBytes(256, 78), 500)
+	if got := put / 1024; got > 32 {
+		t.Errorf("a 256 B put allocates %.1f KB, want ≤ 32 (measured 22.5, 53.6 with a fresh decoder per blob)", got)
+	}
+	if got := fetch / 1024; got > 20 {
+		t.Errorf("a 256 B fetch allocates %.1f KB, want ≤ 20 (measured 14.5, 28.5 with a fresh decoder per blob)", got)
+	}
+}
+
+// putFetchAlloc returns the process-wide TotalAlloc delta, in bytes per op,
+// of putting content through n and of fetching it back after dropping the
+// local copy — each measured over runs ops, after one that pays for
+// connections, pools and lazily built tables.
+func putFetchAlloc(t *testing.T, n *core.Node, content []byte, runs int) (put, fetch float64) {
+	t.Helper()
+	d, err := n.BitDew.CreateData("alloc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	put := func() {
+	perOp := func(op func()) float64 {
+		op()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	}
+	put = perOp(func() {
 		if err := n.BitDew.Put(d, content); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fetch := func() {
+	})
+	fetch = perOp(func() {
 		if err := n.Backend().Delete(string(d.UID)); err != nil {
 			t.Fatal(err)
 		}
@@ -44,23 +89,6 @@ func TestTransferAllocAcceptance(t *testing.T) {
 		if err != nil || !bytes.Equal(got, content) {
 			t.Fatalf("fetch: %d bytes, %v", len(got), err)
 		}
-	}
-	// perOp is the process-wide TotalAlloc delta per run of op, in payloads.
-	perOp := func(op func()) float64 {
-		op() // connections, pools, lazily built tables
-		const runs = 4
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs / payload
-	}
-	if got := perOp(put); got > 3.5 {
-		t.Errorf("an 8 MiB put allocates %.2f payloads, want ≤ 3.5 (measured 2.0, 8.0 before streaming)", got)
-	}
-	if got := perOp(fetch); got > 2.5 {
-		t.Errorf("an 8 MiB fetch allocates %.2f payloads, want ≤ 2.5 (measured 2.0, 7.9 before streaming)", got)
-	}
+	})
+	return put, fetch
 }

@@ -311,19 +311,9 @@ func (s *ShardSet) Close() error {
 	return first
 }
 
-// ringTable mirrors runtime.Membership on the wire (gob decodes by field
-// name); core keeps its own copy to stay independent of the runtime
-// package.
-type ringTable struct {
-	Self     int
-	Addrs    []string
-	Replicas int
-	Epoch    uint64
-}
-
-// membershipCall builds the ring/Members fetch for one shard connection.
-func fetchRing(c *Comms) (ringTable, error) {
-	var t ringTable
+// fetchRing reads the membership table one shard serves.
+func fetchRing(c *Comms) (dht.Membership, error) {
+	var t dht.Membership
 	calls := []*rpc.Call{rpc.NewCall("ring", "Members", struct{}{}, &t)}
 	if err := c.CallBatch(calls); err != nil {
 		return t, err
@@ -383,7 +373,7 @@ func (s *ShardSet) PollEpoch() {
 
 // adoptTable swaps in a view built from a fetched membership table when the
 // table is newer than the current view. Returns true when the view changed.
-func (s *ShardSet) adoptTable(t ringTable) bool {
+func (s *ShardSet) adoptTable(t dht.Membership) bool {
 	if len(t.Addrs) == 0 {
 		return false
 	}

@@ -62,9 +62,7 @@
 package repl
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -73,6 +71,7 @@ import (
 	"sync"
 	"time"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
 	"bitdew/internal/rpc"
@@ -250,7 +249,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if raw, ok, err := cfg.Feed.Get(tableState, stateKey); err == nil && ok {
 		var st persistedState
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err == nil && st.Epoch > n.epoch && st.Shards >= 1 {
+		if err := codec.Unmarshal(raw, &st); err == nil && st.Epoch > n.epoch && st.Shards >= 1 {
 			if st.Shards != len(cfg.Addrs) {
 				n.logf("repl: shard %d: recovered epoch %d places over %d shards, boot said %d — trusting the recovered state",
 					cfg.Shard, st.Epoch, st.Shards, len(cfg.Addrs))

@@ -1,11 +1,10 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 	"bitdew/internal/dht"
 )
@@ -232,14 +231,14 @@ func (n *Node) stillShipped(shippers []*shipper, barrier uint64) error {
 }
 
 func (n *Node) persistState(epoch uint64, shards int) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(persistedState{Epoch: epoch, Shards: shards}); err != nil {
+	raw, err := codec.Marshal(persistedState{Epoch: epoch, Shards: shards})
+	if err != nil {
 		n.logf("repl: shard %d: encoding state: %v", n.cfg.Shard, err)
 		return
 	}
 	// Through Inner: membership state is local bookkeeping, not a row that
 	// should ever enter a stream.
-	if err := n.cfg.Feed.Inner().Put(tableState, stateKey, b.Bytes()); err != nil {
+	if err := n.cfg.Feed.Inner().Put(tableState, stateKey, raw); err != nil {
 		n.logf("repl: shard %d: persisting state: %v", n.cfg.Shard, err)
 	}
 }
@@ -291,7 +290,7 @@ func (n *Node) rewriteLocators(srcEndpoints map[string]string, raw []byte) []byt
 		return raw
 	}
 	var locs []data.Locator
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&locs); err != nil {
+	if err := codec.Unmarshal(raw, &locs); err != nil {
 		return raw // not a locator list; adopt verbatim
 	}
 	changed := false
@@ -307,9 +306,8 @@ func (n *Node) rewriteLocators(srcEndpoints map[string]string, raw []byte) []byt
 	if !changed {
 		return raw
 	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(locs); err != nil {
-		return raw
+	if out, err := codec.Marshal(locs); err == nil {
+		return out
 	}
-	return b.Bytes()
+	return raw
 }

@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
 	"bitdew/internal/rpc"
@@ -468,4 +471,31 @@ func TestDrainRefusesTheLastShard(t *testing.T) {
 		t.Fatalf("Drain of a one-shard plane = %v, %v", committed, err)
 	}
 	p.assertUnchanged(t)
+}
+
+// TestPersistedStateFormatUnchanged: the committed membership a node stores
+// is a fresh gob encoder's output byte for byte — what every state dir
+// written before internal/codec holds — and a node booted over a row of that
+// shape recovers it as a native blob.
+func TestPersistedStateFormatUnchanged(t *testing.T) {
+	s := bootShard(t, 0, 2)
+	for epoch := uint64(2); epoch < 5; epoch++ { // past the codec's warm-up
+		s.node.persistState(epoch, 3)
+		var want bytes.Buffer
+		if err := gob.NewEncoder(&want).Encode(persistedState{Epoch: epoch, Shards: 3}); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := s.feed.Get(tableState, stateKey)
+		if err != nil || !ok || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("stored state at epoch %d: found %v, %v, equal to a fresh encoder's: %v", epoch, ok, err, bytes.Equal(got, want.Bytes()))
+		}
+	}
+	before := codec.ForeignDecodes()
+	re, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Epoch() != 4 || codec.ForeignDecodes() != before {
+		t.Fatalf("recovered epoch %d (want 4), %d foreign decodes", re.Epoch(), codec.ForeignDecodes()-before)
+	}
 }

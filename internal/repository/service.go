@@ -195,10 +195,6 @@ func (s *Service) Has(uid data.UID) bool {
 
 // Mount registers the Data Repository methods on an rpc Mux under "dr".
 func (s *Service) Mount(m *rpc.Mux) {
-	type locatorArgs struct {
-		UID      data.UID
-		Protocol string
-	}
 	rpc.Register(m, ServiceName, "Locator", func(a locatorArgs) (data.Locator, error) {
 		return s.Locator(a.UID, a.Protocol)
 	})
@@ -230,6 +226,8 @@ type Client struct {
 // NewClient wraps an rpc client as a Data Repository client.
 func NewClient(c rpc.Client) *Client { return &Client{c: c} }
 
+// locatorArgs is the wire argument of Locator and LocatorAny, shared by
+// the Mount handlers and the client methods.
 type locatorArgs struct {
 	UID      data.UID
 	Protocol string

@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"testing"
+
+	"bitdew/internal/codec"
 )
 
 // ---- Allocation-regression guard for the wire hot path ----
@@ -28,12 +30,12 @@ func TestRPCEncodeAllocAcceptance(t *testing.T) {
 
 	// Warm the type's splice pools so steady state is what gets measured.
 	for i := 0; i < 8; i++ {
-		if _, err := encode(args); err != nil {
+		if _, err := codec.Marshal(args); err != nil {
 			t.Fatal(err)
 		}
 	}
 	perEncode := testing.AllocsPerRun(400, func() {
-		if _, err := encode(args); err != nil {
+		if _, err := codec.Marshal(args); err != nil {
 			t.Fatal(err)
 		}
 	})

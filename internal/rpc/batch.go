@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"bitdew/internal/codec"
 )
 
 // Call is one logical invocation inside a batch: the (service, method) pair,
@@ -80,7 +82,7 @@ func FirstError(calls []*Call) error {
 func encodeCalls(calls []*Call) ([]batchItem, error) {
 	items := make([]batchItem, len(calls))
 	for i, call := range calls {
-		raw, err := encode(call.Args)
+		raw, err := codec.Marshal(call.Args)
 		if err != nil {
 			return nil, fmt.Errorf("rpc: encoding args of %s.%s: %w", call.Service, call.Method, err)
 		}
@@ -104,7 +106,7 @@ func applyReplies(calls []*Call, replies []batchReply) error {
 			call.Err = nil
 			continue
 		}
-		call.Err = decode(r.Reply, call.Reply)
+		call.Err = codec.Unmarshal(r.Reply, call.Reply)
 	}
 	return nil
 }

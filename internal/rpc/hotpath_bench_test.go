@@ -3,6 +3,8 @@ package rpc
 import (
 	"fmt"
 	"testing"
+
+	"bitdew/internal/codec"
 )
 
 // ---- Wire hot path (encode/dispatch cost under sustained load) ----
@@ -49,7 +51,7 @@ func BenchmarkRPCHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := encode(args); err != nil {
+			if _, err := codec.Marshal(args); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,14 +16,13 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
+
+	"bitdew/internal/codec"
 )
 
 // ErrNoSuchMethod is returned when a call names an unregistered service or
@@ -91,14 +90,14 @@ func (m *Mux) dispatch(service, method string, args []byte) ([]byte, error) {
 func Register[A, R any](m *Mux, service, method string, fn func(A) (R, error)) {
 	m.Handle(service, method, func(raw []byte) ([]byte, error) {
 		var args A
-		if err := decode(raw, &args); err != nil {
+		if err := codec.Unmarshal(raw, &args); err != nil {
 			return nil, fmt.Errorf("rpc: decoding args of %s.%s: %w", service, method, err)
 		}
 		reply, err := fn(args)
 		if err != nil {
 			return nil, err
 		}
-		return encode(reply)
+		return codec.Marshal(reply)
 	})
 }
 
@@ -141,7 +140,7 @@ func (c *localClient) Call(service, method string, args, reply any) error {
 		time.Sleep(c.latency)
 	}
 	c.frames.inc()
-	raw, err := encode(args)
+	raw, err := codec.Marshal(args)
 	if err != nil {
 		return fmt.Errorf("rpc: encoding args of %s.%s: %w", service, method, err)
 	}
@@ -152,7 +151,7 @@ func (c *localClient) Call(service, method string, args, reply any) error {
 	if reply == nil {
 		return nil
 	}
-	return decode(out, reply)
+	return codec.Unmarshal(out, reply)
 }
 
 // CallBatch dispatches every call in one simulated round trip: the modelled
@@ -183,41 +182,4 @@ func (c *localClient) RoundTrips() uint64 { return c.frames.RoundTrips() }
 func (c *localClient) Close() error {
 	c.closed.Do(func() { close(c.done) })
 	return nil
-}
-
-// bufPool recycles scratch buffers for the fresh encode path.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encode gob-encodes v into a standalone blob (type definitions included).
-// Splice-safe types go through the warm pools of splice.go — byte-identical
-// output at a fraction of the allocations; everything else takes a fresh
-// encoder over a pooled buffer.
-func encode(v any) ([]byte, error) {
-	if v != nil {
-		if out, handled, err := splicerFor(reflect.TypeOf(v)).spliceEncode(v); handled {
-			return out, err
-		}
-	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		bufPool.Put(buf)
-		return nil, err
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	bufPool.Put(buf)
-	return out, nil
-}
-
-// decode reads a standalone gob blob into v (a pointer). Blobs opening with
-// the receiver type's own definition prefix ride the warm decoder pool; any
-// other layout falls back to a fresh decoder.
-func decode(raw []byte, v any) error {
-	if v != nil {
-		if handled, err := splicerFor(reflect.TypeOf(v)).spliceDecode(raw, v); handled {
-			return err
-		}
-	}
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
 }

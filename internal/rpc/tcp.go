@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bitdew/internal/codec"
 )
 
 // ErrTransport marks a failure of the connection itself (broken link, dead
@@ -449,7 +451,7 @@ func (c *tcpClient) transportErr() error {
 }
 
 func (c *tcpClient) Call(service, method string, args, reply any) error {
-	raw, err := encode(args)
+	raw, err := codec.Marshal(args)
 	if err != nil {
 		return fmt.Errorf("rpc: encoding args of %s.%s: %w", service, method, err)
 	}
@@ -463,7 +465,7 @@ func (c *tcpClient) Call(service, method string, args, reply any) error {
 	if reply == nil {
 		return nil
 	}
-	return decode(resp.Reply, reply)
+	return codec.Unmarshal(resp.Reply, reply)
 }
 
 // CallBatch ships every call in one request frame: one write/read cycle,

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"bitdew/internal/dht"
 	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 )
@@ -14,25 +15,10 @@ import (
 // MembershipService is the rpc service name of the shard-membership table.
 const MembershipService = "ring"
 
-// Membership is the shared membership table of a sharded service plane:
-// the ordered list of shard rpc addresses (the order IS the placement
-// contract — clients hash data UIDs onto this list with dht.NewPlacement)
-// plus the answering shard's own index. Every shard serves the same table
-// under the "ring" service, so any one shard bootstraps a client's view of
-// the whole plane.
-type Membership struct {
-	// Self is the index of the shard answering the query.
-	Self int
-	// Addrs lists every shard's rpc address, in placement order.
-	Addrs []string
-	// Replicas is the plane's replication factor R (0 or 1 when the plane
-	// is unreplicated); clients use it to build failover-aware routing.
-	Replicas int
-	// Epoch numbers the membership: it starts at 1 and every committed
-	// AddShard/DrainShard bumps it; clients that see a higher epoch than
-	// their view rebuild their shard set around the new Addrs.
-	Epoch uint64
-}
+// Membership is the table every shard serves under the "ring" service; the
+// type lives in dht so that clients (internal/core) declare the same wire
+// type as the server.
+type Membership = dht.Membership
 
 // MembershipTable serves a shard's (possibly changing) membership view
 // under the "ring" service. Every container owns one, Set on every committed

@@ -1,10 +1,9 @@
 package scheduler
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 )
 
@@ -45,7 +44,7 @@ func (s *Service) AdoptRows(rows map[string][]byte) error {
 	defer s.mu.Unlock()
 	for key, raw := range rows {
 		var p persistedEntry
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
+		if err := codec.Unmarshal(raw, &p); err != nil {
 			return fmt.Errorf("scheduler: adopt %s: %w", key, err)
 		}
 		uid := data.UID(key)

@@ -1,12 +1,11 @@
 package scheduler
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
 	"bitdew/internal/attr"
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 	"bitdew/internal/db"
 )
@@ -56,7 +55,7 @@ func (s *Service) AttachStore(store db.Store) error {
 	var scanErr error
 	err := store.Scan(tableEntries, func(key string, raw []byte) bool {
 		var p persistedEntry
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
+		if err := codec.Unmarshal(raw, &p); err != nil {
 			scanErr = fmt.Errorf("scheduler: recover %s: %w", key, err)
 			return false
 		}
@@ -116,14 +115,14 @@ func (s *Service) persistLocked(uid data.UID) {
 		Owners:      s.owners[uid],
 		Pinned:      s.pinned[uid],
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	raw, err := codec.Marshal(p)
+	if err != nil {
 		if s.storeErr == nil {
 			s.storeErr = fmt.Errorf("scheduler: persist %s: %w", uid, err)
 		}
 		return
 	}
-	if err := s.store.Put(tableEntries, string(uid), buf.Bytes()); err != nil && s.storeErr == nil {
+	if err := s.store.Put(tableEntries, string(uid), raw); err != nil && s.storeErr == nil {
 		s.storeErr = err
 	}
 }

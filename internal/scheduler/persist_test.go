@@ -1,10 +1,13 @@
 package scheduler
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"time"
 
 	"bitdew/internal/attr"
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 	"bitdew/internal/db"
 )
@@ -174,5 +177,72 @@ func TestDurableSchedulerOverDurableStore(t *testing.T) {
 	}
 	if owners := re.Owners(d.UID); len(owners) != 1 || owners[0] != "w1" {
 		t.Fatalf("owners after disk restart = %v", owners)
+	}
+}
+
+// freshGob is what persistLocked wrote before internal/codec: one fresh
+// encoder per row. Every existing state dir holds rows of this shape.
+func freshGob(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPersistedEntryFormatUnchanged: the rows the write-through stores are a
+// fresh encoder's output byte for byte (maps and time.Time included; one
+// entry per map, gob writes maps in iteration order), and rows written by a
+// fresh encoder are recovered through the warm decoders as native blobs.
+func TestPersistedEntryFormatUnchanged(t *testing.T) {
+	store := db.NewRowStore()
+	s := restartDurable(t, store)
+	d1, d2 := data.New("scheduled"), data.New("pinned")
+	if err := s.Schedule(*d1, attr.Attribute{Name: "one", Replica: 1, FaultTolerant: true, LifetimeAbs: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pin(*d2, attr.Attribute{Name: "coll", Pinned: true}, "master"); err != nil {
+		t.Fatal(err)
+	}
+	s.Sync("w1", nil) // w1 becomes d1's one owner
+
+	old := db.NewRowStore()
+	for i := 0; i < 3; i++ { // past the codec's warm-up
+		for _, d := range []*data.Data{d1, d2} {
+			s.mu.Lock()
+			s.persistLocked(d.UID)
+			e := s.theta[d.UID]
+			want := freshGob(t, persistedEntry{
+				Data: e.Data, Attr: e.Attr, ScheduledAt: e.scheduledAt, Order: e.order,
+				Owners: s.owners[d.UID], Pinned: s.pinned[d.UID],
+			})
+			s.mu.Unlock()
+			got, ok, err := store.Get(tableEntries, string(d.UID))
+			if err != nil || !ok {
+				t.Fatalf("row of %s: %v, %v", d.Name, ok, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("row of %s differs from a fresh encoder's", d.Name)
+			}
+			if err := old.Put(tableEntries, string(d.UID), want); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(s.Owners(d1.UID)) != 1 || len(s.Owners(d2.UID)) != 1 {
+		t.Fatalf("owners %v and %v: the byte comparison needs one entry per map", s.Owners(d1.UID), s.Owners(d2.UID))
+	}
+
+	before := codec.ForeignDecodes()
+	re := restartDurable(t, old)
+	if n := codec.ForeignDecodes() - before; n != 0 {
+		t.Fatalf("%d fresh-encoder rows decoded as foreign", n)
+	}
+	if owners := re.Owners(d1.UID); len(owners) != 1 || owners[0] != "w1" {
+		t.Fatalf("recovered owners of %s = %v", d1.Name, owners)
+	}
+	if !re.pinned[d2.UID]["master"] {
+		t.Fatalf("recovered %s is not pinned on master", d2.Name)
 	}
 }

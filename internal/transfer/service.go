@@ -167,21 +167,9 @@ func (s *Service) Stats() (bytesMoved, requests int64) {
 
 // Mount registers the DT methods on an rpc Mux under "dt".
 func (s *Service) Mount(m *rpc.Mux) {
-	type openArgs struct {
-		DataUID  data.UID
-		Protocol string
-		Host     string
-		Total    int64
-	}
-	rpc.Register(m, ServiceName, "Open", func(a openArgs) (data.UID, error) {
+	rpc.Register(m, ServiceName, "Open", func(a OpenRequest) (data.UID, error) {
 		return s.Open(a.DataUID, a.Protocol, a.Host, a.Total), nil
 	})
-	type reportArgs struct {
-		ID    data.UID
-		Bytes int64
-		State State
-		Err   string
-	}
 	rpc.Register(m, ServiceName, "Report", func(a reportArgs) (struct{}, error) {
 		return struct{}{}, s.Report(a.ID, a.Bytes, a.State, a.Err)
 	})
@@ -211,8 +199,8 @@ func (c *Client) Open(dataUID data.UID, protocol, host string, total int64) (dat
 	return id, err
 }
 
-// OpenRequest describes one transfer to register; it doubles as Open's
-// wire argument (field names must match the handler-side struct in Mount).
+// OpenRequest describes one transfer to register: Open's wire argument, for
+// the handler in Mount and for the client.
 type OpenRequest struct {
 	DataUID  data.UID
 	Protocol string
@@ -241,13 +229,16 @@ func (c *Client) OpenAll(reqs []OpenRequest) ([]data.UID, error) {
 
 // Report sends receiver-observed progress.
 func (c *Client) Report(id data.UID, bytes int64, state State, errMsg string) error {
-	args := struct {
-		ID    data.UID
-		Bytes int64
-		State State
-		Err   string
-	}{id, bytes, state, errMsg}
-	return c.c.Call(ServiceName, "Report", args, nil)
+	return c.c.Call(ServiceName, "Report", reportArgs{id, bytes, state, errMsg}, nil)
+}
+
+// reportArgs is Report's wire argument, for the handler in Mount and for
+// the client.
+type reportArgs struct {
+	ID    data.UID
+	Bytes int64
+	State State
+	Err   string
 }
 
 // Retry records a retry attempt.
