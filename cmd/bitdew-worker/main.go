@@ -22,7 +22,6 @@ import (
 
 	"bitdew/internal/core"
 	"bitdew/internal/repository"
-	"bitdew/internal/runtime"
 )
 
 func main() {
@@ -43,13 +42,7 @@ func main() {
 	}
 
 	addrs := core.ParseMembership(*service)
-	var shardOpts []core.ShardOption
-	if len(addrs) > 1 {
-		// A replicated plane advertises R in its membership table; route
-		// around dead shards instead of erroring on data homed there.
-		shardOpts = append(shardOpts, core.WithReplicas(runtime.DiscoverReplicas(addrs)))
-	}
-	set, err := core.ConnectSharded(addrs, shardOpts...)
+	set, err := core.ConnectSharded(addrs)
 	if err != nil {
 		log.Fatalf("connecting to %s: %v", *service, err)
 	}

@@ -66,13 +66,7 @@ func main() {
 		return
 	}
 
-	var shardOpts []core.ShardOption
-	if len(addrs) > 1 {
-		// A replicated plane advertises R in its membership table; route
-		// around dead shards the same way the runtime's clients do.
-		shardOpts = append(shardOpts, core.WithReplicas(runtime.DiscoverReplicas(addrs)))
-	}
-	set, err := core.ConnectSharded(addrs, shardOpts...)
+	set, err := core.ConnectSharded(addrs)
 	if err != nil {
 		log.Fatalf("connecting to %s: %v", *service, err)
 	}

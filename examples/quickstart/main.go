@@ -37,12 +37,8 @@ func main() {
 		addrs := core.ParseMembership(*serviceAddr)
 		// Over a replicated plane (bitdew-service -replicas R) the clients
 		// learn R from the membership table and route around dead shards.
-		replicas := 0
-		if len(addrs) > 1 {
-			replicas = runtime.DiscoverReplicas(addrs)
-		}
 		connect = func() (*core.ShardSet, error) {
-			return core.ConnectSharded(addrs, core.WithReplicas(replicas))
+			return core.ConnectSharded(addrs)
 		}
 	} else {
 		// A service container bundles the four D* services (Data Catalog,

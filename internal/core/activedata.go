@@ -44,7 +44,7 @@ type ActiveData struct {
 // NewActiveData builds the API over service connections. Attach it to a
 // Node (via Node.ActiveData) to receive callbacks.
 func NewActiveData(comms *Comms) *ActiveData {
-	return NewActiveDataSharded(shardSetOf(comms))
+	return NewActiveDataSharded(NewShardSet(comms))
 }
 
 // NewActiveDataSharded is NewActiveData over a sharded service plane.
@@ -82,8 +82,7 @@ func (a *ActiveData) ScheduleAll(ds []data.Data, as []attr.Attribute) error {
 	}
 	// Schedule is put-overwrite idempotent, so a wave caught mid-rebalance
 	// reruns wholesale against the refreshed placement.
-	return a.set.retryElastic(func() error {
-		v := a.set.currentView()
+	return a.set.retryElastic(func(v *shardView) error {
 		groups := v.partition(len(ds), func(i int) data.UID { return ds[i].UID })
 		return v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
 			calls := make([]*rpc.Call, len(idx))

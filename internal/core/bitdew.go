@@ -42,7 +42,7 @@ type BitDew struct {
 // NewBitDew builds the API over one service connection, local storage and
 // the node's transfer engine.
 func NewBitDew(comms *Comms, backend repository.Backend, engine *transfer.Engine, host string) *BitDew {
-	return NewBitDewSharded(shardSetOf(comms), backend, engine, host)
+	return NewBitDewSharded(NewShardSet(comms), backend, engine, host)
 }
 
 // NewBitDewSharded is NewBitDew over a sharded service plane.
@@ -78,8 +78,7 @@ func (b *BitDew) CreateDataBatch(names []string) ([]*data.Data, error) {
 	// rerun when an elastic rebalance moves a UID mid-batch; the rollback
 	// only happens once the retries are exhausted or the failure is real.
 	var registered map[int][]*Comms // index -> connections that registered it
-	err := b.set.retryElastic(func() error {
-		v := b.set.currentView()
+	err := b.set.retryElastic(func(v *shardView) error {
 		groups := v.partition(len(ds), func(i int) data.UID { return ds[i].UID })
 		var mu sync.Mutex
 		return v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
@@ -215,8 +214,7 @@ func (b *BitDew) putStored(ds []*data.Data) error {
 	// The per-shard protocol (register, locators, upload, publish) is
 	// put-overwrite idempotent end to end, so a wave caught mid-rebalance
 	// simply reruns against the refreshed placement.
-	return b.set.retryElastic(func() error {
-		v := b.set.currentView()
+	return b.set.retryElastic(func(v *shardView) error {
 		groups := v.partition(len(ds), func(i int) data.UID { return ds[i].UID })
 		return v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
 			part := make([]*data.Data, len(idx))
@@ -295,11 +293,11 @@ func (b *BitDew) PutFile(d *data.Data, path string) error {
 // storage and returns a transfer handle; block on it with the
 // TransferManager (transferManager.waitFor(data) in the paper's Listing 2).
 func (b *BitDew) Get(d data.Data) (*transfer.Handle, error) {
-	loc, err := b.locatorFor(d, "")
+	locs, err := b.freshLocators(d, "")
 	if err != nil {
 		return nil, err
 	}
-	return b.engine.Download(d, loc), nil
+	return b.engine.Download(d, locs[0]), nil
 }
 
 // GetBytes is a blocking Get returning the verified content. It tries
@@ -368,11 +366,8 @@ func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
 				// The cached locators all failed: drop them and retry once
 				// against fresh ones from the service plane.
 				b.set.cache.invalidate(d.UID)
-				fresh := make([][]data.Locator, 1)
-				ferr := make([]error, 1)
-				b.lookupLocators([]data.Data{d}, protocol, []int{0}, fresh, ferr)
-				if ferr[0] == nil && len(fresh[0]) > 0 {
-					err = b.download(d, fresh[0])
+				if fresh, ferr := b.freshLocators(d, protocol); ferr == nil {
+					err = b.download(d, fresh)
 				}
 			}
 			errs[i] = err
@@ -386,16 +381,16 @@ func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
 // catalog + repository locators of ds[i], one multi-call frame per home
 // shard (frames in parallel), feeding the results into the locator cache.
 // A shard whose frame fails outright marks only its own data's errs slots
-// — shards fail independently, exactly like the heartbeat fan-out. On an
-// elastic plane, data refused as not-owner (their range moved mid-lookup)
-// are retried through retryElastic, recomputing the pending set each pass so
-// only the moved data go back to the wire.
+// — shards fail independently, exactly like the heartbeat fan-out. Data
+// refused as not-owner (their range moved mid-lookup) are retried through
+// retryElastic, recomputing the pending set each pass so only the moved data
+// go back to the wire.
 func (b *BitDew) lookupLocators(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) {
 	pending := miss
 	// The verdict per datum is in errs; the loop's own error only says that
 	// some data were still refused when the retry budget ran out.
-	_ = b.set.retryElastic(func() error {
-		pending = b.lookupLocatorsOnce(ds, protocol, pending, candidates, errs)
+	_ = b.set.retryElastic(func(v *shardView) error {
+		pending = b.lookupLocatorsOnce(v, ds, protocol, pending, candidates, errs)
 		if len(pending) > 0 {
 			return repl.ErrNotOwner
 		}
@@ -403,9 +398,9 @@ func (b *BitDew) lookupLocators(ds []data.Data, protocol string, miss []int, can
 	})
 }
 
-// lookupLocatorsOnce runs one lookup pass over the current membership view
-// and returns the miss entries that failed with a not-owner handoff.
-func (b *BitDew) lookupLocatorsOnce(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) []int {
+// lookupLocatorsOnce runs one lookup pass over view v and returns the miss
+// entries that failed with a not-owner handoff.
+func (b *BitDew) lookupLocatorsOnce(v *shardView, ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) []int {
 	if len(miss) == 0 {
 		return nil
 	}
@@ -413,7 +408,6 @@ func (b *BitDew) lookupLocatorsOnce(ds []data.Data, protocol string, miss []int,
 		mu    sync.Mutex
 		retry []int
 	)
-	v := b.set.currentView()
 	groups := v.partition(len(miss), func(j int) data.UID { return ds[miss[j]].UID })
 	v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
 		uids := make([]data.UID, len(idx))
@@ -429,20 +423,14 @@ func (b *BitDew) lookupLocatorsOnce(ds []data.Data, protocol string, miss []int,
 			c.DR.LocatorAnyBatchCall(uids, protocol, &repLocs),
 		}
 		if err := c.CallBatch(calls); err != nil {
-			notOwner := repl.IsNotOwner(err)
-			mu.Lock()
 			for _, j := range idx {
 				errs[miss[j]] = fmt.Errorf("bitdew: fetch %s: shard %d: %w", ds[miss[j]].Name, shard, err)
-				if notOwner {
-					retry = append(retry, j)
-				}
 			}
-			mu.Unlock()
 			return nil
 		}
 		// Either source may fail independently (a stale catalog, a repository
 		// with no endpoints); a datum only errors when it ends up with no
-		// candidate at all, matching the sequential path's best-effort merge.
+		// candidate at all: the merge is best-effort.
 		// A not-owner refusal from the catalog means the whole range moved:
 		// mark those data retryable instead of caching an empty answer.
 		notOwner := repl.IsNotOwner(calls[0].Err)
@@ -516,61 +504,21 @@ func (b *BitDew) GetFile(d data.Data, path string) error {
 	return f.Close()
 }
 
-// locatorsFor lists every candidate source for d, in preference order:
-// catalog-registered locators matching the requested protocol, then a
-// repository locator (which also covers restarted repositories whose
-// endpoints moved). Both queries go to d's home shard. It deliberately
-// does NOT read the locator cache: its caller (Get) hands out a single
-// transfer handle with no fallback chain, so it must see live endpoints
-// every time — a cached-but-dead locator would strand the datum with
-// nothing downstream to invalidate and retry. The cached fast path with
-// stale-healing lives in FetchAll; locatorsFor only FEEDS the cache.
-func (b *BitDew) locatorsFor(d data.Data, protocol string) ([]data.Locator, error) {
-	var out []data.Locator
-	err := b.set.homeCall(d.UID, func(c *Comms) error {
-		out = out[:0]
-		seen := map[data.Locator]bool{}
-		locs, catErr := c.DC.Locators(d.UID)
-		if catErr == nil {
-			for _, l := range locs {
-				if protocol == "" || l.Protocol == protocol {
-					out = append(out, l)
-					seen[l] = true
-				}
-			}
-		}
-		loc, repErr := c.DR.LocatorAny(d.UID, protocol)
-		if repErr == nil && !seen[loc] {
-			out = append(out, loc)
-		}
-		if len(out) == 0 {
-			// Surface a not-owner refusal so homeCall re-homes the datum
-			// after a rebalance; anything else keeps the best-effort merge's
-			// "no locator" answer.
-			if repl.IsNotOwner(catErr) {
-				return catErr
-			}
-			if repl.IsNotOwner(repErr) {
-				return repErr
-			}
-			return fmt.Errorf("bitdew: no locator for %s", d.Name)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// freshLocators looks up d's candidate sources on the wire, in preference
+// order (see lookupLocators), erroring when there is none. It deliberately
+// does NOT read the locator cache: Get hands out a single transfer handle
+// with no fallback chain, so it must see live endpoints every time — a
+// cached-but-dead locator would strand the datum with nothing downstream to
+// invalidate and retry — and FetchAll calls it exactly when the cached
+// candidates all failed. The lookup still FEEDS the cache.
+func (b *BitDew) freshLocators(d data.Data, protocol string) ([]data.Locator, error) {
+	locs := make([][]data.Locator, 1)
+	errs := make([]error, 1)
+	b.lookupLocators([]data.Data{d}, protocol, []int{0}, locs, errs)
+	if errs[0] == nil && len(locs[0]) == 0 {
+		errs[0] = fmt.Errorf("bitdew: no locator for %s", d.Name)
 	}
-	b.set.cache.put(d.UID, protocol, out)
-	return out, nil
-}
-
-// locatorFor returns the preferred locator for d.
-func (b *BitDew) locatorFor(d data.Data, protocol string) (data.Locator, error) {
-	locs, err := b.locatorsFor(d, protocol)
-	if err != nil {
-		return data.Locator{}, err
-	}
-	return locs[0], nil
+	return locs[0], errs[0]
 }
 
 // SearchData finds data in the catalog by name; when several match, they
@@ -597,23 +545,16 @@ func (b *BitDew) AllData() ([]data.Data, error) {
 // the whole point of the blast-radius design — and the query only errors
 // when every shard refused it.
 //
-// Over a replicated plane the query runs once per DISTINCT owner (after a
-// failover one physical shard serves several ranges, and would answer with
-// its whole gated view per range slot queried), and the merge dedupes by
-// UID as a second line of defense against owner moves mid-query.
+// The query runs once per physical shard (v.hosts: a shard serving several
+// ranges would answer with its whole gated view per slot queried), and the
+// merge dedupes by UID as a second line of defense against owner moves
+// mid-query.
 func (b *BitDew) fanOutSearch(query func(*Comms) ([]data.Data, error)) ([]data.Data, error) {
 	v := b.set.currentView()
-	if len(v.shards) == 1 {
-		return query(v.shards[0])
+	if len(v.slots) == 1 {
+		return query(v.slots[0])
 	}
-	slots := make([]int, 0, len(v.shards))
-	ownerSeen := make(map[int]bool, len(v.shards))
-	for i := range v.shards {
-		if owner := b.set.OwnerOf(i); !ownerSeen[owner] {
-			ownerSeen[owner] = true
-			slots = append(slots, i)
-		}
-	}
+	slots := v.hosts()
 	parts := make([][]data.Data, len(slots))
 	errs := make([]error, len(slots))
 	var wg sync.WaitGroup
@@ -621,7 +562,7 @@ func (b *BitDew) fanOutSearch(query func(*Comms) ([]data.Data, error)) ([]data.D
 		wg.Add(1)
 		go func(j, i int) {
 			defer wg.Done()
-			parts[j], errs[j] = query(v.shards[i])
+			parts[j], errs[j] = query(v.slots[i])
 		}(j, i)
 	}
 	wg.Wait()

@@ -42,7 +42,7 @@ type Comms struct {
 	DT *transfer.Client
 	DS *scheduler.Client
 
-	underlying []rpc.Client
+	client rpc.Client // the one connection all four share
 }
 
 // DefaultCallTimeout bounds every call made over a Connect*-built
@@ -94,9 +94,9 @@ func commsFrom(c rpc.Client) *Comms {
 		// transfer; a coalescer merges those reports into shared batch
 		// frames. The other services stay on the bare (still pipelined)
 		// client: their calls are latency-sensitive and sequential.
-		DT:         transfer.NewClient(rpc.NewCoalescer(c)),
-		DS:         scheduler.NewClient(c),
-		underlying: []rpc.Client{c},
+		DT:     transfer.NewClient(rpc.NewCoalescer(c)),
+		DS:     scheduler.NewClient(c),
+		client: c,
 	}
 }
 
@@ -104,28 +104,15 @@ func commsFrom(c rpc.Client) *Comms {
 // as scheduler.Client.ScheduleCall or catalog.Client.DeleteCall — over the
 // shared connection in one round trip, preserving per-call errors.
 func (c *Comms) CallBatch(calls []*rpc.Call) error {
-	return rpc.CallBatch(c.underlying[0], calls)
+	return rpc.CallBatch(c.client, calls)
 }
 
-// RoundTrips sums the request frames sent over the underlying connections
-// (batched calls count one frame regardless of size).
+// RoundTrips counts the request frames sent over the connection (batched
+// calls count one frame regardless of size).
 func (c *Comms) RoundTrips() uint64 {
-	var total uint64
-	for _, u := range c.underlying {
-		if n, ok := rpc.RoundTrips(u); ok {
-			total += n
-		}
-	}
-	return total
+	n, _ := rpc.RoundTrips(c.client)
+	return n
 }
 
-// Close releases every underlying connection.
-func (c *Comms) Close() error {
-	var first error
-	for _, u := range c.underlying {
-		if err := u.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close releases the connection.
+func (c *Comms) Close() error { return c.client.Close() }

@@ -209,3 +209,33 @@ func TestFlappingRestartDuringPromotion(t *testing.T) {
 		t.Fatalf("range %d still routed to killed shard %d", victimRange, owner)
 	}
 }
+
+// TestFailoverWithoutReplicasHint connects with no WithReplicas: the client
+// learns R from the membership table it reads at first contact, so killing
+// a range's owner still fails over to the promoted successor.
+func TestFailoverWithoutReplicasHint(t *testing.T) {
+	plane, _, writer, wave, contents := replicatedHarness(t, 3, 6)
+	set, err := core.ConnectSharded(plane.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	node, err := core.NewNode(core.NodeConfig{Host: "unhinted-client", Shards: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.SetClientOnly(true)
+	t.Cleanup(node.Stop)
+	writer.Stop()
+
+	victim := set.OwnerOf(set.ShardOf(wave[0].UID))
+	if err := plane.KillShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchUntil(t, node, wave[0], 10*time.Second); !bytes.Equal(got, contents[0]) {
+		t.Fatalf("%s corrupted after failover", wave[0].Name)
+	}
+	if owner := set.OwnerOf(set.ShardOf(wave[0].UID)); owner == victim {
+		t.Fatalf("range still routed to killed shard %d", victim)
+	}
+}

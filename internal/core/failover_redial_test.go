@@ -1,17 +1,18 @@
 package core
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"bitdew/internal/dht"
 	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 )
 
-// The redial tests pin the failover router's address discipline at the
-// wire level: when the owner's link faults (a dropped request frame, or
+// The redial tests pin the range slot's address discipline at the wire
+// level: when the owner's link faults (a dropped request frame, or
 // the address dead outright), the retried call must land on the range's
 // SUCCESSOR — never be burned re-sent at the stale address — and the
 // refused/dead shard must see no further data traffic. rpc.FaultPlan
@@ -28,13 +29,61 @@ type echoReply struct {
 // ownership answers are scripted by the test and whose echo service counts
 // the data calls it handled.
 type stubShard struct {
-	shard   int
-	addr    string
-	srv     *rpc.Server
-	serving atomic.Bool
-	accepts atomic.Bool // whether Promote succeeds here
-	echoed  atomic.Int64
+	shard    int
+	addr     string
+	srv      *rpc.Server
+	serving  atomic.Bool
+	accepts  atomic.Bool // whether Promote succeeds here
+	echoed   atomic.Int64
+	probed   atomic.Int64 // Owner calls answered
+	promoted atomic.Int64 // Promote calls that succeeded
+	accepted atomic.Int64 // TCP connections accepted
+	// refuse, when set, is asked before each echo executes; a non-nil error
+	// refuses the call (it is returned, and the call does not count).
+	refuse atomic.Pointer[func(echoArgs) error]
+	// ring, when set, is served as ring/Members.
+	ring atomic.Pointer[func() dht.Membership]
 }
+
+// countingListener counts the connections a stub accepts.
+type countingListener struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// stubSet connects a replicated-plane client to stub shards. The stubs serve
+// no ring/Members, so R comes from the WithReplicas hint; extra arms the
+// shared data connections (built lazily, after this returns) with dial
+// options — probe and Promote connections are NOT armed: they model the
+// control path, and tests script the data path.
+func stubSet(t *testing.T, extra []rpc.DialOption, shards ...*stubShard) *ShardSet {
+	t.Helper()
+	addrs := make([]string, len(shards))
+	for i, s := range shards {
+		addrs[i] = s.addr
+	}
+	set, err := ConnectSharded(addrs, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	set.dial = func(addr string) rpc.Client {
+		opts := append([]rpc.DialOption{rpc.WithCallTimeout(DefaultCallTimeout)}, extra...)
+		return rpc.DialAutoLazyN(addr, failoverDialAttempts, opts...)
+	}
+	return set
+}
+
+// slotOf returns range r's slot, the rpc.Client under its Comms.
+func slotOf(set *ShardSet, r int) rpc.Client { return set.Shard(r).client }
 
 func newStubShard(t *testing.T, shard int) *stubShard {
 	t.Helper()
@@ -44,7 +93,15 @@ func newStubShard(t *testing.T, shard int) *stubShard {
 	}
 	s := &stubShard{shard: shard, addr: lis.Addr().String()}
 	mux := rpc.NewMux()
+	rpc.Register(mux, "ring", "Members", func(struct{}) (dht.Membership, error) {
+		ring := s.ring.Load()
+		if ring == nil {
+			return dht.Membership{}, errors.New("stub serves no ring")
+		}
+		return (*ring)(), nil
+	})
 	rpc.Register(mux, repl.ServiceName, "Owner", func(a repl.OwnerArgs) (repl.OwnerReply, error) {
+		s.probed.Add(1)
 		return repl.OwnerReply{Shard: s.shard, Serving: s.serving.Load()}, nil
 	})
 	rpc.Register(mux, repl.ServiceName, "Promote", func(a repl.PromoteArgs) (repl.PromoteReply, error) {
@@ -52,13 +109,19 @@ func newStubShard(t *testing.T, shard int) *stubShard {
 			return repl.PromoteReply{}, nil
 		}
 		s.serving.Store(true)
+		s.promoted.Add(1)
 		return repl.PromoteReply{Promoted: true}, nil
 	})
 	rpc.Register(mux, "echo", "Echo", func(a echoArgs) (echoReply, error) {
+		if refuse := s.refuse.Load(); refuse != nil {
+			if err := (*refuse)(a); err != nil {
+				return echoReply{}, err
+			}
+		}
 		s.echoed.Add(1)
 		return echoReply{N: a.N, Shard: s.shard}, nil
 	})
-	s.srv = rpc.NewServer(lis, mux)
+	s.srv = rpc.NewServer(countingListener{lis, &s.accepted}, mux)
 	t.Cleanup(func() { s.srv.Close() })
 	return s
 }
@@ -73,17 +136,15 @@ func TestFailoverRedialsSuccessorOnLinkFault(t *testing.T) {
 	b.accepts.Store(true)
 
 	plan := rpc.NewFaultPlan()
-	r := newFailoverRouter([]string{a.addr, b.addr}, 2)
-	r.dialExtra = []rpc.DialOption{rpc.WithFaultPlan(plan)}
-	defer r.Close()
-	fc := &failoverClient{r: r, rangeID: 0}
+	set := stubSet(t, []rpc.DialOption{rpc.WithFaultPlan(plan)}, a, b)
+	fc := slotOf(set, 0)
 
 	var rep echoReply
 	if err := fc.Call("echo", "Echo", echoArgs{N: 1}, &rep); err != nil || rep.Shard != 0 {
 		t.Fatalf("healthy call = %+v, %v; want shard 0", rep, err)
 	}
 	// The owner's link dies as it stops serving: the next call's frame and
-	// its same-address retry (the router's 2-attempt budget) are both lost.
+	// its same-address retry (the connection's 2-attempt budget) are both lost.
 	a.serving.Store(false)
 	base := plan.Frames()
 	plan.DropFrames(base+1, base+2)
@@ -94,8 +155,8 @@ func TestFailoverRedialsSuccessorOnLinkFault(t *testing.T) {
 	if rep.Shard != 1 {
 		t.Fatalf("faulted call answered by shard %d, want successor 1", rep.Shard)
 	}
-	if got := r.ownerOf(0); got != 1 {
-		t.Fatalf("router owner of range 0 = %d after failover, want 1", got)
+	if got := set.OwnerOf(0); got != 1 {
+		t.Fatalf("owner of range 0 = %d after failover, want 1", got)
 	}
 	if n := a.echoed.Load(); n != 1 {
 		t.Fatalf("stale owner handled %d echo calls, want 1 (pre-fault only)", n)
@@ -117,9 +178,7 @@ func TestFailoverRedialsSuccessorOnDeadAddress(t *testing.T) {
 	b.accepts.Store(true)
 	a.srv.Close()
 
-	r := newFailoverRouter([]string{a.addr, b.addr}, 2)
-	defer r.Close()
-	fc := &failoverClient{r: r, rangeID: 0}
+	fc := slotOf(stubSet(t, nil, a, b), 0)
 
 	var rep echoReply
 	if err := fc.Call("echo", "Echo", echoArgs{N: 1}, &rep); err != nil {
@@ -139,52 +198,28 @@ func TestFailoverRedialsSuccessorOnDeadAddress(t *testing.T) {
 // their replies and are not re-executed anywhere.
 func TestFailoverBatchRefusalsReplayOnSuccessor(t *testing.T) {
 	a, b := newStubShard(t, 0), newStubShard(t, 1)
-	a.serving.Store(true)
-	b.accepts.Store(true)
 
 	// Shard A's echo refuses every second call with NotOwner, as a primary
-	// would for keys of a range it just handed off.
-	refuse := atomic.Bool{}
-	mux := rpc.NewMux()
-	rpc.Register(mux, repl.ServiceName, "Owner", func(repl.OwnerArgs) (repl.OwnerReply, error) {
-		return repl.OwnerReply{Shard: 0, Serving: a.serving.Load()}, nil
-	})
-	rpc.Register(mux, "echo", "Echo", func(ar echoArgs) (echoReply, error) {
-		a.echoed.Add(1)
-		if refuse.Load() && ar.N%2 == 1 {
-			return echoReply{}, repl.ErrNotOwner
+	// would for keys of a range it just handed off. The handoff is visible
+	// to probes: A no longer claims the range, the successor already serves
+	// it — the owner search finds B without a promotion.
+	refuseOdd := func(ar echoArgs) error {
+		if ar.N%2 == 1 {
+			return repl.ErrNotOwner
 		}
-		return echoReply{N: ar.N, Shard: 0}, nil
-	})
-	a.srv.Close()
-	var lis net.Listener
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		if lis, err = net.Listen("tcp", a.addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+		return nil
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.srv = rpc.NewServer(lis, mux)
-	refuse.Store(true)
-	// The handoff is visible to probes: A no longer claims the range, the
-	// successor already serves it — resolve finds B without a promotion.
-	a.serving.Store(false)
+	a.refuse.Store(&refuseOdd)
 	b.serving.Store(true)
 
-	r := newFailoverRouter([]string{a.addr, b.addr}, 2)
-	defer r.Close()
-	fc := &failoverClient{r: r, rangeID: 0}
+	fc := slotOf(stubSet(t, nil, a, b), 0)
 
 	calls := make([]*rpc.Call, 4)
 	replies := make([]echoReply, 4)
 	for i := range calls {
 		calls[i] = &rpc.Call{Service: "echo", Method: "Echo", Args: echoArgs{N: i}, Reply: &replies[i]}
 	}
-	if err := fc.CallBatch(calls); err != nil {
+	if err := rpc.CallBatch(fc, calls); err != nil {
 		t.Fatal(err)
 	}
 	for i, call := range calls {

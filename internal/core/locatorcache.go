@@ -117,9 +117,8 @@ func (c *locatorCache) invalidate(uid data.UID) {
 }
 
 // invalidateRange drops every entry whose datum homes on rangeID under
-// place. The failover router calls it when a range's ownership moves: the
-// cached endpoints may belong to the dead shard, and the promoted owner
-// must be re-consulted.
+// place; the view swap calls it for a range whose owner moved
+// (ShardSet.install).
 func (c *locatorCache) invalidateRange(place *dht.Placement, rangeID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

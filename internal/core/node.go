@@ -85,10 +85,9 @@ type Node struct {
 	// sessions holds the delta-heartbeat state keyed by the PHYSICAL shard
 	// whose scheduler acknowledged it, guarded by syncMu (not mu): the
 	// subset of the cache that scheduler acknowledged, at which epoch. On
-	// an unreplicated plane the key is simply the home-shard index; on a
-	// replicated plane it is the range's current owner (set.OwnerOf), so a
-	// failover retires the dead shard's session and starts the promoted
-	// owner's fresh — whose first heartbeat is a full report, the delta
+	// the key is the range's current owner in the round's view (the
+	// home-shard index until a failover), so a failover retires the dead
+	// shard's session and starts the promoted owner's fresh — whose first heartbeat is a full report, the delta
 	// protocol's designed recovery. Each heartbeat ships only the
 	// difference between the owner's current set and its session's
 	// reported set, falling back to a full report when that scheduler
@@ -97,7 +96,7 @@ type Node struct {
 	// from applying.
 	sessions map[int]*shardSession
 	// lastViewEpoch is the membership epoch the sessions were built
-	// against (guarded by syncMu). When an elastic plane commits a new
+	// against (guarded by syncMu). When the plane commits a new
 	// epoch, every shard's key ranges move, so the delta sessions restart
 	// from full reports under the new placement.
 	lastViewEpoch uint64
@@ -124,7 +123,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if cfg.Comms == nil {
 			return nil, fmt.Errorf("core: node needs service connections")
 		}
-		set = shardSetOf(cfg.Comms)
+		set = NewShardSet(cfg.Comms)
 	}
 	if cfg.Backend == nil {
 		cfg.Backend = repository.NewMemBackend()
@@ -272,17 +271,16 @@ func (n *Node) SyncOnce() error {
 
 // heartbeat runs the report half of one synchronization under syncMu: one
 // delta heartbeat per physical shard, in parallel, each against its own
-// session. Over a replicated plane the cache is grouped by each range's
-// CURRENT owner — after a failover one physical shard may answer for
-// several ranges, and must receive those ranges' data in one session — and
-// the heartbeat goes through that range's slot so it keeps failing over
-// mid-report. The merged result carries every successful shard's answer;
+// session. The cache is grouped by each range's owner in the round's view —
+// after a failover one physical shard may answer for several ranges, and
+// must receive those ranges' data in one session — and the heartbeat goes
+// through that range's slot so it keeps failing over mid-report. The merged result carries every successful shard's answer;
 // the error joins the failed shards'.
 func (n *Node) heartbeat() (scheduler.SyncDeltaResult, error) {
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
 
-	// Follow elastic membership changes, then capture ONE view for the
+	// Follow membership changes, then capture ONE view for the
 	// whole round: grouping, sessions and reports all agree on a single
 	// placement even when a rebalance commits mid-round.
 	n.set.PollEpoch()
@@ -299,92 +297,68 @@ func (n *Node) heartbeat() (scheduler.SyncDeltaResult, error) {
 	// copies plus in-flight downloads. Reporting in-flight data keeps the
 	// scheduler's ownership heartbeats alive during transfers longer than
 	// the failure-detection timeout.
+	hosts := v.hosts()
+	current := make(map[int]map[data.UID]bool, len(hosts)) // owner → its data
+	for _, r := range hosts {
+		current[v.owner[r]] = make(map[data.UID]bool)
+	}
 	n.mu.Lock()
 	clientOnly := n.clientOnly
-	perShard := make([]map[data.UID]bool, len(v.shards))
-	for i := range perShard {
-		perShard[i] = make(map[data.UID]bool)
-	}
 	for uid := range n.cache {
-		perShard[v.place.ShardOf(string(uid))][uid] = true
+		current[v.owner[v.place.ShardOf(string(uid))]][uid] = true
 	}
 	for uid := range n.inflight {
-		perShard[v.place.ShardOf(string(uid))][uid] = true
+		current[v.owner[v.place.ShardOf(string(uid))]][uid] = true
 	}
 	n.mu.Unlock()
 
-	// Group ranges by current owner: owner → (representative range slot,
-	// union of the owned ranges' sets). Identity on an unreplicated plane.
-	type ownerGroup struct {
-		slot    int
-		current map[data.UID]bool
-	}
-	groups := make(map[int]*ownerGroup, len(v.shards))
-	for i := range v.shards {
-		owner := n.set.OwnerOf(i)
-		g := groups[owner]
-		if g == nil {
-			g = &ownerGroup{slot: i, current: perShard[i]}
-			groups[owner] = g
-			continue
-		}
-		for uid := range perShard[i] {
-			g.current[uid] = true
-		}
-	}
 	// Sessions of shards that currently own nothing (failed over, not yet
 	// rejoined) are dead weight at best and would resurrect stale mirrors
 	// at worst; drop them. Create missing ones here, single-threaded, so
 	// the per-owner goroutines below never write the map.
 	for owner := range n.sessions {
-		if groups[owner] == nil {
+		if current[owner] == nil {
 			delete(n.sessions, owner)
 		}
 	}
-	for owner := range groups {
+	for owner := range current {
 		if n.sessions[owner] == nil {
 			n.sessions[owner] = &shardSession{}
 		}
 	}
 
 	var merged scheduler.SyncDeltaResult
-	if len(groups) == 1 {
-		for owner, g := range groups {
-			res, err := n.heartbeatShard(owner, v.shards[g.slot], g.current, clientOnly)
-			if err != nil {
-				return merged, err
-			}
-			merged.Drop = res.Drop
-			merged.Fetch = res.Fetch
+	if len(hosts) == 1 {
+		owner := v.owner[hosts[0]]
+		res, err := n.heartbeatShard(owner, v.slots[hosts[0]], current[owner], clientOnly)
+		if err != nil {
+			return merged, err
 		}
-		return merged, nil
+		return res, nil
 	}
 
-	results := make(map[int]scheduler.SyncDeltaResult, len(groups))
-	errs := make([]error, 0, len(groups))
+	errs := make([]error, 0, len(hosts))
 	var (
 		wg sync.WaitGroup
 		mu sync.Mutex
 	)
-	for owner, g := range groups {
+	for _, r := range hosts {
 		wg.Add(1)
-		go func(owner int, g *ownerGroup) {
+		go func(r int) {
 			defer wg.Done()
-			res, err := n.heartbeatShard(owner, v.shards[g.slot], g.current, clientOnly)
+			owner := v.owner[r]
+			res, err := n.heartbeatShard(owner, v.slots[r], current[owner], clientOnly)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				errs = append(errs, err)
 				return
 			}
-			results[owner] = res
-		}(owner, g)
+			merged.Drop = append(merged.Drop, res.Drop...)
+			merged.Fetch = append(merged.Fetch, res.Fetch...)
+		}(r)
 	}
 	wg.Wait()
-	for _, res := range results {
-		merged.Drop = append(merged.Drop, res.Drop...)
-		merged.Fetch = append(merged.Fetch, res.Fetch...)
-	}
 	return merged, errors.Join(errs...)
 }
 

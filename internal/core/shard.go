@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -13,84 +14,98 @@ import (
 	"bitdew/internal/rpc"
 )
 
-// ShardSet is the client side of a sharded D* service plane: one Comms per
-// service container, plus the consistent-hash placement (dht.Placement)
-// that assigns every datum a home shard by its UID. All catalog, repository
-// and scheduler state of a datum lives on its home shard, so single-datum
-// calls route to one shard and batch calls fan out per shard in parallel.
+// ShardSet is the client side of a sharded D* service plane: the
+// consistent-hash placement (dht.Placement) that assigns every datum a home
+// range by its UID, and one Comms per range. All catalog, repository and
+// scheduler state of a datum lives with its range, so single-datum calls
+// route to one slot and batch calls fan out per slot in parallel. A ShardSet
+// over one shard is exactly the pre-sharding client.
 //
-// A ShardSet over one shard is exactly the pre-sharding client: every datum
-// homes on shard 0 and the fan-out degenerates to the plain batch path. The
-// set also carries a bounded client-side locator cache shared by the node's
-// APIs, so repeat lookups of the same datum skip the wire entirely.
+// "Which host serves this key right now?" has one answer, the current
+// shardView, and a key's host changes for exactly two reasons: the plane
+// commits a new membership epoch (AddShard/DrainShard), or a range's owner
+// dies and a successor is promoted (R > 1). Either way the set swaps in a
+// new immutable view, and the swap tells the locator cache what to forget.
+// Over TCP every slot is the same small rpc.Client forwarding to the one
+// physical connection the set keeps per address; slot.go has it, and the
+// retry contract that makes a reshape or a failover invisible to callers.
 //
-// Over an ELASTIC plane (unreplicated) the membership can change while the
-// client runs: AddShard/DrainShard commit a new address list at a bumped
-// epoch. The set then swaps in a new immutable view — reusing the
-// connections of unchanged shards, flushing the locator cache — and the call
-// paths retry not-owner refusals through a refresh, so a reshape is
-// invisible to the application.
+// The set also carries a bounded client-side locator cache shared by the
+// node's APIs, so repeat lookups of the same datum skip the wire entirely.
 type ShardSet struct {
 	mu   sync.Mutex
 	view *shardView
 
 	cache *locatorCache
-	// router, when non-nil, makes the shards slots RANGE slots over a
-	// replicated plane: slot i forwards to whichever shard currently owns
-	// range i, failing over when it dies (see failover.go). Nil over an
-	// unreplicated plane, where slot i IS shard i.
-	router *failoverRouter
 
-	// dial, when non-nil, marks the plane elastic: it builds the connection
-	// of a shard that joined after connect time. Nil sets (local Comms,
-	// replicated planes) never change membership.
-	dial func(addr string) *Comms
-	// orphans holds connections dropped from the view by a membership
-	// change; they stay open (in-flight calls, stale-locator reads against
-	// a drained shard) until Close.
-	orphans    []*Comms
-	refreshing bool
-	closed     bool
-	lastPoll   time.Time
-	pollIdx    int
+	// conns holds the one physical connection per shard address, built on
+	// first use by dial and kept for the life of the set: a shard that left
+	// the membership keeps its connection (in-flight calls, stale-locator
+	// reads against a drained shard) until Close. Both stay nil on a set
+	// assembled over ready-made Comms (NewShardSet), which has no plane to
+	// follow and no address to fail over to.
+	conns map[string]rpc.Client
+	dial  func(addr string) rpc.Client
+	// inflight is the one resolution (membership read or owner search)
+	// running on this set; concurrent callers wait for it (resolve).
+	inflight *resolution
+	closed   bool
+	lastPoll time.Time
+	pollIdx  int
 }
 
-// shardView is one immutable membership view: every call path captures a
-// view once and works against it, so a concurrent membership swap can never
+// shardView is one immutable answer to "who serves what": every call path
+// captures a view once and works against it, so a concurrent swap can never
 // tear a fan-out between two placements.
 type shardView struct {
-	epoch  uint64
-	addrs  []string
-	shards []*Comms
-	place  *dht.Placement
+	epoch    uint64   // membership epoch (0 until learned, and always on static sets)
+	addrs    []string // shard rpc addresses in placement order; empty on static sets
+	replicas int      // the plane's replication factor R
+	place    *dht.Placement
+	owner    []int    // owner[r] = shard currently serving range r
+	slots    []*Comms // slots[r] = the service connection of range r
+}
+
+// home returns the slot of uid's home range under this view.
+func (v *shardView) home(uid data.UID) *Comms {
+	return v.slots[v.place.ShardOf(string(uid))]
+}
+
+// hosts returns one range per physical shard that owns any. After a failover
+// one shard serves several ranges, and a per-shard fan-out (catalog search,
+// heartbeat) must visit it once — through the slot of any of its ranges.
+func (v *shardView) hosts() []int {
+	hosts := make([]int, 0, len(v.owner))
+	seen := make(map[int]bool, len(v.owner))
+	for r, owner := range v.owner {
+		if !seen[owner] {
+			seen[owner] = true
+			hosts = append(hosts, r)
+		}
+	}
+	return hosts
 }
 
 // epochPollPeriod throttles the node heartbeat's membership poll: at most
 // one tiny ring/Members frame per period, round-robin across shards.
 const epochPollPeriod = 500 * time.Millisecond
 
-// Elastic retry budget: a rebalance cutover-to-commit window is
-// milliseconds, so a handful of refresh-and-retry passes rides any one
-// membership change; the backoff keeps a confused client from hammering.
-const (
-	elasticRetryPasses  = 10
-	elasticRetryBackoff = 200 * time.Millisecond
-)
+// failoverDialAttempts is the reconnect budget of the shared connections when
+// ranges have successors: a dead owner must surface as ErrTransport in tens
+// of milliseconds so the owner search can take over, not after the
+// multi-second budget that suits a plane with nowhere else to go.
+const failoverDialAttempts = 2
 
-// ShardOption configures ConnectSharded.
-type ShardOption func(*shardOptions)
+var errSetClosed = errors.New("core: shard set closed")
 
-type shardOptions struct {
-	replicas int
-}
+// ShardOption configures ConnectSharded: it amends the membership table the
+// client assumes when no shard answers the membership read at connect time
+// (a plane that does answer overrides it with its own).
+type ShardOption func(assumed *dht.Membership)
 
-// WithReplicas tells the client the plane's replication factor R (from its
-// -replicas flag or the ring membership table). With R > 1 every range slot
-// routes around dead shards: calls failing at the transport level or
-// refused as not-owner are retried against the range's promoted successor.
-// Deadline errors are never retried — the call may have executed.
+// WithReplicas tells the client the plane's replication factor R.
 func WithReplicas(r int) ShardOption {
-	return func(o *shardOptions) { o.replicas = r }
+	return func(assumed *dht.Membership) { assumed.Replicas = r }
 }
 
 // ParseMembership splits a comma-separated shard address list, trimming
@@ -112,133 +127,151 @@ func ParseMembership(s string) []string {
 	return out
 }
 
-// ConnectSharded dials every shard of a service plane over TCP, in the
-// given membership order — the order is the placement contract, so every
-// client (and the shards' own tooling) must use the same list. Each
-// connection reconnects itself like Connect's. A shard that is down AT
-// CONNECT TIME does not abort the join: its connection is built lazily
-// (rpc.DialAutoLazy) and heals when the shard restarts, so a new client
-// can attach to a degraded plane exactly as an old client rides through
-// the degradation. Only a plane with EVERY shard unreachable refuses the
-// connect.
+// ConnectSharded attaches to a service plane over TCP given (some of) its
+// shard addresses. First contact is one read of the plane's membership table
+// (ring/Members) from the first shard that answers: it proves the plane
+// reachable, and yields the membership epoch, the committed address list —
+// whose order is the placement contract, so a client handed yesterday's list
+// converges right here — and the replication factor R. A shard that is down
+// at connect time does not abort the join: connections are built lazily and
+// heal when the shard restarts, so a new client can attach to a degraded
+// plane exactly as an old client rides through the degradation. Only a plane
+// with EVERY shard unreachable refuses the connect.
 //
-// With WithReplicas(R>1) the connections become failover-aware range slots
-// instead of fixed per-shard links (see failover.go). Without it the set is
-// elastic: it follows committed AddShard/DrainShard membership changes.
+// R also decides the reconnect budget of the connections: short when a
+// range has a successor to fail over to, rpc's default when it has not.
 func ConnectSharded(addrs []string, opts ...ShardOption) (*ShardSet, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("core: connect sharded: empty membership")
 	}
-	var o shardOptions
+	t := dht.Membership{Addrs: addrs}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&t)
 	}
-	if o.replicas > len(addrs) {
-		o.replicas = len(addrs)
-	}
-	if o.replicas > 1 {
-		return connectFailover(addrs, o.replicas)
-	}
-	shards := make([]*Comms, 0, len(addrs))
 	var dialErrs []error
 	for i, addr := range addrs {
-		c, err := Connect(addr)
+		c, err := rpc.Dial(addr, rpc.WithCallTimeout(repl.DefaultProbeTimeout))
 		if err != nil {
 			dialErrs = append(dialErrs, fmt.Errorf("core: connect shard %d of %d: %w", i, len(addrs), err))
-			c = commsFrom(rpc.DialAutoLazy(addr, rpc.WithCallTimeout(DefaultCallTimeout)))
+			continue
 		}
-		shards = append(shards, c)
-	}
-	if len(dialErrs) == len(addrs) {
-		for _, s := range shards {
-			s.Close()
-		}
-		return nil, errors.Join(dialErrs...)
-	}
-	set := NewShardSet(shards...)
-	set.view.addrs = append([]string(nil), addrs...)
-	set.dial = func(addr string) *Comms {
-		return commsFrom(rpc.DialAutoLazy(addr, rpc.WithCallTimeout(DefaultCallTimeout)))
-	}
-	// Learn the plane's membership epoch up front (best-effort): a client
-	// handed yesterday's address list converges on the committed membership
-	// right here, and the locator cache learns which epoch its entries
-	// resolve under so a later bump flushes them.
-	set.Refresh()
-	return set, nil
-}
-
-// connectFailover builds the replicated-plane client: one shared router
-// over the physical shard connections, and one failoverClient-backed Comms
-// per key range. Like the unreplicated connect, it only refuses when the
-// whole plane is unreachable.
-func connectFailover(addrs []string, replicas int) (*ShardSet, error) {
-	var dialErrs []error
-	reachable := false
-	for i, addr := range addrs {
-		c, err := rpc.Dial(addr, rpc.WithCallTimeout(failoverProbeTimeout))
-		if err == nil {
-			c.Close()
-			reachable = true
+		answer, err := fetchRing(c)
+		c.Close()
+		if err == nil && len(answer.Addrs) > 0 {
+			t = answer
 			break
 		}
-		dialErrs = append(dialErrs, fmt.Errorf("core: connect shard %d of %d: %w", i, len(addrs), err))
 	}
-	if !reachable {
+	if len(dialErrs) == len(addrs) {
 		return nil, errors.Join(dialErrs...)
 	}
-	router := newFailoverRouter(addrs, replicas)
-	shards := make([]*Comms, len(addrs))
-	for i := range shards {
-		shards[i] = commsFrom(&failoverClient{r: router, rangeID: i})
+	set := &ShardSet{
+		cache: newLocatorCache(defaultLocatorCacheSize),
+		conns: make(map[string]rpc.Client),
 	}
-	set := NewShardSet(shards...)
-	set.router = router
-	// A promotion moves a range's rows to another physical host, so cached
-	// locator endpoints of that range may now be dead — drop them and let
-	// the next fetch re-resolve through the promoted owner.
-	router.onReroute = func(rangeID, _ int) {
-		set.cache.invalidateRange(set.currentView().place, rangeID)
+	if t.Replicas > 1 {
+		set.dial = func(addr string) rpc.Client {
+			return rpc.DialAutoLazyN(addr, failoverDialAttempts, rpc.WithCallTimeout(DefaultCallTimeout))
+		}
+	} else {
+		set.dial = func(addr string) rpc.Client {
+			return rpc.DialAutoLazy(addr, rpc.WithCallTimeout(DefaultCallTimeout))
+		}
 	}
+	set.view = set.newView(t)
+	set.cache.setEpoch(t.Epoch)
 	return set, nil
 }
 
-// NewShardSet assembles a shard router over already-connected Comms (TCP,
-// local, or mixed), in membership order.
+// NewShardSet assembles a static set over already-connected Comms (local,
+// TCP, or mixed), in membership order: slot i IS shard i, for good.
 func NewShardSet(shards ...*Comms) *ShardSet {
 	if len(shards) == 0 {
 		panic("core: shard set over zero shards")
 	}
 	return &ShardSet{
 		view: &shardView{
-			shards: shards,
-			place:  dht.NewPlacement(len(shards)),
+			place: dht.NewPlacement(len(shards)),
+			owner: identity(len(shards)),
+			slots: shards,
 		},
 		cache: newLocatorCache(defaultLocatorCacheSize),
 	}
 }
 
-// shardSetOf wraps a single service connection as a degenerate one-shard
-// set — the adapter that keeps the pre-sharding Comms constructors working.
-func shardSetOf(c *Comms) *ShardSet { return NewShardSet(c) }
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
 
-// currentView returns the membership view to run one operation against.
+// newView builds the view of a membership table: every range owned by its
+// home shard, one fresh slot per range.
+func (s *ShardSet) newView(t dht.Membership) *shardView {
+	n := len(t.Addrs)
+	v := &shardView{
+		epoch:    t.Epoch,
+		addrs:    append([]string(nil), t.Addrs...),
+		replicas: min(t.Replicas, n),
+		place:    dht.NewPlacement(n),
+		owner:    identity(n),
+		slots:    make([]*Comms, n),
+	}
+	for r, addr := range v.addrs {
+		v.slots[r] = commsFrom(&slot{set: s, rangeID: r, epoch: v.epoch, home: addr})
+	}
+	return v
+}
+
+// install makes next the current view and tells the locator cache what the
+// move invalidated: everything when the membership epoch changed (key ranges
+// moved), the ranges whose owner moved otherwise — their cached endpoints may
+// belong to the dead shard, and the promoted owner must be re-consulted. It
+// is the one place a view is swapped; the caller holds s.mu.
+func (s *ShardSet) install(next *shardView) {
+	prev := s.view
+	s.view = next
+	if next.epoch != prev.epoch {
+		s.cache.setEpoch(next.epoch)
+		return
+	}
+	for r, owner := range next.owner {
+		if owner != prev.owner[r] {
+			s.cache.invalidateRange(next.place, r)
+		}
+	}
+}
+
+// currentView returns the view to run one operation against.
 func (s *ShardSet) currentView() *shardView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.view
 }
 
-// elastic reports whether this set follows membership changes.
-func (s *ShardSet) elastic() bool { return s.dial != nil && s.router == nil }
+// conn returns (building lazily) the set's one connection to addr. A closed
+// set builds none: a call racing Close must not leave a connection behind
+// that nobody will close. The caller holds s.mu.
+func (s *ShardSet) conn(addr string) (rpc.Client, error) {
+	if s.closed {
+		return nil, errSetClosed
+	}
+	c, ok := s.conns[addr]
+	if !ok {
+		c = s.dial(addr) // lazy: touches no network
+		s.conns[addr] = c
+	}
+	return c, nil
+}
 
 // Epoch returns the membership epoch of the current view (0 until the
-// plane's epoch has been learned, and always on sets that do not follow
-// membership changes).
+// plane's epoch has been learned, and always on static sets).
 func (s *ShardSet) Epoch() uint64 { return s.currentView().epoch }
 
 // N returns the number of shards.
-func (s *ShardSet) N() int { return len(s.currentView().shards) }
+func (s *ShardSet) N() int { return len(s.currentView().slots) }
 
 // ShardOf returns the index of uid's home shard.
 func (s *ShardSet) ShardOf(uid data.UID) int {
@@ -246,42 +279,30 @@ func (s *ShardSet) ShardOf(uid data.UID) int {
 }
 
 // For returns the service connection of uid's home shard.
-func (s *ShardSet) For(uid data.UID) *Comms {
-	v := s.currentView()
-	return v.shards[v.place.ShardOf(string(uid))]
-}
+func (s *ShardSet) For(uid data.UID) *Comms { return s.currentView().home(uid) }
 
 // Shard returns the i-th shard's connection.
-func (s *ShardSet) Shard(i int) *Comms { return s.currentView().shards[i] }
+func (s *ShardSet) Shard(i int) *Comms { return s.currentView().slots[i] }
 
-// Shards returns the shard connections in membership order. The slice is
-// shared; do not mutate it.
-func (s *ShardSet) Shards() []*Comms { return s.currentView().shards }
+// OwnerOf returns the physical shard currently serving range i: i itself
+// until a failover promotes a successor.
+func (s *ShardSet) OwnerOf(i int) int { return s.currentView().owner[i] }
 
-// OwnerOf returns the physical shard currently serving range i: i itself on
-// an unreplicated plane, possibly a promoted successor on a replicated one.
-// Callers that fan out per shard use it to visit each live host once.
-func (s *ShardSet) OwnerOf(i int) int {
-	if s.router == nil {
-		return i
-	}
-	return s.router.ownerOf(i)
-}
-
-// RoundTrips sums the request frames sent to every shard.
+// RoundTrips sums the request frames sent to every shard: over the Comms a
+// static set was given, and over the physical connections TCP slots share
+// (such slots count none themselves). Benchmarks read it around every
+// operation, so it allocates nothing.
 func (s *ShardSet) RoundTrips() uint64 {
-	if s.router != nil {
-		// Range slots share the router's physical connections; counting
-		// per-slot would double-count shared frames, so ask the router once.
-		return s.router.RoundTrips()
-	}
 	s.mu.Lock()
-	conns := append([]*Comms(nil), s.view.shards...)
-	conns = append(conns, s.orphans...)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	var total uint64
-	for _, c := range conns {
+	for _, c := range s.view.slots {
 		total += c.RoundTrips()
+	}
+	for _, c := range s.conns {
+		if n, ok := rpc.RoundTrips(c); ok {
+			total += n
+		}
 	}
 	return total
 }
@@ -293,17 +314,21 @@ func (s *ShardSet) LocatorCacheStats() (hits, misses uint64) {
 	return s.cache.stats()
 }
 
-// Close releases every shard connection (including connections orphaned by
-// membership changes), returning the first error.
+// Close releases every connection the set holds (including those of shards
+// that left the membership), returning the first error.
 func (s *ShardSet) Close() error {
 	s.mu.Lock()
-	conns := append([]*Comms(nil), s.view.shards...)
-	conns = append(conns, s.orphans...)
-	s.orphans = nil
 	s.closed = true
+	closing := make([]io.Closer, 0, len(s.view.slots)+len(s.conns))
+	for _, c := range s.view.slots {
+		closing = append(closing, c)
+	}
+	for _, c := range s.conns {
+		closing = append(closing, c)
+	}
 	s.mu.Unlock()
 	var first error
-	for _, c := range conns {
+	for _, c := range closing {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -312,43 +337,44 @@ func (s *ShardSet) Close() error {
 }
 
 // fetchRing reads the membership table one shard serves.
-func fetchRing(c *Comms) (dht.Membership, error) {
+func fetchRing(c rpc.Client) (dht.Membership, error) {
 	var t dht.Membership
-	calls := []*rpc.Call{rpc.NewCall("ring", "Members", struct{}{}, &t)}
-	if err := c.CallBatch(calls); err != nil {
-		return t, err
-	}
-	return t, calls[0].Err
+	err := c.Call("ring", "Members", struct{}{}, &t)
+	return t, err
 }
 
-// Refresh re-reads the membership table from the plane and adopts it when
-// it carries a newer epoch, rebuilding the view around the new address
-// list: connections of unchanged shards are reused, departed ones are
-// orphaned (kept open), joined ones are dialed, and the locator cache is
-// flushed. Returns true when the view changed. No-op (false) on static
-// planes and while another refresh is in flight.
-func (s *ShardSet) Refresh() bool {
-	s.mu.Lock()
-	if !s.elastic() || s.closed || s.refreshing {
-		s.mu.Unlock()
-		return false
-	}
-	s.refreshing = true
-	v := s.view
-	s.mu.Unlock()
-	defer func() {
+// readMembership asks addrs, in order, for the plane's membership table and
+// adopts the first answer when it carries a newer epoch than the current
+// view: a view is built around the new address list and the locator cache is
+// flushed. Returns true when the view changed.
+func (s *ShardSet) readMembership(addrs []string) bool {
+	for _, addr := range addrs {
 		s.mu.Lock()
-		s.refreshing = false
+		c, err := s.conn(addr)
 		s.mu.Unlock()
-	}()
-	for _, c := range v.shards {
-		t, err := fetchRing(c)
 		if err != nil {
+			return false
+		}
+		t, err := fetchRing(c)
+		if err != nil || len(t.Addrs) == 0 {
 			continue
 		}
-		return s.adoptTable(t)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed || t.Epoch <= s.view.epoch {
+			return false
+		}
+		s.install(s.newView(t))
+		return true
 	}
 	return false
+}
+
+// Refresh re-reads the membership table from the plane and adopts it when it
+// carries a newer epoch. Returns true when the view changed — also when a
+// concurrent caller's read changed it. No-op (false) on static sets.
+func (s *ShardSet) Refresh() bool {
+	return s.refresh(s.currentView())
 }
 
 // PollEpoch is the heartbeat-path membership probe: at most once per
@@ -356,111 +382,20 @@ func (s *ShardSet) Refresh() bool {
 // adopts any newer epoch.
 func (s *ShardSet) PollEpoch() {
 	s.mu.Lock()
-	if !s.elastic() || s.closed || time.Since(s.lastPoll) < epochPollPeriod {
+	addrs := s.view.addrs
+	if len(addrs) == 0 || s.closed || time.Since(s.lastPoll) < epochPollPeriod {
 		s.mu.Unlock()
 		return
 	}
 	s.lastPoll = time.Now()
-	v := s.view
-	idx := s.pollIdx % len(v.shards)
+	idx := s.pollIdx % len(addrs)
 	s.pollIdx++
 	s.mu.Unlock()
-	t, err := fetchRing(v.shards[idx])
-	if err == nil {
-		s.adoptTable(t)
-	}
+	s.readMembership(addrs[idx : idx+1])
 }
 
-// adoptTable swaps in a view built from a fetched membership table when the
-// table is newer than the current view. Returns true when the view changed.
-func (s *ShardSet) adoptTable(t dht.Membership) bool {
-	if len(t.Addrs) == 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.view
-	if s.closed || t.Epoch <= v.epoch {
-		return false
-	}
-	if v.epoch == 0 && sameAddrs(v.addrs, t.Addrs) {
-		// First contact with an elastic plane: learn the epoch without
-		// rebuilding (the view already matches) or flushing the cache.
-		s.view = &shardView{epoch: t.Epoch, addrs: v.addrs, shards: v.shards, place: v.place}
-		s.cache.setEpoch(t.Epoch)
-		return false
-	}
-	shards := make([]*Comms, len(t.Addrs))
-	for i, addr := range t.Addrs {
-		if i < len(v.addrs) && v.addrs[i] == addr {
-			shards[i] = v.shards[i]
-		} else {
-			shards[i] = s.dial(addr)
-		}
-	}
-	for i, c := range v.shards {
-		if i >= len(shards) || shards[i] != c {
-			// Dropped from the view, not closed: in-flight calls and reads
-			// against retained content on a drained shard still complete.
-			s.orphans = append(s.orphans, c)
-		}
-	}
-	s.view = &shardView{
-		epoch:  t.Epoch,
-		addrs:  append([]string(nil), t.Addrs...),
-		shards: shards,
-		place:  dht.NewPlacement(len(t.Addrs)),
-	}
-	s.cache.setEpoch(t.Epoch)
-	return true
-}
-
-func sameAddrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// retryElastic runs attempt and, while an elastic plane refuses it as
-// not-owner — a reshape moved its keys mid-call — reruns it under a
-// refreshed membership view, elasticRetryPasses attempts in all. It is the
-// client's one retry loop for membership changes: single-datum calls come
-// through homeCall, fan-outs re-partition inside attempt, so a batch caught
-// mid-reshape converges on the committed placement. attempt must be safe
-// to repeat wholesale (a not-owner refusal precedes execution, and all
-// batch writes on this plane are put-overwrite idempotent). All other
-// errors — including deadlines, which may have executed — return unretried.
-func (s *ShardSet) retryElastic(attempt func() error) error {
-	var err error
-	for pass := 0; pass < elasticRetryPasses; pass++ {
-		if pass > 0 && !s.Refresh() {
-			// The new membership has not committed yet (cutover-to-commit
-			// window); give it a beat and look again.
-			time.Sleep(elasticRetryBackoff)
-			s.Refresh()
-		}
-		err = attempt()
-		if err == nil || !s.elastic() || !repl.IsNotOwner(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// homeCall runs fn against uid's home shard, re-resolved on every
-// retryElastic pass.
-func (s *ShardSet) homeCall(uid data.UID, fn func(c *Comms) error) error {
-	return s.retryElastic(func() error { return fn(s.For(uid)) })
-}
-
-// partition groups the indexes 0..n-1 by the home shard of uidAt(i) under
-// this view, preserving order inside each group. Only shards that receive
+// partition groups the indexes 0..n-1 by the home range of uidAt(i) under
+// this view, preserving order inside each group. Only ranges that receive
 // at least one index appear in the map.
 func (v *shardView) partition(n int, uidAt func(int) data.UID) map[int][]int {
 	groups := make(map[int][]int)
@@ -481,14 +416,14 @@ func (v *shardView) eachShard(groups map[int][]int, fn func(shard int, c *Comms,
 	}
 	if len(groups) == 1 {
 		for shard, idx := range groups {
-			return fn(shard, v.shards[shard], idx)
+			return fn(shard, v.slots[shard], idx)
 		}
 	}
 	errs := make([]error, 0, len(groups))
 	ch := make(chan error, len(groups))
 	for shard, idx := range groups {
 		go func(shard int, idx []int) {
-			ch <- fn(shard, v.shards[shard], idx)
+			ch <- fn(shard, v.slots[shard], idx)
 		}(shard, idx)
 	}
 	for range groups {

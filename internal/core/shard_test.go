@@ -7,7 +7,9 @@ import (
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
 	"bitdew/internal/data"
+	"bitdew/internal/repository"
 	"bitdew/internal/runtime"
+	"bitdew/internal/transfer"
 )
 
 // shardedHarness is a 2-shard service plane plus helpers for sharded
@@ -289,5 +291,48 @@ func TestLocatorCacheHealsAfterRestart(t *testing.T) {
 		if string(got) != string(contents[i]) {
 			t.Fatalf("fetch %s: got %q want %q", d.Name, got, contents[i])
 		}
+	}
+}
+
+// TestShardGetLooksUpInOneRoundTrip pins Get onto the one locator lookup:
+// on a cold cache the catalog's locators and the repository's fallback
+// travel in one frame to the datum's home shard, not as two sequential
+// calls. The download's own DT traffic goes over a second connection so the
+// set under test counts the lookup alone.
+func TestShardGetLooksUpInOneRoundTrip(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	writer := h.node("writer")
+	writer.SetClientOnly(true)
+	ds, contents := putWave(t, writer, 1)
+
+	set, dtSet := h.connect(), h.connect()
+	backend := repository.NewMemBackend()
+	engine := transfer.NewEngineRouted(backend, func(uid data.UID) *transfer.Client {
+		return dtSet.For(uid).DT
+	}, "reader", 1)
+	reader := core.NewBitDewSharded(set, backend, engine, "reader")
+
+	before := set.RoundTrips()
+	handle, err := reader.Get(*ds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := handle.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := set.RoundTrips() - before; got != 1 {
+		t.Errorf("Get's lookup cost %d round trips on a cold cache, want 1", got)
+	}
+	if got, err := backend.Get(string(ds[0].UID)); err != nil || string(got) != string(contents[0]) {
+		t.Fatalf("Get fetched %q, %v; want %q", got, err, contents[0])
+	}
+	if _, misses := set.LocatorCacheStats(); misses != 0 {
+		t.Errorf("Get read the locator cache (%d misses): it must only feed it", misses)
+	}
+	if err := reader.Fetch(*ds[0], ""); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := set.LocatorCacheStats(); hits != 1 {
+		t.Errorf("a fetch after Get hit the locator cache %d times, want 1: Get's lookup must feed it", hits)
 	}
 }

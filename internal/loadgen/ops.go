@@ -16,8 +16,8 @@ import (
 type PlaneConfig struct {
 	// Addrs is the plane's membership list (core.ConnectSharded order).
 	Addrs []string
-	// Replicas is the plane's replication factor; >1 makes every client
-	// connection failover-aware (core.WithReplicas).
+	// Replicas is the plane's replication factor, the client's assumption
+	// should no shard answer the membership read (core.WithReplicas).
 	Replicas int
 	// Conns is the number of shared service connections the simulated
 	// clients multiplex over — the million-client traffic model: each

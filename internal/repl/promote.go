@@ -24,7 +24,7 @@ const bootProbePasses = 50
 
 // Promote makes this shard the owner of rangeID, if every earlier candidate
 // in the range's replica set is dead. It is called remotely (by the
-// client-side failover router, or by a peer's boot check) and locally.
+// client's owner search, or by a peer's boot check) and locally.
 // A no-op when the range is already served here.
 func (n *Node) Promote(rangeID int) error {
 	cands := n.successors(rangeID)

@@ -33,8 +33,8 @@
 //     ownership claim. Failover promotion (Promote) and a reshape target's
 //     Commit both call it.
 //
-// Two triggers move a range. OWNER DIED: the client-side failover router
-// (core) asks the first LIVE successor to Promote the range; promotion
+// Two triggers move a range. OWNER DIED: a client (core.ShardSet's owner
+// search) asks the first LIVE successor to Promote the range; promotion
 // probes every earlier candidate (split-brain guard: a live earlier
 // candidate always wins). A recovered shard asks its successors who owns its
 // range BEFORE it serves: if a successor promoted while it was down, it

@@ -42,7 +42,13 @@ func (n *Node) Stage(newAddrs []string) error {
 	case n.staged != nil:
 		err = fmt.Errorf("repl: shard %d already staging a reshape (abort it first)", n.cfg.Shard)
 	case n.cfg.Replicas > 1:
-		// Failover probes and the successor walk assume a fixed circle.
+		// What is still missing is server-side. Promote's split-brain guard
+		// and the boot check address their peers through the boot-time
+		// membership (addrOf), ship targets are chosen when a range starts
+		// being served and not again when a commit changes its successors,
+		// and a move stream feeds one target where a moved range needs R
+		// followers. Clients already follow membership epochs at every R
+		// (core.ShardSet starts a fresh owner table per epoch).
 		err = fmt.Errorf("repl: shard %d: a replicated plane (R=%d) does not reshape yet", n.cfg.Shard, n.cfg.Replicas)
 	}
 	if err != nil {

@@ -69,7 +69,7 @@ func DialAutoLazy(addr string, opts ...DialOption) Client {
 
 // DialAutoLazyN is DialAutoLazy with a custom transport-retry budget:
 // calls give up after n same-address attempts instead of the default 8.
-// The failover router uses a small budget so a dead shard surfaces as
+// A client of a replicated plane uses a small budget so a dead shard surfaces as
 // ErrTransport in tens of milliseconds — fast enough to probe the range's
 // successor shards — instead of burning the full same-address backoff
 // window on an address that will not come back before the failover.

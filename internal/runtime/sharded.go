@@ -62,26 +62,6 @@ func Members(c rpc.Client) (Membership, error) {
 	return table, err
 }
 
-// DiscoverReplicas asks the plane for its replication factor R, trying each
-// shard in turn until one answers. It returns 0 — "assume unreplicated" —
-// when no shard is reachable or the plane predates replication; callers
-// pass the result to core.ConnectSharded via core.WithReplicas, so a
-// degraded discovery merely loses failover routing, never connectivity.
-func DiscoverReplicas(addrs []string) int {
-	for _, addr := range addrs {
-		c, err := rpc.Dial(addr, rpc.WithCallTimeout(2*time.Second))
-		if err != nil {
-			continue
-		}
-		table, err := Members(c)
-		c.Close()
-		if err == nil {
-			return table.Replicas
-		}
-	}
-	return 0
-}
-
 // ShardedConfig configures a sharded service plane hosted in one process.
 type ShardedConfig struct {
 	// Shards is the number of independent service containers (>= 1).
