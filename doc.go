@@ -14,10 +14,11 @@
 // The request path is batch-first end to end, because the paper's
 // evaluation (§4) shows throughput bounded by per-datum service round
 // trips. The rpc layer carries many logical calls in one frame
-// (rpc.CallBatch) and coalesces concurrent callers onto shared frames
-// (rpc.NewCoalescer); the services expose native batch endpoints
-// (catalog RegisterBatch/AddLocatorBatch/LocatorsBatch, repository
-// LocatorBatch, scheduler delta synchronization); and the core APIs build
+// (rpc.CallBatch); the services expose native batch endpoints (catalog
+// RegisterBatch/AddLocatorBatch/LocatorsBatch, repository LocatorBatch,
+// scheduler delta synchronization, the DT's report upsert, which a
+// transfer engine sends one frame of per service and round); and the core
+// APIs build
 // on them: prefer BitDew.PutAll, CreateDataBatch, FetchAll,
 // ActiveData.ScheduleAll and mw.Master.SubmitAll whenever more than one
 // datum moves — N data cost a handful of round trips instead of ~5·N. The

@@ -19,7 +19,7 @@
 //
 //  3. Errors returned by the batch-first endpoints (PutAll, FetchAll,
 //     SubmitAll, ScheduleAll, RegisterBatch, AddLocatorBatch,
-//     LocatorsBatch, OpenAll, CreateDataBatch) must not be discarded
+//     LocatorsBatch, CreateDataBatch) must not be discarded
 //     either — these aggregate many data movements; dropping one error
 //     drops N failures.
 //
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 var batchEndpoints = map[string]bool{
 	"PutAll": true, "FetchAll": true, "SubmitAll": true, "ScheduleAll": true,
 	"RegisterBatch": true, "AddLocatorBatch": true, "LocatorsBatch": true,
-	"OpenAll": true, "CreateDataBatch": true,
+	"CreateDataBatch": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

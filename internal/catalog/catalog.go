@@ -340,6 +340,11 @@ func (c *Client) RegisterBatchCall(ds []data.Data) *rpc.Call {
 	return rpc.NewCall(ServiceName, "RegisterBatch", ds, nil)
 }
 
+// AddLocatorBatchCall builds the batchable form of AddLocatorBatch.
+func (c *Client) AddLocatorBatchCall(ls []data.Locator) *rpc.Call {
+	return rpc.NewCall(ServiceName, "AddLocatorBatch", ls, nil)
+}
+
 // LocatorsBatchCall builds the batchable form of LocatorsBatch, decoding
 // into reply.
 func (c *Client) LocatorsBatchCall(uids []data.UID, reply *[][]data.Locator) *rpc.Call {

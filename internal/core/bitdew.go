@@ -178,20 +178,19 @@ func (b *BitDew) storeFile(d *data.Data, path string) error {
 // Put copies content into the datum's slot: local storage, upload to the
 // Data Repository, and catalog registration of meta-information and
 // locator. It blocks until the permanent copy is safe, mirroring
-// bitdew.put(data, file). It is the single-datum wrapper over PutAll;
-// prefer PutAll when several data move together — it collapses the 4
-// sequential service round trips per datum into 2 per shard for the whole
-// batch.
+// bitdew.put(data, file). It is the single-datum wrapper over PutAll: two
+// service round trips, as for a whole batch homed on one shard — prefer
+// PutAll when several data move together.
 func (b *BitDew) Put(d *data.Data, content []byte) error {
 	return b.PutAll([]*data.Data{d}, [][]byte{content})
 }
 
 // PutAll is the batch-first Put: the data are partitioned onto their home
 // shards and each shard runs the two-round-trip batch protocol
-// (RegisterBatch + LocatorBatch in one frame, uploads out-of-band, one
-// AddLocatorBatch) — the per-shard frames in parallel, so N shards see
-// N-way concurrent distribution of one wave. Each datum's meta-information
-// is updated in place.
+// (RegisterBatch + LocatorBatch in one frame, uploads out-of-band, their DT
+// reports + AddLocatorBatch in the second) — the per-shard frames in
+// parallel, so N shards see N-way concurrent distribution of one wave. Each
+// datum's meta-information is updated in place.
 func (b *BitDew) PutAll(ds []*data.Data, contents [][]byte) error {
 	if len(ds) != len(contents) {
 		return fmt.Errorf("bitdew: putAll: %d data but %d contents", len(ds), len(contents))
@@ -260,9 +259,8 @@ func (b *BitDew) putShard(c *Comms, ds []*data.Data) error {
 		}
 	}
 
-	// Uploads go out-of-band, concurrently, bounded by the engine; their DT
-	// registrations share one batch frame (UploadAll) and their completion
-	// reports coalesce on the DT client.
+	// Uploads go out-of-band, concurrently, bounded by the engine, which
+	// leaves their DT reports for the frame below.
 	handles := b.engine.UploadAll(regs, locs)
 	var errs []error
 	for i, h := range handles {
@@ -270,12 +268,24 @@ func (b *BitDew) putShard(c *Comms, ds []*data.Data) error {
 			errs = append(errs, fmt.Errorf("bitdew: put %s: upload: %w", ds[i].Name, err))
 		}
 	}
+
+	// Round trip 2: the uploads' DT reports and, behind them (a frame's calls
+	// run in order), every locator published at once. After a failed upload
+	// the reports go out alone and nothing is published.
+	commit := b.engine.TakeReports(c.DT)
+	publish := c.DC.AddLocatorBatchCall(locs)
+	if len(errs) == 0 {
+		commit = append(commit, publish)
+	}
+	//vet:ignore errlost the DT reports riding in front are monitoring only, so their per-call errors are dropped by design; the publish call's own Err is checked below
+	err := c.CallBatch(commit)
 	if len(errs) > 0 {
 		return errors.Join(errs...)
 	}
-
-	// Round trip 2: publish every locator at once.
-	if err := c.DC.AddLocatorBatch(locs); err != nil {
+	if err == nil {
+		err = publish.Err
+	}
+	if err != nil {
 		return fmt.Errorf("bitdew: putAll: publish locators: %w", err)
 	}
 	return nil
@@ -328,6 +338,13 @@ func (b *BitDew) Fetch(d data.Data, protocol string) error {
 // candidates all fail retries once with fresh locators from the wire, so a
 // stale cache heals instead of stranding the datum.
 func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
+	return b.fetchAll(ds, protocol, func(int, error) {})
+}
+
+// fetchAll is FetchAll with a completion hook: landed is called once per
+// datum with its outcome as soon as that is known, from the goroutine that
+// fetched it.
+func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, err error)) error {
 	if len(ds) == 0 {
 		return nil
 	}
@@ -347,31 +364,36 @@ func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
 
 	var wg sync.WaitGroup
 	for i, d := range ds {
-		if errs[i] != nil {
-			// The datum's home shard refused the lookup frame (e.g. the
-			// shard is down); only ITS data fail — the rest of the batch
-			// still fetches.
-			continue
-		}
 		locs := candidates[i]
-		if len(locs) == 0 {
+		if errs[i] == nil && len(locs) == 0 {
 			errs[i] = fmt.Errorf("bitdew: no locator for %s", d.Name)
+		}
+		if errs[i] != nil {
+			// Also when the datum's home shard refused the lookup frame (e.g.
+			// the shard is down): only ITS data fail — the rest of the batch
+			// still fetches.
+			landed(i, errs[i])
 			continue
 		}
+		// Every datum's first transfer starts here, before any is waited
+		// for: the engine then knows the whole round is in flight, and each
+		// DT service hears of it in one report frame when its last ends.
+		first := b.engine.Download(d, locs[0])
 		wg.Add(1)
-		go func(i int, d data.Data, locs []data.Locator) {
+		go func(i int, d data.Data) {
 			defer wg.Done()
-			err := b.download(d, locs)
+			err := b.download(d, first, locs[1:])
 			if err != nil && fromCache[i] {
 				// The cached locators all failed: drop them and retry once
 				// against fresh ones from the service plane.
 				b.set.cache.invalidate(d.UID)
 				if fresh, ferr := b.freshLocators(d, protocol); ferr == nil {
-					err = b.download(d, fresh)
+					err = b.download(d, b.engine.Download(d, fresh[0]), fresh[1:])
 				}
 			}
 			errs[i] = err
-		}(i, d, locs)
+			landed(i, err)
+		}(i, d)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -470,17 +492,17 @@ func (b *BitDew) lookupLocatorsOnce(v *shardView, ds []data.Data, protocol strin
 	return out
 }
 
-// download fetches d through the first working candidate locator.
-func (b *BitDew) download(d data.Data, locs []data.Locator) error {
-	var lastErr error
-	for _, loc := range locs {
-		if err := b.engine.Download(d, loc).Wait(); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
+// download waits for d's transfer h and, while that fails, tries the rest of
+// the candidate locators in turn.
+func (b *BitDew) download(d data.Data, h *transfer.Handle, rest []data.Locator) error {
+	err := h.Wait()
+	for i := 0; err != nil && i < len(rest); i++ {
+		err = b.engine.Download(d, rest[i]).Wait()
 	}
-	return fmt.Errorf("bitdew: fetching %s: all %d locators failed: %w", d.Name, len(locs), lastErr)
+	if err != nil {
+		return fmt.Errorf("bitdew: fetching %s: all %d locators failed: %w", d.Name, 1+len(rest), err)
+	}
+	return nil
 }
 
 // GetFile is a blocking Get writing the content to a local file.

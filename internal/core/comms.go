@@ -88,13 +88,9 @@ func ConnectLocal(m *rpc.Mux) *Comms {
 
 func commsFrom(c rpc.Client) *Comms {
 	return &Comms{
-		DC: catalog.NewClient(c),
-		DR: repository.NewClient(c),
-		// The DT control plane is called concurrently by every in-flight
-		// transfer; a coalescer merges those reports into shared batch
-		// frames. The other services stay on the bare (still pipelined)
-		// client: their calls are latency-sensitive and sequential.
-		DT:     transfer.NewClient(rpc.NewCoalescer(c)),
+		DC:     catalog.NewClient(c),
+		DR:     repository.NewClient(c),
+		DT:     transfer.NewClient(c),
 		DS:     scheduler.NewClient(c),
 		client: c,
 	}

@@ -71,9 +71,11 @@ type Node struct {
 	// fast instead of hanging on a wedged transfer.
 	waitTimeout time.Duration
 
-	mu         sync.Mutex
-	cache      map[data.UID]cacheEntry
-	inflight   map[data.UID]bool
+	mu       sync.Mutex
+	cache    map[data.UID]cacheEntry
+	inflight map[data.UID]bool
+	// idle, while a SyncWait waits on it, is closed by whatever empties inflight.
+	idle       chan struct{}
 	lastErr    error
 	clientOnly bool
 	// syncMu serializes heartbeat rounds: the delta protocol is stateful
@@ -263,9 +265,7 @@ func (n *Node) SyncOnce() error {
 	}
 
 	// Fetch Ψk \ Δk.
-	for _, as := range res.Fetch {
-		n.startFetch(as)
-	}
+	n.startFetches(res.Fetch)
 	return err
 }
 
@@ -430,54 +430,71 @@ func (n *Node) heartbeatShard(owner int, c *Comms, current map[data.UID]bool, cl
 	return res, nil
 }
 
-// startFetch begins downloading one assignment unless already in flight.
-func (n *Node) startFetch(as scheduler.Assignment) {
+// startFetches begins downloading a round's assignments not yet held or in
+// flight: one FetchAll per transfer protocol, so the round costs each home
+// shard one lookup and one DT report frame however many data it assigned.
+func (n *Node) startFetches(assigned []scheduler.Assignment) {
+	byProtocol := make(map[string][]scheduler.Assignment)
 	n.mu.Lock()
-	if n.inflight[as.Data.UID] {
-		n.mu.Unlock()
-		return
+	for _, as := range assigned {
+		_, cached := n.cache[as.Data.UID]
+		if cached || n.inflight[as.Data.UID] {
+			continue
+		}
+		n.inflight[as.Data.UID] = true
+		byProtocol[as.Attr.Protocol] = append(byProtocol[as.Attr.Protocol], as)
 	}
-	if _, cached := n.cache[as.Data.UID]; cached {
-		n.mu.Unlock()
-		return
-	}
-	n.inflight[as.Data.UID] = true
 	n.mu.Unlock()
 
-	finish := func(ok bool) {
+	for protocol, group := range byProtocol {
+		ds := make([]data.Data, 0, len(group))
+		fetching := group[:0]
+		for _, as := range group {
+			// Empty slots (created but never filled, e.g. a Collector) have
+			// no content to move: adopt them directly.
+			if as.Data.Size == 0 && as.Data.Checksum == "" {
+				n.landed(as, n.backend.Put(string(as.Data.UID), nil) == nil)
+				continue
+			}
+			ds = append(ds, as.Data)
+			fetching = append(fetching, as)
+		}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			// Each datum's verdict arrives through the hook, as it lands.
+			_ = n.BitDew.fetchAll(ds, protocol, func(i int, err error) {
+				n.landed(fetching[i], err == nil)
+			})
+		}()
+	}
+}
+
+// landed takes one assignment out of flight. When its content arrived it
+// enters the cache and its copy event fires first, so a SyncWait that sees
+// nothing in flight also sees every handler of the round returned (a copy
+// handler must therefore not call SyncWait on its own node).
+func (n *Node) landed(as scheduler.Assignment, ok bool) {
+	if ok {
 		n.mu.Lock()
-		delete(n.inflight, as.Data.UID)
-		if ok {
-			n.cache[as.Data.UID] = cacheEntry{d: as.Data, a: as.Attr}
-		}
+		n.cache[as.Data.UID] = cacheEntry{d: as.Data, a: as.Attr}
 		n.mu.Unlock()
-		if ok {
-			n.ActiveData.fireCopy(Event{Data: as.Data, Attr: as.Attr})
-		}
+		n.ActiveData.fireCopy(Event{Data: as.Data, Attr: as.Attr})
 	}
-
-	// Empty slots (created but never filled, e.g. a Collector) have no
-	// content to move: adopt them directly.
-	if as.Data.Size == 0 && as.Data.Checksum == "" {
-		if err := n.backend.Put(string(as.Data.UID), nil); err != nil {
-			finish(false)
-			return
-		}
-		finish(true)
-		return
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.inflight, as.Data.UID)
+	if len(n.inflight) == 0 && n.idle != nil {
+		close(n.idle)
+		n.idle = nil
 	}
-
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		finish(n.BitDew.Fetch(as.Data, as.Attr.Protocol) == nil)
-	}()
 }
 
 // SyncWait runs SyncOnce rounds until the node's cache is quiescent: no
 // transfers in flight and a final round neither fetched nor dropped
-// anything. It is the deterministic driver used by tests and examples.
-// Each round's wait for in-flight transfers is bounded (DefaultWaitTimeout,
+// anything. It is the deterministic driver used by tests and examples: a
+// round is over when its last fetch has landed and its copy handlers have
+// returned. Each round's wait for in-flight transfers is bounded (DefaultWaitTimeout,
 // shrinkable via the node's waitTimeout): a transfer wedged on a dead peer
 // turns into an error here instead of a hung caller.
 func (n *Node) SyncWait(rounds int) error {
@@ -489,20 +506,27 @@ func (n *Node) SyncWait(rounds int) error {
 		if err := n.SyncOnce(); err != nil {
 			return err
 		}
-		// Wait for in-flight downloads from this round, up to the deadline.
-		deadline := time.Now().Add(timeout)
+		// Wait for in-flight downloads from this round, up to the deadline:
+		// the fetch that lands last closes idle.
+		deadline := time.NewTimer(timeout)
 		for {
 			n.mu.Lock()
 			busy := len(n.inflight)
+			if busy > 0 && n.idle == nil {
+				n.idle = make(chan struct{})
+			}
+			idle := n.idle
 			n.mu.Unlock()
 			if busy == 0 {
 				break
 			}
-			if time.Now().After(deadline) {
+			select {
+			case <-idle:
+			case <-deadline.C:
 				return fmt.Errorf("core: SyncWait round %d: %d transfer(s) still in flight after %v", i, busy, timeout)
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
+		deadline.Stop()
 	}
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"bitdew/internal/attr"
 	"bitdew/internal/catalog"
+	"bitdew/internal/data"
 	"bitdew/internal/db"
 	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
@@ -63,5 +65,86 @@ func TestSyncWaitBounded(t *testing.T) {
 	n.mu.Unlock()
 	if err := n.SyncWait(1); err != nil {
 		t.Fatalf("SyncWait after the transfer cleared: %v", err)
+	}
+}
+
+// blockedTransfer is a download that announces itself, then lands its
+// content only when the test lets it.
+type blockedTransfer struct {
+	uid      string
+	content  []byte
+	backend  repository.Backend
+	entered  chan struct{}
+	released chan struct{}
+}
+
+func (b *blockedTransfer) Connect() error    { return nil }
+func (b *blockedTransfer) Disconnect() error { return nil }
+func (b *blockedTransfer) Send() error       { return nil }
+func (b *blockedTransfer) Probe() (transfer.Progress, error) {
+	return transfer.Progress{Total: int64(len(b.content))}, nil
+}
+func (b *blockedTransfer) Receive() error {
+	b.entered <- struct{}{}
+	<-b.released
+	return b.backend.Put(b.uid, b.content)
+}
+
+// TestSyncWaitReturnsWithLastTransfer: SyncWait blocks on the round's
+// fetches themselves — it is still waiting while a transfer runs, and is
+// back, with the datum's copy handler already returned, as soon as the
+// transfer lands. It used to poll the in-flight table every 5 ms.
+func TestSyncWaitReturnsWithLastTransfer(t *testing.T) {
+	n := newWaitTestNode(t)
+	d := data.NewFromBytes("slow", []byte("content that takes its time"))
+	bt := &blockedTransfer{
+		uid: string(d.UID), content: []byte("content that takes its time"), backend: n.Backend(),
+		entered: make(chan struct{}, 1), released: make(chan struct{}),
+	}
+	transfer.RegisterProtocol("blocked", func(data.Data, data.Locator, repository.Backend) (transfer.OOBTransfer, error) {
+		return bt, nil
+	})
+	c := n.set.For(d.UID)
+	if err := c.DC.Register(*d); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DC.AddLocator(data.Locator{DataUID: d.UID, Protocol: "blocked", Host: "test", Ref: string(d.UID)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ActiveData.Schedule(*d, attr.Attribute{Name: "slow", Replica: 1, Protocol: "blocked"}); err != nil {
+		t.Fatal(err)
+	}
+	copied := make(chan struct{})
+	n.ActiveData.AddCallback(EventHandler{OnDataCopy: func(Event) { close(copied) }})
+
+	done := make(chan error, 1)
+	go func() { done <- n.SyncWait(1) }()
+	<-bt.entered
+	select {
+	case err := <-done:
+		t.Fatalf("SyncWait returned (%v) while its transfer was still running", err)
+	default:
+	}
+	close(bt.released)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SyncWait still waiting 10s after its only transfer landed")
+	}
+	select {
+	case <-copied:
+	default:
+		t.Error("SyncWait returned before the datum's copy handler had")
+	}
+	if !n.Holds(d.UID) {
+		t.Error("the datum did not land")
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.idle != nil || len(n.inflight) != 0 {
+		t.Errorf("after the round: idle=%v, %d in flight", n.idle, len(n.inflight))
 	}
 }

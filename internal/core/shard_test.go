@@ -196,8 +196,8 @@ func TestShardedDeleteRoutesHome(t *testing.T) {
 // TestLocatorCacheSkipsWire pins the cache contract: the second FetchAll
 // of the same data answers every locator lookup from the cache — no
 // lookup misses, one hit per datum. (The downloads themselves still
-// produce DT monitoring traffic; the cache removes the catalog/repository
-// lookup frames, which the round-trip comparison below shows.)
+// report to the DT; the cache removes the catalog/repository lookup frames,
+// which the round-trip counts below show.)
 func TestLocatorCacheSkipsWire(t *testing.T) {
 	h := newShardedHarness(t, 2)
 	set := h.connect()
@@ -234,12 +234,14 @@ func TestLocatorCacheSkipsWire(t *testing.T) {
 	if hits != uint64(len(ds)) {
 		t.Fatalf("second fetch: %d cache hits for %d data", hits, len(ds))
 	}
-	// The warm fetch drops the 2 per-shard lookup frames; only the DT
-	// monitoring traffic (whose coalescing can vary by a frame) remains,
-	// so allow that one frame of jitter — the hit/miss assertions above
-	// are the real cache gate.
-	if warmTrips > coldTrips+1 {
-		t.Fatalf("cached fetch cost %d round trips, cold fetch %d — cache saved nothing", warmTrips, coldTrips)
+	// The warm fetch drops the per-shard lookup frames; what remains is the
+	// one DT report frame per home shard.
+	homes := map[int]bool{}
+	for _, d := range ds {
+		homes[set.ShardOf(d.UID)] = true
+	}
+	if s := uint64(len(homes)); coldTrips != 2*s || warmTrips != s {
+		t.Fatalf("cold fetch cost %d round trips, cached fetch %d; want %d and %d", coldTrips, warmTrips, 2*s, s)
 	}
 }
 

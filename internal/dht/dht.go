@@ -31,7 +31,9 @@ type ID uint64
 
 // HashID maps a string key or node name onto the identifier circle.
 func HashID(s string) ID {
-	sum := md5.Sum([]byte(s))
+	// On the stack: []byte(s) of a 35-byte UID allocates on every placement.
+	var buf [64]byte
+	sum := md5.Sum(append(buf[:0], s...))
 	return ID(binary.BigEndian.Uint64(sum[:8]))
 }
 

@@ -122,30 +122,4 @@ func BenchmarkRPCHotPath(b *testing.B) {
 			}
 		}
 	})
-
-	b.Run("coalesced", func(b *testing.B) {
-		srv, err := Listen("127.0.0.1:0", hotMux())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		co := NewCoalescer(c)
-		defer co.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				var r hotReply
-				if err := co.Call("dc", "touch", hotCallArgs(i), &r); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-	})
 }

@@ -170,7 +170,9 @@ func TestSyncDeltaOverRPC(t *testing.T) {
 		t.Fatalf("fetch = %+v", r.Fetch)
 	}
 	r2, err := c.SyncDelta(SyncDeltaArgs{Host: "h1", Epoch: r.Epoch, Added: []data.UID{d.UID}})
-	if err != nil || r2.Resync || len(r2.Keep) != 1 {
+	// Over the wire the answer says what changes (Drop, Fetch), not what
+	// stays: Keep would echo the host's whole cache on every heartbeat.
+	if err != nil || r2.Resync || len(r2.Drop) != 0 || len(r2.Fetch) != 0 || len(r2.Keep) != 0 {
 		t.Fatalf("delta heartbeat: %+v, %v", r2, err)
 	}
 }

@@ -55,7 +55,11 @@ func (s *Service) Mount(m *rpc.Mux) {
 		return s.SyncAs(a.Host, a.Cache, a.ClientOnly), nil
 	})
 	rpc.Register(m, ServiceName, "SyncDelta", func(a SyncDeltaArgs) (SyncDeltaResult, error) {
-		return s.SyncDelta(a.Host, a.Epoch, a.Full, a.Added, a.Removed, a.ClientOnly), nil
+		res := s.SyncDelta(a.Host, a.Epoch, a.Full, a.Added, a.Removed, a.ClientOnly)
+		// The answer to a delta must not be as large as the cache: the host
+		// knows what it holds, and whatever is not in Drop stays.
+		res.Keep = nil
+		return res, nil
 	})
 	rpc.Register(m, ServiceName, "Owners", func(uid data.UID) ([]string, error) {
 		return s.Owners(uid), nil

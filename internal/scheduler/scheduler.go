@@ -341,7 +341,11 @@ func (s *Service) SyncAs(host string, cache []data.UID, clientOnly bool) SyncRes
 	// A full report supersedes any delta session: drop it so a host mixing
 	// the two protocols gets a clean resync on its next delta.
 	delete(s.sessions, host)
-	return s.syncLocked(host, cache, clientOnly)
+	inCache := make(map[data.UID]bool, len(cache))
+	for _, uid := range cache {
+		inCache[uid] = true
+	}
+	return s.syncLocked(host, inCache, clientOnly)
 }
 
 // SyncDelta is the delta heartbeat: instead of reshipping its full cache Δk
@@ -372,19 +376,15 @@ func (s *Service) SyncDelta(host string, epoch uint64, full bool, added, removed
 		}
 	}
 	sess.epoch++
-	cache := make([]data.UID, 0, len(sess.cache))
-	for uid := range sess.cache {
-		cache = append(cache, uid)
-	}
 	return SyncDeltaResult{
-		SyncResult: s.syncLocked(host, cache, clientOnly),
+		SyncResult: s.syncLocked(host, sess.cache, clientOnly),
 		Epoch:      sess.epoch,
 	}
 }
 
 // syncLocked is the shared body of SyncAs and SyncDelta (Algorithm 1 against
-// an explicit cache set). Callers hold s.mu.
-func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) SyncResult {
+// an explicit cache set, which it only reads). Callers hold s.mu.
+func (s *Service) syncLocked(host string, inCache map[data.UID]bool, clientOnly bool) SyncResult {
 	s.hosts[host] = s.now()
 	// dirty collects the data whose placement membership changed this sync;
 	// they are persisted in one pass at the end (timestamp-only refreshes
@@ -392,27 +392,24 @@ func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) Syn
 	dirty := make(map[data.UID]bool)
 	s.expireOwnersLocked(dirty)
 
-	inCache := make(map[data.UID]bool, len(cache))
-	for _, uid := range cache {
-		inCache[uid] = true
-	}
-	psi := make(map[data.UID]bool)
+	// Ψk is the cache less the dropped plus the assigned: two small sets,
+	// where a copy of the cache would cost every heartbeat the cache's size.
+	dropped, assigned := make(map[data.UID]bool), make(map[data.UID]bool)
+	inPsi := func(uid data.UID) bool { return inCache[uid] && !dropped[uid] || assigned[uid] }
 	var result SyncResult
 
 	// Step 1: keep cached data that is still live.
-	for _, uid := range cache {
+	for uid := range inCache {
 		if s.gateLocked(uid) != nil {
 			// Not our range: stay non-committal. Reporting Keep (without
 			// any ownership bookkeeping) stops a rejoined ex-primary's
 			// stale Θ from ordering hosts to delete live data; the range's
 			// real owner is the authority on this datum's fate.
-			psi[uid] = true
 			result.Keep = append(result.Keep, uid)
 			continue
 		}
 		e, ok := s.theta[uid]
 		if ok && s.aliveLocked(e) {
-			psi[uid] = true
 			result.Keep = append(result.Keep, uid)
 			// Confirm ownership. Algorithm 1 refreshes Ω for fault-
 			// tolerant data; we also record first-time ownership for
@@ -427,6 +424,7 @@ func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) Syn
 				dirty[uid] = true
 			}
 		} else {
+			dropped[uid] = true
 			result.Drop = append(result.Drop, uid)
 		}
 	}
@@ -454,7 +452,7 @@ func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) Syn
 			break
 		}
 		uid := e.Data.UID
-		if psi[uid] || inCache[uid] || !s.aliveLocked(e) {
+		if inCache[uid] || !s.aliveLocked(e) {
 			continue
 		}
 		if s.gateLocked(uid) != nil {
@@ -465,7 +463,7 @@ func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) Syn
 		// Affinity is stronger than replica (§3.2): it bypasses the
 		// replica count entirely.
 		if ref := e.Attr.Affinity; ref != "" {
-			if target := s.findByRefLocked(ref); target != nil && psi[target.Data.UID] {
+			if target := s.findByRefLocked(ref); target != nil && inPsi(target.Data.UID) {
 				assign = true
 			}
 		} else if !clientOnly {
@@ -476,7 +474,7 @@ func (s *Service) syncLocked(host string, cache []data.UID, clientOnly bool) Syn
 			}
 		}
 		if assign {
-			psi[uid] = true
+			assigned[uid] = true
 			s.addOwnerLocked(uid, host)
 			dirty[uid] = true
 			result.Fetch = append(result.Fetch, Assignment{Data: e.Data, Attr: e.Attr})

@@ -7,6 +7,7 @@ import (
 
 	"bitdew/internal/data"
 	"bitdew/internal/repository"
+	"bitdew/internal/rpc"
 )
 
 // DefaultMonitorPeriod is the receiver-driven monitoring heartbeat; the
@@ -17,10 +18,10 @@ const DefaultMonitorPeriod = 500 * time.Millisecond
 const DefaultMaxAttempts = 3
 
 // Engine executes out-of-band transfers on a volatile host: it enforces a
-// concurrency level, retries and resumes faulty transfers, reports progress
-// to the DT service on the monitoring period, and verifies content
-// integrity (size + MD5) on completion. It is the machinery beneath the
-// TransferManager API.
+// concurrency level, retries and resumes faulty transfers, reports them to
+// the DT service (one reporter per service, see reporter.go), and verifies
+// content integrity (size + MD5) on completion. It is the machinery beneath
+// the TransferManager API.
 type Engine struct {
 	backend repository.Backend
 	// dtFor routes a datum's monitoring to its DT service — over a sharded
@@ -47,6 +48,8 @@ type Engine struct {
 	// is hit constantly; coalescing makes the second caller wait on the
 	// first transfer's handle instead.
 	inflight map[data.UID]*Handle
+	// reporters holds the one sender per DT service this engine reports to.
+	reporters map[*Client]*reporter
 }
 
 // NewEngine builds a transfer engine over local storage. dt may be nil
@@ -77,15 +80,8 @@ func NewEngineRouted(backend repository.Backend, dtFor func(data.UID) *Client, h
 		sem:           make(chan struct{}, concurrency),
 		handles:       make(map[data.UID][]*Handle),
 		inflight:      make(map[data.UID]*Handle),
+		reporters:     make(map[*Client]*reporter),
 	}
-}
-
-// dtOf resolves the DT client of one datum (nil when unreported).
-func (e *Engine) dtOf(uid data.UID) *Client {
-	if e.dtFor == nil {
-		return nil
-	}
-	return e.dtFor(uid)
 }
 
 // Backend exposes the engine's local storage.
@@ -96,9 +92,18 @@ type Handle struct {
 	DataUID data.UID
 	Kind    string // "download" | "upload"
 
+	// reg is the transfer's DT registration under the ID minted for it, and
+	// rep the reporter of its DT service (nil when it runs unreported). held
+	// marks an upload whose caller ships the terminal report (UploadAll).
+	reg  reportArgs
+	rep  *reporter
+	held bool
+
 	mu       sync.Mutex
+	cur      OOBTransfer // the attempt in progress, probed live
 	progress Progress
 	state    State
+	attempts int
 	err      error
 	done     chan struct{}
 
@@ -119,10 +124,20 @@ func (h *Handle) State() State {
 	return h.state
 }
 
-// Probe returns the latest observed progress without blocking.
+// Probe returns the transfer's progress without blocking: the receiver's
+// own count while an attempt is running, the last one observed otherwise.
 func (h *Handle) Probe() Progress {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.probeLocked()
+}
+
+func (h *Handle) probeLocked() Progress {
+	if h.cur != nil {
+		if p, err := h.cur.Probe(); err == nil {
+			h.progress = p
+		}
+	}
 	return h.progress
 }
 
@@ -143,68 +158,85 @@ func (h *Handle) WaitTimeout(d time.Duration) error {
 	}
 }
 
-func (h *Handle) finish(state State, err error) {
+// attach makes t the handle's running attempt, the n-th; a nil t ends it,
+// keeping the progress it reached.
+func (h *Handle) attach(t OOBTransfer, n int) {
 	h.mu.Lock()
-	h.state = state
-	h.err = err
-	h.mu.Unlock()
-	close(h.done)
+	defer h.mu.Unlock()
+	h.probeLocked()
+	h.cur, h.attempts, h.state = t, n, StateActive
+}
+
+// settle records the terminal state. Waiters wake when done closes.
+func (h *Handle) settle(state State, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.state, h.err = state, err
+	if state == StateComplete {
+		h.progress = Progress{Bytes: h.reg.Total, Total: h.reg.Total, Done: true}
+	}
+}
+
+// report is the handle's DT report as of now.
+func (h *Handle) report() reportArgs {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	a := h.reg
+	a.Bytes, a.State, a.Attempts = h.probeLocked().Bytes, h.state, h.attempts
+	if h.err != nil {
+		a.Err = h.err.Error()
+	}
+	return a
 }
 
 // Download starts fetching d from loc into local storage and returns
 // immediately (the non-blocking interface of the TransferManager API).
 func (e *Engine) Download(d data.Data, loc data.Locator) *Handle {
-	return e.start(d, loc, "download", "", false)
+	return e.start(d, loc, "download", false)
 }
 
 // Upload starts pushing d's local content to loc.
 func (e *Engine) Upload(d data.Data, loc data.Locator) *Handle {
-	return e.start(d, loc, "upload", "", false)
+	return e.start(d, loc, "upload", false)
 }
 
-// UploadAll starts one upload per (ds[i], locs[i]) pair, registering the N
-// transfers with their DT services in a single batch frame per service
-// (one per home shard, instead of one Open round trip per transfer) — the
-// engine-side leg of the batch-first request path. The transfers themselves
-// then run concurrently under the engine's usual concurrency cap.
+// UploadAll starts one upload per (ds[i], locs[i]) pair for a caller with a
+// frame of its own going to the same service once they end (Put's commit):
+// their terminal DT reports wait for TakeReports instead of leaving in a frame
+// of their own, and leave on the monitoring heartbeat if nobody takes them.
 func (e *Engine) UploadAll(ds []data.Data, locs []data.Locator) []*Handle {
-	ids := make([]data.UID, len(ds))
-	// Group the opens by DT client: a single-plane engine makes one
-	// OpenAll, a sharded one makes one per shard with uploads homed there.
-	groups := make(map[*Client][]int)
-	for i, d := range ds {
-		if dt := e.dtOf(d.UID); dt != nil {
-			groups[dt] = append(groups[dt], i)
-		}
-	}
-	for dt, idx := range groups {
-		reqs := make([]OpenRequest, len(idx))
-		for j, i := range idx {
-			reqs[j] = OpenRequest{DataUID: ds[i].UID, Protocol: locs[i].Protocol, Host: e.host, Total: ds[i].Size}
-		}
-		if opened, err := dt.OpenAll(reqs); err == nil && len(opened) == len(idx) {
-			for j, i := range idx {
-				ids[i] = opened[j]
-			}
-		}
-	}
 	handles := make([]*Handle, len(ds))
 	for i, d := range ds {
-		handles[i] = e.start(d, locs[i], "upload", ids[i], true)
+		handles[i] = e.start(d, locs[i], "upload", true)
 	}
 	return handles
 }
 
-// start launches one transfer goroutine. dtOpened marks that DT
-// registration was already attempted (the batched OpenAll); a zero dtID
-// then means the open failed and the transfer runs unreported rather than
-// re-opening against a service that just refused.
+// TakeReports hands the caller every report waiting to leave for dt, as
+// batchable calls to put in front of its own in one frame to that service.
+func (e *Engine) TakeReports(dt *Client) []*rpc.Call {
+	e.mu.Lock()
+	r := e.reporters[dt]
+	e.mu.Unlock()
+	if r == nil {
+		return nil
+	}
+	return reportCalls(r.take())
+}
+
+// start launches one transfer goroutine. The transfer is in flight at its
+// DT service from here on, not from when it wins a concurrency slot: when
+// "nothing is left in flight" must not depend on scheduling.
 //
 // Concurrent downloads of one datum coalesce: the second caller gets the
 // first transfer's handle. A download that fails leaves the inflight slot
 // free again, so a caller falling back through alternative locators still
 // launches its own fresh attempt.
-func (e *Engine) start(d data.Data, loc data.Locator, kind string, dtID data.UID, dtOpened bool) *Handle {
+func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *Handle {
+	var dt *Client
+	if e.dtFor != nil {
+		dt = e.dtFor(d.UID)
+	}
 	e.mu.Lock()
 	if kind == "download" {
 		if h := e.inflight[d.UID]; h != nil {
@@ -213,18 +245,31 @@ func (e *Engine) start(d data.Data, loc data.Locator, kind string, dtID data.UID
 		}
 	}
 	h := &Handle{DataUID: d.UID, Kind: kind, state: StatePending, done: make(chan struct{})}
+	h.reg = reportArgs{DataUID: d.UID, Protocol: loc.Protocol, Host: e.host, Total: d.Size}
 	if kind == "download" {
 		e.inflight[d.UID] = h
 	}
 	e.handles[d.UID] = append(e.handles[d.UID], h)
+	if dt != nil {
+		h.reg.ID, h.held = data.NewUID(), held
+		if h.rep = e.reporters[dt]; h.rep == nil {
+			h.rep = newReporter(e, dt)
+			e.reporters[dt] = h.rep
+		}
+		h.rep.begin(h) // under e.mu: a reporter TakeReports can find has begun
+	}
 	e.mu.Unlock()
 	go func() {
-		state, err := e.run(h, d, loc, dtID, dtOpened)
-		// Retire before finish wakes the waiters: one of them may start the
-		// next download of this datum at once, and must not be handed this
+		state, err := e.run(h, d, loc)
+		// Retire before the waiters wake: one of them may start the next
+		// download of this datum at once, and must not be handed this
 		// finished handle out of inflight.
 		e.retire(h)
-		h.finish(state, err)
+		h.settle(state, err)
+		if h.rep != nil {
+			h.rep.end(h)
+		}
+		close(h.done)
 	}()
 	return h
 }
@@ -274,43 +319,19 @@ func Barrier(handles ...*Handle) error {
 	return first
 }
 
-// run executes one transfer with retry/resume, monitoring and verification,
-// and returns its terminal state. dtID is the pre-opened DT registration
-// (UploadAll's batched open), or empty to open one here — unless dtOpened
-// says the batched attempt already failed, in which case the transfer runs
-// unreported.
-func (e *Engine) run(h *Handle, d data.Data, loc data.Locator, dtID data.UID, dtOpened bool) (State, error) {
+// run executes one transfer with retry/resume and verification, and returns
+// its terminal state.
+func (e *Engine) run(h *Handle, d data.Data, loc data.Locator) (State, error) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
-	dt := e.dtOf(d.UID)
-	if dtID == "" && !dtOpened && dt != nil {
-		id, err := dt.Open(d.UID, loc.Protocol, e.host, d.Size)
-		if err == nil {
-			dtID = id
-		}
-	}
-	report := func(p Progress, st State, msg string) {
-		h.mu.Lock()
-		h.progress = p
-		h.state = st
-		h.mu.Unlock()
-		if dt != nil && dtID != "" {
-			dt.Report(dtID, p.Bytes, st, msg)
-		}
-	}
-
 	var lastErr error
 	for attempt := 1; attempt <= e.MaxAttempts; attempt++ {
-		if attempt > 1 && dt != nil && dtID != "" {
-			dt.Retry(dtID)
-		}
 		t, err := New(d, loc, e.backend)
 		if err != nil {
-			report(Progress{}, StateFailed, err.Error())
 			return StateFailed, err
 		}
-		err = e.attempt(t, h, report)
+		err = e.attempt(t, h, attempt)
 		// Receiver-driven verification: the receiver checks size and MD5
 		// signature of what landed before declaring success.
 		if err == nil && h.Kind == "download" {
@@ -321,50 +342,26 @@ func (e *Engine) run(h *Handle, d data.Data, loc data.Locator, dtID data.UID, dt
 		}
 		t.Disconnect()
 		if err == nil {
-			p := Progress{Bytes: d.Size, Total: d.Size, Done: true}
-			report(p, StateComplete, "")
 			return StateComplete, nil
 		}
 		lastErr = err
 	}
-	report(h.Probe(), StateFailed, lastErr.Error())
 	return StateFailed, fmt.Errorf("transfer: %s of %s failed after %d attempts: %w",
 		h.Kind, d.UID, e.MaxAttempts, lastErr)
 }
 
-// attempt performs one protocol run while a monitor goroutine samples
-// progress on the monitoring period.
-func (e *Engine) attempt(t OOBTransfer, h *Handle, report func(Progress, State, string)) error {
+// attempt performs one protocol run, the handle's n-th. While it runs the
+// handle probes t live, for its own callers and for the reporter's heartbeat.
+func (e *Engine) attempt(t OOBTransfer, h *Handle, n int) error {
+	h.attach(t, n)
+	defer h.attach(nil, n)
 	if err := t.Connect(); err != nil {
 		return err
 	}
-	stop := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		ticker := time.NewTicker(e.MonitorPeriod)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if p, err := t.Probe(); err == nil {
-					report(p, StateActive, "")
-				}
-			}
-		}
-	}()
-	var err error
 	if h.Kind == "upload" {
-		err = t.Send()
-	} else {
-		err = t.Receive()
+		return t.Send()
 	}
-	close(stop)
-	monWG.Wait()
-	return err
+	return t.Receive()
 }
 
 // verify checks the downloaded content against the datum's recorded size

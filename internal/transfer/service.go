@@ -65,9 +65,16 @@ type Record struct {
 
 // Service is the Data Transfer service run on a stable host: the registry
 // of in-flight transfers, their reliability state and bandwidth accounting.
+// It remembers every transfer still pending or moving, and of the ended ones
+// only the last per (datum, receiving host) — what an operator asks about —
+// so the registry is bounded by the data in the system, not by its history.
 type Service struct {
-	mu        sync.Mutex
-	transfers map[data.UID]*Record
+	mu sync.Mutex
+	// live holds the pending and active transfers; ended the terminal records
+	// kept, by transfer ID; last names the one kept per (datum, host).
+	live  map[data.UID]*Record
+	ended map[data.UID]*Record
+	last  map[endpoint]data.UID
 	// bytesMoved accumulates completed bytes for bandwidth reporting.
 	bytesMoved int64
 	// requests counts every DT call, the protocol-overhead figure the
@@ -75,59 +82,76 @@ type Service struct {
 	requests int64
 }
 
+// endpoint is one (datum, receiving host) pair.
+type endpoint struct {
+	uid  data.UID
+	host string
+}
+
 // NewService returns an empty Data Transfer service.
 func NewService() *Service {
-	return &Service{transfers: make(map[data.UID]*Record)}
+	return &Service{
+		live:  make(map[data.UID]*Record),
+		ended: make(map[data.UID]*Record),
+		last:  make(map[endpoint]data.UID),
+	}
 }
 
-// Open registers a new transfer and returns its ID.
-func (s *Service) Open(dataUID data.UID, protocol, host string, total int64) data.UID {
+// reportArgs is Report's wire argument: receiver-observed progress under a
+// transfer ID the client minted, with the transfer's registration riding
+// along, so the first report a service sees of a transfer registers it — a
+// transfer that ends inside one monitoring period is one message, not three.
+type reportArgs struct {
+	ID    data.UID
+	Bytes int64
+	State State
+	Err   string
+
+	// The registration. Empty on a bare progress update (Client.Report),
+	// which then only applies to a transfer the service already knows.
+	DataUID  data.UID
+	Protocol string
+	Host     string
+	Total    int64
+	Attempts int
+}
+
+// Report upserts receiver-observed progress: it registers a transfer it has
+// not seen (when the report carries the registration), updates one in flight
+// and files one that ended. A report for a transfer already filed is ignored:
+// a sample that lost a race against the terminal report must not revive it.
+func (s *Service) Report(a reportArgs) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.requests++
-	id := data.NewUID()
 	now := time.Now()
-	s.transfers[id] = &Record{
-		ID: id, DataUID: dataUID, Protocol: protocol, Host: host,
-		State: StatePending, Total: total, Started: now, Updated: now,
-	}
-	return id
-}
-
-// Report updates receiver-observed progress for a transfer.
-func (s *Service) Report(id data.UID, bytes int64, state State, errMsg string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.requests++
-	r, ok := s.transfers[id]
+	r, ok := s.live[a.ID]
 	if !ok {
-		return fmt.Errorf("transfer: unknown transfer %s", id)
+		if s.ended[a.ID] != nil {
+			return nil
+		}
+		if a.DataUID == "" {
+			return fmt.Errorf("transfer: unknown transfer %s", a.ID)
+		}
+		r = &Record{
+			ID: a.ID, DataUID: a.DataUID, Protocol: a.Protocol, Host: a.Host,
+			Total: a.Total, Started: now,
+		}
+		s.live[a.ID] = r
 	}
-	if bytes > r.Bytes && (state == StateComplete) {
-		s.bytesMoved += bytes - r.Bytes
+	r.Bytes, r.State, r.Error, r.Updated = a.Bytes, a.State, a.Err, now
+	r.Attempts = max(r.Attempts, a.Attempts)
+	if a.State == StatePending || a.State == StateActive {
+		return nil
 	}
-	r.Bytes = bytes
-	r.State = state
-	r.Error = errMsg
-	r.Updated = time.Now()
-	if state == StateActive && r.Attempts == 0 {
-		r.Attempts = 1
+	if a.State == StateComplete {
+		s.bytesMoved += a.Bytes
 	}
-	return nil
-}
-
-// Retry increments a transfer's attempt counter after a failure-and-resume.
-func (s *Service) Retry(id data.UID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.requests++
-	r, ok := s.transfers[id]
-	if !ok {
-		return fmt.Errorf("transfer: unknown transfer %s", id)
-	}
-	r.Attempts++
-	r.State = StateActive
-	r.Updated = time.Now()
+	// Terminal: file it in place of the endpoint's previous transfer.
+	delete(s.live, a.ID)
+	at := endpoint{r.DataUID, r.Host}
+	delete(s.ended, s.last[at])
+	s.last[at], s.ended[a.ID] = a.ID, r
 	return nil
 }
 
@@ -136,7 +160,10 @@ func (s *Service) Get(id data.UID) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.requests++
-	r, ok := s.transfers[id]
+	r, ok := s.live[id]
+	if !ok {
+		r, ok = s.ended[id]
+	}
 	if !ok {
 		return Record{}, fmt.Errorf("transfer: unknown transfer %s", id)
 	}
@@ -148,11 +175,9 @@ func (s *Service) Active() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.requests++
-	var out []Record
-	for _, r := range s.transfers {
-		if r.State == StatePending || r.State == StateActive {
-			out = append(out, *r)
-		}
+	out := make([]Record, 0, len(s.live))
+	for _, r := range s.live {
+		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -167,14 +192,8 @@ func (s *Service) Stats() (bytesMoved, requests int64) {
 
 // Mount registers the DT methods on an rpc Mux under "dt".
 func (s *Service) Mount(m *rpc.Mux) {
-	rpc.Register(m, ServiceName, "Open", func(a OpenRequest) (data.UID, error) {
-		return s.Open(a.DataUID, a.Protocol, a.Host, a.Total), nil
-	})
 	rpc.Register(m, ServiceName, "Report", func(a reportArgs) (struct{}, error) {
-		return struct{}{}, s.Report(a.ID, a.Bytes, a.State, a.Err)
-	})
-	rpc.Register(m, ServiceName, "Retry", func(id data.UID) (struct{}, error) {
-		return struct{}{}, s.Retry(id)
+		return struct{}{}, s.Report(a)
 	})
 	rpc.Register(m, ServiceName, "Get", func(id data.UID) (Record, error) {
 		return s.Get(id)
@@ -192,58 +211,38 @@ type Client struct {
 // NewClient wraps an rpc client as a DT client.
 func NewClient(c rpc.Client) *Client { return &Client{c: c} }
 
-// Open registers a transfer with the DT service.
+// Open registers a transfer with the DT service under an ID minted here: one
+// pending report.
 func (c *Client) Open(dataUID data.UID, protocol, host string, total int64) (data.UID, error) {
-	var id data.UID
-	err := c.c.Call(ServiceName, "Open", OpenRequest{dataUID, protocol, host, total}, &id)
+	id := data.NewUID()
+	err := c.c.Call(ServiceName, "Report", reportArgs{
+		ID: id, State: StatePending, DataUID: dataUID, Protocol: protocol, Host: host, Total: total,
+	}, nil)
 	return id, err
 }
 
-// OpenRequest describes one transfer to register: Open's wire argument, for
-// the handler in Mount and for the client.
-type OpenRequest struct {
-	DataUID  data.UID
-	Protocol string
-	Host     string
-	Total    int64
-}
-
-// OpenAll registers N transfers in one batch frame, returning their IDs
-// aligned with reqs. A per-call failure leaves a zero UID at its slot (the
-// transfer then simply runs unreported, like a nil DT client).
-func (c *Client) OpenAll(reqs []OpenRequest) ([]data.UID, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	ids := make([]data.UID, len(reqs))
-	calls := make([]*rpc.Call, len(reqs))
-	for i, r := range reqs {
-		calls[i] = rpc.NewCall(ServiceName, "Open", r, &ids[i])
-	}
-	//vet:ignore errlost a per-call failure deliberately leaves a zero UID at its slot: that transfer runs unreported, exactly like a nil DT client
-	if err := rpc.CallBatch(c.c, calls); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// Report sends receiver-observed progress.
+// Report sends receiver-observed progress of a transfer the service knows.
 func (c *Client) Report(id data.UID, bytes int64, state State, errMsg string) error {
-	return c.c.Call(ServiceName, "Report", reportArgs{id, bytes, state, errMsg}, nil)
+	return c.c.Call(ServiceName, "Report", reportArgs{ID: id, Bytes: bytes, State: state, Err: errMsg}, nil)
 }
 
-// reportArgs is Report's wire argument, for the handler in Mount and for
-// the client.
-type reportArgs struct {
-	ID    data.UID
-	Bytes int64
-	State State
-	Err   string
+// reportAll ships reports in one batch frame, returning the frame's error or
+// the first report the service refused.
+func (c *Client) reportAll(reports []reportArgs) error {
+	calls := reportCalls(reports)
+	if err := rpc.CallBatch(c.c, calls); err != nil {
+		return err
+	}
+	return rpc.FirstError(calls)
 }
 
-// Retry records a retry attempt.
-func (c *Client) Retry(id data.UID) error {
-	return c.c.Call(ServiceName, "Retry", id, nil)
+// reportCalls builds the batchable form of reports, one call each.
+func reportCalls(reports []reportArgs) []*rpc.Call {
+	calls := make([]*rpc.Call, len(reports))
+	for i := range reports {
+		calls[i] = rpc.NewCall(ServiceName, "Report", reports[i], nil)
+	}
+	return calls
 }
 
 // Get fetches a transfer record.

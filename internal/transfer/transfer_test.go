@@ -245,7 +245,7 @@ func TestDTServiceTracking(t *testing.T) {
 	if moved != d.Size {
 		t.Errorf("bytesMoved = %d, want %d", moved, d.Size)
 	}
-	if requests < 2 { // at least Open + final Report
+	if requests < 1 { // at least the terminal report
 		t.Errorf("requests = %d", requests)
 	}
 	if act := f.dt.Active(); len(act) != 0 {
@@ -255,40 +255,82 @@ func TestDTServiceTracking(t *testing.T) {
 
 func TestDTServiceDirect(t *testing.T) {
 	s := NewService()
-	id := s.Open("data-1", "ftp", "host-1", 100)
-	if err := s.Report(id, 50, StateActive, ""); err != nil {
+	reg := reportArgs{ID: "t-1", DataUID: "data-1", Protocol: "ftp", Host: "host-1", Total: 100}
+	active := reg
+	active.Bytes, active.State, active.Attempts = 50, StateActive, 1
+	if err := s.Report(active); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Get(id)
-	if err != nil || r.Bytes != 50 || r.State != StateActive || r.Attempts != 1 {
+	r, err := s.Get("t-1")
+	if err != nil || r.Bytes != 50 || r.State != StateActive || r.Attempts != 1 || r.DataUID != "data-1" || r.Total != 100 {
 		t.Fatalf("Get = %+v, %v", r, err)
 	}
-	if err := s.Retry(id); err != nil {
+	// A resumed transfer says so in its next report: no call of its own.
+	active.Attempts = 2
+	if err := s.Report(active); err != nil {
 		t.Fatal(err)
 	}
-	r, _ = s.Get(id)
-	if r.Attempts != 2 {
+	if r, _ = s.Get("t-1"); r.Attempts != 2 {
 		t.Errorf("Attempts = %d", r.Attempts)
 	}
-	if err := s.Report(id, 100, StateComplete, ""); err != nil {
+	// A bare progress update applies to a transfer the service knows.
+	if err := s.Report(reportArgs{ID: "t-1", Bytes: 100, State: StateComplete}); err != nil {
 		t.Fatal(err)
 	}
-	moved, _ := s.Stats()
-	if moved != 50 { // 100 - 50 already counted? only delta at completion
-		t.Logf("bytesMoved = %d", moved)
+	if moved, _ := s.Stats(); moved != 100 {
+		t.Errorf("bytesMoved = %d, want 100", moved)
 	}
 	if len(s.Active()) != 0 {
 		t.Error("completed transfer still active")
 	}
-	// Unknown IDs error.
-	if err := s.Report("nope", 0, StateActive, ""); err == nil {
-		t.Error("Report unknown id succeeded")
+	// A progress sample that lost the race against the terminal report must
+	// not bring the transfer back.
+	if err := s.Report(active); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Retry("nope"); err == nil {
-		t.Error("Retry unknown id succeeded")
+	if r, _ = s.Get("t-1"); r.State != StateComplete || len(s.Active()) != 0 {
+		t.Errorf("late sample resurrected the transfer: %+v", r)
+	}
+	// Unknown IDs error, unless the report registers them.
+	if err := s.Report(reportArgs{ID: "nope", State: StateActive}); err == nil {
+		t.Error("bare Report of an unknown id succeeded")
 	}
 	if _, err := s.Get("nope"); err == nil {
 		t.Error("Get unknown id succeeded")
+	}
+}
+
+// TestDTRegistryForgets: the registry keeps what is in flight plus the last
+// terminal record per (datum, host). It used to keep every transfer ever
+// opened, and Active walked them all under the service's lock.
+func TestDTRegistryForgets(t *testing.T) {
+	s := NewService()
+	for i := 0; i < 10_000; i++ {
+		a := reportArgs{
+			ID: data.UID(fmt.Sprintf("t-%05d", i)), Bytes: 7, State: StateComplete,
+			DataUID: "hot", Protocol: "http", Host: "w", Total: 7, Attempts: 1,
+		}
+		if err := s.Report(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.ended) != 1 || len(s.last) != 1 || len(s.live) != 0 {
+		t.Fatalf("after 10000 completed transfers of one datum: %d terminal records, %d endpoints, %d live; want 1, 1, 0",
+			len(s.ended), len(s.last), len(s.live))
+	}
+	if r, err := s.Get("t-09999"); err != nil || r.State != StateComplete {
+		t.Errorf("last terminal record: %+v, %v", r, err)
+	}
+	if act := s.Active(); len(act) != 0 {
+		t.Errorf("Active = %v", act)
+	}
+	if moved, _ := s.Stats(); moved != 70_000 {
+		t.Errorf("bytesMoved = %d, want 70000", moved)
+	}
+	// Another host's transfer of the same datum is its own endpoint.
+	s.Report(reportArgs{ID: "other", State: StateFailed, DataUID: "hot", Host: "w2", Err: "boom"})
+	if len(s.ended) != 2 {
+		t.Errorf("%d terminal records for 2 endpoints", len(s.ended))
 	}
 }
 
@@ -315,15 +357,20 @@ func TestDTClientOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := c.Get(id)
-	if err != nil || r.Bytes != 5 {
+	if err != nil || r.Bytes != 5 || r.DataUID != "d" || r.Host != "h" || r.Total != 10 {
 		t.Fatalf("Get = %+v, %v", r, err)
 	}
 	act, err := c.Active()
 	if err != nil || len(act) != 1 {
 		t.Fatalf("Active = %v, %v", act, err)
 	}
-	if err := c.Retry(id); err != nil {
-		t.Fatal(err)
+	// The deleted methods are gone from the wire: an old client's Open is
+	// refused, and it then runs unreported.
+	if err := rcl.Call(ServiceName, "Open", struct{}{}, nil); err == nil {
+		t.Error("dt/Open still served")
+	}
+	if err := rcl.Call(ServiceName, "Retry", id, nil); err == nil {
+		t.Error("dt/Retry still served")
 	}
 }
 
