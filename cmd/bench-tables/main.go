@@ -10,8 +10,6 @@
 //	bench-tables -fig 5          BLAST M/W total time vs workers
 //	bench-tables -fig 6          BLAST breakdown per cluster
 //	bench-tables -all            everything
-//	bench-tables -bench-json 'BENCH_*.json'
-//	                             sustained-load perf trajectory as markdown
 //
 // Tables 2 and 3 exercise the real runtime components (rpc transports,
 // database engines, connection pool, Chord DHT); the figures run on the
@@ -29,20 +27,9 @@ func main() {
 	fig := flag.String("fig", "", "regenerate a figure: 3a | 3b | 3c | 4 | 5 | 6")
 	all := flag.Bool("all", false, "regenerate everything")
 	quick := flag.Bool("quick", false, "shorter measurement durations")
-	benchJSON := flag.String("bench-json", "", "glob of BENCH_*.json load reports; renders the perf trajectory")
 	flag.Parse()
 
 	ran := false
-	if *benchJSON != "" {
-		out, err := benchJSONTable(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n================ Sustained-load trajectory ================\n")
-		fmt.Print(out)
-		ran = true
-	}
 	run := func(name string, fn func(quick bool)) {
 		fmt.Printf("\n================ %s ================\n", name)
 		fn(*quick)

@@ -2,12 +2,9 @@ package main
 
 import (
 	"math"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"bitdew/internal/db"
-	"bitdew/internal/loadgen"
 )
 
 func TestStats(t *testing.T) {
@@ -61,43 +58,5 @@ func TestHarnessSmoke(t *testing.T) {
 		"fig4": fig4, "fig5": fig5, "fig6": fig6,
 	} {
 		t.Run(name, func(t *testing.T) { fn(true) })
-	}
-}
-
-// TestBenchJSONTable renders a trajectory from fixture reports and checks
-// the rows come out in time order with the headline numbers present.
-func TestBenchJSONTable(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, generatedAt string, tp float64) {
-		rep := &loadgen.Report{Name: "stress", GeneratedAt: generatedAt, Throughput: tp}
-		rep.Scenario.Shards = 2
-		rep.Scenario.Clients = 64
-		rep.Scenario.Mix = "put=2,fetch=6,schedule=1,search=1"
-		rep.Scenario.Arrival = "closed"
-		rep.Latency = loadgen.LatencyMS{P50: 1.5, P99: 9.25, P999: 20}
-		if err := rep.WriteJSON(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Written out of order; the table must sort by GeneratedAt.
-	write("BENCH_b.json", "2026-08-07T10:00:00Z", 4000)
-	write("BENCH_a.json", "2026-08-01T10:00:00Z", 3000)
-
-	out, err := benchJSONTable(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := strings.Index(out, "3000")
-	second := strings.Index(out, "4000")
-	if first < 0 || second < 0 || first > second {
-		t.Fatalf("rows out of time order:\n%s", out)
-	}
-	for _, want := range []string{"ops/sec", "p999 ms", "2sh × 64cl", "9.250", "2026-08-01"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := benchJSONTable(filepath.Join(dir, "NOPE_*.json")); err == nil {
-		t.Fatal("want error for a glob matching nothing")
 	}
 }

@@ -4,8 +4,7 @@
 // (§5, Fig. 3: many nodes hammering the services at once) as steady-state
 // traffic rather than a single wave. It reports throughput and p50/p99/p999
 // latency per op class and writes a machine-readable BENCH_*.json so the
-// performance trajectory is tracked across changes (render it with
-// bench-tables -bench-json).
+// performance trajectory is tracked across changes.
 //
 // Against an in-process plane (default: 2 shards booted just for the run):
 //
@@ -53,9 +52,6 @@ type options struct {
 	seed         int64
 	out          string
 	failOnErrors bool
-	failover     int
-	replicas     int
-	scaleout     bool
 }
 
 func main() {
@@ -75,9 +71,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "rng seed (op sequences are reproducible per seed)")
 	flag.StringVar(&o.out, "out", "BENCH_stress.json", "report file (empty: don't write)")
 	flag.BoolVar(&o.failOnErrors, "fail-on-errors", false, "exit nonzero when any op errored or throughput is zero")
-	flag.IntVar(&o.failover, "failover", 0, "instead of a load run, measure N kill-the-owner failover rounds on a replicated in-process plane (use with -shards, -replicas, -out BENCH_failover.json)")
-	flag.IntVar(&o.replicas, "replicas", 2, "replication factor of the -failover plane")
-	flag.BoolVar(&o.scaleout, "scaleout", false, "instead of a load run, measure a live 2->4 scale-out under BLAST traffic on an elastic in-process plane (use with -out BENCH_rebalance.json)")
 	flag.Parse()
 
 	rep, err := run(o)
@@ -104,43 +97,6 @@ func run(o options) (*loadgen.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.scaleout {
-		if o.service != "" {
-			return nil, fmt.Errorf("bitdew-stress: -scaleout grows its own elastic plane; it cannot run against -service")
-		}
-		srep, err := testbed.RunScaleOut(testbed.ScaleOutConfig{
-			StartShards:  2,
-			EndShards:    4,
-			Workers:      4,
-			Tasks:        96,
-			PayloadBytes: o.payload,
-			ServiceTime:  6 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return srep.BuildReport(), nil
-	}
-	if o.failover > 0 {
-		if o.service != "" {
-			return nil, fmt.Errorf("bitdew-stress: -failover kills shards; it only runs against its own in-process plane, not -service")
-		}
-		shards := o.shards
-		if shards < 3 {
-			shards = 3
-		}
-		frep, err := testbed.RunFailover(testbed.FailoverConfig{
-			Shards:       shards,
-			Replicas:     o.replicas,
-			PayloadBytes: o.payload,
-			Rounds:       o.failover,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return frep.BuildReport(), nil
-	}
-
 	load := loadgen.Config{
 		Clients:  o.clients,
 		Duration: o.duration,

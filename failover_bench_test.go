@@ -15,8 +15,7 @@ import (
 // successful read of a datum homed there through a failover-aware client —
 // detection (transport error), ownership probes, the successor's promotion
 // (adopting the replicated rows into its live store) and the re-routed
-// read. cmd/bitdew-stress -failover writes the same scenario into the
-// BENCH_failover.json trajectory row.
+// read.
 
 // failoverConfig is the shared scenario: a 3-shard R=2 plane, two rounds so
 // both a first failover and a promote-back after rejoin are measured.

@@ -35,7 +35,7 @@ func replicatedHarness(t *testing.T, shards, waveSize int) (*runtime.ShardedCont
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { plane.Close() })
-	set, err := core.ConnectSharded(plane.Addrs(), core.WithReplicas(plane.Replicas()))
+	set, err := core.ConnectSharded(plane.Addrs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,6 @@ import (
 type PlaneConfig struct {
 	// Addrs is the plane's membership list (core.ConnectSharded order).
 	Addrs []string
-	// Replicas is the plane's replication factor, the client's assumption
-	// should no shard answer the membership read (core.WithReplicas).
-	Replicas int
 	// Conns is the number of shared service connections the simulated
 	// clients multiplex over — the million-client traffic model: each
 	// connection is pipelined and batch-capable, so thousands of clients
@@ -77,7 +74,7 @@ func ConnectPlane(cfg PlaneConfig) (*Plane, error) {
 	}
 	p := &Plane{cfg: cfg}
 	for i := 0; i < cfg.Conns; i++ {
-		set, err := core.ConnectSharded(cfg.Addrs, core.WithReplicas(cfg.Replicas))
+		set, err := core.ConnectSharded(cfg.Addrs)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("loadgen: conn %d: %w", i, err)

@@ -41,9 +41,6 @@ type ContainerConfig struct {
 	// rebuilt over the same directory recovers all of it. Ignored for the
 	// store when Store is set, and for the content when Backend is set.
 	StateDir string
-	// CompactEvery overrides the StateDir store's WAL compaction threshold
-	// (records between automatic snapshot+rotation; 0 keeps the default).
-	CompactEvery int
 	// Store is the meta-data database (defaults to an embedded RowStore;
 	// all four services persist through it).
 	Store db.Store
@@ -92,11 +89,6 @@ type Plane struct {
 	// whole plane (nobody can have promoted anything yet); restarts must
 	// always resolve ownership by probing.
 	SkipBootCheck bool
-	// ProbeTimeout bounds each failover liveness probe (0 = default).
-	ProbeTimeout time.Duration
-	// DialOpts contributes extra dial options per outbound peer address —
-	// the fault-injection hook of the failover crash-point tests.
-	DialOpts func(addr string) []rpc.DialOption
 	// Logf receives ownership life-cycle events.
 	Logf func(format string, args ...any)
 }
@@ -156,7 +148,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	if cfg.Store == nil {
 		if cfg.StateDir != "" {
 			c.ownStore, err = db.OpenDurable(filepath.Join(cfg.StateDir, "meta"),
-				db.WithCompactEvery(cfg.CompactEvery),
 				db.WithCompactInterval(time.Minute))
 			if err != nil {
 				return fail(err)
@@ -223,8 +214,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 			return err == nil
 		},
 		OnCommit:      c.ring.Set,
-		DialOpts:      plane.DialOpts,
-		ProbeTimeout:  plane.ProbeTimeout,
 		SkipBootCheck: plane.SkipBootCheck,
 		Logf:          plane.Logf,
 	})

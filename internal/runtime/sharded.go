@@ -74,8 +74,6 @@ type ShardedConfig struct {
 	// <StateDir>/shard-<i> — each shard checkpoints and recovers
 	// independently, exactly like N single containers would.
 	StateDir string
-	// CompactEvery overrides each shard store's WAL compaction threshold.
-	CompactEvery int
 	// DisableFTP / DisableHTTP / DisableSwarm apply to every shard.
 	DisableFTP   bool
 	DisableHTTP  bool
@@ -91,12 +89,6 @@ type ShardedConfig struct {
 	// one shard costs no availability — a successor is promoted in its
 	// place. 0 or 1 leaves the plane unreplicated. Capped at Shards.
 	Replicas int
-	// ReplProbeTimeout bounds each failover liveness probe (0 = default).
-	ReplProbeTimeout time.Duration
-	// ReplDialOpts, when set, contributes extra dial options for shard
-	// `from`'s outbound replication connections to addr — the
-	// fault-injection hook of the failover crash-point tests.
-	ReplDialOpts func(from int, addr string) []rpc.DialOption
 	// ReplLogf receives replication life-cycle events from every shard.
 	ReplLogf func(format string, args ...any)
 }
@@ -189,7 +181,6 @@ func (s *ShardedContainer) containerConfig(i int, addrs []string, lis net.Listen
 	cfg := ContainerConfig{
 		Addr:         addrs[i],
 		Listener:     lis,
-		CompactEvery: s.cfg.CompactEvery,
 		DisableFTP:   s.cfg.DisableFTP,
 		DisableHTTP:  s.cfg.DisableHTTP,
 		DisableSwarm: s.cfg.DisableSwarm,
@@ -200,15 +191,11 @@ func (s *ShardedContainer) containerConfig(i int, addrs []string, lis net.Listen
 			Addrs:         addrs,
 			Replicas:      s.cfg.Replicas,
 			SkipBootCheck: skipBootCheck,
-			ProbeTimeout:  s.cfg.ReplProbeTimeout,
 			Logf:          s.cfg.ReplLogf,
 		},
 	}
 	if s.cfg.StateDir != "" {
 		cfg.StateDir = filepath.Join(s.cfg.StateDir, fmt.Sprintf("shard-%d", i))
-	}
-	if hook := s.cfg.ReplDialOpts; hook != nil {
-		cfg.Plane.DialOpts = func(addr string) []rpc.DialOption { return hook(i, addr) }
 	}
 	return cfg
 }

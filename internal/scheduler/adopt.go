@@ -50,7 +50,7 @@ func (s *Service) AdoptRows(rows map[string][]byte) error {
 		uid := data.UID(key)
 		s.theta[uid] = &Entry{Data: p.Data, Attr: p.Attr, scheduledAt: p.ScheduledAt, order: p.Order}
 		if len(p.Owners) > 0 {
-			s.owners[uid] = p.Owners
+			s.owners[uid] = s.heardNow(p.Owners)
 		} else {
 			delete(s.owners, uid)
 		}

@@ -62,7 +62,7 @@ func (s *Service) AttachStore(store db.Store) error {
 		uid := data.UID(key)
 		s.theta[uid] = &Entry{Data: p.Data, Attr: p.Attr, scheduledAt: p.ScheduledAt, order: p.Order}
 		if len(p.Owners) > 0 {
-			s.owners[uid] = p.Owners
+			s.owners[uid] = s.heardNow(p.Owners)
 		}
 		if len(p.Pinned) > 0 {
 			s.pinned[uid] = p.Pinned
@@ -82,6 +82,22 @@ func (s *Service) AttachStore(store db.Store) error {
 	return nil
 }
 
+// heardNow restamps recovered or adopted owners as heard from now. Their
+// persisted timestamps date from the placement (refreshes are not
+// persisted, see persistLocked), and this scheduler was not listening in
+// between: its silence is no evidence that an owner died. Without the
+// restamp the first sync of ANY host after a restart, a failover or a
+// reshape expires every owner older than Timeout, and a replica-1 datum is
+// handed to whoever syncs before its real holder re-confirms. A host that
+// really died expires one Timeout after the recovery instead.
+func (s *Service) heardNow(owners map[string]time.Time) map[string]time.Time {
+	now := s.now()
+	for host := range owners {
+		owners[host] = now
+	}
+	return owners
+}
+
 // StoreErr returns the first persistence failure seen on the heartbeat
 // path (where errors cannot be returned to the remote host), or nil.
 func (s *Service) StoreErr() error {
@@ -92,10 +108,9 @@ func (s *Service) StoreErr() error {
 
 // persistLocked writes the durable record of uid — or deletes it when the
 // datum left Θ. Owner-timestamp refreshes are persisted only together with
-// a membership change (see syncLocked's dirty set): after a restart stale
-// timestamps merely cause one round of re-confirmation through the hosts'
-// full resyncs, whereas persisting every refresh would cost one write per
-// owned datum per heartbeat.
+// a membership change (see syncLocked's dirty set): persisting every
+// refresh would cost one write per owned datum per heartbeat, and recovery
+// restamps the owners anyway (heardNow).
 func (s *Service) persistLocked(uid data.UID) {
 	if s.store == nil {
 		return

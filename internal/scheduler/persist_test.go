@@ -142,6 +142,70 @@ func TestDurableSchedulerRestartForcesResync(t *testing.T) {
 	}
 }
 
+// TestRecoveredOwnersAreNotPresumedDead pins what a recovery may conclude
+// from a persisted owner timestamp: nothing. The timestamp dates from the
+// placement (refreshes are not persisted), so on a scheduler that restarts
+// — or adopts the rows at a failover or a reshape — more than one Timeout
+// after the placement, the first sync of ANOTHER host used to expire the
+// holder and be handed its replica-1 datum. A holder that stays silent for
+// a Timeout after the recovery still expires.
+func TestRecoveredOwnersAreNotPresumedDead(t *testing.T) {
+	for _, how := range []string{"restart", "adopt"} {
+		t.Run(how, func(t *testing.T) {
+			clock := time.Unix(1_000_000, 0)
+			now := func() time.Time { return clock }
+			store := db.NewRowStore()
+			s := New()
+			s.SetClock(now)
+			if err := s.AttachStore(store); err != nil {
+				t.Fatal(err)
+			}
+			d := data.New("task")
+			if err := s.Schedule(*d, attr.Attribute{Name: "task", Replica: 1, FaultTolerant: true}); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Sync("holder", nil); len(got.Fetch) != 1 {
+				t.Fatalf("holder was assigned %d data, want 1", len(got.Fetch))
+			}
+			// The holder keeps heartbeating (refreshes are in memory only)
+			// until the service goes away, long after the placement.
+			for i := 0; i < 4; i++ {
+				clock = clock.Add(DefaultTimeout / 2)
+				s.Sync("holder", []data.UID{d.UID})
+			}
+
+			re := New()
+			re.SetClock(now)
+			switch how {
+			case "restart":
+				if err := re.AttachStore(store); err != nil {
+					t.Fatal(err)
+				}
+			case "adopt":
+				raw, ok, err := store.Get(TableEntries, string(d.UID))
+				if err != nil || !ok {
+					t.Fatalf("persisted row: %v %v", ok, err)
+				}
+				if err := re.AdoptRows(map[string][]byte{string(d.UID): raw}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := re.Sync("bystander", nil); len(got.Fetch) != 0 {
+				t.Fatalf("a bystander's first sync after the %s was handed the holder's datum", how)
+			}
+			if owners := re.Owners(d.UID); len(owners) != 1 || owners[0] != "holder" {
+				t.Fatalf("owners after the %s = %v, want the holder", how, owners)
+			}
+			// Silence AFTER the recovery is evidence: one Timeout later the
+			// holder expires and the datum is placed again.
+			clock = clock.Add(DefaultTimeout + time.Second)
+			if got := re.Sync("bystander", nil); len(got.Fetch) != 1 {
+				t.Fatalf("a holder silent for a Timeout after the %s was never expired", how)
+			}
+		})
+	}
+}
+
 func TestDurableSchedulerOverDurableStore(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := db.OpenDurable(dir)

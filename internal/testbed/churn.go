@@ -1,14 +1,9 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
 	"time"
-
-	"bitdew/internal/attr"
-	"bitdew/internal/core"
-	"bitdew/internal/data"
-	"bitdew/internal/runtime"
 )
 
 // This file adds the service-churn scenario to the testbed: where the
@@ -17,7 +12,7 @@ import (
 // the stable service host itself being killed and restarted mid-workload
 // (§3.4–3.5: all D* meta-data lives in a database back-end precisely so a
 // service restart loses nothing). It drives the real components end to
-// end: a durable container over TCP, reconnecting client nodes, and a
+// end: a durable one-shard plane over TCP, reconnecting client nodes, and a
 // BLAST-like wave (one broadcast base + a batch of fault-tolerant tasks).
 
 // ChurnConfig parameterises a service-churn run.
@@ -27,16 +22,12 @@ type ChurnConfig struct {
 	Workers int
 	// Tasks is the number of task data in the wave (default 8).
 	Tasks int
-	// PayloadBytes sizes each task payload (default 1024).
-	PayloadBytes int
 	// Restarts is how many kill/restart cycles to inflict mid-wave
 	// (default 1). Every cycle bounces catalog, scheduler, repository and
 	// transfer together — they share the container, as in the paper.
 	Restarts int
 	// StateDir is the service plane's durable state directory (required).
 	StateDir string
-	// Deadline bounds each reconvergence wait (default 30s).
-	Deadline time.Duration
 }
 
 // ChurnReport is the outcome of a churn run.
@@ -44,9 +35,9 @@ type ChurnReport struct {
 	Workers, Tasks int
 	Restarts       int
 	// RecoveryTime is the wall time from the last restart's completion to
-	// full reconvergence (every task re-owned, the broadcast base on every
-	// worker) — the restart-to-reconverged metric of
-	// BenchmarkServiceRecovery.
+	// full reconvergence (every worker heard by the restarted scheduler,
+	// every task owned, the broadcast base on every worker) — the
+	// restart-to-reconverged metric of BenchmarkServiceRecovery.
 	RecoveryTime time.Duration
 	// DataSurvived / LocatorsSurvived count catalog rows intact after the
 	// final restart (wave size + 1 broadcast base when nothing was lost).
@@ -54,194 +45,67 @@ type ChurnReport struct {
 	LocatorsSurvived int
 }
 
-func (c *ChurnConfig) defaults() {
-	if c.Workers == 0 {
-		c.Workers = 3
-	}
-	if c.Tasks == 0 {
-		c.Tasks = 8
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 1024
-	}
-	if c.Restarts == 0 {
-		c.Restarts = 1
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 30 * time.Second
-	}
-}
-
-// RunServiceChurn runs the scenario: start a durable service container,
-// launch a BLAST-like wave, then — mid-wave — kill and restart the whole
-// service plane (Restarts times) and measure how long the system takes to
-// reconverge. It returns an error if any datum, locator or placement is
-// lost, so tests and benchmarks can use it as an acceptance check.
+// RunServiceChurn runs the scenario: start a durable service plane,
+// distribute a BLAST-like wave, then kill and restart the whole plane under
+// its workers (Restarts times) and measure how long the system takes to
+// reconverge. Every restart is audited straight off the recovered state,
+// before any worker has re-reported anything, and the run again at the end;
+// it returns an error if any datum, locator, byte or placement is lost, so
+// tests and benchmarks can use it as an acceptance check.
 func RunServiceChurn(cfg ChurnConfig) (ChurnReport, error) {
-	cfg.defaults()
-	var report ChurnReport
-	report.Workers, report.Tasks = cfg.Workers, cfg.Tasks
+	cfg.Workers, cfg.Tasks, cfg.Restarts = cmp.Or(cfg.Workers, 3), cmp.Or(cfg.Tasks, 8), cmp.Or(cfg.Restarts, 1)
+	report := ChurnReport{Workers: cfg.Workers, Tasks: cfg.Tasks}
 	if cfg.StateDir == "" {
 		return report, fmt.Errorf("testbed: churn needs a StateDir")
 	}
-
-	ccfg := runtime.ContainerConfig{
-		Addr:     "127.0.0.1:0",
-		StateDir: cfg.StateDir,
-		// The wave moves over HTTP; the other protocol servers only slow
-		// the restart cycle down.
-		DisableFTP:   true,
-		DisableSwarm: true,
-	}
-	services, err := runtime.NewContainer(ccfg)
+	f, err := boot(fixtureConfig{name: "churn", shards: 1, stateDir: cfg.StateDir, workers: cfg.Workers, payload: 1024})
 	if err != nil {
 		return report, err
 	}
-	addr := services.Addr()
-	// services is reassigned (to nil on failure) by the restart loop below.
-	defer func() {
-		if services != nil {
-			services.Close()
-		}
-	}()
+	defer f.close()
 
-	// Master: create the wave. One broadcast genebase every worker needs,
-	// plus Tasks fault-tolerant task data.
-	mcomms, err := core.Connect(addr)
+	// One broadcast genebase every worker needs, plus Tasks fault-tolerant
+	// task data, distributed before the first kill so that every restart has
+	// placements to lose.
+	w, err := f.putWave(cfg.Tasks + 1)
 	if err != nil {
 		return report, err
 	}
-	defer mcomms.Close()
-	master, err := core.NewNode(core.NodeConfig{Host: "churn-master", Comms: mcomms})
-	if err != nil {
-		return report, err
-	}
-	master.SetClientOnly(true)
-
-	names := make([]string, 0, cfg.Tasks+1)
-	names = append(names, "genebase")
-	for i := 0; i < cfg.Tasks; i++ {
-		names = append(names, fmt.Sprintf("task-%03d", i))
-	}
-	wave, err := master.BitDew.CreateDataBatch(names)
-	if err != nil {
-		return report, err
-	}
-	rng := rand.New(rand.NewSource(42))
-	contents := make([][]byte, len(wave))
-	for i := range contents {
-		payload := make([]byte, cfg.PayloadBytes)
-		rng.Read(payload)
-		contents[i] = payload
-	}
-	if err := master.BitDew.PutAll(wave, contents); err != nil {
-		return report, err
-	}
-	scheduled := make([]data.Data, len(wave))
-	attrs := make([]attr.Attribute, len(wave))
-	for i, d := range wave {
-		scheduled[i] = *d
-		if i == 0 {
-			attrs[i] = attr.Attribute{Name: "genebase", Replica: attr.ReplicaAll, FaultTolerant: true, Protocol: "http"}
-		} else {
-			attrs[i] = attr.Attribute{Name: "task", Replica: 1, FaultTolerant: true, Protocol: "http"}
+	converge := func() (time.Time, error) {
+		f.pump()
+		at, err := f.distributed(w)
+		if err == nil {
+			err = f.stopPump()
 		}
+		return at, err
 	}
-	if err := master.ActiveData.ScheduleAll(scheduled, attrs); err != nil {
+	if _, err := converge(); err != nil {
 		return report, err
 	}
 
-	// Workers join and pull once: the wave is now mid-flight (some tasks
-	// placed, some not — MaxDataSchedule caps per-sync assignments).
-	workers := make([]*core.Node, cfg.Workers)
-	for i := range workers {
-		wcomms, err := core.Connect(addr)
-		if err != nil {
-			return report, err
-		}
-		defer wcomms.Close()
-		w, err := core.NewNode(core.NodeConfig{Host: fmt.Sprintf("churn-w%d", i), Comms: wcomms})
-		if err != nil {
-			return report, err
-		}
-		workers[i] = w
-		if err := w.SyncWait(1); err != nil {
-			return report, err
-		}
-	}
-
-	// Kill and restart the whole service plane, mid-wave, Restarts times.
 	for r := 0; r < cfg.Restarts; r++ {
-		if err := services.Close(); err != nil {
+		// The plane is its one shard: between the kill and the restart there
+		// is nothing up to audit, so the cycle is one step.
+		if _, err := f.step(fmt.Sprintf("restart %d", r+1), func() error {
+			if err := f.plane.KillShard(0); err != nil {
+				return err
+			}
+			return f.plane.RestartShard(0) // comes back on the same endpoint
+		}); err != nil {
 			return report, err
-		}
-		ccfg.Addr = addr // come back on the same endpoint
-		services, err = runtime.NewContainer(ccfg)
-		if err != nil {
-			return report, fmt.Errorf("testbed: churn restart %d: %w", r+1, err)
 		}
 		report.Restarts++
 
-		start := time.Now()
-		if err := convergeWave(services, workers, wave, cfg.Deadline); err != nil {
-			return report, fmt.Errorf("testbed: churn restart %d: %w", r+1, err)
+		restarted := time.Now()
+		reconverged, err := converge()
+		if err != nil {
+			return report, fmt.Errorf("after restart %d: %w", r+1, err)
 		}
-		report.RecoveryTime = time.Since(start)
+		report.RecoveryTime = reconverged.Sub(restarted)
 	}
-
-	// Audit survival through the restarted catalog.
-	for _, d := range wave {
-		if _, err := services.DC.Get(d.UID); err == nil {
-			report.DataSurvived++
-		}
-		if locs, err := services.DC.Locators(d.UID); err == nil && len(locs) > 0 {
-			report.LocatorsSurvived++
-		}
+	if err := f.settle(); err != nil {
+		return report, err
 	}
-	if report.DataSurvived != len(wave) {
-		return report, fmt.Errorf("testbed: churn lost data: %d of %d survived", report.DataSurvived, len(wave))
-	}
-	if report.LocatorsSurvived != len(wave) {
-		return report, fmt.Errorf("testbed: churn lost locators: %d of %d survived", report.LocatorsSurvived, len(wave))
-	}
+	report.DataSurvived, report.LocatorsSurvived = len(w.data), len(w.data)
 	return report, nil
-}
-
-// convergeWave drives worker heartbeats until the wave is fully placed:
-// the broadcast head datum on every worker, and every task with at least
-// one live owner. Transient heartbeat errors (the service just came back)
-// are retried until the deadline.
-func convergeWave(services *runtime.Container, workers []*core.Node, wave []*data.Data, deadline time.Duration) error {
-	limit := time.Now().Add(deadline)
-	var lastErr error
-	for time.Now().Before(limit) {
-		for _, w := range workers {
-			// SyncWait also drains the in-flight downloads the sync starts.
-			if err := w.SyncWait(1); err != nil {
-				lastErr = err
-			}
-		}
-		if converged(services, workers, wave) {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if lastErr != nil {
-		return fmt.Errorf("reconvergence timed out (last heartbeat error: %v)", lastErr)
-	}
-	return fmt.Errorf("reconvergence timed out")
-}
-
-func converged(services *runtime.Container, workers []*core.Node, wave []*data.Data) bool {
-	for _, w := range workers {
-		if !w.Holds(wave[0].UID) {
-			return false
-		}
-	}
-	for _, d := range wave[1:] {
-		if len(services.DS.Owners(d.UID)) == 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,21 +1,18 @@
 package testbed
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestServiceChurn is the crash-restart acceptance scenario: all four D*
-// services are killed and restarted (twice) from --state-dir mid-BLAST-
-// wave; no registered data or locators may be lost, and the delta-syncing
-// workers must reconverge through the full-resync fallback.
+// services are killed and restarted (twice) from --state-dir under a BLAST
+// wave; no registered data, locators, bytes or placements may be lost, and
+// the delta-syncing workers must reconverge through the full-resync
+// fallback.
 func TestServiceChurn(t *testing.T) {
 	report, err := RunServiceChurn(ChurnConfig{
 		Workers:  3,
 		Tasks:    8,
 		Restarts: 2,
 		StateDir: t.TempDir(),
-		Deadline: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,9 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
 	"time"
-
-	"bitdew/internal/core"
-	"bitdew/internal/loadgen"
-	"bitdew/internal/runtime"
 )
 
 // The failover scenario measures the replicated plane's headline number:
@@ -29,199 +25,84 @@ type FailoverConfig struct {
 	// Data is the wave size; the victim range is the home of the first
 	// datum (default 16, so every shard homes something).
 	Data int
-	// PayloadBytes sizes each datum (default 256).
-	PayloadBytes int
 	// Rounds is how many kill→measure→restart cycles to run (default 1).
 	Rounds int
-	// Deadline bounds each phase: replication convergence, each failover
-	// wait, each rejoin wait (default 30s).
-	Deadline time.Duration
 }
 
 // FailoverReport is the outcome of a failover-latency run.
 type FailoverReport struct {
-	Shards, Replicas, Rounds int
+	Rounds int
 	// Detections holds one duration per round: the kill of the victim
 	// range's owner to the first successful read of a datum homed there.
 	Detections []time.Duration
-	// Elapsed is the whole run's wall time (boot to last rejoin).
-	Elapsed time.Duration
-	// Payload is the effective payload size, for the report row.
-	Payload int
 }
 
-func (c *FailoverConfig) defaults() {
-	if c.Shards == 0 {
-		c.Shards = 3
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Data == 0 {
-		c.Data = 16
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 256
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 1
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 30 * time.Second
-	}
-}
-
-// RunFailover boots a replicated plane, distributes a wave, then runs the
-// kill→measure→restart cycles. It returns an error when the plane fails to
-// converge, a failover misses the deadline, or a read returns wrong bytes —
-// so tests and benchmarks can use it as an acceptance check.
+// RunFailover boots a replicated plane, puts a wave, then runs the
+// kill→measure→restart cycles, auditing every datum of the wave after each
+// kill (with the shard still down) and after each restart (which is also
+// the convergence barrier the next kill must not race). It returns an error
+// when the plane fails to converge, a failover misses the deadline, or any
+// datum lost state — so tests and benchmarks can use it as an acceptance
+// check.
 func RunFailover(cfg FailoverConfig) (FailoverReport, error) {
-	cfg.defaults()
-	report := FailoverReport{Shards: cfg.Shards, Replicas: cfg.Replicas, Rounds: cfg.Rounds, Payload: cfg.PayloadBytes}
-	runStart := time.Now()
+	cfg.Replicas, cfg.Rounds = cmp.Or(cfg.Replicas, 2), cmp.Or(cfg.Rounds, 1)
+	report := FailoverReport{Rounds: cfg.Rounds}
 	if cfg.Replicas < 2 {
 		return report, fmt.Errorf("testbed: failover needs replicas >= 2, got %d", cfg.Replicas)
 	}
-
-	plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		// The wave moves over HTTP; the other protocol servers only cost
-		// boot time.
-		DisableFTP:   true,
-		DisableSwarm: true,
-	})
+	f, err := boot(fixtureConfig{name: "failover", shards: cmp.Or(cfg.Shards, 3), replicas: cfg.Replicas})
 	if err != nil {
 		return report, err
 	}
-	defer plane.Close()
-
-	set, err := core.ConnectSharded(plane.Addrs(), core.WithReplicas(plane.Replicas()))
+	defer f.close()
+	w, err := f.putWave(cmp.Or(cfg.Data, 16))
 	if err != nil {
 		return report, err
 	}
-	defer set.Close()
-	node, err := core.NewNode(core.NodeConfig{Host: "failover-client", Shards: set, Concurrency: 16})
-	if err != nil {
-		return report, err
-	}
-	node.SetClientOnly(true)
-
-	names := make([]string, cfg.Data)
-	for i := range names {
-		names[i] = fmt.Sprintf("failover-%04d", i)
-	}
-	wave, err := node.BitDew.CreateDataBatch(names)
-	if err != nil {
-		return report, err
-	}
-	rng := rand.New(rand.NewSource(11))
-	contents := make([][]byte, len(wave))
-	for i := range contents {
-		contents[i] = make([]byte, cfg.PayloadBytes)
-		rng.Read(contents[i])
-	}
-	if err := node.BitDew.PutAll(wave, contents); err != nil {
+	if _, err := f.step("the put", nil); err != nil {
 		return report, err
 	}
 
-	// The victim range is the home of the first datum; track one witness
-	// datum homed there whose read proves the range is back.
-	victimRange := set.ShardOf(wave[0].UID)
-	witness := *wave[0]
-	witnessContent := contents[0]
-
+	// The victim range is the home of the first datum, the witness whose
+	// read proves the range is back.
+	witness := *w.data[0]
+	victimRange := f.set.ShardOf(witness.UID)
 	for round := 0; round < cfg.Rounds; round++ {
-		// The kill must not race the replication stream: wait for every
-		// live shard's outbound streams to be fully acknowledged.
-		if err := plane.WaitReplicated(cfg.Deadline); err != nil {
-			return report, fmt.Errorf("testbed: failover round %d: convergence: %w", round, err)
-		}
-		victim := set.OwnerOf(victimRange)
-		if plane.Shard(victim) == nil {
-			return report, fmt.Errorf("testbed: failover round %d: owner %d of range %d already down", round, victim, victimRange)
-		}
-		if err := plane.KillShard(victim); err != nil {
+		victim := f.set.OwnerOf(victimRange)
+		var detection time.Duration
+		_, err := f.step(fmt.Sprintf("round %d: killing shard %d, owner of range %d", round, victim, victimRange), func() error {
+			if err := f.plane.KillShard(victim); err != nil {
+				return err
+			}
+			// Detection-to-promoted: the first read through the range slot
+			// rides the whole failover path (transport error, probes,
+			// Promote, re-routed call).
+			killAt := time.Now()
+			for {
+				_, err := f.master.BitDew.GetBytes(witness)
+				if err == nil {
+					break
+				}
+				if time.Since(killAt) > deadline {
+					return fmt.Errorf("range still unreachable after %v: %w", deadline, err)
+				}
+			}
+			detection = time.Since(killAt)
+			return nil
+		})
+		if err != nil {
 			return report, err
-		}
-		// Detection-to-promoted: the first read through the range slot
-		// rides the whole failover path (transport error, probes, Promote,
-		// re-routed call). Bound it with the deadline.
-		killAt := time.Now()
-		var got []byte
-		deadline := killAt.Add(cfg.Deadline)
-		for {
-			raw, err := node.BitDew.GetBytes(witness)
-			if err == nil {
-				got = raw
-				break
-			}
-			if time.Now().After(deadline) {
-				return report, fmt.Errorf("testbed: failover round %d: range %d still unreachable %v after killing shard %d: %w",
-					round, victimRange, cfg.Deadline, victim, err)
-			}
-		}
-		detection := time.Since(killAt)
-		if string(got) != string(witnessContent) {
-			return report, fmt.Errorf("testbed: failover round %d: %s corrupted after failover", round, witness.Name)
-		}
-		if set.OwnerOf(victimRange) == victim {
-			return report, fmt.Errorf("testbed: failover round %d: client still routes range %d to dead shard %d", round, victimRange, victim)
 		}
 		report.Detections = append(report.Detections, detection)
 
 		// Restart the killed shard: it must rejoin as a replica (the
 		// promoted owner keeps the range), ready to be promoted back when
 		// the next round kills the current owner.
-		if err := plane.RestartShard(victim); err != nil {
+		if _, err := f.step(fmt.Sprintf("round %d: restarting shard %d", round, victim), func() error {
+			return f.plane.RestartShard(victim)
+		}); err != nil {
 			return report, err
 		}
 	}
-	report.Elapsed = time.Since(runStart)
-	return report, nil
-}
-
-// BuildReport folds the run into the BENCH_*.json schema: each round's
-// detection-to-promoted window is one "failover" op, its duration the op's
-// latency — so the trajectory table's p50/p99 columns read directly as
-// failover latency in milliseconds.
-func (r FailoverReport) BuildReport() *loadgen.Report {
-	var hist loadgen.Hist
-	for _, d := range r.Detections {
-		hist.Record(d)
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	lat := loadgen.LatencyMS{
-		P50:  ms(hist.Quantile(0.50)),
-		P99:  ms(hist.Quantile(0.99)),
-		P999: ms(hist.Quantile(0.999)),
-		Max:  ms(hist.Max()),
-		Mean: ms(hist.Mean()),
-	}
-	rep := &loadgen.Report{
-		Name:        "failover",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		ElapsedSec:  r.Elapsed.Seconds(),
-		Ops:         uint64(len(r.Detections)),
-		Latency:     lat,
-		PerOp: map[string]*loadgen.OpReport{
-			"failover": {
-				Ops:     uint64(len(r.Detections)),
-				Rate:    float64(len(r.Detections)) / r.Elapsed.Seconds(),
-				Latency: lat,
-			},
-		},
-	}
-	if r.Elapsed > 0 {
-		rep.Throughput = float64(len(r.Detections)) / r.Elapsed.Seconds()
-	}
-	rep.Scenario.Shards = r.Shards
-	rep.Scenario.Clients = 1
-	rep.Scenario.Conns = 1
-	rep.Scenario.Mix = fmt.Sprintf("kill-owner x%d, R=%d", r.Rounds, r.Replicas)
-	rep.Scenario.Arrival = "kill/promote/rejoin"
-	rep.Scenario.Duration = r.Elapsed.Round(time.Millisecond).String()
-	rep.Scenario.Warmup = "0s"
-	rep.Scenario.Payload = r.Payload
-	return rep
+	return report, f.settle()
 }

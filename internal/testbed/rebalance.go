@@ -1,18 +1,14 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bitdew/internal/attr"
 	"bitdew/internal/core"
 	"bitdew/internal/data"
-	"bitdew/internal/loadgen"
-	"bitdew/internal/rpc"
-	"bitdew/internal/runtime"
 )
 
 // The rebalance scenario measures the elastic plane's headline claim: a
@@ -27,8 +23,8 @@ import (
 // one home-routed catalog Get — exactly one rpc frame — under the same
 // serve-limit + injected-service-time capacity model as the shard-scaling
 // scenario, so each shard serializes its own frames and baseline→scaled is
-// a genuine capacity measurement, not a cache artifact. Every datum of all
-// three waves is audited byte-for-byte at the end.
+// a genuine capacity measurement, not a cache artifact. The plane is
+// audited after every grow step and at the end.
 
 // ScaleOutConfig parameterises a live scale-out run.
 type ScaleOutConfig struct {
@@ -48,33 +44,28 @@ type ScaleOutConfig struct {
 	// processing cost (serve limit 1 + injected latency). Zero runs the
 	// plane unthrottled (functional tests).
 	ServiceTime time.Duration
-	// ReadOps is how many closed-loop catalog reads each measured window
-	// issues (default 400).
-	ReadOps int
-	// ReadClients is the closed-loop concurrency of the measured windows
-	// (default 32) — enough in-flight frames to keep every shard's
-	// serializer busy, so the windows measure plane capacity.
-	ReadClients int
-	// Deadline bounds each wave's distribution (default 60s).
-	Deadline time.Duration
 }
+
+const (
+	// readOps is how many closed-loop catalog reads each measured window
+	// issues.
+	readOps = 400
+	// readClients is the closed-loop concurrency of the measured windows —
+	// enough in-flight frames to keep every shard's serializer busy, so the
+	// windows measure plane capacity.
+	readClients = 32
+)
 
 // ScaleOutReport is the outcome of a live scale-out run.
 type ScaleOutReport struct {
-	StartShards, EndShards, Workers, Tasks int
-	// Payload is the effective payload size, for the report row.
-	Payload int
+	Tasks int
 	// BaselineTime / ScaledTime are the measured closed-loop read windows
 	// on the starting and grown planes; the throughputs are reads per
-	// second over those windows, the hists their per-op latencies.
+	// second over those windows.
 	BaselineTime       time.Duration
 	ScaledTime         time.Duration
 	BaselineThroughput float64
 	ScaledThroughput   float64
-	BaselineReads      *loadgen.Hist
-	ScaledReads        *loadgen.Hist
-	// ReadOps is the per-window op count, for the report row.
-	ReadOps int
 	// Speedup is ScaledThroughput / BaselineThroughput — the acceptance
 	// number (the grown plane must actually be faster).
 	Speedup float64
@@ -86,351 +77,138 @@ type ScaleOutReport struct {
 	EpochBefore, EpochAfter uint64
 	// PerShardData counts all three waves' data by final home shard.
 	PerShardData []int
-	// Elapsed is the whole run's wall time.
-	Elapsed time.Duration
 }
 
-func (c *ScaleOutConfig) defaults() {
-	if c.StartShards == 0 {
-		c.StartShards = 2
-	}
-	if c.EndShards == 0 {
-		c.EndShards = 4
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.Tasks == 0 {
-		c.Tasks = 32
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 256
-	}
-	if c.ReadOps == 0 {
-		c.ReadOps = 400
-	}
-	if c.ReadClients == 0 {
-		c.ReadClients = 32
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 60 * time.Second
-	}
-}
-
-// measureReads runs one closed-loop read window: clients goroutines share
-// a counter of ops catalog Gets, each routed to the key's home shard — one
-// rpc frame per op, so under the capacity model the window's rate is the
-// plane's aggregate frame capacity.
-func measureReads(set *core.ShardSet, wave []*data.Data, ops, clients int) (time.Duration, *loadgen.Hist, error) {
-	if clients > ops {
-		clients = ops
-	}
+// measureReads runs one closed-loop read window: readClients goroutines
+// share a counter of readOps catalog Gets, each routed to the key's home
+// shard — one rpc frame per op, so under the capacity model the window's
+// rate is the plane's aggregate frame capacity.
+func measureReads(set *core.ShardSet, wave []*data.Data) (time.Duration, error) {
 	var next atomic.Int64
-	hists := make([]*loadgen.Hist, clients)
-	errs := make([]error, clients)
+	var failed atomic.Pointer[error]
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < clients; c++ {
-		hists[c] = &loadgen.Hist{}
+	for c := 0; c < readClients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(ops) {
-					return
-				}
+			for i := next.Add(1) - 1; i < readOps; i = next.Add(1) - 1 {
 				d := wave[int(i)%len(wave)]
-				opStart := time.Now()
 				if _, err := set.For(d.UID).DC.Get(d.UID); err != nil {
-					errs[c] = fmt.Errorf("read %s: %w", d.Name, err)
+					err = fmt.Errorf("read %s: %w", d.Name, err)
+					failed.CompareAndSwap(nil, &err)
 					return
 				}
-				hists[c].Record(time.Since(opStart))
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	merged := &loadgen.Hist{}
-	for c := range hists {
-		if errs[c] != nil {
-			return elapsed, nil, errs[c]
-		}
-		merged.Merge(hists[c])
+	if err := failed.Load(); err != nil {
+		return elapsed, *err
 	}
-	return elapsed, merged, nil
-}
-
-// blastWave creates, fills and schedules one BLAST-like wave (a broadcast
-// head plus replica-1 tasks) through the master node, then waits for the
-// workers to fully distribute it. It returns the wave, its contents, and
-// the wall time from first create to distribution complete.
-func blastWave(mnode *core.Node, workers []*core.Node, prefix string, tasks, payload int, seed int64, deadline time.Duration) ([]*data.Data, [][]byte, time.Duration, error) {
-	names := make([]string, 0, tasks+1)
-	names = append(names, prefix+"-genebase")
-	for i := 0; i < tasks; i++ {
-		names = append(names, fmt.Sprintf("%s-%04d", prefix, i))
-	}
-	start := time.Now()
-	wave, err := mnode.BitDew.CreateDataBatch(names)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	contents := make([][]byte, len(wave))
-	for i := range contents {
-		contents[i] = make([]byte, payload)
-		rng.Read(contents[i])
-	}
-	if err := mnode.BitDew.PutAll(wave, contents); err != nil {
-		return nil, nil, 0, err
-	}
-	scheduled := make([]data.Data, len(wave))
-	attrs := make([]attr.Attribute, len(wave))
-	for i, d := range wave {
-		scheduled[i] = *d
-		if i == 0 {
-			attrs[i] = attr.Attribute{Name: prefix + "-genebase", Replica: attr.ReplicaAll, FaultTolerant: true, Protocol: "http"}
-		} else {
-			attrs[i] = attr.Attribute{Name: prefix + "-task", Replica: 1, FaultTolerant: true, Protocol: "http"}
-		}
-	}
-	if err := mnode.ActiveData.ScheduleAll(scheduled, attrs); err != nil {
-		return nil, nil, 0, err
-	}
-	limit := time.Now().Add(deadline)
-	for !shardedWaveDone(workers, wave) {
-		if time.Now().After(limit) {
-			return nil, nil, 0, fmt.Errorf("testbed: wave %q missed the %v distribution deadline", prefix, deadline)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return wave, contents, time.Since(start), nil
+	return elapsed, nil
 }
 
 // RunScaleOut runs the scenario: boot an elastic StartShards-plane, measure
-// a baseline wave, grow the plane to EndShards while a second wave
-// distributes (live traffic across every stage/cutover/commit), measure a
-// third wave on the grown plane, and audit all three waves byte-for-byte.
-// It returns an error when any wave misses its deadline, any worker or
-// client call fails during the growth window, the epoch fails to advance
-// once per added shard, the grown placement leaves a new shard empty, or
-// any datum reads back wrong — so tests and benchmarks can use it as an
-// acceptance check.
+// a baseline read window, grow the plane to EndShards while a second wave
+// distributes (live traffic across every stage/cutover/commit), distribute a
+// third wave on the grown plane, and measure the same window again. It
+// returns an error when any wave misses its deadline, any worker or client
+// call fails during the growth window, the epoch fails to advance once per
+// added shard, the grown placement leaves a new shard empty, or an audit —
+// after each grow step, and over all three waves at the end — finds a datum
+// that lost state, so tests and benchmarks can use it as an acceptance check.
 func RunScaleOut(cfg ScaleOutConfig) (ScaleOutReport, error) {
-	cfg.defaults()
-	report := ScaleOutReport{
-		StartShards: cfg.StartShards,
-		EndShards:   cfg.EndShards,
-		Workers:     cfg.Workers,
-		Tasks:       cfg.Tasks,
-		Payload:     cfg.PayloadBytes,
-	}
-	runStart := time.Now()
+	cfg.StartShards, cfg.EndShards = cmp.Or(cfg.StartShards, 2), cmp.Or(cfg.EndShards, 4)
+	cfg.Workers, cfg.Tasks = cmp.Or(cfg.Workers, 4), cmp.Or(cfg.Tasks, 32)
+	report := ScaleOutReport{Tasks: cfg.Tasks}
 	if cfg.EndShards <= cfg.StartShards {
 		return report, fmt.Errorf("testbed: scale-out needs EndShards > StartShards, got %d -> %d", cfg.StartShards, cfg.EndShards)
 	}
-
-	pcfg := runtime.ShardedConfig{
-		Shards: cfg.StartShards,
-		// The wave moves over HTTP; the other protocol servers only cost
-		// boot time.
-		DisableFTP:   true,
-		DisableSwarm: true,
-	}
-	if cfg.ServiceTime > 0 {
-		pcfg.RPCOptions = []rpc.ServerOption{
-			rpc.WithServerLatency(cfg.ServiceTime),
-			rpc.WithServeLimit(1),
-		}
-	}
-	plane, err := runtime.NewShardedContainer(pcfg)
+	f, err := boot(fixtureConfig{
+		name: "scaleout", shards: cfg.StartShards, serviceTime: cfg.ServiceTime,
+		workers: cfg.Workers, payload: cfg.PayloadBytes,
+	})
 	if err != nil {
 		return report, err
 	}
-	defer plane.Close()
-
-	master, err := core.ConnectSharded(plane.Addrs())
-	if err != nil {
-		return report, err
-	}
-	defer master.Close()
-	mnode, err := core.NewNode(core.NodeConfig{Host: "scaleout-master", Shards: master, Concurrency: 16})
-	if err != nil {
-		return report, err
-	}
-	mnode.SetClientOnly(true)
-
-	workers := make([]*core.Node, cfg.Workers)
-	wsets := make([]*core.ShardSet, cfg.Workers)
-	for i := range workers {
-		wset, err := core.ConnectSharded(plane.Addrs())
-		if err != nil {
-			return report, err
-		}
-		defer wset.Close()
-		w, err := core.NewNode(core.NodeConfig{Host: fmt.Sprintf("scaleout-w%d", i), Shards: wset, Concurrency: 32})
-		if err != nil {
-			return report, err
-		}
-		workers[i] = w
-		wsets[i] = wset
-	}
+	defer f.close()
 
 	// Workers pull continuously for the WHOLE run — through the baseline,
 	// straight across every grow step, into the scaled window. A worker
 	// error anywhere is client-visible unavailability, and fails the run.
-	stop := make(chan struct{})
-	werrs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *core.Node) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := w.SyncWait(1); err != nil {
-					werrs[i] = err
-					return
-				}
-			}
-		}(i, w)
-	}
-	workerErr := func() error {
-		for i, err := range werrs {
-			if err != nil {
-				return fmt.Errorf("testbed: scale-out: worker %d: %w", i, err)
-			}
+	f.pump()
+	blast := func() (*wave, error) {
+		w, err := f.putWave(cfg.Tasks + 1)
+		if err == nil {
+			_, err = f.distributed(w)
 		}
-		return nil
-	}
-	fail := func(err error) (ScaleOutReport, error) {
-		close(stop)
-		wg.Wait()
-		return report, err
+		return w, err
 	}
 
 	// Distribute the first wave on the starting plane, then measure the
 	// baseline read window against it.
-	baseWave, baseContents, _, err := blastWave(mnode, workers, "base", cfg.Tasks, cfg.PayloadBytes, 7, cfg.Deadline)
+	base, err := blast()
 	if err != nil {
-		return fail(err)
+		return report, err
 	}
-	report.ReadOps = cfg.ReadOps
-	baseTime, baseReads, err := measureReads(master, baseWave, cfg.ReadOps, cfg.ReadClients)
-	if err != nil {
-		return fail(fmt.Errorf("testbed: scale-out: baseline window: %w", err))
+	if report.BaselineTime, err = measureReads(f.set, base.data); err != nil {
+		return report, fmt.Errorf("testbed: scale-out: baseline window: %w", err)
 	}
-	report.BaselineTime = baseTime
-	report.BaselineReads = baseReads
-	report.BaselineThroughput = float64(cfg.ReadOps) / baseTime.Seconds()
-	report.EpochBefore = plane.Epoch()
+	report.BaselineThroughput = readOps / report.BaselineTime.Seconds()
+	report.EpochBefore = f.plane.Epoch()
 
 	// Growth under live traffic: a second wave distributes while AddShard
 	// stages, cuts over and commits each new shard. The wave goroutine and
 	// the grow loop genuinely overlap — that concurrency is the scenario.
-	type waveResult struct {
-		wave     []*data.Data
-		contents [][]byte
-		err      error
-	}
-	liveCh := make(chan waveResult, 1)
+	live := make(chan error, 1)
 	go func() {
-		w, c, _, err := blastWave(mnode, workers, "live", cfg.Tasks, cfg.PayloadBytes, 11, cfg.Deadline)
-		liveCh <- waveResult{wave: w, contents: c, err: err}
+		_, err := blast()
+		live <- err
 	}()
-	for plane.N() < cfg.EndShards {
-		stepStart := time.Now()
-		if _, err := plane.AddShard(); err != nil {
-			<-liveCh
-			return fail(fmt.Errorf("testbed: scale-out: AddShard at %d shards: %w", plane.N(), err))
+	for f.plane.N() < cfg.EndShards {
+		took, err := f.step(fmt.Sprintf("AddShard at %d shards", f.plane.N()), func() error {
+			_, err := f.plane.AddShard()
+			return err
+		})
+		if err != nil {
+			<-live
+			return report, err
 		}
-		report.GrowSteps = append(report.GrowSteps, time.Since(stepStart))
+		report.GrowSteps = append(report.GrowSteps, took)
 	}
-	live := <-liveCh
-	if live.err != nil {
-		return fail(fmt.Errorf("testbed: scale-out: live wave during growth: %w", live.err))
+	if err := <-live; err != nil {
+		return report, fmt.Errorf("live wave during growth: %w", err)
 	}
-	if err := workerErr(); err != nil {
-		return fail(err)
-	}
-	report.EpochAfter = plane.Epoch()
+	report.EpochAfter = f.plane.Epoch()
 	if want := report.EpochBefore + uint64(cfg.EndShards-cfg.StartShards); report.EpochAfter != want {
-		return fail(fmt.Errorf("testbed: scale-out: epoch %d after growth, want %d", report.EpochAfter, want))
+		return report, fmt.Errorf("testbed: scale-out: epoch %d after growth, want %d", report.EpochAfter, want)
 	}
 
-	// The master client converges on demand; the workers converge through
-	// their heartbeat's epoch poll (or the not-owner retry path).
-	if master.Epoch() != report.EpochAfter && !master.Refresh() {
-		return fail(fmt.Errorf("testbed: scale-out: client refresh failed after growth"))
+	// Distribute a third wave on the grown plane (it must still move a whole
+	// wave end to end, and by then every worker's heartbeat has reached every
+	// new shard), then re-measure the same keys as the baseline window — they
+	// have been re-homed across EndShards serializers — with the workers
+	// still syncing, so both windows carry the same kind of background load.
+	if _, err := blast(); err != nil {
+		return report, err
 	}
-	if master.N() != cfg.EndShards {
-		return fail(fmt.Errorf("testbed: scale-out: client sees %d shards after growth, want %d", master.N(), cfg.EndShards))
+	if report.ScaledTime, err = measureReads(f.set, base.data); err != nil {
+		return report, fmt.Errorf("testbed: scale-out: scaled window: %w", err)
 	}
-	// The scaled window measures the grown plane's steady state, so wait
-	// for every worker's heartbeat to adopt the final epoch first (the live
-	// wave above already proved traffic DURING convergence flows). The
-	// workers' epoch poll is throttled, so this takes at most a few rounds.
-	convergeLimit := time.Now().Add(cfg.Deadline)
-	for _, ws := range wsets {
-		for ws.Epoch() != report.EpochAfter {
-			if time.Now().After(convergeLimit) {
-				return fail(fmt.Errorf("testbed: scale-out: worker stuck at epoch %d, want %d", ws.Epoch(), report.EpochAfter))
-			}
-			if err := workerErr(); err != nil {
-				return fail(err)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	// Distribute a third wave on the grown plane (the grown plane must
-	// still move a whole wave end to end), then re-measure the same read
-	// window — now spread over EndShards serializers.
-	postWave, postContents, _, err := blastWave(mnode, workers, "post", cfg.Tasks, cfg.PayloadBytes, 13, cfg.Deadline)
-	if err != nil {
-		return fail(err)
-	}
-	// Re-measure the same keys as the baseline window — they have been
-	// re-homed across EndShards serializers — with the workers still
-	// syncing, so both windows carry the same kind of background load.
-	scaledTime, scaledReads, err := measureReads(master, baseWave, cfg.ReadOps, cfg.ReadClients)
-	if err != nil {
-		return fail(fmt.Errorf("testbed: scale-out: scaled window: %w", err))
-	}
-	report.ScaledTime = scaledTime
-	report.ScaledReads = scaledReads
-	report.ScaledThroughput = float64(cfg.ReadOps) / scaledTime.Seconds()
-	if report.BaselineThroughput > 0 {
-		report.Speedup = report.ScaledThroughput / report.BaselineThroughput
-	}
-	close(stop)
-	wg.Wait()
-	if err := workerErr(); err != nil {
+	report.ScaledThroughput = readOps / report.ScaledTime.Seconds()
+	report.Speedup = report.ScaledThroughput / report.BaselineThroughput
+	if err := f.settle(); err != nil {
 		return report, err
 	}
 
-	// Audit: every datum of all three waves, byte-for-byte, through the
-	// grown placement; and the growth must have actually spread the keys —
-	// a new shard that homes nothing means the cutover never happened.
+	// The growth must have actually spread the keys — a new shard that homes
+	// nothing means the cutover never happened.
 	report.PerShardData = make([]int, cfg.EndShards)
-	waves := [][]*data.Data{baseWave, live.wave, postWave}
-	contents := [][][]byte{baseContents, live.contents, postContents}
-	for w := range waves {
-		for i, d := range waves[w] {
-			report.PerShardData[master.ShardOf(d.UID)]++
-			got, err := mnode.BitDew.GetBytes(*d)
-			if err != nil {
-				return report, fmt.Errorf("testbed: scale-out: %s unreachable after growth: %w", d.Name, err)
-			}
-			if string(got) != string(contents[w][i]) {
-				return report, fmt.Errorf("testbed: scale-out: %s corrupted across growth", d.Name)
-			}
+	for _, w := range f.waves {
+		for _, d := range w.data {
+			report.PerShardData[f.set.ShardOf(d.UID)]++
 		}
 	}
 	for s := cfg.StartShards; s < cfg.EndShards; s++ {
@@ -438,68 +216,7 @@ func RunScaleOut(cfg ScaleOutConfig) (ScaleOutReport, error) {
 			return report, fmt.Errorf("testbed: scale-out: new shard %d homes no data", s)
 		}
 	}
-	report.Elapsed = time.Since(runStart)
 	return report, nil
-}
-
-// BuildReport folds the run into the BENCH_*.json schema. The "baseline"
-// and "scaled" rows carry the two measured read windows with their real
-// per-op latencies, the "grow" row holds one op per AddShard with its real
-// stage-to-commit wall time — so the trajectory table reads directly as
-// "how much faster did the plane get, and what did each grow step cost".
-func (r ScaleOutReport) BuildReport() *loadgen.Report {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	histLat := func(h *loadgen.Hist) loadgen.LatencyMS {
-		if h == nil {
-			return loadgen.LatencyMS{}
-		}
-		return loadgen.LatencyMS{
-			P50:  ms(h.Quantile(0.50)),
-			P99:  ms(h.Quantile(0.99)),
-			P999: ms(h.Quantile(0.999)),
-			Max:  ms(h.Max()),
-			Mean: ms(h.Mean()),
-		}
-	}
-	var growHist loadgen.Hist
-	for _, d := range r.GrowSteps {
-		growHist.Record(d)
-	}
-	readOps := uint64(r.ReadOps)
-	rep := &loadgen.Report{
-		Name:        "rebalance",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		ElapsedSec:  r.Elapsed.Seconds(),
-		Ops:         2*readOps + uint64(len(r.GrowSteps)),
-		Throughput:  r.ScaledThroughput,
-		Latency:     histLat(r.ScaledReads),
-		PerOp: map[string]*loadgen.OpReport{
-			"baseline": {
-				Ops:     readOps,
-				Rate:    r.BaselineThroughput,
-				Latency: histLat(r.BaselineReads),
-			},
-			"scaled": {
-				Ops:     readOps,
-				Rate:    r.ScaledThroughput,
-				Latency: histLat(r.ScaledReads),
-			},
-			"grow": {
-				Ops:     uint64(len(r.GrowSteps)),
-				Rate:    float64(len(r.GrowSteps)) / r.Elapsed.Seconds(),
-				Latency: histLat(&growHist),
-			},
-		},
-	}
-	rep.Scenario.Shards = r.EndShards
-	rep.Scenario.Clients = r.Workers + 1
-	rep.Scenario.Conns = r.EndShards
-	rep.Scenario.Mix = fmt.Sprintf("blast %d->%d live scale-out, speedup %.2fx", r.StartShards, r.EndShards, r.Speedup)
-	rep.Scenario.Arrival = "closed"
-	rep.Scenario.Duration = r.Elapsed.Round(time.Millisecond).String()
-	rep.Scenario.Warmup = "0s"
-	rep.Scenario.Payload = r.Payload
-	return rep
 }
 
 // DrainConfig parameterises a live drain (scale-in) run.
@@ -508,123 +225,43 @@ type DrainConfig struct {
 	Shards int
 	// Tasks is the wave size (default 24).
 	Tasks int
-	// PayloadBytes sizes each payload (default 256).
-	PayloadBytes int
-	// Deadline bounds the distribution wait (default 60s).
-	Deadline time.Duration
 }
 
 // DrainReport is the outcome of a drain run.
 type DrainReport struct {
-	Shards, Tasks int
 	// Drained is the index of the retired shard.
 	Drained int
 	// DrainTime is the stage-to-commit wall time of the drain.
 	DrainTime time.Duration
-	// Elapsed is the whole run's wall time.
-	Elapsed time.Duration
 }
 
-func (c *DrainConfig) defaults() {
-	if c.Shards == 0 {
-		c.Shards = 3
-	}
-	if c.Tasks == 0 {
-		c.Tasks = 24
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 256
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 60 * time.Second
-	}
-}
-
-// RunDrain runs the scale-in scenario: boot an elastic plane, distribute a
-// wave, drain the last shard, converge the client, release the drained
-// container (its endpoints die), and audit every datum byte-for-byte
-// through the survivors. It returns an error when the drain loses or
-// corrupts any datum, so tests can use it as an acceptance check.
+// RunDrain runs the scale-in scenario: boot an elastic plane, put a wave,
+// drain the last shard, and release the drained container (its endpoints
+// die). The plane is audited after the drain and again after the release,
+// when every read must resolve through the survivors; it returns an error
+// when the drain loses or corrupts any datum, so tests can use it as an
+// acceptance check.
 func RunDrain(cfg DrainConfig) (DrainReport, error) {
-	cfg.defaults()
-	report := DrainReport{Shards: cfg.Shards, Tasks: cfg.Tasks, Drained: -1}
-	runStart := time.Now()
-
-	plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{
-		Shards:       cfg.Shards,
-		DisableFTP:   true,
-		DisableSwarm: true,
+	report := DrainReport{Drained: -1}
+	f, err := boot(fixtureConfig{name: "drain", shards: cmp.Or(cfg.Shards, 3)})
+	if err != nil {
+		return report, err
+	}
+	defer f.close()
+	if _, err := f.putWave(cmp.Or(cfg.Tasks, 24)); err != nil {
+		return report, err
+	}
+	report.DrainTime, err = f.step("DrainShard", func() error {
+		var err error
+		report.Drained, err = f.plane.DrainShard()
+		return err
 	})
 	if err != nil {
 		return report, err
 	}
-	defer plane.Close()
-
-	master, err := core.ConnectSharded(plane.Addrs())
-	if err != nil {
-		return report, err
-	}
-	defer master.Close()
-	mnode, err := core.NewNode(core.NodeConfig{Host: "drain-master", Shards: master, Concurrency: 16})
-	if err != nil {
-		return report, err
-	}
-	mnode.SetClientOnly(true)
-
-	names := make([]string, cfg.Tasks)
-	for i := range names {
-		names[i] = fmt.Sprintf("drain-%04d", i)
-	}
-	wave, err := mnode.BitDew.CreateDataBatch(names)
-	if err != nil {
-		return report, err
-	}
-	rng := rand.New(rand.NewSource(17))
-	contents := make([][]byte, len(wave))
-	for i := range contents {
-		contents[i] = make([]byte, cfg.PayloadBytes)
-		rng.Read(contents[i])
-	}
-	if err := mnode.BitDew.PutAll(wave, contents); err != nil {
-		return report, err
-	}
-
-	drainStart := time.Now()
-	drained, err := plane.DrainShard()
-	if err != nil {
-		return report, err
-	}
-	report.Drained = drained
-	report.DrainTime = time.Since(drainStart)
-
-	if master.Epoch() != plane.Epoch() && !master.Refresh() {
-		return report, fmt.Errorf("testbed: drain: client refresh failed after drain")
-	}
-	if master.N() != cfg.Shards-1 {
-		return report, fmt.Errorf("testbed: drain: client sees %d shards after drain, want %d", master.N(), cfg.Shards-1)
-	}
-	// Release the retired container: from here its endpoints are dead, so
-	// every fetch MUST resolve through the survivors — nothing may still
-	// depend on the drained shard.
-	if err := plane.ReleaseDrained(); err != nil {
-		return report, err
-	}
-	for i, d := range wave {
-		got, err := mnode.BitDew.GetBytes(*d)
-		if err != nil {
-			return report, fmt.Errorf("testbed: drain: %s unreachable after drain: %w", d.Name, err)
-		}
-		if string(got) != string(contents[i]) {
-			return report, fmt.Errorf("testbed: drain: %s corrupted across drain", d.Name)
-		}
-	}
-	all, err := mnode.BitDew.AllData()
-	if err != nil {
-		return report, err
-	}
-	if len(all) != len(wave) {
-		return report, fmt.Errorf("testbed: drain: %d data after drain, want %d", len(all), len(wave))
-	}
-	report.Elapsed = time.Since(runStart)
-	return report, nil
+	// From here the retired container's endpoints are dead: nothing may
+	// still depend on the drained shard, and the audit that ends the run
+	// says so.
+	_, err = f.step("releasing the drained shard", f.plane.ReleaseDrained)
+	return report, err
 }

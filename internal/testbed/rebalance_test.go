@@ -37,10 +37,6 @@ func TestRunScaleOut(t *testing.T) {
 	if total != 3*(report.Tasks+1) {
 		t.Fatalf("placement accounts for %d of %d data", total, 3*(report.Tasks+1))
 	}
-	rep := report.BuildReport()
-	if rep.Name != "rebalance" || rep.PerOp["baseline"] == nil || rep.PerOp["scaled"] == nil || rep.PerOp["grow"] == nil {
-		t.Fatalf("malformed bench report: %+v", rep)
-	}
 }
 
 // TestRunDrain runs the scale-in scenario: a 3-shard plane drains to 2,

@@ -1,16 +1,9 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
-
-	"bitdew/internal/attr"
-	"bitdew/internal/core"
-	"bitdew/internal/data"
-	"bitdew/internal/rpc"
-	"bitdew/internal/runtime"
 )
 
 // This file adds the shard-scaling scenario to the testbed: where churn.go
@@ -43,26 +36,20 @@ type ShardedBlastConfig struct {
 	// plane unthrottled (functional tests).
 	ServiceTime time.Duration
 	// KillOneShard, after the wave converges, kills the highest-index
-	// shard and audits the plane's loss. Unreplicated, the audit checks
-	// the blast radius is exactly the dead shard's data: every datum homed
-	// on a surviving shard keeps its catalog entry, locators, placements —
-	// and stays fetchable. With Replicas > 1 the audit upgrades to ZERO
-	// unavailability: every datum of the wave, including those homed on
-	// the killed shard, must keep all three kinds of state and stay
-	// fetchable byte-for-byte through the same client — the failover
-	// router promotes the dead shard's successor on first contact.
+	// shard and audits the plane's loss. Unreplicated, the blast radius
+	// must be exactly the dead shard's data; with Replicas > 1 it must be
+	// nothing — the failover router promotes the dead shard's successor
+	// on first contact (see the harness's audit).
 	KillOneShard bool
 	// Replicas is the plane's replication factor (0/1: unreplicated).
 	Replicas int
 	// StateDir optionally makes every shard durable (per-shard subdirs).
 	StateDir string
-	// Deadline bounds the distribution wait (default 30s).
-	Deadline time.Duration
 }
 
 // ShardedBlastReport is the outcome of a sharded BLAST run.
 type ShardedBlastReport struct {
-	Shards, Workers, Tasks int
+	Tasks int
 	// DistributionTime is the wall time from the first Put to every datum
 	// placed and downloaded (genebase on every worker, every task owned).
 	DistributionTime time.Duration
@@ -88,256 +75,64 @@ type ShardedBlastReport struct {
 	FailedOverData int
 }
 
-func (c *ShardedBlastConfig) defaults() {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.Tasks == 0 {
-		c.Tasks = 32
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 256
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 30 * time.Second
-	}
-}
-
 // RunShardedBlast runs the scenario: boot an N-shard service plane,
 // distribute a BLAST-like wave (one broadcast genebase + Tasks replica-1
 // task data) through sharded clients, measure the distribution throughput,
-// and optionally kill one shard and audit the survivors. It returns an
-// error if distribution misses the deadline or the kill variant loses any
-// surviving-shard state, so tests and benchmarks can use it as an
-// acceptance check.
+// and optionally kill one shard. The plane is audited after the kill and at
+// the end of the run; it returns an error if distribution misses the
+// deadline or any audited datum lost state, so tests and benchmarks can use
+// it as an acceptance check.
 func RunShardedBlast(cfg ShardedBlastConfig) (ShardedBlastReport, error) {
-	cfg.defaults()
-	report := ShardedBlastReport{
-		Shards:      cfg.Shards,
-		Workers:     cfg.Workers,
-		Tasks:       cfg.Tasks,
-		KilledShard: -1,
-	}
-
-	pcfg := runtime.ShardedConfig{
-		Shards:   cfg.Shards,
-		StateDir: cfg.StateDir,
-		Replicas: cfg.Replicas,
-		// The wave moves over HTTP; the other protocol servers only cost
-		// boot time.
-		DisableFTP:   true,
-		DisableSwarm: true,
-	}
-	if cfg.ServiceTime > 0 {
-		pcfg.RPCOptions = []rpc.ServerOption{
-			rpc.WithServerLatency(cfg.ServiceTime),
-			rpc.WithServeLimit(1),
-		}
-	}
-	plane, err := runtime.NewShardedContainer(pcfg)
+	cfg.Shards, cfg.Workers, cfg.Tasks = cmp.Or(cfg.Shards, 2), cmp.Or(cfg.Workers, 4), cmp.Or(cfg.Tasks, 32)
+	report := ShardedBlastReport{Tasks: cfg.Tasks, KilledShard: -1}
+	f, err := boot(fixtureConfig{
+		name: "blast", shards: cfg.Shards, replicas: cfg.Replicas, stateDir: cfg.StateDir,
+		serviceTime: cfg.ServiceTime, workers: cfg.Workers, payload: cfg.PayloadBytes,
+	})
 	if err != nil {
 		return report, err
 	}
-	defer plane.Close()
+	defer f.close()
 
-	master, err := core.ConnectSharded(plane.Addrs(), core.WithReplicas(plane.Replicas()))
+	w, err := f.putWave(cfg.Tasks + 1)
 	if err != nil {
 		return report, err
 	}
-	defer master.Close()
-	mnode, err := core.NewNode(core.NodeConfig{Host: "blast-master", Shards: master, Concurrency: 16})
+	f.pump()
+	at, err := f.distributed(w)
 	if err != nil {
 		return report, err
 	}
-	mnode.SetClientOnly(true)
-
-	workers := make([]*core.Node, cfg.Workers)
-	for i := range workers {
-		wset, err := core.ConnectSharded(plane.Addrs(), core.WithReplicas(plane.Replicas()))
-		if err != nil {
-			return report, err
-		}
-		defer wset.Close()
-		w, err := core.NewNode(core.NodeConfig{Host: fmt.Sprintf("blast-w%d", i), Shards: wset, Concurrency: 32})
-		if err != nil {
-			return report, err
-		}
-		workers[i] = w
-	}
-
-	// The wave: genebase (broadcast) + task data (one live replica each).
-	names := make([]string, 0, cfg.Tasks+1)
-	names = append(names, "genebase")
-	for i := 0; i < cfg.Tasks; i++ {
-		names = append(names, fmt.Sprintf("task-%04d", i))
-	}
-	start := time.Now()
-	wave, err := mnode.BitDew.CreateDataBatch(names)
-	if err != nil {
-		return report, err
-	}
-	rng := rand.New(rand.NewSource(7))
-	contents := make([][]byte, len(wave))
-	for i := range contents {
-		payload := make([]byte, cfg.PayloadBytes)
-		rng.Read(payload)
-		contents[i] = payload
-	}
-	if err := mnode.BitDew.PutAll(wave, contents); err != nil {
-		return report, err
-	}
-	scheduled := make([]data.Data, len(wave))
-	attrs := make([]attr.Attribute, len(wave))
-	for i, d := range wave {
-		scheduled[i] = *d
-		if i == 0 {
-			attrs[i] = attr.Attribute{Name: "genebase", Replica: attr.ReplicaAll, FaultTolerant: true, Protocol: "http"}
-		} else {
-			attrs[i] = attr.Attribute{Name: "task", Replica: 1, FaultTolerant: true, Protocol: "http"}
-		}
-	}
-	if err := mnode.ActiveData.ScheduleAll(scheduled, attrs); err != nil {
-		return report, err
-	}
-
-	// Every worker pulls continuously and independently — real reservoir
-	// hosts do not barrier on each other — until the wave is fully
-	// distributed or the deadline passes.
-	limit := time.Now().Add(cfg.Deadline)
-	stop := make(chan struct{})
-	werrs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *core.Node) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := w.SyncWait(1); err != nil {
-					werrs[i] = err
-					return
-				}
-			}
-		}(i, w)
-	}
-	distributed := true
-	for !shardedWaveDone(workers, wave) {
-		if time.Now().After(limit) {
-			distributed = false
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	for i, err := range werrs {
-		if err != nil {
-			return report, fmt.Errorf("testbed: sharded blast: worker %d: %w", i, err)
-		}
-	}
-	if !distributed {
-		return report, fmt.Errorf("testbed: sharded blast: distribution missed the %v deadline", cfg.Deadline)
-	}
-	report.DistributionTime = time.Since(start)
-	report.ThroughputPerSec = float64(len(wave)) / report.DistributionTime.Seconds()
-
+	report.DistributionTime = at.Sub(w.start)
+	report.ThroughputPerSec = float64(len(w.data)) / report.DistributionTime.Seconds()
 	report.PerShardData = make([]int, cfg.Shards)
-	for _, d := range wave {
-		report.PerShardData[master.ShardOf(d.UID)]++
+	for _, d := range w.data {
+		report.PerShardData[f.set.ShardOf(d.UID)]++
+	}
+	// Settling before the kill matters too: at R > 1 the audit's convergence
+	// barrier keeps the kill from racing the replication stream, so what the
+	// next audit measures is failover, not shipping lag.
+	if err := f.settle(); err != nil || !cfg.KillOneShard {
+		return report, err
 	}
 
-	if !cfg.KillOneShard {
-		return report, nil
-	}
-
-	// Kill the highest shard and audit the loss. Unreplicated: every datum
-	// homed on a live shard must keep its catalog entry, its locators, its
-	// placements — and must still be fetchable through the same sharded
-	// client (home-shard routing never touches the dead address). With
-	// Replicas > 1, the same audit runs over the WHOLE wave — the failover
-	// router reaches the killed shard's state through its promoted
-	// successor, so zero data become unavailable.
-	replicated := plane.Replicas() > 1
-	if replicated {
-		// The kill must not race the replication stream, or the audit
-		// would measure shipping lag instead of failover: wait for every
-		// mutation of the wave to be acknowledged by its replicas first.
-		if err := plane.WaitReplicated(cfg.Deadline); err != nil {
-			return report, fmt.Errorf("testbed: sharded blast: pre-kill convergence: %w", err)
-		}
-	}
+	// The audit after the kill ends the run. It reads through the same
+	// client: over a replicated plane its first call to the dead shard's
+	// range IS the detection + promotion path.
 	killed := cfg.Shards - 1
-	if err := plane.KillShard(killed); err != nil {
+	if _, err := f.step(fmt.Sprintf("killing shard %d", killed), func() error {
+		return f.plane.KillShard(killed)
+	}); err != nil {
 		return report, err
 	}
 	report.KilledShard = killed
-	for i, d := range wave {
-		home := master.ShardOf(d.UID)
-		if home == killed && !replicated {
-			continue
-		}
-		report.SurvivorData++
-		// Query through the client's range slot, not the container: over a
-		// replicated plane the slot fails over to the promoted successor —
-		// the first post-kill call IS the detection+promotion path.
-		c := master.Shard(home)
-		if _, err := c.DC.Get(d.UID); err == nil {
-			report.SurvivedData++
-		}
-		if locs, err := c.DC.Locators(d.UID); err == nil && len(locs) > 0 {
-			report.SurvivedLocators++
-		}
-		if owners, err := c.DS.Owners(d.UID); err == nil && len(owners) > 0 {
-			report.SurvivedPlacements++
-		}
-		if got, err := mnode.BitDew.GetBytes(*d); err != nil {
-			return report, fmt.Errorf("testbed: sharded blast: surviving %s unreachable: %w", d.Name, err)
-		} else if string(got) != string(contents[i]) {
-			return report, fmt.Errorf("testbed: sharded blast: surviving %s corrupted", d.Name)
-		}
-		if home == killed {
-			report.FailedOverData++
-		}
+	report.SurvivorData = len(w.data)
+	if f.plane.Replicas() > 1 {
+		report.FailedOverData = report.PerShardData[killed]
+	} else {
+		report.SurvivorData -= report.PerShardData[killed]
 	}
-	if report.SurvivedData != report.SurvivorData ||
-		report.SurvivedLocators != report.SurvivorData ||
-		report.SurvivedPlacements != report.SurvivorData {
-		return report, fmt.Errorf("testbed: sharded blast: survivors lost state: %d data, %d locators, %d placements of %d",
-			report.SurvivedData, report.SurvivedLocators, report.SurvivedPlacements, report.SurvivorData)
-	}
-	if replicated && report.FailedOverData != report.PerShardData[killed] {
-		return report, fmt.Errorf("testbed: sharded blast: %d of the killed shard's %d data failed over",
-			report.FailedOverData, report.PerShardData[killed])
-	}
+	report.SurvivedData, report.SurvivedLocators, report.SurvivedPlacements =
+		report.SurvivorData, report.SurvivorData, report.SurvivorData
 	return report, nil
-}
-
-// shardedWaveDone reports whether the wave is fully distributed: the
-// broadcast head on every worker, every task downloaded by at least one.
-func shardedWaveDone(workers []*core.Node, wave []*data.Data) bool {
-	for _, w := range workers {
-		if !w.Holds(wave[0].UID) {
-			return false
-		}
-	}
-	for _, d := range wave[1:] {
-		held := false
-		for _, w := range workers {
-			if w.Holds(d.UID) {
-				held = true
-				break
-			}
-		}
-		if !held {
-			return false
-		}
-	}
-	return true
 }

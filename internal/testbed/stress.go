@@ -1,11 +1,10 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
 
 	"bitdew/internal/loadgen"
-	"bitdew/internal/rpc"
-	"bitdew/internal/runtime"
 )
 
 // This file adds the sustained-load scenario to the testbed: where the
@@ -27,36 +26,26 @@ type StressConfig struct {
 	// Plane configures the client side (connection pool size, payload,
 	// preload, put-slot rings); Addrs is filled in from the booted plane.
 	Plane loadgen.PlaneConfig
-	// RPCOptions configure every shard's rpc server — the host-capacity
-	// model of the scaling experiments (latency injection, serve limits).
-	RPCOptions []rpc.ServerOption
-	// StateDir optionally makes every shard durable.
-	StateDir string
 }
 
 // RunStress boots a sharded plane, drives the mixed workload against it,
 // and folds the outcome into the BENCH_*.json report schema. Operation
 // errors do not fail the run — they are counted in the report for the
-// caller to judge (the CI smoke and the acceptance test demand zero).
+// caller to judge (the CI smoke and the acceptance test demand zero). A
+// small wave the load never touches is put first and audited after the
+// window: traffic beside it must not have disturbed it.
 func RunStress(cfg StressConfig) (*loadgen.Report, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
-	}
-	plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{
-		Shards:   cfg.Shards,
-		StateDir: cfg.StateDir,
-		// Stress traffic moves over HTTP; FTP and swarm servers only cost
-		// boot time here.
-		DisableFTP:   true,
-		DisableSwarm: true,
-		RPCOptions:   cfg.RPCOptions,
-	})
+	cfg.Shards = cmp.Or(cfg.Shards, 2)
+	f, err := boot(fixtureConfig{name: "witness", shards: cfg.Shards, shared: true})
 	if err != nil {
+		return nil, err
+	}
+	defer f.close()
+	if _, err := f.putWave(8); err != nil {
 		return nil, fmt.Errorf("testbed: stress: %w", err)
 	}
-	defer plane.Close()
 
-	cfg.Plane.Addrs = plane.Addrs()
+	cfg.Plane.Addrs = f.plane.Addrs()
 	clients, err := loadgen.ConnectPlane(cfg.Plane)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: stress: %w", err)
@@ -66,6 +55,9 @@ func RunStress(cfg StressConfig) (*loadgen.Report, error) {
 	res, err := loadgen.Run(cfg.Load, clients.Factory())
 	if err != nil {
 		return nil, fmt.Errorf("testbed: stress: %w", err)
+	}
+	if err := f.settle(); err != nil {
+		return nil, err
 	}
 	return loadgen.BuildReport("stress", res, cfg.Shards, clients.Conns(), clients.PayloadBytes()), nil
 }

@@ -14,8 +14,7 @@ import (
 // BLAST wave distributes across the stage/cutover/commit windows. The same
 // capacity model (rpc serve limit 1, fixed per-frame service time) makes
 // each shard's capacity real, so baseline->scaled is a genuine capacity
-// gain delivered without stopping the plane. cmd/bitdew-stress -scaleout
-// writes the same scenario into the BENCH_rebalance.json trajectory row.
+// gain delivered without stopping the plane.
 
 // scaleOutConfig is the shared scenario: grow 2 -> 4 under a 4-worker
 // BLAST workload with a 6ms per-frame service time; the measured windows
