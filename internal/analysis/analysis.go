@@ -7,7 +7,7 @@
 // go/types alone.
 //
 // The suite exists for the same reason the runtime has a WAL and the rpc
-// layer has a splice-safety gate: BitDew's promises (paper §2 — resilience
+// layer compiles its payload types at mount: BitDew's promises (paper §2 — resilience
 // and schedulable transfers guaranteed by the runtime, not by programmer
 // discipline) only hold while a handful of cross-cutting invariants hold.
 // Those invariants were previously enforced by convention and by whichever
@@ -18,8 +18,7 @@
 // # Facts
 //
 // Invariants that span packages (lock acquisition order, call-timeout
-// propagation through helpers, splice safety of payloads built far from
-// their Register site) need analysis results to flow across package
+// propagation through helpers) need analysis results to flow across package
 // boundaries. Mirroring x/tools, an analyzer may attach a Fact to an
 // object it declares (ExportObjectFact) or to its package
 // (ExportPackageFact); the driver (analysis/load) serializes each

@@ -77,62 +77,6 @@ func IsPkgFunc(fn *types.Func, pkgName, name string) bool {
 	return PkgIs(fn.Pkg(), pkgName)
 }
 
-// InterfacePath walks t and returns the field path of the first reachable
-// interface-, channel- or func-typed component ("" when none): the exact
-// reachability rule of codec.spliceSafe, so a type this function rejects is a
-// type the splice fast path will refuse at runtime. Unexported struct
-// fields are skipped (gob ignores them).
-func InterfacePath(t types.Type) string {
-	return interfacePath(t, "", make(map[types.Type]bool))
-}
-
-func interfacePath(t types.Type, at string, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Interface:
-		return orSelf(at)
-	case *types.Chan, *types.Signature:
-		return orSelf(at)
-	case *types.Pointer:
-		return interfacePath(u.Elem(), at, seen)
-	case *types.Slice:
-		return interfacePath(u.Elem(), at+"[]", seen)
-	case *types.Array:
-		return interfacePath(u.Elem(), at+"[]", seen)
-	case *types.Map:
-		if p := interfacePath(u.Key(), at+"[key]", seen); p != "" {
-			return p
-		}
-		return interfacePath(u.Elem(), at+"[]", seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if !f.Exported() {
-				continue
-			}
-			prefix := f.Name()
-			if at != "" {
-				prefix = at + "." + f.Name()
-			}
-			if p := interfacePath(f.Type(), prefix, seen); p != "" {
-				return p
-			}
-		}
-	}
-	return ""
-}
-
-// orSelf renders the root position as "the type itself".
-func orSelf(at string) string {
-	if at == "" {
-		return "(the type itself)"
-	}
-	return at
-}
-
 // TypeName renders t compactly, qualifying names by package base name.
 func TypeName(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })

@@ -1,6 +1,6 @@
 // Package callgraph builds the static call graph of one type-checked
 // package: the shared substrate of bitdew-vet's interprocedural passes
-// (lockorder, deadlineprop, splicereach). It is itself an Analyzer — the
+// (lockorder, deadlineprop). It is itself an Analyzer — the
 // passes declare it in Requires and read the *Graph out of Pass.ResultOf —
 // so the graph is built once per package no matter how many passes consume
 // it.
@@ -113,7 +113,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "callgraph",
 	Doc: "build the package's static call graph (internal substrate, reports nothing)\n\n" +
 		"Direct calls, go/defer targets and method/function value references, with generic calls " +
-		"resolved to their origin; shared by lockorder, deadlineprop and splicereach via Requires.",
+		"resolved to their origin; shared by lockorder and deadlineprop via Requires.",
 	Run: build,
 }
 

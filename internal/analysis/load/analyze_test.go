@@ -8,7 +8,6 @@ import (
 	"bitdew/internal/analysis"
 	"bitdew/internal/analysis/passes/deadlineprop"
 	"bitdew/internal/analysis/passes/lockorder"
-	"bitdew/internal/analysis/passes/splicereach"
 )
 
 // analyzeFixtureOnce runs the fact-exporting passes over the deadlineprop
@@ -20,7 +19,7 @@ func analyzeFixtureOnce(t *testing.T, fixture string, patterns ...string) *Run {
 		t.Fatal(err)
 	}
 	run, err := l.Analyze([]*analysis.Analyzer{
-		deadlineprop.Analyzer, lockorder.Analyzer, splicereach.Analyzer,
+		deadlineprop.Analyzer, lockorder.Analyzer,
 	}, patterns)
 	if err != nil {
 		t.Fatal(err)

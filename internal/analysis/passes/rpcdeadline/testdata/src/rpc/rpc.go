@@ -1,5 +1,5 @@
-// Package rpc is an analysistest stub of bitdew/internal/rpc (see the
-// spliceiface fixture for the convention).
+// Package rpc is an analysistest stub of bitdew/internal/rpc: just enough
+// surface (by name and shape) for the analyzers' package-suffix matching.
 package rpc
 
 import "time"

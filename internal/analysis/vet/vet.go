@@ -5,7 +5,7 @@
 //
 // The suite runs through the analysis/load driver: packages are analyzed
 // in dependency order with one shared fact store, so the interprocedural
-// passes (lockorder, deadlineprop, splicereach) see the facts their
+// passes (lockorder, deadlineprop) see the facts their
 // dependencies exported. Reporting stays limited to the pattern-matched
 // packages.
 package vet
@@ -25,16 +25,12 @@ import (
 	"bitdew/internal/analysis/passes/lockheld"
 	"bitdew/internal/analysis/passes/lockorder"
 	"bitdew/internal/analysis/passes/rpcdeadline"
-	"bitdew/internal/analysis/passes/spliceiface"
-	"bitdew/internal/analysis/passes/splicereach"
 )
 
 // Suite returns the project analyzers in reporting order: each local
 // invariant checker followed by its interprocedural extension.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		spliceiface.Analyzer,
-		splicereach.Analyzer,
 		lockheld.Analyzer,
 		lockorder.Analyzer,
 		rpcdeadline.Analyzer,

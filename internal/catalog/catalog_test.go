@@ -1,11 +1,11 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"bitdew/internal/data"
 	"bitdew/internal/db"
@@ -145,37 +145,34 @@ func TestLocators(t *testing.T) {
 	}
 }
 
-// TestStoredRowsAreFreshGob pins the stored format: what Register and
-// AddLocator put in the store is the output of a fresh gob encoder, byte for
-// byte — the rows every state dir written before internal/codec holds.
-func TestStoredRowsAreFreshGob(t *testing.T) {
+// TestStoredRowFormatPinned pins the stored format: what Register and
+// AddLocator put in the store is these bytes — a type fingerprint, then the
+// exported fields in declaration order — so a silent change of format trips
+// here instead of in somebody's state directory.
+func TestStoredRowFormatPinned(t *testing.T) {
 	store := db.NewRowStore()
 	s := NewService(store)
-	fresh := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	d := data.Data{
+		UID: "00000001-00000002-00000003-00000004", Name: "file-0", Checksum: "9a0364b9e99bb480dd25e1f0284c8555",
+		Size: 7, Flags: data.FlagExecutable, Created: time.Date(2008, 11, 15, 12, 0, 0, 5, time.UTC),
 	}
-	for i := 0; i < 3; i++ { // past the codec's warm-up
-		d := *data.NewFromBytes(fmt.Sprintf("file-%d", i), []byte("content"))
-		var locs []data.Locator
-		if err := s.Register(d); err != nil {
+	if err := s.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range []string{"ftp", "http"} {
+		if err := s.AddLocator(data.Locator{DataUID: d.UID, Protocol: proto, Host: "a:1", Ref: string(d.UID), Login: "anonymous"}); err != nil {
 			t.Fatal(err)
 		}
-		for _, proto := range []string{"ftp", "http"} {
-			locs = append(locs, data.Locator{DataUID: d.UID, Protocol: proto, Host: "a:1", Ref: string(d.UID)})
-			if err := s.AddLocator(locs[len(locs)-1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if raw, _, _ := store.Get(TableData, string(d.UID)); !bytes.Equal(raw, fresh(d)) {
-			t.Errorf("datum %d: stored row differs from a fresh encoder's", i)
-		}
-		if raw, _, _ := store.Get(TableLocators, string(d.UID)); !bytes.Equal(raw, fresh(locs)) {
-			t.Errorf("datum %d: stored locator row differs from a fresh encoder's", i)
-		}
+	}
+	const (
+		wantData = "9dd16a862330303030303030312d30303030303030322d30303030303030332d30303030303030340666696c652d302039613033363462396539396262343830646432356531663032383463383535350e020f010000000ec0b0b0c000000005ffff"
+		wantLocs = "2e5e581b022330303030303030312d30303030303030322d30303030303030332d30303030303030340366747003613a312330303030303030312d30303030303030322d30303030303030332d303030303030303409616e6f6e796d6f7573002330303030303030312d30303030303030322d30303030303030332d3030303030303034046874747003613a312330303030303030312d30303030303030322d30303030303030332d303030303030303409616e6f6e796d6f757300"
+	)
+	if raw, _, _ := store.Get(TableData, string(d.UID)); hex.EncodeToString(raw) != wantData {
+		t.Errorf("stored datum row is\n%x, want\n%s", raw, wantData)
+	}
+	if raw, _, _ := store.Get(TableLocators, string(d.UID)); hex.EncodeToString(raw) != wantLocs {
+		t.Errorf("stored locator row is\n%x, want\n%s", raw, wantLocs)
 	}
 }
 

@@ -1,335 +1,335 @@
-// Package codec is the one gob codec for every standalone blob in the plane:
-// rpc payloads (internal/rpc) and the rows the D* services keep serialised in
-// their db.Store (catalog, scheduler, repl, collective). Streams — rpc frames
-// on a connection, the db WAL and snapshots, swarm — hold one encoder or
-// decoder for their whole life and do not come through here.
+// Package codec is the one schema codec for every standalone blob in the
+// plane: rpc frames and payloads (internal/rpc) and the rows the D* services
+// keep serialised in their db.Store (catalog, scheduler, repl, collective).
+// The db WAL and snapshot streams, db/net and swarm hold one gob encoder per
+// stream and carry these blobs as opaque bytes; they do not come through here.
 //
-// A standalone blob must open with the type definitions of its value, because
-// whoever decodes it has seen nothing before. A fresh gob.Encoder re-derives
-// and re-emits those definitions every time, and a fresh gob.Decoder compiles
-// a decode engine from them every time: ~16 of the ~20 allocations of one
-// encode, and ~7 KB per decoded value. Every operation pays that for each
-// payload it sends and each row it reads back.
-//
-// The splice pool removes the cost without changing the format. For each
-// concrete type it caches the definition bytes a fresh encoder emits before
-// the first value (the prefix) and keeps a pool of warm encoders that have
-// already emitted them; a warm encoder then produces just the value bytes,
-// and the cached prefix is spliced back in front. The result is
-// byte-identical to what a fresh encoder in this process produces, so any
-// decoder anywhere reads it unchanged. Decoding mirrors the trick: when a
-// blob opens with the receiver type's own prefix, the prefix is stripped and
-// the value bytes go to a pooled decoder that saw the definitions once at
-// warm-up.
-//
-// The prefix carries the type's NAME and the type ids gob hands out per
-// process in first-use order. A blob from a differently named type (or from
-// a process that met its types in another order) therefore does not open
-// with the receiver's prefix and is decoded by a fresh decoder — always
-// correct, never warm. Hence the rule for rpc methods: one declared argument
-// type and one reply type, shared by Register and the client. ForeignDecodes
-// counts the blobs that broke it.
-//
-// Splicing is only sound for types whose encoder state cannot grow after
-// warm-up. A value with a reachable interface field may introduce a new
-// dynamic type mid-stream; the warm encoder would register it and omit its
-// definitions from the next blob, which a standalone decoder has never
-// seen. Types with reachable interfaces (or channels/funcs, which gob
-// rejects anyway) are therefore marked unsafe at first use and always take
-// the fresh path. Every other failure mode — prefix mismatch on decode, an
-// encode error on a warm encoder — falls back to a fresh encoder/decoder,
-// whose output and behaviour are always correct.
+// The plane's wire and row types are a closed universe both ends compile in,
+// so a blob describes nothing: it is a 4-byte type fingerprint — FNV-1a of
+// the type's kinds and exported field names, the same in every process — and
+// then the value, field after field (DESIGN.md has the format table). A
+// receiver of another shape is a named error on the first call, never a slow
+// path or a misread, and what cannot be carried at all is refused when its
+// type is compiled, by field path.
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"sort"
 	"sync"
-	"sync/atomic"
+	"time"
 )
 
-// bufPool recycles scratch buffers for the fresh encode path.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// prog is one type's program, compiled by reflection on first use.
+type prog struct {
+	t         reflect.Type
+	op        reflect.Kind // t's kind; every int kind is Int64, every uint kind Uint64
+	sig       string       // structural signature
+	fp        uint32       // FNV-1a of sig
+	min       int          // fewest bytes a value encodes to
+	key, elem *prog        // of a map; of a map, slice or pointer
+	fields    []*prog      // of a struct: its exported fields,
+	index     []int        // and where in the struct they are
+}
 
-// foreign counts decodes of a splice-safe receiver whose blob opened with
-// another type's prefix.
-var foreign atomic.Uint64
+var (
+	progs    sync.Map // reflect.Type -> *prog
+	names    sync.Map // fingerprint -> name of the first type compiled to it
+	scratch  = sync.Pool{New: func() any { return new([]byte) }}
+	timeType = reflect.TypeOf(time.Time{})
+)
 
-// ForeignDecodes returns how many blobs so far were decoded by a fresh
-// decoder because they did not open with their receiver type's own prefix —
-// the signature of a sender and a receiver declaring two types for one
-// payload. Types that can never splice (reachable interface) are not counted.
-func ForeignDecodes() uint64 { return foreign.Load() }
+// Compile reports the first component of t the codec cannot carry, by path.
+func Compile(t reflect.Type) error {
+	_, err := compile(t, "", nil)
+	return err
+}
 
-// Marshal gob-encodes v into a standalone blob (type definitions included).
-// Splice-safe types go through the warm pools — byte-identical output at a
-// fraction of the allocations; everything else takes a fresh encoder over a
-// pooled buffer.
-func Marshal(v any) ([]byte, error) {
-	if v != nil {
-		if out, handled, err := splicerFor(reflect.TypeOf(v)).spliceEncode(v); handled {
-			return out, err
-		}
+// Append appends v's blob to dst. A pointer is followed, as Unmarshal's is.
+func Append(dst []byte, v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		rv = rv.Elem()
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		bufPool.Put(buf)
+	if !rv.IsValid() {
+		return dst, fmt.Errorf("codec: cannot encode nil")
+	}
+	p, err := compile(rv.Type(), "", nil)
+	if err != nil {
+		return dst, err
+	}
+	return p.enc(binary.BigEndian.AppendUint32(dst, p.fp), rv), nil
+}
+
+// Marshal returns v's blob in a slice of exactly its size.
+func Marshal(v any) ([]byte, error) {
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	var err error
+	if *buf, err = Append((*buf)[:0], v); err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	bufPool.Put(buf)
-	return out, nil
+	return append(make([]byte, 0, len(*buf)), *buf...), nil
 }
 
-// Unmarshal reads a standalone gob blob into v (a pointer). Blobs opening
-// with the receiver type's own definition prefix ride the warm decoder pool;
-// any other layout falls back to a fresh decoder. Like gob, it leaves alone
-// the fields of *v that the blob omits (zero values are not sent): decode
-// into a zero receiver unless merging is what you want.
+// Unmarshal decodes a blob into v, a non-nil pointer to a value of the type
+// that was encoded. It overwrites every field of *v and allocates only what
+// the value holds: strings, maps, and the slices *v has no room for.
 func Unmarshal(raw []byte, v any) error {
-	if v != nil {
-		if handled, err := splicerFor(reflect.TypeOf(v)).spliceDecode(raw, v); handled {
-			return err
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("codec: receiver %T is not a non-nil pointer", v)
+	}
+	p, err := compile(rv.Type().Elem(), "", nil)
+	if err != nil {
+		return err
+	}
+	var head [4]byte
+	copy(head[:], raw)
+	if fp := binary.BigEndian.Uint32(head[:]); len(raw) < 4 || fp != p.fp {
+		sent, ok := names.Load(fp)
+		if !ok || len(raw) < 4 {
+			sent = fmt.Sprintf("a type this process has not met (fingerprint %08x)", fp)
+		}
+		return fmt.Errorf("codec: the %d-byte blob holds %s, the receiver is %s (fingerprint %08x)", len(raw), sent, p.t, p.fp)
+	}
+	r := reader{b: raw[4:]}
+	p.dec(&r, rv.Elem())
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return fmt.Errorf("codec: decoding %s: %w", p.t, r.err)
+	}
+	return nil
+}
+
+// compile builds and caches the program of t, which sits at path inside the
+// type being compiled (at "", is it); busy holds the types on the way down.
+func compile(t reflect.Type, path string, busy []reflect.Type) (*prog, error) {
+	if p, ok := progs.Load(t); ok {
+		return p.(*prog), nil
+	}
+	for _, b := range busy {
+		if b == t {
+			return nil, fmt.Errorf("codec: %s: recursive type %s cannot be carried", path, t)
 		}
 	}
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
-}
-
-// splicer is the per-type state: the safety verdict, the definition prefix,
-// and pools of warm encoder/decoder streams.
-type splicer struct {
-	// safe is the interface-free verdict, immutable after construction.
-	safe bool
-	// state is published exactly once by derivePrefix (under mu) and never
-	// mutated afterwards, so the hot paths read it lock-free.
-	state atomic.Pointer[spliceState]
-	mu    sync.Mutex
-
-	encs sync.Pool // *spliceEnc
-	decs sync.Pool // *spliceDec
-}
-
-// spliceState is the immutable outcome of prefix derivation.
-type spliceState struct {
-	ok     bool // splicing enabled for the type
-	prefix []byte
-}
-
-// spliceEnc is one warm encoder stream: after warm-up its Encode output is
-// value bytes only.
-type spliceEnc struct {
-	buf  bytes.Buffer
-	enc  *gob.Encoder
-	warm bool
-}
-
-// spliceDec is one warm decoder stream: after warm-up it accepts value bytes
-// with the prefix stripped.
-type spliceDec struct {
-	rd   bytes.Reader
-	dec  *gob.Decoder
-	warm bool
-}
-
-// splicers maps reflect.Type to *splicer. Entries are never removed: the
-// set of types is the registered rpc signatures plus the stored row types, a
-// small closed universe.
-var splicers sync.Map
-
-func splicerFor(t reflect.Type) *splicer {
-	if s, ok := splicers.Load(t); ok {
-		return s.(*splicer)
-	}
-	s := &splicer{safe: spliceSafe(t, nil)}
-	actual, _ := splicers.LoadOrStore(t, s)
-	return actual.(*splicer)
-}
-
-// spliceSafe reports whether values of type t can never enlarge an
-// encoder's type-definition state after warm-up: no reachable interface
-// (dynamic types), channel or func (gob rejects those; the fresh path owns
-// the error).
-func spliceSafe(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	switch t.Kind() {
-	case reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return false
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		if seen == nil {
-			seen = make(map[reflect.Type]bool)
+	busy, path = append(busy, t), cmp.Or(path, t.String())
+	p := &prog{t: t, op: t.Kind(), sig: t.Kind().String(), min: 1}
+	var err error
+	switch k := t.Kind(); {
+	case t == timeType:
+		p.sig = "time"
+	case k == reflect.Bool, k == reflect.String:
+	case k >= reflect.Int && k <= reflect.Int64:
+		p.op = reflect.Int64
+	case k >= reflect.Uint && k <= reflect.Uint64:
+		p.op = reflect.Uint64
+	case k == reflect.Slice, k == reflect.Pointer, k == reflect.Map:
+		mark := map[bool]string{false: "[]", true: "*"}[k == reflect.Pointer]
+		if p.elem, err = compile(t.Elem(), path+mark, busy); err != nil {
+			return nil, err
 		}
-		seen[t] = true
-		return spliceSafe(t.Elem(), seen)
-	case reflect.Map:
-		if seen == nil {
-			seen = make(map[reflect.Type]bool)
+		if k == reflect.Slice && p.elem.min == 0 {
+			return nil, fmt.Errorf("codec: %s: a slice of zero-width %s cannot be carried", path, t.Elem())
 		}
-		seen[t] = true
-		return spliceSafe(t.Key(), seen) && spliceSafe(t.Elem(), seen)
-	case reflect.Struct:
-		if seen == nil {
-			seen = make(map[reflect.Type]bool)
+		p.sig = mark + p.elem.sig
+		if k != reflect.Map {
+			break
 		}
-		seen[t] = true
+		if p.key, err = compile(t.Key(), path+"[key]", busy); err != nil {
+			return nil, err
+		}
+		if p.key.op != reflect.String && p.key.op != reflect.Int64 {
+			return nil, fmt.Errorf("codec: %s: a map keyed by %s cannot be carried", path, t.Key())
+		}
+		p.sig = "map[" + p.key.sig + "]" + p.elem.sig
+	case k == reflect.Struct:
+		p.sig, p.min = "struct{", 0
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() {
-				continue // gob ignores unexported fields
+				continue
 			}
-			if !spliceSafe(f.Type, seen) {
-				return false
+			fp, err := compile(f.Type, path+"."+f.Name, busy)
+			if err != nil {
+				return nil, err
 			}
+			p.fields, p.index = append(p.fields, fp), append(p.index, i)
+			p.sig, p.min = p.sig+f.Name+" "+fp.sig+";", p.min+fp.min
+		}
+		p.sig += "}"
+	default:
+		return nil, fmt.Errorf("codec: %s: %s (a %s) cannot be carried", path, t, k)
+	}
+	h := fnv.New32a()
+	h.Write([]byte(p.sig))
+	p.fp = h.Sum32()
+	names.LoadOrStore(p.fp, fmt.Sprintf("%s (fingerprint %08x)", t, p.fp))
+	actual, _ := progs.LoadOrStore(t, p)
+	return actual.(*prog), nil
+}
+
+func (p *prog) enc(b []byte, v reflect.Value) []byte {
+	switch p.op {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		if p.elem.t.Kind() == reflect.Uint8 {
+			return append(b, v.Bytes()...)
+		}
+		for i, n := 0, v.Len(); i < n; i++ {
+			b = p.elem.enc(b, v.Index(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		return p.elem.enc(append(b, 1), v.Elem())
+	case reflect.Map:
+		keys := v.MapKeys()
+		if len(keys) > 1 {
+			sort.Slice(keys, func(i, j int) bool {
+				if p.key.op == reflect.String {
+					return keys[i].String() < keys[j].String()
+				}
+				return keys[i].Int() < keys[j].Int()
+			})
+		}
+		b = binary.AppendUvarint(b, uint64(len(keys)))
+		for _, k := range keys {
+			b = p.elem.enc(p.key.enc(b, k), v.MapIndex(k))
+		}
+	case reflect.Struct:
+		if p.t == timeType {
+			// Interface() would copy an addressable struct to the heap. The
+			// error is for a zone offset no time.Location can have.
+			var bin []byte
+			if v.CanAddr() {
+				bin, _ = v.Addr().Interface().(*time.Time).MarshalBinary()
+			} else {
+				bin, _ = v.Interface().(time.Time).MarshalBinary()
+			}
+			return append(binary.AppendUvarint(b, uint64(len(bin))), bin...)
+		}
+		for j, f := range p.fields {
+			b = f.enc(b, v.Field(p.index[j]))
 		}
 	}
-	return true
+	return b
 }
 
-// derivePrefix computes the type-definition prefix from a live value: a
-// fresh encoder's first blob is prefix+value, its second is value alone, and
-// both value encodings have the same length (a map may reorder its entries,
-// nothing else differs), so the prefix is the difference.
-// It publishes the splicer's state — enabled with the prefix, or disabled on
-// any anomaly — and returns the complete first blob (a valid result for the
-// caller). Must run with s.mu held, exactly once per splicer.
-func (s *splicer) derivePrefix(v any) ([]byte, error) {
-	e := &spliceEnc{}
-	e.enc = gob.NewEncoder(&e.buf)
-	if err := e.enc.Encode(v); err != nil {
-		s.state.Store(&spliceState{})
-		return nil, err
-	}
-	full := append([]byte(nil), e.buf.Bytes()...)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		// The first blob is complete and valid; only the splice is off.
-		s.state.Store(&spliceState{})
-		return full, nil
-	}
-	val := e.buf.Len()
-	if val > len(full) {
-		// A type that encodes differently the second time cannot be spliced.
-		s.state.Store(&spliceState{})
-		return full, nil
-	}
-	s.state.Store(&spliceState{
-		ok:     true,
-		prefix: append([]byte(nil), full[:len(full)-val]...),
-	})
-	e.buf.Reset()
-	e.warm = true
-	s.encs.Put(e)
-	return full, nil
+// reader is the undecoded rest of a blob; its first error sticks and empties it.
+type reader struct {
+	b   []byte
+	err error
 }
 
-// stateFor returns the published state, deriving it from v on first use.
-// The returned blob is non-nil only when this call performed the derivation
-// (its output doubles as the caller's result).
-func (s *splicer) stateFor(v any) (st *spliceState, blob []byte, err error) {
-	if st = s.state.Load(); st != nil {
-		return st, nil, nil
+func (r *reader) fail(format string, a ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, a...)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st = s.state.Load(); st != nil {
-		return st, nil, nil
-	}
-	blob, err = s.derivePrefix(v)
-	return s.state.Load(), blob, err
+	r.b = nil
 }
 
-// spliceEncode encodes v through the warm pool. handled is false when the
-// caller must use the fresh path instead (unsafe type, or a warm encoder
-// error whose result cannot be trusted).
-func (s *splicer) spliceEncode(v any) (out []byte, handled bool, err error) {
-	if !s.safe {
-		return nil, false, nil
+func (r *reader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or malformed varint")
+		return 0
 	}
-	st, blob, err := s.stateFor(v)
-	if blob != nil || err != nil {
-		// This call performed the derivation; its blob (or error) is
-		// authoritative.
-		return blob, true, err
+	r.b = r.b[n:]
+	return x
+}
+
+// count reads a length prefix. Whatever it counts takes a byte or more each,
+// so a count beyond the bytes that remain is refused before it is allocated.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("length %d exceeds the %d bytes that remain", n, len(r.b))
+		return 0
 	}
-	if !st.ok {
-		return nil, false, nil
-	}
-	e, _ := s.encs.Get().(*spliceEnc)
-	if e == nil {
-		e = &spliceEnc{}
-		e.enc = gob.NewEncoder(&e.buf)
-	}
-	if !e.warm {
-		// First encode on this stream emits the definitions; discard them
-		// and keep the stream.
-		if err := e.enc.Encode(v); err != nil {
-			return nil, false, nil
+	return int(n)
+}
+
+// take returns the next n bytes, n having come from count.
+func (r *reader) take(n int) (b []byte) { b, r.b = r.b[:n], r.b[n:]; return b }
+
+func (p *prog) dec(r *reader, v reflect.Value) {
+	switch p.op {
+	case reflect.Bool:
+		v.SetBool(r.uvarint() != 0)
+	case reflect.Int64:
+		u := r.uvarint()
+		v.SetInt(int64(u>>1) ^ -int64(u&1))
+	case reflect.Uint64:
+		v.SetUint(r.uvarint())
+	case reflect.String:
+		v.SetString(string(r.take(r.count())))
+	case reflect.Slice:
+		n := r.count()
+		if n == 0 {
+			v.SetZero()
+			return
 		}
-		e.warm = true
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		// The stream may hold partial state now; drop it and let the fresh
-		// path produce the result (or the authoritative error).
-		return nil, false, nil
-	}
-	val := e.buf.Bytes()
-	out = make([]byte, len(st.prefix)+len(val))
-	copy(out, st.prefix)
-	copy(out[len(st.prefix):], val)
-	e.buf.Reset()
-	s.encs.Put(e)
-	return out, true, nil
-}
-
-// spliceDecode decodes raw into v through the warm pool when raw opens with
-// this type's own prefix. handled is false when the caller must use a fresh
-// decoder (unsafe type, foreign prefix, or a warm-stream error).
-func (s *splicer) spliceDecode(raw []byte, v any) (handled bool, err error) {
-	if !s.safe {
-		return false, nil
-	}
-	// Derive the prefix from the receiver's own type if this is first use:
-	// definitions depend only on the type, so encoding the value v points at
-	// yields them. A receiver type that doesn't encode stays on the fresh
-	// path (derivePrefix published a disabled state).
-	st, _, _ := s.stateFor(v)
-	if st == nil || !st.ok {
-		return false, nil
-	}
-	if !bytes.HasPrefix(raw, st.prefix) {
-		// Foreign sender layout (different build, compatible-but-different
-		// type): the fresh path handles it.
-		foreign.Add(1)
-		return false, nil
-	}
-	d, _ := s.decs.Get().(*spliceDec)
-	if d == nil {
-		d = &spliceDec{}
-	}
-	if !d.warm {
-		// Warm up on the full blob: the stream learns the definitions and
-		// decodes the value in one go.
-		d.rd.Reset(raw)
-		d.dec = gob.NewDecoder(&d.rd)
-		if err := d.dec.Decode(v); err != nil {
-			return true, err
+		v.SetLen(0) // in place when v has the room
+		v.Grow(n)
+		v.SetLen(n)
+		if p.elem.t.Kind() == reflect.Uint8 {
+			copy(v.Bytes(), r.take(n))
+			return
 		}
-		d.warm = true
-		s.decs.Put(d)
-		return true, nil
+		for i := 0; i < n && r.err == nil; i++ {
+			p.elem.dec(r, v.Index(i))
+		}
+	case reflect.Pointer:
+		if r.uvarint() == 0 {
+			v.SetZero()
+			return
+		}
+		v.Set(reflect.New(p.elem.t))
+		p.elem.dec(r, v.Elem())
+	case reflect.Map:
+		n := r.count()
+		if n == 0 {
+			v.SetZero()
+			return
+		}
+		m := reflect.MakeMapWithSize(p.t, n)
+		k, e := reflect.New(p.key.t).Elem(), reflect.New(p.elem.t).Elem()
+		for ; n > 0 && r.err == nil; n-- {
+			k.SetZero() // the map copied the last pair; share nothing with it
+			e.SetZero()
+			p.key.dec(r, k)
+			p.elem.dec(r, e)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+	case reflect.Struct:
+		if p.t == timeType {
+			if err := v.Addr().Interface().(*time.Time).UnmarshalBinary(r.take(r.count())); err != nil {
+				r.fail("%v", err)
+			}
+			return
+		}
+		for j, f := range p.fields {
+			f.dec(r, v.Field(p.index[j]))
+		}
 	}
-	d.rd.Reset(raw[len(st.prefix):])
-	if err := d.dec.Decode(v); err != nil {
-		// Possibly mid-stream state corruption (e.g. duplicate definitions
-		// from a superset sender); drop the stream and decode fresh, which
-		// is always correct.
-		return false, nil
-	}
-	s.decs.Put(d)
-	return true, nil
 }

@@ -1,206 +1,255 @@
-package codec
+package codec_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bitdew/internal/codec"
 	"bitdew/internal/data"
 )
 
-// The splice pool's whole claim is "byte-identical to a fresh encoder".
-// These tests hold it to that: spliced blobs must equal fresh gob output
-// exactly, decode with plain gob, and every unsafe or foreign shape must
-// fall back to the fresh path without observable difference.
-
-// hotArgs is a representative rpc argument: a couple of strings and a small
-// payload.
-type hotArgs struct {
-	UID  string
-	Name string
-	Data []byte
-}
-
-type spliceNested struct {
+type nested struct {
 	Tags  map[string]int
 	Peers []string
 }
 
-type spliceRich struct {
-	UID    string
+type rich struct {
+	UID    data.UID
 	Size   int64
+	Small  int8
+	Flags  data.Flags
 	Blob   []byte
-	Nested spliceNested
-	Ptr    *spliceNested
+	On     bool
+	Nested nested
+	Ptr    *nested
+	Nil    *nested
+	When   time.Time
+	Ranges map[int]uint64
+	Rows   []nested
+	hidden int
 }
 
-func freshGob(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSpliceMatchesFreshEncoder compares spliced output against a fresh
-// encoder's, byte for byte, across repeated encodes (warm-path) and varied
-// values.
-func TestSpliceMatchesFreshEncoder(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		vals := []any{
-			hotArgs{UID: fmt.Sprintf("uid-%d", i), Name: "n", Data: []byte{byte(i)}},
-			spliceRich{
-				UID:    fmt.Sprintf("rich-%d", i),
-				Size:   int64(i * 100),
-				Blob:   bytes.Repeat([]byte{byte(i)}, i%7),
-				Nested: spliceNested{Tags: map[string]int{"a": i}, Peers: []string{"p1", "p2"}},
-				Ptr:    &spliceNested{Peers: []string{"q"}},
-			},
-			&hotArgs{UID: "by-pointer"},
-			[]string{"a", "b", fmt.Sprint(i)},
-		}
-		for _, v := range vals {
-			got, err := Marshal(v)
-			if err != nil {
-				t.Fatalf("Marshal(%T): %v", v, err)
-			}
-			if want := freshGob(t, v); !bytes.Equal(got, want) {
-				t.Fatalf("iteration %d: Marshal(%T) diverged from fresh gob output", i, v)
-			}
-		}
+func richValue(i int) rich {
+	return rich{
+		UID: data.UID(fmt.Sprintf("rich-%d", i)), Size: int64(i) << 33, Small: -7, Flags: data.FlagExecutable,
+		Blob: bytes.Repeat([]byte{byte(i)}, i%7+1), On: i%2 == 0,
+		Nested: nested{Tags: map[string]int{"a": i, "b": -i}, Peers: []string{"p1", "p2"}},
+		Ptr:    &nested{Peers: []string{"q"}},
+		When:   time.Date(2008, 11, 15, 12, 0, i, 0, time.UTC),
+		Ranges: map[int]uint64{3: 1, -1: 2, 0: 3},
+		Rows:   []nested{{Peers: []string{"r"}}, {}},
 	}
 }
 
-// TestSpliceRoundTrip runs values through the pooled encode AND the pooled
-// decode repeatedly, so both warm paths are exercised past warm-up.
-func TestSpliceRoundTrip(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		in := spliceRich{
-			UID:    fmt.Sprintf("rt-%d", i),
-			Size:   int64(i),
-			Nested: spliceNested{Tags: map[string]int{"k": i}},
-		}
-		raw, err := Marshal(in)
+// TestRoundTrip: a value of every carried kind comes back equal, by value
+// and through a pointer, and an unexported field is not carried.
+func TestRoundTrip(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		in := richValue(i)
+		in.hidden = 9
+		byValue, err := codec.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out spliceRich
-		if err := Unmarshal(raw, &out); err != nil {
+		byPointer, err := codec.Marshal(&in)
+		if err != nil || !bytes.Equal(byValue, byPointer) {
+			t.Fatalf("Marshal(&v) = %x, %v; Marshal(v) = %x", byPointer, err, byValue)
+		}
+		var out rich
+		if err := codec.Unmarshal(byValue, &out); err != nil {
 			t.Fatal(err)
 		}
+		in.hidden = 0
 		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("iteration %d: round trip mutated value:\n in: %+v\nout: %+v", i, in, out)
+			t.Fatalf("round trip %d:\n in %+v\nout %+v", i, in, out)
 		}
 	}
 }
 
-type withIface struct {
-	Name string
-	V    any
-}
-
-// TestSpliceUnsafeTypeFallsBack pins the safety gate: a type with a
-// reachable interface field never splices (a warm encoder's state could
-// grow mid-stream) but still encodes and decodes through the fresh path.
-func TestSpliceUnsafeTypeFallsBack(t *testing.T) {
-	if spliceSafe(reflect.TypeOf(withIface{}), nil) {
-		t.Fatal("interface-bearing type judged splice-safe")
-	}
-	gob.Register(spliceNested{})
-	for i := 0; i < 10; i++ {
-		// Alternate dynamic types — exactly the stream-state growth splicing
-		// cannot survive.
-		var in withIface
-		if i%2 == 0 {
-			in = withIface{Name: "s", V: spliceNested{Peers: []string{"x"}}}
-		} else {
-			in = withIface{Name: "i", V: spliceNested{Tags: map[string]int{"y": i}}}
-		}
-		raw, err := Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out withIface
-		if err := Unmarshal(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("iteration %d: %+v != %+v", i, in, out)
-		}
-	}
-	if spliceSafe(reflect.TypeOf(hotArgs{}), nil) != true {
-		t.Fatal("plain struct judged unsafe")
-	}
-}
-
-// TestSpliceDecodeForeignLayout feeds the decoder blobs whose definition
-// bytes don't match the receiver's own prefix (sender type with an extra
-// field — legal gob, different wire layout). The pool must step aside and
-// the fresh path must decode them.
-func TestSpliceDecodeForeignLayout(t *testing.T) {
-	type sender struct {
-		UID   string
-		Name  string
-		Extra int
-	}
-	type receiver struct {
-		UID  string
-		Name string
-	}
-	// Warm the receiver's decode pool with its own layout first.
-	self, err := Marshal(receiver{UID: "self", Name: "n"})
+// TestNormalisation holds the codec to what gob did to a value on its way
+// through: empty slices and maps come back nil, a time loses its monotonic
+// clock reading, and every field of a used receiver is overwritten.
+func TestNormalisation(t *testing.T) {
+	now := time.Now()
+	in := rich{Blob: []byte{}, Nested: nested{Tags: map[string]int{}, Peers: []string{}}, When: now}
+	raw, err := codec.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r receiver
-	for i := 0; i < 3; i++ {
-		if err := Unmarshal(self, &r); err != nil {
-			t.Fatal(err)
-		}
+	out := richValue(3) // a receiver full of somebody else's values
+	if err := codec.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
 	}
-	foreign := freshGob(t, sender{UID: "foreign", Name: "f", Extra: 7})
-	for i := 0; i < 3; i++ {
-		var got receiver
-		if err := Unmarshal(foreign, &got); err != nil {
-			t.Fatalf("foreign layout decode %d: %v", i, err)
-		}
-		if got.UID != "foreign" || got.Name != "f" {
-			t.Fatalf("foreign decode %d: %+v", i, got)
-		}
+	if want := (rich{When: now.Round(0)}); !reflect.DeepEqual(out, want) {
+		t.Fatalf("decoded %+v, want %+v", out, want)
 	}
-	// The pool must still work for the native layout afterwards.
-	if err := Unmarshal(self, &r); err != nil || r.UID != "self" {
-		t.Fatalf("native decode after foreign traffic: %+v, %v", r, err)
+	if !out.When.Equal(now) || out.When.Location() != now.Location() {
+		t.Fatalf("time %v came back as %v", now, out.When)
 	}
 }
 
-// TestSpliceConcurrent hammers one type's pools from many goroutines; run
-// under -race this checks the Get/Put discipline.
-func TestSpliceConcurrent(t *testing.T) {
+type other struct {
+	UID  string
+	Size int32
+}
+
+// TestFingerprintMismatchIsNamed: a blob of one type handed to a receiver of
+// another is an error that names both, never a best-effort decode; the same
+// shape under another name is the same type.
+func TestFingerprintMismatchIsNamed(t *testing.T) {
+	raw, err := codec.Marshal(nested{Peers: []string{"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o other
+	err = codec.Unmarshal(raw, &o)
+	if err == nil || !strings.Contains(err.Error(), "codec_test.nested") || !strings.Contains(err.Error(), "codec_test.other") {
+		t.Fatalf("nested into other = %v, want an error naming both types", err)
+	}
+	type renamed struct {
+		Tags  map[string]int
+		Peers []data.UID
+	}
+	var same renamed
+	if err := codec.Unmarshal(raw, &same); err != nil || len(same.Peers) != 1 || same.Peers[0] != "x" {
+		t.Fatalf("nested into a struct of the same shape = %+v, %v", same, err)
+	}
+	if err := codec.Unmarshal(raw[:3], &same); err == nil {
+		t.Fatal("a three-byte blob decoded")
+	}
+	if err := codec.Unmarshal(raw, same); err == nil {
+		t.Fatal("a receiver that is no pointer was accepted")
+	}
+}
+
+type recursive struct {
+	Name string
+	Next *recursive
+}
+
+// TestCompileRefusesWithFieldPath: what the codec cannot carry is refused
+// when its type is compiled, by the path to the offending component.
+func TestCompileRefusesWithFieldPath(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		path string
+	}{
+		{struct{ A struct{ V any } }{}, ".A.V"},
+		{struct{ C []chan int }{}, ".C[]"},
+		{struct{ F func() }{}, ".F"},
+		{struct{ A [4]byte }{}, ".A"},
+		{struct{ X float64 }{}, ".X"},
+		{recursive{}, ".Next*"},
+		{struct{ E []struct{ hidden int } }{}, ".E"},
+		{struct{ M map[bool]int }{}, ".M"},
+	} {
+		err := codec.Compile(reflect.TypeOf(c.v))
+		if err == nil || !strings.Contains(err.Error(), c.path+":") {
+			t.Errorf("Compile(%T) = %v, want a refusal at %s", c.v, err, c.path)
+		}
+		if _, merr := codec.Marshal(c.v); merr == nil {
+			t.Errorf("Marshal(%T) succeeded", c.v)
+		}
+	}
+	if err := codec.Compile(reflect.TypeOf(richValue(0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.Marshal(nil); err == nil {
+		t.Fatal("Marshal(nil) succeeded")
+	}
+}
+
+// TestHostileLengthsAndTrailingBytes: a length prefix beyond the bytes that
+// remain is refused before anything is allocated for it, and bytes after the
+// value are an error.
+func TestHostileLengthsAndTrailingBytes(t *testing.T) {
+	raw, err := codec.Marshal([]data.Data{{Name: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := append(append([]byte(nil), raw[:4]...), 0xff, 0xff, 0xff, 0xff, 0x0f) // 2^32-1 elements, none follow
+	var before, after runtime.MemStats
+	var out []data.Data
+	runtime.ReadMemStats(&before)
+	err = codec.Unmarshal(hostile, &out)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a length of 2^32-1 with nothing behind it = %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Fatalf("refusing it allocated %d bytes", grew)
+	}
+	if err := codec.Unmarshal(append(raw, 0), &out); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("a blob with a trailing byte = %v", err)
+	}
+	for cut := 4; cut < len(raw); cut++ {
+		if err := codec.Unmarshal(raw[:cut], &out); err == nil {
+			t.Fatalf("the blob cut at %d of %d bytes decoded", cut, len(raw))
+		}
+	}
+}
+
+// TestDecodeAllocatesOnlyTheValue: decoding allocates what the value holds —
+// here one backing array and three strings a row — and nothing to describe it.
+func TestDecodeAllocatesOnlyTheValue(t *testing.T) {
+	rows := make([]data.Data, 64)
+	for i := range rows {
+		rows[i] = *data.NewFromBytes(fmt.Sprintf("row-%d", i), []byte{byte(i)})
+	}
+	raw, err := codec.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []data.Data
+	allocs := testing.AllocsPerRun(100, func() {
+		out = nil
+		if err := codec.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(1 + 3*len(rows)); allocs > want {
+		t.Fatalf("decoding %d rows took %.0f allocations, want at most %.0f", len(rows), allocs, want)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := codec.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(3 * len(rows)); allocs > want {
+		t.Fatalf("decoding into a receiver with room took %.0f allocations, want at most %.0f", allocs, want)
+	}
+}
+
+// TestConcurrent compiles and uses one type from many goroutines at once.
+func TestConcurrent(t *testing.T) {
+	type fresh struct { // met by nobody before the goroutines start
+		N    int
+		Rich rich
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				in := hotArgs{UID: fmt.Sprintf("g%d-%d", g, i), Data: []byte{byte(g), byte(i)}}
-				raw, err := Marshal(in)
-				if err != nil {
-					t.Error(err)
-					return
+				in := fresh{N: g*1000 + i, Rich: richValue(i)}
+				raw, err := codec.Marshal(in)
+				var out fresh
+				if err == nil {
+					err = codec.Unmarshal(raw, &out)
 				}
-				var out hotArgs
-				if err := Unmarshal(raw, &out); err != nil {
-					t.Error(err)
-					return
-				}
-				if out.UID != in.UID {
-					t.Errorf("got %q, want %q", out.UID, in.UID)
+				if err != nil || !reflect.DeepEqual(in, out) {
+					t.Errorf("goroutine %d, round %d: %v", g, i, err)
 					return
 				}
 			}
@@ -209,167 +258,63 @@ func TestSpliceConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// ---- Stored rows ----
-//
-// The D* services keep their rows as standalone blobs in a db.Store, written
-// by a fresh encoder before this package existed. What is stored must not
-// change by a byte, and what every existing state dir holds must decode
-// through the pool.
-
-func storedRows(i int) []any {
-	uid := data.UID(fmt.Sprintf("%08x-00000000-00000000-00000000", i))
-	d := data.Data{
-		UID:      uid,
-		Name:     fmt.Sprintf("row-%d", i),
-		Checksum: "9e107d9d372bb6826bd81d3542a419d6",
-		Size:     int64(i) << 10,
-		Flags:    data.FlagCompressed,
-		Created:  time.Unix(1_700_000_000+int64(i), int64(i)).UTC(),
+// processReport encodes one value of several types, meeting the types in
+// the given order, and reports each blob with what decoding it allocates.
+func processReport(reverse bool) []string {
+	when := time.Date(2008, 11, 15, 12, 0, 0, 0, time.UTC)
+	values := []any{
+		data.Data{UID: "u-1", Name: "n", Checksum: "c", Size: 3, Created: when},
+		[]data.Locator{{DataUID: "u-1", Protocol: "http", Host: "h:1", Ref: "u-1"}},
+		richValue(4),
+		map[string]time.Time{"w1": when, "w2": when.Add(time.Second)},
+		"a string",
 	}
-	locs := make([]data.Locator, 1+i%3)
-	for j := range locs {
-		locs[j] = data.Locator{DataUID: uid, Protocol: "http", Host: fmt.Sprintf("10.0.0.%d:80", j), Ref: string(uid)}
+	if reverse {
+		for i, j := 0, len(values)-1; i < j; i, j = i+1, j-1 {
+			values[i], values[j] = values[j], values[i]
+		}
 	}
-	return []any{d, locs}
-}
-
-// TestStoredRowsMatchFreshEncoder: Marshal of the catalog's two row types is
-// a fresh encoder's output byte for byte, warm-up and after.
-func TestStoredRowsMatchFreshEncoder(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		for _, v := range storedRows(i) {
-			got, err := Marshal(v)
-			if err != nil {
-				t.Fatal(err)
+	var lines []string
+	for _, v := range values {
+		raw, err := codec.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		into := reflect.New(reflect.TypeOf(v))
+		allocs := testing.AllocsPerRun(20, func() {
+			into.Elem().SetZero()
+			if err := codec.Unmarshal(raw, into.Interface()); err != nil {
+				panic(err)
 			}
-			if !bytes.Equal(got, freshGob(t, v)) {
-				t.Fatalf("row %d: Marshal(%T) diverged from fresh gob output", i, v)
-			}
-		}
+		})
+		lines = append(lines, fmt.Sprintf("blob %T %s %.0f", v, hex.EncodeToString(raw), allocs))
 	}
+	sort.Strings(lines)
+	return lines
 }
 
-// TestFreshBlobsDecodeThroughPool: rows written by a fresh encoder are
-// handled by the warm decoders (not the fallback) and count as native.
-func TestFreshBlobsDecodeThroughPool(t *testing.T) {
-	before := ForeignDecodes()
-	for i := 0; i < 20; i++ {
-		rows := storedRows(i)
-		var d data.Data
-		raw := freshGob(t, rows[0])
-		if handled, err := splicerFor(reflect.TypeOf(&d)).spliceDecode(raw, &d); !handled || err != nil {
-			t.Fatalf("row %d: data.Data handled by pool = %v, err %v", i, handled, err)
-		}
-		if !reflect.DeepEqual(d, rows[0]) {
-			t.Fatalf("row %d: %+v != %+v", i, d, rows[0])
-		}
-		var locs []data.Locator
-		if err := Unmarshal(freshGob(t, rows[1]), &locs); err != nil || !reflect.DeepEqual(locs, rows[1]) {
-			t.Fatalf("row %d: %+v, %v", i, locs, err)
-		}
+// TestBlobIsProcessIndependent: another process, which meets its types in
+// the opposite order, produces the same bytes and decodes them at the same
+// allocation count — the case in which gob's per-process type ids sent every
+// blob down the cold path.
+func TestBlobIsProcessIndependent(t *testing.T) {
+	if os.Getenv("CODEC_TEST_CHILD") != "" {
+		fmt.Println(strings.Join(processReport(true), "\n"))
+		return
 	}
-	if n := ForeignDecodes() - before; n != 0 {
-		t.Fatalf("%d fresh-encoder blobs counted as foreign", n)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBlobIsProcessIndependent$")
+	cmd.Env = append(os.Environ(), "CODEC_TEST_CHILD=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
 	}
-}
-
-// TestPooledDecoderKeepsNoValueState decodes a full row and then a sparse
-// one (gob omits zero-valued fields) through the same warm decoder. Into
-// fresh receivers — what every caller in the plane does — the sparse row has
-// nothing of the full one. Into a REUSED receiver the omitted fields keep
-// their old values, exactly as with a fresh gob.Decoder: that is gob's
-// merge semantics, not a leak of the pool, and it is not supported as a way
-// to read rows.
-func TestPooledDecoderKeepsNoValueState(t *testing.T) {
-	full := storedRows(7)[0].(data.Data)
-	sparse := data.Data{UID: "sparse"}
-	fullRaw, sparseRaw := freshGob(t, full), freshGob(t, sparse)
-	for i := 0; i < 5; i++ {
-		var a, b data.Data
-		if err := Unmarshal(fullRaw, &a); err != nil || !reflect.DeepEqual(a, full) {
-			t.Fatalf("full row: %+v, %v", a, err)
-		}
-		if err := Unmarshal(sparseRaw, &b); err != nil || !reflect.DeepEqual(b, sparse) {
-			t.Fatalf("sparse row after a full one, fresh receiver: %+v, %v", b, err)
+	var theirs []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "blob ") {
+			theirs = append(theirs, line)
 		}
 	}
-	pooled, plain := full, full
-	if err := Unmarshal(sparseRaw, &pooled); err != nil {
-		t.Fatal(err)
+	if ours := processReport(false); !reflect.DeepEqual(ours, theirs) {
+		t.Fatalf("this process:\n%s\nthe child, meeting the types in reverse:\n%s", strings.Join(ours, "\n"), strings.Join(theirs, "\n"))
 	}
-	if err := gob.NewDecoder(bytes.NewReader(sparseRaw)).Decode(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pooled, plain) || pooled.UID != "sparse" || pooled.Name != full.Name {
-		t.Fatalf("reused receiver: pool gave %+v, a fresh decoder %+v", pooled, plain)
-	}
-}
-
-// TestForeignAndTruncatedEndOnFreshPath: a blob under another type's prefix
-// and a blob cut short both leave the pool and get the fresh decoder's
-// verdict — its value for the first, its error for the second — and the
-// pool serves the native layout afterwards.
-func TestForeignAndTruncatedEndOnFreshPath(t *testing.T) {
-	type dataRow struct { // data.Data's fields under another name
-		UID  data.UID
-		Name string
-	}
-	native := freshGob(t, data.Data{UID: "native", Name: "n"})
-	var d data.Data
-	for i := 0; i < 3; i++ {
-		if err := Unmarshal(native, &d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := ForeignDecodes()
-	foreign := freshGob(t, dataRow{UID: "foreign", Name: "f"})
-	var got data.Data
-	if err := Unmarshal(foreign, &got); err != nil || got.UID != "foreign" || got.Name != "f" {
-		t.Fatalf("foreign blob: %+v, %v", got, err)
-	}
-	if n := ForeignDecodes() - before; n != 1 {
-		t.Fatalf("foreign blob counted %d times", n)
-	}
-	for _, cut := range []int{len(native) - 1, len(native) - 5, 3, 0} {
-		var want, have data.Data
-		wantErr := gob.NewDecoder(bytes.NewReader(native[:cut])).Decode(&want)
-		haveErr := Unmarshal(native[:cut], &have)
-		if wantErr == nil || haveErr == nil || wantErr.Error() != haveErr.Error() {
-			t.Fatalf("blob cut at %d: pool says %v, a fresh decoder %v", cut, haveErr, wantErr)
-		}
-	}
-	if err := Unmarshal(native, &d); err != nil || d.UID != "native" {
-		t.Fatalf("native decode after foreign and truncated blobs: %+v, %v", d, err)
-	}
-}
-
-// TestUnmarshalConcurrent decodes different rows of one type from many
-// goroutines; under -race it checks the decoder pool's Get/Put discipline,
-// and always that no goroutine reads another's row.
-func TestUnmarshalConcurrent(t *testing.T) {
-	const rows = 64
-	raws := make([][]byte, rows)
-	for i := range raws {
-		raws[i] = freshGob(t, storedRows(i)[0])
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				k := (g*31 + i) % rows
-				var d data.Data
-				if err := Unmarshal(raws[k], &d); err != nil {
-					t.Error(err)
-					return
-				}
-				if want := storedRows(k)[0]; !reflect.DeepEqual(d, want) {
-					t.Errorf("row %d: %+v != %+v", k, d, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -362,12 +362,25 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 	errs := make([]error, len(ds))
 	b.lookupLocators(ds, protocol, miss, candidates, errs)
 
+	// Every datum's first transfer is booked as one batch before any of them
+	// runs, let alone is waited for: the engine then knows the whole round is
+	// in flight, and each DT service hears of it in one report frame when its
+	// last ends, however early its first did.
+	var fetching []data.Data
+	var firstLocs []data.Locator
+	for i, d := range ds {
+		if errs[i] == nil && len(candidates[i]) == 0 {
+			errs[i] = fmt.Errorf("bitdew: no locator for %s", d.Name)
+		}
+		if errs[i] == nil {
+			fetching, firstLocs = append(fetching, d), append(firstLocs, candidates[i][0])
+		}
+	}
+	firsts := b.engine.DownloadAll(fetching, firstLocs)
+
 	var wg sync.WaitGroup
 	for i, d := range ds {
 		locs := candidates[i]
-		if errs[i] == nil && len(locs) == 0 {
-			errs[i] = fmt.Errorf("bitdew: no locator for %s", d.Name)
-		}
 		if errs[i] != nil {
 			// Also when the datum's home shard refused the lookup frame (e.g.
 			// the shard is down): only ITS data fail — the rest of the batch
@@ -375,10 +388,8 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 			landed(i, errs[i])
 			continue
 		}
-		// Every datum's first transfer starts here, before any is waited
-		// for: the engine then knows the whole round is in flight, and each
-		// DT service hears of it in one report frame when its last ends.
-		first := b.engine.Download(d, locs[0])
+		first := firsts[0]
+		firsts = firsts[1:]
 		wg.Add(1)
 		go func(i int, d data.Data) {
 			defer wg.Done()

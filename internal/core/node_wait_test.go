@@ -148,3 +148,51 @@ func TestSyncWaitReturnsWithLastTransfer(t *testing.T) {
 		t.Errorf("after the round: idle=%v, %d in flight", n.idle, len(n.inflight))
 	}
 }
+
+// instantTransfer lands its content the moment it is asked to.
+type instantTransfer struct {
+	blockedTransfer
+}
+
+func (i *instantTransfer) Receive() error { return i.backend.Put(i.uid, i.content) }
+
+// TestFetchBatchIsOneReportFrame: a FetchAll batch is booked with the DT
+// reporter whole before any of its transfers starts, so it costs one report
+// frame however early its first transfer ends. The barrier is the verdict
+// hook of a datum nobody can locate, which fetchAll calls on its own
+// goroutine in the middle of the batch: it returns only once the datum before
+// it has landed. A fetchAll that starts transfers as it goes has by then
+// reported that one alone, and reports the one after it in a second frame.
+func TestFetchBatchIsOneReportFrame(t *testing.T) {
+	n := newWaitTestNode(t)
+	transfer.RegisterProtocol("instant", func(d data.Data, _ data.Locator, b repository.Backend) (transfer.OOBTransfer, error) {
+		return &instantTransfer{blockedTransfer{uid: string(d.UID), content: []byte(d.Name), backend: b}}, nil
+	})
+	batch := []data.Data{*data.NewFromBytes("early", []byte("early")), *data.New("nowhere"), *data.NewFromBytes("late", []byte("late"))}
+	for _, d := range []data.Data{batch[0], batch[2]} {
+		c := n.set.For(d.UID)
+		if err := c.DC.Register(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DC.AddLocator(data.Locator{DataUID: d.UID, Protocol: "instant", Host: "test", Ref: string(d.UID)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := n.set.RoundTrips()
+	verdicts := make([]error, len(batch))
+	_ = n.BitDew.fetchAll(batch, "instant", func(i int, err error) {
+		verdicts[i] = err
+		if i == 1 {
+			if err := n.Transfers.WaitFor(batch[0]); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if verdicts[0] != nil || verdicts[1] == nil || verdicts[2] != nil {
+		t.Fatalf("verdicts %v, want only the unlocatable datum to fail", verdicts)
+	}
+	if got := n.set.RoundTrips() - base; got != 2 {
+		t.Fatalf("the batch cost %d frames, want 2: one lookup, one DT report", got)
+	}
+}

@@ -249,7 +249,13 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if raw, ok, err := cfg.Feed.Get(tableState, stateKey); err == nil && ok {
 		var st persistedState
-		if err := codec.Unmarshal(raw, &st); err == nil && st.Epoch > n.epoch && st.Shards >= 1 {
+		if err := codec.Unmarshal(raw, &st); err != nil {
+			// A row of another format (a state directory an earlier commit
+			// wrote) is refused, not skipped: booting at epoch 1 over a
+			// reshaped plane's rows would misplace every one of them.
+			return nil, fmt.Errorf("repl: shard %d: stored membership state: %w", cfg.Shard, err)
+		}
+		if st.Epoch > n.epoch && st.Shards >= 1 {
 			if st.Shards != len(cfg.Addrs) {
 				n.logf("repl: shard %d: recovered epoch %d places over %d shards, boot said %d — trusting the recovered state",
 					cfg.Shard, st.Epoch, st.Shards, len(cfg.Addrs))

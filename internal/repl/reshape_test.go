@@ -1,8 +1,7 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"bitdew/internal/codec"
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
 	"bitdew/internal/rpc"
@@ -473,29 +471,35 @@ func TestDrainRefusesTheLastShard(t *testing.T) {
 	p.assertUnchanged(t)
 }
 
-// TestPersistedStateFormatUnchanged: the committed membership a node stores
-// is a fresh gob encoder's output byte for byte — what every state dir
-// written before internal/codec holds — and a node booted over a row of that
-// shape recovers it as a native blob.
-func TestPersistedStateFormatUnchanged(t *testing.T) {
+// TestPersistedStateFormatPinned: the committed membership a node stores is
+// these bytes — fingerprint, then the two varints — so a silent change of
+// format trips here, and a node booted over the row recovers it.
+func TestPersistedStateFormatPinned(t *testing.T) {
 	s := bootShard(t, 0, 2)
-	for epoch := uint64(2); epoch < 5; epoch++ { // past the codec's warm-up
-		s.node.persistState(epoch, 3)
-		var want bytes.Buffer
-		if err := gob.NewEncoder(&want).Encode(persistedState{Epoch: epoch, Shards: 3}); err != nil {
-			t.Fatal(err)
-		}
-		got, ok, err := s.feed.Get(tableState, stateKey)
-		if err != nil || !ok || !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("stored state at epoch %d: found %v, %v, equal to a fresh encoder's: %v", epoch, ok, err, bytes.Equal(got, want.Bytes()))
-		}
+	s.node.persistState(300, 3)
+	got, ok, err := s.feed.Get(tableState, stateKey)
+	if want := "6697c2d5ac0206"; err != nil || !ok || hex.EncodeToString(got) != want {
+		t.Fatalf("stored state: found %v, %v, bytes %x, want %s", ok, err, got, want)
 	}
-	before := codec.ForeignDecodes()
 	re, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed})
+	if err != nil || re.Epoch() != 300 {
+		t.Fatalf("recovered epoch %d (want 300), %v", re.Epoch(), err)
+	}
+}
+
+// TestEarlierFormatStateIsRefused: the state row of a directory written
+// before the schema codec (a standalone gob blob of the same struct, epoch
+// 4) fails the boot by fingerprint; it is neither misread nor skipped.
+func TestEarlierFormatStateIsRefused(t *testing.T) {
+	s := bootShard(t, 0, 2)
+	old, err := hex.DecodeString("307f0301010e706572736973746564537461746501ff80000102010545706f63680106000106536861726473010400000007ff800104010600")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Epoch() != 4 || codec.ForeignDecodes() != before {
-		t.Fatalf("recovered epoch %d (want 4), %d foreign decodes", re.Epoch(), codec.ForeignDecodes()-before)
+	if err := s.feed.Put(tableState, stateKey, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("boot over an earlier commit's state row = %v, want a fingerprint refusal", err)
 	}
 }

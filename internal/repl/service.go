@@ -9,8 +9,8 @@ import (
 	"bitdew/internal/rpc"
 )
 
-// Wire types of the replication protocol. All fields are concrete (splice-
-// safe); mutation batches ride the same db.Mutation records the feed emits.
+// Wire types of the replication protocol. All fields are concrete (the
+// codec carries no interface); mutation batches ride the same db.Mutation records the feed emits.
 
 // ApplyArgs ships a batch of tail mutations of one source shard's stream:
 // the mutations of sequence span (Prev, Last] that belong in the stream —

@@ -78,15 +78,22 @@ func FirstError(calls []*Call) error {
 	return nil
 }
 
-// encodeCalls gob-encodes each call's argument into a wire batch item.
-func encodeCalls(calls []*Call) ([]batchItem, error) {
-	items := make([]batchItem, len(calls))
-	for i, call := range calls {
-		raw, err := codec.Marshal(call.Args)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: encoding args of %s.%s: %w", call.Service, call.Method, err)
+// appendItems appends one wire item per call to items, encoding into the
+// buffers its spare capacity still holds.
+func appendItems(items []batchItem, calls []*Call) ([]batchItem, error) {
+	for _, call := range calls {
+		if len(items) == cap(items) {
+			items = append(items, batchItem{})
+		} else {
+			items = items[:len(items)+1]
 		}
-		items[i] = batchItem{Service: call.Service, Method: call.Method, Args: raw}
+		it := &items[len(items)-1]
+		it.Service = append(it.Service[:0], call.Service...)
+		it.Method = append(it.Method[:0], call.Method...)
+		var err error
+		if it.Args, err = codec.Append(it.Args[:0], call.Args); err != nil {
+			return items, fmt.Errorf("rpc: encoding args of %s.%s: %w", call.Service, call.Method, err)
+		}
 	}
 	return items, nil
 }

@@ -9,7 +9,7 @@ import (
 // TestRoundTripCounterConcurrent hammers one dialled client from many
 // goroutines mixing Call, CallBatch and RoundTrips reads — run under -race
 // (CI does) this pins that the frame counter and everything on the shared
-// connection path (sequence numbers, pending map, splice pools, the
+// connection path (sequence numbers, pending map, slot and job pools, the
 // server's worker pool) are safe under exactly the concurrency the
 // sustained-load harness generates. It also checks the counter's
 // arithmetic: each Call is one frame, each CallBatch one frame regardless

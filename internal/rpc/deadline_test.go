@@ -1,7 +1,7 @@
 package rpc
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// swallowServer accepts connections and decodes request frames but never
+// swallowServer accepts connections and reads request frames but never
 // answers them — the wedged-but-connected peer WithCallTimeout exists for.
 // It counts the frames it swallows so tests can assert retry behaviour.
 type swallowServer struct {
@@ -33,10 +33,9 @@ func newSwallowServer(t *testing.T) *swallowServer {
 			}
 			go func() {
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
+				r := bufio.NewReader(conn)
 				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
+					if _, err := readFrame(r, nil); err != nil {
 						return
 					}
 					s.frames.Add(1)

@@ -63,10 +63,12 @@ func BenchmarkRPCHotPath(b *testing.B) {
 			args := hotCallArgs(i)
 			calls[i] = NewCall("dc", "touch", args, nil)
 		}
+		var items []batchItem
+		var err error
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := encodeCalls(calls); err != nil {
+			if items, err = appendItems(items[:0], calls); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package rpc is BitDew's communication substrate, standing in for the Java
 // RMI used by the original prototype (paper §3.5). It provides a small
-// request/response protocol with gob encoding over three interchangeable
-// transports:
+// request/response protocol in the plane's schema codec (internal/codec)
+// over three interchangeable transports:
 //
 //   - local: direct in-process dispatch (the paper's "local" configuration,
 //     where a simple function call replaces client/server communication);
@@ -18,6 +18,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -29,8 +30,9 @@ import (
 // method.
 var ErrNoSuchMethod = errors.New("rpc: no such service or method")
 
-// Handler processes one call: gob-encoded arguments in, gob-encoded reply
-// out. Use Register to install strongly-typed handlers.
+// Handler processes one call: the arguments' blob in, the reply's blob out.
+// args is the handler's only until it returns. Use Register to install
+// strongly-typed handlers.
 type Handler func(args []byte) ([]byte, error)
 
 // Mux routes calls to handlers by service and method name. The zero value is
@@ -38,6 +40,7 @@ type Handler func(args []byte) ([]byte, error)
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]map[string]Handler
+	payloads []reflect.Type // every Register's argument and reply type
 }
 
 // NewMux returns an empty service multiplexer.
@@ -70,14 +73,19 @@ func (m *Mux) Services() []string {
 	return out
 }
 
-// dispatch runs the handler for (service, method) on raw argument bytes.
-func (m *Mux) dispatch(service, method string, args []byte) ([]byte, error) {
+// Payloads returns the argument and reply types of every typed handler:
+// the closed universe of what the plane puts on the wire.
+func (m *Mux) Payloads() []reflect.Type {
 	m.mu.RLock()
-	sm := m.handlers[service]
-	var h Handler
-	if sm != nil {
-		h = sm[method]
-	}
+	defer m.mu.RUnlock()
+	return append([]reflect.Type(nil), m.payloads...)
+}
+
+// dispatch runs the handler for (service, method) on raw argument bytes. The
+// names are a frame's own bytes: the lookup makes no strings of them.
+func (m *Mux) dispatch(service, method, args []byte) ([]byte, error) {
+	m.mu.RLock()
+	h := m.handlers[string(service)][string(method)]
 	m.mu.RUnlock()
 	if h == nil {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, service, method)
@@ -86,8 +94,20 @@ func (m *Mux) dispatch(service, method string, args []byte) ([]byte, error) {
 }
 
 // Register installs a typed handler: the argument is decoded into A, the
-// handler runs, and its reply R is encoded back.
+// handler runs, and its reply R is encoded back. Both types are compiled
+// here, so one the codec cannot carry (an interface, a channel, a func)
+// stops the boot with its field path instead of failing its first call; it
+// is a bug in the caller, hence the panic.
 func Register[A, R any](m *Mux, service, method string, fn func(A) (R, error)) {
+	types := []reflect.Type{reflect.TypeOf((*A)(nil)).Elem(), reflect.TypeOf((*R)(nil)).Elem()}
+	for _, t := range types {
+		if err := codec.Compile(t); err != nil {
+			panic(fmt.Sprintf("rpc: registering %s.%s: %v", service, method, err))
+		}
+	}
+	m.mu.Lock()
+	m.payloads = append(m.payloads, types...)
+	m.mu.Unlock()
 	m.Handle(service, method, func(raw []byte) ([]byte, error) {
 		var args A
 		if err := codec.Unmarshal(raw, &args); err != nil {
@@ -144,7 +164,7 @@ func (c *localClient) Call(service, method string, args, reply any) error {
 	if err != nil {
 		return fmt.Errorf("rpc: encoding args of %s.%s: %w", service, method, err)
 	}
-	out, err := c.mux.dispatch(service, method, raw)
+	out, err := c.mux.dispatch([]byte(service), []byte(method), raw)
 	if err != nil {
 		return err
 	}
@@ -169,7 +189,7 @@ func (c *localClient) CallBatch(calls []*Call) error {
 		time.Sleep(c.latency)
 	}
 	c.frames.inc()
-	items, err := encodeCalls(calls)
+	items, err := appendItems(nil, calls)
 	if err != nil {
 		return failCalls(calls, err)
 	}

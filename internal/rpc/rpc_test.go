@@ -252,7 +252,7 @@ func TestMuxServices(t *testing.T) {
 
 func TestDispatchNoSuchMethodSentinel(t *testing.T) {
 	m := NewMux()
-	_, err := m.dispatch("a", "b", nil)
+	_, err := m.dispatch([]byte("a"), []byte("b"), nil)
 	if !errors.Is(err, ErrNoSuchMethod) {
 		t.Errorf("err = %v, want ErrNoSuchMethod", err)
 	}

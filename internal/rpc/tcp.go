@@ -1,7 +1,8 @@
 package rpc
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,15 +28,17 @@ var ErrTransport = errors.New("rpc: transport failure")
 // know an operation is idempotent can retry explicitly.
 var ErrDeadline = errors.New("rpc: call deadline exceeded")
 
-// request and response are the wire messages. Args and Reply are pre-encoded
-// gob payloads so the framing codec stays independent of call signatures.
+// request and response are the wire messages; a connection carries them as
+// frames of `uint32 length | codec blob`, one write each. Args and Reply are
+// blobs themselves, so the framing stays independent of call signatures.
 // A non-empty Batch makes the frame a multi-call: N logical calls sharing
 // one write/read cycle (and one latency charge on each side); Service,
-// Method and Args are then unused.
+// Method and Args are then unused. Names travel as bytes so that both ends
+// fill and decode them in place, in a slot or job that is reused.
 type request struct {
 	Seq     uint64
-	Service string
-	Method  string
+	Service []byte
+	Method  []byte
 	Args    []byte
 	Batch   []batchItem
 }
@@ -49,8 +52,8 @@ type response struct {
 
 // batchItem is one logical call of a multi-call frame.
 type batchItem struct {
-	Service string
-	Method  string
+	Service []byte
+	Method  []byte
 	Args    []byte
 }
 
@@ -58,6 +61,42 @@ type batchItem struct {
 type batchReply struct {
 	Err   string
 	Reply []byte
+}
+
+const (
+	// maxFrame bounds a frame's blob, as gob bounded a message: a reader
+	// refuses a longer one before allocating for it, a writer before sending.
+	maxFrame = 1 << 30
+	// maxPooled is the largest frame buffer a pooled slot or job keeps.
+	maxPooled = 64 << 10
+)
+
+// appendFrame encodes msg as one frame into buf[:0].
+func appendFrame(buf []byte, msg any) ([]byte, error) {
+	buf, err := codec.Append(append(buf[:0], 0, 0, 0, 0), msg)
+	if err == nil && len(buf)-4 > maxFrame {
+		err = fmt.Errorf("rpc: a frame of %d bytes exceeds the bound of %d", len(buf)-4, maxFrame)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf, err
+}
+
+// readFrame reads the next frame's blob into buf, grown if it must be.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return buf, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > maxFrame {
+		return buf, fmt.Errorf("rpc: a frame of %d bytes exceeds the bound of %d", n, maxFrame)
+	}
+	r.Discard(4) // cannot fail after the Peek
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	_, err = io.ReadFull(r, buf[:n])
+	return buf[:n], err
 }
 
 // Server accepts connections and dispatches requests into a Mux. Each
@@ -76,7 +115,7 @@ type Server struct {
 	// frame dispatches (see WithServeLimit).
 	limit chan struct{}
 
-	work       chan func()
+	work       chan *job
 	workers    atomic.Int32
 	maxWorkers int32
 
@@ -118,7 +157,7 @@ func NewServer(lis net.Listener, m *Mux, opts ...ServerOption) *Server {
 		lis:        lis,
 		conns:      make(map[net.Conn]struct{}),
 		done:       make(chan struct{}),
-		work:       make(chan func()),
+		work:       make(chan *job),
 		maxWorkers: int32(8 * runtime.GOMAXPROCS(0)),
 	}
 	for _, o := range opts {
@@ -175,12 +214,34 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Accepted while Close was closing the others: Close may be past
+			// its sweep, and would wait for ever for a connection nobody ends.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
 }
+
+// job is one request frame on its way through the server: decoded on the
+// connection's read loop, answered on a worker. Jobs are pooled, so a frame
+// decodes into buffers the last one left behind.
+type job struct {
+	conn  net.Conn
+	wmu   *sync.Mutex // serialises the connection's response writes
+	req   request
+	resp  response
+	frame []byte
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -190,21 +251,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex // serialises concurrent response writes
+	r := bufio.NewReader(conn)
+	var wmu sync.Mutex
+	var buf []byte
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
 			return
 		}
-		s.dispatchAsync(func() { s.handle(req, conn, enc, &wmu) })
+		j := jobs.Get().(*job)
+		j.conn, j.wmu = conn, &wmu
+		if err := codec.Unmarshal(buf, &j.req); err != nil {
+			return
+		}
+		s.dispatchAsync(j)
 	}
 }
 
 // handle answers one request frame: capacity gate, modelled latency,
 // dispatch, response write.
-func (s *Server) handle(req request, conn net.Conn, enc *gob.Encoder, wmu *sync.Mutex) {
+func (s *Server) handle(j *job) {
 	if s.limit != nil {
 		s.limit <- struct{}{}
 		defer func() { <-s.limit }()
@@ -212,31 +278,41 @@ func (s *Server) handle(req request, conn net.Conn, enc *gob.Encoder, wmu *sync.
 	if s.latency > 0 {
 		time.Sleep(s.latency)
 	}
-	var resp response
-	if len(req.Batch) > 0 {
-		resp = response{Seq: req.Seq, Batch: s.mux.dispatchBatch(req.Batch)}
+	j.resp = response{Seq: j.req.Seq}
+	if len(j.req.Batch) > 0 {
+		j.resp.Batch = s.mux.dispatchBatch(j.req.Batch)
+	} else if reply, err := s.mux.dispatch(j.req.Service, j.req.Method, j.req.Args); err != nil {
+		j.resp.Err = err.Error()
 	} else {
-		reply, err := s.mux.dispatch(req.Service, req.Method, req.Args)
-		resp = response{Seq: req.Seq, Reply: reply}
-		if err != nil {
-			resp.Err = err.Error()
-		}
+		j.resp.Reply = reply
 	}
-	wmu.Lock()
-	encErr := enc.Encode(resp)
-	wmu.Unlock()
-	if encErr != nil {
-		conn.Close()
+	var err error
+	if j.frame, err = appendFrame(j.frame, &j.resp); err != nil {
+		// An answer too large to frame fails its call, not the connection.
+		j.resp = response{Seq: j.req.Seq, Err: err.Error()}
+		j.frame, err = appendFrame(j.frame, &j.resp)
+	}
+	if err == nil {
+		j.wmu.Lock()
+		_, err = j.conn.Write(j.frame)
+		j.wmu.Unlock()
+	}
+	if err != nil {
+		j.conn.Close()
+	}
+	if cap(j.frame)+cap(j.req.Args) <= maxPooled {
+		j.resp = response{}
+		jobs.Put(j)
 	}
 }
 
-// dispatchAsync runs fn off the caller's goroutine: on an idle pool worker
+// dispatchAsync answers j off the caller's goroutine: on an idle pool worker
 // when one is parked, on a new persistent worker while the pool is below
 // its cap, and on a transient goroutine otherwise — a frame is never queued
 // behind a busy handler.
-func (s *Server) dispatchAsync(fn func()) {
+func (s *Server) dispatchAsync(j *job) {
 	select {
-	case s.work <- fn:
+	case s.work <- j:
 		return
 	default:
 	}
@@ -247,25 +323,25 @@ func (s *Server) dispatchAsync(fn func()) {
 		}
 		if s.workers.CompareAndSwap(n, n+1) {
 			s.wg.Add(1)
-			go s.worker(fn)
+			go s.worker(j)
 			return
 		}
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		fn()
+		s.handle(j)
 	}()
 }
 
-// worker runs its first task, then serves the shared queue until Close.
-func (s *Server) worker(fn func()) {
+// worker answers its first job, then serves the shared queue until Close.
+func (s *Server) worker(j *job) {
 	defer s.wg.Done()
-	fn()
+	s.handle(j)
 	for {
 		select {
-		case fn := <-s.work:
-			fn()
+		case j := <-s.work:
+			s.handle(j)
 		case <-s.done:
 			return
 		}
@@ -276,7 +352,6 @@ func (s *Server) worker(fn func()) {
 // connection, matched back to callers by sequence number.
 type tcpClient struct {
 	conn    net.Conn
-	enc     *gob.Encoder
 	latency time.Duration
 	// timeout bounds each round trip (WithCallTimeout); zero waits forever.
 	timeout time.Duration
@@ -285,13 +360,37 @@ type tcpClient struct {
 	// deterministic failure testing.
 	faults *FaultPlan
 
-	wmu sync.Mutex // guards enc
+	wmu sync.Mutex // serialises request writes
 
 	mu      sync.Mutex // guards seq, pending, closed
 	seq     uint64
 	pending map[uint64]chan response
 	closed  bool
 	readErr error
+}
+
+// slot is what one in-flight call needs: the request and the frame it is
+// encoded into, the channel its response arrives on, and the timer that
+// bounds the wait. Slots are pooled; one goes back only when nothing can
+// still send on its channel, that is, after its response arrived or before
+// the call was registered.
+type slot struct {
+	req   request
+	frame []byte
+	ch    chan response
+	timer *time.Timer // stopped, and drained, between uses
+}
+
+var slots = sync.Pool{New: func() any {
+	s := &slot{ch: make(chan response, 1), timer: time.NewTimer(time.Hour)}
+	s.timer.Stop()
+	return s
+}}
+
+func (s *slot) release() {
+	if cap(s.frame) <= maxPooled {
+		slots.Put(s)
+	}
 }
 
 // DialOption configures a dialled client.
@@ -321,7 +420,6 @@ func Dial(addr string, opts ...DialOption) (Client, error) {
 	}
 	c := &tcpClient{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
 		pending: make(map[uint64]chan response),
 	}
 	for _, o := range opts {
@@ -332,10 +430,16 @@ func Dial(addr string, opts ...DialOption) (Client, error) {
 }
 
 func (c *tcpClient) readLoop() {
-	dec := gob.NewDecoder(c.conn)
+	r := bufio.NewReader(c.conn)
+	var buf []byte
+	var resp response
 	for {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err == nil {
+			resp = response{} // the last one's Reply belongs to its caller
+			err = codec.Unmarshal(buf, &resp)
+		}
+		if err != nil {
 			c.failAll(err)
 			return
 		}
@@ -365,24 +469,27 @@ func (c *tcpClient) failAll(err error) {
 	c.mu.Unlock()
 }
 
-// roundTrip sends one request frame (filling in its Seq) and waits for the
+// roundTrip sends s.req as one frame (filling in its Seq) and waits for the
 // matching response, charging the injected latency and the frame counter
-// exactly once — whether the frame carries one call or a whole batch.
-func (c *tcpClient) roundTrip(req request) (response, error) {
+// exactly once — whether the frame carries one call or a whole batch. It
+// takes the slot over: s is released, or left to the collector.
+func (c *tcpClient) roundTrip(s *slot) (response, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return response{}, errors.New("rpc: client closed")
+	var err error
+	switch {
+	case c.closed:
+		err = errors.New("rpc: client closed")
+	case c.readErr != nil:
+		err = fmt.Errorf("%w: %v", ErrTransport, c.readErr)
 	}
-	if c.readErr != nil {
-		err := c.readErr
+	if err != nil {
 		c.mu.Unlock()
-		return response{}, fmt.Errorf("%w: %v", ErrTransport, err)
+		s.release()
+		return response{}, err
 	}
 	c.seq++
-	req.Seq = c.seq
-	ch := make(chan response, 1)
-	c.pending[req.Seq] = ch
+	s.req.Seq = c.seq
+	c.pending[s.req.Seq] = s.ch
 	c.mu.Unlock()
 
 	if c.latency > 0 {
@@ -402,44 +509,49 @@ func (c *tcpClient) roundTrip(req request) (response, error) {
 		if fault.Action == FaultDelay && fault.Delay > 0 {
 			time.Sleep(fault.Delay)
 		}
-		c.wmu.Lock()
-		err := c.enc.Encode(req)
-		if err == nil && fault.Action == FaultDup {
-			// Deliver the frame twice; the server will answer twice with
-			// the same seq and the client must discard the stray.
-			err = c.enc.Encode(req)
+		if s.frame, err = appendFrame(s.frame, &s.req); err == nil {
+			c.wmu.Lock()
+			_, err = c.conn.Write(s.frame)
+			if err == nil && fault.Action == FaultDup {
+				// Deliver the frame twice; the server will answer twice with
+				// the same seq and the client must discard the stray.
+				_, err = c.conn.Write(s.frame)
+			}
+			c.wmu.Unlock()
+			if err != nil {
+				err = fmt.Errorf("%w: sending request: %v", ErrTransport, err)
+			}
 		}
-		c.wmu.Unlock()
 		if err != nil {
 			c.mu.Lock()
-			delete(c.pending, req.Seq)
+			delete(c.pending, s.req.Seq)
 			c.mu.Unlock()
-			return response{}, fmt.Errorf("%w: sending request: %v", ErrTransport, err)
+			return response{}, err
 		}
 	}
+	var expired <-chan time.Time
 	if c.timeout > 0 {
-		timer := time.NewTimer(c.timeout)
-		defer timer.Stop()
-		select {
-		case resp, ok := <-ch:
-			if !ok {
-				return response{}, c.transportErr()
-			}
-			return resp, nil
-		case <-timer.C:
-			// Abandon the call: the response, if it ever arrives, is dropped
-			// into the channel's buffer and garbage-collected with it.
-			c.mu.Lock()
-			delete(c.pending, req.Seq)
-			c.mu.Unlock()
-			return response{}, fmt.Errorf("%w after %v", ErrDeadline, c.timeout)
+		s.timer.Reset(c.timeout)
+		expired = s.timer.C
+	}
+	select {
+	case resp, ok := <-s.ch:
+		if !ok {
+			return response{}, c.transportErr()
 		}
+		if expired != nil && !s.timer.Stop() {
+			<-s.timer.C
+		}
+		s.release()
+		return resp, nil
+	case <-expired:
+		// Abandon the call and its slot: the response, if it ever arrives, is
+		// dropped into the channel's buffer and collected with it.
+		c.mu.Lock()
+		delete(c.pending, s.req.Seq)
+		c.mu.Unlock()
+		return response{}, fmt.Errorf("%w after %v", ErrDeadline, c.timeout)
 	}
-	resp, ok := <-ch
-	if !ok {
-		return response{}, c.transportErr()
-	}
-	return resp, nil
 }
 
 // transportErr wraps the read loop's terminal error as an ErrTransport.
@@ -451,11 +563,16 @@ func (c *tcpClient) transportErr() error {
 }
 
 func (c *tcpClient) Call(service, method string, args, reply any) error {
-	raw, err := codec.Marshal(args)
-	if err != nil {
+	s := slots.Get().(*slot)
+	s.req.Service = append(s.req.Service[:0], service...)
+	s.req.Method = append(s.req.Method[:0], method...)
+	s.req.Batch = s.req.Batch[:0]
+	var err error
+	if s.req.Args, err = codec.Append(s.req.Args[:0], args); err != nil {
+		s.release()
 		return fmt.Errorf("rpc: encoding args of %s.%s: %w", service, method, err)
 	}
-	resp, err := c.roundTrip(request{Service: service, Method: method, Args: raw})
+	resp, err := c.roundTrip(s)
 	if err != nil {
 		return fmt.Errorf("rpc: %s.%s: %w", service, method, err)
 	}
@@ -474,11 +591,14 @@ func (c *tcpClient) CallBatch(calls []*Call) error {
 	if len(calls) == 0 {
 		return nil
 	}
-	items, err := encodeCalls(calls)
-	if err != nil {
+	s := slots.Get().(*slot)
+	s.req.Service, s.req.Method, s.req.Args = s.req.Service[:0], s.req.Method[:0], s.req.Args[:0]
+	var err error
+	if s.req.Batch, err = appendItems(s.req.Batch[:0], calls); err != nil {
+		s.release()
 		return failCalls(calls, err)
 	}
-	resp, err := c.roundTrip(request{Batch: items})
+	resp, err := c.roundTrip(s)
 	if err != nil {
 		return failCalls(calls, err)
 	}

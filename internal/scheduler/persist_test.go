@@ -2,7 +2,7 @@ package scheduler
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -244,69 +244,41 @@ func TestDurableSchedulerOverDurableStore(t *testing.T) {
 	}
 }
 
-// freshGob is what persistLocked wrote before internal/codec: one fresh
-// encoder per row. Every existing state dir holds rows of this shape.
-func freshGob(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// TestPersistedEntryFormatPinned: a write-through row is these bytes — maps
+// in key order and time.Time in its binary form included — so a silent
+// change of format trips here; the row the service writes for the same state
+// is the same blob, and a store holding it recovers owners and pins.
+func TestPersistedEntryFormatPinned(t *testing.T) {
+	at := time.Date(2008, 11, 15, 12, 0, 0, 0, time.UTC)
+	d := data.Data{UID: "00000001-00000002-00000003-00000004", Name: "pinned", Size: 3, Created: at}
+	a := attr.Attribute{Name: "coll", Replica: 2, FaultTolerant: true, LifetimeAbs: time.Hour, Affinity: "other", Protocol: "http", Pinned: true}
+	row, err := codec.Marshal(persistedEntry{
+		Data: d, Attr: a, ScheduledAt: at.Add(time.Second), Order: 7,
+		Owners: map[string]time.Time{"w2": at.Add(2 * time.Second), "master": at, "w1": at.Add(time.Minute)},
+		Pinned: map[string]bool{"master": true},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
+	const want = "cd1d21452330303030303030312d30303030303030322d30303030303030332d30303030303030340670696e6e65640006000f010000000ec0b0b0c000000000ffff04636f6c6c04018080c58bc6d10100056f746865720468747470010f010000000ec0b0b0c100000000ffff0e03066d61737465720f010000000ec0b0b0c000000000ffff0277310f010000000ec0b0b0fc00000000ffff0277320f010000000ec0b0b0c200000000ffff01066d617374657201"
+	if hex.EncodeToString(row) != want {
+		t.Fatalf("persisted entry is\n%x, want\n%s", row, want)
+	}
 
-// TestPersistedEntryFormatUnchanged: the rows the write-through stores are a
-// fresh encoder's output byte for byte (maps and time.Time included; one
-// entry per map, gob writes maps in iteration order), and rows written by a
-// fresh encoder are recovered through the warm decoders as native blobs.
-func TestPersistedEntryFormatUnchanged(t *testing.T) {
 	store := db.NewRowStore()
-	s := restartDurable(t, store)
-	d1, d2 := data.New("scheduled"), data.New("pinned")
-	if err := s.Schedule(*d1, attr.Attribute{Name: "one", Replica: 1, FaultTolerant: true, LifetimeAbs: time.Hour}); err != nil {
+	if err := store.Put(tableEntries, string(d.UID), row); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pin(*d2, attr.Attribute{Name: "coll", Pinned: true}, "master"); err != nil {
-		t.Fatal(err)
+	re := restartDurable(t, store)
+	if owners := re.Owners(d.UID); len(owners) != 3 || !re.pinned[d.UID]["master"] {
+		t.Fatalf("recovered owners %v, pinned %v", owners, re.pinned[d.UID])
 	}
-	s.Sync("w1", nil) // w1 becomes d1's one owner
-
-	old := db.NewRowStore()
-	for i := 0; i < 3; i++ { // past the codec's warm-up
-		for _, d := range []*data.Data{d1, d2} {
-			s.mu.Lock()
-			s.persistLocked(d.UID)
-			e := s.theta[d.UID]
-			want := freshGob(t, persistedEntry{
-				Data: e.Data, Attr: e.Attr, ScheduledAt: e.scheduledAt, Order: e.order,
-				Owners: s.owners[d.UID], Pinned: s.pinned[d.UID],
-			})
-			s.mu.Unlock()
-			got, ok, err := store.Get(tableEntries, string(d.UID))
-			if err != nil || !ok {
-				t.Fatalf("row of %s: %v, %v", d.Name, ok, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("row of %s differs from a fresh encoder's", d.Name)
-			}
-			if err := old.Put(tableEntries, string(d.UID), want); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if len(s.Owners(d1.UID)) != 1 || len(s.Owners(d2.UID)) != 1 {
-		t.Fatalf("owners %v and %v: the byte comparison needs one entry per map", s.Owners(d1.UID), s.Owners(d2.UID))
-	}
-
-	before := codec.ForeignDecodes()
-	re := restartDurable(t, old)
-	if n := codec.ForeignDecodes() - before; n != 0 {
-		t.Fatalf("%d fresh-encoder rows decoded as foreign", n)
-	}
-	if owners := re.Owners(d1.UID); len(owners) != 1 || owners[0] != "w1" {
-		t.Fatalf("recovered owners of %s = %v", d1.Name, owners)
-	}
-	if !re.pinned[d2.UID]["master"] {
-		t.Fatalf("recovered %s is not pinned on master", d2.Name)
+	re.mu.Lock()
+	re.theta[d.UID].scheduledAt = at.Add(time.Second) // recovery restamps nothing else
+	re.owners[d.UID] = map[string]time.Time{"w2": at.Add(2 * time.Second), "master": at, "w1": at.Add(time.Minute)}
+	re.persistLocked(d.UID)
+	re.mu.Unlock()
+	if got, _, _ := store.Get(tableEntries, string(d.UID)); !bytes.Equal(got, row) {
+		t.Fatalf("the row the service writes is\n%x, want\n%x", got, row)
 	}
 }

@@ -205,9 +205,27 @@ func (e *Engine) Upload(d data.Data, loc data.Locator) *Handle {
 // their terminal DT reports wait for TakeReports instead of leaving in a frame
 // of their own, and leave on the monitoring heartbeat if nobody takes them.
 func (e *Engine) UploadAll(ds []data.Data, locs []data.Locator) []*Handle {
+	return e.startAll(ds, locs, "upload", true)
+}
+
+// DownloadAll starts one download per (ds[i], locs[i]) pair as one batch:
+// every transfer is in flight at its DT service before the first of them
+// runs, so however quickly one ends it is not the last, and the batch costs
+// each service exactly one report frame.
+func (e *Engine) DownloadAll(ds []data.Data, locs []data.Locator) []*Handle {
+	return e.startAll(ds, locs, "download", false)
+}
+
+func (e *Engine) startAll(ds []data.Data, locs []data.Locator, kind string, held bool) []*Handle {
 	handles := make([]*Handle, len(ds))
+	fresh := make([]bool, len(ds))
 	for i, d := range ds {
-		handles[i] = e.start(d, locs[i], "upload", true)
+		handles[i], fresh[i] = e.admit(d, locs[i], kind, held)
+	}
+	for i, h := range handles {
+		if fresh[i] {
+			go e.launch(h, ds[i], locs[i])
+		}
 	}
 	return handles
 }
@@ -224,15 +242,24 @@ func (e *Engine) TakeReports(dt *Client) []*rpc.Call {
 	return reportCalls(r.take())
 }
 
-// start launches one transfer goroutine. The transfer is in flight at its
-// DT service from here on, not from when it wins a concurrency slot: when
-// "nothing is left in flight" must not depend on scheduling.
+// start admits and launches one transfer.
+func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *Handle {
+	h, fresh := e.admit(d, loc, kind, held)
+	if fresh {
+		go e.launch(h, d, loc)
+	}
+	return h
+}
+
+// admit books one transfer. It is in flight at its DT service from here on,
+// not from when it is launched or wins a concurrency slot: when "nothing is
+// left in flight" must not depend on scheduling.
 //
 // Concurrent downloads of one datum coalesce: the second caller gets the
-// first transfer's handle. A download that fails leaves the inflight slot
-// free again, so a caller falling back through alternative locators still
-// launches its own fresh attempt.
-func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *Handle {
+// first transfer's handle, and fresh is false. A download that fails leaves
+// the inflight slot free again, so a caller falling back through alternative
+// locators still launches its own fresh attempt.
+func (e *Engine) admit(d data.Data, loc data.Locator, kind string, held bool) (h *Handle, fresh bool) {
 	var dt *Client
 	if e.dtFor != nil {
 		dt = e.dtFor(d.UID)
@@ -241,10 +268,10 @@ func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *H
 	if kind == "download" {
 		if h := e.inflight[d.UID]; h != nil {
 			e.mu.Unlock()
-			return h
+			return h, false
 		}
 	}
-	h := &Handle{DataUID: d.UID, Kind: kind, state: StatePending, done: make(chan struct{})}
+	h = &Handle{DataUID: d.UID, Kind: kind, state: StatePending, done: make(chan struct{})}
 	h.reg = reportArgs{DataUID: d.UID, Protocol: loc.Protocol, Host: e.host, Total: d.Size}
 	if kind == "download" {
 		e.inflight[d.UID] = h
@@ -259,19 +286,21 @@ func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *H
 		h.rep.begin(h) // under e.mu: a reporter TakeReports can find has begun
 	}
 	e.mu.Unlock()
-	go func() {
-		state, err := e.run(h, d, loc)
-		// Retire before the waiters wake: one of them may start the next
-		// download of this datum at once, and must not be handed this
-		// finished handle out of inflight.
-		e.retire(h)
-		h.settle(state, err)
-		if h.rep != nil {
-			h.rep.end(h)
-		}
-		close(h.done)
-	}()
-	return h
+	return h, true
+}
+
+// launch runs an admitted transfer to its end, on a goroutine of its own.
+func (e *Engine) launch(h *Handle, d data.Data, loc data.Locator) {
+	state, err := e.run(h, d, loc)
+	// Retire before the waiters wake: one of them may start the next
+	// download of this datum at once, and must not be handed this
+	// finished handle out of inflight.
+	e.retire(h)
+	h.settle(state, err)
+	if h.rep != nil {
+		h.rep.end(h)
+	}
+	close(h.done)
 }
 
 // retire takes an ended transfer out of the engine's books: its inflight
