@@ -126,7 +126,7 @@ func table2(quick bool) {
 			if err != nil {
 				panic(err)
 			}
-			//vet:ignore rpcdeadline Table 2 measures the bare transport against an in-process server; a per-call deadline timer would perturb the recorded baselines
+			//vet:ignore deadlines Table 2 measures the bare transport against an in-process server; a per-call deadline timer would perturb the recorded baselines
 			c, err := rpc.Dial(srv.Addr())
 			if err != nil {
 				panic(err)
@@ -138,7 +138,7 @@ func table2(quick bool) {
 			if err != nil {
 				panic(err)
 			}
-			//vet:ignore rpcdeadline Table 2 measures the bare transport against an in-process server; a per-call deadline timer would perturb the recorded baselines
+			//vet:ignore deadlines Table 2 measures the bare transport against an in-process server; a per-call deadline timer would perturb the recorded baselines
 			c, err := rpc.Dial(srv.Addr())
 			if err != nil {
 				panic(err)
@@ -203,7 +203,7 @@ func table3(quick bool) {
 		panic(err)
 	}
 	defer srv.Close()
-	//vet:ignore rpcdeadline Table 3's DC column measures the bare loopback transport; a per-call deadline timer would perturb the recorded baselines
+	//vet:ignore deadlines Table 3's DC column measures the bare loopback transport; a per-call deadline timer would perturb the recorded baselines
 	conn, err := rpc.Dial(srv.Addr())
 	if err != nil {
 		panic(err)

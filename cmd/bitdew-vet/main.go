@@ -1,18 +1,21 @@
-// Command bitdew-vet is the project's multichecker: it runs the stock go
-// vet passes plus the bitdew-specific analyzers (internal/analysis/passes)
-// that encode the service plane's concurrency, wire-format and timeout
-// invariants as machine-checked gates.
+// Command bitdew-vet is the project's multichecker: it runs the
+// bitdew-specific analyzers (internal/analysis/passes) that encode the
+// service plane's concurrency and timeout invariants as machine-checked
+// gates. The stock go vet passes are not part of it; run `go vet` beside
+// it.
 //
 // Usage:
 //
 //	go run ./cmd/bitdew-vet ./...          # whole module (CI runs this)
 //	go run ./cmd/bitdew-vet ./internal/rpc # one package
 //	go run ./cmd/bitdew-vet -list          # describe the analyzers
-//	go run ./cmd/bitdew-vet -json ./...    # machine-readable findings
-//	go run ./cmd/bitdew-vet -graph ./...   # static call graph (DOT)
 //
-// Exit status is 1 when any diagnostic is reported. False positives are
-// silenced in place with a documented suppression:
+// Packages are analyzed in dependency order with one shared fact store, so
+// the interprocedural halves of locks and deadlines see the facts their
+// dependencies exported; diagnostics are printed, position-sorted, for the
+// pattern-matched packages only. Exit status is 1 when any diagnostic is
+// reported. False positives are silenced in place with a documented
+// suppression:
 //
 //	//vet:ignore <analyzer> <reason>
 //
@@ -23,48 +26,77 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"bitdew/internal/analysis"
+	"bitdew/internal/analysis/load"
+	"bitdew/internal/analysis/passes/deadlines"
+	"bitdew/internal/analysis/passes/errlost"
+	"bitdew/internal/analysis/passes/leakygo"
+	"bitdew/internal/analysis/passes/locks"
 )
+
+// suite lists the analyzers in reporting order.
+var suite = []*analysis.Analyzer{
+	locks.Analyzer,
+	deadlines.Analyzer,
+	errlost.Analyzer,
+	leakygo.Analyzer,
+}
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	nostock := flag.Bool("nostock", false, "skip the stock `go vet` passes")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (includes suppressed findings with reasons)")
-	graph := flag.Bool("graph", false, "dump the static call graph of the matched packages as Graphviz DOT")
 	flag.Parse()
-	if err := run(*list, *nostock, *jsonOut, *graph, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-var errFindings = fmt.Errorf("bitdew-vet: diagnostics reported")
-
-func run(list, nostock, jsonOut, graph bool, patterns []string) error {
-	if list {
-		for _, a := range suite() {
+	if *list {
+		for _, a := range suite {
 			doc, _, _ := strings.Cut(a.Doc, "\n")
 			fmt.Printf("%-12s %s\n", a.Name, doc)
 		}
-		return nil
+		return
 	}
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	moduleDir, err := findModuleRoot()
+	if err == nil {
+		var n int
+		n, err = check(os.Stdout, moduleDir, patterns)
+		if err == nil && n > 0 {
+			err = fmt.Errorf("%d diagnostics reported", n)
+		}
+	}
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "bitdew-vet:", err)
+		os.Exit(1)
 	}
-	n, err := runVet(moduleDir, patterns, !nostock && !jsonOut && !graph, jsonOut, graph)
+}
+
+// check loads the packages patterns match, plus their dependency closure,
+// from the module at moduleDir and any GOPATH-style fixture roots; runs the
+// suite over them; and prints each unsuppressed diagnostic to w. It
+// returns how many it printed; err is an operational failure (unparseable
+// source, unknown package), not a finding.
+func check(w io.Writer, moduleDir string, patterns []string, roots ...string) (int, error) {
+	l, err := load.New(moduleDir, roots...)
 	if err != nil {
-		return fmt.Errorf("bitdew-vet: %w", err)
+		return 0, err
 	}
-	if n > 0 {
-		return errFindings
+	run, err := l.Analyze(suite, patterns)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	n := 0
+	for _, d := range run.Diagnostics {
+		if !d.Suppressed {
+			fmt.Fprintln(w, d)
+			n++
+		}
+	}
+	return n, nil
 }
 
 // findModuleRoot walks up from the working directory to the go.mod.
@@ -79,7 +111,7 @@ func findModuleRoot() (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("bitdew-vet: no go.mod found above the working directory")
+			return "", fmt.Errorf("no go.mod found above the working directory")
 		}
 		dir = parent
 	}

@@ -1,4 +1,4 @@
-// Package badpkg violates one invariant per bitdew-vet analyzer; the
+// Package badpkg violates each rule of the bitdew-vet analyzers once; the
 // multichecker test asserts the exact six diagnostics.
 package badpkg
 
@@ -24,14 +24,14 @@ func registerBad(m *rpc.Mux) {
 	rpc.Register(m, "svc", "m", func(p Payload) (struct{}, error) { return struct{}{}, nil })
 }
 
-// lockheld: rpc call under the mutex.
+// locks: rpc call under the mutex.
 func (s *Service) lockedCall() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.c.Call("svc", "m", nil, nil)
 }
 
-// rpcdeadline: dial site without a call timeout.
+// deadlines: dial site without a call timeout.
 func dialBad() (rpc.Client, error) {
 	return rpc.DialAuto("addr")
 }
@@ -64,7 +64,7 @@ func forwardBad(c rpc.Client) {
 	_ = send(c, Payload{})
 }
 
-// lockorder: abba and baab acquire the two locks in opposite orders.
+// locks: abba and baab acquire the two locks in opposite orders.
 var regMu sync.Mutex
 
 func (s *Service) abba() {
@@ -81,7 +81,7 @@ func (s *Service) baab() {
 	regMu.Unlock()
 }
 
-// deadlineprop: the blocking call hides one helper frame deep, so only
+// deadlines: the blocking call hides one helper frame deep, so only
 // the propagated BlocksOnRPC fact exposes the unbounded retry loop.
 func fetch(c rpc.Client) error {
 	return c.Call("svc", "m", nil, nil)

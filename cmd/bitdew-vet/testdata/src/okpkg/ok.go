@@ -1,6 +1,6 @@
 // Package okpkg carries exactly one deliberately suppressed finding, so
-// the multichecker tests can pin that -json surfaces suppressions with
-// their reasons instead of dropping them.
+// the multichecker test can pin that a suppressed finding is neither
+// printed nor counted.
 package okpkg
 
 import "rpc"

@@ -289,8 +289,8 @@ func cmdRepl(addrs []string, args []string) {
 				if st.Staging {
 					staging = "  staging"
 				}
-				fmt.Printf("shard %d  %s  epoch %d  seq %d  serves [%s]%s\n",
-					i, addrs[i], st.Epoch, st.Seq, strings.Join(ranges, " "), staging)
+				fmt.Printf("shard %d  %s  epoch %d  stream %d:%d  serves [%s]%s\n",
+					i, addrs[i], st.Epoch, st.Stream, st.Seq, strings.Join(ranges, " "), staging)
 				for _, tgt := range st.Targets {
 					state := "lagging"
 					if tgt.Synced && tgt.Acked >= st.Seq && tgt.PendingContent == 0 {

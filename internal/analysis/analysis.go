@@ -96,11 +96,10 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Suppressed marks a finding covered by a well-formed //vet:ignore;
-	// Suppression carries its reason. Suppressed findings are kept (the
-	// -json report shows them) but do not count against the exit status.
-	Suppressed  bool
-	Suppression string
+	// Suppressed marks a finding covered by a well-formed //vet:ignore.
+	// Suppressed findings are kept but neither printed nor counted
+	// against the exit status.
+	Suppressed bool
 }
 
 // String renders the diagnostic in the file:line:col style of go vet.
@@ -150,7 +149,7 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 
 // AllPackageFacts lists every package fact exported by this analyzer so
 // far, across all packages analyzed before (and including) this one, in
-// deterministic package-path order. Whole-plane passes (lockorder) use it
+// deterministic package-path order. Whole-plane passes (locks) use it
 // to union per-package graphs without re-walking the import closure.
 func (p *Pass) AllPackageFacts() []PackageFact {
 	return p.facts.allPackageFacts(p.Analyzer)
@@ -488,9 +487,8 @@ func SortDiagnostics(diags []Diagnostic) {
 
 // applySuppressions annotates diags covered by the files' //vet:ignore
 // comments and appends diagnostics for malformed suppressions (missing
-// reason). Suppressed diagnostics are kept — the -json report shows them
-// with their reasons — but drivers exclude them from counts and text
-// output.
+// reason). Suppressed diagnostics are kept, but drivers exclude them from
+// counts and output.
 func applySuppressions(diags []Diagnostic, fset *token.FileSet, files []*ast.File) []Diagnostic {
 	// (file, line, analyzer) -> suppression
 	index := make(map[string]*suppression)
@@ -534,7 +532,6 @@ func applySuppressions(diags []Diagnostic, fset *token.FileSet, files []*ast.Fil
 	for i := range diags {
 		if s := index[key(diags[i].Pos.Filename, diags[i].Pos.Line, diags[i].Analyzer)]; s != nil {
 			diags[i].Suppressed = true
-			diags[i].Suppression = s.reason
 		}
 	}
 	out := diags

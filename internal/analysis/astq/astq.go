@@ -1,7 +1,8 @@
 // Package astq holds the small AST/type query helpers shared by the
 // bitdew-vet passes: callee resolution, package identification that works
-// both on the real module and on analysistest fixture stubs, and reach
-// analysis over types.
+// both on the real module and on analysistest fixture stubs, the one list
+// of calls that block on a peer or the clock, and loop and callee
+// rendering helpers.
 package astq
 
 import (
@@ -80,4 +81,70 @@ func IsPkgFunc(fn *types.Func, pkgName, name string) bool {
 // TypeName renders t compactly, qualifying names by package base name.
 func TypeName(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
+}
+
+// FuncLabel renders a callee compactly for diagnostics: Recv.Name for a
+// method, pkg.Name for a function.
+func FuncLabel(fn *types.Func) string {
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return TypeName(sig.Recv().Type()) + "." + fn.Name()
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// IsUnconditional reports loops of the form `for { ... }` or `for true`.
+func IsUnconditional(f *ast.ForStmt) bool {
+	if f.Cond == nil {
+		return true
+	}
+	id, ok := ast.Unparen(f.Cond).(*ast.Ident)
+	return ok && id.Name == "true"
+}
+
+// Blocking classifies a call that waits on a peer or on the clock.
+type Blocking int
+
+const (
+	NotBlocking Blocking = iota
+	// RPCCall is a method named Call or CallBatch (the rpc client
+	// surface), or the package function rpc.CallBatch.
+	RPCCall
+	// RPCDial is any package-level function of package rpc whose name
+	// starts with Dial: matching the prefix, not a list, keeps a new dial
+	// variant from slipping past every pass that cares.
+	RPCDial
+	// Sleep is time.Sleep.
+	Sleep
+	// Socket is a listen or a plain TCP dial outside the rpc client
+	// surface: rpc.Listen, net.Dial, net.DialTimeout, net.Listen.
+	Socket
+)
+
+// BlockingCall classifies the callee fn (nil is NotBlocking) and renders it
+// the way diagnostics name it: "rpc Call", "rpc.DialAuto", "net.Dial",
+// "time.Sleep".
+func BlockingCall(fn *types.Func) (Blocking, string) {
+	switch {
+	case fn == nil:
+		return NotBlocking, ""
+	case IsMethodNamed(fn, "", "Call", "CallBatch"):
+		return RPCCall, "rpc " + fn.Name()
+	case IsPkgFunc(fn, "rpc", "CallBatch"):
+		return RPCCall, "rpc.CallBatch"
+	case strings.HasPrefix(fn.Name(), "Dial") && IsPkgFunc(fn, "rpc", fn.Name()):
+		return RPCDial, "rpc." + fn.Name()
+	case IsPkgFunc(fn, "rpc", "Listen"):
+		return Socket, "rpc.Listen"
+	case IsPkgFunc(fn, "time", "Sleep"):
+		return Sleep, "time.Sleep"
+	case fn.Pkg() != nil && fn.Pkg().Path() == "net":
+		switch fn.Name() {
+		case "Dial", "DialTimeout", "Listen":
+			return Socket, "net." + fn.Name()
+		}
+	}
+	return NotBlocking, ""
 }

@@ -1,6 +1,6 @@
 // Package callgraph builds the static call graph of one type-checked
 // package: the shared substrate of bitdew-vet's interprocedural passes
-// (lockorder, deadlineprop). It is itself an Analyzer — the
+// (locks, deadlines). It is itself an Analyzer — the
 // passes declare it in Requires and read the *Graph out of Pass.ResultOf —
 // so the graph is built once per package no matter how many passes consume
 // it.
@@ -37,7 +37,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"bitdew/internal/analysis"
 	"bitdew/internal/analysis/astq"
@@ -113,7 +112,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "callgraph",
 	Doc: "build the package's static call graph (internal substrate, reports nothing)\n\n" +
 		"Direct calls, go/defer targets and method/function value references, with generic calls " +
-		"resolved to their origin; shared by lockorder and deadlineprop via Requires.",
+		"resolved to their origin; shared by locks and deadlines via Requires.",
 	Run: build,
 }
 
@@ -254,50 +253,4 @@ func origin(fn *types.Func) *types.Func {
 
 func addEdge(g *Graph, caller, callee *types.Func, site token.Pos, kind Kind) {
 	g.out[caller] = append(g.out[caller], Edge{Caller: caller, Callee: callee, Site: site, Kind: kind})
-}
-
-// DOT renders the graph in Graphviz syntax, nodes qualified by package
-// base name, edge styles by kind (solid call, dashed go, dotted defer,
-// gray ref). bitdew-vet -graph concatenates per-package renderings into
-// one digraph body.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  subgraph \"cluster_%s\" {\n    label=%q;\n", g.pkg.Path(), g.pkg.Path())
-	for _, fn := range g.funcs {
-		fmt.Fprintf(&b, "    %q;\n", nodeName(fn))
-	}
-	fmt.Fprintf(&b, "  }\n")
-	for _, fn := range g.funcs {
-		for _, e := range g.out[fn] {
-			attr := ""
-			switch e.Kind {
-			case KindGo:
-				attr = " [style=dashed,label=\"go\"]"
-			case KindDefer:
-				attr = " [style=dotted,label=\"defer\"]"
-			case KindRef:
-				attr = " [color=gray,label=\"ref\"]"
-			}
-			fmt.Fprintf(&b, "  %q -> %q%s;\n", nodeName(e.Caller), nodeName(e.Callee), attr)
-		}
-	}
-	return b.String()
-}
-
-// nodeName renders a function node as pkg.Recv.Name or pkg.Name.
-func nodeName(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		recv := sig.Recv().Type()
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		if named, ok := recv.(*types.Named); ok {
-			return pkg + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return pkg + fn.Name()
 }

@@ -106,23 +106,4 @@ func TestFuncsSourceOrderAndDeterminism(t *testing.T) {
 	if first := a.Funcs()[0].Name(); first != "leaf" {
 		t.Errorf("Funcs not in source order: first = %s, want leaf", first)
 	}
-	if da, db := a.DOT(), b.DOT(); da != db {
-		t.Errorf("DOT renderings disagree")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := buildFixtureGraph(t)
-	dot := g.DOT()
-	for _, w := range []string{
-		`subgraph "cluster_callgraph"`,
-		`"callgraph.direct" -> "callgraph.leaf";`,
-		`"callgraph.spawns" -> "callgraph.leaf" [style=dashed,label="go"];`,
-		`"callgraph.defers" -> "callgraph.leaf" [style=dotted,label="defer"];`,
-		`"callgraph.methodValue" -> "callgraph.T.M" [color=gray,label="ref"];`,
-	} {
-		if !strings.Contains(dot, w) {
-			t.Errorf("DOT missing %q in:\n%s", w, dot)
-		}
-	}
 }

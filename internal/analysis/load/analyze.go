@@ -29,8 +29,8 @@ type Run struct {
 }
 
 // ResultOf returns the Run result of one analyzer on one analyzed package
-// (target or dependency), or nil. bitdew-vet -graph uses it to pull the
-// callgraph analyzer's per-package graphs out of a finished run.
+// (target or dependency), or nil: the callgraph tests use it to pull a
+// package's graph out of a finished run.
 func (r *Run) ResultOf(pkgPath string, a *analysis.Analyzer) any {
 	return r.results[pkgPath][a]
 }

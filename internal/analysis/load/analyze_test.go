@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"bitdew/internal/analysis"
-	"bitdew/internal/analysis/passes/deadlineprop"
-	"bitdew/internal/analysis/passes/lockorder"
+	"bitdew/internal/analysis/passes/deadlines"
+	"bitdew/internal/analysis/passes/locks"
 )
 
-// analyzeFixtureOnce runs the fact-exporting passes over the deadlineprop
+// analyzeFixtureOnce runs the fact-exporting passes over a pass's
 // fixture with a completely fresh loader and store.
 func analyzeFixtureOnce(t *testing.T, fixture string, patterns ...string) *Run {
 	t.Helper()
@@ -19,7 +19,7 @@ func analyzeFixtureOnce(t *testing.T, fixture string, patterns ...string) *Run {
 		t.Fatal(err)
 	}
 	run, err := l.Analyze([]*analysis.Analyzer{
-		deadlineprop.Analyzer, lockorder.Analyzer,
+		deadlines.Analyzer, locks.Analyzer,
 	}, patterns)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func analyzeFixtureOnce(t *testing.T, fixture string, patterns ...string) *Run {
 // serialize byte-identical fact stores: the ordering guarantees of the
 // dependency walk, the edge sorts and the store summary hold end to end.
 func TestFactSerializationDeterministic(t *testing.T) {
-	fixture := filepath.Join(moduleRoot(t), "internal", "analysis", "passes", "deadlineprop", "testdata")
+	fixture := filepath.Join(moduleRoot(t), "internal", "analysis", "passes", "deadlines", "testdata")
 	a := analyzeFixtureOnce(t, fixture, "deadlinehelp", "deadlineprop")
 	b := analyzeFixtureOnce(t, fixture, "deadlinehelp", "deadlineprop")
 	sa, sb := a.Facts.Summary(), b.Facts.Summary()
@@ -54,7 +54,7 @@ func TestFactSerializationDeterministic(t *testing.T) {
 // TestDiagnosticsDeterministic pins the diagnostic ordering contract of
 // Analyze across runs on the same fixture.
 func TestDiagnosticsDeterministic(t *testing.T) {
-	fixture := filepath.Join(moduleRoot(t), "internal", "analysis", "passes", "lockorder", "testdata")
+	fixture := filepath.Join(moduleRoot(t), "internal", "analysis", "passes", "locks", "testdata")
 	a := analyzeFixtureOnce(t, fixture, "locka", "lockorder")
 	b := analyzeFixtureOnce(t, fixture, "locka", "lockorder")
 	render := func(r *Run) string {

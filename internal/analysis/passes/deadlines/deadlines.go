@@ -1,15 +1,24 @@
-// Package deadlineprop enforces the retry half of the service plane's
-// timeout discipline, interprocedurally: RPC-blocking work inside an
-// unbounded `for { ... }` loop must be deadline-bounded — even when the
-// blocking call hides behind helper functions, in this package or
-// another.
+// Package deadlines enforces the service plane's timeout discipline, both
+// halves of it:
 //
-// The original rpcdeadline check only recognized *direct* calls to the
-// blocking surface (Call/CallBatch, rpc.Dial*, time.Sleep) inside the
-// loop, so wrapping the call in a helper silently escaped the gate — and
-// the helpers are exactly what the batch-first refactors multiplied
-// (PutAll → fan-out → per-shard CallBatch is three frames deep). This
-// pass closes the hole with a BlocksOnRPC object fact:
+//   - at every rpc dial site outside the rpc package itself (any
+//     package-level rpc function named Dial*, see astq.BlockingCall), the
+//     options must include rpc.WithCallTimeout(...). Without it a request
+//     whose response frame never arrives blocks its caller forever: the
+//     transport only fails pending calls when the connection breaks, and a
+//     hung peer breaks nothing — the paper's transient-fault model makes
+//     hung peers a normal operating condition, not an anomaly. A call that
+//     forwards its options wholesale (opts...) is left to the site that
+//     built them.
+//   - RPC-blocking work inside an unbounded `for { ... }` loop must be
+//     deadline-bounded, even when the blocking call hides behind helper
+//     functions, in this package or another.
+//
+// Only recognizing *direct* calls to the blocking surface inside the loop
+// would let a helper silently escape the gate — and the helpers are
+// exactly what the batch-first refactors multiplied (PutAll → fan-out →
+// per-shard CallBatch is three frames deep). The loop check therefore
+// rides a BlocksOnRPC object fact:
 //
 //   - a function that directly performs a blocking rpc primitive gets
 //     BlocksOnRPC with the primitive as its Via;
@@ -20,13 +29,12 @@
 //   - facts serialize between packages in dependency order, so a helper
 //     in internal/transfer taints its callers in internal/mw.
 //
-// The loop check is the old one, generalized: an unconditional for-loop
-// with no deadline facility (bounded attempt count, time budget, context
-// or stop-channel select, pacing channel receive) is flagged if it calls
-// anything that blocks on rpc, directly or via the fact. The diagnostic
-// prints the propagation chain so the reader can see where the hidden
-// blocking lives.
-package deadlineprop
+// An unconditional for-loop with no deadline facility (bounded attempt
+// count, time budget, context or stop-channel select, pacing channel
+// receive) is flagged if it calls anything that blocks on rpc, directly or
+// via the fact. The diagnostic prints the propagation chain so the reader
+// can see where the hidden blocking lives.
+package deadlines
 
 import (
 	"fmt"
@@ -53,10 +61,10 @@ func (*BlocksOnRPC) AFact() {}
 func (f *BlocksOnRPC) String() string { return "BlocksOnRPC(" + f.Via + ")" }
 
 var Analyzer = &analysis.Analyzer{
-	Name: "deadlineprop",
-	Doc: "unbounded retry loops must not block on rpc, even through helpers (BlocksOnRPC fact propagation)\n\n" +
-		"Propagates a BlocksOnRPC fact up the call graph so a helper-wrapped Call/Dial/Sleep inside a " +
-		"for{} loop with no deadline is flagged like a direct one; replaces rpcdeadline's direct-site-only loop check.",
+	Name: "deadlines",
+	Doc: "rpc dial sites must arm a per-call deadline, and unbounded retry loops must not block on rpc, even through helpers\n\n" +
+		"A peer that stops answering without closing the connection blocks callers forever; a BlocksOnRPC fact " +
+		"propagated up the call graph flags a helper-wrapped Call/Dial/Sleep inside a for{} loop with no deadline like a direct one.",
 	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
 	FactTypes: []analysis.Fact{(*BlocksOnRPC)(nil)},
 	Run:       run,
@@ -95,15 +103,41 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
+	inRPC := astq.PkgIs(pass.Pkg, "rpc") // the transport arms its own timers
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if loop, ok := n.(*ast.ForStmt); ok && isUnconditional(loop) {
-				checkLoop(pass, blocks, loop)
+			switch nn := n.(type) {
+			case *ast.ForStmt:
+				if astq.IsUnconditional(nn) {
+					checkLoop(pass, blocks, nn)
+				}
+			case *ast.CallExpr:
+				if !inRPC {
+					checkDialSite(pass, nn)
+				}
 			}
 			return true
 		})
 	}
 	return nil, nil
+}
+
+// checkDialSite flags rpc dial calls missing a WithCallTimeout option.
+func checkDialSite(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := astq.Callee(pass.TypesInfo, call)
+	if kind, _ := astq.BlockingCall(fn); kind != astq.RPCDial || call.Ellipsis.IsValid() {
+		return
+	}
+	for _, arg := range call.Args {
+		if opt, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+			if astq.IsPkgFunc(astq.Callee(pass.TypesInfo, opt), "rpc", "WithCallTimeout") {
+				return
+			}
+		}
+	}
+	pass.Reportf(call.Pos(),
+		"rpc.%s without rpc.WithCallTimeout: a peer that stops answering (without closing the connection) blocks callers forever; arm a per-call deadline",
+		fn.Name())
 }
 
 // calleeVia resolves how calling fn blocks on rpc: "" when it does not.
@@ -137,30 +171,17 @@ func chain(fn *types.Func, via string) string {
 	return c
 }
 
-// primitive classifies fn as a directly-blocking rpc surface call,
-// returning the rendering the diagnostics use ("" when it is not one).
-// The set matches lockheld's deny list minus the dial/listen of package
-// net (plain TCP dials outside rpc are the transport's own business).
+// primitive renders fn as a directly-blocking rpc surface call for the
+// diagnostics ("" when it is not one). A plain socket dial or listen is the
+// transport's own business, not the rpc surface.
 func primitive(fn *types.Func) string {
-	switch {
-	case astq.IsMethodNamed(fn, "", "Call", "CallBatch"):
-		return "rpc " + fn.Name()
-	case astq.IsPkgFunc(fn, "rpc", "Dial"), astq.IsPkgFunc(fn, "rpc", "DialAuto"),
-		astq.IsPkgFunc(fn, "rpc", "DialAutoLazy"), astq.IsPkgFunc(fn, "rpc", "CallBatch"):
-		return "rpc." + fn.Name()
-	case astq.IsPkgFunc(fn, "time", "Sleep"):
-		return "time.Sleep polling"
+	switch kind, what := astq.BlockingCall(fn); kind {
+	case astq.RPCCall, astq.RPCDial:
+		return what
+	case astq.Sleep:
+		return what + " polling"
 	}
 	return ""
-}
-
-// isUnconditional reports loops of the form `for { ... }` or `for true`.
-func isUnconditional(f *ast.ForStmt) bool {
-	if f.Cond == nil {
-		return true
-	}
-	id, ok := ast.Unparen(f.Cond).(*ast.Ident)
-	return ok && id.Name == "true"
 }
 
 // checkLoop flags an unconditional loop doing blocking RPC-ish work —
@@ -199,7 +220,7 @@ func checkLoop(pass *analysis.Pass, blocks map[*types.Func]string, loop *ast.For
 					blocking, blockingWhat = nn, p
 				} else if via := calleeVia(pass, blocks, fn); via != "" {
 					blocking = nn
-					blockingWhat = fmt.Sprintf("call to %s (blocks on rpc via %s)", funcLabel(fn), via)
+					blockingWhat = fmt.Sprintf("call to %s (blocks on rpc via %s)", astq.FuncLabel(fn), via)
 				}
 			}
 		}
@@ -210,17 +231,6 @@ func checkLoop(pass *analysis.Pass, blocks map[*types.Func]string, loop *ast.For
 			"%s inside an unbounded for-loop with no deadline: bound the retries (attempt budget, time.Now deadline, context or stop-channel select) so a dead peer cannot wedge this goroutine forever",
 			blockingWhat)
 	}
-}
-
-// funcLabel renders a callee compactly for the diagnostic.
-func funcLabel(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return astq.TypeName(sig.Recv().Type()) + "." + fn.Name()
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return fn.Name()
 }
 
 // isDeadlineFunc recognizes the time/context calls that make an infinite

@@ -1,4 +1,4 @@
-// Fixture for the deadlineprop analyzer: no retries-forever loops, even
+// Fixture for the deadlines analyzer's loop half: no retries-forever loops, even
 // when the blocking call hides behind helper functions — local ones or
 // imported ones carrying the BlocksOnRPC fact.
 package deadlineprop

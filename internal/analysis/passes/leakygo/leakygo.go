@@ -110,7 +110,7 @@ func checkGoroutine(pass *analysis.Pass, g *ast.GoStmt, body *ast.BlockStmt) {
 			return false
 		}
 		loop, ok := n.(*ast.ForStmt)
-		if !ok || !isUnconditional(loop) {
+		if !ok || !astq.IsUnconditional(loop) {
 			return true
 		}
 		if !hasExit(loop) {
@@ -119,14 +119,6 @@ func checkGoroutine(pass *analysis.Pass, g *ast.GoStmt, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-func isUnconditional(f *ast.ForStmt) bool {
-	if f.Cond == nil {
-		return true
-	}
-	id, ok := ast.Unparen(f.Cond).(*ast.Ident)
-	return ok && id.Name == "true"
 }
 
 // hasExit reports whether the loop body contains a statement that leaves

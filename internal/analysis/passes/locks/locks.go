@@ -1,9 +1,20 @@
-// Package lockorder detects potential deadlocks across the whole module:
-// it builds the mutex acquisition-order graph — "lock B was acquired
-// while lock A was held" — propagates lock-acquisition sets through the
-// call graph and across packages via facts, and reports every cycle in
-// the union graph as a potential deadlock, printing both acquisition
-// paths.
+// Package locks checks the service plane's two mutex invariants in one
+// walk of every function body's held-lock regions:
+//
+//   - no blocking work under a lock: a call astq.BlockingCall classifies
+//     as blocking (an rpc Call/CallBatch, any rpc dial, rpc.Listen,
+//     net.Dial/DialTimeout/Listen, time.Sleep) made while a sync.Mutex or
+//     sync.RWMutex is held is reported. The transfer-engine download race
+//     was fixed with a singleflight precisely because slow I/O and locks
+//     compose badly: a Dial or Call under a struct mutex turns every other
+//     method of that struct — Close included — into a hostage of the
+//     network. Deliberate disk I/O under a lock (the db WAL, whose ordering
+//     guarantee IS the lock) is out of scope: file operations are not
+//     blocking calls by this definition.
+//   - no cycle in the module-wide lock acquisition-order graph: "lock B
+//     was acquired while lock A was held" is an edge, and every cycle in
+//     the union graph is a potential deadlock, reported with both
+//     acquisition paths.
 //
 // Locks are classified by declaration site, lockdep-style: a struct field
 // mutex is "pkg.Type.field" (every instance of core.ShardSet shares one
@@ -14,7 +25,7 @@
 // over-approximating self-edges on tree-shaped structures — those carry a
 // //vet:ignore with the shape argument.
 //
-// Three fact flows make the analysis whole-plane:
+// Three fact flows make the order check whole-plane:
 //
 //   - Acquires (object fact): the lock classes a function may acquire,
 //     transitively through synchronous calls (callgraph.KindCall — a
@@ -27,19 +38,25 @@
 //     cross-package cycle is reported exactly once, at the package that
 //     closes it.
 //
-// Held-set tracking is syntactic and branch-local like lockheld's: a
-// Lock/RLock as a direct statement enters the held set, Unlock/RUnlock
-// leaves it, `defer mu.Unlock()` keeps it held for the rest of the body,
-// and nested blocks scan with a copy. RLock shares its Lock's class:
-// recursive read-locking deadlocks against a queued writer, so read
-// edges are real edges.
-package lockorder
+// Held-set tracking is syntactic and branch-local. The held set is keyed
+// by receiver expression (s.mu and t.mu are two held locks even when they
+// share a class) and each entry carries its class. A Lock/RLock as a
+// direct statement enters the set, Unlock/RUnlock leaves it, `defer
+// mu.Unlock()` keeps it held for the rest of the body, and nested blocks
+// scan with a copy so branch-local lock state never leaks out. Function
+// literals are entered in place only when invoked immediately — a
+// deferred or go'd literal does not run under the caller's lock — and
+// each literal body is also walked on its own, with nothing held. RLock
+// shares its Lock's class: recursive read-locking deadlocks against a
+// queued writer, so read edges are real edges.
+package locks
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -85,10 +102,11 @@ func (f *LockEdges) String() string {
 }
 
 var Analyzer = &analysis.Analyzer{
-	Name: "lockorder",
-	Doc: "no cycles in the module-wide mutex acquisition-order graph (potential deadlock)\n\n" +
-		"Builds lock-order edges from held-sets propagated through the call graph and across packages " +
-		"via facts; any cycle is reported once, with both acquisition paths printed.",
+	Name: "locks",
+	Doc: "no rpc, dial or sleep while holding a sync.Mutex/RWMutex, and no cycles in the module-wide lock-order graph\n\n" +
+		"A blocking network operation under a lock makes every other method of the guarded struct wait out " +
+		"the network; lock-order edges from the same held sets, propagated through the call graph and across " +
+		"packages via facts, expose potential deadlocks, each reported once with both acquisition paths.",
 	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
 	FactTypes: []analysis.Fact{(*Acquires)(nil), (*LockEdges)(nil)},
 	Run:       run,
@@ -111,29 +129,46 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// Pass 2: order edges from held-set scans of every body.
-	var edges []localEdge
-	for _, fn := range graph.Funcs() {
-		decl := graph.Decl(fn)
-		if decl == nil || decl.Body == nil {
-			continue
+	// Pass 2: one held-set walk of every function body and function
+	// literal reports blocking calls and collects order edges.
+	s := &scanner{pass: pass, acq: acq}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			s.fnName = ""
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				s.fnName = fd.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch nn := n.(type) {
+				case *ast.FuncDecl:
+					if nn.Body != nil {
+						s.scanStmts(nn.Body.List, map[string]heldLock{})
+					}
+				case *ast.FuncLit:
+					s.scanStmts(nn.Body.List, map[string]heldLock{})
+				}
+				return true
+			})
 		}
-		s := &scanner{pass: pass, acq: acq, fnName: fn.Name()}
-		s.scanStmts(decl.Body.List, map[string]heldLock{})
-		edges = append(edges, s.edges...)
 	}
-	edges = dedupe(edges)
+	edges := s.edges
 	// Deterministic fact and report order regardless of held-map
-	// iteration order during the scan.
+	// iteration order during the scan: the earliest acquisition stands
+	// for each (From, To) pair.
 	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+		a, b := edges[i], edges[j]
+		if a.From != b.From {
+			return a.From < b.From
 		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
+		if a.To != b.To {
+			return a.To < b.To
 		}
-		return edges[i].ToPos < edges[j].ToPos
+		if a.pos != b.pos {
+			return a.pos < b.pos
+		}
+		return a.FromPos < b.FromPos
 	})
+	edges = dedupe(edges)
 	if len(edges) > 0 {
 		fact := &LockEdges{}
 		for _, e := range edges {
@@ -148,37 +183,31 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// heldLock records one held lock class and where it was acquired.
+// heldLock records one held lock's class and where it was acquired.
 type heldLock struct {
-	pos token.Pos
+	class string
+	pos   token.Pos
 }
 
 // acquiresFixpoint computes each local function's transitive acquire set:
 // direct Lock/RLock sites (outside go/defer regions) plus the sets of
 // synchronously-called functions, local or imported.
 func acquiresFixpoint(pass *analysis.Pass, graph *callgraph.Graph) map[*types.Func][]string {
-	direct := make(map[*types.Func]map[string]bool)
-	for _, fn := range graph.Funcs() {
-		decl := graph.Decl(fn)
-		set := make(map[string]bool)
-		if decl != nil && decl.Body != nil {
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				switch nn := n.(type) {
-				case *ast.GoStmt, *ast.DeferStmt:
-					return false // acquired under another stack / at return
-				case *ast.CallExpr:
-					if recv, name := lockMethodExpr(pass.TypesInfo, nn); name == "Lock" || name == "RLock" {
-						set[lockClass(pass, recv, fn.Name())] = true
-					}
-				}
-				return true
-			})
-		}
-		direct[fn] = set
-	}
 	full := make(map[*types.Func]map[string]bool)
-	for fn, set := range direct {
-		full[fn] = copySet(set)
+	for _, fn := range graph.Funcs() {
+		set := make(map[string]bool)
+		ast.Inspect(graph.Decl(fn).Body, func(n ast.Node) bool {
+			switch nn := n.(type) {
+			case *ast.GoStmt, *ast.DeferStmt:
+				return false // acquired under another stack / at return
+			case *ast.CallExpr:
+				if recv, name := lockMethod(pass.TypesInfo, nn); name == "Lock" || name == "RLock" {
+					set[lockClass(pass, recv, fn.Name())] = true
+				}
+			}
+			return true
+		})
+		full[fn] = set
 	}
 	for changed := true; changed; {
 		changed = false
@@ -198,12 +227,7 @@ func acquiresFixpoint(pass *analysis.Pass, graph *callgraph.Graph) map[*types.Fu
 	}
 	out := make(map[*types.Func][]string, len(full))
 	for fn, set := range full {
-		classes := make([]string, 0, len(set))
-		for c := range set {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		out[fn] = classes
+		out[fn] = sortedKeys(set)
 	}
 	return out
 }
@@ -215,12 +239,7 @@ func calleeAcquires(pass *analysis.Pass, full map[*types.Func]map[string]bool, f
 		return nil
 	}
 	if fn.Pkg() == pass.Pkg {
-		set := full[fn]
-		classes := make([]string, 0, len(set))
-		for c := range set {
-			classes = append(classes, c)
-		}
-		return classes
+		return sortedKeys(full[fn])
 	}
 	var fact Acquires
 	if pass.ImportObjectFact(fn, &fact) {
@@ -229,21 +248,24 @@ func calleeAcquires(pass *analysis.Pass, full map[*types.Func]map[string]bool, f
 	return nil
 }
 
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }
 
-// scanner walks one function body tracking the held set and emitting
-// order edges.
+// scanner walks function bodies tracking the held set, reporting blocking
+// calls and collecting order edges.
 type scanner struct {
-	pass   *analysis.Pass
-	acq    map[*types.Func][]string
+	pass  *analysis.Pass
+	acq   map[*types.Func][]string
+	edges []localEdge
+	// fnName is the enclosing declared function, naming local lock
+	// classes.
 	fnName string
-	edges  []localEdge
 }
 
 func (s *scanner) scanStmts(stmts []ast.Stmt, held map[string]heldLock) {
@@ -251,16 +273,15 @@ func (s *scanner) scanStmts(stmts []ast.Stmt, held map[string]heldLock) {
 		switch stt := st.(type) {
 		case *ast.ExprStmt:
 			if call, ok := stt.X.(*ast.CallExpr); ok {
-				if recv, name := lockMethodExpr(s.pass.TypesInfo, call); name != "" {
-					class := lockClass(s.pass, recv, s.fnName)
+				if recv, name := lockMethod(s.pass.TypesInfo, call); name != "" {
+					key := types.ExprString(recv)
 					switch name {
 					case "Lock", "RLock":
-						for from, h := range held {
-							s.addEdge(from, class, h.pos, call.Pos(), "")
-						}
-						held[class] = heldLock{pos: call.Pos()}
+						class := lockClass(s.pass, recv, s.fnName)
+						s.acquire(held, class, call.Pos(), "")
+						held[key] = heldLock{class: class, pos: call.Pos()}
 					case "Unlock", "RUnlock":
-						delete(held, class)
+						delete(held, key)
 					}
 					continue
 				}
@@ -268,6 +289,8 @@ func (s *scanner) scanStmts(stmts []ast.Stmt, held map[string]heldLock) {
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the lock held for the remainder —
 			// exactly the region being scanned — so it does not release.
+			// Other deferred work runs at return, outside any region this
+			// scan can reason about.
 			continue
 		case *ast.GoStmt:
 			// The goroutine body does not run under the caller's locks.
@@ -277,35 +300,47 @@ func (s *scanner) scanStmts(stmts []ast.Stmt, held map[string]heldLock) {
 			s.callsUnderHeld(st, held)
 		}
 		for _, inner := range innerBlocks(st) {
-			s.scanStmts(inner, copyHeld(held))
+			s.scanStmts(inner, maps.Clone(held))
 		}
 	}
 }
 
-// callsUnderHeld emits edges for calls appearing directly in st (nested
-// statement lists are scanned with their own held copies) whose callees
-// acquire locks.
+// callsUnderHeld checks the calls appearing directly in st (nested
+// statement lists are scanned with their own held copies): a blocking one
+// is reported, and one whose callee acquires locks adds order edges.
 func (s *scanner) callsUnderHeld(st ast.Stmt, held map[string]heldLock) {
 	shallowInspect(st, func(call *ast.CallExpr) {
 		// Direct Lock/RLock in expression position (rare) — treat as an
 		// acquisition edge without entering the held set.
-		if recv, name := lockMethodExpr(s.pass.TypesInfo, call); name == "Lock" || name == "RLock" {
-			class := lockClass(s.pass, recv, s.fnName)
-			for from, h := range held {
-				s.addEdge(from, class, h.pos, call.Pos(), "")
-			}
+		if recv, name := lockMethod(s.pass.TypesInfo, call); name == "Lock" || name == "RLock" {
+			s.acquire(held, lockClass(s.pass, recv, s.fnName), call.Pos(), "")
 			return
 		}
 		fn := astq.Callee(s.pass.TypesInfo, call)
 		if fn == nil {
 			return
 		}
+		if kind, what := astq.BlockingCall(fn); kind != astq.NotBlocking {
+			s.pass.Reportf(call.Pos(),
+				"%s while holding %s: blocking network work under a mutex wedges every contender (move the call outside the critical section)",
+				what, innermost(held))
+		}
 		for _, class := range s.calleeClasses(fn) {
-			for from, h := range held {
-				s.addEdge(from, class, h.pos, call.Pos(), funcLabel(fn))
-			}
+			s.acquire(held, class, call.Pos(), astq.FuncLabel(fn))
 		}
 	})
+}
+
+// innermost names the most recently acquired of the held locks.
+func innermost(held map[string]heldLock) string {
+	var recv string
+	var at token.Pos
+	for r, h := range held {
+		if h.pos > at {
+			recv, at = r, h.pos
+		}
+	}
+	return recv
 }
 
 func (s *scanner) calleeClasses(fn *types.Func) []string {
@@ -319,17 +354,21 @@ func (s *scanner) calleeClasses(fn *types.Func) []string {
 	return nil
 }
 
-func (s *scanner) addEdge(from, to string, fromPos, toPos token.Pos, via string) {
-	s.edges = append(s.edges, localEdge{
-		LockEdge: LockEdge{
-			From:    from,
-			To:      to,
-			FromPos: posString(s.pass.Fset, fromPos),
-			ToPos:   posString(s.pass.Fset, toPos),
-			Via:     via,
-		},
-		pos: toPos,
-	})
+// acquire records an edge from every held lock to class, acquired at
+// pos (inside a call to via, when via is set).
+func (s *scanner) acquire(held map[string]heldLock, class string, pos token.Pos, via string) {
+	for _, h := range held {
+		s.edges = append(s.edges, localEdge{
+			LockEdge: LockEdge{
+				From:    h.class,
+				To:      class,
+				FromPos: posString(s.pass.Fset, h.pos),
+				ToPos:   posString(s.pass.Fset, pos),
+				Via:     via,
+			},
+			pos: pos,
+		})
+	}
 }
 
 func posString(fset *token.FileSet, pos token.Pos) string {
@@ -337,8 +376,7 @@ func posString(fset *token.FileSet, pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
-// dedupe keeps the first edge per (From, To) pair, preserving scan order
-// so reports are deterministic.
+// dedupe keeps the first edge per (From, To) pair.
 func dedupe(edges []localEdge) []localEdge {
 	seen := make(map[[2]string]bool, len(edges))
 	out := edges[:0]
@@ -454,9 +492,9 @@ func renderCycle(cycle []LockEdge) string {
 	return strings.Join(parts, "; ")
 }
 
-// lockMethodExpr classifies a call as a sync lock-surface method,
-// returning the receiver expression and method name.
-func lockMethodExpr(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name string) {
+// lockMethod classifies a call as a sync lock-surface method, returning
+// the receiver expression and method name.
+func lockMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
@@ -519,17 +557,6 @@ func pkgPath(pkg *types.Package) string {
 	return pkg.Path()
 }
 
-// funcLabel renders a callee compactly for edge annotations.
-func funcLabel(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return astq.TypeName(sig.Recv().Type()) + "." + fn.Name()
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
 // innerBlocks lists the nested statement lists of a compound statement.
 func innerBlocks(s ast.Stmt) [][]ast.Stmt {
 	switch st := s.(type) {
@@ -570,14 +597,6 @@ func clauses(body *ast.BlockStmt) [][]ast.Stmt {
 	return out
 }
 
-func copyHeld(held map[string]heldLock) map[string]heldLock {
-	out := make(map[string]heldLock, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
 // shallowInspect visits call expressions in the statement's expression
 // trees, descending into nested statements only through expressions, and
 // into function literals only when they are invoked in place.
@@ -585,10 +604,11 @@ func shallowInspect(s ast.Stmt, visit func(*ast.CallExpr)) {
 	ast.Inspect(s, func(n ast.Node) bool {
 		switch nn := n.(type) {
 		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+			// Nested statement lists get their own scan with copied state.
 			return false
-		case *ast.GoStmt, *ast.DeferStmt:
-			return false
-		case *ast.FuncLit:
+		case *ast.GoStmt, *ast.DeferStmt, *ast.FuncLit:
+			// A literal is entered only via the CallExpr case below, when
+			// it is invoked immediately.
 			return false
 		case *ast.CallExpr:
 			visit(nn)
@@ -600,7 +620,6 @@ func shallowInspect(s ast.Stmt, visit func(*ast.CallExpr)) {
 					return true
 				})
 			}
-			return true
 		}
 		return true
 	})

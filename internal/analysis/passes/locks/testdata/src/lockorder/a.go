@@ -1,4 +1,4 @@
-// Fixture for the lockorder analyzer: no cycles in the module-wide mutex
+// Fixture for the locks analyzer's order half: no cycles in the module-wide mutex
 // acquisition-order graph. The flagged cases close a cross-package cycle
 // against locka, an ABBA cycle inside this package, and a recursive
 // re-acquisition through a helper; the clean cases lock in one global

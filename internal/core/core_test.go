@@ -357,9 +357,9 @@ func TestFaultToleranceReplication(t *testing.T) {
 	if w3.Holds(d.UID) {
 		t.Fatal("over-replicated")
 	}
-	// w1 crashes (stops syncing). After the timeout, w3 must receive the
-	// replica.
-	time.Sleep(300 * time.Millisecond)
+	// w1 crashes (stops syncing). Once the scheduler's clock steps past the
+	// timeout, w3 must receive the replica.
+	h.c.DS.SetClock(func() time.Time { return time.Now().Add(300 * time.Millisecond) })
 	w2.SyncWait(1) // keeps w2 alive
 	w3.SyncWait(2)
 	if !w3.Holds(d.UID) {

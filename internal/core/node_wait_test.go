@@ -32,7 +32,7 @@ func newWaitTestNode(t *testing.T) *Node {
 	return n
 }
 
-// TestSyncWaitBounded is the regression test for the rpcdeadline finding on
+// TestSyncWaitBounded is the regression test for the deadlines finding on
 // SyncWait: its in-flight poll loop used to spin forever, so one wedged
 // transfer hung every caller. It must now fail within the wait timeout,
 // naming the stuck work.

@@ -193,9 +193,10 @@ func TestFaultTolerantTaskReassigned(t *testing.T) {
 	if err := w1.SyncWait(2); err != nil {
 		t.Fatal(err)
 	}
-	// w1 now owns the task and goes silent. After the timeout, w2 (a real
-	// worker) must receive it and produce the result.
-	time.Sleep(250 * time.Millisecond)
+	// w1 now owns the task and goes silent. Once the scheduler's clock
+	// steps past the timeout, w2 (a real worker) must receive it and
+	// produce the result.
+	c.DS.SetClock(func() time.Time { return time.Now().Add(250 * time.Millisecond) })
 	w2 := newNode(t, c, "w2")
 	NewWorker(w2, nil, func(task string, input []byte, shared map[string][]byte) ([]byte, error) {
 		return []byte("recovered"), nil

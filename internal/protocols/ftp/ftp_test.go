@@ -261,7 +261,7 @@ func TestServerCloseSeversClients(t *testing.T) {
 	}
 }
 
-// TestIdleConnectionSevered is the regression test for the deadlineprop
+// TestIdleConnectionSevered is the regression test for the deadlines
 // finding on serveConn: before the idle deadline existed, a peer that
 // went silent without closing its socket pinned the connection goroutine
 // forever. Now the server severs it within one idle timeout.

@@ -436,3 +436,24 @@ func TestDoubleFailure(t *testing.T) {
 		t.Fatalf("row after double failure = %q %v %v", v, ok, err)
 	}
 }
+
+// TestStatusReportsStream: Status answers each shard's own stream epoch —
+// the one its feed stamps on every frame it ships — beside the feed's
+// sequence number, over the wire.
+func TestStatusReportsStream(t *testing.T) {
+	p := newPlane(t, 2, 2)
+	for i, s := range p.shards {
+		c, err := rpc.Dial(s.addr, rpc.WithCallTimeout(testWait))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewClient(c).Status()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stream == 0 || st.Stream != s.feed.Epoch() {
+			t.Errorf("shard %d: Status.Stream = %d, want the feed's epoch %d", i, st.Stream, s.feed.Epoch())
+		}
+	}
+}

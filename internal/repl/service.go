@@ -295,6 +295,7 @@ func (n *Node) handleStatus(StatusArgs) (StatusReply, error) {
 		Epoch:          n.epoch,
 		Shards:         n.place.Shards(),
 		Staging:        n.staged != nil,
+		Stream:         n.cfg.Feed.Epoch(),
 		Seq:            n.cfg.Feed.Seq(),
 		Serving:        make(map[int]uint64, len(n.serving)),
 		PendingContent: n.pull.pending(),

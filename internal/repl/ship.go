@@ -162,7 +162,7 @@ func (s *shipper) run() {
 func (s *shipper) call(method string, args, reply any) bool {
 	backoff := shipBackoff
 	for {
-		//vet:ignore deadlineprop retry-forever is the shipper's contract (a down follower catches up when it returns); every iteration passes through sleepStop, which selects on the shipper's stop channel — shutdown, not a deadline, bounds this loop
+		//vet:ignore deadlines retry-forever is the shipper's contract (a down follower catches up when it returns); every iteration passes through sleepStop, which selects on the shipper's stop channel — shutdown, not a deadline, bounds this loop
 		err := s.client.Call(ServiceName, method, args, reply)
 		if err == nil {
 			return true
@@ -388,7 +388,7 @@ func (p *puller) run() {
 			if len(uids) == 0 {
 				break
 			}
-			//vet:ignore deadlineprop the loop drains a finite queue (every iteration pops or breaks), and a round that retired nothing breaks out through sleepStop's stop-gated backoff — it cannot spin against dead peers
+			//vet:ignore deadlines the loop drains a finite queue (every iteration pops or breaks), and a round that retired nothing breaks out through sleepStop's stop-gated backoff — it cannot spin against dead peers
 			retry := p.pull(uids, from)
 			p.finish(retry, from)
 			// Nothing retired: a holder is unreachable (the whole replica set

@@ -46,7 +46,7 @@ func newSwallowServer(t *testing.T) *swallowServer {
 	return s
 }
 
-// TestCallTimeoutDeadline is the regression test for the rpcdeadline
+// TestCallTimeoutDeadline is the regression test for the deadlines
 // finding on the client: before WithCallTimeout existed, roundTrip blocked
 // forever on a peer that stopped answering without closing the connection.
 func TestCallTimeoutDeadline(t *testing.T) {

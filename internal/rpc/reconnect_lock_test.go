@@ -16,7 +16,7 @@ func (s *stubConn) Call(service, method string, args, reply any) error { return 
 func (s *stubConn) Close() error                                       { s.closed.Store(true); return nil }
 
 // TestAutoClientCloseNotBlockedByDial is the regression test for the
-// lockheld finding on autoClient.current: the redial used to run while
+// locks finding on autoClient.current: the redial used to run while
 // holding a.mu, so one slow dial wedged Close (and every concurrent
 // caller). Close must now complete while a dial is still in flight, and
 // the late connection must be closed, not adopted.
