@@ -23,7 +23,7 @@
 //     either — these aggregate many data movements; dropping one error
 //     drops N failures.
 //
-// Deliberately best-effort sites (rollback, delete-everywhere) carry a
+// Deliberately best-effort sites (a failed create's rollback) carry a
 // //vet:ignore errlost suppression with the design reason.
 package errlost
 

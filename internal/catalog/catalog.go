@@ -45,7 +45,8 @@ var ErrNotFound = errors.New("catalog: data not found")
 // is delegated to the configured db.Store, matching the paper's design
 // where meta-data is serialised into a SQL database back-end.
 type Service struct {
-	store db.Store
+	store   db.Store
+	cascade func(uid data.UID) error // see SetDeleteCascade
 }
 
 // NewService builds a Data Catalog over the given persistent store.
@@ -82,13 +83,26 @@ func (s *Service) Get(uid data.UID) (data.Data, error) {
 	return d, nil
 }
 
-// Delete removes a datum and its locators. Deleting an absent datum is not
-// an error (deletion must be idempotent under retried client calls).
+// SetDeleteCascade installs what a delete takes with it once the datum's
+// rows are gone; the service container unschedules the datum and deletes
+// its repository content. Call it before Mount.
+func (s *Service) SetDeleteCascade(cascade func(uid data.UID) error) {
+	s.cascade = cascade
+}
+
+// Delete removes a datum and its locators, then runs the delete cascade.
+// The catalog delete gates the cascade: a refused one (not the owner, a
+// failing store) leaves everything else in place for a retry. Deleting an
+// absent datum is not an error (deletion must be idempotent under retried
+// client calls).
 func (s *Service) Delete(uid data.UID) error {
 	if err := s.store.Delete(tableData, string(uid)); err != nil {
 		return err
 	}
-	return s.store.Delete(tableLocators, string(uid))
+	if err := s.store.Delete(tableLocators, string(uid)); err != nil || s.cascade == nil {
+		return err
+	}
+	return s.cascade(uid)
 }
 
 // SearchByName returns every datum labelled name, sorted by UID. Names are

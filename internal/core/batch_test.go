@@ -186,7 +186,9 @@ func TestScheduleAll(t *testing.T) {
 	}
 }
 
-func TestDeleteDataBatchedFrame(t *testing.T) {
+// TestDeleteDataIsOneFrame: the home shard's catalog delete takes the
+// schedule entry and the content with it, so a delete costs one frame.
+func TestDeleteDataIsOneFrame(t *testing.T) {
 	h := newHarness(t, true)
 	comms := h.comms()
 	n, err := core.NewNode(core.NodeConfig{Host: "client", Comms: comms})
@@ -207,16 +209,17 @@ func TestDeleteDataBatchedFrame(t *testing.T) {
 	if err := n.BitDew.DeleteData(*d); err != nil {
 		t.Fatal(err)
 	}
-	// Catalog delete gates the rest (1 trip), then scheduler + repository
-	// deletes share a frame (1 trip).
-	if trips := comms.RoundTrips() - base; trips != 2 {
-		t.Errorf("DeleteData used %d round trips, want 2", trips)
+	if trips := comms.RoundTrips() - base; trips != 1 {
+		t.Errorf("DeleteData used %d round trips, want 1", trips)
 	}
 	if _, err := h.c.DC.Get(d.UID); err == nil {
 		t.Error("datum still in catalog")
 	}
 	if len(h.c.DS.Entries()) != 0 {
 		t.Error("datum still scheduled")
+	}
+	if h.c.DR.Has(d.UID) {
+		t.Error("content still in the repository")
 	}
 	// Deleting an unscheduled datum stays non-fatal for DS/DR legs.
 	d2, _ := n.BitDew.CreateData("plain")

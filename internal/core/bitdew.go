@@ -642,26 +642,18 @@ func (b *BitDew) SearchDataFirst(name string) (data.Data, error) {
 }
 
 // DeleteData removes the datum everywhere the node can reach: catalog
-// (with locators), scheduler, repository and local cache — all on the
-// datum's home shard. Data holding a relative lifetime on it will expire at
-// their owners' next sync. The catalog delete goes first and gates the rest
-// — if it fails, the datum stays fully intact for a retry rather than
-// lingering in the catalog with its content gone. The two best-effort
-// deletions (scheduler, repository) then share one multi-call round trip.
+// (with locators), scheduler, repository and local cache. One frame to the
+// datum's home shard does the first three: its catalog delete takes the
+// schedule entry and the content with it, and only once the catalog rows
+// are gone — a refused delete leaves the datum fully intact for a retry.
+// Followers drop their copies as the delete replicates. Data holding a
+// relative lifetime on it will expire at their owners' next sync.
 func (b *BitDew) DeleteData(d data.Data) error {
 	err := b.set.homeCall(d.UID, func(c *Comms) error { return c.DC.Delete(d.UID) })
 	if err != nil {
 		return err
 	}
 	b.set.cache.invalidate(d.UID)
-	// homeCall above refreshed the view on a rebalance, so For now resolves
-	// the datum's committed home.
-	c := b.set.For(d.UID)
-	//vet:ignore errlost both deletions are best-effort by contract (the datum may be unscheduled or empty); the gating catalog delete above already succeeded
-	c.CallBatch([]*rpc.Call{
-		c.DS.UnscheduleCall(d.UID), // best-effort: may not be scheduled
-		c.DR.DeleteCall(d.UID),     // best-effort: may hold no content
-	})
 	return b.backend.Delete(string(d.UID))
 }
 

@@ -430,14 +430,24 @@ func TestDeleteDataClearsEverywhere(t *testing.T) {
 	if err := n.BitDew.Put(d, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	if err := n.ActiveData.Schedule(*d, attr.Attribute{Name: "temp", Replica: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !h.c.DR.Has(d.UID) || len(h.c.DS.Entries()) != 1 {
+		t.Fatal("datum not in the repository and the scheduler before delete")
+	}
 	if err := n.BitDew.DeleteData(*d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.BitDew.SearchDataFirst("temp"); err == nil {
 		t.Error("datum still searchable after delete")
 	}
-	ok, _ := n.BitDew.Local(*d), 0
-	_ = ok
+	if h.c.DR.Has(d.UID) {
+		t.Error("content still in the home repository after delete")
+	}
+	if len(h.c.DS.Entries()) != 0 {
+		t.Error("datum still scheduled after delete")
+	}
 	if n.BitDew.Local(*d) {
 		t.Error("content still local after delete")
 	}

@@ -53,6 +53,38 @@ func replicatedHarness(t *testing.T, shards, waveSize int) (*runtime.ShardedCont
 	return plane, set, node, wave, contents
 }
 
+// TestDeleteDropsFollowerCopies: a copy follows its row out as well as in.
+// Once 30 data put at R=2 are deleted and the deletes have replicated, no
+// shard's repository holds any of them: the owner's catalog delete took its
+// copy, and each follower dropped the one it pulled.
+func TestDeleteDropsFollowerCopies(t *testing.T) {
+	plane, _, node, wave, _ := replicatedHarness(t, 3, 30)
+	copies := func() (n int) {
+		for i := range plane.Addrs() {
+			for _, d := range wave {
+				if plane.Shard(i).DR.Has(d.UID) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if got := copies(); got != 2*len(wave) {
+		t.Fatalf("%d copies before the deletes, want %d", got, 2*len(wave))
+	}
+	for _, d := range wave {
+		if err := node.BitDew.DeleteData(*d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plane.WaitReplicated(planeWait); err != nil {
+		t.Fatal(err)
+	}
+	if got := copies(); got != 0 {
+		t.Fatalf("%d copies outlived their deleted rows", got)
+	}
+}
+
 // fetchUntil reads d through the node until it succeeds or the deadline
 // passes, returning the bytes. Retries ride the failover path: the first
 // post-kill read triggers detection and promotion.

@@ -161,8 +161,9 @@ func TestFrameBudget(t *testing.T) {
 		}
 	}
 
-	// DeleteData: the gating catalog delete, then scheduler + repository.
-	if got := c.frames(func() error { return bd.DeleteData(*ds[0]) }); got != 2 {
-		t.Errorf("DeleteData = %d frames, want 2", got)
+	// DeleteData: the home shard's catalog delete takes the schedule entry
+	// and the content with it.
+	if got := c.frames(func() error { return bd.DeleteData(*ds[0]) }); got != 1 {
+		t.Errorf("DeleteData = %d frames, want 1", got)
 	}
 }

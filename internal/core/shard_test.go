@@ -7,6 +7,7 @@ import (
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
 	"bitdew/internal/data"
+	"bitdew/internal/repl"
 	"bitdew/internal/repository"
 	"bitdew/internal/runtime"
 	"bitdew/internal/transfer"
@@ -190,6 +191,43 @@ func TestShardedDeleteRoutesHome(t *testing.T) {
 	}
 	if len(survivors) != len(ds)-1 {
 		t.Fatalf("%d data after delete, want %d", len(survivors), len(ds)-1)
+	}
+}
+
+// TestRefusedDeleteLeavesDatumIntact: the catalog delete gates what it
+// takes with it. Sent to a shard that does not own the datum, dc/Delete is
+// refused, and the owner's schedule entry and content stay; a retried
+// DeleteData then clears all of it.
+func TestRefusedDeleteLeavesDatumIntact(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	master := h.node("master")
+	master.SetClientOnly(true)
+	ds, _ := putWave(t, master, 1)
+	victim := ds[0]
+	if err := master.ActiveData.Schedule(*victim, attr.Attribute{Name: "victim", Replica: 1}); err != nil {
+		t.Fatal(err)
+	}
+	set := core.NewShardSet(core.ConnectLocal(h.plane.Shard(0).Mux), core.ConnectLocal(h.plane.Shard(1).Mux))
+	shard := set.ShardOf(victim.UID)
+	home := h.plane.Shard(shard)
+	intact := func() bool {
+		_, err := home.DC.Get(victim.UID)
+		return err == nil && home.DR.Has(victim.UID) && len(home.DS.Entries()) == 1
+	}
+	if !intact() {
+		t.Fatal("datum not in the home catalog, repository and scheduler before delete")
+	}
+	if err := core.ConnectLocal(h.plane.Shard(1 - shard).Mux).DC.Delete(victim.UID); !repl.IsNotOwner(err) {
+		t.Fatalf("dc/Delete on the shard that does not own %s = %v, want a not-owner refusal", victim.Name, err)
+	}
+	if !intact() {
+		t.Fatal("a refused catalog delete took the schedule entry or the content with it")
+	}
+	if err := master.BitDew.DeleteData(*victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.DC.Get(victim.UID); err == nil || home.DR.Has(victim.UID) || len(home.DS.Entries()) != 0 {
+		t.Fatal("the retried DeleteData left the datum behind")
 	}
 }
 

@@ -49,6 +49,74 @@ func TestPullCancelledByReplicatedDelete(t *testing.T) {
 	}
 }
 
+// TestReplicatedDeleteDropsPulledContent: a copy follows its row out as well
+// as in. Content the follower already pulled goes when the locator row's
+// delete replicates.
+func TestReplicatedDeleteDropsPulledContent(t *testing.T) {
+	p := newPlane(t, 2, 2)
+	uid := keyOn(dht.NewPlacement(2), 0, "pulled", 0)
+	p.shards[0].content.put(uid, []byte("payload"))
+	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.shards[0].node.WaitReplicated(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !p.shards[1].content.has(uid) {
+		t.Fatal("the follower never pulled the content")
+	}
+	if err := p.shards[0].feed.Delete("dc_locators", uid); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.shards[0].node.WaitReplicated(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p.shards[1].content.has(uid) {
+		t.Fatal("the follower kept a copy of a deleted datum")
+	}
+}
+
+// TestPullDeleteAfterInFlightPull: the follower's pull request is delayed on
+// the wire, and the locator row's delete replicates while it is in flight.
+// The reply still lands and stores the content; the follower must drop it.
+func TestPullDeleteAfterInFlightPull(t *testing.T) {
+	var armed, delayed atomic.Bool
+	p := newFaultPlane(t, 2, 2, func(from int, addr string) []rpc.DialOption {
+		// The first fresh dial from shard 1 once armed is the content pull.
+		if from != 1 || !armed.CompareAndSwap(true, false) {
+			return nil
+		}
+		delayed.Store(true)
+		return []rpc.DialOption{rpc.WithFaultPlan(rpc.NewFaultPlan().Set(1,
+			rpc.Fault{Action: rpc.FaultDelay, Delay: time.Second}))}
+	})
+	uid := keyOn(dht.NewPlacement(2), 0, "late", 0)
+	p.shards[0].content.put(uid, []byte("payload"))
+	armed.Store(true)
+	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the delayed pull in flight", func() bool {
+		return delayed.Load() && p.shards[1].node.pull.pending() > 0
+	})
+	if err := p.shards[0].feed.Delete("dc_locators", uid); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.shards[0].node.WaitReplicated(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	box := p.shards[1].content
+	box.mu.Lock()
+	puts := box.puts
+	box.mu.Unlock()
+	if puts == 0 {
+		t.Fatal("the delayed pull never stored its reply")
+	}
+	if box.has(uid) {
+		t.Fatal("a pull reply that landed after the delete left its content behind")
+	}
+}
+
 // TestPullOfAbsentContentIsTerminal: a locator row is published for content
 // nobody holds (no upload ever happened). Every holder is reachable and
 // answers "not here", so the pull is over — retrying cannot change the answer.

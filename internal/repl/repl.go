@@ -152,14 +152,17 @@ type Config struct {
 	// endpoints; a reshape rewrites moved locators from the source's to the
 	// target's.
 	Endpoints func() map[string]string
-	// GetContent / PutContent / HasContent bridge to the repository
-	// backend: serving FetchContent to followers, storing pulled content,
-	// and skipping pulls for content already present. GetContent answers
+	// GetContent / PutContent / DropContent / HasContent bridge to the
+	// repository backend: serving FetchContent to followers, storing pulled
+	// content, removing it when its locator row's delete replicates, and
+	// skipping pulls for content already present. GetContent answers
 	// found=false only when the backend definitely holds nothing for uid;
-	// any other failure is an error (a follower retries it).
-	GetContent func(uid string) (content []byte, found bool, err error)
-	PutContent func(uid string, content []byte) error
-	HasContent func(uid string) bool
+	// any other failure is an error (a follower retries it). DropContent of
+	// absent content is not an error.
+	GetContent  func(uid string) (content []byte, found bool, err error)
+	PutContent  func(uid string, content []byte) error
+	DropContent func(uid string) error
+	HasContent  func(uid string) bool
 	// OnCommit, when set, observes every committed membership change — the
 	// runtime publishes it through the ring table.
 	OnCommit func(epoch uint64, addrs []string)

@@ -22,12 +22,21 @@ type contentBox struct {
 	mu        sync.Mutex
 	m         map[string][]byte
 	failReads int // reads left to fail with a backend error
+	puts      int // content stored, pulled or not
 }
 
 func (b *contentBox) put(uid string, c []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.m[uid] = append([]byte(nil), c...)
+	b.puts++
+	return nil
+}
+
+func (b *contentBox) drop(uid string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.m, uid)
 	return nil
 }
 
@@ -127,6 +136,7 @@ func (p *plane) boot(i int, lis net.Listener, skipBootCheck bool) *testShard {
 		ContentTable:  "dc_locators",
 		GetContent:    box.get,
 		PutContent:    box.put,
+		DropContent:   box.drop,
 		HasContent:    box.has,
 		ProbeTimeout:  150 * time.Millisecond,
 		SkipBootCheck: skipBootCheck,

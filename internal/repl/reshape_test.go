@@ -95,6 +95,12 @@ func bootShardOn(t *testing.T, self, shards int, lis net.Listener, dialOpts func
 			s.content[uid] = c
 			return nil
 		},
+		DropContent: func(uid string) error {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			delete(s.content, uid)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +278,38 @@ func TestGrowMovesRangesAndCommitsEverywhere(t *testing.T) {
 		}
 	}
 	assertServedUnder(t, p.keys, all)
+}
+
+// TestGhostCollectionKeepsTheTargetsContent: once a grow commits, the
+// source's ghost collection deletes the moved locator rows, and its move
+// stream may still carry those deletes to the target. The target serves the
+// range by then, so the content is its own: the delete must not drop it.
+func TestGhostCollectionKeepsTheTargetsContent(t *testing.T) {
+	p := bootPlane(t, 2)
+	joiner := bootShard(t, 2, 3)
+	var ghost string
+	for _, k := range p.movingFrom(t, 0, 3) {
+		if dht.NewPlacement(3).ShardOf(k) == 2 {
+			ghost = k
+		}
+	}
+	if ghost == "" {
+		t.Fatal("test data has no key moving from shard 0 to the joiner")
+	}
+	if committed, err := p.grow(joiner); !committed || err != nil {
+		t.Fatalf("Grow = %v, %v", committed, err)
+	}
+	// Deliver shard 0's ghost delete as its move stream would.
+	joiner.node.mu.Lock()
+	st := joiner.node.replicas[0]
+	args := ApplyArgs{Shard: 0, Epoch: st.epoch, Prev: st.last, Last: st.last + 1,
+		Muts: []db.Mutation{{Seq: st.last + 1, Op: 'D', Table: tblLocators, Key: ghost}}}
+	joiner.node.mu.Unlock()
+	if rep, err := joiner.node.handleApply(args); err != nil || rep.NeedSync {
+		t.Fatalf("Apply of the ghost delete = %+v, %v", rep, err)
+	}
+	waitFor(t, "the target's puller idle", func() bool { return joiner.node.pull.pending() == 0 })
+	assertServedUnder(t, p.keys, p.with(joiner))
 }
 
 // TestGrowRefusesMisplacedJoiner: the joiner must already believe the grown

@@ -181,7 +181,7 @@ func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 
 // applyOneLocked writes one mutation into the source's namespace; a locator
 // row schedules a pull of the content it announces, its deletion cancels
-// one still queued.
+// one still queued and drops the copy of a range this shard follows.
 func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
 	tbl := nsTable(src, m.Table)
 	st.tables[m.Table] = true
@@ -198,7 +198,10 @@ func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
 			return fmt.Errorf("repl: apply: %w", err)
 		}
 		if m.Table == n.cfg.ContentTable {
-			n.pull.cancel(m.Key)
+			// Content of a range served here is this shard's own: the delete
+			// is its old home collecting the ghost of a move.
+			_, served := n.serving[n.place.ShardOf(m.Key)]
+			n.pull.cancel(m.Key, !served && n.cfg.DropContent != nil)
 		}
 	default:
 		return fmt.Errorf("repl: apply: unknown op %q", m.Op)

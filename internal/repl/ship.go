@@ -302,6 +302,8 @@ func (n *Node) WaitReplicated(timeout time.Duration) error {
 // that found a holder unreachable is retried, and one that every holder
 // answered "not here" is dropped — the datum was deleted (or never
 // uploaded), and waiting for it would wedge every convergence wait for ever.
+// A copy follows its row out as well as in: the same loop drops the content
+// of a followed datum whose locator row was deleted, after any batch in flight.
 type puller struct {
 	n    *Node
 	kick chan struct{}
@@ -309,10 +311,12 @@ type puller struct {
 	mu     sync.Mutex
 	want   map[string]string // queued: uid -> rpc address of the stream that announced it
 	flying map[string]bool   // the batch in flight
+	drop   map[string]bool   // deleted upstream: content to remove
 }
 
 func newPuller(n *Node) *puller {
-	return &puller{n: n, kick: make(chan struct{}, 1), want: make(map[string]string), flying: make(map[string]bool)}
+	return &puller{n: n, kick: make(chan struct{}, 1),
+		want: make(map[string]string), flying: make(map[string]bool), drop: make(map[string]bool)}
 }
 
 // enqueue schedules a pull of uid's content, announced by the stream from
@@ -328,20 +332,46 @@ func (p *puller) enqueue(uid, from string) {
 	signal(p.kick)
 }
 
-// cancel drops uid's pull: its locator row was deleted upstream. One already
-// in flight finishes and is not requeued.
-func (p *puller) cancel(uid string) {
+// cancel drops uid's pull, and with drop marks its content for removal: its
+// locator row was deleted upstream. One already in flight finishes and is not
+// requeued; the removal runs after it. Like enqueue, cancel leaves the I/O to
+// the pull loop.
+func (p *puller) cancel(uid string, drop bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	delete(p.want, uid)
 	delete(p.flying, uid)
+	if drop {
+		p.drop[uid] = true
+	}
+	p.mu.Unlock()
+	signal(p.kick)
 }
 
-// pending counts queued plus in-flight pulls.
+// pending counts queued, in-flight and removal-pending pulls.
 func (p *puller) pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.want) + len(p.flying)
+	return len(p.want) + len(p.flying) + len(p.drop)
+}
+
+// dropDeleted removes the content of the data cancel marked. A failed
+// removal is logged, not retried: waiting on it would wedge every
+// convergence wait.
+func (p *puller) dropDeleted() {
+	p.mu.Lock()
+	uids := make([]string, 0, len(p.drop))
+	for uid := range p.drop {
+		uids = append(uids, uid)
+	}
+	p.mu.Unlock()
+	for _, uid := range uids {
+		if err := p.n.cfg.DropContent(uid); err != nil {
+			p.n.logf("repl: shard %d: dropping deleted content %s: %v", p.n.cfg.Shard, uid, err)
+		}
+		p.mu.Lock()
+		delete(p.drop, uid)
+		p.mu.Unlock()
+	}
 }
 
 // pop takes a queued pull and, up to one frame's worth, every other one
@@ -384,6 +414,7 @@ func (p *puller) run() {
 		case <-p.kick:
 		}
 		for {
+			p.dropDeleted()
 			uids, from := p.pop()
 			if len(uids) == 0 {
 				break

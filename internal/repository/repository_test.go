@@ -278,7 +278,8 @@ func TestServiceOverRPC(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Has = %v, %v", ok, err)
 	}
-	if err := c.Delete(uid); err != nil {
+	// Content leaves with its catalog row, server-side; Has sees it go.
+	if err := s.Backend().Delete(string(uid)); err != nil {
 		t.Fatal(err)
 	}
 	ok, _ = c.Has(uid)

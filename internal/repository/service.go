@@ -213,9 +213,6 @@ func (s *Service) Mount(m *rpc.Mux) {
 	rpc.Register(m, ServiceName, "Has", func(uid data.UID) (bool, error) {
 		return s.Has(uid), nil
 	})
-	rpc.Register(m, ServiceName, "Delete", func(uid data.UID) (struct{}, error) {
-		return struct{}{}, s.backend.Delete(string(uid))
-	})
 }
 
 // Client is the typed client of a remote Data Repository.
@@ -288,12 +285,6 @@ func (c *Client) LocatorAnyBatch(uids []data.UID, preferred string) ([]data.Loca
 	return out, err
 }
 
-// DeleteCall builds a batchable delete for a cross-service rpc.CallBatch
-// frame.
-func (c *Client) DeleteCall(uid data.UID) *rpc.Call {
-	return rpc.NewCall(ServiceName, "Delete", uid, nil)
-}
-
 // Protocols lists the DR's served protocols.
 func (c *Client) Protocols() ([]string, error) {
 	var out []string
@@ -306,9 +297,4 @@ func (c *Client) Has(uid data.UID) (bool, error) {
 	var ok bool
 	err := c.c.Call(ServiceName, "Has", uid, &ok)
 	return ok, err
-}
-
-// Delete removes uid's content from the DR.
-func (c *Client) Delete(uid data.UID) error {
-	return c.c.Call(ServiceName, "Delete", uid, nil)
 }

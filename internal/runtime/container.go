@@ -208,7 +208,8 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 			}
 			return content, err == nil, err
 		},
-		PutContent: backend.Put,
+		PutContent:  backend.Put,
+		DropContent: backend.Delete,
 		HasContent: func(uid string) bool {
 			_, err := backend.Size(uid)
 			return err == nil
@@ -233,6 +234,14 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		return fail(err)
 	}
 	c.DC = catalog.NewService(store)
+	// A delete takes the datum's schedule entry and content with it once its
+	// catalog rows are gone; followers drop their copies through DropContent.
+	c.DC.SetDeleteCascade(func(uid data.UID) error {
+		if err := c.DS.Unschedule(uid); err != nil && !errors.Is(err, scheduler.ErrNotScheduled) {
+			return err
+		}
+		return backend.Delete(string(uid))
+	})
 
 	if !cfg.DisableFTP {
 		var opts []ftp.Option

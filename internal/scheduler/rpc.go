@@ -117,11 +117,6 @@ func (c *Client) ScheduleCall(d data.Data, a attr.Attribute) *rpc.Call {
 	return rpc.NewCall(ServiceName, "Schedule", scheduleArgs{Data: d, Attr: a}, nil)
 }
 
-// UnscheduleCall builds a batchable Unschedule for an rpc.CallBatch frame.
-func (c *Client) UnscheduleCall(uid data.UID) *rpc.Call {
-	return rpc.NewCall(ServiceName, "Unschedule", uid, nil)
-}
-
 // Owners lists the hosts owning uid.
 func (c *Client) Owners(uid data.UID) ([]string, error) {
 	var out []string

@@ -16,6 +16,7 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -32,6 +33,9 @@ const DefaultMaxDataSchedule = 8
 // DefaultTimeout is the failure-detection timeout; the paper sets it to
 // three heartbeat periods (3 × 1 s in the DSL-Lab experiment of §4.4).
 const DefaultTimeout = 3 * time.Second
+
+// ErrNotScheduled is returned by Unschedule for a datum not under management.
+var ErrNotScheduled = errors.New("scheduler: datum not scheduled")
 
 // Entry is one datum under management: its meta-information, its attribute
 // and internal scheduling state.
@@ -186,7 +190,7 @@ func (s *Service) Unschedule(uid data.UID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.theta[uid]; !ok {
-		return fmt.Errorf("scheduler: datum %s not scheduled", uid)
+		return fmt.Errorf("%w: %s", ErrNotScheduled, uid)
 	}
 	delete(s.theta, uid)
 	delete(s.owners, uid)
