@@ -113,7 +113,9 @@ type KV struct {
 	Value []byte
 }
 
-// MapFunc processes one input split, emitting intermediate pairs.
+// MapFunc processes one input split, emitting intermediate pairs. The
+// split is the worker's stored copy of the map task: read it, never write
+// it.
 type MapFunc func(split []byte, emit func(key string, value []byte)) error
 
 // ReduceFunc folds all values of one key into a final value.

@@ -14,13 +14,14 @@ import (
 //
 // A put holds two: the caller's local copy (Put's copy-in contract) and the
 // repository's stored copy, reserved once from Content-Length. A fetch holds
-// two: the local copy the download lands in and the one GetBytes hands out
-// (its copy-out contract). Before content streamed, the same put allocated
-// 8.0 payloads (io.ReadAll regrowing the request body, a Get per Send) and
-// the fetch 7.9 (Append regrowing the local copy, a GetRange per 64 KiB
-// served, a Get to verify). The bars leave the fixed cost of the ops and one
-// stray 32 KiB copy buffer well inside them, and trip on one more
-// payload-sized buffer. CI runs this test by name, without -race.
+// one: the local copy the download lands in, which GetBytes hands out itself
+// (a backend's Get is read-only, not a copy). Before content streamed, the
+// same put allocated 8.0 payloads (io.ReadAll regrowing the request body, a
+// Get per Send) and the fetch 7.9 (Append regrowing the local copy, a
+// GetRange per 64 KiB served, a Get to verify); while Get copied out, the
+// fetch held 2.0. The bars leave the fixed cost of the ops and one stray
+// 32 KiB copy buffer well inside them, and trip on one more payload-sized
+// buffer. CI runs this test by name, without -race.
 func TestTransferAllocAcceptance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -30,8 +31,8 @@ func TestTransferAllocAcceptance(t *testing.T) {
 	if got := put / payload; got > 3.5 {
 		t.Errorf("an 8 MiB put allocates %.2f payloads, want ≤ 3.5 (measured 2.0, 8.0 before streaming)", got)
 	}
-	if got := fetch / payload; got > 2.5 {
-		t.Errorf("an 8 MiB fetch allocates %.2f payloads, want ≤ 2.5 (measured 2.0, 7.9 before streaming)", got)
+	if got := fetch / payload; got > 1.5 {
+		t.Errorf("an 8 MiB fetch allocates %.2f payloads, want ≤ 1.5 (measured 1.0, 2.0 with Get's copy, 7.9 before streaming)", got)
 	}
 }
 

@@ -314,7 +314,8 @@ func (b *BitDew) Get(d data.Data) (*transfer.Handle, error) {
 // every known locator in turn (catalog-registered first, then a fresh
 // repository locator), so stale catalog entries — e.g. a service host that
 // came back on a new endpoint after a transient failure — do not strand
-// the datum.
+// the datum. The result is the local copy the download landed in, read-only
+// under the Backend's Get contract: copy it before writing it.
 func (b *BitDew) GetBytes(d data.Data) ([]byte, error) {
 	if err := b.Fetch(d, ""); err != nil {
 		return nil, err

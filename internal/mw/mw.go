@@ -37,7 +37,8 @@ const (
 	ResultPrefix = "result:"
 )
 
-// Result is one completed task delivered to the master.
+// Result is one completed task delivered to the master. Content is the
+// master's stored copy of the result: read it, never write it.
 type Result struct {
 	Task    string
 	Content []byte
@@ -235,7 +236,9 @@ func (m *Master) Shutdown() error {
 }
 
 // TaskFunc computes one task: input is the task datum's content, shared
-// maps each shared datum's name to its local content.
+// maps each shared datum's name to its local content. Both are the worker's
+// stored copies, so a TaskFunc reads them and never writes them; one that
+// must write its input copies it first.
 type TaskFunc func(task string, input []byte, shared map[string][]byte) ([]byte, error)
 
 // Worker executes tasks arriving through data placement.

@@ -228,6 +228,35 @@ func TestFileContent(t *testing.T) {
 	}
 }
 
+// TestDeleteDotKeepsTheRoot: on a file-backed server, "." and ".." name no
+// file. DELETE /data/. must not remove the directory every later upload
+// lands in, and GET /data/.. must not answer with the parent directory.
+func TestDeleteDotKeepsTheRoot(t *testing.T) {
+	stored, err := repository.NewDirBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(stored, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := NewClient()
+	if err := c.Delete(srv.Addr(), "."); err == nil {
+		t.Error("DELETE /data/. succeeded")
+	}
+	if size, err := c.Size(srv.Addr(), ".."); err == nil {
+		t.Errorf("HEAD /data/.. answered a size of %d", size)
+	}
+	content := randBytes(1000, 14)
+	if err := c.Put(srv.Addr(), "f", bytes.NewReader(content)); err != nil {
+		t.Fatalf("upload after DELETE /data/.: %v", err)
+	}
+	if got, err := stored.Get("f"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("stored: %d bytes, %v", len(got), err)
+	}
+}
+
 // TestHTTPExchangeAllocs pins what one warm exchange allocates, client and
 // server together, to what the backend is handed: the ref and the reader it
 // opens for a Get; the ref, the writer it opens and the reservation that

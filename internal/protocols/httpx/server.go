@@ -179,7 +179,11 @@ func (sc *serverConn) exchange() error {
 	case "PUT":
 		return sc.put(ref)
 	case "DELETE":
-		if err := sc.backend.Delete(ref); err != nil {
+		err := sc.backend.Delete(ref)
+		if errors.Is(err, repository.ErrNoContent) {
+			return sc.answer("404 Not Found", "not found")
+		}
+		if err != nil {
 			return sc.answer("500 Internal Server Error", err.Error())
 		}
 		return sc.answer("204 No Content", "")

@@ -33,10 +33,11 @@ type Backend interface {
 	// Append extends ref's content; used by resuming receivers. Appending
 	// to an absent ref creates it.
 	Append(ref string, chunk []byte) error
-	// Get returns the full content of ref.
+	// Get returns the full content of ref. The result may be the stored
+	// bytes themselves: callers read it and never write it.
 	Get(ref string) ([]byte, error)
-	// GetRange returns up to n bytes of ref starting at off. Fewer bytes
-	// are returned only at end of content.
+	// GetRange returns up to n bytes of ref starting at off, read-only like
+	// Get's. Fewer bytes are returned only at end of content.
 	GetRange(ref string, off, n int64) ([]byte, error)
 	// Size returns the stored length of ref, or ErrNoContent.
 	Size(ref string) (int64, error)
@@ -51,8 +52,10 @@ type Backend interface {
 //
 // The bytes of a stored slice are never written again: Put and a committed
 // whole-content write store a new slice, Append and a resume only fill
-// capacity no stored slice covers yet. That is what lets OpenReader serve
-// the stored slice itself, without a copy.
+// capacity no stored slice covers yet. That is what lets Get, GetRange and
+// OpenReader serve the stored slice itself, without a copy. Get and GetRange
+// clip its capacity, so that a caller's append reallocates rather than
+// writing into room a later Append fills.
 type MemBackend struct {
 	mu      sync.RWMutex
 	content map[string][]byte
@@ -84,7 +87,7 @@ func (b *MemBackend) Get(ref string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
-	return append([]byte(nil), c...), nil
+	return c[:len(c):len(c)], nil
 }
 
 func (b *MemBackend) GetRange(ref string, off, n int64) ([]byte, error) {
@@ -94,14 +97,11 @@ func (b *MemBackend) GetRange(ref string, off, n int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
-	if off < 0 || off > int64(len(c)) {
+	if off < 0 || n < 0 || off > int64(len(c)) {
 		return nil, fmt.Errorf("repository: range [%d,+%d) out of bounds for %s (len %d)", off, n, ref, len(c))
 	}
-	end := off + n
-	if end > int64(len(c)) {
-		end = int64(len(c))
-	}
-	return append([]byte(nil), c[off:end]...), nil
+	end := off + min(n, int64(len(c))-off)
+	return c[off:end:end], nil
 }
 
 func (b *MemBackend) Size(ref string) (int64, error) {
@@ -221,8 +221,9 @@ func NewDirBackend(root string) (*DirBackend, error) {
 	return &DirBackend{root: root}, nil
 }
 
-// path maps a ref to a safe file path.
-func (b *DirBackend) path(ref string) string {
+// path maps a ref to a safe file path. A ref whose safe name is empty, "."
+// or ".." would name the root or its parent, and is refused.
+func (b *DirBackend) path(ref string) (string, error) {
 	safe := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
@@ -233,7 +234,10 @@ func (b *DirBackend) path(ref string) string {
 			return '_'
 		}
 	}, ref)
-	return filepath.Join(b.root, safe)
+	if safe == "" || safe == "." || safe == ".." {
+		return "", fmt.Errorf("%w: %q names no file", ErrNoContent, ref)
+	}
+	return filepath.Join(b.root, safe), nil
 }
 
 func (b *DirBackend) Put(ref string, content []byte) error {
@@ -251,9 +255,13 @@ func (b *DirBackend) Put(ref string, content []byte) error {
 // OpenReader opens ref's file. Whole-content writes replace the file by
 // rename, so the descriptor keeps reading the content it was opened on.
 func (b *DirBackend) OpenReader(ref string) (Reader, int64, error) {
+	path, err := b.path(ref)
+	if err != nil {
+		return nil, 0, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	f, err := os.Open(b.path(ref))
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
@@ -277,7 +285,10 @@ const tempMark = "~"
 // that Commit renames over the ref, or, for a resume, on the ref's own file
 // in append mode.
 func (b *DirBackend) OpenWriter(ref string, off, size int64) (Writer, error) {
-	path := b.path(ref)
+	path, err := b.path(ref)
+	if err != nil {
+		return nil, err
+	}
 	w := &fileWriter{chunk: 32 << 10}
 	if size >= off {
 		w.chunk = int(min(max(size-off, 1), 32<<10))
@@ -358,9 +369,13 @@ func (w *fileWriter) finish(publish bool) error {
 }
 
 func (b *DirBackend) Append(ref string, chunk []byte) error {
+	path, err := b.path(ref)
+	if err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, err := os.OpenFile(b.path(ref), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
@@ -370,9 +385,13 @@ func (b *DirBackend) Append(ref string, chunk []byte) error {
 }
 
 func (b *DirBackend) Get(ref string) ([]byte, error) {
+	path, err := b.path(ref)
+	if err != nil {
+		return nil, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	c, err := os.ReadFile(b.path(ref))
+	c, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
@@ -380,9 +399,13 @@ func (b *DirBackend) Get(ref string) ([]byte, error) {
 }
 
 func (b *DirBackend) GetRange(ref string, off, n int64) ([]byte, error) {
+	path, err := b.path(ref)
+	if err != nil {
+		return nil, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	f, err := os.Open(b.path(ref))
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
@@ -394,13 +417,10 @@ func (b *DirBackend) GetRange(ref string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || off > st.Size() {
+	if off < 0 || n < 0 || off > st.Size() {
 		return nil, fmt.Errorf("repository: range [%d,+%d) out of bounds for %s (len %d)", off, n, ref, st.Size())
 	}
-	end := off + n
-	if end > st.Size() {
-		end = st.Size()
-	}
+	end := off + min(n, st.Size()-off)
 	buf := make([]byte, end-off)
 	if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
 		return nil, err
@@ -409,9 +429,13 @@ func (b *DirBackend) GetRange(ref string, off, n int64) ([]byte, error) {
 }
 
 func (b *DirBackend) Size(ref string) (int64, error) {
+	path, err := b.path(ref)
+	if err != nil {
+		return 0, err
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	st, err := os.Stat(b.path(ref))
+	st, err := os.Stat(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("%w: %s", ErrNoContent, ref)
 	}
@@ -422,9 +446,13 @@ func (b *DirBackend) Size(ref string) (int64, error) {
 }
 
 func (b *DirBackend) Delete(ref string) error {
+	path, err := b.path(ref)
+	if err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	err := os.Remove(b.path(ref))
+	err = os.Remove(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

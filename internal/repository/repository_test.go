@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -100,6 +102,9 @@ func TestBackendAppendAndRange(t *testing.T) {
 			if _, err := b.GetRange("f", -1, 1); err == nil {
 				t.Error("GetRange negative offset succeeded")
 			}
+			if _, err := b.GetRange("f", 3, -1); err == nil {
+				t.Error("GetRange negative length succeeded")
+			}
 			if _, err := b.GetRange("missing", 0, 1); !errors.Is(err, ErrNoContent) {
 				t.Errorf("GetRange missing: %v", err)
 			}
@@ -166,6 +171,178 @@ func TestDirBackendSanitisesRefs(t *testing.T) {
 	for _, r := range refs {
 		if bytes.ContainsAny([]byte(r), "/\\") {
 			t.Errorf("ref escaped into path: %q", r)
+		}
+	}
+}
+
+// TestDirBackendRefusesRootRefs: the refs whose safe names are "", "." and
+// ".." would name the root and its parent. Every method refuses them, the
+// root survives, and nothing is opened or written outside it.
+func TestDirBackendRefusesRootRefs(t *testing.T) {
+	parent := t.TempDir()
+	root := filepath.Join(parent, "root")
+	b, err := NewDirBackend(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func(ref string) error{
+		"Put":    func(ref string) error { return b.Put(ref, []byte("x")) },
+		"Append": func(ref string) error { return b.Append(ref, []byte("x")) },
+		"Get":    func(ref string) error { _, err := b.Get(ref); return err },
+		"GetRange": func(ref string) error {
+			_, err := b.GetRange(ref, 0, 1)
+			return err
+		},
+		"Size":   func(ref string) error { _, err := b.Size(ref); return err },
+		"Delete": b.Delete,
+		"OpenReader": func(ref string) error {
+			r, _, err := b.OpenReader(ref)
+			if err == nil {
+				r.Close()
+			}
+			return err
+		},
+		"OpenWriter": func(ref string) error {
+			w, err := b.OpenWriter(ref, 0, 1)
+			if err == nil {
+				w.Write([]byte("x"))
+				err = w.Commit()
+			}
+			return err
+		},
+	}
+	for _, ref := range []string{"", ".", ".."} {
+		for name, call := range calls {
+			if err := call(ref); err == nil {
+				t.Errorf("%s(%q) succeeded", name, ref)
+			}
+		}
+	}
+	if st, err := os.Stat(root); err != nil || !st.IsDir() {
+		t.Fatalf("the root did not survive: %v", err)
+	}
+	for dir, want := range map[string]int{parent: 1, root: 0} {
+		if entries, _ := os.ReadDir(dir); len(entries) != want {
+			t.Errorf("%s holds %d entries, want %d: %v", dir, len(entries), want, entries)
+		}
+	}
+	if err := b.Put("r", []byte("x")); err != nil {
+		t.Errorf("Put after the refused refs: %v", err)
+	}
+}
+
+// TestReadViewIsStable: what Get and GetRange hand out is never written
+// afterwards, whatever is done to the ref, and a MemBackend view has no
+// room behind it for a caller's append to write into. Under -race, the
+// concurrent case shows an Append that writes into a view being read.
+func TestReadViewIsStable(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			type view struct{ got, want []byte }
+			var views []view
+			take := func(op string) {
+				t.Helper()
+				whole, err := b.Get("r")
+				if err != nil {
+					t.Fatalf("Get after %s: %v", op, err)
+				}
+				part, err := b.GetRange("r", 1, 4)
+				if err != nil {
+					t.Fatalf("GetRange after %s: %v", op, err)
+				}
+				for _, v := range [][]byte{whole, part} {
+					if _, mem := b.(*MemBackend); mem && cap(v) != len(v) {
+						t.Errorf("a view after %s has cap %d for len %d", op, cap(v), len(v))
+					}
+					// A caller's append must land in a buffer of its own.
+					grown := append(v, 'z')
+					views = append(views, view{v, bytes.Clone(v)}, view{grown, bytes.Clone(grown)})
+				}
+			}
+			check := func(op string) {
+				t.Helper()
+				for i, v := range views {
+					if !bytes.Equal(v.got, v.want) {
+						t.Fatalf("view %d changed after %s: %q, want %q", i, op, v.got, v.want)
+					}
+				}
+			}
+			steps := []struct {
+				op string
+				do func() error
+			}{
+				{"Put", func() error { return b.Put("r", pattern(40, 1)) }},
+				{"Append", func() error { return b.Append("r", pattern(9, 2)) }},
+				{"Append", func() error { return b.Append("r", pattern(5, 3)) }},
+				{"a resume", func() error {
+					w := write(t, b, "r", 54, 80, pattern(26, 4), false)
+					defer w.Close()
+					return w.Commit()
+				}},
+				{"a whole-content write", func() error {
+					w := write(t, b, "r", 0, 30, pattern(30, 5), true)
+					defer w.Close()
+					return w.Commit()
+				}},
+				{"Append", func() error { return b.Append("r", pattern(3, 6)) }},
+			}
+			for _, s := range steps {
+				if err := s.do(); err != nil {
+					t.Fatalf("%s: %v", s.op, err)
+				}
+				check(s.op)
+				take(s.op)
+			}
+			if err := b.Delete("r"); err != nil {
+				t.Fatal(err)
+			}
+			check("Delete")
+			if err := b.Append("r", pattern(64, 7)); err != nil {
+				t.Fatal(err)
+			}
+			check("an Append after Delete")
+		})
+		t.Run(name+"/concurrent Append", func(t *testing.T) { readViewsUnderAppends(t, b) })
+	}
+}
+
+// readViewsUnderAppends reads views of a ref while another goroutine
+// appends to it one byte at a time.
+func readViewsUnderAppends(t *testing.T, b Backend) {
+	const rounds = 400
+	want := pattern(rounds, 9)
+	b.Append("c", want[:1])
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < rounds; i++ {
+			if err := b.Append("c", want[i:i+1]); err != nil {
+				t.Errorf("Append: %v", err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		whole, err := b.Get("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := b.GetRange("c", 0, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range [][]byte{whole, part} {
+			if !bytes.Equal(v, want[:len(v)]) {
+				t.Fatalf("a %d-byte view is not the prefix appended", len(v))
+			}
+			if _, mem := b.(*MemBackend); mem && cap(v) != len(v) {
+				t.Fatalf("a view has cap %d for len %d", cap(v), len(v))
+			}
 		}
 	}
 }
