@@ -260,8 +260,11 @@ func (b *BitDew) putShard(c *Comms, ds []*data.Data) error {
 	}
 
 	// Uploads go out-of-band, concurrently, bounded by the engine, which
-	// leaves their DT reports for the frame below.
-	handles := b.engine.UploadAll(regs, locs)
+	// parks their DT reports for the frame below.
+	handles := make([]*transfer.Handle, len(regs))
+	for i := range regs {
+		handles[i] = b.engine.Upload(regs[i], locs[i])
+	}
 	var errs []error
 	for i, h := range handles {
 		if err := h.Wait(); err != nil {
@@ -302,6 +305,8 @@ func (b *BitDew) PutFile(d *data.Data, path string) error {
 // Get starts fetching the datum's content from the data space into local
 // storage and returns a transfer handle; block on it with the
 // TransferManager (transferManager.waitFor(data) in the paper's Listing 2).
+// The transfer's DT report leaves within one monitoring period, or in the
+// next frame to the datum's home shard, not before Wait returns.
 func (b *BitDew) Get(d data.Data) (*transfer.Handle, error) {
 	locs, err := b.freshLocators(d, "")
 	if err != nil {
@@ -338,13 +343,26 @@ func (b *BitDew) Fetch(d data.Data, protocol string) error {
 // falling back through its candidate locators; a datum whose *cached*
 // candidates all fail retries once with fresh locators from the wire, so a
 // stale cache heals instead of stranding the datum.
+//
+// Once the downloads end, their DT reports leave in one frame per home shard
+// rather than waiting for the monitoring period. That frame is deliberate: it
+// is the only one a warm-cache read sends the datum's home shard, so it is
+// what notices a dead owner and gets its range promoted. Parked like a worker
+// round's reports, a warm read costs no frame at all, and a range only such
+// reads touch stays on its dead owner. On a host that also heartbeats, the
+// heartbeat or the period may take the reports first and the flush sends
+// nothing; the frame that took them reached the home shard after the
+// downloads ended all the same.
 func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
-	return b.fetchAll(ds, protocol, func(int, error) {})
+	err := b.fetchAll(ds, protocol, func(int, error) {})
+	b.engine.Flush(ds)
+	return err
 }
 
 // fetchAll is FetchAll with a completion hook: landed is called once per
 // datum with its outcome as soon as that is known, from the goroutine that
-// fetched it.
+// fetched it. It sends no DT report: those wait for a frame that goes to
+// their shard anyway, or for the monitoring period.
 func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, err error)) error {
 	if len(ds) == 0 {
 		return nil
@@ -363,25 +381,12 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 	errs := make([]error, len(ds))
 	b.lookupLocators(ds, protocol, miss, candidates, errs)
 
-	// Every datum's first transfer is booked as one batch before any of them
-	// runs, let alone is waited for: the engine then knows the whole round is
-	// in flight, and each DT service hears of it in one report frame when its
-	// last ends, however early its first did.
-	var fetching []data.Data
-	var firstLocs []data.Locator
-	for i, d := range ds {
-		if errs[i] == nil && len(candidates[i]) == 0 {
-			errs[i] = fmt.Errorf("bitdew: no locator for %s", d.Name)
-		}
-		if errs[i] == nil {
-			fetching, firstLocs = append(fetching, d), append(firstLocs, candidates[i][0])
-		}
-	}
-	firsts := b.engine.DownloadAll(fetching, firstLocs)
-
 	var wg sync.WaitGroup
 	for i, d := range ds {
 		locs := candidates[i]
+		if errs[i] == nil && len(locs) == 0 {
+			errs[i] = fmt.Errorf("bitdew: no locator for %s", d.Name)
+		}
 		if errs[i] != nil {
 			// Also when the datum's home shard refused the lookup frame (e.g.
 			// the shard is down): only ITS data fail — the rest of the batch
@@ -389,8 +394,7 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 			landed(i, errs[i])
 			continue
 		}
-		first := firsts[0]
-		firsts = firsts[1:]
+		first := b.engine.Download(d, locs[0])
 		wg.Add(1)
 		go func(i int, d data.Data) {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
@@ -12,7 +13,9 @@ import (
 // frameRig is a node over loopback TCP to a 2-shard plane whose request
 // frames are counted. Its set is static (one ready-made connection per
 // shard), so the only frames on it are the operations' own: a set that
-// follows the plane's membership also polls it, on a timer.
+// follows the plane's membership also polls it, on a timer. For the same
+// reason its DT reports never leave on the monitoring period, only in a
+// frame an operation sends.
 type frameRig struct {
 	t    *testing.T
 	set  *core.ShardSet
@@ -36,6 +39,7 @@ func newFrameRig(t *testing.T, h *shardedHarness, host string) *frameRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Stop)
+	n.Transfers.SetMonitorPeriod(time.Hour)
 	return &frameRig{t: t, set: set, node: n}
 }
 
@@ -77,9 +81,10 @@ func (r *frameRig) create(prefix string, count int) ([]*data.Data, [][]byte) {
 
 // TestFrameBudget pins what each operation costs in request frames — on a
 // desktop grid, WAN round trips: the floor under every latency a user sees.
-// Every row is exact. The DT costs a transfer no frame of its own on a put
-// (its report rides the commit frame) and one report frame per home shard on
-// anything that downloads, however many data move.
+// Every row is exact. The DT costs a transfer no frame of its own except on a
+// fetch, which sends one report frame per home shard however many data move:
+// a put's reports ride its commit frame, a worker round's its next heartbeat,
+// and a bare Get's whichever frame goes to that shard next.
 func TestFrameBudget(t *testing.T) {
 	h := newShardedHarness(t, 2)
 	c := newFrameRig(t, h, "client")
@@ -115,7 +120,7 @@ func TestFrameBudget(t *testing.T) {
 		t.Errorf("warm Fetch = %d frames, want 1", got)
 	}
 
-	// Get never reads the locator cache: lookup + report.
+	// Get never reads the locator cache: one lookup; its report waits.
 	drop(ds[0])
 	got := c.frames(func() error {
 		handle, err := bd.Get(*ds[0])
@@ -124,12 +129,13 @@ func TestFrameBudget(t *testing.T) {
 		}
 		return handle.Wait()
 	})
-	if got != 2 {
-		t.Errorf("Get+Wait = %d frames, want 2", got)
+	if got != 1 {
+		t.Errorf("Get+Wait = %d frames, want 1", got)
 	}
 
-	// A worker round: one heartbeat per shard, then one lookup and one DT
-	// report per shard that homes any of the round's assignments.
+	// A worker round: one heartbeat per shard, then one lookup per shard that
+	// homes any of the round's assignments. The DT reports wait for the next
+	// round's heartbeats.
 	w := newFrameRig(t, h, "worker")
 	if err := w.node.SyncWait(1); err != nil { // opens its scheduler sessions
 		t.Fatal(err)
@@ -150,15 +156,31 @@ func TestFrameBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := w.homes(row.ds)
-		if got := w.frames(func() error { return w.node.SyncWait(1) }); got != 2+2*s {
-			t.Errorf("worker round assigned %s = %d frames, want %d (2 heartbeats + %d lookups + %d reports)",
-				row.name, got, 2+2*s, s, s)
+		if got := w.frames(func() error { return w.node.SyncWait(1) }); got != 2+s {
+			t.Errorf("worker round assigned %s = %d frames, want %d (2 heartbeats + %d lookups)",
+				row.name, got, 2+s, s)
 		}
 		for _, d := range row.ds {
 			if !w.node.Holds(d.UID) {
 				t.Errorf("worker round assigned %s: %s did not land", row.name, d.Name)
 			}
 		}
+	}
+
+	// The next round: its two heartbeats carry the last round's one report.
+	reports := func() (n int64) {
+		for i := 0; i < h.plane.N(); i++ {
+			_, requests := h.plane.Shard(i).DT.Stats()
+			n += requests
+		}
+		return n
+	}
+	before := reports()
+	if got := w.frames(func() error { return w.node.SyncWait(1) }); got != 2 {
+		t.Errorf("idle worker round = %d frames, want 2 heartbeats", got)
+	}
+	if got := reports() - before; got != 1 {
+		t.Errorf("the next round's heartbeats delivered %d DT reports, want the last round's 1", got)
 	}
 
 	// DeleteData: the home shard's catalog delete takes the schedule entry

@@ -393,8 +393,15 @@ func (n *Node) heartbeatShard(owner int, c *Comms, current map[data.UID]bool, cl
 		}
 	}
 
+	// The DT reports parked since the last frame to this shard ride in
+	// front: monitoring only, so their per-call errors are dropped.
 	ds := c.DS
-	res, err := ds.SyncDelta(args)
+	var res scheduler.SyncDeltaResult
+	call := ds.SyncDeltaCall(args, &res)
+	err := c.CallBatch(append(n.engine.TakeReports(c.DT), call))
+	if err == nil {
+		err = call.Err
+	}
 	if err != nil {
 		return res, fmt.Errorf("core: sync %s: %w", n.Host, err)
 	}
@@ -431,8 +438,10 @@ func (n *Node) heartbeatShard(owner int, c *Comms, current map[data.UID]bool, cl
 }
 
 // startFetches begins downloading a round's assignments not yet held or in
-// flight: one FetchAll per transfer protocol, so the round costs each home
-// shard one lookup and one DT report frame however many data it assigned.
+// flight: one fetch per transfer protocol, so the round costs each home shard
+// one lookup frame however many data it assigned. Their DT reports ride the
+// next round's heartbeat when it comes within the monitoring period, and
+// leave on the period otherwise.
 func (n *Node) startFetches(assigned []scheduler.Assignment) {
 	byProtocol := make(map[string][]scheduler.Assignment)
 	n.mu.Lock()

@@ -156,15 +156,16 @@ type instantTransfer struct {
 
 func (i *instantTransfer) Receive() error { return i.backend.Put(i.uid, i.content) }
 
-// TestFetchBatchIsOneReportFrame: a FetchAll batch is booked with the DT
-// reporter whole before any of its transfers starts, so it costs one report
-// frame however early its first transfer ends. The barrier is the verdict
-// hook of a datum nobody can locate, which fetchAll calls on its own
-// goroutine in the middle of the batch: it returns only once the datum before
-// it has landed. A fetchAll that starts transfers as it goes has by then
-// reported that one alone, and reports the one after it in a second frame.
+// TestFetchBatchIsOneReportFrame: FetchAll costs one lookup frame and one DT
+// report frame per home shard, sent once its downloads end, however early its
+// first transfer ends. The barrier is the verdict hook of a datum nobody can
+// locate, which fetchAll calls in the middle of the batch: it returns only
+// once the datum before it has landed, so that one has ended before the one
+// after it is even started. A fetch that reported as its transfers ended
+// would send that one's report alone, and the other's in a second frame.
 func TestFetchBatchIsOneReportFrame(t *testing.T) {
 	n := newWaitTestNode(t)
+	n.Transfers.SetMonitorPeriod(time.Hour) // only the fetch's own frame ships reports
 	transfer.RegisterProtocol("instant", func(d data.Data, _ data.Locator, b repository.Backend) (transfer.OOBTransfer, error) {
 		return &instantTransfer{blockedTransfer{uid: string(d.UID), content: []byte(d.Name), backend: b}}, nil
 	})
@@ -181,6 +182,7 @@ func TestFetchBatchIsOneReportFrame(t *testing.T) {
 
 	base := n.set.RoundTrips()
 	verdicts := make([]error, len(batch))
+	// FetchAll is fetchAll then Flush; the hook is what the test adds.
 	_ = n.BitDew.fetchAll(batch, "instant", func(i int, err error) {
 		verdicts[i] = err
 		if i == 1 {
@@ -189,6 +191,7 @@ func TestFetchBatchIsOneReportFrame(t *testing.T) {
 			}
 		}
 	})
+	n.BitDew.engine.Flush(batch)
 	if verdicts[0] != nil || verdicts[1] == nil || verdicts[2] != nil {
 		t.Fatalf("verdicts %v, want only the unlocatable datum to fail", verdicts)
 	}

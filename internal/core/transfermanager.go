@@ -18,12 +18,15 @@ func NewTransferManager(engine *transfer.Engine) *TransferManager {
 	return &TransferManager{engine: engine}
 }
 
-// Download starts an asynchronous fetch of d from loc.
+// Download starts an asynchronous fetch of d from loc. Its DT report leaves
+// within one monitoring period, or in the next frame to its home shard, not
+// before Wait returns.
 func (t *TransferManager) Download(d data.Data, loc data.Locator) *transfer.Handle {
 	return t.engine.Download(d, loc)
 }
 
-// Upload starts an asynchronous push of d's local content to loc.
+// Upload starts an asynchronous push of d's local content to loc, reported
+// like Download.
 func (t *TransferManager) Upload(d data.Data, loc data.Locator) *transfer.Handle {
 	return t.engine.Upload(d, loc)
 }

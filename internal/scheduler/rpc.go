@@ -111,6 +111,12 @@ func (c *Client) SyncDelta(a SyncDeltaArgs) (SyncDeltaResult, error) {
 	return r, err
 }
 
+// SyncDeltaCall builds a batchable SyncDelta filling *r, so a heartbeat can
+// carry other calls to the same shard in its frame.
+func (c *Client) SyncDeltaCall(a SyncDeltaArgs, r *SyncDeltaResult) *rpc.Call {
+	return rpc.NewCall(ServiceName, "SyncDelta", a, r)
+}
+
 // ScheduleCall builds a batchable Schedule for an rpc.CallBatch frame, so a
 // master submitting N tasks pays one round trip instead of N.
 func (c *Client) ScheduleCall(d data.Data, a attr.Attribute) *rpc.Call {

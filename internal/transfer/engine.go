@@ -25,8 +25,8 @@ const DefaultMaxAttempts = 3
 type Engine struct {
 	backend repository.Backend
 	// dtFor routes a datum's monitoring to its DT service — over a sharded
-	// service plane, the DT of the datum's home shard. It may be nil, or
-	// return nil, when running detached from any DT service.
+	// service plane, the DT of the datum's home shard. It returns nil for
+	// transfers that run detached from any DT service.
 	dtFor func(data.UID) *Client
 	host  string
 
@@ -56,11 +56,7 @@ type Engine struct {
 // (transfers then run unreported, as in protocol-only benchmarks);
 // concurrency is the maximum number of simultaneous transfers.
 func NewEngine(backend repository.Backend, dt *Client, host string, concurrency int) *Engine {
-	var dtFor func(data.UID) *Client
-	if dt != nil {
-		dtFor = func(data.UID) *Client { return dt }
-	}
-	return NewEngineRouted(backend, dtFor, host, concurrency)
+	return NewEngineRouted(backend, func(data.UID) *Client { return dt }, host, concurrency)
 }
 
 // NewEngineRouted is NewEngine with per-datum DT routing: dtFor maps each
@@ -70,6 +66,9 @@ func NewEngine(backend repository.Backend, dt *Client, host string, concurrency 
 func NewEngineRouted(backend repository.Backend, dtFor func(data.UID) *Client, host string, concurrency int) *Engine {
 	if concurrency <= 0 {
 		concurrency = 4
+	}
+	if dtFor == nil {
+		dtFor = func(data.UID) *Client { return nil }
 	}
 	return &Engine{
 		backend:       backend,
@@ -93,11 +92,9 @@ type Handle struct {
 	Kind    string // "download" | "upload"
 
 	// reg is the transfer's DT registration under the ID minted for it, and
-	// rep the reporter of its DT service (nil when it runs unreported). held
-	// marks an upload whose caller ships the terminal report (UploadAll).
-	reg  reportArgs
-	rep  *reporter
-	held bool
+	// rep the reporter of its DT service (nil when it runs unreported).
+	reg reportArgs
+	rep *reporter
 
 	mu       sync.Mutex
 	cur      OOBTransfer // the attempt in progress, probed live
@@ -190,95 +187,74 @@ func (h *Handle) report() reportArgs {
 }
 
 // Download starts fetching d from loc into local storage and returns
-// immediately (the non-blocking interface of the TransferManager API).
+// immediately (the non-blocking interface of the TransferManager API). Its
+// DT report parks with its reporter (see reporter.go).
 func (e *Engine) Download(d data.Data, loc data.Locator) *Handle {
-	return e.start(d, loc, "download", false)
+	return e.start(d, loc, "download")
 }
 
 // Upload starts pushing d's local content to loc.
 func (e *Engine) Upload(d data.Data, loc data.Locator) *Handle {
-	return e.start(d, loc, "upload", false)
-}
-
-// UploadAll starts one upload per (ds[i], locs[i]) pair for a caller with a
-// frame of its own going to the same service once they end (Put's commit):
-// their terminal DT reports wait for TakeReports instead of leaving in a frame
-// of their own, and leave on the monitoring heartbeat if nobody takes them.
-func (e *Engine) UploadAll(ds []data.Data, locs []data.Locator) []*Handle {
-	return e.startAll(ds, locs, "upload", true)
-}
-
-// DownloadAll starts one download per (ds[i], locs[i]) pair as one batch:
-// every transfer is in flight at its DT service before the first of them
-// runs, so however quickly one ends it is not the last, and the batch costs
-// each service exactly one report frame.
-func (e *Engine) DownloadAll(ds []data.Data, locs []data.Locator) []*Handle {
-	return e.startAll(ds, locs, "download", false)
-}
-
-func (e *Engine) startAll(ds []data.Data, locs []data.Locator, kind string, held bool) []*Handle {
-	handles := make([]*Handle, len(ds))
-	fresh := make([]bool, len(ds))
-	for i, d := range ds {
-		handles[i], fresh[i] = e.admit(d, locs[i], kind, held)
-	}
-	for i, h := range handles {
-		if fresh[i] {
-			go e.launch(h, ds[i], locs[i])
-		}
-	}
-	return handles
+	return e.start(d, loc, "upload")
 }
 
 // TakeReports hands the caller every report waiting to leave for dt, as
 // batchable calls to put in front of its own in one frame to that service.
 func (e *Engine) TakeReports(dt *Client) []*rpc.Call {
+	if r := e.reporter(dt); r != nil {
+		return reportCalls(r.take())
+	}
+	return nil
+}
+
+// Flush sends the reports waiting to leave for the DT services of ds now,
+// one frame per service, for a caller with no frame of its own to carry them.
+func (e *Engine) Flush(ds []data.Data) {
+	seen := make(map[*reporter]bool)
+	var wg sync.WaitGroup
+	for _, d := range ds {
+		if r := e.reporter(e.dtFor(d.UID)); r != nil && !seen[r] {
+			seen[r] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.flush()
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+func (e *Engine) reporter(dt *Client) *reporter {
 	e.mu.Lock()
-	r := e.reporters[dt]
-	e.mu.Unlock()
-	if r == nil {
-		return nil
-	}
-	return reportCalls(r.take())
+	defer e.mu.Unlock()
+	return e.reporters[dt]
 }
 
-// start admits and launches one transfer.
-func (e *Engine) start(d data.Data, loc data.Locator, kind string, held bool) *Handle {
-	h, fresh := e.admit(d, loc, kind, held)
-	if fresh {
-		go e.launch(h, d, loc)
-	}
-	return h
-}
-
-// admit books one transfer. It is in flight at its DT service from here on,
-// not from when it is launched or wins a concurrency slot: when "nothing is
-// left in flight" must not depend on scheduling.
+// start books one transfer and launches it. It is in flight at its DT service
+// from here on, not from when it wins a concurrency slot.
 //
 // Concurrent downloads of one datum coalesce: the second caller gets the
-// first transfer's handle, and fresh is false. A download that fails leaves
-// the inflight slot free again, so a caller falling back through alternative
-// locators still launches its own fresh attempt.
-func (e *Engine) admit(d data.Data, loc data.Locator, kind string, held bool) (h *Handle, fresh bool) {
-	var dt *Client
-	if e.dtFor != nil {
-		dt = e.dtFor(d.UID)
-	}
+// first transfer's handle. A download that fails leaves the inflight slot free
+// again, so a caller falling back through alternative locators still launches
+// its own fresh attempt.
+func (e *Engine) start(d data.Data, loc data.Locator, kind string) *Handle {
+	dt := e.dtFor(d.UID)
 	e.mu.Lock()
 	if kind == "download" {
 		if h := e.inflight[d.UID]; h != nil {
 			e.mu.Unlock()
-			return h, false
+			return h
 		}
 	}
-	h = &Handle{DataUID: d.UID, Kind: kind, state: StatePending, done: make(chan struct{})}
+	h := &Handle{DataUID: d.UID, Kind: kind, state: StatePending, done: make(chan struct{})}
 	h.reg = reportArgs{DataUID: d.UID, Protocol: loc.Protocol, Host: e.host, Total: d.Size}
 	if kind == "download" {
 		e.inflight[d.UID] = h
 	}
 	e.handles[d.UID] = append(e.handles[d.UID], h)
 	if dt != nil {
-		h.reg.ID, h.held = data.NewUID(), held
+		h.reg.ID = data.NewUID()
 		if h.rep = e.reporters[dt]; h.rep == nil {
 			h.rep = newReporter(e, dt)
 			e.reporters[dt] = h.rep
@@ -286,10 +262,11 @@ func (e *Engine) admit(d data.Data, loc data.Locator, kind string, held bool) (h
 		h.rep.begin(h) // under e.mu: a reporter TakeReports can find has begun
 	}
 	e.mu.Unlock()
-	return h, true
+	go e.launch(h, d, loc)
+	return h
 }
 
-// launch runs an admitted transfer to its end, on a goroutine of its own.
+// launch runs a started transfer to its end, on a goroutine of its own.
 func (e *Engine) launch(h *Handle, d data.Data, loc data.Locator) {
 	state, err := e.run(h, d, loc)
 	// Retire before the waiters wake: one of them may start the next
@@ -297,6 +274,8 @@ func (e *Engine) launch(h *Handle, d data.Data, loc data.Locator) {
 	// finished handle out of inflight.
 	e.retire(h)
 	h.settle(state, err)
+	// Park the report before the waiters wake too: the frame a waiter sends
+	// next (a put's commit, a fetch's Flush) must carry it.
 	if h.rep != nil {
 		h.rep.end(h)
 	}

@@ -130,9 +130,24 @@ func (r *dtRig) only(t *testing.T) Record {
 	panic("unreachable")
 }
 
+// settled waits, frame by frame, until the service holds n terminal records
+// and none in flight.
+func (r *dtRig) settled(t *testing.T, n int) {
+	t.Helper()
+	for {
+		r.dt.mu.Lock()
+		done := len(r.dt.ended) == n && len(r.dt.live) == 0
+		r.dt.mu.Unlock()
+		if done {
+			return
+		}
+		r.frame(t)
+	}
+}
+
 // TestMonitorLongTransfer: a transfer that outlives the monitoring period
 // shows up at the DT on the heartbeat, in flight and with the bytes the
-// receiver counts at that moment, and ends complete.
+// receiver counts at that moment, and ends complete on a later one.
 func TestMonitorLongTransfer(t *testing.T) {
 	rig := newDTRig()
 	local := repository.NewMemBackend()
@@ -164,16 +179,16 @@ func TestMonitorLongTransfer(t *testing.T) {
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// The terminal report left before Wait returned.
+	rig.settled(t, 1)
 	if rec := rig.only(t); rec.State != StateComplete || rec.Bytes != d.Size {
 		t.Errorf("terminal record = %+v", rec)
 	}
 }
 
 // TestReportShortTransferOneRequest: a transfer that ends inside one
-// monitoring period talks to the DT exactly once (it used to open, then
-// report), and a resumed one says so in that same message (it used to call
-// Retry).
+// monitoring period talks to the DT exactly once, on that period (it used to
+// open, then report), and a resumed one says so in that same message (it used
+// to call Retry).
 func TestReportShortTransferOneRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -191,11 +206,15 @@ func TestReportShortTransferOneRequest(t *testing.T) {
 				s.outcomes <- o
 			}
 			e := NewEngine(local, rig.client, "w", 1)
+			e.MonitorPeriod = 100 * time.Millisecond
 			if err := e.Download(d, loc).Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if _, requests := rig.dt.Stats(); requests != 1 || len(rig.frames) != 1 {
-				t.Errorf("%d requests in %d frames at the DT, want 1 in 1", requests, len(rig.frames))
+			if got := rig.frame(t); got != 1 {
+				t.Errorf("the period's frame carried %d reports, want 1", got)
+			}
+			if _, requests := rig.dt.Stats(); requests != 1 || len(rig.frames) != 0 {
+				t.Errorf("%d requests in %d frames at the DT, want 1 in 1", requests, 1+len(rig.frames))
 			}
 			if rec := rig.only(t); rec.State != StateComplete || rec.Attempts != tc.attempts || rec.Protocol != "scripted" || rec.Total != d.Size {
 				t.Errorf("terminal record = %+v, want complete after %d attempt(s)", rec, tc.attempts)
@@ -204,14 +223,15 @@ func TestReportShortTransferOneRequest(t *testing.T) {
 	}
 }
 
-// TestReportBurstOneFrame: transfers in flight together to one DT service
-// report in one frame, sent by the last to end before its waiters wake — the
-// frame count follows from the work, not from the interleaving.
+// TestReportBurstOneFrame: transfers that end inside one monitoring period
+// report in one frame, on that period — the frame count follows from the
+// period, not from the interleaving.
 func TestReportBurstOneFrame(t *testing.T) {
 	rig := newDTRig()
 	local := repository.NewMemBackend()
 	s, d, loc := newScript(t, local)
 	e := NewEngine(local, rig.client, "w", 4)
+	e.MonitorPeriod = 100 * time.Millisecond
 
 	const n = 20
 	handles := make([]*Handle, n)
@@ -221,39 +241,37 @@ func TestReportBurstOneFrame(t *testing.T) {
 		di.UID = data.UID(string(d.UID) + string(rune('a'+i)))
 		handles[i] = e.Upload(di, loc)
 	}
-	// All started before any may end: in flight from start, not from when a
-	// transfer wins one of the 4 slots.
 	for range handles {
 		s.outcomes <- nil
 	}
 	if err := Barrier(handles...); err != nil {
 		t.Fatal(err)
 	}
-	if len(rig.frames) != 1 {
-		t.Fatalf("%d frames for a burst of %d, want 1", len(rig.frames), n)
-	}
 	if got := rig.frame(t); got != n {
 		t.Errorf("the frame carried %d reports, want %d", got, n)
 	}
+	if len(rig.frames) != 0 {
+		t.Errorf("%d more frames for a burst of %d, want 1 in all", len(rig.frames), n)
+	}
 }
 
-// TestReportUploadFailure: an upload started for a caller's commit frame
-// (UploadAll) leaves its terminal report — failed, here — to that caller,
-// and to the heartbeat when the caller never takes it.
+// TestReportUploadFailure: an upload's terminal report — failed, here — waits
+// for its caller's own frame (TakeReports), and for the heartbeat when the
+// caller never takes it.
 func TestReportUploadFailure(t *testing.T) {
 	rig := newDTRig()
 	local := repository.NewMemBackend()
 	s, d, loc := newScript(t, local)
 	e := NewEngine(local, rig.client, "w", 1)
 	e.MaxAttempts = 1
+	e.MonitorPeriod = time.Hour
 
 	s.outcomes <- errors.New("disk full")
-	h := e.UploadAll([]data.Data{d}, []data.Locator{loc})[0]
-	if err := h.Wait(); err == nil {
+	if err := e.Upload(d, loc).Wait(); err == nil {
 		t.Fatal("failed upload reported success")
 	}
 	if len(rig.frames) != 0 {
-		t.Fatalf("a held upload sent %d frame(s) of its own", len(rig.frames))
+		t.Fatalf("an upload sent %d frame(s) of its own", len(rig.frames))
 	}
 	calls := e.TakeReports(rig.client)
 	if len(calls) != 1 {
@@ -273,11 +291,70 @@ func TestReportUploadFailure(t *testing.T) {
 	<-rig.frames
 	e.MonitorPeriod = 5 * time.Millisecond
 	s.outcomes <- errors.New("disk full")
-	if err := e.UploadAll([]data.Data{d}, []data.Locator{loc})[0].Wait(); err == nil {
+	if err := e.Upload(d, loc).Wait(); err == nil {
 		t.Fatal("failed upload reported success")
 	}
 	if got := rig.frame(t); got != 1 {
 		t.Errorf("the heartbeat carried %d reports, want 1", got)
+	}
+}
+
+// TestReportPeriodSurvivesBackToBackTransfers: a closed loop of short
+// transfers, whose reports nobody takes, still sees the heartbeat every
+// period. A busy spell that re-armed it at every start would push it back for
+// ever: no frame would leave, and the outbox would grow with the loop. The
+// checks count frames and transfers rather than time gaps, so a stalled
+// scheduler delays frames without failing the test.
+func TestReportPeriodSurvivesBackToBackTransfers(t *testing.T) {
+	rig := newDTRig()
+	local := repository.NewMemBackend()
+	s, d, loc := newScript(t, local)
+	const period = 100 * time.Millisecond
+	e := NewEngine(local, rig.client, "w", 1)
+	e.MonitorPeriod = period
+
+	// One transfer a tick: each starts a millisecond after the last ended,
+	// far inside the period.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	start := time.Now()
+	frames, ended := 0, 0
+	// drained is the number of transfers ended when the loop last received a
+	// frame, and before that when it did so the time before.
+	drained, before := 0, 0
+	for time.Since(start) < 10*period {
+		<-tick.C
+		s.outcomes <- nil
+		h := e.Download(d, loc)
+		<-s.entered
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		ended++
+		if len(rig.frames) > 0 {
+			for len(rig.frames) > 0 {
+				<-rig.frames
+				frames++
+			}
+			drained, before = ended, drained
+		}
+		// The last frame received read the outbox after the frame ahead of
+		// it was sent, which was after the loop last found no frame waiting,
+		// one transfer before it received that one. Everything that ended
+		// by then has left.
+		e.mu.Lock()
+		r := e.reporters[rig.client]
+		e.mu.Unlock()
+		r.mu.Lock()
+		parked := len(r.outbox)
+		r.mu.Unlock()
+		if frames >= 2 && parked > ended-before+1 {
+			t.Fatalf("%d reports parked after %d transfers, %d frames; only the last %d may be", parked, ended, frames, ended-before+1)
+		}
+	}
+	elapsed := time.Since(start)
+	if want := int(elapsed/(3*period)) - 1; frames < want {
+		t.Errorf("%d frames in %v of back-to-back transfers with a %v period, want at least %d", frames, elapsed, period, want)
 	}
 }
 

@@ -8,17 +8,16 @@ import (
 // reporter is an engine's one sender to one DT service. The paper's DT is
 // receiver-driven and periodic: a host reports its transfers on the
 // monitoring heartbeat, not a message per event. A transfer's terminal report
-// therefore parks in the outbox, and the outbox leaves as one batch frame on
-// exactly two occasions:
+// therefore parks in the outbox and never leaves in a frame of its own; it
+// leaves with whichever of these comes first:
 //
-//   - on the monitoring period while anything is in flight to this service,
-//     with a progress sample of every transfer still running — a finished
-//     transfer is at most one period stale at the DT, a long one shows up
-//     with advancing bytes;
-//   - inline, by the transfer that leaves nothing in flight, before it wakes
-//     its waiters — a burst of N transfers costs one frame, sent before the
-//     caller that waited for them returns, and the number of frames follows
-//     from the work, never from what queued behind what.
+//   - a frame the host sends that service anyway, which takes the outbox
+//     (TakeReports) and carries it in front of its own calls — a put's
+//     commit, a worker's next heartbeat — or which the outbox is (Flush: a
+//     fetch's one report frame per home shard, once its downloads end);
+//   - the monitoring period, one frame with a progress sample of every
+//     transfer still running — a finished transfer is at most one period
+//     stale at the DT, a long one shows up with advancing bytes.
 //
 // Reports are monitoring only: a frame the service refuses or never receives
 // changes nothing about the transfers it describes.
@@ -43,34 +42,29 @@ func newReporter(e *Engine, dt *Client) *reporter {
 	return &reporter{e: e, dt: dt, sending: make(chan struct{}, 1), active: make(map[*Handle]struct{})}
 }
 
-// begin counts h in flight and starts the heartbeat, one period from the
-// start of the busy spell: transfers that all end within a period never see it.
+// begin counts h in flight and, when the reporter was idle (nothing in flight,
+// nothing parked), arms the heartbeat one period ahead. A busy reporter's
+// heartbeat is already armed and is never pushed back: a closed loop of short
+// transfers still sees it every period.
 func (r *reporter) begin(h *Handle) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	idle := len(r.active) == 0 && len(r.outbox) == 0
 	r.active[h] = struct{}{}
 	if r.timer == nil {
 		r.timer = time.AfterFunc(r.e.MonitorPeriod, r.beat)
-	} else if len(r.active) == 1 {
+	} else if idle {
 		r.timer.Reset(r.e.MonitorPeriod)
 	}
 }
 
-// end parks h's terminal report, and ships the outbox when h was the last in
-// flight — unless h is held for its caller's own frame (TakeReports), which
-// the heartbeat backs up should the caller never take it.
+// end parks h's terminal report until a frame takes it or the heartbeat
+// ships it.
 func (r *reporter) end(h *Handle) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.active, h)
 	r.outbox = append(r.outbox, h.report())
-	last := len(r.active) == 0 && !h.held
-	if last {
-		r.timer.Stop()
-	}
-	r.mu.Unlock()
-	if last {
-		r.flush()
-	}
 }
 
 // take empties the outbox into the caller's hands.
@@ -98,7 +92,7 @@ func (r *reporter) beat() {
 }
 
 // flush ships the outbox and a progress sample of every transfer in flight
-// (none, when the last to end calls it) as one frame.
+// as one frame, and sends nothing when there is neither.
 func (r *reporter) flush() {
 	r.sending <- struct{}{}
 	defer func() { <-r.sending }()

@@ -66,8 +66,10 @@ type Record struct {
 // Service is the Data Transfer service run on a stable host: the registry
 // of in-flight transfers, their reliability state and bandwidth accounting.
 // It remembers every transfer still pending or moving, and of the ended ones
-// only the last per (datum, receiving host) — what an operator asks about —
-// so the registry is bounded by the data in the system, not by its history.
+// only the last per (datum, receiving host) — what an operator asks about.
+// The registry therefore grows with the (datum, host) pairs that ever moved,
+// not with how often each moved. It is not bounded by the data in the
+// system: nothing forgets the records of a deleted datum.
 type Service struct {
 	mu sync.Mutex
 	// live holds the pending and active transfers; ended the terminal records

@@ -30,7 +30,6 @@ type fixture struct {
 	ftpSrv   *ftp.Server
 	httpSrv  *httpx.Server
 	tracker  *swarm.Tracker
-	dt       *Service
 	dtClient *Client
 }
 
@@ -51,9 +50,8 @@ func newFixture(t *testing.T) *fixture {
 	}
 	t.Cleanup(func() { f.tracker.Close() })
 
-	f.dt = NewService()
 	mux := rpc.NewMux()
-	f.dt.Mount(mux)
+	NewService().Mount(mux)
 	f.dtClient = NewClient(rpc.NewLocalClient(mux, 0))
 	return f
 }
@@ -232,23 +230,21 @@ func TestWaitTimeout(t *testing.T) {
 
 func TestDTServiceTracking(t *testing.T) {
 	f := newFixture(t)
+	rig := newDTRig()
 	content := randBytes(60_000, 9)
 	d := f.seed("tracked", content)
 	local := repository.NewMemBackend()
-	e := NewEngine(local, f.dtClient, "worker-7", 2)
+	e := NewEngine(local, rig.client, "worker-7", 2)
 	e.MonitorPeriod = 10 * time.Millisecond
 	h := e.Download(d, f.locator(d, "ftp"))
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	moved, requests := f.dt.Stats()
-	if moved != d.Size {
+	rig.settled(t, 1) // the terminal report leaves on the period
+	if moved, _ := rig.dt.Stats(); moved != d.Size {
 		t.Errorf("bytesMoved = %d, want %d", moved, d.Size)
 	}
-	if requests < 1 { // at least the terminal report
-		t.Errorf("requests = %d", requests)
-	}
-	if act := f.dt.Active(); len(act) != 0 {
+	if act := rig.dt.Active(); len(act) != 0 {
 		t.Errorf("Active after completion = %v", act)
 	}
 }
