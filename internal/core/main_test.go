@@ -1,0 +1,9 @@
+package core_test
+
+import (
+	"testing"
+
+	"bitdew/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"bitdew/internal/netsrv"
 )
 
 // dbRequest is one wire operation against a networked store.
@@ -27,12 +29,8 @@ type dbResponse struct {
 // the paper's evaluation: a separate engine reached through a client/server
 // protocol, so every operation pays a real round trip.
 type Server struct {
+	srv   netsrv.Server
 	store Store
-	lis   net.Listener
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  chan struct{}
-	wg    sync.WaitGroup
 }
 
 // NewServer serves store on addr ("127.0.0.1:0" picks a free port).
@@ -41,61 +39,18 @@ func NewServer(store Store, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("db: listen %s: %w", addr, err)
 	}
-	s := &Server{store: store, lis: lis, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{store: store}
+	s.srv.Serve(lis, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the server and severs every client connection.
-func (s *Server) Close() error {
-	select {
-	case <-s.done:
-		return nil
-	default:
-	}
-	close(s.done)
-	err := s.lis.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

@@ -20,9 +20,9 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"bitdew/internal/netsrv"
 	"bitdew/internal/repository"
 )
 
@@ -36,12 +36,8 @@ const DefaultIdleTimeout = 2 * time.Minute
 
 // Server serves a repository backend over the FTP-like protocol.
 type Server struct {
+	srv     netsrv.Server
 	backend repository.Backend
-	lis     net.Listener
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
 
 	// Throttle, when positive, caps per-connection throughput in bytes/s;
 	// benchmarks use it to emulate constrained server uplinks.
@@ -72,68 +68,22 @@ func NewServer(backend repository.Backend, addr string, opts ...Option) (*Server
 	}
 	s := &Server{
 		backend:     backend,
-		lis:         lis,
-		conns:       make(map[net.Conn]struct{}),
-		done:        make(chan struct{}),
 		idleTimeout: DefaultIdleTimeout,
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv.Serve(lis, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the server and severs open connections.
-func (s *Server) Close() error {
-	select {
-	case <-s.done:
-		return nil
-	default:
-	}
-	close(s.done)
-	err := s.lis.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {

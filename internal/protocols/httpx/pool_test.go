@@ -18,12 +18,18 @@ import (
 type countingListener struct {
 	net.Listener
 	accepts atomic.Int64
+
+	mu    sync.Mutex
+	conns []net.Conn
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err == nil {
 		l.accepts.Add(1)
+		l.mu.Lock()
+		l.conns = append(l.conns, conn)
+		l.mu.Unlock()
 	}
 	return conn, err
 }
@@ -41,12 +47,12 @@ func newCountingServer(t *testing.T) (*Server, *repository.MemBackend, *counting
 	return srv, backend, counting
 }
 
-// dropConns closes, on the server's side, every connection it holds: what
-// its idle timeout does to a client's kept connections.
-func dropConns(s *Server) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
+// dropConns closes, on the server's side, every connection it accepted:
+// what its idle timeout does to a client's kept connections.
+func (l *countingListener) dropConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, conn := range l.conns {
 		conn.Close()
 	}
 }
@@ -120,13 +126,13 @@ func TestConnectionReuse(t *testing.T) {
 			}
 		}
 		get()
-		dropConns(srv)
+		lis.dropConns()
 		get() // replayed
 		if got := lis.accepts.Load(); got != 2 {
 			t.Errorf("a Get over a dead kept connection cost %d connections in all, want 2", got)
 		}
 		// A body that can rewind is sent again, whole.
-		dropConns(srv)
+		lis.dropConns()
 		if err := c.Put(srv.Addr(), "up", bytes.NewReader(content)); err != nil {
 			t.Fatalf("Put over a dead kept connection: %v", err)
 		}
@@ -134,7 +140,7 @@ func TestConnectionReuse(t *testing.T) {
 			t.Errorf("replayed Put stored %d bytes, want the content", len(got))
 		}
 		// One that cannot is not: part of it is gone with the first attempt.
-		dropConns(srv)
+		lis.dropConns()
 		if err := c.Put(srv.Addr(), "once", io.MultiReader(bytes.NewReader(content))); err == nil {
 			t.Error("a Put that cannot rewind succeeded over a dead kept connection")
 		}

@@ -12,18 +12,14 @@ import (
 	"sync"
 	"time"
 
+	"bitdew/internal/netsrv"
 	"bitdew/internal/repository"
 )
 
 // Server serves a repository backend over HTTP at /data/<ref>.
 type Server struct {
+	srv     netsrv.Server
 	backend repository.Backend
-	lis     net.Listener
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{} // nil once closed
-	done  chan struct{}         // closed by Close
-	wg    sync.WaitGroup
 }
 
 // NewServer starts an HTTP transfer server on addr.
@@ -36,61 +32,17 @@ func NewServer(backend repository.Backend, addr string) (*Server, error) {
 }
 
 func serve(backend repository.Backend, lis net.Listener) *Server {
-	s := &Server{backend: backend, lis: lis, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{backend: backend}
+	s.srv.Serve(lis, s.serveConn)
 	return s
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close shuts the server down: it stops listening, severs every open
 // connection and returns once their goroutines have.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	conns := s.conns
-	s.conns = nil
-	s.mu.Unlock()
-	if conns == nil {
-		return nil
-	}
-	close(s.done)
-	err := s.lis.Close()
-	for conn := range conns {
-		conn.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			// Closed; or out of descriptors, most likely: let some close.
-			select {
-			case <-s.done:
-				return
-			case <-time.After(5 * time.Millisecond):
-				continue
-			}
-		}
-		s.mu.Lock()
-		open := s.conns != nil
-		if open {
-			s.conns[conn] = struct{}{}
-			s.wg.Add(1)
-		}
-		s.mu.Unlock()
-		if !open {
-			conn.Close()
-			return
-		}
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 // readers holds the connections' head readers between connections.
 var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBuf) }}
@@ -113,13 +65,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := readers.Get().(*bufio.Reader)
 	br.Reset(conn)
 	defer func() {
-		conn.Close()
 		br.Reset(nil)
 		readers.Put(br)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
 	}()
 	sc := &serverConn{backend: s.backend, conn: conn, br: br}
 	for {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bitdew/internal/netsrv"
 	"bitdew/internal/repository"
 )
 
@@ -105,15 +106,10 @@ type Peer struct {
 	store   *pieceStore
 	backend repository.Backend
 	tracker string
-	lis     net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	closed bool
+	srv     netsrv.Server
+	left    sync.Once // withdrawn from the tracker
+	rng     *rand.Rand
+	rngMu   sync.Mutex
 
 	// Fanout caps how many peers are consulted per round; RoundWait is the
 	// pause between rounds when no progress is possible yet.
@@ -139,15 +135,11 @@ func newPeer(backend repository.Backend, meta Metainfo, trackerAddr, addr string
 		store:     newPieceStore(meta),
 		backend:   backend,
 		tracker:   trackerAddr,
-		lis:       lis,
-		conns:     make(map[net.Conn]struct{}),
-		done:      make(chan struct{}),
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 		Fanout:    8,
 		RoundWait: 50 * time.Millisecond,
 	}
-	p.wg.Add(1)
-	go p.acceptLoop()
+	p.srv.Serve(lis, p.serveConn)
 	return p, nil
 }
 
@@ -193,7 +185,7 @@ func NewLeecher(backend repository.Backend, meta Metainfo, trackerAddr, addr str
 }
 
 // Addr returns the peer's serving address.
-func (p *Peer) Addr() string { return p.lis.Addr().String() }
+func (p *Peer) Addr() string { return p.srv.Addr() }
 
 // Progress returns pieces held and total pieces.
 func (p *Peer) Progress() (have, total int) {
@@ -207,25 +199,13 @@ func (p *Peer) Complete() bool { return p.store.complete() }
 
 // Close stops serving and withdraws from the tracker.
 func (p *Peer) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.done)
-	err := p.lis.Close()
-	p.mu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-	if tc, terr := dialTracker(p.tracker); terr == nil {
-		tc.leave(p.meta.InfoHash, p.Addr())
-		tc.close()
-	}
-	p.wg.Wait()
+	err := p.srv.Close()
+	p.left.Do(func() {
+		if tc, terr := dialTracker(p.tracker); terr == nil {
+			tc.leave(p.meta.InfoHash, p.Addr())
+			tc.close()
+		}
+	})
 	return err
 }
 
@@ -239,34 +219,7 @@ func (p *Peer) announce() error {
 	return err
 }
 
-func (p *Peer) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.lis.Accept()
-		if err != nil {
-			select {
-			case <-p.done:
-				return
-			default:
-				continue
-			}
-		}
-		p.mu.Lock()
-		p.conns[conn] = struct{}{}
-		p.mu.Unlock()
-		p.wg.Add(1)
-		go p.serveConn(conn)
-	}
-}
-
 func (p *Peer) serveConn(conn net.Conn) {
-	defer p.wg.Done()
-	defer func() {
-		conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

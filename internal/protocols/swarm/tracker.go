@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"bitdew/internal/netsrv"
 )
 
 // trackerRequest is the announce/scrape wire message.
@@ -27,14 +29,11 @@ type trackerResponse struct {
 // tracker does. Announcing registers the caller and returns the other known
 // peers of the swarm.
 type Tracker struct {
-	lis net.Listener
+	srv netsrv.Server
 
 	mu     sync.Mutex
 	swarms map[string]map[string]time.Time // infohash -> peerAddr -> lastSeen
 	metas  map[string]Metainfo             // infohash -> metainfo
-	conns  map[net.Conn]struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // NewTracker starts a tracker on addr.
@@ -44,37 +43,18 @@ func NewTracker(addr string) (*Tracker, error) {
 		return nil, fmt.Errorf("swarm: tracker listen %s: %w", addr, err)
 	}
 	t := &Tracker{
-		lis:    lis,
 		swarms: make(map[string]map[string]time.Time),
 		metas:  make(map[string]Metainfo),
-		conns:  make(map[net.Conn]struct{}),
-		done:   make(chan struct{}),
 	}
-	t.wg.Add(1)
-	go t.acceptLoop()
+	t.srv.Serve(lis, t.serveConn)
 	return t, nil
 }
 
 // Addr returns the tracker's listen address.
-func (t *Tracker) Addr() string { return t.lis.Addr().String() }
+func (t *Tracker) Addr() string { return t.srv.Addr() }
 
 // Close stops the tracker.
-func (t *Tracker) Close() error {
-	select {
-	case <-t.done:
-		return nil
-	default:
-	}
-	close(t.done)
-	err := t.lis.Close()
-	t.mu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
-	return err
-}
+func (t *Tracker) Close() error { return t.srv.Close() }
 
 // Swarm returns the current peer set of an infohash (for tests/metrics).
 func (t *Tracker) Swarm(infohash string) []string {
@@ -88,34 +68,7 @@ func (t *Tracker) Swarm(infohash string) []string {
 	return out
 }
 
-func (t *Tracker) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.lis.Accept()
-		if err != nil {
-			select {
-			case <-t.done:
-				return
-			default:
-				continue
-			}
-		}
-		t.mu.Lock()
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
-	}
-}
-
 func (t *Tracker) serveConn(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

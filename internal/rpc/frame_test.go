@@ -164,20 +164,19 @@ func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
 // before Close (a client's Dial returns before the server's Accept does) and
 // that Accept hands over after Close swept the open ones is closed by the
 // accept loop itself. It used to be served, and Close waited for ever for a
-// client that had no reason to hang up. The test holds the server's mutex to
-// put Close's sweep in front of the accept loop's registration.
+// client that had no reason to hang up. Close sweeps the open connections
+// before it closes the listener, so the listener's close puts the sweep in
+// front of the accept loop's registration.
 func TestCloseDoesNotWaitForALateAccept(t *testing.T) {
 	lis := &lateListener{closed: make(chan struct{}), accept: make(chan net.Conn)}
 	srv := NewServer(lis, NewMux())
-	srv.mu.Lock()
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
-	<-lis.closed // Close is on its way to the sweep, which waits for the mutex
+	<-lis.closed // Close is past the sweep
 	ours, theirs := net.Pipe()
 	defer ours.Close()
-	lis.accept <- theirs // the accept loop goes for the mutex behind it
+	lis.accept <- theirs
 	close(lis.accept)
-	srv.mu.Unlock()
 	select {
 	case err := <-closed:
 		if err != nil {
@@ -185,5 +184,47 @@ func TestCloseDoesNotWaitForALateAccept(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close is still waiting for the connection accepted behind its back")
+	}
+}
+
+// failingListener fails Accept a given number of times, noting when each
+// call came, then blocks until Close.
+type failingListener struct {
+	fails  int
+	calls  []time.Time
+	failed chan struct{} // closed after the last failing call
+	closed chan struct{}
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if len(l.calls) < l.fails {
+		l.calls = append(l.calls, time.Now())
+		if len(l.calls) == l.fails {
+			close(l.failed)
+		}
+		return nil, errors.New("accept: too many open files")
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+func (l *failingListener) Close() error   { close(l.closed); return nil }
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestAcceptErrorPauses: an Accept that fails for any reason but Close (out
+// of descriptors, most likely) is not retried at once, or the accept loop
+// spins a CPU until something else frees one. Each retry comes at least the
+// loop's 5 ms pause after the failure before it.
+func TestAcceptErrorPauses(t *testing.T) {
+	const fails, pause = 5, 5 * time.Millisecond
+	lis := &failingListener{fails: fails, failed: make(chan struct{}), closed: make(chan struct{})}
+	srv := NewServer(lis, NewMux())
+	<-lis.failed
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < fails; i++ {
+		if gap := lis.calls[i].Sub(lis.calls[i-1]); gap < pause {
+			t.Errorf("Accept retried %v after failure %d, want at least %v", gap, i, pause)
+		}
 	}
 }

@@ -1,0 +1,9 @@
+package rpc
+
+import (
+	"testing"
+
+	"bitdew/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

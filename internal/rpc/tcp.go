@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bitdew/internal/codec"
+	"bitdew/internal/netsrv"
 )
 
 // ErrTransport marks a failure of the connection itself (broken link, dead
@@ -108,8 +109,8 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 // experiments rely on WithServeLimit being the only bottleneck) while the
 // steady-state request rate stops paying a goroutine spawn per frame.
 type Server struct {
+	srv     netsrv.Server
 	mux     *Mux
-	lis     net.Listener
 	latency time.Duration
 	// limit, when non-nil, is a server-wide semaphore capping concurrent
 	// frame dispatches (see WithServeLimit).
@@ -118,11 +119,6 @@ type Server struct {
 	work       chan *job
 	workers    atomic.Int32
 	maxWorkers int32
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  chan struct{}
-	wg    sync.WaitGroup
 }
 
 // ServerOption configures a Server.
@@ -154,17 +150,13 @@ func WithServeLimit(n int) ServerOption {
 func NewServer(lis net.Listener, m *Mux, opts ...ServerOption) *Server {
 	s := &Server{
 		mux:        m,
-		lis:        lis,
-		conns:      make(map[net.Conn]struct{}),
-		done:       make(chan struct{}),
 		work:       make(chan *job),
 		maxWorkers: int32(8 * runtime.GOMAXPROCS(0)),
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv.Serve(lis, s.serveConn)
 	return s
 }
 
@@ -179,56 +171,11 @@ func Listen(addr string, m *Mux, opts ...ServerOption) (*Server, error) {
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops accepting, closes every open connection and waits for
-// connection goroutines to drain.
-func (s *Server) Close() error {
-	select {
-	case <-s.done:
-		return nil
-	default:
-	}
-	close(s.done)
-	err := s.lis.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			// Transient accept failure; keep serving.
-			continue
-		}
-		s.mu.Lock()
-		select {
-		case <-s.done:
-			// Accepted while Close was closing the others: Close may be past
-			// its sweep, and would wait for ever for a connection nobody ends.
-			s.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+// connection goroutines and dispatch workers to drain.
+func (s *Server) Close() error { return s.srv.Close() }
 
 // job is one request frame on its way through the server: decoded on the
 // connection's read loop, answered on a worker. Jobs are pooled, so a frame
@@ -244,13 +191,6 @@ type job struct {
 var jobs = sync.Pool{New: func() any { return new(job) }}
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	r := bufio.NewReader(conn)
 	var wmu sync.Mutex
 	var buf []byte
@@ -322,27 +262,21 @@ func (s *Server) dispatchAsync(j *job) {
 			break
 		}
 		if s.workers.CompareAndSwap(n, n+1) {
-			s.wg.Add(1)
-			go s.worker(j)
+			s.srv.Go(func() { s.worker(j) })
 			return
 		}
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.handle(j)
-	}()
+	s.srv.Go(func() { s.handle(j) })
 }
 
 // worker answers its first job, then serves the shared queue until Close.
 func (s *Server) worker(j *job) {
-	defer s.wg.Done()
 	s.handle(j)
 	for {
 		select {
 		case j := <-s.work:
 			s.handle(j)
-		case <-s.done:
+		case <-s.srv.Done():
 			return
 		}
 	}

@@ -1,0 +1,9 @@
+package runtime_test
+
+import (
+	"testing"
+
+	"bitdew/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

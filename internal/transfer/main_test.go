@@ -1,0 +1,9 @@
+package transfer
+
+import (
+	"testing"
+
+	"bitdew/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,0 +1,9 @@
+package bitdew_test
+
+import (
+	"testing"
+
+	"bitdew/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
