@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strconv"
 	"time"
 )
@@ -311,13 +310,13 @@ func appendField(b []byte, name string, v int64) []byte {
 }
 
 // send writes the n bytes content holds, from where it stands, to conn.
-// A snapshot that ends where the n bytes do is copied bare, and a stored
-// slice leaves in one write (bytes.Reader.WriteTo). A file may be growing
-// under a resume, and a closed range stops short of the end: both are held
-// to n through limit, which sendfile takes with it.
+// A snapshot that ends where the n bytes do is copied bare: a stored slice
+// leaves in one write (bytes.Reader.WriteTo), a pack extent by sendfile
+// (its reader's WriteTo). A closed range stops short of the end, and is
+// held to n through limit.
 func send(conn net.Conn, limit *io.LimitedReader, content io.Reader, n int64, toEnd bool) error {
 	src := content
-	if _, file := content.(*os.File); file || !toEnd {
+	if !toEnd {
 		*limit = io.LimitedReader{R: content, N: n}
 		src = limit
 	}

@@ -1,0 +1,673 @@
+package repository
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
+)
+
+// DirBackend stores content under a root directory, the way the original DR
+// wraps a local file system, but in one append-only pack rather than a file
+// per ref, so that a write creates no file. Content is written once, at the
+// pack's tail, and never rewritten; a journal of (op, ref, offset, length)
+// records says which extent each ref holds. The index of extents lives in
+// memory and is rebuilt at open by replaying the journal, dropping a torn
+// last record the way db's WAL does.
+//
+// A generation is a pack and its journal, pack.N and journal.N. Once the
+// pack's dead bytes outweigh its live ones, compaction copies the live
+// extents into generation N+1 and renames its journal into place, which is
+// the switch. Nothing is fsynced: content survives the process being
+// killed, not the machine losing power.
+type DirBackend struct {
+	root    string
+	mu      sync.RWMutex
+	g       *generation // nil until the first write, and after Close
+	journal *os.File
+	jsize   int64 // the journal's length, to cut a failed append back to
+	index   map[string]extent
+	live    int64  // the bytes the index covers; the rest of the pack is dead
+	stamp   uint64 // counts publications
+	rec     []byte // one journal record, built under mu
+	closed  bool
+}
+
+// extent is the stretch of the current pack a ref holds. stamp names the
+// publication that made it and survives compaction, which notes in next
+// where the extent goes in the pack it writes.
+type extent struct {
+	off, n, next int64
+	stamp        uint64
+}
+
+// generation is one pack file. The backend holds a use of it while it is
+// current, and so does every reader and writer that touches it outside the
+// backend's lock; the last use to go closes it.
+type generation struct {
+	n    uint64
+	f    *os.File
+	tail int64 // where the next region is reserved; guarded by DirBackend.mu
+	uses atomic.Int32
+}
+
+func newGeneration(n uint64, f *os.File, tail int64) *generation {
+	g := &generation{n: n, f: f, tail: tail}
+	g.uses.Store(1)
+	return g
+}
+
+func (g *generation) release() {
+	if g.uses.Add(-1) == 0 {
+		g.f.Close()
+	}
+}
+
+// compactFloor is the least dead space worth a compaction, which costs two
+// file creations whatever it gives back.
+const compactFloor = 1 << 20
+
+// NewDirBackend creates (if needed) and opens a directory. One in the
+// layout of earlier builds, a file per ref, is refused.
+func NewDirBackend(root string) (*DirBackend, error) {
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return nil, fmt.Errorf("repository: %w", err)
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, fmt.Errorf("repository: %w", err)
+	}
+	var gen uint64
+	for _, e := range entries {
+		kind, n, ok := packName(e.Name())
+		if !ok {
+			return nil, fmt.Errorf("repository: %s holds %q, which is not part of a content pack: "+
+				"a directory written by an earlier build, a file per ref, cannot be opened; start from an empty one",
+				root, e.Name())
+		}
+		if kind == "journal" {
+			gen = max(gen, n)
+		}
+	}
+	b := &DirBackend{root: root, index: make(map[string]extent)}
+	for _, e := range entries {
+		// What a compaction cut short, or did not clean up, left.
+		if kind, n, _ := packName(e.Name()); n != gen || kind == "tmp" {
+			err = errors.Join(err, os.Remove(filepath.Join(root, e.Name())))
+		}
+	}
+	if err == nil && gen > 0 {
+		err = b.load(gen)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("repository: %w", err)
+	}
+	return b, nil
+}
+
+// packName parses the name of a pack, a journal or a journal being written.
+func packName(name string) (kind string, gen uint64, ok bool) {
+	kind, num, _ := strings.Cut(name, ".")
+	if rest, tmp := strings.CutSuffix(num, ".tmp"); tmp && kind == "journal" {
+		kind, num = "tmp", rest
+	}
+	gen, err := strconv.ParseUint(num, 10, 64)
+	return kind, gen, err == nil && gen > 0 && (kind == "pack" || kind == "journal" || kind == "tmp")
+}
+
+func (b *DirBackend) file(kind string, gen uint64) string {
+	return filepath.Join(b.root, kind+"."+strconv.FormatUint(gen, 10))
+}
+
+// load opens generation gen, replays its journal and cuts off what did not
+// replay, so that the next record does not follow a torn one.
+func (b *DirBackend) load(gen uint64) error {
+	journal := b.file("journal", gen)
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		return err
+	}
+	pack, err := os.OpenFile(b.file("pack", gen), os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	st, err := pack.Stat()
+	if err == nil {
+		b.jsize = b.replay(raw, st.Size())
+		if err = os.Truncate(journal, b.jsize); err == nil {
+			b.journal, err = os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+		}
+	}
+	if err != nil {
+		pack.Close()
+		return err
+	}
+	b.g = newGeneration(gen, pack, st.Size())
+	return nil
+}
+
+// appendRecord frames one journal record: its body's length and CRC, then
+// the body: the op, the extent's offset and length, and the ref.
+func appendRecord(b []byte, op byte, ref string, off, n int64) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, op)
+	b = binary.AppendUvarint(b, uint64(off))
+	b = binary.AppendUvarint(b, uint64(n))
+	b = append(b, ref...)
+	body := b[start+8:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(body))
+	return b
+}
+
+// replay applies the journal's records to the index and returns the length
+// of the prefix it applied: a record that is cut short, fails its CRC or
+// names an extent the pack does not hold ends it.
+func (b *DirBackend) replay(journal []byte, packSize int64) int64 {
+	var good int
+	for len(journal)-good >= 8 {
+		rest := journal[good:]
+		m := int(binary.LittleEndian.Uint32(rest))
+		if m < 1 || m > len(rest)-8 || crc32.ChecksumIEEE(rest[8:8+m]) != binary.LittleEndian.Uint32(rest[4:]) {
+			break
+		}
+		body := rest[8 : 8+m]
+		off, k := binary.Uvarint(body[1:])
+		n, l := binary.Uvarint(body[1+max(k, 0):])
+		ref := string(body[1+max(k, 0)+max(l, 0):])
+		if k <= 0 || l <= 0 || checkRef(ref) != nil {
+			break
+		}
+		if body[0] == 'D' {
+			b.drop(ref)
+		} else if body[0] != 'P' || off > uint64(packSize) || n > uint64(packSize)-off {
+			break
+		} else {
+			b.set(ref, extent{off: int64(off), n: int64(n)})
+		}
+		good += 8 + m
+	}
+	return int64(good)
+}
+
+// set and drop change the index and the live count with it.
+func (b *DirBackend) set(ref string, e extent) {
+	b.drop(ref)
+	b.stamp++
+	e.stamp = b.stamp
+	b.index[ref] = e
+	b.live += e.n
+}
+
+func (b *DirBackend) drop(ref string) {
+	b.live -= b.index[ref].n
+	delete(b.index, ref)
+}
+
+// checkRef refuses the refs that name the root and its parent on every
+// protocol's path (/data/.. is not a datum).
+func checkRef(ref string) error {
+	if ref == "" || ref == "." || ref == ".." {
+		return fmt.Errorf("%w: %q is not a ref", ErrNoContent, ref)
+	}
+	return nil
+}
+
+// lookup returns ref's extent. b.mu is held.
+func (b *DirBackend) lookup(ref string) (extent, error) {
+	e, ok := b.index[ref]
+	if !ok {
+		return e, fmt.Errorf("%w: %s", ErrNoContent, ref)
+	}
+	return e, nil
+}
+
+// create makes generation n's pack, and its journal under journalName.
+func (b *DirBackend) create(n uint64, journalName string) (*generation, *os.File, error) {
+	pack, err := os.OpenFile(b.file("pack", n), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	journal, err := os.OpenFile(journalName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		pack.Close()
+		return nil, nil, errors.Join(err, os.Remove(pack.Name()))
+	}
+	return newGeneration(n, pack, 0), journal, nil
+}
+
+// current returns the generation writes land in, and creates the first one
+// on the first write, so that a backend nothing was written to leaves its
+// directory empty. b.mu is held.
+func (b *DirBackend) current() (*generation, error) {
+	if b.g != nil {
+		return b.g, nil
+	}
+	if b.closed {
+		return nil, errors.New("repository: backend closed")
+	}
+	g, journal, err := b.create(1, b.file("journal", 1))
+	if err != nil {
+		return nil, fmt.Errorf("repository: %w", err)
+	}
+	b.g, b.journal, b.jsize = g, journal, 0
+	return g, nil
+}
+
+// record journals one publication or tombstone and applies it to the index,
+// then compacts if the pack is mostly dead. b.mu is held.
+func (b *DirBackend) record(op byte, ref string, e extent) error {
+	b.rec = appendRecord(b.rec[:0], op, ref, e.off, e.n)
+	if _, err := b.journal.Write(b.rec); err != nil {
+		b.journal.Truncate(b.jsize) // a torn record must not precede the next
+		return fmt.Errorf("repository: journal: %w", err)
+	}
+	b.jsize += int64(len(b.rec))
+	if op == 'D' {
+		b.drop(ref)
+	} else {
+		b.set(ref, e)
+	}
+	if dead := b.g.tail - b.live; dead > b.live && dead >= compactFloor {
+		if err := b.compact(); err != nil {
+			return fmt.Errorf("repository: %s is stored, but compacting the pack failed: %w", ref, err)
+		}
+	}
+	return nil
+}
+
+// compact copies every live extent into the next generation's pack, writes
+// that generation's journal under a temporary name and renames it into
+// place. It allocates the same whatever the number of live refs. Readers
+// and writers of the old pack keep its descriptor. b.mu is held.
+func (b *DirBackend) compact() error {
+	old := b.g
+	tmp := b.file("journal", old.n+1) + ".tmp"
+	next, journal, err := b.create(old.n+1, tmp)
+	if err != nil {
+		return err
+	}
+	// Small buffers: a compaction's allocations land in whatever requests
+	// are being served at the time.
+	pw, jw := bufio.NewWriterSize(next.f, 16<<10), bufio.NewWriterSize(journal, 4<<10)
+	var tail, jsize int64
+	for ref, e := range b.index {
+		for at, end := e.off, e.off+e.n; at < end && err == nil; {
+			if pw.Available() == 0 {
+				err = pw.Flush()
+				continue
+			}
+			buf := pw.AvailableBuffer()[:min(end-at, int64(pw.Available()))]
+			if _, err = old.f.ReadAt(buf, at); err == nil {
+				pw.Write(buf)
+				at += int64(len(buf))
+			}
+		}
+		if err != nil {
+			break
+		}
+		e.next, tail = tail, tail+e.n
+		b.index[ref] = e
+		b.rec = appendRecord(b.rec[:0], 'P', ref, e.next, e.n)
+		jw.Write(b.rec)
+		jsize += int64(len(b.rec))
+	}
+	if err = errors.Join(err, pw.Flush(), jw.Flush()); err == nil {
+		err = os.Rename(tmp, b.file("journal", next.n))
+	}
+	if err != nil {
+		journal.Close()
+		next.release()
+		return errors.Join(err, os.Remove(tmp), os.Remove(next.f.Name()))
+	}
+	for ref, e := range b.index {
+		e.off = e.next
+		b.index[ref] = e
+	}
+	b.journal.Close()
+	b.journal, b.jsize = journal, jsize
+	next.tail, b.g = tail, next
+	old.release()
+	os.Remove(b.file("journal", old.n))
+	os.Remove(old.f.Name())
+	return nil
+}
+
+func (b *DirBackend) Put(ref string, content []byte) error {
+	w, err := b.OpenWriter(ref, 0, int64(len(content)))
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	if _, err := w.Write(content); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// Append extends ref in place when its extent ends at the pack's tail, and
+// otherwise copies it to the tail first.
+func (b *DirBackend) Append(ref string, chunk []byte) error {
+	if err := checkRef(ref); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	w := &packWriter{b: b, ref: ref}
+	if e, ok := b.index[ref]; ok {
+		w.adopt(e)
+	}
+	defer w.Close()
+	w.want = w.n + int64(len(chunk))
+	if err := w.grow(int64(len(chunk))); err != nil {
+		return err
+	}
+	if _, err := w.g.f.WriteAt(chunk, w.off+w.n); err != nil {
+		return err
+	}
+	w.n += int64(len(chunk))
+	return w.publishLocked()
+}
+
+// OpenWriter reserves the announced size at the pack's tail on the first
+// byte and writes there without the lock. A resume extends the ref's
+// extent in place when it ends at the tail, and otherwise copies it to a
+// region of its own there; it publishes, and journals, every chunk.
+func (b *DirBackend) OpenWriter(ref string, off, size int64) (Writer, error) {
+	if err := checkRef(ref); err != nil {
+		return nil, err
+	}
+	w := &packWriter{b: b, ref: ref, want: size}
+	if off == 0 {
+		return w, nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e, ok := b.index[ref]
+	if !ok || e.n != off {
+		return nil, offsetError(ref, off, e.n)
+	}
+	w.adopt(e)
+	w.resume = true
+	return w, nil
+}
+
+// packWriter is one write into a DirBackend: a region of a pack, filled
+// from its start, and a use of that pack.
+type packWriter struct {
+	b   *DirBackend
+	ref string
+	g   *generation // nil until the first byte is reserved
+	off int64       // where the region starts in g
+	n   int64       // the bytes landed in it
+	cap int64       // the bytes reserved for it
+	// want is the announced final size, below n when unknown.
+	want int64
+	// resume publishes every chunk, over stored: the extent the ref must
+	// still hold, or the resume would undo what replaced it.
+	resume bool
+	stored extent
+}
+
+// adopt makes the writer's region ref's extent e. b.mu is held.
+func (w *packWriter) adopt(e extent) {
+	w.b.g.uses.Add(1)
+	w.g, w.off, w.n, w.cap, w.stored = w.b.g, e.off, e.n, e.n, e
+}
+
+// grow makes room for need more bytes: in place when the region ends at the
+// current pack's tail, else in a region of its own at the tail, with what
+// landed copied over. b.mu is held.
+func (w *packWriter) grow(need int64) error {
+	g, err := w.b.current()
+	if err != nil {
+		return err
+	}
+	size := w.n + need
+	if w.want >= size {
+		size = min(w.want, size+maxReserve)
+	} else {
+		size = max(size, 2*w.cap)
+	}
+	if w.g == g && w.off+w.cap == g.tail {
+		g.tail = w.off + size
+	} else {
+		off := g.tail
+		g.tail += size
+		if w.n > 0 {
+			if _, err := io.Copy(io.NewOffsetWriter(g.f, off), io.NewSectionReader(w.g.f, w.off, w.n)); err != nil {
+				return err
+			}
+		}
+		g.uses.Add(1)
+		w.Close()
+		w.g, w.off = g, off
+	}
+	w.cap = size
+	return nil
+}
+
+func (w *packWriter) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if w.n+int64(len(p)) > w.cap {
+		w.b.mu.Lock()
+		err := w.grow(int64(len(p)))
+		w.b.mu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+	}
+	if _, err := w.g.f.WriteAt(p, w.off+w.n); err != nil {
+		return 0, err
+	}
+	w.n += int64(len(p))
+	if w.resume {
+		if err := w.publish(); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
+}
+
+// ReadFrom copies r into the region through a buffer of io.Copy's 32 KiB,
+// or of what is left of the announced size if that is less, so that a
+// small datum does not pay for a large one's.
+func (w *packWriter) ReadFrom(r io.Reader) (int64, error) {
+	chunk := int64(32 << 10)
+	if w.want >= w.n {
+		chunk = min(max(w.want-w.n, 1), chunk)
+	}
+	return io.CopyBuffer(struct{ io.Writer }{w}, r, make([]byte, chunk))
+}
+
+func (w *packWriter) publish() error {
+	w.b.mu.Lock()
+	defer w.b.mu.Unlock()
+	return w.publishLocked()
+}
+
+// publishLocked makes what landed the ref's content and journals it; a
+// region a compaction left in the old pack is copied over first. b.mu is
+// held.
+func (w *packWriter) publishLocked() error {
+	b := w.b
+	if cur, ok := b.index[w.ref]; w.resume && (!ok || cur.stamp != w.stored.stamp) {
+		return fmt.Errorf("repository: %s changed while it was being resumed", w.ref)
+	}
+	if w.g == nil || w.g != b.g {
+		if err := w.grow(0); err != nil {
+			return err
+		}
+	}
+	if err := b.record('P', w.ref, extent{off: w.off, n: w.n}); err != nil {
+		return err
+	}
+	w.stored = b.index[w.ref]
+	return nil
+}
+
+// Commit publishes a whole-content write; a resume published every chunk.
+func (w *packWriter) Commit() error {
+	if w.resume {
+		return nil
+	}
+	return w.publish()
+}
+
+// Close lets go of the writer's pack. What it reserved and did not publish
+// is dead space, for a compaction to drop.
+func (w *packWriter) Close() error {
+	if w.g != nil {
+		w.g.release()
+		w.g = nil
+	}
+	return nil
+}
+
+// OpenReader returns a reader of ref's extent, with a use of the pack it
+// lies in: a compaction meanwhile does not take it away.
+func (b *DirBackend) OpenReader(ref string) (Reader, int64, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, err := b.lookup(ref)
+	if err != nil {
+		return nil, 0, err
+	}
+	b.g.uses.Add(1)
+	return &packReader{SectionReader: *io.NewSectionReader(b.g.f, e.off, e.n), g: b.g}, e.n, nil
+}
+
+func (b *DirBackend) Get(ref string) ([]byte, error) { return b.GetRange(ref, 0, math.MaxInt64) }
+
+// GetRange reads what it returns in one pread.
+func (b *DirBackend) GetRange(ref string, off, n int64) ([]byte, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, err := b.lookup(ref)
+	if err == nil && (off < 0 || n < 0 || off > e.n) {
+		err = fmt.Errorf("repository: range [%d,+%d) out of bounds for %s (len %d)", off, n, ref, e.n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, min(n, e.n-off))
+	if _, err := b.g.f.ReadAt(buf, e.off+off); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func (b *DirBackend) Size(ref string) (int64, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, err := b.lookup(ref)
+	return e.n, err
+}
+
+// Delete journals a tombstone.
+func (b *DirBackend) Delete(ref string) error {
+	if err := checkRef(ref); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.index[ref]; !ok {
+		return nil
+	}
+	return b.record('D', ref, extent{})
+}
+
+func (b *DirBackend) Refs() ([]string, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]string, 0, len(b.index))
+	for ref := range b.index {
+		out = append(out, ref)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// Close releases the pack and the journal; readers still open keep the
+// pack until they close. Writes after Close fail.
+func (b *DirBackend) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed, b.index = true, nil
+	if b.g == nil {
+		return nil
+	}
+	b.g.release()
+	b.g = nil
+	return b.journal.Close()
+}
+
+// packReader reads one extent of a pack, which nothing writes again.
+type packReader struct {
+	io.SectionReader
+	g *generation
+}
+
+// WriteTo sends the rest of the extent. To a descriptor, a socket or a
+// file, it leaves by sendfile from the pack at an explicit offset, through
+// no buffer of the process's; to anything else it is copied through one no
+// larger than itself.
+func (r *packReader) WriteTo(w io.Writer) (int64, error) {
+	start, _ := r.Seek(0, io.SeekCurrent)
+	if sc, ok := w.(syscall.Conn); ok && start < r.Size() {
+		if raw, err := sc.SyscallConn(); err == nil {
+			pos, serr := start, error(nil)
+			if err = raw.Write(func(fd uintptr) bool {
+				pos, serr = r.sendfile(int(fd), pos)
+				return serr != syscall.EAGAIN
+			}); err == nil {
+				err = serr
+			}
+			// A descriptor sendfile cannot write to takes the copy below.
+			if pos > start || err != syscall.EINVAL && err != syscall.ENOSYS {
+				r.Seek(pos, io.SeekStart)
+				return pos - start, err
+			}
+		}
+	}
+	buf := make([]byte, max(min(r.Size()-start, 32<<10), 1))
+	return io.CopyBuffer(w, struct{ io.Reader }{&r.SectionReader}, buf)
+}
+
+// sendfile sends the extent from pos on to fd and returns where it got to.
+func (r *packReader) sendfile(fd int, pos int64) (int64, error) {
+	_, off, n := r.Outer()
+	for pos < n {
+		at := off + pos
+		m, err := syscall.Sendfile(fd, int(r.g.f.Fd()), &at, int(min(n-pos, 1<<30)))
+		pos += int64(max(m, 0))
+		if err == nil && m == 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && err != syscall.EINTR {
+			return pos, err
+		}
+	}
+	return pos, nil
+}
+
+func (r *packReader) Close() error {
+	if r.g != nil {
+		r.g.release()
+		r.g = nil
+	}
+	return nil
+}

@@ -154,9 +154,11 @@ func TestBackendConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestDirBackendSanitisesRefs: a hostile ref is a key like any other. It
+// round-trips exactly, and nothing is written outside the root.
 func TestDirBackendSanitisesRefs(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewDirBackend(dir)
+	parent := t.TempDir()
+	b, err := NewDirBackend(filepath.Join(parent, "root"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +169,11 @@ func TestDirBackendSanitisesRefs(t *testing.T) {
 	if err != nil || string(got) != "x" {
 		t.Fatalf("round trip through hostile ref: %q, %v", got, err)
 	}
-	refs, _ := b.Refs()
-	for _, r := range refs {
-		if bytes.ContainsAny([]byte(r), "/\\") {
-			t.Errorf("ref escaped into path: %q", r)
-		}
+	if refs, _ := b.Refs(); !reflect.DeepEqual(refs, []string{"../escape"}) {
+		t.Errorf("Refs = %q, want the hostile ref itself", refs)
+	}
+	if entries, _ := os.ReadDir(parent); len(entries) != 1 {
+		t.Errorf("the root's parent holds %v, want the root alone", entries)
 	}
 }
 

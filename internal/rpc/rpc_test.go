@@ -186,18 +186,28 @@ func TestTCPServerClose(t *testing.T) {
 }
 
 func TestTCPClientCloseFailsPending(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", newEchoMux())
+	// Hold signals that the call is in its handler and keeps it there until
+	// the assertions are done: the server's Close waits for the handler.
+	started, release := make(chan struct{}), make(chan struct{})
+	m := newEchoMux()
+	Register(m, "echo", "Hold", func(a echoArgs) (echoReply, error) {
+		close(started)
+		<-release
+		return echoReply{}, nil
+	})
+	srv, err := Listen("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(release)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- c.Call("echo", "Slow", echoArgs{N: 5000}, nil) }()
-	time.Sleep(50 * time.Millisecond)
+	go func() { errc <- c.Call("echo", "Hold", echoArgs{}, nil) }()
+	<-started
 	c.Close()
 	select {
 	case err := <-errc:

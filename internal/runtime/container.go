@@ -110,6 +110,9 @@ type Container struct {
 	// ownStore is the durable store this container opened from StateDir
 	// (nil when the caller supplied Store); Close flushes and closes it.
 	ownStore *db.DurableStore
+	// ownBackend is the content pack it opened from StateDir (nil when the
+	// caller supplied Backend); Close closes it.
+	ownBackend *repository.DirBackend
 	// feed wraps the meta store: its mutation stream is what node, which
 	// speaks for the shard's key ranges, ships to followers and to the new
 	// homes of moving arcs.
@@ -160,9 +163,10 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	backend := cfg.Backend
 	if backend == nil {
 		if cfg.StateDir != "" {
-			if backend, err = repository.NewDirBackend(filepath.Join(cfg.StateDir, "data")); err != nil {
+			if c.ownBackend, err = repository.NewDirBackend(filepath.Join(cfg.StateDir, "data")); err != nil {
 				return fail(err)
 			}
+			backend = c.ownBackend
 		} else {
 			backend = repository.NewMemBackend()
 		}
@@ -373,6 +377,9 @@ func (c *Container) Close() error {
 	}
 	if c.ownStore != nil {
 		c.ownStore.Close()
+	}
+	if c.ownBackend != nil {
+		c.ownBackend.Close()
 	}
 	return nil
 }
