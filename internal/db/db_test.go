@@ -3,10 +3,14 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"bitdew/internal/codec"
 )
 
 // storeFixtures builds each Store implementation over a shared server so the
@@ -178,19 +182,40 @@ func TestRowStoreValueIsolation(t *testing.T) {
 	}
 }
 
+// restore applies a log's records to a fresh RowStore.
+func restore(t *testing.T, log []byte) *RowStore {
+	t.Helper()
+	muts, _, err := ReadLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRowStore()
+	for i := range muts {
+		if err := r.apply(&muts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
 func TestWALReplay(t *testing.T) {
-	var wal bytes.Buffer
-	s := NewRowStore(WithWAL(&wal))
+	dir := t.TempDir()
+	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Put("t", "a", []byte("1"))
 	s.Put("t", "b", []byte("2"))
 	s.Put("u", "c", []byte("3"))
 	s.Delete("t", "a")
 	s.Put("t", "b", []byte("2b"))
-
-	restored := NewRowStore()
-	if err := restored.Replay(&wal); err != nil {
+	s.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
 		t.Fatal(err)
 	}
+
+	restored := restore(t, wal)
 	if _, ok, _ := restored.Get("t", "a"); ok {
 		t.Error("deleted key a resurrected")
 	}
@@ -207,26 +232,13 @@ func TestSnapshotRestoresEverything(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Put("t", fmt.Sprintf("k%03d", i), []byte(fmt.Sprint(i)))
 	}
-	var snap bytes.Buffer
-	if err := s.Snapshot(&snap); err != nil {
+	rows, err := s.Rows()
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRowStore()
-	if err := r.Replay(&snap); err != nil {
-		t.Fatal(err)
-	}
+	r := restore(t, encodeWAL(rows...))
 	if r.Len("t") != 100 {
 		t.Fatalf("restored %d rows, want 100", r.Len("t"))
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := NewRowStore()
-	s.Put("t", "k", []byte("v"))
-	c := s.Clone()
-	c.Put("t", "k2", []byte("v2"))
-	if s.Len("t") != 1 || c.Len("t") != 2 {
-		t.Errorf("clone not independent: s=%d c=%d", s.Len("t"), c.Len("t"))
 	}
 }
 
@@ -251,19 +263,18 @@ func TestQuickWALRoundTrip(t *testing.T) {
 		Value      []byte
 	}
 	f := func(ops []op) bool {
-		var wal bytes.Buffer
-		s := NewRowStore(WithWAL(&wal))
+		s := NewRowStore()
+		var log []Mutation
 		for _, o := range ops {
 			if o.Del {
 				s.Delete(o.Table, o.Key)
+				log = append(log, Mutation{Op: 'D', Table: o.Table, Key: o.Key})
 			} else {
 				s.Put(o.Table, o.Key, o.Value)
+				log = append(log, Mutation{Op: 'P', Table: o.Table, Key: o.Key, Value: o.Value})
 			}
 		}
-		r := NewRowStore()
-		if err := r.Replay(&wal); err != nil {
-			return false
-		}
+		r := restore(t, encodeWAL(log...))
 		// Final states must agree on every (table,key) touched.
 		for _, o := range ops {
 			want, wok, _ := s.Get(o.Table, o.Key)
@@ -395,46 +406,40 @@ func TestUnpooledDialsPerOperation(t *testing.T) {
 	}
 }
 
-// failingWriter errors after n bytes, simulating a full or failing disk
-// under the WAL.
-type failingWriter struct{ n int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, fmt.Errorf("disk full")
-	}
-	if len(p) > w.n {
-		n := w.n
-		w.n = 0
-		return n, fmt.Errorf("disk full")
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
+// TestWALWriteFailureRejectsMutation: a mutation whose WAL append fails is
+// not applied, and a log that cannot be cut back refuses further writes.
 func TestWALWriteFailureRejectsMutation(t *testing.T) {
-	s := NewRowStore(WithWAL(&failingWriter{n: 16}))
-	// First put may or may not fit in 16 bytes of WAL; keep writing until
-	// the WAL fails, then verify the failed mutation was not applied.
-	var failedKey string
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := s.Put("t", key, []byte("v")); err != nil {
-			failedKey = key
-			break
-		}
+	s, err := OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if failedKey == "" {
-		t.Fatal("WAL never failed")
+	defer s.Close()
+	if err := s.Put("t", "k0", []byte("v")); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get("t", failedKey); ok {
+	s.wal.Close() // the disk is gone
+	if err := s.Put("t", "k1", []byte("v")); err == nil {
+		t.Fatal("Put succeeded with an unwritable WAL")
+	}
+	if _, ok, _ := s.Get("t", "k1"); ok {
 		t.Error("mutation applied despite WAL append failure")
+	}
+	if err := s.Delete("t", "k0"); err == nil {
+		t.Error("Delete accepted after the WAL broke")
+	}
+	if _, ok, _ := s.Get("t", "k0"); !ok {
+		t.Error("a read failed after the WAL broke")
 	}
 }
 
 func TestReplayCorruptWAL(t *testing.T) {
-	s := NewRowStore()
-	if err := s.Replay(bytes.NewReader([]byte("definitely not gob"))); err == nil {
+	if _, _, err := ReadLog([]byte("definitely not a log")); err == nil {
 		t.Error("corrupt WAL replayed without error")
+	}
+	// A whole frame whose CRC holds but whose body is no Mutation was
+	// written by something else, not torn by a crash.
+	junk := codec.AppendFrame([]byte(logHeader), func(b []byte) []byte { return append(b, "junk"...) })
+	if _, _, err := ReadLog(junk); err == nil {
+		t.Error("a frame holding no Mutation replayed without error")
 	}
 }

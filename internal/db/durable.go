@@ -1,14 +1,16 @@
 package db
 
 import (
-	"encoding/gob"
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"bitdew/internal/codec"
 )
 
 // Default compaction policy of a DurableStore: compact once the WAL holds
@@ -20,40 +22,46 @@ const DefaultCompactEvery = 4096
 const (
 	snapshotFile = "snapshot.gob"
 	walFile      = "wal.gob"
+
+	// logHeader opens every log file. Its first byte cannot open a gob
+	// stream, the format of earlier builds.
+	logHeader = "\x89bdlog1\n"
 )
 
-// DurableStore is a RowStore whose state survives process restarts: every
-// mutation is appended to an on-disk write-ahead log before it is applied,
-// and the log is periodically compacted by writing a full snapshot and
-// rotating the log (the paper's §3.4–3.5 design, where all D* service
-// meta-data lives in a relational database precisely so a service restart
-// loses nothing).
+// DurableStore is a RowStore whose state survives the process being
+// killed: every mutation is appended to an on-disk write-ahead log before
+// it is applied, and the log is periodically compacted by writing a full
+// snapshot and rotating the log (the paper's §3.4–3.5 design, where all D*
+// service meta-data lives in a relational database precisely so a service
+// restart loses nothing). Only compaction and Close fsync.
 //
-// Layout inside the state directory:
+// Layout inside the state directory, each file a log (ReadLog):
 //
-//	snapshot.gob   full state at the last compaction (a WAL stream of puts)
+//	snapshot.gob   full state at the last compaction, as puts
 //	wal.gob        mutations since the last compaction
 //
-// Open replays snapshot then WAL; a torn final WAL record (the crash
-// happened mid-append) is tolerated and dropped. All methods are safe for
-// concurrent use.
+// Open replays snapshot then WAL, and cuts the WAL back to the prefix that
+// replayed: a record torn by a crash mid-append is dropped. All methods
+// are safe for concurrent use; reads go to the RowStore and never wait for
+// the log.
 type DurableStore struct {
-	mu  sync.Mutex
+	mu  sync.Mutex // serialises the log: appends, compaction and Close
 	mem *RowStore
 	dir string
 
-	walF   *os.File
-	walEnc *gob.Encoder
-	walN   int // records appended since the last compaction
+	wal     *os.File
+	walSize int64  // the WAL's length, to cut a failed append back to
+	walN    int    // records appended since the last compaction
+	rec     []byte // one framed record, built under mu
 
 	compactEvery    int
 	compactInterval time.Duration
 	stopCompact     chan struct{}
 	compactWG       sync.WaitGroup
 
-	// broken latches a WAL-append failure that compaction could not clear:
-	// mutations are refused (reads and Close still work) so a damaged log
-	// is never extended past the point recovery can trust.
+	// broken latches a WAL append that could not be cut back: mutations are
+	// refused (reads and Close still work) so a damaged log is never
+	// extended past the point recovery can trust.
 	broken error
 	closed bool
 }
@@ -76,7 +84,8 @@ func WithCompactInterval(d time.Duration) DurableOption {
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir
 // and recovers its state: the last snapshot is replayed, then the WAL on
-// top of it.
+// top of it. A directory written by an earlier build is refused, and left
+// as it is.
 func OpenDurable(dir string, opts ...DurableOption) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("db: open durable: %w", err)
@@ -93,28 +102,28 @@ func OpenDurable(dir string, opts ...DurableOption) (*DurableStore, error) {
 	if s.compactEvery == 0 {
 		s.compactEvery = DefaultCompactEvery
 	}
-	if err := replayFile(s.mem, filepath.Join(dir, snapshotFile)); err != nil {
+	if _, _, err := s.replay(snapshotFile); err != nil {
 		return nil, err
 	}
-	walRecs, err := replayFileCount(s.mem, filepath.Join(dir, walFile))
+	good, n, err := s.replay(walFile)
 	if err != nil {
 		return nil, err
 	}
-	s.walN = walRecs
-	walF, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Cut what did not replay, so the next record does not follow a torn
+	// one; a WAL cut inside its header starts again.
+	wal, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("db: open wal: %w", err)
 	}
-	s.walF = walF
-	s.walEnc = gob.NewEncoder(walF)
-	// A recovered WAL may contain a torn final record; the gob stream we
-	// append would then be unreadable past it. Compact immediately so the
-	// new WAL starts from a clean snapshot — this also caps the next
-	// recovery's replay at the snapshot plus a fresh log.
-	if err := s.compactLocked(); err != nil {
-		walF.Close()
-		return nil, err
+	if err = wal.Truncate(good); err == nil && good == 0 {
+		_, err = wal.WriteString(logHeader)
+		good = int64(len(logHeader))
 	}
+	if err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("db: open wal: %w", err)
+	}
+	s.wal, s.walSize, s.walN = wal, good, n
 	if s.compactInterval > 0 {
 		s.compactWG.Add(1)
 		go s.compactLoop()
@@ -122,48 +131,68 @@ func OpenDurable(dir string, opts ...DurableOption) (*DurableStore, error) {
 	return s, nil
 }
 
-// replayFile replays a snapshot/WAL file into mem; a missing file is fine.
-func replayFile(mem *RowStore, path string) error {
-	_, err := replayFileCount(mem, path)
-	return err
+// replay applies the log in file name to the store, and returns the length
+// of the prefix it applied and the records in it. A missing file is empty.
+func (s *DurableStore) replay(name string) (good int64, n int, err error) {
+	path := filepath.Join(s.dir, name)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, 0, nil
+	}
+	var muts []Mutation
+	var end int
+	if err == nil {
+		muts, end, err = ReadLog(raw)
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("db: recover %s: %w", path, err)
+	}
+	for i := range muts {
+		if err := s.mem.apply(&muts[i]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return int64(end), len(muts), nil
 }
 
-// replayFileCount replays path into mem, returning the number of records
-// applied. A torn trailing record (crash mid-append) ends the replay
-// cleanly; any earlier corruption is a real error.
-func replayFileCount(mem *RowStore, path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
+// ReadLog decodes a log: the header, then one frame (codec.AppendFrame)
+// after another, each holding the codec blob of a Mutation. good is the
+// length of the prefix that holds whole records; a frame cut short or
+// failing its CRC ends it, and a log cut inside its header is empty, with
+// a good prefix of 0. A log that does not open with the header, or a whole
+// frame that does not hold a put or a delete, is an error: it was written
+// by another build, not torn by a crash.
+func ReadLog(raw []byte) (muts []Mutation, good int, err error) {
+	if !bytes.HasPrefix(raw, []byte(logHeader)) {
+		if bytes.HasPrefix([]byte(logHeader), raw) {
+			return nil, 0, nil
 		}
-		return 0, fmt.Errorf("db: recover %s: %w", path, err)
+		return nil, 0, errors.New("not a log of this build: a state directory written by an earlier build cannot be opened; start from an empty one")
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	n := 0
+	good = len(logHeader)
 	for {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return n, nil
-			}
-			return n, fmt.Errorf("db: recover %s: record %d: %w", path, n+1, err)
+		body, n := codec.NextFrame(raw[good:])
+		if n == 0 {
+			return muts, good, nil
 		}
-		var applyErr error
-		switch rec.Op {
-		case 'P':
-			applyErr = mem.Put(rec.Table, rec.Key, rec.Value)
-		case 'D':
-			applyErr = mem.Delete(rec.Table, rec.Key)
-		default:
-			applyErr = fmt.Errorf("db: recover %s: unknown op %q", path, rec.Op)
+		var m Mutation
+		if err := codec.Unmarshal(body, &m); err != nil {
+			return muts, good, fmt.Errorf("record %d: %w", len(muts)+1, err)
 		}
-		if applyErr != nil {
-			return n, applyErr
+		if m.Op != 'P' && m.Op != 'D' {
+			return muts, good, fmt.Errorf("record %d: unknown op %q", len(muts)+1, m.Op)
 		}
-		n++
+		muts = append(muts, m)
+		good += n
 	}
+}
+
+// appendRecord appends m to b as one log record.
+func appendRecord(b []byte, m *Mutation) []byte {
+	return codec.AppendFrame(b, func(b []byte) []byte {
+		b, _ = codec.Append(b, m) // a Mutation always encodes
+		return b
+	})
 }
 
 func (s *DurableStore) compactLoop() {
@@ -180,9 +209,9 @@ func (s *DurableStore) compactLoop() {
 	}
 }
 
-// append writes one WAL record, then applies fn to the in-memory state, and
-// compacts when the WAL has grown past the threshold.
-func (s *DurableStore) append(rec walRecord, fn func() error) error {
+// append writes one WAL record, then applies it to the in-memory state,
+// and compacts when the WAL has grown past the threshold.
+func (s *DurableStore) append(m Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -191,21 +220,18 @@ func (s *DurableStore) append(rec walRecord, fn func() error) error {
 	if s.broken != nil {
 		return s.broken
 	}
-	if err := s.walEnc.Encode(rec); err != nil {
-		// The failed encode may have written part of the record, leaving a
-		// torn region in the MIDDLE of the log once later appends succeed —
-		// which recovery only tolerates at the tail. The mutation was not
-		// applied, so the in-memory state is consistent: compact now to
-		// snapshot it and rotate the damaged log away. If compaction also
-		// fails (the disk is truly gone), refuse further mutations; reads
-		// and Close keep working.
-		if cerr := s.compactLocked(); cerr != nil {
-			s.broken = fmt.Errorf("db: wal unwritable: %v (compaction failed too: %v)", err, cerr)
+	s.rec = appendRecord(s.rec[:0], &m)
+	if _, err := s.wal.Write(s.rec); err != nil {
+		// A torn record must not precede the next one. The mutation was
+		// not applied, so the log and the state agree once it is cut off.
+		if terr := s.wal.Truncate(s.walSize); terr != nil {
+			s.broken = fmt.Errorf("db: wal unwritable: %v (cutting it back failed too: %v)", err, terr)
 			return s.broken
 		}
 		return fmt.Errorf("db: wal append: %w", err)
 	}
-	if err := fn(); err != nil {
+	s.walSize += int64(len(s.rec))
+	if err := s.mem.apply(&m); err != nil {
 		return err
 	}
 	s.walN++
@@ -216,62 +242,26 @@ func (s *DurableStore) append(rec walRecord, fn func() error) error {
 }
 
 func (s *DurableStore) Put(table, key string, value []byte) error {
-	return s.append(walRecord{Op: 'P', Table: table, Key: key, Value: value}, func() error {
-		return s.mem.Put(table, key, value)
-	})
+	return s.append(Mutation{Op: 'P', Table: table, Key: key, Value: value})
 }
 
 func (s *DurableStore) Delete(table, key string) error {
-	return s.append(walRecord{Op: 'D', Table: table, Key: key}, func() error {
-		return s.mem.Delete(table, key)
-	})
+	return s.append(Mutation{Op: 'D', Table: table, Key: key})
 }
 
-func (s *DurableStore) Get(table, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	return s.mem.Get(table, key)
-}
+func (s *DurableStore) Get(table, key string) ([]byte, bool, error) { return s.mem.Get(table, key) }
 
-func (s *DurableStore) Keys(table string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.mem.Keys(table)
-}
+func (s *DurableStore) Keys(table string) ([]string, error) { return s.mem.Keys(table) }
 
 func (s *DurableStore) Scan(table string, fn func(key string, value []byte) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
 	return s.mem.Scan(table, fn)
 }
 
 // Len reports the number of rows in a table.
-func (s *DurableStore) Len(table string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.Len(table)
-}
+func (s *DurableStore) Len(table string) int { return s.mem.Len(table) }
 
-// SnapshotTo serialises the full current state to w as a WAL stream of puts
-// (the replication feed's snapshot format), without touching the on-disk
-// snapshot or rotating the log.
-func (s *DurableStore) SnapshotTo(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.mem.Snapshot(w)
-}
+// Rows hands out every row as a put (RowStore.Rows).
+func (s *DurableStore) Rows() ([]Mutation, error) { return s.mem.Rows() }
 
 // WALRecords reports the records appended since the last compaction (the
 // length of the replay a crash right now would pay on top of the snapshot).
@@ -282,8 +272,9 @@ func (s *DurableStore) WALRecords() int {
 }
 
 // Compact checkpoints the store: the full state is written to a fresh
-// snapshot (atomically, via rename) and the WAL is rotated to empty. After
-// a crash, recovery replays the snapshot plus only the post-compaction log.
+// snapshot (atomically, via rename) and the WAL is cut back to its header.
+// After a crash, recovery replays the snapshot plus only the
+// post-compaction log.
 func (s *DurableStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,38 +285,39 @@ func (s *DurableStore) Compact() error {
 }
 
 func (s *DurableStore) compactLocked() error {
+	rows, err := s.mem.Rows()
+	if err != nil {
+		return err
+	}
 	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("db: compact: %w", err)
 	}
-	if err := s.mem.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("db: compact: snapshot: %w", err)
+	w := bufio.NewWriter(f) // keeps its first write error for Flush
+	w.WriteString(logHeader)
+	for i := range rows {
+		s.rec = appendRecord(s.rec[:0], &rows[i])
+		w.Write(s.rec)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("db: compact: sync: %w", err)
+	if err = w.Flush(); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, snapshotFile))
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("db: compact: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("db: compact: publish snapshot: %w", err)
-	}
 	// Rotate the log: everything up to this instant is in the snapshot.
-	if err := s.walF.Close(); err != nil {
+	if err := s.wal.Truncate(int64(len(logHeader))); err != nil {
 		return fmt.Errorf("db: compact: rotate wal: %w", err)
 	}
-	walF, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("db: compact: rotate wal: %w", err)
-	}
-	s.walF = walF
-	s.walEnc = gob.NewEncoder(walF)
-	s.walN = 0
+	s.walSize, s.walN = int64(len(logHeader)), 0
 	return nil
 }
 
@@ -344,8 +336,8 @@ func (s *DurableStore) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.walF.Sync()
-	if cerr := s.walF.Close(); err == nil {
+	err := s.wal.Sync()
+	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}
 	if merr := s.mem.Close(); err == nil {

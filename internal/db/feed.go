@@ -1,11 +1,8 @@
 package db
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -25,9 +22,10 @@ import (
 // resynchronises from a snapshot instead of splicing two incommensurable
 // sequence spaces together.
 
-// Mutation is one entry of the replication stream: a WAL record plus its
-// position in the primary's stream. Seq is 0 inside snapshots (a snapshot
-// is an unordered bag of puts covered by the snapshot's own seq watermark).
+// Mutation is one record, on disk and on the wire: an entry of the durable
+// WAL or snapshot, and of the replication stream, where Seq is its position
+// in the primary's stream. Seq is 0 on disk and inside snapshots (a
+// snapshot is a bag of puts covered by the snapshot's own seq watermark).
 type Mutation struct {
 	Seq   uint64
 	Op    byte // 'P' put, 'D' delete
@@ -40,10 +38,10 @@ type Mutation struct {
 // the subscriber must resynchronise from a fresh snapshot.
 var ErrFeedLost = errors.New("db: feed subscription lost (buffer overflow)")
 
-// snapshotter is satisfied by stores whose full state can be serialised as
-// a WAL stream of puts (RowStore and DurableStore both qualify).
-type snapshotter interface {
-	SnapshotTo(w io.Writer) error
+// rower is satisfied by stores that hand out their full state as puts
+// (RowStore and DurableStore both qualify).
+type rower interface {
+	Rows() ([]Mutation, error)
 }
 
 // FeedStore wraps a Store, numbering and broadcasting every mutation. All
@@ -53,7 +51,7 @@ type snapshotter interface {
 // rows, which must never re-enter the primary stream.
 type FeedStore struct {
 	inner Store
-	snap  snapshotter
+	rows  rower
 	epoch uint64
 
 	mu     sync.Mutex
@@ -65,11 +63,11 @@ type FeedStore struct {
 // NewFeedStore wraps inner, minting the stream's epoch. Inner must be able
 // to snapshot its full state (RowStore or DurableStore).
 func NewFeedStore(inner Store, epoch uint64) (*FeedStore, error) {
-	snap, ok := inner.(snapshotter)
+	rows, ok := inner.(rower)
 	if !ok {
 		return nil, fmt.Errorf("db: feed store needs a snapshottable inner store, got %T", inner)
 	}
-	return &FeedStore{inner: inner, snap: snap, epoch: epoch}, nil
+	return &FeedStore{inner: inner, rows: rows, epoch: epoch}, nil
 }
 
 // Epoch returns the stream epoch minted at construction.
@@ -159,7 +157,8 @@ func (f *FeedStore) broadcastLocked(m Mutation) {
 // SnapshotAndFollow atomically cuts a full-state snapshot and opens a
 // subscription delivering every mutation after it: the snapshot covers
 // sequence numbers up to the returned seq, and the subscription's first
-// mutation (if any ever arrives) carries seq+1. buf bounds how far the
+// mutation (if any ever arrives) carries seq+1. The snapshot's values are
+// the store's own: read them, never change them. buf bounds how far the
 // subscriber may fall behind before the subscription is dropped with
 // ErrFeedLost.
 func (f *FeedStore) SnapshotAndFollow(buf int) (seq uint64, snapshot []Mutation, feed *Feed, err error) {
@@ -171,13 +170,8 @@ func (f *FeedStore) SnapshotAndFollow(buf int) (seq uint64, snapshot []Mutation,
 	if f.closed {
 		return 0, nil, nil, ErrClosed
 	}
-	var b bytes.Buffer
-	if err := f.snap.SnapshotTo(&b); err != nil {
+	if snapshot, err = f.rows.Rows(); err != nil {
 		return 0, nil, nil, fmt.Errorf("db: feed snapshot: %w", err)
-	}
-	snapshot, err = DecodeMutations(b.Bytes())
-	if err != nil {
-		return 0, nil, nil, err
 	}
 	feed = &Feed{ch: make(chan Mutation, buf), done: make(chan struct{})}
 	f.subs = append(f.subs, feed)
@@ -233,22 +227,4 @@ func (s *Feed) drop(err error) {
 	s.err = err
 	close(s.done)
 	close(s.ch)
-}
-
-// DecodeMutations parses a serialised WAL/snapshot stream (as written by
-// SnapshotTo or the durable WAL) into mutations with Seq 0, tolerating a
-// torn trailing record exactly like durable recovery does.
-func DecodeMutations(raw []byte) ([]Mutation, error) {
-	dec := gob.NewDecoder(bytes.NewReader(raw))
-	var out []Mutation
-	for {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil
-			}
-			return out, fmt.Errorf("db: decode mutations: record %d: %w", len(out)+1, err)
-		}
-		out = append(out, Mutation{Op: rec.Op, Table: rec.Table, Key: rec.Key, Value: rec.Value})
-	}
 }

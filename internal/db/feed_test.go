@@ -1,8 +1,8 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -225,9 +225,9 @@ func TestFeedStoreBypass(t *testing.T) {
 	}
 }
 
-// TestDecodeMutations pins the WAL-stream bridge: a RowStore snapshot and a
-// durable WAL both decode into mutations, and a torn tail is dropped
-// silently, matching durable recovery.
+// TestDecodeMutations pins the one record format: a RowStore's rows,
+// framed as compaction writes them, decode into the same mutations, and a
+// torn tail is dropped silently, matching durable recovery.
 func TestDecodeMutations(t *testing.T) {
 	s := NewRowStore()
 	if err := s.Put("a", "k1", []byte("v1")); err != nil {
@@ -236,31 +236,31 @@ func TestDecodeMutations(t *testing.T) {
 	if err := s.Put("b", "k2", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.SnapshotTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := append([]byte(nil), buf.Bytes()...)
-	muts, err := DecodeMutations(full)
+	rows, err := s.Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(muts) != 2 || muts[0].Table != "a" || muts[1].Table != "b" {
+	full := encodeWAL(rows...)
+	muts, good, err := ReadLog(full)
+	if err != nil || good != len(full) {
+		t.Fatalf("decoded %d of %d bytes: %v", good, len(full), err)
+	}
+	if !reflect.DeepEqual(muts, rows) || muts[0].Table != "a" || muts[1].Table != "b" {
 		t.Fatalf("decoded %+v", muts)
 	}
 	// Torn tail: drop the last byte; the first record still decodes.
-	muts, err = DecodeMutations(full[:len(full)-1])
+	muts, good, err = ReadLog(full[:len(full)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(muts) != 1 || muts[0].Key != "k1" {
-		t.Fatalf("torn-tail decode = %+v", muts)
+	if len(muts) != 1 || muts[0].Key != "k1" || good != len(encodeWAL(rows[0])) {
+		t.Fatalf("torn-tail decode = %+v, good prefix %d", muts, good)
 	}
 }
 
 // TestFeedStoreOverDurable runs the stream contract over a DurableStore
-// inner: SnapshotTo cuts the same canonical WAL-of-puts stream, and a
-// reopened store serves the identical state (the primary-recovery path).
+// inner: its snapshot is the same rows as a RowStore's, and a reopened
+// store serves the identical state (the primary-recovery path).
 func TestFeedStoreOverDurable(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := OpenDurable(dir)

@@ -1,24 +1,18 @@
 package db
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// encodeWAL renders records as the gob stream OpenDurable replays.
-func encodeWAL(t testing.TB, recs ...walRecord) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
+// encodeWAL renders mutations as the log OpenDurable replays.
+func encodeWAL(recs ...Mutation) []byte {
+	wal := []byte(logHeader)
+	for i := range recs {
+		wal = appendRecord(wal, &recs[i])
 	}
-	return buf.Bytes()
+	return wal
 }
 
 // walTables decodes as much of a WAL byte stream as is well-formed and
@@ -26,14 +20,11 @@ func encodeWAL(t testing.TB, recs ...walRecord) []byte {
 // used to diff recovered stores.
 func walTables(wal []byte) map[string]bool {
 	tables := make(map[string]bool)
-	dec := gob.NewDecoder(bytes.NewReader(wal))
-	for {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			return tables
-		}
-		tables[rec.Table] = true
+	muts, _, _ := ReadLog(wal)
+	for _, m := range muts {
+		tables[m.Table] = true
 	}
+	return tables
 }
 
 // dumpTable snapshots one table as a key->value map.
@@ -52,21 +43,21 @@ func dumpTable(t *testing.T, s *DurableStore, table string) map[string]string {
 // FuzzReplay throws arbitrary bytes at the WAL recovery path: whatever is
 // on disk — a clean log, a torn tail from a crash mid-append, or outright
 // garbage — OpenDurable must never panic, and any state it does accept must
-// be stable: recovery compacts into a snapshot, and a clean close + re-open
-// must reproduce exactly the same rows.
+// be stable: recovery cuts the WAL to the prefix it replayed, and a clean
+// close + re-open must reproduce exactly the same rows.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream at all"))
-	clean := encodeWAL(f,
-		walRecord{Op: 'P', Table: "data", Key: "uid-1", Value: []byte("alpha")},
-		walRecord{Op: 'P', Table: "locators", Key: "uid-1", Value: []byte("host-a")},
-		walRecord{Op: 'D', Table: "data", Key: "uid-1"},
-		walRecord{Op: 'P', Table: "data", Key: "uid-2", Value: []byte("beta")},
+	f.Add([]byte("not a log at all"))
+	clean := encodeWAL(
+		Mutation{Op: 'P', Table: "data", Key: "uid-1", Value: []byte("alpha")},
+		Mutation{Op: 'P', Table: "locators", Key: "uid-1", Value: []byte("host-a")},
+		Mutation{Op: 'D', Table: "data", Key: "uid-1"},
+		Mutation{Op: 'P', Table: "data", Key: "uid-2", Value: []byte("beta")},
 	)
 	f.Add(clean)
-	f.Add(clean[:len(clean)-3])                                            // torn tail: crash mid-append
-	f.Add(encodeWAL(f, walRecord{Op: 'X', Table: "data", Key: "k"}))       // unknown op
-	f.Add(encodeWAL(f, walRecord{Op: 'D', Table: "ghost", Key: "absent"})) // delete of a row never put
+	f.Add(clean[:len(clean)-3])                                        // torn tail: crash mid-append
+	f.Add(encodeWAL(Mutation{Op: 'X', Table: "data", Key: "k"}))       // unknown op
+	f.Add(encodeWAL(Mutation{Op: 'D', Table: "ghost", Key: "absent"})) // delete of a row never put
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
@@ -86,8 +77,8 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("close after recovery: %v", err)
 		}
 
-		// Recovery already compacted the accepted state into a snapshot; a
-		// re-open must reproduce it exactly.
+		// Recovery cut the WAL to what it accepted; a re-open must
+		// reproduce that exactly.
 		s2, err := OpenDurable(dir)
 		if err != nil {
 			t.Fatalf("re-open of a cleanly closed store: %v", err)

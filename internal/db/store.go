@@ -7,7 +7,8 @@
 // This package reproduces the same three design axes with real costs:
 //
 //   - RowStore is the embedded engine (HsqlDB role): an in-process,
-//     mutex-protected table store with optional write-ahead logging.
+//     mutex-protected table store. DurableStore adds the write-ahead log
+//     and snapshot that carry it across a restart.
 //   - Server/Client expose any Store over TCP (MySQL role): every operation
 //     pays a real network round trip, and — exactly like JDBC without a
 //     pool — an unpooled client dials a fresh connection per operation.
@@ -15,12 +16,11 @@
 package db
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"errors"
-	"fmt"
-	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -47,44 +47,17 @@ type Store interface {
 	Close() error
 }
 
-// walRecord is one write-ahead-log entry.
-type walRecord struct {
-	Op    byte // 'P' put, 'D' delete
-	Table string
-	Key   string
-	Value []byte
-}
-
 // RowStore is the embedded engine. The zero value is not usable; call
 // NewRowStore. All methods are safe for concurrent use.
 type RowStore struct {
 	mu     sync.RWMutex
 	tables map[string]map[string][]byte
-	wal    *gob.Encoder
-	walW   io.Writer
 	closed bool
 }
 
-// RowStoreOption configures a RowStore.
-type RowStoreOption func(*RowStore)
-
-// WithWAL makes every mutation append a gob record to w before it is
-// applied, so the store's state can be rebuilt with Replay after a transient
-// service-host failure (the paper's fault model for service nodes).
-func WithWAL(w io.Writer) RowStoreOption {
-	return func(s *RowStore) {
-		s.walW = w
-		s.wal = gob.NewEncoder(w)
-	}
-}
-
 // NewRowStore returns an empty embedded store.
-func NewRowStore(opts ...RowStoreOption) *RowStore {
-	s := &RowStore{tables: make(map[string]map[string][]byte)}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+func NewRowStore() *RowStore {
+	return &RowStore{tables: make(map[string]map[string][]byte)}
 }
 
 func (s *RowStore) Put(table, key string, value []byte) error {
@@ -92,11 +65,6 @@ func (s *RowStore) Put(table, key string, value []byte) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.wal != nil {
-		if err := s.wal.Encode(walRecord{Op: 'P', Table: table, Key: key, Value: value}); err != nil {
-			return fmt.Errorf("db: wal append: %w", err)
-		}
 	}
 	t := s.tables[table]
 	if t == nil {
@@ -126,13 +94,16 @@ func (s *RowStore) Delete(table, key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.wal != nil {
-		if err := s.wal.Encode(walRecord{Op: 'D', Table: table, Key: key}); err != nil {
-			return fmt.Errorf("db: wal append: %w", err)
-		}
-	}
 	delete(s.tables[table], key)
 	return nil
+}
+
+// apply performs m, a put or a delete.
+func (s *RowStore) apply(m *Mutation) error {
+	if m.Op == 'D' {
+		return s.Delete(m.Table, m.Key)
+	}
+	return s.Put(m.Table, m.Key, m.Value)
 }
 
 func (s *RowStore) Keys(table string) ([]string, error) {
@@ -184,72 +155,27 @@ func (s *RowStore) Len(table string) int {
 	return len(s.tables[table])
 }
 
-// Snapshot serialises the whole store to w as a WAL stream of puts, suitable
-// for Replay.
-func (s *RowStore) Snapshot(w io.Writer) error {
+// Rows hands out every row as a put, in table then key order. The values
+// are the stored slices, which Put never changes (it stores a copy), so the
+// caller must not change them either.
+func (s *RowStore) Rows() ([]Mutation, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	enc := gob.NewEncoder(w)
-	tables := make([]string, 0, len(s.tables))
-	for t := range s.tables {
-		tables = append(tables, t)
+	n := 0
+	for _, t := range s.tables {
+		n += len(t)
 	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		keys := make([]string, 0, len(s.tables[t]))
-		for k := range s.tables[t] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := enc.Encode(walRecord{Op: 'P', Table: t, Key: k, Value: s.tables[t][k]}); err != nil {
-				return err
-			}
+	rows := make([]Mutation, 0, n)
+	for table, t := range s.tables {
+		for k, v := range t {
+			rows = append(rows, Mutation{Op: 'P', Table: table, Key: k, Value: v})
 		}
 	}
-	return nil
-}
-
-// SnapshotTo is Snapshot under the name the replication feed's snapshotter
-// interface uses (FeedStore wraps either a RowStore or a DurableStore).
-func (s *RowStore) SnapshotTo(w io.Writer) error { return s.Snapshot(w) }
-
-// Replay applies a WAL or snapshot stream from r into the store.
-func (s *RowStore) Replay(r io.Reader) error {
-	dec := gob.NewDecoder(r)
-	for {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("db: replay: %w", err)
-		}
-		var err error
-		switch rec.Op {
-		case 'P':
-			err = s.Put(rec.Table, rec.Key, rec.Value)
-		case 'D':
-			err = s.Delete(rec.Table, rec.Key)
-		default:
-			err = fmt.Errorf("db: replay: unknown op %q", rec.Op)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// Clone copies the store's contents into a fresh RowStore (no WAL).
-func (s *RowStore) Clone() *RowStore {
-	var buf bytes.Buffer
-	out := NewRowStore()
-	if err := s.Snapshot(&buf); err != nil {
-		return out
-	}
-	_ = out.Replay(&buf)
-	return out
+	slices.SortFunc(rows, func(a, b Mutation) int {
+		return cmp.Or(strings.Compare(a.Table, b.Table), strings.Compare(a.Key, b.Key))
+	})
+	return rows, nil
 }

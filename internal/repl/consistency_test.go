@@ -27,10 +27,10 @@ import (
 
 // loadFuzzCorpus decodes every seed in the FuzzReplay corpus into its
 // mutation stream. Corpus files are Go fuzz v1 format: a header line, then
-// one []byte("...") literal holding a gob stream of walRecords — exactly
-// what db.DecodeMutations reads (tolerating torn/corrupt tails the same
-// way WAL replay does, so seed-not-gob and seed-torn-* yield the
-// well-formed prefix).
+// one []byte("...") literal holding a log of framed Mutations — exactly
+// what db.ReadLog reads (dropping torn tails the same way WAL replay does,
+// so seed-not-gob and seed-torn-* yield the well-formed prefix, which may
+// be empty).
 func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
 	t.Helper()
 	dir := filepath.Join("..", "db", "testdata", "fuzz", "FuzzReplay")
@@ -59,7 +59,7 @@ func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
 			t.Fatalf("%s: unquote: %v", e.Name(), err)
 		}
 		// Corrupt tails are the corpus's point: take the well-formed prefix.
-		muts, _ := db.DecodeMutations([]byte(payload))
+		muts, _, _ := db.ReadLog([]byte(payload))
 		corpus[e.Name()] = muts
 	}
 	if len(corpus) == 0 {
@@ -69,8 +69,8 @@ func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
 }
 
 // applyMutations replays a decoded stream onto a primary's feed. Unknown
-// ops are skipped — the WAL replayer ignores them too, and the feed only
-// ever emits 'P'/'D'.
+// ops are skipped — db.ReadLog never returns one, and the feed only ever
+// emits 'P'/'D'.
 func applyMutations(t *testing.T, feed *db.FeedStore, muts []db.Mutation) {
 	t.Helper()
 	for _, m := range muts {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -16,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"bitdew/internal/codec"
 )
 
 // DirBackend stores content under a root directory, the way the original DR
@@ -157,18 +158,13 @@ func (b *DirBackend) load(gen uint64) error {
 	return nil
 }
 
-// appendRecord frames one journal record: its body's length and CRC, then
-// the body: the op, the extent's offset and length, and the ref.
+// appendRecord frames one journal record: the op, the extent's offset and
+// length, and the ref.
 func appendRecord(b []byte, op byte, ref string, off, n int64) []byte {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, op)
-	b = binary.AppendUvarint(b, uint64(off))
-	b = binary.AppendUvarint(b, uint64(n))
-	b = append(b, ref...)
-	body := b[start+8:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(body))
-	return b
+	return codec.AppendFrame(b, func(b []byte) []byte {
+		b = binary.AppendUvarint(append(b, op), uint64(off))
+		return append(binary.AppendUvarint(b, uint64(n)), ref...)
+	})
 }
 
 // replay applies the journal's records to the index and returns the length
@@ -176,13 +172,11 @@ func appendRecord(b []byte, op byte, ref string, off, n int64) []byte {
 // names an extent the pack does not hold ends it.
 func (b *DirBackend) replay(journal []byte, packSize int64) int64 {
 	var good int
-	for len(journal)-good >= 8 {
-		rest := journal[good:]
-		m := int(binary.LittleEndian.Uint32(rest))
-		if m < 1 || m > len(rest)-8 || crc32.ChecksumIEEE(rest[8:8+m]) != binary.LittleEndian.Uint32(rest[4:]) {
+	for {
+		body, m := codec.NextFrame(journal[good:])
+		if m == 0 {
 			break
 		}
-		body := rest[8 : 8+m]
 		off, k := binary.Uvarint(body[1:])
 		n, l := binary.Uvarint(body[1+max(k, 0):])
 		ref := string(body[1+max(k, 0)+max(l, 0):])
@@ -196,7 +190,7 @@ func (b *DirBackend) replay(journal []byte, packSize int64) int64 {
 		} else {
 			b.set(ref, extent{off: int64(off), n: int64(n)})
 		}
-		good += 8 + m
+		good += m
 	}
 	return int64(good)
 }

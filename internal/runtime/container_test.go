@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -130,8 +129,12 @@ func TestContainerCloseIdempotent(t *testing.T) {
 // service hosts: the container crashes, an administrator restarts it, and
 // the catalog's meta-data come back from the WAL.
 func TestTransientServiceFailureRecovery(t *testing.T) {
-	var wal bytes.Buffer
-	store := db.NewRowStore(db.WithWAL(&wal))
+	dir := t.TempDir()
+	store, err := db.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	backend := repository.NewMemBackend()
 	c1, err := NewContainer(ContainerConfig{Store: store, Backend: backend})
 	if err != nil {
@@ -148,14 +151,15 @@ func TestTransientServiceFailureRecovery(t *testing.T) {
 	if err := node.BitDew.Put(d, []byte("durable content")); err != nil {
 		t.Fatal(err)
 	}
-	c1.Close() // crash
+	c1.Close() // crash: the store is never closed, its WAL never synced
 
 	// Restart: new container, state replayed from the WAL, same backend
 	// (repository content is on persistent storage in a real deployment).
-	recovered := db.NewRowStore()
-	if err := recovered.Replay(bytes.NewReader(wal.Bytes())); err != nil {
+	recovered, err := db.OpenDurable(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer recovered.Close()
 	c2, err := NewContainer(ContainerConfig{Store: recovered, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
