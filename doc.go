@@ -31,7 +31,7 @@
 // database-backed services and its transient fault model for service
 // hosts: all D* meta-data persists through db.Store (with
 // runtime.ContainerConfig.StateDir, a snapshot+WAL db.DurableStore on
-// disk, compacted periodically), clients reconnect through rpc.DialAuto,
+// disk, compacted by size), clients reconnect through rpc.DialAuto,
 // and a killed service host comes back with catalog data, locators and
 // scheduler placements intact while delta-syncing nodes reconverge
 // through the full-resync fallback. testbed.RunServiceChurn and

@@ -2,7 +2,7 @@
 // plane: rpc frames and payloads (internal/rpc), the rows the D* services
 // keep serialised in their db.Store (catalog, scheduler, repl, collective),
 // and the records of db's WAL and snapshot, each a db.Mutation in a frame
-// (AppendFrame, which the content pack's journal uses too). db/net and
+// (AppendFrame and Log, which the content pack's journal uses too). db/net and
 // swarm hold one gob encoder per stream and carry these blobs as opaque
 // bytes; they do not come through here.
 //

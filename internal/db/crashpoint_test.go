@@ -21,7 +21,7 @@ import (
 // record (boundaries[i] = file size once records 0..i are appended).
 func buildWAL(t *testing.T, dir string, n int) (boundaries []int64) {
 	t.Helper()
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func recoverAt(t *testing.T, dir string, cut int64) *DurableStore {
 	if err := os.Truncate(filepath.Join(dir, "wal.gob"), cut); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatalf("recovery at cut %d: %v", cut, err)
 	}
@@ -129,7 +129,7 @@ func TestTornWriteMatrixLastRecord(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
-		s2, err := OpenDurable(dir, WithCompactEvery(-1))
+		s2, err := OpenDurable(dir)
 		if err != nil {
 			t.Fatalf("cut %d: second recovery: %v", cut, err)
 		}
@@ -180,7 +180,7 @@ func TestCrashDuringCompactionLeavesTmpIgnored(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "snapshot.gob.tmp"), junk, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenDurable(dir, WithCompactEvery(-1))
+		s, err := OpenDurable(dir)
 		if err != nil {
 			t.Fatalf("recovery with %d-byte tmp snapshot: %v", len(junk), err)
 		}
@@ -192,7 +192,7 @@ func TestCrashDuringCompactionLeavesTmpIgnored(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := OpenDurable(dir, WithCompactEvery(-1))
+		s2, err := OpenDurable(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestCrashDuringCompactionLeavesTmpIgnored(t *testing.T) {
 // the surviving prefix loads — rather than refusing to start.
 func TestTornSnapshotTailRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestTornSnapshotTailRecovers(t *testing.T) {
 	if err := os.Truncate(snap, st.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDurable(dir, WithCompactEvery(-1))
+	s2, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatalf("recovery from torn snapshot tail: %v", err)
 	}

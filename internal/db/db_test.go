@@ -200,7 +200,7 @@ func restore(t *testing.T, log []byte) *RowStore {
 
 func TestWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,22 +2,14 @@ package db
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"bitdew/internal/codec"
 )
-
-// Default compaction policy of a DurableStore: compact once the WAL holds
-// this many records (each Put/Delete is one record). Compaction cost is one
-// full snapshot write, so the threshold trades recovery-replay length
-// against snapshot churn.
-const DefaultCompactEvery = 4096
 
 const (
 	snapshotFile = "snapshot.gob"
@@ -30,160 +22,91 @@ const (
 
 // DurableStore is a RowStore whose state survives the process being
 // killed: every mutation is appended to an on-disk write-ahead log before
-// it is applied, and the log is periodically compacted by writing a full
-// snapshot and rotating the log (the paper's §3.4–3.5 design, where all D*
+// it is applied, and the log is compacted by writing a full snapshot and
+// starting the log again (the paper's §3.4–3.5 design, where all D*
 // service meta-data lives in a relational database precisely so a service
 // restart loses nothing). Only compaction and Close fsync.
 //
-// Layout inside the state directory, each file a log (ReadLog):
+// Layout inside the state directory, each file a log (codec.Log) of
+// Mutation records:
 //
 //	snapshot.gob   full state at the last compaction, as puts
 //	wal.gob        mutations since the last compaction
 //
 // Open replays snapshot then WAL, and cuts the WAL back to the prefix that
-// replayed: a record torn by a crash mid-append is dropped. All methods
-// are safe for concurrent use; reads go to the RowStore and never wait for
-// the log.
+// replayed: a record torn by a crash mid-append is dropped. The WAL is
+// compacted once its bytes outweigh the snapshot's (codec.Compactable).
+// All methods are safe for concurrent use; reads go to the RowStore and
+// never wait for the log.
 type DurableStore struct {
 	mu  sync.Mutex // serialises the log: appends, compaction and Close
 	mem *RowStore
 	dir string
 
-	wal     *os.File
-	walSize int64  // the WAL's length, to cut a failed append back to
-	walN    int    // records appended since the last compaction
-	rec     []byte // one framed record, built under mu
-
-	compactEvery    int
-	compactInterval time.Duration
-	stopCompact     chan struct{}
-	compactWG       sync.WaitGroup
-
-	// broken latches a WAL append that could not be cut back: mutations are
-	// refused (reads and Close still work) so a damaged log is never
-	// extended past the point recovery can trust.
-	broken error
+	wal    *codec.Log
+	walN   int    // records appended since the last compaction
+	snap   int64  // the last snapshot's size, the live bytes the WAL's weigh against
+	rec    []byte // one framed record, built under mu
 	closed bool
-}
-
-// DurableOption configures an OpenDurable call.
-type DurableOption func(*DurableStore)
-
-// WithCompactEvery sets the WAL record count that triggers an automatic
-// compaction (0 keeps DefaultCompactEvery; negative disables count-based
-// compaction).
-func WithCompactEvery(n int) DurableOption {
-	return func(s *DurableStore) { s.compactEvery = n }
-}
-
-// WithCompactInterval additionally compacts on a timer, so a mostly idle
-// service still bounds its recovery-replay length.
-func WithCompactInterval(d time.Duration) DurableOption {
-	return func(s *DurableStore) { s.compactInterval = d }
 }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir
 // and recovers its state: the last snapshot is replayed, then the WAL on
 // top of it. A directory written by an earlier build is refused, and left
 // as it is.
-func OpenDurable(dir string, opts ...DurableOption) (*DurableStore, error) {
+func OpenDurable(dir string) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("db: open durable: %w", err)
 	}
-	s := &DurableStore{
-		mem:          NewRowStore(),
-		dir:          dir,
-		compactEvery: DefaultCompactEvery,
-		stopCompact:  make(chan struct{}),
+	s := &DurableStore{mem: NewRowStore(), dir: dir}
+	path := filepath.Join(dir, snapshotFile)
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		var good int
+		good, err = codec.ReadLog(raw, logHeader, records(s.mem.apply))
+		s.snap = int64(good)
 	}
-	for _, o := range opts {
-		o(s)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("db: recover %s: %w", path, err)
 	}
-	if s.compactEvery == 0 {
-		s.compactEvery = DefaultCompactEvery
-	}
-	if _, _, err := s.replay(snapshotFile); err != nil {
-		return nil, err
-	}
-	good, n, err := s.replay(walFile)
+	s.wal, err = codec.OpenLog(filepath.Join(dir, walFile), logHeader, records(func(m *Mutation) error {
+		s.walN++
+		return s.mem.apply(m)
+	}))
 	if err != nil {
-		return nil, err
-	}
-	// Cut what did not replay, so the next record does not follow a torn
-	// one; a WAL cut inside its header starts again.
-	wal, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("db: open wal: %w", err)
-	}
-	if err = wal.Truncate(good); err == nil && good == 0 {
-		_, err = wal.WriteString(logHeader)
-		good = int64(len(logHeader))
-	}
-	if err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("db: open wal: %w", err)
-	}
-	s.wal, s.walSize, s.walN = wal, good, n
-	if s.compactInterval > 0 {
-		s.compactWG.Add(1)
-		go s.compactLoop()
+		return nil, fmt.Errorf("db: recover %w", err)
 	}
 	return s, nil
 }
 
-// replay applies the log in file name to the store, and returns the length
-// of the prefix it applied and the records in it. A missing file is empty.
-func (s *DurableStore) replay(name string) (good int64, n int, err error) {
-	path := filepath.Join(s.dir, name)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	var muts []Mutation
-	var end int
-	if err == nil {
-		muts, end, err = ReadLog(raw)
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("db: recover %s: %w", path, err)
-	}
-	for i := range muts {
-		if err := s.mem.apply(&muts[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-	return int64(end), len(muts), nil
+// ReadLog decodes a log (codec.ReadLog) of Mutation records. good is the
+// length of the prefix that holds whole records.
+func ReadLog(raw []byte) (muts []Mutation, good int, err error) {
+	good, err = codec.ReadLog(raw, logHeader, records(func(m *Mutation) error {
+		muts = append(muts, *m)
+		return nil
+	}))
+	return muts, good, err
 }
 
-// ReadLog decodes a log: the header, then one frame (codec.AppendFrame)
-// after another, each holding the codec blob of a Mutation. good is the
-// length of the prefix that holds whole records; a frame cut short or
-// failing its CRC ends it, and a log cut inside its header is empty, with
-// a good prefix of 0. A log that does not open with the header, or a whole
-// frame that does not hold a put or a delete, is an error: it was written
-// by another build, not torn by a crash.
-func ReadLog(raw []byte) (muts []Mutation, good int, err error) {
-	if !bytes.HasPrefix(raw, []byte(logHeader)) {
-		if bytes.HasPrefix([]byte(logHeader), raw) {
-			return nil, 0, nil
-		}
-		return nil, 0, errors.New("not a log of this build: a state directory written by an earlier build cannot be opened; start from an empty one")
-	}
-	good = len(logHeader)
-	for {
-		body, n := codec.NextFrame(raw[good:])
-		if n == 0 {
-			return muts, good, nil
-		}
+// records returns the replay of a log whose frames each hold the codec blob
+// of a put or a delete, which it hands to fn. A whole frame that holds
+// neither was written by another build, not torn by a crash: an error.
+func records(fn func(*Mutation) error) func([]byte) (bool, error) {
+	n := 0
+	return func(body []byte) (bool, error) {
 		var m Mutation
-		if err := codec.Unmarshal(body, &m); err != nil {
-			return muts, good, fmt.Errorf("record %d: %w", len(muts)+1, err)
+		err := codec.Unmarshal(body, &m)
+		if err == nil && m.Op != 'P' && m.Op != 'D' {
+			err = fmt.Errorf("unknown op %q", m.Op)
 		}
-		if m.Op != 'P' && m.Op != 'D' {
-			return muts, good, fmt.Errorf("record %d: unknown op %q", len(muts)+1, m.Op)
+		if err == nil {
+			err = fn(&m)
 		}
-		muts = append(muts, m)
-		good += n
+		if n++; err != nil {
+			return false, fmt.Errorf("record %d: %w", n, err)
+		}
+		return true, nil
 	}
 }
 
@@ -195,47 +118,25 @@ func appendRecord(b []byte, m *Mutation) []byte {
 	})
 }
 
-func (s *DurableStore) compactLoop() {
-	defer s.compactWG.Done()
-	ticker := time.NewTicker(s.compactInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stopCompact:
-			return
-		case <-ticker.C:
-			s.Compact()
-		}
-	}
-}
-
 // append writes one WAL record, then applies it to the in-memory state,
-// and compacts when the WAL has grown past the threshold.
+// and compacts when the WAL outweighs the snapshot.
 func (s *DurableStore) append(m Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.broken != nil {
-		return s.broken
-	}
+	// A mutation whose record is not in the log is not applied, so the log
+	// and the state agree.
 	s.rec = appendRecord(s.rec[:0], &m)
-	if _, err := s.wal.Write(s.rec); err != nil {
-		// A torn record must not precede the next one. The mutation was
-		// not applied, so the log and the state agree once it is cut off.
-		if terr := s.wal.Truncate(s.walSize); terr != nil {
-			s.broken = fmt.Errorf("db: wal unwritable: %v (cutting it back failed too: %v)", err, terr)
-			return s.broken
-		}
+	if err := s.wal.Append(s.rec); err != nil {
 		return fmt.Errorf("db: wal append: %w", err)
 	}
-	s.walSize += int64(len(s.rec))
 	if err := s.mem.apply(&m); err != nil {
 		return err
 	}
 	s.walN++
-	if s.compactEvery > 0 && s.walN >= s.compactEvery {
+	if codec.Compactable(s.wal.Size(), s.snap) {
 		return s.compactLocked()
 	}
 	return nil
@@ -272,9 +173,8 @@ func (s *DurableStore) WALRecords() int {
 }
 
 // Compact checkpoints the store: the full state is written to a fresh
-// snapshot (atomically, via rename) and the WAL is cut back to its header.
-// After a crash, recovery replays the snapshot plus only the
-// post-compaction log.
+// snapshot and the WAL starts again, each published by a rename. After a
+// crash, recovery replays the snapshot plus only the WAL since.
 func (s *DurableStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,59 +189,36 @@ func (s *DurableStore) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	snap, err := codec.NextLog(filepath.Join(s.dir, snapshotFile), logHeader, true, func(w *bufio.Writer) error {
+		for i := range rows {
+			s.rec = appendRecord(s.rec[:0], &rows[i])
+			w.Write(s.rec)
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("db: compact: %w", err)
 	}
-	w := bufio.NewWriter(f) // keeps its first write error for Flush
-	w.WriteString(logHeader)
-	for i := range rows {
-		s.rec = appendRecord(s.rec[:0], &rows[i])
-		w.Write(s.rec)
-	}
-	if err = w.Flush(); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(s.dir, snapshotFile))
-	}
+	s.snap = snap.Size()
+	snap.Close()
+	// Start the WAL again: everything up to this instant is in the snapshot.
+	wal, err := codec.NextLog(filepath.Join(s.dir, walFile), logHeader, false, func(*bufio.Writer) error { return nil })
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("db: compact: %w", err)
+		return fmt.Errorf("db: compact: start wal: %w", err)
 	}
-	// Rotate the log: everything up to this instant is in the snapshot.
-	if err := s.wal.Truncate(int64(len(logHeader))); err != nil {
-		return fmt.Errorf("db: compact: rotate wal: %w", err)
-	}
-	s.walSize, s.walN = int64(len(logHeader)), 0
+	s.wal.Close()
+	s.wal, s.walN = wal, 0
 	return nil
 }
 
-// Close stops the compaction timer, flushes the WAL file and closes the
-// store. Operations after Close return ErrClosed.
+// Close flushes the WAL file and closes the store. Operations after Close
+// return ErrClosed.
 func (s *DurableStore) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	close(s.stopCompact)
-	s.mu.Unlock()
-	s.compactWG.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.wal.Sync()
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
-	if merr := s.mem.Close(); err == nil {
-		err = merr
-	}
-	return err
+	return errors.Join(s.wal.Sync(), s.wal.Close(), s.mem.Close())
 }

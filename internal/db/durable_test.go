@@ -1,11 +1,11 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestDurableRecoversAcrossReopen(t *testing.T) {
@@ -45,22 +45,25 @@ func TestDurableRecoversAcrossReopen(t *testing.T) {
 
 func TestDurableCompactionRotatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(8))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		if err := s.Put("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+	// 48 puts of 32 KiB over 8 keys: 1.5 MiB through the WAL, 256 KiB live.
+	value := bytes.Repeat([]byte("v"), 32<<10)
+	const puts = 48
+	for i := 0; i < puts; i++ {
+		if err := s.Put("t", fmt.Sprintf("k%d", i%8), value); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 20 appends with a threshold of 8 must have compacted at least twice,
-	// leaving fewer than 8 records in the live WAL.
-	if n := s.WALRecords(); n >= 8 {
-		t.Fatalf("WAL holds %d records after auto-compaction, want < 8", n)
+	// The WAL's dead bytes passed 1 MiB and outweighed the empty snapshot
+	// after 32 puts, so it was compacted once, and holds the 16 puts since.
+	if n := s.WALRecords(); n != puts-32 {
+		t.Fatalf("WAL holds %d records after auto-compaction, want %d", n, puts-32)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot missing or empty after compaction: %v", err)
+	if fi, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil || fi.Size() < 8*32<<10 {
+		t.Fatalf("snapshot missing or short after compaction: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -71,14 +74,14 @@ func TestDurableCompactionRotatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len("t") != 20 {
-		t.Fatalf("recovered %d rows, want 20", re.Len("t"))
+	if re.Len("t") != 8 {
+		t.Fatalf("recovered %d rows, want 8", re.Len("t"))
 	}
 }
 
 func TestDurableExplicitCompactAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1)) // no auto-compaction
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestDurableExplicitCompactAndRecover(t *testing.T) {
 
 func TestDurableToleratesTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,25 +148,6 @@ func TestDurableToleratesTornWALTail(t *testing.T) {
 	// And the store stays writable with a clean log.
 	if err := re.Put("t", "next", []byte("v")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDurableIntervalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1), WithCompactInterval(10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		s.Put("t", fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.WALRecords() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timer compaction never ran; WAL records = %d", s.WALRecords())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // directory.
 func TestLogFormatPinned(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, WithCompactEvery(-1))
+	s, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

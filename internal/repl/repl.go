@@ -361,6 +361,11 @@ func (n *Node) Stop() {
 	n.mu.Unlock()
 	n.Abort()
 	close(n.stop)
+	n.mu.Lock()
+	for _, s := range n.shippers {
+		s.client.Close() // wakes a call sleeping out its redial backoff
+	}
+	n.mu.Unlock()
 	if started {
 		n.wg.Wait()
 	}

@@ -23,21 +23,20 @@ import (
 // wraps a local file system, but in one append-only pack rather than a file
 // per ref, so that a write creates no file. Content is written once, at the
 // pack's tail, and never rewritten; a journal of (op, ref, offset, length)
-// records says which extent each ref holds. The index of extents lives in
-// memory and is rebuilt at open by replaying the journal, dropping a torn
-// last record the way db's WAL does.
+// records, a codec.Log with no header, says which extent each ref holds.
+// The index of extents lives in memory and is rebuilt at open by replaying
+// the journal, dropping a torn last record the way db's WAL does.
 //
 // A generation is a pack and its journal, pack.N and journal.N. Once the
-// pack's dead bytes outweigh its live ones, compaction copies the live
-// extents into generation N+1 and renames its journal into place, which is
-// the switch. Nothing is fsynced: content survives the process being
-// killed, not the machine losing power.
+// pack's dead bytes outweigh its live ones (codec.Compactable), compaction
+// copies the live extents into generation N+1 and publishes its journal
+// (codec.NextLog), which is the switch. Nothing is fsynced: content
+// survives the process being killed, not the machine losing power.
 type DirBackend struct {
 	root    string
 	mu      sync.RWMutex
 	g       *generation // nil until the first write, and after Close
-	journal *os.File
-	jsize   int64 // the journal's length, to cut a failed append back to
+	journal *codec.Log
 	index   map[string]extent
 	live    int64  // the bytes the index covers; the rest of the pack is dead
 	stamp   uint64 // counts publications
@@ -75,9 +74,7 @@ func (g *generation) release() {
 	}
 }
 
-// compactFloor is the least dead space worth a compaction, which costs two
-// file creations whatever it gives back.
-const compactFloor = 1 << 20
+var errClosed = errors.New("repository: backend closed")
 
 // NewDirBackend creates (if needed) and opens a directory. One in the
 // layout of earlier builds, a file per ref, is refused.
@@ -131,31 +128,21 @@ func (b *DirBackend) file(kind string, gen uint64) string {
 	return filepath.Join(b.root, kind+"."+strconv.FormatUint(gen, 10))
 }
 
-// load opens generation gen, replays its journal and cuts off what did not
-// replay, so that the next record does not follow a torn one.
+// load opens generation gen and replays its journal.
 func (b *DirBackend) load(gen uint64) error {
-	journal := b.file("journal", gen)
-	raw, err := os.ReadFile(journal)
-	if err != nil {
-		return err
-	}
 	pack, err := os.OpenFile(b.file("pack", gen), os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
 	st, err := pack.Stat()
 	if err == nil {
-		b.jsize = b.replay(raw, st.Size())
-		if err = os.Truncate(journal, b.jsize); err == nil {
-			b.journal, err = os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
-		}
+		b.g = newGeneration(gen, pack, st.Size())
+		b.journal, err = codec.OpenLog(b.file("journal", gen), "", b.replay)
 	}
 	if err != nil {
 		pack.Close()
-		return err
 	}
-	b.g = newGeneration(gen, pack, st.Size())
-	return nil
+	return err
 }
 
 // appendRecord frames one journal record: the op, the extent's offset and
@@ -167,32 +154,24 @@ func appendRecord(b []byte, op byte, ref string, off, n int64) []byte {
 	})
 }
 
-// replay applies the journal's records to the index and returns the length
-// of the prefix it applied: a record that is cut short, fails its CRC or
-// names an extent the pack does not hold ends it.
-func (b *DirBackend) replay(journal []byte, packSize int64) int64 {
-	var good int
-	for {
-		body, m := codec.NextFrame(journal[good:])
-		if m == 0 {
-			break
-		}
-		off, k := binary.Uvarint(body[1:])
-		n, l := binary.Uvarint(body[1+max(k, 0):])
-		ref := string(body[1+max(k, 0)+max(l, 0):])
-		if k <= 0 || l <= 0 || checkRef(ref) != nil {
-			break
-		}
-		if body[0] == 'D' {
-			b.drop(ref)
-		} else if body[0] != 'P' || off > uint64(packSize) || n > uint64(packSize)-off {
-			break
-		} else {
-			b.set(ref, extent{off: int64(off), n: int64(n)})
-		}
-		good += m
+// replay applies one journal record to the index. A record that is
+// malformed or names an extent the pack does not hold ends the journal's
+// good prefix.
+func (b *DirBackend) replay(body []byte) (bool, error) {
+	off, k := binary.Uvarint(body[1:])
+	n, l := binary.Uvarint(body[1+max(k, 0):])
+	ref := string(body[1+max(k, 0)+max(l, 0):])
+	if k <= 0 || l <= 0 || checkRef(ref) != nil {
+		return false, nil
 	}
-	return int64(good)
+	if body[0] == 'D' {
+		b.drop(ref)
+	} else if size := uint64(b.g.tail); body[0] != 'P' || off > size || n > size-off {
+		return false, nil
+	} else {
+		b.set(ref, extent{off: int64(off), n: int64(n)})
+	}
+	return true, nil
 }
 
 // set and drop change the index and the live count with it.
@@ -227,13 +206,15 @@ func (b *DirBackend) lookup(ref string) (extent, error) {
 	return e, nil
 }
 
-// create makes generation n's pack, and its journal under journalName.
-func (b *DirBackend) create(n uint64, journalName string) (*generation, *os.File, error) {
+// next makes generation n: its pack, and its journal, which fill writes
+// beside the pack and codec.NextLog publishes. On failure it leaves
+// neither.
+func (b *DirBackend) next(n uint64, fill func(pack *os.File, journal *bufio.Writer) error) (*generation, *codec.Log, error) {
 	pack, err := os.OpenFile(b.file("pack", n), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	journal, err := os.OpenFile(journalName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	journal, err := codec.NextLog(b.file("journal", n), "", false, func(w *bufio.Writer) error { return fill(pack, w) })
 	if err != nil {
 		pack.Close()
 		return nil, nil, errors.Join(err, os.Remove(pack.Name()))
@@ -249,13 +230,13 @@ func (b *DirBackend) current() (*generation, error) {
 		return b.g, nil
 	}
 	if b.closed {
-		return nil, errors.New("repository: backend closed")
+		return nil, errClosed
 	}
-	g, journal, err := b.create(1, b.file("journal", 1))
+	g, journal, err := b.next(1, func(*os.File, *bufio.Writer) error { return nil })
 	if err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
-	b.g, b.journal, b.jsize = g, journal, 0
+	b.g, b.journal = g, journal
 	return g, nil
 }
 
@@ -263,17 +244,15 @@ func (b *DirBackend) current() (*generation, error) {
 // then compacts if the pack is mostly dead. b.mu is held.
 func (b *DirBackend) record(op byte, ref string, e extent) error {
 	b.rec = appendRecord(b.rec[:0], op, ref, e.off, e.n)
-	if _, err := b.journal.Write(b.rec); err != nil {
-		b.journal.Truncate(b.jsize) // a torn record must not precede the next
+	if err := b.journal.Append(b.rec); err != nil {
 		return fmt.Errorf("repository: journal: %w", err)
 	}
-	b.jsize += int64(len(b.rec))
 	if op == 'D' {
 		b.drop(ref)
 	} else {
 		b.set(ref, e)
 	}
-	if dead := b.g.tail - b.live; dead > b.live && dead >= compactFloor {
+	if codec.Compactable(b.g.tail-b.live, b.live) {
 		if err := b.compact(); err != nil {
 			return fmt.Errorf("repository: %s is stored, but compacting the pack failed: %w", ref, err)
 		}
@@ -281,56 +260,49 @@ func (b *DirBackend) record(op byte, ref string, e extent) error {
 	return nil
 }
 
-// compact copies every live extent into the next generation's pack, writes
-// that generation's journal under a temporary name and renames it into
-// place. It allocates the same whatever the number of live refs. Readers
-// and writers of the old pack keep its descriptor. b.mu is held.
+// compact copies every live extent into the next generation's pack and
+// publishes that generation's journal. It allocates the same whatever the
+// number of live refs. Readers and writers of the old pack keep its
+// descriptor. b.mu is held.
 func (b *DirBackend) compact() error {
 	old := b.g
-	tmp := b.file("journal", old.n+1) + ".tmp"
-	next, journal, err := b.create(old.n+1, tmp)
+	var tail int64
+	next, journal, err := b.next(old.n+1, func(pack *os.File, jw *bufio.Writer) error {
+		// A small buffer: a compaction's allocations land in whatever
+		// requests are being served at the time.
+		pw := bufio.NewWriterSize(pack, 16<<10)
+		var err error
+		for ref, e := range b.index {
+			for at, end := e.off, e.off+e.n; at < end && err == nil; {
+				if pw.Available() == 0 {
+					err = pw.Flush()
+					continue
+				}
+				buf := pw.AvailableBuffer()[:min(end-at, int64(pw.Available()))]
+				if _, err = old.f.ReadAt(buf, at); err == nil {
+					pw.Write(buf)
+					at += int64(len(buf))
+				}
+			}
+			if err != nil {
+				break
+			}
+			e.next, tail = tail, tail+e.n
+			b.index[ref] = e
+			b.rec = appendRecord(b.rec[:0], 'P', ref, e.next, e.n)
+			jw.Write(b.rec)
+		}
+		return errors.Join(err, pw.Flush())
+	})
 	if err != nil {
 		return err
-	}
-	// Small buffers: a compaction's allocations land in whatever requests
-	// are being served at the time.
-	pw, jw := bufio.NewWriterSize(next.f, 16<<10), bufio.NewWriterSize(journal, 4<<10)
-	var tail, jsize int64
-	for ref, e := range b.index {
-		for at, end := e.off, e.off+e.n; at < end && err == nil; {
-			if pw.Available() == 0 {
-				err = pw.Flush()
-				continue
-			}
-			buf := pw.AvailableBuffer()[:min(end-at, int64(pw.Available()))]
-			if _, err = old.f.ReadAt(buf, at); err == nil {
-				pw.Write(buf)
-				at += int64(len(buf))
-			}
-		}
-		if err != nil {
-			break
-		}
-		e.next, tail = tail, tail+e.n
-		b.index[ref] = e
-		b.rec = appendRecord(b.rec[:0], 'P', ref, e.next, e.n)
-		jw.Write(b.rec)
-		jsize += int64(len(b.rec))
-	}
-	if err = errors.Join(err, pw.Flush(), jw.Flush()); err == nil {
-		err = os.Rename(tmp, b.file("journal", next.n))
-	}
-	if err != nil {
-		journal.Close()
-		next.release()
-		return errors.Join(err, os.Remove(tmp), os.Remove(next.f.Name()))
 	}
 	for ref, e := range b.index {
 		e.off = e.next
 		b.index[ref] = e
 	}
 	b.journal.Close()
-	b.journal, b.jsize = journal, jsize
+	b.journal = journal
 	next.tail, b.g = tail, next
 	old.release()
 	os.Remove(b.file("journal", old.n))
@@ -578,6 +550,9 @@ func (b *DirBackend) Delete(ref string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return errClosed
+	}
 	if _, ok := b.index[ref]; !ok {
 		return nil
 	}

@@ -112,6 +112,24 @@ func TestPackRefusesOldLayout(t *testing.T) {
 	}
 }
 
+// TestDirBackendRefusesAfterClose: a delete after Close fails like a put,
+// instead of reporting a tombstone that was never journaled.
+func TestDirBackendRefusesAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	b := openDir(t, dir)
+	if err := b.Put("r", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if err := b.Put("s", []byte("y")); err == nil {
+		t.Error("a put after Close succeeded")
+	}
+	if err := b.Delete("r"); err == nil {
+		t.Error("a delete after Close succeeded")
+	}
+	holds(t, openDir(t, dir), map[string][]byte{"r": []byte("x")}, "reopened")
+}
+
 // TestPackPutOpensNoFile: putting, overwriting and deleting 10 000 refs
 // leaves the directory with as many files as the first put made.
 func TestPackPutOpensNoFile(t *testing.T) {

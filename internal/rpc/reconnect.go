@@ -38,6 +38,7 @@ type autoClient struct {
 	mu     sync.Mutex
 	conn   Client
 	closed bool
+	woken  chan struct{} // closed by Close, waking a call out of its backoff; made on first use
 	// prevTrips accumulates the round-trip counts of connections already
 	// torn down, so RoundTrips spans reconnections.
 	prevTrips uint64
@@ -145,11 +146,11 @@ func (a *autoClient) exec(fn func(Client) error) error {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			d := reconnectBackoff << (attempt - 1)
-			if d > reconnectBackoffMax {
-				d = reconnectBackoffMax
+			select {
+			case <-time.After(min(reconnectBackoff<<(attempt-1), reconnectBackoffMax)):
+			case <-a.wake():
+				return errAutoClosed
 			}
-			time.Sleep(d)
 		}
 		c, err := a.current()
 		if err != nil {
@@ -167,6 +168,16 @@ func (a *autoClient) exec(fn func(Client) error) error {
 		a.invalidate(c)
 	}
 	return lastErr
+}
+
+// wake returns the channel Close closes.
+func (a *autoClient) wake() chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.woken == nil {
+		a.woken = make(chan struct{})
+	}
+	return a.woken
 }
 
 func (a *autoClient) Call(service, method string, args, reply any) error {
@@ -202,13 +213,17 @@ func (a *autoClient) RoundTrips() uint64 {
 	return total
 }
 
+// Close closes the connection, and ends a call sleeping out its backoff
+// with errAutoClosed.
 func (a *autoClient) Close() error {
+	wake := a.wake()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return nil
 	}
 	a.closed = true
+	close(wake)
 	if a.conn != nil {
 		err := a.conn.Close()
 		a.conn = nil

@@ -118,3 +118,32 @@ func TestAutoClientConcurrentRedial(t *testing.T) {
 	}
 	a.Close()
 }
+
+// TestAutoClientCloseWakesBackoff: Close ends a call that is sleeping out
+// its redial backoff at once, with errAutoClosed and no further dial. A
+// stopping repl shipper used to ride out the whole backoff ladder first.
+func TestAutoClientCloseWakesBackoff(t *testing.T) {
+	const failures = 5 // the fifth failed dial is followed by a 400 ms backoff
+	dialed := make(chan time.Time, 2*reconnectAttempts)
+	a := &autoClient{addr: "stub", dial: func(addr string, opts ...DialOption) (Client, error) {
+		dialed <- time.Now()
+		return nil, errors.New("refused")
+	}}
+	errc := make(chan error, 1)
+	go func() { errc <- a.Call("echo", "Echo", "hi", nil) }()
+	var last time.Time
+	for i := 0; i < failures; i++ {
+		last = <-dialed
+	}
+	a.Close()
+	err := <-errc
+	if backoff, waited := reconnectBackoff<<(failures-1), time.Since(last); waited >= backoff {
+		t.Errorf("Call returned %v after its last dial: it slept out its %v backoff after Close", waited, backoff)
+	}
+	if !errors.Is(err, errAutoClosed) {
+		t.Errorf("Call after Close = %v, want errAutoClosed", err)
+	}
+	if n := len(dialed); n != 0 {
+		t.Errorf("%d dials after Close", n)
+	}
+}

@@ -36,7 +36,7 @@ type ContainerConfig struct {
 	// StateDir makes the whole service plane durable and restartable: the
 	// meta-data of every D* service (catalog data + locators, scheduler
 	// placements, repository endpoints) is checkpointed under
-	// StateDir/meta (snapshot + write-ahead log, compacted periodically)
+	// StateDir/meta (snapshot + write-ahead log, compacted by size)
 	// and repository content lives under StateDir/data, so a container
 	// rebuilt over the same directory recovers all of it. Ignored for the
 	// store when Store is set, and for the content when Backend is set.
@@ -150,8 +150,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	}
 	if cfg.Store == nil {
 		if cfg.StateDir != "" {
-			c.ownStore, err = db.OpenDurable(filepath.Join(cfg.StateDir, "meta"),
-				db.WithCompactInterval(time.Minute))
+			c.ownStore, err = db.OpenDurable(filepath.Join(cfg.StateDir, "meta"))
 			if err != nil {
 				return fail(err)
 			}
