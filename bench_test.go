@@ -85,13 +85,16 @@ func embeddedStore(b *testing.B) (db.Store, func()) {
 	return db.NewRowStore(), func() {}
 }
 
-func networkedPooledStore(b *testing.B) (db.Store, func()) {
+func networkedDBCPStore(b *testing.B) (db.Store, func()) {
 	srv, err := db.NewServer(db.NewRowStore(), "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := db.NewPool(srv.Addr(), 8)
-	return pool, func() { pool.Close(); srv.Close() }
+	c, err := db.Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c, func() { c.Close(); srv.Close() }
 }
 
 func networkedUnpooledStore(b *testing.B) (db.Store, func()) {
@@ -105,7 +108,7 @@ func networkedUnpooledStore(b *testing.B) (db.Store, func()) {
 func BenchmarkTable2(b *testing.B) {
 	engines := map[string]func(*testing.B) (db.Store, func()){
 		"HsqlDBlike":        embeddedStore,
-		"MySQLlikeDBCP":     networkedPooledStore,
+		"MySQLlikeDBCP":     networkedDBCPStore,
 		"MySQLlikeUnpooled": networkedUnpooledStore,
 	}
 	for _, transport := range []string{"local", "tcp", "remote"} {

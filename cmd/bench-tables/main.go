@@ -12,7 +12,7 @@
 //	bench-tables -all            everything
 //
 // Tables 2 and 3 exercise the real runtime components (rpc transports,
-// database engines, connection pool, Chord DHT); the figures run on the
+// database engines served over rpc, Chord DHT); the figures run on the
 // simulated testbeds. -quick shrinks measurement durations for CI runs.
 package main
 

@@ -1,10 +1,10 @@
 // Package codec is the one schema codec for every standalone blob in the
-// plane: rpc frames and payloads (internal/rpc), the rows the D* services
-// keep serialised in their db.Store (catalog, scheduler, repl, collective),
-// and the records of db's WAL and snapshot, each a db.Mutation in a frame
-// (AppendFrame and Log, which the content pack's journal uses too). db/net and
-// swarm hold one gob encoder per stream and carry these blobs as opaque
-// bytes; they do not come through here.
+// plane: rpc frames and payloads (internal/rpc, which also carries the
+// networked db store and the swarm's tracker and peers), the rows the D*
+// services keep serialised in their db.Store (catalog, scheduler, repl,
+// collective), and the records of db's WAL and snapshot, each a db.Mutation
+// in a frame (AppendFrame and Log, which the content pack's journal uses
+// too). Only the analysis fact store is still gob.
 //
 // The plane's wire and row types are a closed universe both ends compile in,
 // so a blob describes nothing: it is a 4-byte type fingerprint — FNV-1a of

@@ -13,6 +13,9 @@ import (
 	"bitdew/internal/codec"
 	"bitdew/internal/data"
 	"bitdew/internal/db"
+	"bitdew/internal/protocols/swarm"
+	"bitdew/internal/repository"
+	"bitdew/internal/rpc"
 	"bitdew/internal/runtime"
 )
 
@@ -41,7 +44,8 @@ var (
 
 // planeTypes is every type the plane puts on the wire or in a store: the
 // argument and reply types on the Mux of each shard of a booted 2-shard R=2
-// plane, and the catalog, scheduler and repl row types.
+// plane and on the Mux of the swarm's tracker, a swarm peer and the
+// networked db store, and the catalog, scheduler and repl row types.
 func planeTypes(t testing.TB) []reflect.Type {
 	universeOnce.Do(func() {
 		plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{Shards: 2, Replicas: 2, DisableFTP: true, DisableSwarm: true})
@@ -61,6 +65,21 @@ func planeTypes(t testing.TB) []reflect.Type {
 		for i := 0; i < plane.N(); i++ {
 			add(plane.Shard(i).Mux.Payloads()...)
 		}
+		tracker, err := swarm.NewTracker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tracker.Close()
+		peer, err := swarm.NewLeecher(repository.NewMemBackend(), swarm.NewMetainfo("f", []byte("content"), 4), tracker.Addr(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		m := rpc.NewMux()
+		tracker.Mount(m)
+		peer.Mount(m)
+		db.Mount(m, db.NewRowStore())
+		add(m.Payloads()...)
 		add(reflect.TypeOf(data.Data{}), reflect.TypeOf([]data.Locator{}), reflect.TypeOf(db.Mutation{}),
 			reflect.TypeOf(schedulerRow{}), reflect.TypeOf(replStateRow{}))
 	})

@@ -3,12 +3,14 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bitdew/internal/codec"
 )
@@ -26,7 +28,7 @@ func storeFixtures(t *testing.T) map[string]Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	conn, err := DialConn(srv.Addr())
+	conn, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +42,6 @@ func storeFixtures(t *testing.T) map[string]Store {
 	}
 	t.Cleanup(func() { srv2.Close() })
 	fixtures["unpooled"] = NewUnpooledStore(srv2.Addr())
-
-	srv3, err := NewServer(NewRowStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv3.Close() })
-	pool := NewPool(srv3.Addr(), 4)
-	t.Cleanup(func() { pool.Close() })
-	fixtures["pool"] = pool
 	return fixtures
 }
 
@@ -290,98 +283,6 @@ func TestQuickWALRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolBounded(t *testing.T) {
-	srv, err := NewServer(NewRowStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := NewPool(srv.Addr(), 3)
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 30; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := p.Put("t", fmt.Sprint(i), []byte("v")); err != nil {
-				t.Errorf("Put: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	live, idle := p.Stats()
-	if live > 3 {
-		t.Errorf("pool exceeded max: live=%d", live)
-	}
-	if idle > live {
-		t.Errorf("idle %d > live %d", idle, live)
-	}
-	keys, err := p.Keys("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 30 {
-		t.Errorf("got %d keys, want 30", len(keys))
-	}
-}
-
-func TestPoolReusesConnections(t *testing.T) {
-	srv, err := NewServer(NewRowStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := NewPool(srv.Addr(), 4)
-	defer p.Close()
-	for i := 0; i < 20; i++ {
-		if err := p.Put("t", "k", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live, idle := p.Stats()
-	if live != 1 || idle != 1 {
-		t.Errorf("sequential use should hold one connection: live=%d idle=%d", live, idle)
-	}
-}
-
-func TestPoolClose(t *testing.T) {
-	srv, err := NewServer(NewRowStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := NewPool(srv.Addr(), 2)
-	p.Put("t", "k", []byte("v"))
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.Close() // idempotent
-	if err := p.Put("t", "k2", nil); err != ErrClosed {
-		t.Errorf("Put after Close: %v", err)
-	}
-}
-
-func TestPoolDiscardOnServerFailure(t *testing.T) {
-	srv, err := NewServer(NewRowStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(srv.Addr(), 2)
-	defer p.Close()
-	if err := p.Put("t", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	if err := p.Put("t", "k2", []byte("v")); err == nil {
-		t.Fatal("Put against dead server succeeded")
-	}
-	live, _ := p.Stats()
-	if live != 0 {
-		t.Errorf("broken connections not discarded: live=%d", live)
-	}
-}
-
 func TestUnpooledDialsPerOperation(t *testing.T) {
 	srv, err := NewServer(NewRowStore(), "127.0.0.1:0")
 	if err != nil {
@@ -403,6 +304,49 @@ func TestUnpooledDialsPerOperation(t *testing.T) {
 	}
 	if err := u.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestGetFromHungServerFails: a Get against a server that takes the
+// connection and never answers returns an error, on the shared client and
+// on a connection per operation, instead of blocking its caller.
+func TestGetFromHungServerFails(t *testing.T) {
+	// A listener nobody accepts from: the kernel completes the handshake,
+	// and the request is never read, let alone answered.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Closing the listener first resets the connections, so a Get still
+	// blocked past the guard returns and its client can close.
+	defer lis.Close()
+	stores := map[string]Store{"conn": conn, "unpooled": NewUnpooledStore(lis.Addr().String())}
+	type result struct {
+		name string
+		err  error
+	}
+	done := make(chan result, len(stores))
+	for name, s := range stores {
+		go func() {
+			_, _, err := s.Get("t", "k")
+			done <- result{name, err}
+		}()
+	}
+	guard := time.After(30 * time.Second)
+	for range stores {
+		select {
+		case r := <-done:
+			if r.err == nil {
+				t.Errorf("%s: Get from a hung server succeeded", r.name)
+			}
+		case <-guard:
+			t.Fatal("a Get from a hung server still blocks after 30s")
+		}
 	}
 }
 

@@ -1,159 +1,104 @@
 package db
 
 import (
-	"encoding/gob"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
-	"bitdew/internal/netsrv"
+	"bitdew/internal/rpc"
 )
 
-// dbRequest is one wire operation against a networked store.
-type dbRequest struct {
-	Op    byte // 'P' put, 'G' get, 'D' delete, 'K' keys, 'C' close
-	Table string
-	Key   string
-	Value []byte
-}
+// service is the rpc service name a served Store answers under.
+const service = "db"
 
-type dbResponse struct {
-	Value []byte
-	Keys  []string
-	Found bool
-	Err   string
-}
+// callTimeout bounds every call of a Client: a server that accepts and
+// never answers fails the call instead of hanging it. A store operation on
+// loopback takes microseconds.
+const callTimeout = 2 * time.Second
 
-// Server exposes a Store over TCP, playing the role of the MySQL server in
-// the paper's evaluation: a separate engine reached through a client/server
-// protocol, so every operation pays a real round trip.
-type Server struct {
-	srv   netsrv.Server
-	store Store
-}
-
-// NewServer serves store on addr ("127.0.0.1:0" picks a free port).
-func NewServer(store Store, addr string) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("db: listen %s: %w", addr, err)
+// The wire types of the db service.
+type (
+	keyArgs struct {
+		Table, Key string
 	}
-	s := &Server{store: store}
-	s.srv.Serve(lis, s.serveConn)
-	return s, nil
-}
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.srv.Addr() }
-
-// Close stops the server and severs every client connection.
-func (s *Server) Close() error { return s.srv.Close() }
-
-func (s *Server) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req dbRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp dbResponse
-		switch req.Op {
-		case 'P':
-			if err := s.store.Put(req.Table, req.Key, req.Value); err != nil {
-				resp.Err = err.Error()
-			}
-		case 'G':
-			v, ok, err := s.store.Get(req.Table, req.Key)
-			resp.Value, resp.Found = v, ok
-			if err != nil {
-				resp.Err = err.Error()
-			}
-		case 'D':
-			if err := s.store.Delete(req.Table, req.Key); err != nil {
-				resp.Err = err.Error()
-			}
-		case 'K':
-			keys, err := s.store.Keys(req.Table)
-			resp.Keys = keys
-			if err != nil {
-				resp.Err = err.Error()
-			}
-		case 'C':
-			_ = enc.Encode(resp)
-			return
-		default:
-			resp.Err = fmt.Sprintf("db: unknown op %q", req.Op)
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+	putArgs struct {
+		Table, Key string
+		Value      []byte
 	}
-}
-
-// Conn is one live client connection to a db Server; it implements Store.
-// A Conn serialises its own operations and is safe for concurrent use, but
-// concurrent callers should prefer a Pool of Conns.
-type Conn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// DialConn opens one connection to a db Server.
-func DialConn(addr string) (*Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("db: dial %s: %w", addr, err)
+	getReply struct {
+		Value []byte
+		Found bool
 	}
-	return &Conn{conn: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}, nil
+)
+
+// Mount registers store's Put, Get, Delete and Keys on m as the "db"
+// service.
+func Mount(m *rpc.Mux, store Store) {
+	rpc.Register(m, service, "Put", func(a putArgs) (struct{}, error) {
+		return struct{}{}, store.Put(a.Table, a.Key, a.Value)
+	})
+	rpc.Register(m, service, "Get", func(a keyArgs) (getReply, error) {
+		v, found, err := store.Get(a.Table, a.Key)
+		return getReply{Value: v, Found: found}, err
+	})
+	rpc.Register(m, service, "Delete", func(a keyArgs) (struct{}, error) {
+		return struct{}{}, store.Delete(a.Table, a.Key)
+	})
+	rpc.Register(m, service, "Keys", func(table string) ([]string, error) {
+		return store.Keys(table)
+	})
 }
 
-func (c *Conn) roundTrip(req dbRequest) (dbResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return dbResponse{}, fmt.Errorf("db: send: %w", err)
-	}
-	var resp dbResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return dbResponse{}, fmt.Errorf("db: recv: %w", err)
-	}
-	if resp.Err != "" {
-		return resp, fmt.Errorf("db: server: %s", resp.Err)
-	}
-	return resp, nil
+// NewServer serves store on addr ("127.0.0.1:0" picks a free port), playing
+// the role of the MySQL server in the paper's evaluation: a separate engine
+// reached through a client/server protocol, so every operation pays a real
+// round trip.
+func NewServer(store Store, addr string) (*rpc.Server, error) {
+	m := rpc.NewMux()
+	Mount(m, store)
+	return rpc.Listen(addr, m)
 }
 
-func (c *Conn) Put(table, key string, value []byte) error {
-	_, err := c.roundTrip(dbRequest{Op: 'P', Table: table, Key: key, Value: value})
-	return err
+// Client is a Store served by a db server, reached over one multiplexed
+// connection: the DBCP arm of Table 2. Concurrent callers share the
+// connection, the way the plane shares one client per shard.
+type Client struct {
+	c rpc.Client
 }
 
-func (c *Conn) Get(table, key string) ([]byte, bool, error) {
-	resp, err := c.roundTrip(dbRequest{Op: 'G', Table: table, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Value, resp.Found, nil
-}
-
-func (c *Conn) Delete(table, key string) error {
-	_, err := c.roundTrip(dbRequest{Op: 'D', Table: table, Key: key})
-	return err
-}
-
-func (c *Conn) Keys(table string) ([]string, error) {
-	resp, err := c.roundTrip(dbRequest{Op: 'K', Table: table})
+// Dial connects a Client to the db server at addr.
+func Dial(addr string) (*Client, error) {
+	c, err := rpc.Dial(addr, rpc.WithCallTimeout(callTimeout))
 	if err != nil {
 		return nil, err
 	}
-	return resp.Keys, nil
+	return &Client{c: c}, nil
 }
 
-func (c *Conn) Scan(table string, fn func(key string, value []byte) bool) error {
+func (c *Client) Put(table, key string, value []byte) error {
+	return c.c.Call(service, "Put", putArgs{Table: table, Key: key, Value: value}, nil)
+}
+
+func (c *Client) Get(table, key string) ([]byte, bool, error) {
+	var r getReply
+	if err := c.c.Call(service, "Get", keyArgs{Table: table, Key: key}, &r); err != nil {
+		return nil, false, err
+	}
+	return r.Value, r.Found, nil
+}
+
+func (c *Client) Delete(table, key string) error {
+	return c.c.Call(service, "Delete", keyArgs{Table: table, Key: key}, nil)
+}
+
+func (c *Client) Keys(table string) ([]string, error) {
+	var keys []string
+	if err := c.c.Call(service, "Keys", table, &keys); err != nil {
+		return nil, err
+	}
+	return keys, nil
+}
+
+// Scan lists the table's keys and then gets each one.
+func (c *Client) Scan(table string, fn func(key string, value []byte) bool) error {
 	keys, err := c.Keys(table)
 	if err != nil {
 		return err
@@ -173,12 +118,7 @@ func (c *Conn) Scan(table string, fn func(key string, value []byte) bool) error 
 	return nil
 }
 
-func (c *Conn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.enc.Encode(dbRequest{Op: 'C'})
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.c.Close() }
 
 // UnpooledStore implements Store by dialling a fresh connection for every
 // single operation — exactly the behaviour the paper measured for MySQL
@@ -191,8 +131,8 @@ type UnpooledStore struct {
 // server at addr.
 func NewUnpooledStore(addr string) *UnpooledStore { return &UnpooledStore{addr: addr} }
 
-func (u *UnpooledStore) with(fn func(*Conn) error) error {
-	c, err := DialConn(u.addr)
+func (u *UnpooledStore) with(fn func(*Client) error) error {
+	c, err := Dial(u.addr)
 	if err != nil {
 		return err
 	}
@@ -201,11 +141,11 @@ func (u *UnpooledStore) with(fn func(*Conn) error) error {
 }
 
 func (u *UnpooledStore) Put(table, key string, value []byte) error {
-	return u.with(func(c *Conn) error { return c.Put(table, key, value) })
+	return u.with(func(c *Client) error { return c.Put(table, key, value) })
 }
 
 func (u *UnpooledStore) Get(table, key string) (v []byte, found bool, err error) {
-	err = u.with(func(c *Conn) error {
+	err = u.with(func(c *Client) error {
 		v, found, err = c.Get(table, key)
 		return err
 	})
@@ -213,11 +153,11 @@ func (u *UnpooledStore) Get(table, key string) (v []byte, found bool, err error)
 }
 
 func (u *UnpooledStore) Delete(table, key string) error {
-	return u.with(func(c *Conn) error { return c.Delete(table, key) })
+	return u.with(func(c *Client) error { return c.Delete(table, key) })
 }
 
 func (u *UnpooledStore) Keys(table string) (keys []string, err error) {
-	err = u.with(func(c *Conn) error {
+	err = u.with(func(c *Client) error {
 		keys, err = c.Keys(table)
 		return err
 	})
@@ -225,7 +165,7 @@ func (u *UnpooledStore) Keys(table string) (keys []string, err error) {
 }
 
 func (u *UnpooledStore) Scan(table string, fn func(string, []byte) bool) error {
-	return u.with(func(c *Conn) error { return c.Scan(table, fn) })
+	return u.with(func(c *Client) error { return c.Scan(table, fn) })
 }
 
 func (u *UnpooledStore) Close() error { return nil }

@@ -9,10 +9,12 @@
 //   - RowStore is the embedded engine (HsqlDB role): an in-process,
 //     mutex-protected table store. DurableStore adds the write-ahead log
 //     and snapshot that carry it across a restart.
-//   - Server/Client expose any Store over TCP (MySQL role): every operation
-//     pays a real network round trip, and — exactly like JDBC without a
-//     pool — an unpooled client dials a fresh connection per operation.
-//   - Pool is the DBCP substitute: a bounded pool of live connections.
+//   - NewServer serves any Store as the rpc service "db" (MySQL role):
+//     every operation pays a real network round trip, and — exactly like
+//     JDBC without a pool — an UnpooledStore dials a fresh connection per
+//     operation.
+//   - Client is the DBCP substitute: one multiplexed connection that every
+//     caller shares, as the plane shares one client per shard.
 package db
 
 import (
@@ -24,7 +26,7 @@ import (
 	"sync"
 )
 
-// ErrClosed is returned by operations on a closed store or pool.
+// ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("db: closed")
 
 // Store is the persistence interface used by every BitDew service that

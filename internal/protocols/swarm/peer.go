@@ -1,30 +1,23 @@
 package swarm
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
-	"bitdew/internal/netsrv"
 	"bitdew/internal/repository"
+	"bitdew/internal/rpc"
 )
 
-// peerRequest is the peer-to-peer wire message.
-type peerRequest struct {
-	Op       string // "bitfield" | "piece"
+// pieceArgs names one piece of one swarm: the argument of a peer's Piece.
+type pieceArgs struct {
 	InfoHash string
 	Index    int
 }
 
-type peerResponse struct {
-	Bitfield []bool
-	Data     []byte
-	Err      string
-}
+var errWrongInfohash = errors.New("swarm: wrong infohash")
 
 // pieceStore tracks which pieces a peer holds and their bytes.
 type pieceStore struct {
@@ -105,8 +98,8 @@ type Peer struct {
 	meta    Metainfo
 	store   *pieceStore
 	backend repository.Backend
-	tracker string
-	srv     netsrv.Server
+	tracker rpc.Client // held for the peer's life
+	srv     *rpc.Server
 	left    sync.Once // withdrawn from the tracker
 	rng     *rand.Rand
 	rngMu   sync.Mutex
@@ -126,20 +119,25 @@ func newPeer(backend repository.Backend, meta Metainfo, trackerAddr, addr string
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	lis, err := net.Listen("tcp", addr)
+	tracker, err := rpc.Dial(trackerAddr, rpc.WithCallTimeout(callTimeout))
 	if err != nil {
-		return nil, fmt.Errorf("swarm: peer listen %s: %w", addr, err)
+		return nil, fmt.Errorf("swarm: tracker: %w", err)
 	}
 	p := &Peer{
 		meta:      meta,
 		store:     newPieceStore(meta),
 		backend:   backend,
-		tracker:   trackerAddr,
+		tracker:   tracker,
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 		Fanout:    8,
 		RoundWait: 50 * time.Millisecond,
 	}
-	p.srv.Serve(lis, p.serveConn)
+	m := rpc.NewMux()
+	p.Mount(m)
+	if p.srv, err = rpc.Listen(addr, m); err != nil {
+		tracker.Close()
+		return nil, fmt.Errorf("swarm: peer: %w", err)
+	}
 	return p, nil
 }
 
@@ -164,9 +162,9 @@ func NewSeeder(backend repository.Backend, meta Metainfo, trackerAddr, addr stri
 	}
 	// Publish the metainfo so leechers can bootstrap from a Locator (data
 	// checksum + tracker address) without side channels.
-	if tc, terr := dialTracker(trackerAddr); terr == nil {
-		tc.setMeta(meta.InfoHash, meta)
-		tc.close()
+	if err := p.tracker.Call(trackerService, "SetMeta", meta, nil); err != nil {
+		p.Close()
+		return nil, err
 	}
 	return p, nil
 }
@@ -197,89 +195,42 @@ func (p *Peer) Progress() (have, total int) {
 // Complete reports whether the peer holds every piece.
 func (p *Peer) Complete() bool { return p.store.complete() }
 
-// Close stops serving and withdraws from the tracker.
+// Close stops serving, withdraws from the tracker and hangs up on it.
 func (p *Peer) Close() error {
 	err := p.srv.Close()
 	p.left.Do(func() {
-		if tc, terr := dialTracker(p.tracker); terr == nil {
-			tc.leave(p.meta.InfoHash, p.Addr())
-			tc.close()
-		}
+		p.tracker.Call(trackerService, "Leave", p.member(), nil)
+		p.tracker.Close()
 	})
 	return err
 }
 
+func (p *Peer) member() member { return member{InfoHash: p.meta.InfoHash, PeerAddr: p.Addr()} }
+
 func (p *Peer) announce() error {
-	tc, err := dialTracker(p.tracker)
-	if err != nil {
-		return err
-	}
-	defer tc.close()
-	_, err = tc.announce(p.meta.InfoHash, p.Addr())
+	_, err := p.peerList()
 	return err
 }
 
-func (p *Peer) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req peerRequest
-		if err := dec.Decode(&req); err != nil {
-			return
+// Mount registers the peer's Bitfield and Piece on m as the "peer" service.
+func (p *Peer) Mount(m *rpc.Mux) {
+	rpc.Register(m, peerService, "Bitfield", func(infohash string) ([]bool, error) {
+		if infohash != p.meta.InfoHash {
+			return nil, errWrongInfohash
 		}
-		var resp peerResponse
-		if req.InfoHash != p.meta.InfoHash {
-			resp.Err = "swarm: wrong infohash"
-		} else {
-			switch req.Op {
-			case "bitfield":
-				resp.Bitfield = p.store.bitfield()
-			case "piece":
-				if data, ok := p.store.get(req.Index); ok {
-					resp.Data = data
-				} else {
-					resp.Err = fmt.Sprintf("swarm: piece %d not held", req.Index)
-				}
-			default:
-				resp.Err = fmt.Sprintf("swarm: unknown op %q", req.Op)
-			}
+		return p.store.bitfield(), nil
+	})
+	rpc.Register(m, peerService, "Piece", func(a pieceArgs) ([]byte, error) {
+		if a.InfoHash != p.meta.InfoHash {
+			return nil, errWrongInfohash
 		}
-		if err := enc.Encode(resp); err != nil {
-			return
+		data, ok := p.store.get(a.Index)
+		if !ok {
+			return nil, fmt.Errorf("swarm: piece %d not held", a.Index)
 		}
-	}
+		return data, nil
+	})
 }
-
-// peerConn is an outbound connection to another peer.
-type peerConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func dialPeer(addr string) (*peerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-func (c *peerConn) roundTrip(req peerRequest) (peerResponse, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return peerResponse{}, err
-	}
-	var resp peerResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return peerResponse{}, err
-	}
-	if resp.Err != "" {
-		return resp, errors.New(resp.Err)
-	}
-	return resp, nil
-}
-
-func (c *peerConn) close() { c.conn.Close() }
 
 // Download fetches every missing piece, rarest-first, within the deadline.
 // On completion the assembled content is stored in the backend under
@@ -304,19 +255,7 @@ func (p *Peer) Download(timeout time.Duration) error {
 		if len(peers) > p.Fanout {
 			peers = peers[:p.Fanout]
 		}
-		var views []peerView
-		for _, addr := range peers {
-			pc, err := dialPeer(addr)
-			if err != nil {
-				continue
-			}
-			resp, err := pc.roundTrip(peerRequest{Op: "bitfield", InfoHash: p.meta.InfoHash})
-			if err != nil || len(resp.Bitfield) != p.meta.NumPieces() {
-				pc.close()
-				continue
-			}
-			views = append(views, peerView{addr: addr, conn: pc, have: resp.Bitfield})
-		}
+		views := p.survey(peers, deadline)
 		if len(views) == 0 {
 			time.Sleep(p.RoundWait)
 			continue
@@ -342,9 +281,7 @@ func (p *Peer) Download(timeout time.Duration) error {
 			}
 		}
 		if len(cands) == 0 {
-			for _, v := range views {
-				v.conn.close()
-			}
+			closeViews(views)
 			time.Sleep(p.RoundWait)
 			continue
 		}
@@ -355,8 +292,8 @@ func (p *Peer) Download(timeout time.Duration) error {
 			sortByOwners(cands, func(c cand) int { return c.owners })
 		}
 
-		// Fetch this round's batch with a small worker pool, one connection
-		// per worker per peer choice.
+		// Fetch this round's batch with a small worker pool over the
+		// survey's connections.
 		batch := cands
 		if len(batch) > workers*4 {
 			batch = batch[:workers*4]
@@ -372,14 +309,12 @@ func (p *Peer) Download(timeout time.Duration) error {
 			go func() {
 				defer wg.Done()
 				for c := range jobs {
-					p.fetchPiece(c.index, views2addrs(views, c.index))
+					p.fetchPiece(c.index, holders(views, c.index), deadline)
 				}
 			}()
 		}
 		wg.Wait()
-		for _, v := range views {
-			v.conn.close()
-		}
+		closeViews(views)
 	}
 	content := p.store.assemble()
 	if err := p.backend.Put(p.meta.Ref, content); err != nil {
@@ -388,19 +323,48 @@ func (p *Peer) Download(timeout time.Duration) error {
 	return nil
 }
 
-// peerView is one surveyed peer: its address, live connection and bitfield.
+// peerView is one surveyed peer: the round's client of it and its bitfield.
 type peerView struct {
-	addr string
-	conn *peerConn
+	conn rpc.Client
 	have []bool
 }
 
-// views2addrs lists the addresses of peers holding piece index.
-func views2addrs(views []peerView, index int) []string {
-	var out []string
+// survey asks each of peers for its bitfield, on a client that then serves
+// the round's piece calls. A call is bounded by what is left of the
+// download's deadline, so a peer that never answers costs at most that.
+func (p *Peer) survey(peers []string, deadline time.Time) []peerView {
+	var views []peerView
+	for _, addr := range peers {
+		left := time.Until(deadline)
+		if left <= 0 {
+			break
+		}
+		c, err := rpc.Dial(addr, rpc.WithCallTimeout(min(left, callTimeout)))
+		if err != nil {
+			continue
+		}
+		var have []bool
+		if err := c.Call(peerService, "Bitfield", p.meta.InfoHash, &have); err != nil || len(have) != p.meta.NumPieces() {
+			c.Close()
+			continue
+		}
+		views = append(views, peerView{conn: c, have: have})
+	}
+	return views
+}
+
+func closeViews(views []peerView) {
+	for _, v := range views {
+		v.conn.Close()
+	}
+}
+
+// holders lists the clients of the peers holding piece index.
+func holders(views []peerView, index int) []rpc.Client {
+	var out []rpc.Client
 	for _, v := range views {
 		if v.have[index] {
-			out = append(out, v.addr)
+			out = append(out, v.conn)
 		}
 	}
 	return out
@@ -416,38 +380,35 @@ func sortByOwners[T any](s []T, key func(T) int) {
 	}
 }
 
-// fetchPiece downloads and verifies one piece from any of the given owners.
-func (p *Peer) fetchPiece(index int, owners []string) {
+// fetchPiece downloads and verifies one piece from any of the given owners,
+// trying none once the deadline has passed.
+func (p *Peer) fetchPiece(index int, owners []rpc.Client, deadline time.Time) {
 	if _, ok := p.store.get(index); ok {
 		return
 	}
 	p.rngMu.Lock()
 	p.rng.Shuffle(len(owners), func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
 	p.rngMu.Unlock()
-	for _, addr := range owners {
-		pc, err := dialPeer(addr)
-		if err != nil {
+	for _, c := range owners {
+		if time.Now().After(deadline) {
+			return
+		}
+		var data []byte
+		if err := c.Call(peerService, "Piece", pieceArgs{InfoHash: p.meta.InfoHash, Index: index}, &data); err != nil {
 			continue
 		}
-		resp, err := pc.roundTrip(peerRequest{Op: "piece", InfoHash: p.meta.InfoHash, Index: index})
-		pc.close()
-		if err != nil {
-			continue
-		}
-		if !p.meta.VerifyPiece(index, resp.Data) {
+		if !p.meta.VerifyPiece(index, data) {
 			continue // corrupt or truncated: try another owner
 		}
-		p.store.set(index, resp.Data)
+		p.store.set(index, data)
 		return
 	}
 }
 
-// peerList asks the tracker for the current swarm membership.
+// peerList announces the peer to the tracker and returns the swarm's other
+// members.
 func (p *Peer) peerList() ([]string, error) {
-	tc, err := dialTracker(p.tracker)
-	if err != nil {
-		return nil, err
-	}
-	defer tc.close()
-	return tc.announce(p.meta.InfoHash, p.Addr())
+	var peers []string
+	err := p.tracker.Call(trackerService, "Announce", p.member(), &peers)
+	return peers, err
 }

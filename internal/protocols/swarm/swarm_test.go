@@ -3,12 +3,14 @@ package swarm
 import (
 	"bytes"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"bitdew/internal/repository"
+	"bitdew/internal/rpc"
 )
 
 func randBytes(n int, seed int64) []byte {
@@ -90,26 +92,31 @@ func TestTrackerAnnounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tc, err := dialTracker(tr.Addr())
+	tc, err := rpc.Dial(tr.Addr(), rpc.WithCallTimeout(callTimeout))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.close()
-	peers, err := tc.announce("hash1", "p1:1")
+	defer tc.Close()
+	announce := func(infohash, peerAddr string) ([]string, error) {
+		var peers []string
+		err := tc.Call(trackerService, "Announce", member{InfoHash: infohash, PeerAddr: peerAddr}, &peers)
+		return peers, err
+	}
+	peers, err := announce("hash1", "p1:1")
 	if err != nil || len(peers) != 0 {
 		t.Fatalf("first announce = %v, %v", peers, err)
 	}
-	peers, err = tc.announce("hash1", "p2:1")
+	peers, err = announce("hash1", "p2:1")
 	if err != nil || len(peers) != 1 || peers[0] != "p1:1" {
 		t.Fatalf("second announce = %v, %v", peers, err)
 	}
 	// Swarm isolation by infohash.
-	peers, _ = tc.announce("hash2", "p3:1")
+	peers, _ = announce("hash2", "p3:1")
 	if len(peers) != 0 {
 		t.Fatalf("cross-swarm peers leaked: %v", peers)
 	}
 	// Leave removes.
-	if err := tc.leave("hash1", "p1:1"); err != nil {
+	if err := tc.Call(trackerService, "Leave", member{InfoHash: "hash1", PeerAddr: "p1:1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Swarm("hash1"); len(got) != 1 || got[0] != "p2:1" {
@@ -210,6 +217,49 @@ func TestDownloadTimesOutWithoutSeeder(t *testing.T) {
 	defer leecher.Close()
 	if err := leecher.Download(300 * time.Millisecond); err == nil {
 		t.Fatal("Download with no seeder succeeded")
+	}
+}
+
+// TestDownloadTimesOutPastHungPeer: a swarm member that takes the
+// connection and never answers holds Download no longer than its timeout.
+// The guard is below the 10 s bound of a single call, so a survey that did
+// not cut its calls to the download's deadline fails too.
+func TestDownloadTimesOutPastHungPeer(t *testing.T) {
+	content := randBytes(64_000, 15)
+	tr, meta, _ := startSwarm(t, content, 8*1024)
+	// A listener nobody accepts from: the kernel completes the handshake,
+	// and the request is never read, let alone answered.
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hung.Close()
+	tc, err := rpc.Dial(tr.Addr(), rpc.WithCallTimeout(callTimeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	if err := tc.Call(trackerService, "Announce", member{InfoHash: meta.InfoHash, PeerAddr: hung.Addr().String()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	leecher, err := NewLeecher(repository.NewMemBackend(), meta, tr.Addr(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leecher.Close()
+
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- leecher.Download(timeout) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Download reported success although a surveyed peer never answered within its timeout")
+		}
+		t.Logf("Download(%v) returned after %v: %v", timeout, time.Since(start), err)
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Download(%v) still blocks after 5s on a peer that never answers", timeout)
 	}
 }
 

@@ -1,35 +1,36 @@
 package swarm
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
-	"bitdew/internal/netsrv"
+	"bitdew/internal/rpc"
 )
 
-// trackerRequest is the announce/scrape wire message.
-type trackerRequest struct {
-	Op       string // "announce" | "peers" | "leave" | "setmeta" | "getmeta"
+// The rpc service names of the tracker and of a peer.
+const (
+	trackerService = "tracker"
+	peerService    = "peer"
+)
+
+// callTimeout bounds every call to a tracker or a peer, so a swarm member
+// that accepts a connection and never answers cannot hold its caller.
+const callTimeout = 10 * time.Second
+
+// member names one peer of one swarm: the argument of Announce, Peers and
+// Leave.
+type member struct {
 	InfoHash string
 	PeerAddr string
-	Meta     Metainfo
-}
-
-type trackerResponse struct {
-	Peers []string
-	Meta  Metainfo
-	Err   string
 }
 
 // Tracker coordinates peer discovery per infohash, the way a BitTorrent
 // tracker does. Announcing registers the caller and returns the other known
 // peers of the swarm.
 type Tracker struct {
-	srv netsrv.Server
+	srv *rpc.Server
 
 	mu     sync.Mutex
 	swarms map[string]map[string]time.Time // infohash -> peerAddr -> lastSeen
@@ -38,15 +39,17 @@ type Tracker struct {
 
 // NewTracker starts a tracker on addr.
 func NewTracker(addr string) (*Tracker, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: tracker listen %s: %w", addr, err)
-	}
 	t := &Tracker{
 		swarms: make(map[string]map[string]time.Time),
 		metas:  make(map[string]Metainfo),
 	}
-	t.srv.Serve(lis, t.serveConn)
+	m := rpc.NewMux()
+	t.Mount(m)
+	srv, err := rpc.Listen(addr, m)
+	if err != nil {
+		return nil, fmt.Errorf("swarm: tracker: %w", err)
+	}
+	t.srv = srv
 	return t, nil
 }
 
@@ -68,128 +71,71 @@ func (t *Tracker) Swarm(infohash string) []string {
 	return out
 }
 
-func (t *Tracker) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req trackerRequest
-		if err := dec.Decode(&req); err != nil {
-			return
+// Mount registers the tracker's Announce, Peers, Leave, SetMeta and GetMeta
+// on m as the "tracker" service.
+func (t *Tracker) Mount(m *rpc.Mux) {
+	rpc.Register(m, trackerService, "Announce", func(a member) ([]string, error) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		s := t.swarms[a.InfoHash]
+		if s == nil {
+			s = make(map[string]time.Time)
+			t.swarms[a.InfoHash] = s
 		}
-		var resp trackerResponse
-		switch req.Op {
-		case "announce":
-			t.mu.Lock()
-			s := t.swarms[req.InfoHash]
-			if s == nil {
-				s = make(map[string]time.Time)
-				t.swarms[req.InfoHash] = s
-			}
-			s[req.PeerAddr] = time.Now()
-			for p := range s {
-				if p != req.PeerAddr {
-					resp.Peers = append(resp.Peers, p)
-				}
-			}
-			t.mu.Unlock()
-			sort.Strings(resp.Peers)
-		case "peers":
-			t.mu.Lock()
-			for p := range t.swarms[req.InfoHash] {
-				if p != req.PeerAddr {
-					resp.Peers = append(resp.Peers, p)
-				}
-			}
-			t.mu.Unlock()
-			sort.Strings(resp.Peers)
-		case "leave":
-			t.mu.Lock()
-			delete(t.swarms[req.InfoHash], req.PeerAddr)
-			t.mu.Unlock()
-		case "setmeta":
-			t.mu.Lock()
-			t.metas[req.InfoHash] = req.Meta
-			t.mu.Unlock()
-		case "getmeta":
-			t.mu.Lock()
-			meta, ok := t.metas[req.InfoHash]
-			t.mu.Unlock()
-			if !ok {
-				resp.Err = fmt.Sprintf("swarm: no metainfo for %s", req.InfoHash)
-			} else {
-				resp.Meta = meta
-			}
-		default:
-			resp.Err = fmt.Sprintf("swarm: unknown tracker op %q", req.Op)
+		s[a.PeerAddr] = time.Now()
+		return t.others(a), nil
+	})
+	rpc.Register(m, trackerService, "Peers", func(a member) ([]string, error) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.others(a), nil
+	})
+	rpc.Register(m, trackerService, "Leave", func(a member) (struct{}, error) {
+		t.mu.Lock()
+		delete(t.swarms[a.InfoHash], a.PeerAddr)
+		t.mu.Unlock()
+		return struct{}{}, nil
+	})
+	rpc.Register(m, trackerService, "SetMeta", func(meta Metainfo) (struct{}, error) {
+		t.mu.Lock()
+		t.metas[meta.InfoHash] = meta
+		t.mu.Unlock()
+		return struct{}{}, nil
+	})
+	rpc.Register(m, trackerService, "GetMeta", func(infohash string) (Metainfo, error) {
+		t.mu.Lock()
+		meta, ok := t.metas[infohash]
+		t.mu.Unlock()
+		if !ok {
+			return Metainfo{}, fmt.Errorf("swarm: no metainfo for %s", infohash)
 		}
-		if err := enc.Encode(resp); err != nil {
-			return
+		return meta, nil
+	})
+}
+
+// others lists, sorted, the peers of a's swarm other than a itself. The
+// caller holds t.mu.
+func (t *Tracker) others(a member) []string {
+	var out []string
+	for p := range t.swarms[a.InfoHash] {
+		if p != a.PeerAddr {
+			out = append(out, p)
 		}
 	}
-}
-
-// trackerClient is one connection to a tracker.
-type trackerClient struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func dialTracker(addr string) (*trackerClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: dial tracker %s: %w", addr, err)
-	}
-	return &trackerClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-func (c *trackerClient) roundTrip(req trackerRequest) (trackerResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return trackerResponse{}, err
-	}
-	var resp trackerResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return trackerResponse{}, err
-	}
-	if resp.Err != "" {
-		return resp, fmt.Errorf("%s", resp.Err)
-	}
-	return resp, nil
-}
-
-func (c *trackerClient) announce(infohash, peerAddr string) ([]string, error) {
-	resp, err := c.roundTrip(trackerRequest{Op: "announce", InfoHash: infohash, PeerAddr: peerAddr})
-	return resp.Peers, err
-}
-
-func (c *trackerClient) leave(infohash, peerAddr string) error {
-	_, err := c.roundTrip(trackerRequest{Op: "leave", InfoHash: infohash, PeerAddr: peerAddr})
-	return err
-}
-
-func (c *trackerClient) setMeta(infohash string, meta Metainfo) error {
-	_, err := c.roundTrip(trackerRequest{Op: "setmeta", InfoHash: infohash, Meta: meta})
-	return err
-}
-
-func (c *trackerClient) getMeta(infohash string) (Metainfo, error) {
-	resp, err := c.roundTrip(trackerRequest{Op: "getmeta", InfoHash: infohash})
-	return resp.Meta, err
+	sort.Strings(out)
+	return out
 }
 
 // FetchMeta retrieves the metainfo registered for infohash at the tracker,
 // letting a leecher bootstrap a swarm download from a datum's checksum and
 // a tracker address alone (the content of a BitDew Locator).
 func FetchMeta(trackerAddr, infohash string) (Metainfo, error) {
-	tc, err := dialTracker(trackerAddr)
+	c, err := rpc.Dial(trackerAddr, rpc.WithCallTimeout(callTimeout))
 	if err != nil {
-		return Metainfo{}, err
+		return Metainfo{}, fmt.Errorf("swarm: tracker: %w", err)
 	}
-	defer tc.close()
-	return tc.getMeta(infohash)
+	defer c.Close()
+	var meta Metainfo
+	err = c.Call(trackerService, "GetMeta", infohash, &meta)
+	return meta, err
 }
-
-func (c *trackerClient) close() error { return c.conn.Close() }

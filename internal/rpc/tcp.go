@@ -340,25 +340,23 @@ func WithCallLatency(d time.Duration) DialOption {
 // response has not arrived within d of the request being sent fails with
 // ErrDeadline instead of blocking forever on a peer that stopped answering
 // without closing the connection. The timer is armed per call and only when
-// the option is set, so clients that omit it pay nothing. d <= 0 disables
-// the bound.
+// the option is set, so clients that omit it pay nothing. The dial itself is
+// bounded by d too. d <= 0 disables the bound.
 func WithCallTimeout(d time.Duration) DialOption {
-	return func(c *tcpClient) { c.timeout = d }
+	return func(c *tcpClient) { c.timeout = max(d, 0) }
 }
 
 // Dial connects to a Server at addr.
 func Dial(addr string, opts ...DialOption) (Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
-	}
-	c := &tcpClient{
-		conn:    conn,
-		pending: make(map[uint64]chan response),
-	}
+	c := &tcpClient{pending: make(map[uint64]chan response)}
 	for _, o := range opts {
 		o(c)
 	}
+	conn, err := net.DialTimeout("tcp", addr, c.timeout)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
+	}
+	c.conn = conn
 	go c.readLoop()
 	return c, nil
 }
