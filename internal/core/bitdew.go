@@ -473,21 +473,15 @@ func (b *BitDew) lookupLocatorsOnce(v *shardView, ds []data.Data, protocol strin
 		// mark those data retryable instead of caching an empty answer.
 		notOwner := repl.IsNotOwner(calls[0].Err)
 		for k, j := range idx {
-			var out []data.Locator
-			seen := map[data.Locator]bool{}
+			var cat []data.Locator
+			var fallback data.Locator
 			if calls[0].Err == nil && k < len(catLocs) {
-				for _, l := range catLocs[k] {
-					if protocol == "" || l.Protocol == protocol {
-						out = append(out, l)
-						seen[l] = true
-					}
-				}
+				cat = catLocs[k]
 			}
 			if calls[1].Err == nil && k < len(repLocs) {
-				if l := repLocs[k]; l != (data.Locator{}) && !seen[l] {
-					out = append(out, l)
-				}
+				fallback = repLocs[k]
 			}
+			out := data.Candidates(cat, fallback, protocol)
 			i := miss[j]
 			errs[i] = nil
 			candidates[i] = out
@@ -659,6 +653,7 @@ func (b *BitDew) DeleteData(d data.Data) error {
 		return err
 	}
 	b.set.cache.invalidate(d.UID)
+	b.engine.Forget(d.UID)
 	return b.backend.Delete(string(d.UID))
 }
 

@@ -453,6 +453,50 @@ func TestDeleteDataClearsEverywhere(t *testing.T) {
 	}
 }
 
+// TestDeletedDataLeaveNoTransfers: a deleted datum leaves nothing in the
+// transfer engines of the client that deletes it and of a worker whose
+// heartbeat drops it. WaitFor then returns nil, as for a datum never moved,
+// though each side's last transfer of it failed: the engines used to keep
+// that transfer, one per datum ever moved, for the life of the process.
+func TestDeletedDataLeaveNoTransfers(t *testing.T) {
+	h := newHarness(t, false)
+	client, worker := h.node("client"), h.node("worker")
+	client.SetClientOnly(true)
+	for i := 0; i < 50; i++ {
+		d, err := client.BitDew.CreateData(fmt.Sprintf("cycle-%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.BitDew.Put(d, []byte(d.Name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.ActiveData.Schedule(*d, attr.Attribute{Name: "cycle", Replica: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := worker.SyncWait(1); err != nil || !worker.Holds(d.UID) {
+			t.Fatalf("cycle %d: worker did not fetch %s: %v", i, d.Name, err)
+		}
+		// A fetch from nowhere: the transfer WaitFor would go on reporting.
+		nowhere := data.Locator{DataUID: d.UID, Protocol: "none", Host: "nowhere", Ref: string(d.UID)}
+		for _, n := range []*core.Node{client, worker} {
+			if n.Transfers.Download(*d, nowhere).Wait() == nil {
+				t.Fatal("a fetch from nowhere succeeded")
+			}
+		}
+		if err := client.BitDew.DeleteData(*d); err != nil {
+			t.Fatal(err)
+		}
+		if err := worker.SyncWait(1); err != nil || worker.Holds(d.UID) {
+			t.Fatalf("cycle %d: worker kept %s: %v", i, d.Name, err)
+		}
+		for _, n := range []*core.Node{client, worker} {
+			if err := n.Transfers.WaitFor(*d); err != nil {
+				t.Fatalf("cycle %d: %s still has a transfer of the deleted %s: %v", i, n.Host, d.Name, err)
+			}
+		}
+	}
+}
+
 func TestPinnedDataSurvivesAsAffinityTarget(t *testing.T) {
 	// A Result datum with affinity to a pinned Collector flows to the
 	// master node (the paper's result-collection idiom).

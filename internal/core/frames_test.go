@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -133,9 +134,9 @@ func TestFrameBudget(t *testing.T) {
 		t.Errorf("Get+Wait = %d frames, want 1", got)
 	}
 
-	// A worker round: one heartbeat per shard, then one lookup per shard that
-	// homes any of the round's assignments. The DT reports wait for the next
-	// round's heartbeats.
+	// A worker round: one heartbeat per shard, whose answer carries the
+	// assignments' locators, so no lookup follows. The DT reports wait for
+	// the next round's heartbeats.
 	w := newFrameRig(t, h, "worker")
 	if err := w.node.SyncWait(1); err != nil { // opens its scheduler sessions
 		t.Fatal(err)
@@ -155,10 +156,8 @@ func TestFrameBudget(t *testing.T) {
 		if err := c.node.ActiveData.ScheduleAll(sched, []attr.Attribute{a}); err != nil {
 			t.Fatal(err)
 		}
-		s := w.homes(row.ds)
-		if got := w.frames(func() error { return w.node.SyncWait(1) }); got != 2+s {
-			t.Errorf("worker round assigned %s = %d frames, want %d (2 heartbeats + %d lookups)",
-				row.name, got, 2+s, s)
+		if got := w.frames(func() error { return w.node.SyncWait(1) }); got != 2 {
+			t.Errorf("worker round assigned %s = %d frames, want 2 heartbeats", row.name, got)
 		}
 		for _, d := range row.ds {
 			if !w.node.Holds(d.UID) {
@@ -187,5 +186,202 @@ func TestFrameBudget(t *testing.T) {
 	// and the content with it.
 	if got := c.frames(func() error { return bd.DeleteData(*ds[0]) }); got != 1 {
 		t.Errorf("DeleteData = %d frames, want 1", got)
+	}
+}
+
+// workerRound schedules ds for one worker and returns the frames of the
+// worker round that fetches them and the number of their home shards,
+// checking each datum landed byte-exact. The worker's scheduler sessions are
+// open before the round counted.
+func workerRound(t *testing.T, h *shardedHarness, ds []*data.Data, contents [][]byte) (frames, homes uint64) {
+	t.Helper()
+	w := newFrameRig(t, h, "worker")
+	if err := w.node.SyncWait(1); err != nil {
+		t.Fatal(err)
+	}
+	sched := make([]data.Data, len(ds))
+	for i, d := range ds {
+		sched[i] = *d
+	}
+	a := attr.Attribute{Name: "task", Replica: 1, Protocol: "http"}
+	if err := w.node.ActiveData.ScheduleAll(sched, []attr.Attribute{a}); err != nil {
+		t.Fatal(err)
+	}
+	got := w.frames(func() error { return w.node.SyncWait(1) })
+	for i, d := range ds {
+		if content, err := w.node.Backend().Get(string(d.UID)); err != nil || string(content) != string(contents[i]) {
+			t.Errorf("%s landed as %q, %v; want %q", d.Name, content, err, contents[i])
+		}
+	}
+	return got, w.homes(ds)
+}
+
+// putFor creates and puts count data through a client rig on h.
+func putFor(t *testing.T, h *shardedHarness, prefix string, count int) ([]*data.Data, [][]byte) {
+	t.Helper()
+	c := newFrameRig(t, h, "client")
+	c.node.SetClientOnly(true)
+	ds, contents := c.create(prefix, count)
+	if err := c.node.BitDew.PutAll(ds, contents); err != nil {
+		t.Fatal(err)
+	}
+	return ds, contents
+}
+
+// TestWorkerRoundHealsStaleLocator: a heartbeat answer whose locator names
+// an endpoint that has gone away costs the worker one fresh lookup, after
+// which the datum lands byte-exact.
+func TestWorkerRoundHealsStaleLocator(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	ds, contents := putFor(t, h, "stale", 1)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := lis.Addr().String()
+	lis.Close()
+	for i := 0; i < h.plane.N(); i++ {
+		h.plane.Shard(i).DS.SetLocate(func(uid data.UID, protocol string) ([]data.Locator, error) {
+			return []data.Locator{{DataUID: uid, Protocol: protocol, Host: gone, Ref: string(uid)}}, nil
+		})
+	}
+	if got, _ := workerRound(t, h, ds, contents); got != 3 {
+		t.Errorf("worker round with a stale locator = %d frames, want 3 (2 heartbeats + 1 fresh lookup)", got)
+	}
+}
+
+// TestWorkerRoundLooksUpWhenLocateRefused: when the scheduler's shard cannot
+// read an assignment's locators, the assignment goes out bare and the worker
+// looks it up itself, one frame per home shard, as a round did before
+// heartbeats carried locators.
+func TestWorkerRoundLooksUpWhenLocateRefused(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	ds, contents := putFor(t, h, "refused", 6)
+	for i := 0; i < h.plane.N(); i++ {
+		h.plane.Shard(i).DS.SetLocate(func(uid data.UID, _ string) ([]data.Locator, error) {
+			return nil, fmt.Errorf("locate %s: refused", uid)
+		})
+	}
+	if got, s := workerRound(t, h, ds, contents); got != 2+s {
+		t.Errorf("worker round with refused locates = %d frames, want %d (2 heartbeats + %d lookups)", got, 2+s, s)
+	}
+}
+
+// TestPlaceFramesPerPhase is the frame budget of one wave-distribute place
+// (bench/README.md): a broadcast datum and 64 tasks over 4 workers on 2
+// shards, the workers stepped round-robin one SyncWait(1) at a time until
+// every wanted replica has landed, then every datum deleted. It logs the
+// frames of each phase, counted over the client's and the workers'
+// connections, and pins each phase to its TestFrameBudget row.
+func TestPlaceFramesPerPhase(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	c := newFrameRig(t, h, "client")
+	c.node.SetClientOnly(true)
+	rigs := []*frameRig{c}
+	workers := make([]*core.Node, 4)
+	for i := range workers {
+		w := newFrameRig(t, h, fmt.Sprintf("worker-%d", i))
+		if err := w.node.SyncWait(1); err != nil { // opens its scheduler sessions
+			t.Fatal(err)
+		}
+		rigs, workers[i] = append(rigs, w), w.node
+	}
+	frames := func(op func() error) uint64 {
+		t.Helper()
+		var before, after uint64
+		for _, r := range rigs {
+			before += r.set.RoundTrips()
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rigs {
+			after += r.set.RoundTrips()
+		}
+		return after - before
+	}
+
+	names := make([]string, 65)
+	contents := make([][]byte, len(names))
+	attrs := make([]attr.Attribute, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("task-%03d", i)
+		attrs[i] = attr.Attribute{Name: "task", Replica: 1, FaultTolerant: true, Protocol: "http"}
+	}
+	names[0] = "bcast"
+	attrs[0] = attr.Attribute{Name: "bcast", Replica: attr.ReplicaAll, FaultTolerant: true, Protocol: "http"}
+	for i, name := range names {
+		contents[i] = []byte("content of " + name)
+	}
+	var ds []*data.Data
+	create := frames(func() (err error) {
+		ds, err = c.node.BitDew.CreateDataBatch(names)
+		return err
+	})
+	s := c.homes(ds)
+	put := frames(func() error { return c.node.BitDew.PutAll(ds, contents) })
+	scheduled := make([]data.Data, len(ds))
+	for i, d := range ds {
+		scheduled[i] = *d
+	}
+	schedule := frames(func() error { return c.node.ActiveData.ScheduleAll(scheduled, attrs) })
+
+	placed := func() bool {
+		for i, d := range ds {
+			held := 0
+			for _, w := range workers {
+				if w.Holds(d.UID) {
+					held++
+				}
+			}
+			if held < 1 || i == 0 && held < len(workers) {
+				return false
+			}
+		}
+		return true
+	}
+	steps := 0
+	rounds := frames(func() error {
+		for ; !placed(); steps++ {
+			if steps == 50 {
+				return fmt.Errorf("not placed after %d worker rounds", steps)
+			}
+			if err := workers[steps%len(workers)].SyncWait(1); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for i, d := range ds {
+		for _, w := range workers {
+			if content, err := w.Backend().Get(string(d.UID)); w.Holds(d.UID) && (err != nil || string(content) != string(contents[i])) {
+				t.Errorf("%s on %s = %q, %v; want %q", d.Name, w.Host, content, err, contents[i])
+			}
+		}
+	}
+	deletes := frames(func() error {
+		for _, d := range ds {
+			if err := c.node.BitDew.DeleteData(*d); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+
+	t.Logf("place of %d data over %d home shards: create %d, put %d, schedule %d, worker rounds %d (%d rounds), deletes %d; total %d frames",
+		len(ds), s, create, put, schedule, rounds, steps, deletes, create+put+schedule+rounds+deletes)
+	for _, row := range []struct {
+		phase     string
+		got, want uint64
+	}{
+		{"create", create, s},
+		{"put", put, 2 * s},
+		{"schedule", schedule, s},
+		{"worker rounds", rounds, 2 * uint64(steps)},
+		{"deletes", deletes, uint64(len(ds))},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s = %d frames, want %d", row.phase, row.got, row.want)
+		}
 	}
 }

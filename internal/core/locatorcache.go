@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"bitdew/internal/data"
@@ -38,6 +39,9 @@ type locatorCache struct {
 	// epoch is the membership epoch the entries were resolved under; a
 	// bump flushes everything (see setEpoch).
 	epoch uint64
+	// protocols lists every protocol an entry was ever stored under (a
+	// handful), so invalidate probes a datum's keys instead of the LRU.
+	protocols []string
 }
 
 type locatorCacheEntry struct {
@@ -93,6 +97,9 @@ func (c *locatorCache) put(uid data.UID, protocol string, locs []data.Locator) {
 		c.order.MoveToFront(el)
 		return
 	}
+	if !slices.Contains(c.protocols, protocol) {
+		c.protocols = append(c.protocols, protocol)
+	}
 	c.entries[key] = c.order.PushFront(&locatorCacheEntry{key: key, locs: stored})
 	for c.order.Len() > c.max {
 		oldest := c.order.Back()
@@ -105,14 +112,12 @@ func (c *locatorCache) put(uid data.UID, protocol string, locs []data.Locator) {
 func (c *locatorCache) invalidate(uid data.UID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		entry := el.Value.(*locatorCacheEntry)
-		if entry.key.uid == uid {
+	for _, p := range c.protocols {
+		key := locatorKey{uid: uid, protocol: p}
+		if el, ok := c.entries[key]; ok {
 			c.order.Remove(el)
-			delete(c.entries, entry.key)
+			delete(c.entries, key)
 		}
-		el = next
 	}
 }
 

@@ -258,6 +258,7 @@ func (n *Node) SyncOnce() error {
 		entry, ok := n.cache[uid]
 		delete(n.cache, uid)
 		n.mu.Unlock()
+		n.engine.Forget(uid)
 		n.backend.Delete(string(uid))
 		if ok {
 			n.ActiveData.fireDelete(Event{Data: entry.d, Attr: entry.a})
@@ -438,10 +439,11 @@ func (n *Node) heartbeatShard(owner int, c *Comms, current map[data.UID]bool, cl
 }
 
 // startFetches begins downloading a round's assignments not yet held or in
-// flight: one fetch per transfer protocol, so the round costs each home shard
-// one lookup frame however many data it assigned. Their DT reports ride the
-// next round's heartbeat when it comes within the monitoring period, and
-// leave on the period otherwise.
+// flight: one fetch per transfer protocol, off the locators each assignment
+// carries, cached first so the fetch sends no lookup; those that came without
+// cost their home shard one lookup frame. Their DT reports ride the next
+// round's heartbeat when it comes within the monitoring period, and leave on
+// the period otherwise.
 func (n *Node) startFetches(assigned []scheduler.Assignment) {
 	byProtocol := make(map[string][]scheduler.Assignment)
 	n.mu.Lock()
@@ -465,6 +467,7 @@ func (n *Node) startFetches(assigned []scheduler.Assignment) {
 				n.landed(as, n.backend.Put(string(as.Data.UID), nil) == nil)
 				continue
 			}
+			n.set.cache.put(as.Data.UID, protocol, as.Locators)
 			ds = append(ds, as.Data)
 			fetching = append(fetching, as)
 		}

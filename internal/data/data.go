@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -202,4 +203,22 @@ func (l Locator) Validate() error {
 		return fmt.Errorf("locator %s: missing host", l.DataUID)
 	}
 	return nil
+}
+
+// Candidates merges a datum's catalog locators with the repository's
+// fallback locator into the list a fetch tries in order: the catalog's
+// copies over protocol (every protocol when it is empty) first, then the
+// fallback unless it is the zero Locator or already listed. It filters
+// catalog in place, so the caller hands over that slice.
+func Candidates(catalog []Locator, fallback Locator, protocol string) []Locator {
+	out := catalog[:0]
+	for _, l := range catalog {
+		if protocol == "" || l.Protocol == protocol {
+			out = append(out, l)
+		}
+	}
+	if fallback == (Locator{}) || slices.Contains(out, fallback) {
+		return out
+	}
+	return append(out, fallback)
 }

@@ -165,3 +165,38 @@ func TestDataString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestCandidates pins the one merge of catalog and repository locators that
+// both a client's lookup and the scheduler's heartbeat answer use.
+func TestCandidates(t *testing.T) {
+	ftpCopy := Locator{DataUID: "u", Protocol: "ftp", Host: "a:21", Ref: "u"}
+	httpCopy := Locator{DataUID: "u", Protocol: "http", Host: "b:80", Ref: "u"}
+	repoHTTP := Locator{DataUID: "u", Protocol: "http", Host: "repo:80", Ref: "u"}
+	for _, tc := range []struct {
+		name     string
+		catalog  []Locator
+		fallback Locator
+		protocol string
+		want     []Locator
+	}{
+		{"any protocol keeps every copy, fallback last", []Locator{ftpCopy, httpCopy}, repoHTTP, "", []Locator{ftpCopy, httpCopy, repoHTTP}},
+		{"protocol filter drops other protocols", []Locator{ftpCopy, httpCopy}, repoHTTP, "http", []Locator{httpCopy, repoHTTP}},
+		{"fallback already listed is not repeated", []Locator{ftpCopy, repoHTTP}, repoHTTP, "", []Locator{ftpCopy, repoHTTP}},
+		{"filtered-out copy does not hide the fallback", []Locator{ftpCopy}, ftpCopy, "http", []Locator{ftpCopy}},
+		{"empty catalog yields the fallback", nil, repoHTTP, "http", []Locator{repoHTTP}},
+		{"zero fallback adds nothing", []Locator{httpCopy}, Locator{}, "", []Locator{httpCopy}},
+		{"nothing at all", nil, Locator{}, "ftp", nil},
+	} {
+		got := Candidates(append([]Locator(nil), tc.catalog...), tc.fallback, tc.protocol)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+	}
+}

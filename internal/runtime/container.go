@@ -245,6 +245,16 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		}
 		return backend.Delete(string(uid))
 	})
+	// A heartbeat's assignments carry the lookup the worker would otherwise
+	// send this shard: the catalog's copies and the repository's fallback.
+	c.DS.SetLocate(func(uid data.UID, protocol string) ([]data.Locator, error) {
+		locs, err := c.DC.Locators(uid)
+		if err != nil {
+			return nil, err
+		}
+		fallback, _ := c.DR.LocatorAny(uid, protocol) // none served: the catalog's copies alone
+		return data.Candidates(locs, fallback, protocol), nil
+	})
 
 	if !cfg.DisableFTP {
 		var opts []ftp.Option

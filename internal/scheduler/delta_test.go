@@ -202,3 +202,50 @@ func TestScheduleCallBatch(t *testing.T) {
 		t.Errorf("round trips = %d, want 1", n)
 	}
 }
+
+// TestSyncDeltaLocatesAssignments: the locate hook fills each assignment of
+// a delta heartbeat with its candidate locators, over the assignment's
+// protocol and outside the scheduler's lock; a refused read leaves that
+// assignment bare, never fails the heartbeat, and an idle heartbeat reads
+// nothing.
+func TestSyncDeltaLocatesAssignments(t *testing.T) {
+	s, _ := newTestService()
+	located, refused := mkdata("located"), mkdata("refused")
+	for _, d := range []data.Data{located, refused} {
+		if err := s.Schedule(d, attr.Attribute{Name: "a", Replica: 1, Protocol: "http"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := 0
+	s.SetLocate(func(uid data.UID, protocol string) ([]data.Locator, error) {
+		reads++
+		s.Owners(uid) // takes s.mu: deadlocks if the hook ran under it
+		if uid == refused.UID {
+			return nil, fmt.Errorf("not the owner of %s", uid)
+		}
+		return []data.Locator{{DataUID: uid, Protocol: protocol, Host: "h:80", Ref: string(uid)}}, nil
+	})
+
+	r := s.SyncDelta("h1", 0, true, nil, nil, false)
+	if r.Resync || len(r.Fetch) != 2 {
+		t.Fatalf("heartbeat = %+v, want both data assigned", r)
+	}
+	for _, as := range r.Fetch {
+		switch as.Data.UID {
+		case located.UID:
+			if len(as.Locators) != 1 || as.Locators[0].Protocol != "http" || as.Locators[0].DataUID != located.UID {
+				t.Errorf("located assignment carries %v, want one http locator of its datum", as.Locators)
+			}
+		case refused.UID:
+			if as.Locators != nil {
+				t.Errorf("refused assignment carries %v, want no locators", as.Locators)
+			}
+		}
+	}
+
+	reads = 0
+	r = s.SyncDelta("h1", r.Epoch, false, []data.UID{located.UID, refused.UID}, nil, false)
+	if r.Resync || len(r.Fetch) != 0 || reads != 0 {
+		t.Fatalf("idle heartbeat: %d assignments, %d locator reads; want none", len(r.Fetch), reads)
+	}
+}

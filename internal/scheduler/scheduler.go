@@ -50,10 +50,12 @@ type Entry struct {
 
 // Assignment is one datum a host must download, with the attribute that
 // drove the decision (the host needs the protocol hint and, for events, the
-// attribute name).
+// attribute name) and, when the scheduler could read them, the candidate
+// locators to fetch it from (see SetLocate).
 type Assignment struct {
-	Data data.Data
-	Attr attr.Attribute
+	Data     data.Data
+	Attr     attr.Attribute
+	Locators []data.Locator
 }
 
 // SyncResult partitions the scheduler's answer Ψk relative to the host
@@ -110,6 +112,8 @@ type Service struct {
 	// gate, when set (SetRangeGate), restricts the scheduler to the key
 	// ranges its shard currently owns in a replicated plane.
 	gate func(uid data.UID) error
+	// locate, when set (SetLocate), fills a delta heartbeat's assignments.
+	locate func(uid data.UID, protocol string) ([]data.Locator, error)
 
 	// MaxDataSchedule caps new assignments per sync.
 	MaxDataSchedule int
@@ -352,6 +356,16 @@ func (s *Service) SyncAs(host string, cache []data.UID, clientOnly bool) SyncRes
 	return s.syncLocked(host, inCache, clientOnly)
 }
 
+// SetLocate installs the read of a datum's candidate locators over a
+// protocol, so the delta heartbeat that assigns a datum also says where to
+// fetch it and the host sends no lookup of its own. An assignment whose read
+// fails goes out with no locators, and the host looks it up itself.
+func (s *Service) SetLocate(locate func(uid data.UID, protocol string) ([]data.Locator, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.locate = locate
+}
+
 // SyncDelta is the delta heartbeat: instead of reshipping its full cache Δk
 // every period, the host sends only the adds and removes since the epoch it
 // last acknowledged, and the scheduler replays them onto its mirror of the
@@ -360,7 +374,23 @@ func (s *Service) SyncAs(host string, cache []data.UID, clientOnly bool) SyncRes
 // returns Resync=true and the host falls back to a full report.
 func (s *Service) SyncDelta(host string, epoch uint64, full bool, added, removed []data.UID, clientOnly bool) SyncDeltaResult {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	res := s.syncDeltaLocked(host, epoch, full, added, removed, clientOnly)
+	locate := s.locate
+	s.mu.Unlock()
+	// The locate reads other services' state, so it runs outside s.mu.
+	if locate != nil {
+		for i := range res.Fetch {
+			as := &res.Fetch[i]
+			if locs, err := locate(as.Data.UID, as.Attr.Protocol); err == nil {
+				as.Locators = locs
+			}
+		}
+	}
+	return res
+}
+
+// syncDeltaLocked is SyncDelta's Algorithm 1 half. Callers hold s.mu.
+func (s *Service) syncDeltaLocked(host string, epoch uint64, full bool, added, removed []data.UID, clientOnly bool) SyncDeltaResult {
 	sess := s.sessions[host]
 	if full {
 		sess = &hostSession{cache: make(map[data.UID]bool, len(added))}

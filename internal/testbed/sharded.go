@@ -36,10 +36,10 @@ type ShardedBlastConfig struct {
 	// plane unthrottled (functional tests).
 	ServiceTime time.Duration
 	// KillOneShard, after the wave converges, kills the highest-index
-	// shard and audits the plane's loss. Unreplicated, the blast radius
-	// must be exactly the dead shard's data; with Replicas > 1 it must be
-	// nothing — the failover router promotes the dead shard's successor
-	// on first contact (see the harness's audit).
+	// shard homing any of the wave's data and audits the plane's loss.
+	// Unreplicated, the blast radius must be exactly the dead shard's data;
+	// with Replicas > 1 it must be nothing — the failover router promotes
+	// the dead shard's successor on first contact (see the harness's audit).
 	KillOneShard bool
 	// Replicas is the plane's replication factor (0/1: unreplicated).
 	Replicas int
@@ -120,6 +120,9 @@ func RunShardedBlast(cfg ShardedBlastConfig) (ShardedBlastReport, error) {
 	// client: over a replicated plane its first call to the dead shard's
 	// range IS the detection + promotion path.
 	killed := cfg.Shards - 1
+	for killed > 0 && report.PerShardData[killed] == 0 {
+		killed--
+	}
 	if _, err := f.step(fmt.Sprintf("killing shard %d", killed), func() error {
 		return f.plane.KillShard(killed)
 	}); err != nil {

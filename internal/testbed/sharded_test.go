@@ -32,10 +32,20 @@ func TestRunShardedBlast(t *testing.T) {
 	}
 }
 
+// highestHome is the highest shard that homes any datum of perShard.
+func highestHome(perShard []int) int {
+	i := len(perShard) - 1
+	for i > 0 && perShard[i] == 0 {
+		i--
+	}
+	return i
+}
+
 // TestRunShardedBlastKillShard runs the fault variant: after distribution,
-// the highest shard is killed and no datum, locator or placement may be
-// lost on the surviving shards. RunShardedBlast itself errors on any loss;
-// the assertions below additionally pin the audit's bookkeeping.
+// the highest shard that homes data is killed and no datum, locator or
+// placement may be lost on the surviving shards. RunShardedBlast itself
+// errors on any loss; the assertions below additionally pin the audit's
+// bookkeeping.
 func TestRunShardedBlastKillShard(t *testing.T) {
 	report, err := testbed.RunShardedBlast(testbed.ShardedBlastConfig{
 		Shards:       2,
@@ -46,8 +56,8 @@ func TestRunShardedBlastKillShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.KilledShard != 1 {
-		t.Fatalf("killed shard %d, want 1", report.KilledShard)
+	if want := highestHome(report.PerShardData); report.KilledShard != want {
+		t.Fatalf("killed shard %d, want %d, the highest that homes data", report.KilledShard, want)
 	}
 	if report.SurvivorData == 0 {
 		t.Fatal("no data homed on the surviving shard — audit proved nothing")
@@ -61,7 +71,7 @@ func TestRunShardedBlastKillShard(t *testing.T) {
 
 // TestRunShardedBlastKillShardReplicated runs the fault variant over a
 // replicated plane (3 shards, R=2): after distribution, the highest shard
-// is killed and the audit upgrades to ZERO unavailability — every datum of
+// that homes data is killed and the audit upgrades to ZERO unavailability — every datum of
 // the wave, including those homed on the killed shard, keeps its catalog
 // entry, locators and placements and stays fetchable byte-for-byte through
 // the same client, which reaches the dead shard's state via its promoted
@@ -78,8 +88,8 @@ func TestRunShardedBlastKillShardReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.KilledShard != 2 {
-		t.Fatalf("killed shard %d, want 2", report.KilledShard)
+	if want := highestHome(report.PerShardData); report.KilledShard != want {
+		t.Fatalf("killed shard %d, want %d, the highest that homes data", report.KilledShard, want)
 	}
 	wave := report.Tasks + 1
 	if report.SurvivorData != wave {

@@ -291,13 +291,26 @@ func (e *Engine) retire(h *Handle) {
 		delete(e.inflight, h.DataUID)
 	}
 	h.retired = true
-	live := e.handles[h.DataUID][:0]
-	for _, o := range e.handles[h.DataUID] {
+	hs, ok := e.handles[h.DataUID]
+	if !ok {
+		return // forgotten while it ran
+	}
+	live := hs[:0]
+	for _, o := range hs {
 		if !o.retired {
 			live = append(live, o)
 		}
 	}
 	e.handles[h.DataUID] = append(live, h)
+}
+
+// Forget drops the engine's books on uid, for a datum deleted from this
+// host: WaitFor then returns nil at once, as for a datum never moved, and a
+// transfer of it still running leaves nothing behind when it ends.
+func (e *Engine) Forget(uid data.UID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	delete(e.handles, uid)
 }
 
 // WaitFor blocks until every transfer of the given datum completes,

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,6 +65,44 @@ func TestHandlesArePruned(t *testing.T) {
 	e.mu.Unlock()
 	if n != 1 || inflight != 0 {
 		t.Fatalf("after 10000 transfers of one datum the engine holds %d handles and %d inflight slots, want 1 and 0", n, inflight)
+	}
+}
+
+// TestForgetDropsHandles: a forgotten datum leaves no handle in the engine,
+// whether its transfer had ended or was still waiting for a slot when Forget
+// came, and WaitFor on it returns nil at once.
+func TestForgetDropsHandles(t *testing.T) {
+	local := repository.NewMemBackend()
+	e := NewEngine(local, nil, "w", 1)
+	for i := 0; i < 50; i++ {
+		d := *data.NewFromBytes(fmt.Sprintf("d%02d", i), []byte("x"))
+		local.Put(string(d.UID), []byte("x"))
+		// An unregistered protocol ends a transfer at once, with no server.
+		loc := data.Locator{DataUID: d.UID, Protocol: "none", Host: "nowhere", Ref: string(d.UID)}
+		running := i%2 == 1
+		if running {
+			e.sem <- struct{}{} // hold the one slot: the transfer cannot start
+		}
+		h := e.Upload(d, loc)
+		if !running {
+			h.Wait()
+		}
+		e.Forget(d.UID)
+		if running {
+			<-e.sem
+		}
+		if h.Wait() == nil {
+			t.Fatal("an upload to nowhere succeeded")
+		}
+		if err := e.WaitFor(d.UID); err != nil {
+			t.Fatalf("WaitFor a forgotten datum = %v, want nil", err)
+		}
+	}
+	e.mu.Lock()
+	n := len(e.handles)
+	e.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("after 50 forgotten data the engine holds handles of %d", n)
 	}
 }
 
