@@ -104,8 +104,8 @@ func BenchmarkPutBatch(b *testing.B) {
 }
 
 // BenchmarkSyncDelta compares heartbeat costs for a quiescent host holding
-// `cached` data: the classic full-set Sync re-encodes the whole cache every
-// period, the delta heartbeat ships an empty Δ. Both are one round trip;
+// `cached` data: a full report (SyncDelta with Full) re-encodes the whole
+// cache every period, the delta heartbeat ships an empty Δ. Both are one round trip;
 // the collapse is in payload (uids_sent) and the encode/scan work behind it.
 func BenchmarkSyncDelta(b *testing.B) {
 	const cached = 512
@@ -138,7 +138,7 @@ func BenchmarkSyncDelta(b *testing.B) {
 		defer closeFn()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.SyncAs("host", uids, false); err != nil {
+			if _, err := client.SyncDelta(scheduler.SyncDeltaArgs{Host: "host", Full: true, Added: uids}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -30,12 +30,13 @@ func (s sessionStore) session() {
 	_ = buf
 }
 
-func (s sessionStore) Put(t, k string, v []byte) error { s.session(); return s.inner.Put(t, k, v) }
+func (s sessionStore) Apply(b []db.Mutation) error     { s.session(); return s.inner.Apply(b) }
+func (s sessionStore) Put(t, k string, v []byte) error { return db.ApplyRow(s, 'P', t, k, v) }
+func (s sessionStore) Delete(t, k string) error        { return db.ApplyRow(s, 'D', t, k, nil) }
 func (s sessionStore) Get(t, k string) ([]byte, bool, error) {
 	s.session()
 	return s.inner.Get(t, k)
 }
-func (s sessionStore) Delete(t, k string) error        { s.session(); return s.inner.Delete(t, k) }
 func (s sessionStore) Keys(t string) ([]string, error) { s.session(); return s.inner.Keys(t) }
 func (s sessionStore) Scan(t string, fn func(string, []byte) bool) error {
 	s.session()

@@ -46,7 +46,7 @@ var ErrNotFound = errors.New("catalog: data not found")
 // where meta-data is serialised into a SQL database back-end.
 type Service struct {
 	store   db.Store
-	cascade func(uid data.UID) error // see SetDeleteCascade
+	cascade func(uid data.UID, rows []db.Mutation) error // see SetDeleteCascade
 }
 
 // NewService builds a Data Catalog over the given persistent store.
@@ -83,26 +83,26 @@ func (s *Service) Get(uid data.UID) (data.Data, error) {
 	return d, nil
 }
 
-// SetDeleteCascade installs what a delete takes with it once the datum's
-// rows are gone; the service container unschedules the datum and deletes
-// its repository content. Call it before Mount.
-func (s *Service) SetDeleteCascade(cascade func(uid data.UID) error) {
+// SetDeleteCascade installs what a delete takes with it: the service
+// container unschedules the datum, writing rows (the catalog's deletions)
+// in its batch, and deletes its repository content. Call it before Mount.
+func (s *Service) SetDeleteCascade(cascade func(uid data.UID, rows []db.Mutation) error) {
 	s.cascade = cascade
 }
 
-// Delete removes a datum and its locators, then runs the delete cascade.
-// The catalog delete gates the cascade: a refused one (not the owner, a
-// failing store) leaves everything else in place for a retry. Deleting an
-// absent datum is not an error (deletion must be idempotent under retried
-// client calls).
+// Delete removes a datum and its locators, in one batch with the rows the
+// delete cascade adds, then runs the rest of the cascade. A refused batch
+// (not the owner, a failing store) leaves everything in place for a retry.
+// Deleting an absent datum is not an error (deletion must be idempotent
+// under retried client calls).
 func (s *Service) Delete(uid data.UID) error {
-	if err := s.store.Delete(tableData, string(uid)); err != nil {
-		return err
+	rows := make([]db.Mutation, 2, 3) // and room for the cascade's schedule entry
+	rows[0] = db.Mutation{Op: 'D', Table: tableData, Key: string(uid)}
+	rows[1] = db.Mutation{Op: 'D', Table: tableLocators, Key: string(uid)}
+	if s.cascade == nil {
+		return s.store.Apply(rows)
 	}
-	if err := s.store.Delete(tableLocators, string(uid)); err != nil || s.cascade == nil {
-		return err
-	}
-	return s.cascade(uid)
+	return s.cascade(uid, rows)
 }
 
 // SearchByName returns every datum labelled name, sorted by UID. Names are

@@ -11,6 +11,7 @@ import (
 
 	"bitdew/internal/attr"
 	"bitdew/internal/codec"
+	"bitdew/internal/collective"
 	"bitdew/internal/data"
 	"bitdew/internal/db"
 	"bitdew/internal/protocols/swarm"
@@ -45,7 +46,8 @@ var (
 // planeTypes is every type the plane puts on the wire or in a store: the
 // argument and reply types on the Mux of each shard of a booted 2-shard R=2
 // plane and on the Mux of the swarm's tracker, a swarm peer and the
-// networked db store, and the catalog, scheduler and repl row types.
+// networked db store, the catalog, scheduler and repl row types, and the
+// intermediate data a MapReduce job stores as content.
 func planeTypes(t testing.TB) []reflect.Type {
 	universeOnce.Do(func() {
 		plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{Shards: 2, Replicas: 2, DisableFTP: true, DisableSwarm: true})
@@ -81,7 +83,7 @@ func planeTypes(t testing.TB) []reflect.Type {
 		db.Mount(m, db.NewRowStore())
 		add(m.Payloads()...)
 		add(reflect.TypeOf(data.Data{}), reflect.TypeOf([]data.Locator{}), reflect.TypeOf(db.Mutation{}),
-			reflect.TypeOf(schedulerRow{}), reflect.TypeOf(replStateRow{}))
+			reflect.TypeOf(schedulerRow{}), reflect.TypeOf(replStateRow{}), reflect.TypeOf([]collective.KV{}))
 	})
 	if len(universe) < 40 {
 		t.Fatalf("the plane registers and stores only %d types", len(universe))

@@ -178,13 +178,13 @@ func TestRowStoreValueIsolation(t *testing.T) {
 // restore applies a log's records to a fresh RowStore.
 func restore(t *testing.T, log []byte) *RowStore {
 	t.Helper()
-	muts, _, err := ReadLog(log)
+	recs, _, err := ReadLog(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRowStore()
-	for i := range muts {
-		if err := r.apply(&muts[i]); err != nil {
+	for _, batch := range recs {
+		if err := r.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	}

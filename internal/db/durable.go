@@ -2,6 +2,7 @@ package db
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -21,21 +22,22 @@ const (
 )
 
 // DurableStore is a RowStore whose state survives the process being
-// killed: every mutation is appended to an on-disk write-ahead log before
+// killed: every write is appended to an on-disk write-ahead log before
 // it is applied, and the log is compacted by writing a full snapshot and
 // starting the log again (the paper's §3.4–3.5 design, where all D*
 // service meta-data lives in a relational database precisely so a service
 // restart loses nothing). Only compaction and Close fsync.
 //
-// Layout inside the state directory, each file a log (codec.Log) of
-// Mutation records:
+// Layout inside the state directory, each file a log (codec.Log) whose
+// records are writes, a Mutation or, for a batch, a []Mutation:
 //
 //	snapshot.gob   full state at the last compaction, as puts
-//	wal.gob        mutations since the last compaction
+//	wal.gob        writes since the last compaction
 //
 // Open replays snapshot then WAL, and cuts the WAL back to the prefix that
-// replayed: a record torn by a crash mid-append is dropped. The WAL is
-// compacted once its bytes outweigh the snapshot's (codec.Compactable).
+// replayed: a record torn by a crash mid-append is dropped, rows and all.
+// The WAL is compacted once its bytes outweigh the snapshot's
+// (codec.Compactable).
 // All methods are safe for concurrent use; reads go to the RowStore and
 // never wait for the log.
 type DurableStore struct {
@@ -43,11 +45,13 @@ type DurableStore struct {
 	mem *RowStore
 	dir string
 
-	wal    *codec.Log
-	walN   int    // records appended since the last compaction
-	snap   int64  // the last snapshot's size, the live bytes the WAL's weigh against
-	rec    []byte // one framed record, built under mu
-	closed bool
+	wal  *codec.Log
+	walN int    // records appended since the last compaction
+	snap int64  // the last snapshot's size, the live bytes the WAL's weigh against
+	rec  []byte // one framed record, built under mu
+	// compactErr is the last compaction's failure, for Close to report.
+	compactErr error
+	closed     bool
 }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir
@@ -63,15 +67,15 @@ func OpenDurable(dir string) (*DurableStore, error) {
 	raw, err := os.ReadFile(path)
 	if err == nil {
 		var good int
-		good, err = codec.ReadLog(raw, logHeader, records(s.mem.apply))
+		good, err = codec.ReadLog(raw, logHeader, records(s.mem.Apply))
 		s.snap = int64(good)
 	}
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("db: recover %s: %w", path, err)
 	}
-	s.wal, err = codec.OpenLog(filepath.Join(dir, walFile), logHeader, records(func(m *Mutation) error {
+	s.wal, err = codec.OpenLog(filepath.Join(dir, walFile), logHeader, records(func(batch []Mutation) error {
 		s.walN++
-		return s.mem.apply(m)
+		return s.mem.Apply(batch)
 	}))
 	if err != nil {
 		return nil, fmt.Errorf("db: recover %w", err)
@@ -79,29 +83,39 @@ func OpenDurable(dir string) (*DurableStore, error) {
 	return s, nil
 }
 
-// ReadLog decodes a log (codec.ReadLog) of Mutation records. good is the
-// length of the prefix that holds whole records.
-func ReadLog(raw []byte) (muts []Mutation, good int, err error) {
-	good, err = codec.ReadLog(raw, logHeader, records(func(m *Mutation) error {
-		muts = append(muts, *m)
+// ReadLog decodes a log (codec.ReadLog) into its records, each the rows of
+// one write. good is the length of the prefix that holds whole records.
+func ReadLog(raw []byte) (recs [][]Mutation, good int, err error) {
+	good, err = codec.ReadLog(raw, logHeader, records(func(batch []Mutation) error {
+		recs = append(recs, batch)
 		return nil
 	}))
-	return muts, good, err
+	return recs, good, err
 }
 
+// batchBlob opens with the type fingerprint of a []Mutation.
+var batchBlob, _ = codec.Marshal([]Mutation(nil))
+
 // records returns the replay of a log whose frames each hold the codec blob
-// of a put or a delete, which it hands to fn. A whole frame that holds
-// neither was written by another build, not torn by a crash: an error.
-func records(fn func(*Mutation) error) func([]byte) (bool, error) {
+// of a write: a Mutation, or a []Mutation, told apart by the blob's type
+// fingerprint. It hands each write's rows to fn. A whole frame that holds
+// neither, or a row that is neither a put nor a delete, was written by
+// another build, not torn by a crash: an error.
+func records(fn func([]Mutation) error) func([]byte) (bool, error) {
 	n := 0
 	return func(body []byte) (bool, error) {
-		var m Mutation
-		err := codec.Unmarshal(body, &m)
-		if err == nil && m.Op != 'P' && m.Op != 'D' {
-			err = fmt.Errorf("unknown op %q", m.Op)
+		batch := make([]Mutation, 1)
+		var err error
+		if bytes.HasPrefix(body, batchBlob[:4]) {
+			err = codec.Unmarshal(body, &batch)
+		} else {
+			err = codec.Unmarshal(body, &batch[0])
 		}
 		if err == nil {
-			err = fn(&m)
+			err = valid(batch)
+		}
+		if err == nil {
+			err = fn(batch)
 		}
 		if n++; err != nil {
 			return false, fmt.Errorf("record %d: %w", n, err)
@@ -110,45 +124,51 @@ func records(fn func(*Mutation) error) func([]byte) (bool, error) {
 	}
 }
 
-// appendRecord appends m to b as one log record.
-func appendRecord(b []byte, m *Mutation) []byte {
+// appendRecord appends batch to b as one log record: the blob of its one
+// Mutation, or of the whole []Mutation.
+func appendRecord(b []byte, batch []Mutation) []byte {
 	return codec.AppendFrame(b, func(b []byte) []byte {
-		b, _ = codec.Append(b, m) // a Mutation always encodes
+		if len(batch) == 1 {
+			b, _ = codec.Append(b, &batch[0]) // a Mutation always encodes
+		} else {
+			b, _ = codec.Append(b, batch)
+		}
 		return b
 	})
 }
 
-// append writes one WAL record, then applies it to the in-memory state,
-// and compacts when the WAL outweighs the snapshot.
-func (s *DurableStore) append(m Mutation) error {
+// Apply writes the batch as one WAL record, then applies it to the
+// in-memory state, and compacts when the WAL outweighs the snapshot. Once
+// its record is in the log the write has happened: a compaction that fails
+// after it does not fail the write. Its error is kept for Close, and the
+// next write tries the compaction again.
+func (s *DurableStore) Apply(batch []Mutation) error {
+	if err := valid(batch); err != nil || len(batch) == 0 {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	// A mutation whose record is not in the log is not applied, so the log
-	// and the state agree.
-	s.rec = appendRecord(s.rec[:0], &m)
+	// A write whose record is not in the log is not applied, so the log and
+	// the state agree.
+	s.rec = appendRecord(s.rec[:0], batch)
 	if err := s.wal.Append(s.rec); err != nil {
 		return fmt.Errorf("db: wal append: %w", err)
 	}
-	if err := s.mem.apply(&m); err != nil {
+	if err := s.mem.Apply(batch); err != nil {
 		return err
 	}
 	s.walN++
 	if codec.Compactable(s.wal.Size(), s.snap) {
-		return s.compactLocked()
+		s.compactErr = s.compactLocked()
 	}
 	return nil
 }
 
-func (s *DurableStore) Put(table, key string, value []byte) error {
-	return s.append(Mutation{Op: 'P', Table: table, Key: key, Value: value})
-}
-
-func (s *DurableStore) Delete(table, key string) error {
-	return s.append(Mutation{Op: 'D', Table: table, Key: key})
-}
+func (s *DurableStore) Put(t, k string, v []byte) error { return ApplyRow(s, 'P', t, k, v) }
+func (s *DurableStore) Delete(t, k string) error        { return ApplyRow(s, 'D', t, k, nil) }
 
 func (s *DurableStore) Get(table, key string) ([]byte, bool, error) { return s.mem.Get(table, key) }
 
@@ -181,7 +201,8 @@ func (s *DurableStore) Compact() error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.compactLocked()
+	s.compactErr = s.compactLocked()
+	return s.compactErr
 }
 
 func (s *DurableStore) compactLocked() error {
@@ -191,7 +212,7 @@ func (s *DurableStore) compactLocked() error {
 	}
 	snap, err := codec.NextLog(filepath.Join(s.dir, snapshotFile), logHeader, true, func(w *bufio.Writer) error {
 		for i := range rows {
-			s.rec = appendRecord(s.rec[:0], &rows[i])
+			s.rec = appendRecord(s.rec[:0], rows[i:i+1])
 			w.Write(s.rec)
 		}
 		return nil
@@ -211,8 +232,9 @@ func (s *DurableStore) compactLocked() error {
 	return nil
 }
 
-// Close flushes the WAL file and closes the store. Operations after Close
-// return ErrClosed.
+// Close flushes the WAL file and closes the store, and reports a failed
+// compaction that no later one repaired. Operations after Close return
+// ErrClosed.
 func (s *DurableStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -220,5 +242,5 @@ func (s *DurableStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	return errors.Join(s.wal.Sync(), s.wal.Close(), s.mem.Close())
+	return errors.Join(s.compactErr, s.wal.Sync(), s.wal.Close(), s.mem.Close())
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // The mutation feed turns a Store into a shippable ordered stream: every
-// Put/Delete that flows through a FeedStore is assigned a monotonically
-// increasing sequence number and broadcast to subscribers, and the full
+// write that flows through a FeedStore is assigned a monotonically
+// increasing sequence number and its rows broadcast under it, and the full
 // state can be cut as a snapshot that is atomic with respect to the
 // sequence counter. A primary shard wraps its live store in a FeedStore and
 // ships the stream to its replicas (internal/repl); the snapshot + tail is
@@ -22,9 +22,9 @@ import (
 // resynchronises from a snapshot instead of splicing two incommensurable
 // sequence spaces together.
 
-// Mutation is one record, on disk and on the wire: an entry of the durable
-// WAL or snapshot, and of the replication stream, where Seq is its position
-// in the primary's stream. Seq is 0 on disk and inside snapshots (a
+// Mutation is one row, on disk and on the wire: of the durable WAL or
+// snapshot, and of the replication stream, where Seq is its write's
+// position in the primary's stream. Seq is 0 on disk and inside snapshots (a
 // snapshot is a bag of puts covered by the snapshot's own seq watermark).
 type Mutation struct {
 	Seq   uint64
@@ -73,7 +73,8 @@ func NewFeedStore(inner Store, epoch uint64) (*FeedStore, error) {
 // Epoch returns the stream epoch minted at construction.
 func (f *FeedStore) Epoch() uint64 { return f.epoch }
 
-// Seq returns the sequence number of the last mutation fed.
+// Seq returns the sequence number of the last write fed, all of whose rows
+// are in every subscription's buffer by the time Seq returns.
 func (f *FeedStore) Seq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -83,33 +84,38 @@ func (f *FeedStore) Seq() uint64 {
 // Inner returns the wrapped store. Writes through it bypass the feed.
 func (f *FeedStore) Inner() Store { return f.inner }
 
-func (f *FeedStore) Put(table, key string, value []byte) error {
+// Apply writes the batch to the inner store, then feeds it: one sequence
+// number, under which its rows go to each subscriber back to back. A
+// subscriber whose buffer cannot take every row is dropped with
+// ErrFeedLost before any is sent, so none ever receives part of a batch.
+func (f *FeedStore) Apply(batch []Mutation) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	if err := f.inner.Put(table, key, value); err != nil {
+	if err := f.inner.Apply(batch); err != nil || len(batch) == 0 {
 		return err
 	}
 	f.seq++
-	f.broadcastLocked(Mutation{Seq: f.seq, Op: 'P', Table: table, Key: key, Value: value})
+	live := f.subs[:0]
+	for _, s := range f.subs {
+		if cap(s.ch)-len(s.ch) < len(batch) {
+			s.drop(ErrFeedLost) // it resynchronises from a snapshot rather than stall the write path
+			continue
+		}
+		for _, m := range batch { // cannot block: only this loop sends, under f.mu
+			m.Seq = f.seq
+			s.ch <- m
+		}
+		live = append(live, s)
+	}
+	f.subs = live
 	return nil
 }
 
-func (f *FeedStore) Delete(table, key string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if err := f.inner.Delete(table, key); err != nil {
-		return err
-	}
-	f.seq++
-	f.broadcastLocked(Mutation{Seq: f.seq, Op: 'D', Table: table, Key: key})
-	return nil
-}
+func (f *FeedStore) Put(t, k string, v []byte) error { return ApplyRow(f, 'P', t, k, v) }
+func (f *FeedStore) Delete(t, k string) error        { return ApplyRow(f, 'D', t, k, nil) }
 
 func (f *FeedStore) Get(table, key string) ([]byte, bool, error) {
 	return f.inner.Get(table, key)
@@ -135,23 +141,6 @@ func (f *FeedStore) Close() error {
 		s.drop(nil)
 	}
 	return nil
-}
-
-// broadcastLocked hands one mutation to every live subscription. A
-// subscription whose buffer is full is dropped with ErrFeedLost — the
-// subscriber resynchronises from a snapshot rather than stalling the
-// primary's write path.
-func (f *FeedStore) broadcastLocked(m Mutation) {
-	live := f.subs[:0]
-	for _, s := range f.subs {
-		select {
-		case s.ch <- m:
-			live = append(live, s)
-		default:
-			s.drop(ErrFeedLost)
-		}
-	}
-	f.subs = live
 }
 
 // SnapshotAndFollow atomically cuts a full-state snapshot and opens a
@@ -204,8 +193,9 @@ type Feed struct {
 	done chan struct{}
 }
 
-// C is the delivery channel. It is closed when the subscription ends;
-// check Err to distinguish a lost subscription from a closed store.
+// C is the delivery channel: the rows of a write arrive back to back under
+// its one Seq. It is closed when the subscription ends; check Err to
+// distinguish a lost subscription from a closed store.
 func (s *Feed) C() <-chan Mutation { return s.ch }
 
 // Err reports why the subscription ended (ErrFeedLost after overflow, nil

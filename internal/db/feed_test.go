@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -241,7 +242,8 @@ func TestDecodeMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := encodeWAL(rows...)
-	muts, good, err := ReadLog(full)
+	recs, good, err := ReadLog(full)
+	muts := slices.Concat(recs...)
 	if err != nil || good != len(full) {
 		t.Fatalf("decoded %d of %d bytes: %v", good, len(full), err)
 	}
@@ -249,11 +251,11 @@ func TestDecodeMutations(t *testing.T) {
 		t.Fatalf("decoded %+v", muts)
 	}
 	// Torn tail: drop the last byte; the first record still decodes.
-	muts, good, err = ReadLog(full[:len(full)-1])
+	recs, good, err = ReadLog(full[:len(full)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(muts) != 1 || muts[0].Key != "k1" || good != len(encodeWAL(rows[0])) {
+	if muts = slices.Concat(recs...); len(muts) != 1 || muts[0].Key != "k1" || good != len(encodeWAL(rows[0])) {
 		t.Fatalf("torn-tail decode = %+v, good prefix %d", muts, good)
 	}
 }

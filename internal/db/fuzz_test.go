@@ -6,23 +6,49 @@ import (
 	"testing"
 )
 
-// encodeWAL renders mutations as the log OpenDurable replays.
+// encodeWAL renders mutations as the log OpenDurable replays, one write each.
 func encodeWAL(recs ...Mutation) []byte {
 	wal := []byte(logHeader)
 	for i := range recs {
-		wal = appendRecord(wal, &recs[i])
+		wal = appendRecord(wal, recs[i:i+1])
 	}
 	return wal
 }
+
+// encodeBatches renders writes of several rows as the log OpenDurable
+// replays, one record each.
+func encodeBatches(batches ...[]Mutation) []byte {
+	wal := []byte(logHeader)
+	for _, batch := range batches {
+		wal = appendRecord(wal, batch)
+	}
+	return wal
+}
+
+// batchLog writes rows in batches, as a catalog delete and an adoption do:
+// one write of two rows, one of one, and one whose rows delete, put again
+// and overwrite.
+var batchLog = encodeBatches(
+	[]Mutation{{Op: 'P', Table: "data", Key: "uid-1", Value: []byte("alpha")}, {Op: 'P', Table: "locators", Key: "uid-1", Value: []byte("host-a")}},
+	[]Mutation{{Op: 'P', Table: "data", Key: "uid-2", Value: []byte("beta")}},
+	[]Mutation{
+		{Op: 'D', Table: "data", Key: "uid-1"},
+		{Op: 'D', Table: "locators", Key: "uid-1"},
+		{Op: 'P', Table: "data", Key: "uid-1", Value: []byte("again")},
+		{Op: 'P', Table: "data", Key: "uid-2", Value: []byte("gamma")},
+	},
+)
 
 // walTables decodes as much of a WAL byte stream as is well-formed and
 // returns the table names it mentions — the replay's reachable state space,
 // used to diff recovered stores.
 func walTables(wal []byte) map[string]bool {
 	tables := make(map[string]bool)
-	muts, _, _ := ReadLog(wal)
-	for _, m := range muts {
-		tables[m.Table] = true
+	recs, _, _ := ReadLog(wal)
+	for _, batch := range recs {
+		for _, m := range batch {
+			tables[m.Table] = true
+		}
 	}
 	return tables
 }
@@ -58,6 +84,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add(clean[:len(clean)-3])                                        // torn tail: crash mid-append
 	f.Add(encodeWAL(Mutation{Op: 'X', Table: "data", Key: "k"}))       // unknown op
 	f.Add(encodeWAL(Mutation{Op: 'D', Table: "ghost", Key: "absent"})) // delete of a row never put
+	f.Add(batchLog)
+	f.Add(batchLog[:len(batchLog)-3])                                                                        // torn batch: crash mid-append of a multi-row write
+	f.Add(encodeBatches([]Mutation{{Op: 'P', Table: "data", Key: "k"}, {Op: 'X', Table: "data", Key: "k"}})) // unknown op inside a batch
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()

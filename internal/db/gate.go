@@ -23,14 +23,21 @@ func NewGatedStore(inner Store, gate func(key string) error, tables ...string) S
 	return &gatedStore{Store: inner, gate: gate, gated: gated}
 }
 
-func (g *gatedStore) Put(table, key string, value []byte) error {
-	if g.gated[table] {
-		if err := g.gate(key); err != nil {
-			return err
+// Apply checks every row of a gated table before it writes any: a batch
+// with one refused key writes nothing.
+func (g *gatedStore) Apply(batch []Mutation) error {
+	for i := range batch {
+		if g.gated[batch[i].Table] {
+			if err := g.gate(batch[i].Key); err != nil {
+				return err
+			}
 		}
 	}
-	return g.Store.Put(table, key, value)
+	return g.Store.Apply(batch)
 }
+
+func (g *gatedStore) Put(t, k string, v []byte) error { return ApplyRow(g, 'P', t, k, v) }
+func (g *gatedStore) Delete(t, k string) error        { return ApplyRow(g, 'D', t, k, nil) }
 
 func (g *gatedStore) Get(table, key string) ([]byte, bool, error) {
 	if g.gated[table] {
@@ -39,15 +46,6 @@ func (g *gatedStore) Get(table, key string) ([]byte, bool, error) {
 		}
 	}
 	return g.Store.Get(table, key)
-}
-
-func (g *gatedStore) Delete(table, key string) error {
-	if g.gated[table] {
-		if err := g.gate(key); err != nil {
-			return err
-		}
-	}
-	return g.Store.Delete(table, key)
 }
 
 func (g *gatedStore) Keys(table string) ([]string, error) {

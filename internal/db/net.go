@@ -19,28 +19,20 @@ type (
 	keyArgs struct {
 		Table, Key string
 	}
-	putArgs struct {
-		Table, Key string
-		Value      []byte
-	}
 	getReply struct {
 		Value []byte
 		Found bool
 	}
 )
 
-// Mount registers store's Put, Get, Delete and Keys on m as the "db"
-// service.
+// Mount registers store's Apply, Get and Keys on m as the "db" service.
 func Mount(m *rpc.Mux, store Store) {
-	rpc.Register(m, service, "Put", func(a putArgs) (struct{}, error) {
-		return struct{}{}, store.Put(a.Table, a.Key, a.Value)
+	rpc.Register(m, service, "Apply", func(batch []Mutation) (struct{}, error) {
+		return struct{}{}, store.Apply(batch)
 	})
 	rpc.Register(m, service, "Get", func(a keyArgs) (getReply, error) {
 		v, found, err := store.Get(a.Table, a.Key)
 		return getReply{Value: v, Found: found}, err
-	})
-	rpc.Register(m, service, "Delete", func(a keyArgs) (struct{}, error) {
-		return struct{}{}, store.Delete(a.Table, a.Key)
 	})
 	rpc.Register(m, service, "Keys", func(table string) ([]string, error) {
 		return store.Keys(table)
@@ -73,9 +65,10 @@ func Dial(addr string) (*Client, error) {
 	return &Client{c: c}, nil
 }
 
-func (c *Client) Put(table, key string, value []byte) error {
-	return c.c.Call(service, "Put", putArgs{Table: table, Key: key, Value: value}, nil)
-}
+// Apply sends the batch in one call.
+func (c *Client) Apply(batch []Mutation) error    { return c.c.Call(service, "Apply", batch, nil) }
+func (c *Client) Put(t, k string, v []byte) error { return ApplyRow(c, 'P', t, k, v) }
+func (c *Client) Delete(t, k string) error        { return ApplyRow(c, 'D', t, k, nil) }
 
 func (c *Client) Get(table, key string) ([]byte, bool, error) {
 	var r getReply
@@ -83,10 +76,6 @@ func (c *Client) Get(table, key string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	return r.Value, r.Found, nil
-}
-
-func (c *Client) Delete(table, key string) error {
-	return c.c.Call(service, "Delete", keyArgs{Table: table, Key: key}, nil)
 }
 
 func (c *Client) Keys(table string) ([]string, error) {
@@ -140,9 +129,12 @@ func (u *UnpooledStore) with(fn func(*Client) error) error {
 	return fn(c)
 }
 
-func (u *UnpooledStore) Put(table, key string, value []byte) error {
-	return u.with(func(c *Client) error { return c.Put(table, key, value) })
+func (u *UnpooledStore) Apply(batch []Mutation) error {
+	return u.with(func(c *Client) error { return c.Apply(batch) })
 }
+
+func (u *UnpooledStore) Put(t, k string, v []byte) error { return ApplyRow(u, 'P', t, k, v) }
+func (u *UnpooledStore) Delete(t, k string) error        { return ApplyRow(u, 'D', t, k, nil) }
 
 func (u *UnpooledStore) Get(table, key string) (v []byte, found bool, err error) {
 	err = u.with(func(c *Client) error {
@@ -150,10 +142,6 @@ func (u *UnpooledStore) Get(table, key string) (v []byte, found bool, err error)
 		return err
 	})
 	return v, found, err
-}
-
-func (u *UnpooledStore) Delete(table, key string) error {
-	return u.with(func(c *Client) error { return c.Delete(table, key) })
 }
 
 func (u *UnpooledStore) Keys(table string) (keys []string, err error) {

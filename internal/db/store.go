@@ -20,6 +20,7 @@ package db
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -33,6 +34,10 @@ var ErrClosed = errors.New("db: closed")
 // serialises objects (Data Catalog, Data Scheduler, Data Repository
 // metadata). Keys are unique within a table.
 type Store interface {
+	// Apply writes a batch of puts and deletes, in order, atomically: every
+	// layer applies, logs, feeds and ships all of it or none of it. It is
+	// the one write; Put and Delete are one-row batches.
+	Apply(batch []Mutation) error
 	// Put stores value under (table, key), overwriting any previous value.
 	Put(table, key string, value []byte) error
 	// Get retrieves the value under (table, key); found is false when the
@@ -62,20 +67,59 @@ func NewRowStore() *RowStore {
 	return &RowStore{tables: make(map[string]map[string][]byte)}
 }
 
-func (s *RowStore) Put(table, key string, value []byte) error {
+// oneRow holds the batches of ApplyRow: a slice passed through the Store
+// interface escapes to the heap, so each would be an allocation.
+var oneRow = sync.Pool{New: func() any { return new([1]Mutation) }}
+
+// ApplyRow is every Store's Put (op 'P') and Delete ('D'): s.Apply of a
+// batch of one row.
+func ApplyRow(s Store, op byte, table, key string, value []byte) error {
+	b := oneRow.Get().(*[1]Mutation)
+	b[0] = Mutation{Op: op, Table: table, Key: key, Value: value}
+	err := s.Apply(b[:])
+	*b = [1]Mutation{}
+	oneRow.Put(b)
+	return err
+}
+
+// valid refuses a batch that holds anything but puts and deletes.
+func valid(batch []Mutation) error {
+	for i := range batch {
+		if op := batch[i].Op; op != 'P' && op != 'D' {
+			return fmt.Errorf("db: unknown op %q", op)
+		}
+	}
+	return nil
+}
+
+// Apply writes the batch under one hold of the lock, so a reader sees all
+// of it or none of it. Values are copied.
+func (s *RowStore) Apply(batch []Mutation) error {
+	if err := valid(batch); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	t := s.tables[table]
-	if t == nil {
-		t = make(map[string][]byte)
-		s.tables[table] = t
+	for _, m := range batch {
+		t := s.tables[m.Table]
+		if m.Op == 'D' {
+			delete(t, m.Key)
+			continue
+		}
+		if t == nil {
+			t = make(map[string][]byte)
+			s.tables[m.Table] = t
+		}
+		t[m.Key] = append([]byte(nil), m.Value...)
 	}
-	t[key] = append([]byte(nil), value...)
 	return nil
 }
+
+func (s *RowStore) Put(t, k string, v []byte) error { return ApplyRow(s, 'P', t, k, v) }
+func (s *RowStore) Delete(t, k string) error        { return ApplyRow(s, 'D', t, k, nil) }
 
 func (s *RowStore) Get(table, key string) ([]byte, bool, error) {
 	s.mu.RLock()
@@ -88,24 +132,6 @@ func (s *RowStore) Get(table, key string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return append([]byte(nil), v...), true, nil
-}
-
-func (s *RowStore) Delete(table, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	delete(s.tables[table], key)
-	return nil
-}
-
-// apply performs m, a put or a delete.
-func (s *RowStore) apply(m *Mutation) error {
-	if m.Op == 'D' {
-		return s.Delete(m.Table, m.Key)
-	}
-	return s.Put(m.Table, m.Key, m.Value)
 }
 
 func (s *RowStore) Keys(table string) ([]string, error) {
@@ -158,7 +184,7 @@ func (s *RowStore) Len(table string) int {
 }
 
 // Rows hands out every row as a put, in table then key order. The values
-// are the stored slices, which Put never changes (it stores a copy), so the
+// are the stored slices, which Apply never changes (it stores a copy), so the
 // caller must not change them either.
 func (s *RowStore) Rows() ([]Mutation, error) {
 	s.mu.RLock()

@@ -13,9 +13,10 @@ import (
 	"bitdew/internal/db"
 )
 
-// The consistency property: after any prefix-closed mutation stream is
+// The consistency property: after any prefix-closed stream of writes is
 // applied to a primary's feed — puts, deletes, overwrites, deletes of
-// absent keys, across any mix of tables — and the plane reports
+// absent keys, batches of several rows, across any mix of tables — and the
+// plane reports
 // replicated, the replica's namespace for that primary holds EXACTLY the
 // primary's live rows, byte for byte. The streams come from the durable
 // store's fuzz corpus (internal/db/testdata/fuzz/FuzzReplay), so the same
@@ -26,19 +27,19 @@ import (
 // not just incremental shipping.
 
 // loadFuzzCorpus decodes every seed in the FuzzReplay corpus into its
-// mutation stream. Corpus files are Go fuzz v1 format: a header line, then
-// one []byte("...") literal holding a log of framed Mutations — exactly
-// what db.ReadLog reads (dropping torn tails the same way WAL replay does,
+// stream of writes. Corpus files are Go fuzz v1 format: a header line, then
+// one []byte("...") literal holding a log of framed writes — exactly what
+// db.ReadLog reads (dropping torn tails the same way WAL replay does,
 // so seed-not-gob and seed-torn-* yield the well-formed prefix, which may
 // be empty).
-func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
+func loadFuzzCorpus(t *testing.T) map[string][][]db.Mutation {
 	t.Helper()
 	dir := filepath.Join("..", "db", "testdata", "fuzz", "FuzzReplay")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("fuzz corpus missing: %v", err)
 	}
-	corpus := make(map[string][]db.Mutation)
+	corpus := make(map[string][][]db.Mutation)
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -59,8 +60,8 @@ func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
 			t.Fatalf("%s: unquote: %v", e.Name(), err)
 		}
 		// Corrupt tails are the corpus's point: take the well-formed prefix.
-		muts, _, _ := db.ReadLog([]byte(payload))
-		corpus[e.Name()] = muts
+		recs, _, _ := db.ReadLog([]byte(payload))
+		corpus[e.Name()] = recs
 	}
 	if len(corpus) == 0 {
 		t.Fatal("fuzz corpus is empty")
@@ -68,20 +69,12 @@ func loadFuzzCorpus(t *testing.T) map[string][]db.Mutation {
 	return corpus
 }
 
-// applyMutations replays a decoded stream onto a primary's feed. Unknown
-// ops are skipped — db.ReadLog never returns one, and the feed only ever
-// emits 'P'/'D'.
-func applyMutations(t *testing.T, feed *db.FeedStore, muts []db.Mutation) {
+// applyMutations replays a decoded stream onto a primary's feed, each
+// write as the one batch it was in the log.
+func applyMutations(t *testing.T, feed *db.FeedStore, recs [][]db.Mutation) {
 	t.Helper()
-	for _, m := range muts {
-		var err error
-		switch m.Op {
-		case 'P':
-			err = feed.Put(m.Table, m.Key, m.Value)
-		case 'D':
-			err = feed.Delete(m.Table, m.Key)
-		}
-		if err != nil {
+	for _, batch := range recs {
+		if err := feed.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,10 +123,12 @@ func assertReplicaMatches(t *testing.T, primary *testShard, replica *testShard, 
 }
 
 // streamTables lists the distinct tables a stream touches, sorted.
-func streamTables(muts []db.Mutation) []string {
+func streamTables(recs [][]db.Mutation) []string {
 	seen := make(map[string]bool)
-	for _, m := range muts {
-		seen[m.Table] = true
+	for _, batch := range recs {
+		for _, m := range batch {
+			seen[m.Table] = true
+		}
 	}
 	tables := make([]string, 0, len(seen))
 	for table := range seen {
@@ -150,24 +145,24 @@ func streamTables(muts []db.Mutation) []string {
 // shipping, the restart through full snapshot resync, and the second half
 // through shipping-after-resync.
 func TestReplicaConsistencyCorpus(t *testing.T) {
-	for name, muts := range loadFuzzCorpus(t) {
-		muts := muts
+	for name, recs := range loadFuzzCorpus(t) {
+		recs := recs
 		t.Run(name, func(t *testing.T) {
 			p := newPlane(t, 2, 2)
-			half := len(muts) / 2
-			applyMutations(t, p.shards[0].feed, muts[:half])
+			half := len(recs) / 2
+			applyMutations(t, p.shards[0].feed, recs[:half])
 			if err := p.shards[0].node.WaitReplicated(testWait); err != nil {
 				t.Fatal(err)
 			}
 			// Crash the replica: everything shipped so far is lost with its
 			// in-memory store; the restart must rebuild it from a snapshot.
 			p.kill(1)
-			applyMutations(t, p.shards[0].feed, muts[half:])
+			applyMutations(t, p.shards[0].feed, recs[half:])
 			p.restart(1)
 			if err := p.shards[0].node.WaitReplicated(testWait); err != nil {
 				t.Fatal(err)
 			}
-			assertReplicaMatches(t, p.shards[0], p.shards[1], 0, streamTables(muts))
+			assertReplicaMatches(t, p.shards[0], p.shards[1], 0, streamTables(recs))
 		})
 	}
 }
@@ -183,18 +178,24 @@ func TestReplicaConsistencyCombined(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var all []db.Mutation
+	var all [][]db.Mutation
+	rows := 0
 	for i, name := range names {
-		for _, m := range corpus[name] {
+		for _, rec := range corpus[name] {
 			// Suffix keys per seed so streams overlap on tables but not on
 			// every key: both shared-key overwrites (same seed) and
 			// disjoint-key merges (across seeds) are represented.
-			m.Key = m.Key + "#" + fmt.Sprintf("%02d", i%3)
-			all = append(all, m)
+			batch := make([]db.Mutation, len(rec))
+			for j, m := range rec {
+				m.Key = m.Key + "#" + fmt.Sprintf("%02d", i%3)
+				batch[j] = m
+			}
+			all = append(all, batch)
+			rows += len(batch)
 		}
 	}
-	if len(all) < 8 {
-		t.Fatalf("combined corpus only has %d mutations — corpus shrank?", len(all))
+	if rows < 8 {
+		t.Fatalf("combined corpus only has %d mutations — corpus shrank?", rows)
 	}
 
 	p := newPlane(t, 2, 2)

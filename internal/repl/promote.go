@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"bitdew/internal/db"
 )
 
 // Promotion and boot-time ownership resolution.
@@ -93,7 +95,8 @@ func (n *Node) commitPromotion(rangeID int) error {
 
 // adoptRows is the one place another shard's rows enter the live store: it
 // copies the rows of stream src's namespace whose key passes want into the
-// live tables — through the feed, so they ship onward to our own followers —
+// live tables, one batch per table — through the feed, so they ship onward
+// to our own followers —
 // and hands the scheduler rows to the scheduler. Failover promotion adopts
 // one range from the best-claim stream; a reshape's commit adopts what homes
 // here under the new placement from every move stream, rewriting locators
@@ -129,17 +132,19 @@ func (n *Node) adoptRows(src int, want func(key string) bool) (adopted int, err 
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		for _, k := range keys {
+		batch := make([]db.Mutation, len(keys))
+		for i, k := range keys {
 			v := rows[k]
 			if tbl == n.cfg.ContentTable {
 				v = n.rewriteLocators(srcEndpoints, v)
 				n.pull.enqueue(k, from)
 			}
-			if err := n.cfg.Feed.Put(tbl, k, v); err != nil {
-				return adopted, fmt.Errorf("adopting %s/%s: %w", tbl, k, err)
-			}
-			adopted++
+			batch[i] = db.Mutation{Op: 'P', Table: tbl, Key: k, Value: v}
 		}
+		if err := n.cfg.Feed.Apply(batch); err != nil {
+			return adopted, fmt.Errorf("adopting %d %s rows: %w", len(batch), tbl, err)
+		}
+		adopted += len(batch)
 	}
 	if n.cfg.SchedulerTable != "" && n.cfg.AdoptScheduler != nil {
 		rows, err := collect(n.cfg.SchedulerTable)

@@ -147,7 +147,7 @@ type Config struct {
 	// on a follower triggers a content pull.
 	ContentTable   string
 	AdoptScheduler func(rows map[string][]byte) error
-	DropScheduler  func(uid string) error
+	DropScheduler  func(batch []db.Mutation) error
 	// Endpoints returns this shard's protocol → host:port repository
 	// endpoints; a reshape rewrites moved locators from the source's to the
 	// target's.
@@ -218,6 +218,7 @@ type Node struct {
 	departed  []dht.Range // cutover→commit window on a source
 	inbound   []dht.Range // staged→commit window on a target: union of the move streams' arcs
 	staged    *staging
+	nsRows    []db.Mutation // applyLocked's batch, kept for the next
 	started   bool
 	stopped   bool
 }

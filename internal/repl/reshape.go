@@ -6,6 +6,7 @@ import (
 
 	"bitdew/internal/codec"
 	"bitdew/internal/data"
+	"bitdew/internal/db"
 	"bitdew/internal/dht"
 )
 
@@ -250,11 +251,11 @@ func (n *Node) persistState(epoch uint64, shards int) {
 }
 
 // collectGhosts deletes the rows whose range is not served here under the
-// committed placement: the rows a cutover moved away. Scheduler rows
-// unschedule through the scheduler so its in-memory Θ stays coherent with
-// the persisted table. Repository content is deliberately kept — stale
-// cached locators keep reading the old copy until every client has healed
-// onto the new epoch.
+// committed placement, one batch per table: the rows a cutover moved away.
+// Scheduler rows unschedule through the scheduler so its in-memory Θ stays
+// coherent with the persisted table. Repository content is deliberately
+// kept — stale cached locators keep reading the old copy until every client
+// has healed onto the new epoch.
 func (n *Node) collectGhosts() {
 	for _, table := range n.moveTables {
 		keys, err := n.cfg.Feed.Keys(table)
@@ -262,21 +263,24 @@ func (n *Node) collectGhosts() {
 			n.logf("repl: shard %d: listing %s: %v", n.cfg.Shard, table, err)
 			continue
 		}
+		var batch []db.Mutation
+		n.mu.Lock()
 		for _, k := range keys {
-			n.mu.Lock()
-			_, served := n.serving[n.place.ShardOf(k)]
-			n.mu.Unlock()
-			if served {
-				continue
+			if _, served := n.serving[n.place.ShardOf(k)]; !served {
+				batch = append(batch, db.Mutation{Op: 'D', Table: table, Key: k})
 			}
-			if table == n.cfg.SchedulerTable && n.cfg.DropScheduler != nil {
-				if err := n.cfg.DropScheduler(k); err == nil {
-					continue // unschedule persisted the row deletion itself
-				}
+		}
+		n.mu.Unlock()
+		if len(batch) == 0 {
+			continue
+		}
+		if table == n.cfg.SchedulerTable && n.cfg.DropScheduler != nil {
+			if err := n.cfg.DropScheduler(batch); err == nil {
+				continue // the scheduler wrote the rows' deletion itself
 			}
-			if err := n.cfg.Feed.Delete(table, k); err != nil {
-				n.logf("repl: shard %d: dropping ghost %s/%s: %v", n.cfg.Shard, table, k, err)
-			}
+		}
+		if err := n.cfg.Feed.Apply(batch); err != nil {
+			n.logf("repl: shard %d: dropping %d ghosts of %s: %v", n.cfg.Shard, len(batch), table, err)
 		}
 	}
 }

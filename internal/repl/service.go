@@ -15,9 +15,10 @@ import (
 // ApplyArgs ships a batch of tail mutations of one source shard's stream:
 // the mutations of sequence span (Prev, Last] that belong in the stream —
 // all of them in steady state, the moving arcs' only in a reshape, which is
-// why the span and not the mutations' own numbers detects gaps. An empty
-// Muts slice with Prev == Last is a heartbeat: the reply reports the
-// follower's current ack state without changing anything.
+// why the span and not the mutations' own numbers detects gaps. The rows of
+// one write share its Seq, and a frame never splits them. An empty Muts
+// slice with Prev == Last is a heartbeat: the reply reports the follower's
+// current ack state without changing anything.
 type ApplyArgs struct {
 	Shard      int    // source shard (whose stream this is)
 	Epoch      uint64 // source stream epoch
@@ -146,13 +147,14 @@ func (n *Node) Mount(m *rpc.Mux) {
 	})
 }
 
-// handleApply applies a tail batch to the source's namespace. Duplicates
-// (Seq <= last covered) are dropped — re-sending a possibly-delivered batch
-// after an ambiguous failure is safe by design, which is why the shipper
-// may retry Apply even after rpc.ErrDeadline. A batch that starts past the
-// last covered sequence number means mutations were lost between shipper
-// and follower; the follower refuses it and asks for a snapshot instead of
-// applying out of order.
+// handleApply applies a tail batch to the source's namespace, a write (the
+// rows of one Seq) at a time. Duplicates (Seq <= last covered) are dropped —
+// re-sending a possibly-delivered batch after an ambiguous failure is safe
+// by design, which is why the shipper may retry Apply even after
+// rpc.ErrDeadline. A batch that starts past the last covered sequence
+// number means mutations were lost between shipper and follower; the
+// follower refuses it and asks for a snapshot instead of applying out of
+// order.
 func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -164,14 +166,16 @@ func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 		}
 		return ApplyReply{AckSeq: ack, NeedSync: true, PendingContent: n.pull.pending()}, nil
 	}
-	for _, m := range a.Muts {
-		if m.Seq <= st.last {
+	for i, j := 0, 0; i < len(a.Muts); i = j {
+		for j = i + 1; j < len(a.Muts) && a.Muts[j].Seq == a.Muts[i].Seq; j++ {
+		}
+		if a.Muts[i].Seq <= st.last {
 			continue // duplicate delivery
 		}
-		if err := n.applyOneLocked(a.Shard, st, m); err != nil {
+		if err := n.applyLocked(a.Shard, st, a.Muts[i:j]); err != nil {
 			return ApplyReply{AckSeq: st.last}, err
 		}
-		st.last = m.Seq
+		st.last = a.Muts[i].Seq
 	}
 	if a.Last > st.last {
 		st.last = a.Last
@@ -179,47 +183,50 @@ func (n *Node) handleApply(a ApplyArgs) (ApplyReply, error) {
 	return ApplyReply{AckSeq: st.last, PendingContent: n.pull.pending()}, nil
 }
 
-// applyOneLocked writes one mutation into the source's namespace; a locator
-// row schedules a pull of the content it announces, its deletion cancels
-// one still queued and drops the copy of a range this shard follows.
-func (n *Node) applyOneLocked(src int, st *replicaState, m db.Mutation) error {
-	tbl := nsTable(src, m.Table)
-	st.tables[m.Table] = true
-	switch m.Op {
-	case 'P':
-		if err := n.rstore.Put(tbl, m.Key, m.Value); err != nil {
-			return fmt.Errorf("repl: apply: %w", err)
+// applyLocked writes rows into the source's namespace as one batch; a
+// locator row schedules a pull of the content it announces, its deletion
+// cancels one still queued and drops the copy of a range this shard follows.
+func (n *Node) applyLocked(src int, st *replicaState, rows []db.Mutation) error {
+	batch := n.nsRows[:0]
+	for _, m := range rows {
+		batch = append(batch, db.Mutation{Op: m.Op, Table: nsTable(src, m.Table), Key: m.Key, Value: m.Value})
+	}
+	err := n.rstore.Apply(batch)
+	clear(batch)
+	if n.nsRows = batch[:0]; err != nil {
+		return fmt.Errorf("repl: apply: %w", err)
+	}
+	for _, m := range rows {
+		if st.tables[m.Table] = true; m.Table != n.cfg.ContentTable {
+			continue
 		}
-		if m.Table == n.cfg.ContentTable {
+		if m.Op == 'P' {
 			n.pull.enqueue(m.Key, st.addr)
+			continue
 		}
-	case 'D':
-		if err := n.rstore.Delete(tbl, m.Key); err != nil {
-			return fmt.Errorf("repl: apply: %w", err)
-		}
-		if m.Table == n.cfg.ContentTable {
-			// Content of a range served here is this shard's own: the delete
-			// is its old home collecting the ghost of a move.
-			_, served := n.serving[n.place.ShardOf(m.Key)]
-			n.pull.cancel(m.Key, !served && n.cfg.DropContent != nil)
-		}
-	default:
-		return fmt.Errorf("repl: apply: unknown op %q", m.Op)
+		// Content of a range served here is this shard's own: the delete
+		// is its old home collecting the ghost of a move.
+		_, served := n.serving[n.place.ShardOf(m.Key)]
+		n.pull.cancel(m.Key, !served && n.cfg.DropContent != nil)
 	}
 	return nil
 }
 
-// clearNamespaceLocked deletes every row stream src shipped here.
+// clearNamespaceLocked deletes every row stream src shipped here, one batch
+// per table.
 func (n *Node) clearNamespaceLocked(src int, st *replicaState) error {
 	for tbl := range st.tables {
-		keys, err := n.rstore.Keys(nsTable(src, tbl))
+		tbl = nsTable(src, tbl)
+		keys, err := n.rstore.Keys(tbl)
 		if err != nil {
 			return err
 		}
-		for _, k := range keys {
-			if err := n.rstore.Delete(nsTable(src, tbl), k); err != nil {
-				return err
-			}
+		batch := make([]db.Mutation, len(keys))
+		for i, k := range keys {
+			batch[i] = db.Mutation{Op: 'D', Table: tbl, Key: k}
+		}
+		if err := n.rstore.Apply(batch); err != nil {
+			return err
 		}
 	}
 	st.tables = make(map[string]bool)
@@ -247,11 +254,9 @@ func (n *Node) handleSync(a SyncArgs) (SyncReply, error) {
 	for _, r := range n.replicas {
 		n.inbound = append(n.inbound, r.arcs...)
 	}
-	for _, m := range a.Snapshot {
-		if err := n.applyOneLocked(a.Shard, st, m); err != nil {
-			st.synced = false
-			return SyncReply{}, err
-		}
+	if err := n.applyLocked(a.Shard, st, a.Snapshot); err != nil {
+		st.synced = false
+		return SyncReply{}, err
 	}
 	n.logf("repl: shard %d synced stream of shard %d at epoch %d seq %d (%d rows)",
 		n.cfg.Shard, a.Shard, a.Epoch, a.Seq, len(a.Snapshot))

@@ -13,9 +13,8 @@ import (
 )
 
 const (
-	// shipBatchMax bounds mutations per Apply frame; the shipper drains the
-	// feed opportunistically up to it, so a bursty primary ships large
-	// batches and an idle one ships singles with no added latency.
+	// shipBatchMax bounds mutations per Apply frame, save a write that
+	// crosses it (shipper.cut), and the data of one content pull.
 	shipBatchMax = 256
 	// shipBuffer is the feed subscription depth; a follower that falls this
 	// far behind is cut loose (db.ErrFeedLost) and resynced from a snapshot
@@ -206,34 +205,25 @@ func (s *shipper) pushSnapshot(seq uint64, snap []db.Mutation) bool {
 // store closed.
 func (s *shipper) stream(feed *db.Feed, sent uint64) (resync bool) {
 	var batch []db.Mutation
+	var next db.Mutation // when held, the row that opens the next frame
+	held := false
 	for {
 		prev := sent
-		select {
-		case <-s.stop:
-			return false
-		case <-s.poke:
-			// Heartbeat: an empty Apply refreshes the follower's ack and
-			// pending-content report without shipping anything.
-		case m, ok := <-feed.C():
-			if !ok {
-				return feed.Err() == db.ErrFeedLost
-			}
-			// Drain what is already buffered, up to one frame's worth, and
-			// ship it the moment the channel runs dry (a closed channel is
-			// noticed by the next outer receive).
-			for count := 1; ok; count++ {
-				if sent = m.Seq; s.ships(m) {
-					batch = append(batch, m)
-				}
-				if count == shipBatchMax {
-					break
-				}
-				select {
-				case m, ok = <-feed.C():
-				default:
-					ok = false
+		if !held {
+			select {
+			case <-s.stop:
+				return false
+			case <-s.poke:
+				// Heartbeat: an empty Apply refreshes the follower's ack and
+				// pending-content report without shipping anything.
+			case next, held = <-feed.C():
+				if !held {
+					return feed.Err() == db.ErrFeedLost
 				}
 			}
+		}
+		if held {
+			batch, sent, next, held = s.cut(feed, next, batch)
 		}
 		args := ApplyArgs{Shard: s.n.cfg.Shard, Epoch: s.n.cfg.Feed.Epoch(), Prev: prev, Last: sent, Muts: batch}
 		var rep ApplyReply
@@ -245,6 +235,37 @@ func (s *shipper) stream(feed *db.Feed, sent uint64) (resync bool) {
 			return true
 		}
 		batch = batch[:0]
+	}
+}
+
+// cut fills a frame, from row m on, with what the feed holds, up to
+// shipBatchMax rows but never ending inside a write (whose rows share a
+// Seq). It returns the frame, its last Seq, and the row met past the cap,
+// if held.
+func (s *shipper) cut(feed *db.Feed, m db.Mutation, batch []db.Mutation) ([]db.Mutation, uint64, db.Mutation, bool) {
+	last := m.Seq
+	for count := 0; ; count++ {
+		if m.Seq != last && count >= shipBatchMax {
+			return batch, last, m, true
+		}
+		if last = m.Seq; s.ships(m) {
+			batch = append(batch, m)
+		}
+		var ok bool
+		select {
+		case m, ok = <-feed.C():
+		default:
+			// Dry, perhaps inside a write: once Seq returns, the feed has
+			// buffered every row of the write it was feeding.
+			s.n.cfg.Feed.Seq()
+			select {
+			case m, ok = <-feed.C():
+			default:
+			}
+		}
+		if !ok {
+			return batch, last, m, false
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		SchedulerTable: scheduler.TableEntries,
 		ContentTable:   catalog.TableLocators,
 		AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
-		DropScheduler:  func(uid string) error { return c.DS.Unschedule(data.UID(uid)) },
+		DropScheduler:  func(batch []db.Mutation) error { return c.DS.Drop(batch) },
 		Endpoints:      func() map[string]string { return c.DR.Endpoints() },
 		GetContent: func(uid string) ([]byte, bool, error) {
 			content, err := backend.Get(uid)
@@ -237,10 +237,11 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		return fail(err)
 	}
 	c.DC = catalog.NewService(store)
-	// A delete takes the datum's schedule entry and content with it once its
-	// catalog rows are gone; followers drop their copies through DropContent.
-	c.DC.SetDeleteCascade(func(uid data.UID) error {
-		if err := c.DS.Unschedule(uid); err != nil && !errors.Is(err, scheduler.ErrNotScheduled) {
+	// A delete takes the datum's schedule entry with its catalog rows, one
+	// record, then its content; followers drop their copies through
+	// DropContent.
+	c.DC.SetDeleteCascade(func(uid data.UID, rows []db.Mutation) error {
+		if err := c.DS.Drop(append(rows, db.Mutation{Op: 'D', Table: scheduler.TableEntries, Key: string(uid)})); err != nil {
 			return err
 		}
 		return backend.Delete(string(uid))

@@ -35,13 +35,16 @@ func (s *Service) gateLocked(uid data.UID) error {
 // AdoptRows installs replicated persistence rows (raw persistedEntry
 // records keyed by UID, as shipped in the "ds_entries" stream) as live
 // scheduler state: Θ entries, Ω owners and pins are rebuilt exactly as a
-// durable restart would, and each adopted row is persisted through this
-// shard's own store — re-entering its outbound stream, so the adopted range
-// replicates onward. Host sessions are not touched: owners re-confirm
-// through their next full resync, the protocol's designed recovery path.
+// durable restart would, and the adopted rows are persisted, one batch,
+// through this shard's own store — re-entering its outbound stream, so the
+// adopted range replicates onward. Host sessions are not touched: owners
+// re-confirm through their next full resync, the protocol's designed
+// recovery path.
 func (s *Service) AdoptRows(rows map[string][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	uids := make([]data.UID, 0, len(rows))
+	defer func() { s.persistLocked(uids...) }()
 	for key, raw := range rows {
 		var p persistedEntry
 		if err := codec.Unmarshal(raw, &p); err != nil {
@@ -62,7 +65,7 @@ func (s *Service) AdoptRows(rows map[string][]byte) error {
 		if p.Order > s.orderC {
 			s.orderC = p.Order
 		}
-		s.persistLocked(uid)
+		uids = append(uids, uid)
 	}
 	return nil
 }

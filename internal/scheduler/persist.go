@@ -106,38 +106,44 @@ func (s *Service) StoreErr() error {
 	return s.storeErr
 }
 
-// persistLocked writes the durable record of uid — or deletes it when the
-// datum left Θ. Owner-timestamp refreshes are persisted only together with
-// a membership change (see syncLocked's dirty set): persisting every
-// refresh would cost one write per owned datum per heartbeat, and recovery
-// restamps the owners anyway (heardNow).
-func (s *Service) persistLocked(uid data.UID) {
-	if s.store == nil {
+// persistLocked writes, as one batch, the durable record of each uid — or
+// its deletion when the datum left Θ. Owner-timestamp refreshes are
+// persisted only together with a membership change (see syncLocked's dirty
+// set): persisting every refresh would cost one write per owned datum per
+// heartbeat, and recovery restamps the owners anyway (heardNow).
+func (s *Service) persistLocked(uids ...data.UID) {
+	if s.store == nil || len(uids) == 0 {
 		return
 	}
-	e, ok := s.theta[uid]
-	if !ok {
-		if err := s.store.Delete(tableEntries, string(uid)); err != nil && s.storeErr == nil {
-			s.storeErr = err
+	batch := s.rows[:0]
+	for _, uid := range uids {
+		e, ok := s.theta[uid]
+		if !ok {
+			batch = append(batch, db.Mutation{Op: 'D', Table: tableEntries, Key: string(uid)})
+			continue
 		}
-		return
-	}
-	p := persistedEntry{
-		Data:        e.Data,
-		Attr:        e.Attr,
-		ScheduledAt: e.scheduledAt,
-		Order:       e.order,
-		Owners:      s.owners[uid],
-		Pinned:      s.pinned[uid],
-	}
-	raw, err := codec.Marshal(p)
-	if err != nil {
-		if s.storeErr == nil {
-			s.storeErr = fmt.Errorf("scheduler: persist %s: %w", uid, err)
+		raw, err := codec.Marshal(persistedEntry{
+			Data:        e.Data,
+			Attr:        e.Attr,
+			ScheduledAt: e.scheduledAt,
+			Order:       e.order,
+			Owners:      s.owners[uid],
+			Pinned:      s.pinned[uid],
+		})
+		if err != nil {
+			s.keepErr(fmt.Errorf("scheduler: persist %s: %w", uid, err))
+			continue
 		}
-		return
+		batch = append(batch, db.Mutation{Op: 'P', Table: tableEntries, Key: string(uid), Value: raw})
 	}
-	if err := s.store.Put(tableEntries, string(uid), raw); err != nil && s.storeErr == nil {
+	s.keepErr(s.store.Apply(batch))
+	clear(batch)
+	s.rows = batch[:0]
+}
+
+// keepErr records the first persistence failure for StoreErr.
+func (s *Service) keepErr(err error) {
+	if s.storeErr == nil {
 		s.storeErr = err
 	}
 }

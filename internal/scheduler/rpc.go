@@ -20,12 +20,6 @@ type pinArgs struct {
 	Host string
 }
 
-type syncArgs struct {
-	Host       string
-	Cache      []data.UID
-	ClientOnly bool
-}
-
 // SyncDeltaArgs is the delta heartbeat's request: the adds and removes to
 // the host cache since Epoch, or (Full) a complete cache re-report.
 type SyncDeltaArgs struct {
@@ -50,9 +44,6 @@ func (s *Service) Mount(m *rpc.Mux) {
 	})
 	rpc.Register(m, ServiceName, "Unschedule", func(uid data.UID) (struct{}, error) {
 		return struct{}{}, s.Unschedule(uid)
-	})
-	rpc.Register(m, ServiceName, "Sync", func(a syncArgs) (SyncResult, error) {
-		return s.SyncAs(a.Host, a.Cache, a.ClientOnly), nil
 	})
 	rpc.Register(m, ServiceName, "SyncDelta", func(a SyncDeltaArgs) (SyncDeltaResult, error) {
 		res := s.SyncDelta(a.Host, a.Epoch, a.Full, a.Added, a.Removed, a.ClientOnly)
@@ -90,18 +81,6 @@ func (c *Client) Pin(d data.Data, a attr.Attribute, host string) error {
 // Unschedule withdraws a datum.
 func (c *Client) Unschedule(uid data.UID) error {
 	return c.c.Call(ServiceName, "Unschedule", uid, nil)
-}
-
-// Sync runs one Algorithm 1 synchronization for host.
-func (c *Client) Sync(host string, cache []data.UID) (SyncResult, error) {
-	return c.SyncAs(host, cache, false)
-}
-
-// SyncAs is Sync with an explicit client-only role.
-func (c *Client) SyncAs(host string, cache []data.UID, clientOnly bool) (SyncResult, error) {
-	var r SyncResult
-	err := c.c.Call(ServiceName, "Sync", syncArgs{Host: host, Cache: cache, ClientOnly: clientOnly}, &r)
-	return r, err
 }
 
 // SyncDelta runs one delta heartbeat (see Service.SyncDelta).

@@ -109,6 +109,7 @@ type Service struct {
 	// on the heartbeat path.
 	store    db.Store
 	storeErr error
+	rows     []db.Mutation // persistLocked's batch, kept for the next
 	// gate, when set (SetRangeGate), restricts the scheduler to the key
 	// ranges its shard currently owns in a replicated plane.
 	gate func(uid data.UID) error
@@ -192,14 +193,32 @@ func (s *Service) Pin(d data.Data, a attr.Attribute, host string) error {
 // lifetime bound to it become obsolete at their owners' next sync.
 func (s *Service) Unschedule(uid data.UID) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.theta[uid]; !ok {
+	_, ok := s.theta[uid]
+	s.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotScheduled, uid)
 	}
-	delete(s.theta, uid)
-	delete(s.owners, uid)
-	delete(s.pinned, uid)
-	s.persistLocked(uid)
+	return s.Drop([]db.Mutation{{Op: 'D', Table: tableEntries, Key: string(uid)}})
+}
+
+// Drop writes batch through the scheduler's store, then drops each datum
+// whose entry row it deletes from Θ; a refused batch changes nothing. The
+// catalog's delete is one such batch: the datum's rows and its entry's.
+func (s *Service) Drop(batch []db.Mutation) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.store != nil {
+		if err := s.store.Apply(batch); err != nil {
+			return err
+		}
+	}
+	for _, m := range batch {
+		if uid := data.UID(m.Key); m.Op == 'D' && m.Table == tableEntries {
+			delete(s.theta, uid)
+			delete(s.owners, uid)
+			delete(s.pinned, uid)
+		}
+	}
 	return nil
 }
 
@@ -421,7 +440,7 @@ func (s *Service) syncDeltaLocked(host string, epoch uint64, full bool, added, r
 func (s *Service) syncLocked(host string, inCache map[data.UID]bool, clientOnly bool) SyncResult {
 	s.hosts[host] = s.now()
 	// dirty collects the data whose placement membership changed this sync;
-	// they are persisted in one pass at the end (timestamp-only refreshes
+	// they are persisted in one batch at the end (timestamp-only refreshes
 	// are not persisted — see persistLocked).
 	dirty := make(map[data.UID]bool)
 	s.expireOwnersLocked(dirty)
@@ -515,9 +534,11 @@ func (s *Service) syncLocked(host string, inCache map[data.UID]bool, clientOnly 
 			newCount++
 		}
 	}
+	uids := make([]data.UID, 0, len(dirty))
 	for uid := range dirty {
-		s.persistLocked(uid)
+		uids = append(uids, uid)
 	}
+	s.persistLocked(uids...)
 	return result
 }
 
@@ -543,8 +564,8 @@ func (s *Service) GC() int {
 			delete(s.theta, uid)
 			delete(s.owners, uid)
 			delete(s.pinned, uid)
-			s.persistLocked(uid)
-			removed++
 		}
+		s.persistLocked(dead...)
+		removed += len(dead)
 	}
 }

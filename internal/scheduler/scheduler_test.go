@@ -382,9 +382,9 @@ func TestSchedulerOverRPC(t *testing.T) {
 	if err := c.Schedule(d, attr.Attribute{Name: "a", Replica: 1}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Sync("h1", nil)
+	r, err := c.SyncDelta(SyncDeltaArgs{Host: "h1", Full: true})
 	if err != nil || len(r.Fetch) != 1 {
-		t.Fatalf("Sync = %+v, %v", r, err)
+		t.Fatalf("SyncDelta = %+v, %v", r, err)
 	}
 	owners, err := c.Owners(d.UID)
 	if err != nil || len(owners) != 1 {
