@@ -160,7 +160,7 @@ func fetchRing(addr string) runtime.Membership {
 		log.Fatalf("connecting to %s: %v", addr, err)
 	}
 	defer c.Close()
-	table, err := runtime.Members(c)
+	table, err := repl.Members(c)
 	if err != nil {
 		log.Fatalf("membership of %s: %v (is it part of a sharded plane?)", addr, err)
 	}

@@ -41,13 +41,8 @@ type ActiveData struct {
 	handlers []EventHandler
 }
 
-// NewActiveData builds the API over service connections. Attach it to a
+// NewActiveDataSharded builds the API over a service plane. Attach it to a
 // Node (via Node.ActiveData) to receive callbacks.
-func NewActiveData(comms *Comms) *ActiveData {
-	return NewActiveDataSharded(NewShardSet(comms))
-}
-
-// NewActiveDataSharded is NewActiveData over a sharded service plane.
 func NewActiveDataSharded(set *ShardSet) *ActiveData {
 	return &ActiveData{set: set}
 }

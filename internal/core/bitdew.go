@@ -39,13 +39,8 @@ type BitDew struct {
 	host    string
 }
 
-// NewBitDew builds the API over one service connection, local storage and
+// NewBitDewSharded builds the API over a service plane, local storage and
 // the node's transfer engine.
-func NewBitDew(comms *Comms, backend repository.Backend, engine *transfer.Engine, host string) *BitDew {
-	return NewBitDewSharded(NewShardSet(comms), backend, engine, host)
-}
-
-// NewBitDewSharded is NewBitDew over a sharded service plane.
 func NewBitDewSharded(set *ShardSet, backend repository.Backend, engine *transfer.Engine, host string) *BitDew {
 	return &BitDew{set: set, backend: backend, engine: engine, host: host}
 }

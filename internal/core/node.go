@@ -328,20 +328,11 @@ func (n *Node) heartbeat() (scheduler.SyncDeltaResult, error) {
 		}
 	}
 
-	var merged scheduler.SyncDeltaResult
-	if len(hosts) == 1 {
-		owner := v.owner[hosts[0]]
-		res, err := n.heartbeatShard(owner, v.slots[hosts[0]], current[owner], clientOnly)
-		if err != nil {
-			return merged, err
-		}
-		return res, nil
-	}
-
-	errs := make([]error, 0, len(hosts))
 	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
+		merged scheduler.SyncDeltaResult
+		errs   []error
+		wg     sync.WaitGroup
+		mu     sync.Mutex
 	)
 	for _, r := range hosts {
 		wg.Add(1)

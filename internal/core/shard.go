@@ -155,7 +155,7 @@ func ConnectSharded(addrs []string, opts ...ShardOption) (*ShardSet, error) {
 			dialErrs = append(dialErrs, fmt.Errorf("core: connect shard %d of %d: %w", i, len(addrs), err))
 			continue
 		}
-		answer, err := fetchRing(c)
+		answer, err := repl.Members(c)
 		c.Close()
 		if err == nil && len(answer.Addrs) > 0 {
 			t = answer
@@ -336,13 +336,6 @@ func (s *ShardSet) Close() error {
 	return first
 }
 
-// fetchRing reads the membership table one shard serves.
-func fetchRing(c rpc.Client) (dht.Membership, error) {
-	var t dht.Membership
-	err := c.Call("ring", "Members", struct{}{}, &t)
-	return t, err
-}
-
 // readMembership asks addrs, in order, for the plane's membership table and
 // adopts the first answer when it carries a newer epoch than the current
 // view: a view is built around the new address list and the locator cache is
@@ -355,7 +348,7 @@ func (s *ShardSet) readMembership(addrs []string) bool {
 		if err != nil {
 			return false
 		}
-		t, err := fetchRing(c)
+		t, err := repl.Members(c)
 		if err != nil || len(t.Addrs) == 0 {
 			continue
 		}

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -379,14 +378,4 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Kinds lists the op classes present in the result, in canonical order.
-func (r *Result) Kinds() []OpKind {
-	kinds := make([]OpKind, 0, len(r.PerOp))
-	for k := range r.PerOp {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
 }

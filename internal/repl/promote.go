@@ -210,8 +210,11 @@ func (n *Node) bestClaim(rangeID int) (src int, epoch uint64) {
 func (n *Node) claimedRanges() []int {
 	ranges := []int{n.cfg.Shard}
 	seen := map[int]bool{n.cfg.Shard: true}
+	n.mu.Lock()
+	shards := n.place.Shards()
+	n.mu.Unlock()
 	_ = n.cfg.Feed.Scan(TableOwner, func(k string, _ []byte) bool {
-		if r, err := strconv.Atoi(k); err == nil && !seen[r] && r >= 0 && r < len(n.cfg.Addrs) {
+		if r, err := strconv.Atoi(k); err == nil && !seen[r] && r >= 0 && r < shards {
 			seen[r] = true
 			ranges = append(ranges, r)
 		}

@@ -30,7 +30,7 @@ func TestPullCancelledByReplicatedDelete(t *testing.T) {
 		return []rpc.DialOption{rpc.WithFaultPlan(rpc.NewFaultPlan().DropFrames(1))}
 	})
 	uid := keyOn(dht.NewPlacement(2), 0, "paused", 0)
-	p.shards[0].content.put(uid, []byte("payload"))
+	p.shards[0].content.Put(uid, []byte("payload"))
 	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPullCancelledByReplicatedDelete(t *testing.T) {
 func TestReplicatedDeleteDropsPulledContent(t *testing.T) {
 	p := newPlane(t, 2, 2)
 	uid := keyOn(dht.NewPlacement(2), 0, "pulled", 0)
-	p.shards[0].content.put(uid, []byte("payload"))
+	p.shards[0].content.Put(uid, []byte("payload"))
 	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPullDeleteAfterInFlightPull(t *testing.T) {
 			rpc.Fault{Action: rpc.FaultDelay, Delay: time.Second}))}
 	})
 	uid := keyOn(dht.NewPlacement(2), 0, "late", 0)
-	p.shards[0].content.put(uid, []byte("payload"))
+	p.shards[0].content.Put(uid, []byte("payload"))
 	armed.Store(true)
 	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestPullOfAbsentContentIsTerminal(t *testing.T) {
 func TestPullSurvivesABackendReadError(t *testing.T) {
 	p := newPlane(t, 2, 2)
 	uid := keyOn(dht.NewPlacement(2), 0, "flaky", 0)
-	p.shards[0].content.put(uid, []byte("payload"))
+	p.shards[0].content.Put(uid, []byte("payload"))
 	p.shards[0].content.mu.Lock()
 	p.shards[0].content.failReads = 1
 	p.shards[0].content.mu.Unlock()
@@ -164,7 +164,7 @@ func TestPullBatchCutShort(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		uid := keyOn(dht.NewPlacement(2), 0, "big", i)
 		want[uid] = bytes.Repeat([]byte{byte('a' + i)}, pullBytesMax/2)
-		p.shards[0].content.put(uid, want[uid])
+		p.shards[0].content.Put(uid, want[uid])
 	}
 	// One snapshot carries all three locators: the follower restarts empty.
 	for uid := range want {
@@ -178,7 +178,7 @@ func TestPullBatchCutShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for uid, c := range want {
-		if got, _, _ := p.shards[1].content.get(uid); !bytes.Equal(got, c) {
+		if got, _ := p.shards[1].content.Get(uid); !bytes.Equal(got, c) {
 			t.Fatalf("follower holds %d bytes of %s, want %d", len(got), uid, len(c))
 		}
 	}
@@ -192,7 +192,7 @@ func TestPullBatchCutShort(t *testing.T) {
 func TestStatusRefreshesAStalePullReport(t *testing.T) {
 	p := newPlane(t, 2, 2)
 	uid := keyOn(dht.NewPlacement(2), 0, "stale", 0)
-	p.shards[0].content.put(uid, []byte("payload"))
+	p.shards[0].content.Put(uid, []byte("payload"))
 	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,11 @@
 // the source keeps serving; Cutover engages the source's departure gate and
 // waits for the target's ack to reach the feed's sequence number (the gate
 // precedes the barrier read, so no moving-key mutation can follow it);
-// Commit adopts on the targets, swaps in the new placement and epoch
-// everywhere, persists it, and — once a source has verified its targets still
-// hold the stream — garbage-collects rows that no longer home here. Moved
+// Commit adopts on the targets, swaps in the new membership (epoch,
+// addresses, placement) everywhere, persists it — the node is the one holder
+// of the committed membership, and serves it as ring/Members — and, once a
+// source has verified its targets still hold the stream, garbage-collects
+// rows that no longer home here. Moved
 // repository content is deliberately NOT deleted from the source's backend:
 // a client still fetching through a pre-bump cached locator reads the old
 // copy byte-exact.
@@ -74,6 +76,7 @@ import (
 	"bitdew/internal/codec"
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
+	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
 )
 
@@ -88,9 +91,9 @@ const ServiceName = "repl"
 // survives arbitrary kill/promote/rejoin interleavings.
 const TableOwner = "repl_owner"
 
-// tableState persists the committed membership epoch and shard count, so a
-// restarted shard recovers the post-reshape placement instead of the one it
-// was first booted with. (The name predates the merge of the rebalance
+// tableState persists the committed membership epoch and address list, so
+// a restarted shard recovers the post-reshape membership instead of the one
+// it was first booted with. (The name predates the merge of the rebalance
 // package into this one; state dirs written then still recover.)
 const (
 	tableState = "rebal_state"
@@ -121,10 +124,10 @@ const DefaultProbeTimeout = 750 * time.Millisecond
 
 // Config wires the ownership node into its container.
 type Config struct {
-	// Shard is this container's own shard index; Addrs is the full
-	// membership table in placement order (Addrs[Shard] is our address). A
-	// persisted state row from an earlier reshape overrides len(Addrs) as
-	// the placement's shard count.
+	// Shard is this container's own shard index; Addrs is the boot
+	// membership in placement order (Addrs[Shard] is our address). A
+	// membership an earlier reshape committed and persisted overrides Addrs;
+	// our own address stays Addrs[Shard].
 	Shard int
 	Addrs []string
 	// Replicas is R: each range lives on its primary plus R-1 successors.
@@ -152,20 +155,10 @@ type Config struct {
 	// endpoints; a reshape rewrites moved locators from the source's to the
 	// target's.
 	Endpoints func() map[string]string
-	// GetContent / PutContent / DropContent / HasContent bridge to the
-	// repository backend: serving FetchContent to followers, storing pulled
-	// content, removing it when its locator row's delete replicates, and
-	// skipping pulls for content already present. GetContent answers
-	// found=false only when the backend definitely holds nothing for uid;
-	// any other failure is an error (a follower retries it). DropContent of
-	// absent content is not an error.
-	GetContent  func(uid string) (content []byte, found bool, err error)
-	PutContent  func(uid string, content []byte) error
-	DropContent func(uid string) error
-	HasContent  func(uid string) bool
-	// OnCommit, when set, observes every committed membership change — the
-	// runtime publishes it through the ring table.
-	OnCommit func(epoch uint64, addrs []string)
+	// Content is the repository backend: it serves FetchContent to
+	// followers, stores pulled content, and loses a datum's content when its
+	// locator row's delete replicates.
+	Content repository.Backend
 	// DialOpts, when set, contributes extra dial options for every outbound
 	// connection to the given address — the fault-injection hook the
 	// crash-point tests script ship-cycle failures through.
@@ -210,7 +203,8 @@ type Node struct {
 
 	mu        sync.Mutex
 	epoch     uint64         // committed membership epoch (>= 1)
-	place     *dht.Placement // committed placement
+	addrs     []string       // committed membership, placement order; replaced, never written
+	place     *dht.Placement // committed placement: len(addrs) shards
 	serving   map[int]uint64 // range -> ownership claim
 	promoting map[int]bool
 	replicas  map[int]*replicaState
@@ -224,20 +218,20 @@ type Node struct {
 }
 
 type persistedState struct {
-	Epoch  uint64
-	Shards int
+	Epoch uint64
+	Addrs []string
 }
 
 // NewNode builds the ownership node, recovering a previously committed
-// membership epoch and shard count from the store when present. The
+// membership epoch and address list from the store when present. The
 // container must Mount it and, once every service is constructed, Start it
 // (before serving rpc).
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Shard < 0 || cfg.Shard >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("repl: shard %d outside membership of %d", cfg.Shard, len(cfg.Addrs))
 	}
-	if cfg.Feed == nil {
-		return nil, fmt.Errorf("repl: nil feed store")
+	if cfg.Feed == nil || cfg.Content == nil {
+		return nil, fmt.Errorf("repl: nil feed store or content backend")
 	}
 	n := &Node{
 		cfg:        cfg,
@@ -245,6 +239,7 @@ func NewNode(cfg Config) (*Node, error) {
 		rstore:     db.NewRowStore(),
 		stop:       make(chan struct{}),
 		epoch:      1,
+		addrs:      slices.Clone(cfg.Addrs),
 		place:      dht.NewPlacement(len(cfg.Addrs)),
 		serving:    make(map[int]uint64),
 		promoting:  make(map[int]bool),
@@ -259,13 +254,12 @@ func NewNode(cfg Config) (*Node, error) {
 			// reshaped plane's rows would misplace every one of them.
 			return nil, fmt.Errorf("repl: shard %d: stored membership state: %w", cfg.Shard, err)
 		}
-		if st.Epoch > n.epoch && st.Shards >= 1 {
-			if st.Shards != len(cfg.Addrs) {
-				n.logf("repl: shard %d: recovered epoch %d places over %d shards, boot said %d — trusting the recovered state",
-					cfg.Shard, st.Epoch, st.Shards, len(cfg.Addrs))
+		if st.Epoch > n.epoch && len(st.Addrs) >= 1 {
+			if !slices.Equal(st.Addrs, cfg.Addrs) {
+				n.logf("repl: shard %d: recovered epoch %d over %v, boot said %v — trusting the recovered membership",
+					cfg.Shard, st.Epoch, st.Addrs, cfg.Addrs)
 			}
-			n.epoch = st.Epoch
-			n.place = dht.NewPlacement(st.Shards)
+			n.epoch, n.addrs, n.place = st.Epoch, st.Addrs, dht.NewPlacement(len(st.Addrs))
 		}
 	}
 	if n.cfg.ProbeTimeout <= 0 {
@@ -299,16 +293,33 @@ func (n *Node) successors(rangeID int) []int {
 	return n.successorsLocked(rangeID)
 }
 
-// addrOf returns shard i's address in the boot membership ("" for a shard
-// that joined after this one booted: only reshapes reach those, and their
-// streams carry the address).
-func (n *Node) addrOf(i int) string {
-	if i < 0 || i >= len(n.cfg.Addrs) {
-		return ""
-	}
-	return n.cfg.Addrs[i]
+// Members returns the committed membership table this shard serves under
+// the ring service: its own index, the committed addresses, R and the
+// epoch, read together.
+func (n *Node) Members() dht.Membership {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return dht.Membership{Self: n.cfg.Shard, Addrs: slices.Clone(n.addrs), Replicas: n.cfg.Replicas, Epoch: n.epoch}
 }
 
+// addrOfLocked returns shard i's address in the committed membership ("" for
+// a shard outside it, or one a joiner's boot list leaves blank until the
+// reshape commits). Caller holds n.mu.
+func (n *Node) addrOfLocked(i int) string {
+	if i < 0 || i >= len(n.addrs) {
+		return ""
+	}
+	return n.addrs[i]
+}
+
+func (n *Node) addrOf(i int) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.addrOfLocked(i)
+}
+
+// self is this shard's own boot address: a drained shard is outside the
+// committed membership and still answers there.
 func (n *Node) self() string { return n.cfg.Addrs[n.cfg.Shard] }
 
 func (n *Node) logf(format string, args ...any) {

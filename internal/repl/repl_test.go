@@ -9,6 +9,7 @@ import (
 
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
+	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
 )
 
@@ -18,44 +19,35 @@ import (
 
 const testWait = 15 * time.Second
 
+// contentBox is a shard's content backend: a MemBackend that counts the
+// content stored and can be scripted to fail reads.
 type contentBox struct {
+	*repository.MemBackend
 	mu        sync.Mutex
-	m         map[string][]byte
 	failReads int // reads left to fail with a backend error
 	puts      int // content stored, pulled or not
 }
 
-func (b *contentBox) put(uid string, c []byte) error {
+func (b *contentBox) Put(uid string, c []byte) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[uid] = append([]byte(nil), c...)
 	b.puts++
-	return nil
+	b.mu.Unlock()
+	return b.MemBackend.Put(uid, c)
 }
 
-func (b *contentBox) drop(uid string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.m, uid)
-	return nil
-}
-
-func (b *contentBox) get(uid string) ([]byte, bool, error) {
+func (b *contentBox) Get(uid string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.failReads > 0 {
 		b.failReads--
-		return nil, false, fmt.Errorf("scripted read error on %s", uid)
+		return nil, fmt.Errorf("scripted read error on %s", uid)
 	}
-	c, ok := b.m[uid]
-	return c, ok, nil
+	return b.MemBackend.Get(uid)
 }
 
 func (b *contentBox) has(uid string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.m[uid]
-	return ok
+	_, err := b.Size(uid)
+	return err == nil
 }
 
 type testShard struct {
@@ -120,7 +112,7 @@ func (p *plane) boot(i int, lis net.Listener, skipBootCheck bool) *testShard {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	box := &contentBox{m: make(map[string][]byte)}
+	box := &contentBox{MemBackend: repository.NewMemBackend()}
 	var dialOpts func(addr string) []rpc.DialOption
 	if p.dialOpts != nil {
 		from := i
@@ -134,10 +126,7 @@ func (p *plane) boot(i int, lis net.Listener, skipBootCheck bool) *testShard {
 		DialOpts:      dialOpts,
 		GatedTables:   []string{"dc_data", "dc_locators"},
 		ContentTable:  "dc_locators",
-		GetContent:    box.get,
-		PutContent:    box.put,
-		DropContent:   box.drop,
-		HasContent:    box.has,
+		Content:       box,
 		ProbeTimeout:  150 * time.Millisecond,
 		SkipBootCheck: skipBootCheck,
 		Logf:          p.t.Logf,
@@ -367,16 +356,16 @@ func TestContentPull(t *testing.T) {
 	p := newPlane(t, 2, 2)
 	place := dht.NewPlacement(2)
 	uid := keyOn(place, 0, "blob", 0)
-	p.shards[0].content.m[uid] = []byte("payload")
+	p.shards[0].content.Put(uid, []byte("payload"))
 	if err := p.shards[0].feed.Put("dc_locators", uid, []byte("locator")); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.shards[0].node.WaitReplicated(testWait); err != nil {
 		t.Fatal(err)
 	}
-	c, ok, _ := p.shards[1].content.get(uid)
-	if !ok || string(c) != "payload" {
-		t.Fatalf("replica content = %q, %v", c, ok)
+	c, err := p.shards[1].content.Get(uid)
+	if err != nil || string(c) != "payload" {
+		t.Fatalf("replica content = %q, %v", c, err)
 	}
 }
 

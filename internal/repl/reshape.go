@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bitdew/internal/codec"
@@ -43,13 +44,12 @@ func (n *Node) Stage(newAddrs []string) error {
 	case n.staged != nil:
 		err = fmt.Errorf("repl: shard %d already staging a reshape (abort it first)", n.cfg.Shard)
 	case n.cfg.Replicas > 1:
-		// What is still missing is server-side. Promote's split-brain guard
-		// and the boot check address their peers through the boot-time
-		// membership (addrOf), ship targets are chosen when a range starts
-		// being served and not again when a commit changes its successors,
-		// and a move stream feeds one target where a moved range needs R
-		// followers. Clients already follow membership epochs at every R
-		// (core.ShardSet starts a fresh owner table per epoch).
+		// What is still missing is server-side. Ship targets are chosen
+		// when a range starts being served and not again when a commit
+		// changes its successors, and a move stream feeds one target where
+		// a moved range needs R followers. Clients already follow
+		// membership epochs at every R (core.ShardSet starts a fresh owner
+		// table per epoch).
 		err = fmt.Errorf("repl: shard %d: a replicated plane (R=%d) does not reshape yet", n.cfg.Shard, n.cfg.Replicas)
 	}
 	if err != nil {
@@ -139,8 +139,9 @@ func (n *Node) abort(rs *staging) {
 // Commit adopts a committed membership. It is what a coordinator calls on
 // EVERY shard — sources, targets and bystanders — after all cutovers
 // succeeded: a target first adopts, from its move streams, the rows that
-// home here under the new placement; then the new placement and epoch
-// become live, both gates clear, the state persists, and rows that no
+// home here under the new placement; then the new membership — epoch,
+// addresses and placement together — becomes live and is what the ring
+// service serves, both gates clear, the state persists, and rows that no
 // longer home here are garbage-collected. A source first verifies that every
 // target still holds what it was shipped (stillShipped), and refuses —
 // keeping the rows behind its departure gate — when one does not.
@@ -193,7 +194,7 @@ func (n *Node) Commit(epoch uint64, addrs []string) error {
 	n.mu.Lock()
 	rs := n.staged
 	n.staged, n.departed, n.inbound = nil, nil, nil
-	n.epoch, n.place = epoch, next
+	n.epoch, n.addrs, n.place = epoch, slices.Clone(addrs), next
 	for _, src := range moves {
 		// The stream's bookkeeping stays (its source has yet to commit, and
 		// asks after it first); its rows and its hold on the gate go.
@@ -206,12 +207,9 @@ func (n *Node) Commit(epoch uint64, addrs []string) error {
 		close(rs.stop)
 	}
 
-	n.persistState(epoch, len(addrs))
+	n.persistState(epoch, addrs)
 	n.collectGhosts()
 	n.logf("repl: shard %d committed epoch %d over %d shards (%d rows adopted)", n.cfg.Shard, epoch, len(addrs), adopted)
-	if n.cfg.OnCommit != nil {
-		n.cfg.OnCommit(epoch, append([]string(nil), addrs...))
-	}
 	return nil
 }
 
@@ -237,8 +235,8 @@ func (n *Node) stillShipped(shippers []*shipper, barrier uint64) error {
 	return nil
 }
 
-func (n *Node) persistState(epoch uint64, shards int) {
-	raw, err := codec.Marshal(persistedState{Epoch: epoch, Shards: shards})
+func (n *Node) persistState(epoch uint64, addrs []string) {
+	raw, err := codec.Marshal(persistedState{Epoch: epoch, Addrs: addrs})
 	if err != nil {
 		n.logf("repl: shard %d: encoding state: %v", n.cfg.Shard, err)
 		return

@@ -122,11 +122,10 @@ func runFaultedMove(t *testing.T, arm func(plan *rpc.FaultPlan), midStage func(p
 		t.Fatalf("%s, deleted between stage and cutover, is live on the joiner", kGone)
 	}
 	// Content followed the locator rows, pulled from the sources.
-	joiner.mu.Lock()
-	defer joiner.mu.Unlock()
 	for k := range want {
-		if tbl, key, _ := strings.Cut(k, "/"); tbl == tblLocators && string(joiner.content[key]) != "bytes of "+key {
-			t.Fatalf("joiner holds content %q for %s", joiner.content[key], key)
+		tbl, key, _ := strings.Cut(k, "/")
+		if c, _ := joiner.content.Get(key); tbl == tblLocators && string(c) != "bytes of "+key {
+			t.Fatalf("joiner holds content %q for %s", c, key)
 		}
 	}
 }

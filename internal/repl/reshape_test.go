@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
+	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
 )
 
@@ -34,8 +36,7 @@ type moveShard struct {
 
 	stop func() // server, node and feed; safe to call twice
 
-	mu      sync.Mutex
-	content map[string][]byte
+	content *repository.MemBackend
 }
 
 func bootShard(t *testing.T, self, shards int) *moveShard {
@@ -67,7 +68,7 @@ func bootShardOn(t *testing.T, self, shards int, lis net.Listener, dialOpts func
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &moveShard{feed: feed, mux: rpc.NewMux(), content: make(map[string][]byte)}
+	s := &moveShard{feed: feed, mux: rpc.NewMux(), content: repository.NewMemBackend()}
 	srv := rpc.NewServer(lis, s.mux)
 	s.addr = srv.Addr()
 	// Only this shard's own address is known at boot, as for a joiner whose
@@ -83,24 +84,7 @@ func bootShardOn(t *testing.T, self, shards int, lis net.Listener, dialOpts func
 		SkipBootCheck: true,
 		DialOpts:      dialOpts,
 		Logf:          t.Logf,
-		GetContent: func(uid string) ([]byte, bool, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			c, ok := s.content[uid]
-			return c, ok, nil
-		},
-		PutContent: func(uid string, c []byte) error {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.content[uid] = c
-			return nil
-		},
-		DropContent: func(uid string) error {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			delete(s.content, uid)
-			return nil
-		},
+		Content:       s.content,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +133,7 @@ func bootPlaneWith(t *testing.T, n int, dialOpts func(from int, addr string) []r
 		if err := home.store.Put(tblData, k, []byte("row "+k)); err != nil {
 			t.Fatal(err)
 		}
-		home.content[k] = []byte("bytes of " + k)
+		home.content.Put(k, []byte("bytes of "+k))
 		if err := home.store.Put(tblLocators, k, []byte("locators of "+k)); err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +225,7 @@ func assertServedUnder(t *testing.T, keys []string, shards []*moveShard) {
 			if err != nil || !ok || string(v) != "row "+k {
 				t.Fatalf("shard %d lost row %s: %q %v %v", i, k, v, ok, err)
 			}
-			s.mu.Lock()
-			c := string(s.content[k])
-			s.mu.Unlock()
-			if c != "bytes of "+k {
+			if c, _ := s.content.Get(k); string(c) != "bytes of "+k {
 				t.Fatalf("shard %d holds content %q for %s", i, c, k)
 			}
 		}
@@ -510,34 +491,46 @@ func TestDrainRefusesTheLastShard(t *testing.T) {
 }
 
 // TestPersistedStateFormatPinned: the committed membership a node stores is
-// these bytes — fingerprint, then the two varints — so a silent change of
-// format trips here, and a node booted over the row recovers it.
+// these bytes — fingerprint, the epoch varint, then the address list — so a
+// silent change of format trips here, and a node booted over the row on its
+// shorter boot list recovers and serves the committed one.
 func TestPersistedStateFormatPinned(t *testing.T) {
 	s := bootShard(t, 0, 2)
-	s.node.persistState(300, 3)
+	committed := []string{"h0:1", "h1:2", "h2:3"}
+	s.node.persistState(300, committed)
 	got, ok, err := s.feed.Get(tableState, stateKey)
-	if want := "6697c2d5ac0206"; err != nil || !ok || hex.EncodeToString(got) != want {
+	if want := "99d022a4ac02030468303a310468313a320468323a33"; err != nil || !ok || hex.EncodeToString(got) != want {
 		t.Fatalf("stored state: found %v, %v, bytes %x, want %s", ok, err, got, want)
 	}
-	re, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed})
-	if err != nil || re.Epoch() != 300 {
-		t.Fatalf("recovered epoch %d (want 300), %v", re.Epoch(), err)
-	}
-}
-
-// TestEarlierFormatStateIsRefused: the state row of a directory written
-// before the schema codec (a standalone gob blob of the same struct, epoch
-// 4) fails the boot by fingerprint; it is neither misread nor skipped.
-func TestEarlierFormatStateIsRefused(t *testing.T) {
-	s := bootShard(t, 0, 2)
-	old, err := hex.DecodeString("307f0301010e706572736973746564537461746501ff80000102010545706f63680106000106536861726473010400000007ff800104010600")
+	re, err := NewNode(Config{Shard: 0, Addrs: committed[:2], Feed: s.feed, Content: repository.NewMemBackend()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.feed.Put(tableState, stateKey, old); err != nil {
-		t.Fatal(err)
+	if m := re.Members(); m.Epoch != 300 || !slices.Equal(m.Addrs, committed) || m.Self != 0 {
+		t.Fatalf("recovered membership %+v, want epoch 300 over %v", m, committed)
 	}
-	if _, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("boot over an earlier commit's state row = %v, want a fingerprint refusal", err)
+}
+
+// TestEarlierFormatStateIsRefused: the state row of a directory written by
+// an earlier format fails the boot by fingerprint; it is neither misread nor
+// skipped: a standalone gob blob of (Epoch, Shards) at epoch 4, written
+// before the schema codec, and the codec's (Epoch, Shards) row at epoch 300
+// over 3 shards, written before the address list.
+func TestEarlierFormatStateIsRefused(t *testing.T) {
+	for _, row := range []string{
+		"307f0301010e706572736973746564537461746501ff80000102010545706f63680106000106536861726473010400000007ff800104010600",
+		"6697c2d5ac0206",
+	} {
+		s := bootShard(t, 0, 2)
+		old, err := hex.DecodeString(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.feed.Put(tableState, stateKey, old); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewNode(Config{Shard: 0, Addrs: make([]string, 3), Feed: s.feed, Content: s.content}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("boot over the state row %s = %v, want a fingerprint refusal", row, err)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"bitdew/internal/db"
 	"bitdew/internal/dht"
+	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
 )
 
@@ -124,8 +126,16 @@ type TargetStatus struct {
 	PendingContent int
 }
 
-// Mount registers the ownership protocol on the shard's Mux.
+// RingService is the rpc service the committed membership table is served
+// under: its one method, Members, answers a dht.Membership.
+const RingService = "ring"
+
+// Mount registers the ownership protocol and the membership table on the
+// shard's Mux.
 func (n *Node) Mount(m *rpc.Mux) {
+	rpc.Register(m, RingService, "Members", func(struct{}) (dht.Membership, error) {
+		return n.Members(), nil
+	})
 	rpc.Register(m, ServiceName, "Apply", n.handleApply)
 	rpc.Register(m, ServiceName, "Sync", n.handleSync)
 	rpc.Register(m, ServiceName, "Owner", n.handleOwner)
@@ -207,7 +217,7 @@ func (n *Node) applyLocked(src int, st *replicaState, rows []db.Mutation) error 
 		// Content of a range served here is this shard's own: the delete
 		// is its old home collecting the ghost of a move.
 		_, served := n.serving[n.place.ShardOf(m.Key)]
-		n.pull.cancel(m.Key, !served && n.cfg.DropContent != nil)
+		n.pull.cancel(m.Key, !served)
 	}
 	return nil
 }
@@ -276,18 +286,15 @@ func (n *Node) handlePromote(a PromoteArgs) (PromoteReply, error) {
 }
 
 func (n *Node) handleFetchContent(a FetchContentArgs) (FetchContentReply, error) {
-	if n.cfg.GetContent == nil {
-		return FetchContentReply{Items: make([]ContentItem, len(a.UIDs))}, nil
-	}
 	var rep FetchContentReply
 	size := 0
 	for _, uid := range a.UIDs {
-		content, found, err := n.cfg.GetContent(uid)
-		if err != nil {
+		content, err := n.cfg.Content.Get(uid)
+		if err != nil && !errors.Is(err, repository.ErrNoContent) {
 			// Not "absent": the puller must retry, not drop the pull for good.
 			return FetchContentReply{}, fmt.Errorf("repl: shard %d reading content %s: %w", n.cfg.Shard, uid, err)
 		}
-		rep.Items = append(rep.Items, ContentItem{Found: found, Content: content})
+		rep.Items = append(rep.Items, ContentItem{Found: err == nil, Content: content})
 		if size += len(content); size >= pullBytesMax {
 			break
 		}
@@ -378,6 +385,13 @@ func (cl *Client) Abort() error {
 func (cl *Client) Commit(epoch uint64, addrs []string) error {
 	var rep CommitReply
 	return cl.c.Call(ServiceName, "Commit", CommitArgs{Epoch: epoch, Addrs: addrs}, &rep)
+}
+
+// Members reads the committed membership table the shard at c serves.
+func Members(c rpc.Client) (dht.Membership, error) {
+	var t dht.Membership
+	err := c.Call(RingService, "Members", struct{}{}, &t)
+	return t, err
 }
 
 // Status reports the shard's ownership state.

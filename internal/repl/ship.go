@@ -93,7 +93,7 @@ func (n *Node) startShipperLocked(addr string) {
 func (n *Node) shipToLocked(rangeID int) {
 	for _, c := range n.successorsLocked(rangeID) {
 		if c != n.cfg.Shard {
-			n.startShipperLocked(n.addrOf(c))
+			n.startShipperLocked(n.addrOfLocked(c))
 		}
 	}
 }
@@ -386,7 +386,7 @@ func (p *puller) dropDeleted() {
 	}
 	p.mu.Unlock()
 	for _, uid := range uids {
-		if err := p.n.cfg.DropContent(uid); err != nil {
+		if err := p.n.cfg.Content.Delete(uid); err != nil {
 			p.n.logf("repl: shard %d: dropping deleted content %s: %v", p.n.cfg.Shard, uid, err)
 		}
 		p.mu.Lock()
@@ -460,12 +460,9 @@ func (p *puller) run() {
 // could not be asked, or a reply stopped short of them.
 func (p *puller) pull(uids []string, from string) (retry []string) {
 	n := p.n
-	if n.cfg.PutContent == nil {
-		return nil // container ships metadata only
-	}
 	missing := make([]string, 0, len(uids))
 	for _, uid := range uids {
-		if n.cfg.HasContent == nil || !n.cfg.HasContent(uid) {
+		if _, err := n.cfg.Content.Size(uid); err != nil {
 			missing = append(missing, uid)
 		}
 	}
@@ -516,7 +513,7 @@ func (p *puller) fetch(addr string, uids []string) (absent, short []string, err 
 	for i, item := range rep.Items[:answered] {
 		if !item.Found {
 			absent = append(absent, uids[i])
-		} else if err := n.cfg.PutContent(uids[i], item.Content); err != nil {
+		} else if err := n.cfg.Content.Put(uids[i], item.Content); err != nil {
 			n.logf("repl: shard %d: storing pulled content %s: %v", n.cfg.Shard, uids[i], err)
 			short = append(short, uids[i])
 		}

@@ -8,7 +8,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -77,7 +76,7 @@ type ContainerConfig struct {
 type Plane struct {
 	// Shard is this container's index in Addrs; Addrs is the full
 	// membership table in placement order (a restarted shard that recovered
-	// a committed reshape trusts its recovered shard count over len(Addrs)).
+	// a committed reshape trusts its recovered membership over Addrs).
 	Shard int
 	Addrs []string
 	// Replicas is R: each key range lives on its home shard plus R-1
@@ -118,7 +117,6 @@ type Container struct {
 	// homes of moving arcs.
 	feed *db.FeedStore
 	node *repl.Node
-	ring *MembershipTable
 
 	mu      sync.Mutex
 	seeders map[data.UID]*swarm.Peer
@@ -181,11 +179,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	if plane.Replicas > len(plane.Addrs) {
 		plane.Replicas = len(plane.Addrs)
 	}
-	c.ring = &MembershipTable{table: Membership{
-		Self:     plane.Shard,
-		Addrs:    append([]string(nil), plane.Addrs...),
-		Replicas: plane.Replicas,
-	}}
 	// The stream epoch is minted per boot: a restarted shard recovers its
 	// rows from disk but not its sequence counter, and the fresh epoch is
 	// what tells its followers to resync from a snapshot.
@@ -204,27 +197,13 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		AdoptScheduler: func(rows map[string][]byte) error { return c.DS.AdoptRows(rows) },
 		DropScheduler:  func(batch []db.Mutation) error { return c.DS.Drop(batch) },
 		Endpoints:      func() map[string]string { return c.DR.Endpoints() },
-		GetContent: func(uid string) ([]byte, bool, error) {
-			content, err := backend.Get(uid)
-			if errors.Is(err, repository.ErrNoContent) {
-				return nil, false, nil
-			}
-			return content, err == nil, err
-		},
-		PutContent:  backend.Put,
-		DropContent: backend.Delete,
-		HasContent: func(uid string) bool {
-			_, err := backend.Size(uid)
-			return err == nil
-		},
-		OnCommit:      c.ring.Set,
-		SkipBootCheck: plane.SkipBootCheck,
-		Logf:          plane.Logf,
+		Content:        backend,
+		SkipBootCheck:  plane.SkipBootCheck,
+		Logf:           plane.Logf,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	c.ring.Set(c.node.Epoch(), plane.Addrs)
 	// Every service write flows feed-first behind the ownership gate, which
 	// refuses keys whose range this shard lost, has not been handed yet, or
 	// never homed.
@@ -238,8 +217,8 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	}
 	c.DC = catalog.NewService(store)
 	// A delete takes the datum's schedule entry with its catalog rows, one
-	// record, then its content; followers drop their copies through
-	// DropContent.
+	// record, then its content; followers drop their copies when the
+	// locators' delete replicates.
 	c.DC.SetDeleteCascade(func(uid data.UID, rows []db.Mutation) error {
 		if err := c.DS.Drop(append(rows, db.Mutation{Op: 'D', Table: scheduler.TableEntries, Key: string(uid)})); err != nil {
 			return err
@@ -292,7 +271,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	c.DR.Mount(c.Mux)
 	c.DT.Mount(c.Mux)
 	c.DS.Mount(c.Mux)
-	c.ring.Mount(c.Mux)
 	c.node.Mount(c.Mux)
 	// Ownership is resolved before the rpc server answers: no peer or client
 	// can observe this shard alive while it is still deciding whether it (or
@@ -305,8 +283,8 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	return c, nil
 }
 
-// Membership returns the membership table this shard serves.
-func (c *Container) Membership() Membership { return c.ring.Table() }
+// Membership returns the committed membership table this shard serves.
+func (c *Container) Membership() Membership { return c.node.Members() }
 
 // Repl returns the container's range-ownership node.
 func (c *Container) Repl() *repl.Node { return c.node }

@@ -105,7 +105,7 @@ func askPlane(t *testing.T, addr string) planeAnswers {
 	}
 	defer c.Close()
 	var a planeAnswers
-	if a.Members, err = runtime.Members(c); err != nil {
+	if a.Members, err = repl.Members(c); err != nil {
 		t.Fatal(err)
 	}
 	var st repl.StatusReply // the method's one declared reply type

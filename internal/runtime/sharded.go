@@ -12,55 +12,10 @@ import (
 	"bitdew/internal/rpc"
 )
 
-// MembershipService is the rpc service name of the shard-membership table.
-const MembershipService = "ring"
-
 // Membership is the table every shard serves under the "ring" service; the
 // type lives in dht so that clients (internal/core) declare the same wire
 // type as the server.
 type Membership = dht.Membership
-
-// MembershipTable serves a shard's (possibly changing) membership view
-// under the "ring" service. Every container owns one, Set on every committed
-// reshape, which is how clients learn the plane grew or shrank.
-type MembershipTable struct {
-	mu    sync.Mutex
-	table Membership
-}
-
-// Mount serves the table on a shard's Mux.
-func (t *MembershipTable) Mount(m *rpc.Mux) {
-	rpc.Register(m, MembershipService, "Members", func(struct{}) (Membership, error) {
-		return t.Table(), nil
-	})
-}
-
-// Set publishes a committed membership change.
-func (t *MembershipTable) Set(epoch uint64, addrs []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if epoch < t.table.Epoch {
-		return
-	}
-	t.table.Epoch = epoch
-	t.table.Addrs = append([]string(nil), addrs...)
-}
-
-// Table returns the current view.
-func (t *MembershipTable) Table() Membership {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.table
-	out.Addrs = append([]string(nil), t.table.Addrs...)
-	return out
-}
-
-// Members fetches the membership table from any one shard.
-func Members(c rpc.Client) (Membership, error) {
-	var table Membership
-	err := c.Call(MembershipService, "Members", struct{}{}, &table)
-	return table, err
-}
 
 // ShardedConfig configures a sharded service plane hosted in one process.
 type ShardedConfig struct {

@@ -2,10 +2,13 @@ package runtime_test
 
 import (
 	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"bitdew/internal/core"
 	"bitdew/internal/data"
+	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
 	"bitdew/internal/runtime"
 )
@@ -32,7 +35,7 @@ func TestShardedContainerBootAndMembership(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dial shard %d: %v", i, err)
 		}
-		table, err := runtime.Members(c)
+		table, err := repl.Members(c)
 		c.Close()
 		if err != nil {
 			t.Fatalf("membership of shard %d: %v", i, err)
@@ -224,5 +227,111 @@ func TestShardedContainerRestartRecovers(t *testing.T) {
 		if string(got) != string(contents[i]) {
 			t.Fatalf("datum %s content %q, want %q", d.Name, got, contents[i])
 		}
+	}
+}
+
+// TestRestartWithBootPeersServesCommittedMembership restarts shard 0 of a
+// grown durable plane on the address list it was first booted with, as
+// `bitdew-service -shard-id 0 -peers <boot list>` does after `bitdew ring
+// add`: the shard serves the membership it committed, not its boot list,
+// and a client bootstrapped from it alone reaches every datum.
+func TestRestartWithBootPeersServesCommittedMembership(t *testing.T) {
+	dir := t.TempDir()
+	plane, err := runtime.NewShardedContainer(runtime.ShardedConfig{
+		Shards:       2,
+		StateDir:     dir,
+		DisableFTP:   true,
+		DisableSwarm: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	boot := plane.Addrs()
+	// Shard 0 answers ring/Members throughout the reshape that swaps it.
+	conn, err := rpc.Dial(boot[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, polled := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+			if _, err := repl.Members(conn); err != nil {
+				polled <- err
+				return
+			}
+		}
+	}()
+	_, err = plane.AddShard()
+	close(stop)
+	if perr := <-polled; err != nil || perr != nil {
+		t.Fatalf("AddShard: %v; ring/Members during it: %v", err, perr)
+	}
+	conn.Close()
+	committed := plane.Addrs()
+
+	set, err := core.ConnectSharded(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	writer, err := core.NewNode(core.NodeConfig{Host: "writer", Shards: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer.SetClientOnly(true)
+	const n = 30
+	for i := 0; i < n; i++ {
+		if _, err := writer.BitDew.CreateData(fmt.Sprintf("datum-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := plane.KillShard(0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := runtime.NewContainer(runtime.ContainerConfig{
+		Addr:         boot[0],
+		StateDir:     filepath.Join(dir, "shard-0"),
+		DisableFTP:   true,
+		DisableSwarm: true,
+		Plane:        runtime.Plane{Shard: 0, Addrs: boot},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if conn, err = rpc.Dial(boot[0]); err != nil {
+		t.Fatal(err)
+	}
+	table, err := repl.Members(conn)
+	conn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.Epoch != 2 || !slices.Equal(table.Addrs, committed) {
+		t.Fatalf("restarted shard 0 serves epoch %d over %v, want epoch 2 over %v", table.Epoch, table.Addrs, committed)
+	}
+
+	fresh, err := core.ConnectSharded(boot[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	reader, err := core.NewNode(core.NodeConfig{Host: "reader", Shards: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader.SetClientOnly(true)
+	listing, err := reader.BitDew.AllData()
+	if err != nil || len(listing) != n {
+		t.Fatalf("a client bootstrapped from shard 0 lists %d data (%v), want %d", len(listing), err, n)
 	}
 }

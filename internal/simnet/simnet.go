@@ -374,9 +374,6 @@ func (s *Sim) RunUntil(t float64) {
 	}
 }
 
-// ActiveFlows reports the number of flows currently moving bytes.
-func (s *Sim) ActiveFlows() int { return len(s.flows) }
-
 // String summarises the simulation state.
 func (s *Sim) String() string {
 	return fmt.Sprintf("simnet{t=%.3fs nodes=%d flows=%d}", s.now, len(s.nodes), len(s.flows))
