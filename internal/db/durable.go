@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"bitdew/internal/codec"
@@ -32,55 +33,81 @@ const (
 // records are writes, a Mutation or, for a batch, a []Mutation:
 //
 //	snapshot.gob   full state at the last compaction, as puts
-//	wal.gob        writes since the last compaction
+//	wal.N.gob      sealed segments, N rising: the WAL as it was at a seal
+//	wal.gob        writes since the last seal
 //
-// Open replays snapshot then WAL, and cuts the WAL back to the prefix that
-// replayed: a record torn by a crash mid-append is dropped, rows and all.
-// The WAL is compacted once its bytes outweigh the snapshot's
-// (codec.Compactable).
-// All methods are safe for concurrent use; reads go to the RowStore and
-// never wait for the log.
+// A compaction seals the WAL under the lock, renaming it to the next
+// segment, and a goroutine then writes the rows to the next snapshot off
+// every lock and removes the segments, oldest first (DESIGN.md says why
+// replaying snapshot, segments, then WAL is right in every crash state).
+// Open cuts the WAL back to the prefix that replayed: a record torn by a
+// crash mid-append is dropped, rows and all. All methods are safe for
+// concurrent use; reads go to the RowStore and never wait for the log.
 type DurableStore struct {
-	mu  sync.Mutex // serialises the log: appends, compaction and Close
+	mu  sync.Mutex // serialises the log: appends, seals and Close
 	mem *RowStore
 	dir string
 
-	wal  *codec.Log
-	walN int    // records appended since the last compaction
-	snap int64  // the last snapshot's size, the live bytes the WAL's weigh against
-	rec  []byte // one framed record, built under mu
+	wal     *codec.Log
+	walN    int           // records appended since the last seal
+	segs    []int         // the sealed segments present, oldest first
+	snap    int64         // the last snapshot's size, the live bytes the WAL's weigh against
+	rec     []byte        // one framed record, built under mu
+	copying chan struct{} // closed when the copy in flight ends; nil while none runs
+	copyRec []byte        // the copy's record buffer
+	hold    func()        // if set, each copy calls it first: a test's seam
 	// compactErr is the last compaction's failure, for Close to report.
 	compactErr error
 	closed     bool
 }
 
 // OpenDurable opens (creating if needed) the durable store rooted at dir
-// and recovers its state: the last snapshot is replayed, then the WAL on
-// top of it. A directory written by an earlier build is refused, and left
-// as it is.
+// and recovers its state: the last snapshot is replayed, then the sealed
+// segments, then the WAL on top of them. A directory written by an earlier
+// build is refused, and left as it is.
 func OpenDurable(dir string) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("db: open durable: %w", err)
 	}
 	s := &DurableStore{mem: NewRowStore(), dir: dir}
-	path := filepath.Join(dir, snapshotFile)
-	raw, err := os.ReadFile(path)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal.*.gob"))
+	for _, name := range segs {
+		var n int
+		if fmt.Sscanf(filepath.Base(name), "wal.%d.gob", &n); n > 0 {
+			s.segs = append(s.segs, n)
+		}
+	}
+	slices.Sort(s.segs)
+	for i := -1; i < len(s.segs) && err == nil; i++ {
+		path := filepath.Join(dir, snapshotFile)
+		if i >= 0 {
+			path = s.segment(s.segs[i])
+		}
+		raw, rerr := os.ReadFile(path)
+		good := 0
+		if rerr == nil {
+			good, rerr = codec.ReadLog(raw, logHeader, records(s.mem.Apply))
+		}
+		if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			err = fmt.Errorf("%s: %w", path, rerr)
+		} else if i < 0 {
+			s.snap = int64(good)
+		}
+	}
 	if err == nil {
-		var good int
-		good, err = codec.ReadLog(raw, logHeader, records(s.mem.Apply))
-		s.snap = int64(good)
+		s.wal, err = codec.OpenLog(filepath.Join(dir, walFile), logHeader, records(func(batch []Mutation) error {
+			s.walN++
+			return s.mem.Apply(batch)
+		}))
 	}
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("db: recover %s: %w", path, err)
-	}
-	s.wal, err = codec.OpenLog(filepath.Join(dir, walFile), logHeader, records(func(batch []Mutation) error {
-		s.walN++
-		return s.mem.Apply(batch)
-	}))
 	if err != nil {
 		return nil, fmt.Errorf("db: recover %w", err)
 	}
 	return s, nil
+}
+
+func (s *DurableStore) segment(n int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("wal.%d.gob", n))
 }
 
 // ReadLog decodes a log (codec.ReadLog) into its records, each the rows of
@@ -138,10 +165,10 @@ func appendRecord(b []byte, batch []Mutation) []byte {
 }
 
 // Apply writes the batch as one WAL record, then applies it to the
-// in-memory state, and compacts when the WAL outweighs the snapshot. Once
-// its record is in the log the write has happened: a compaction that fails
-// after it does not fail the write. Its error is kept for Close, and the
-// next write tries the compaction again.
+// in-memory state, and starts a compaction when the log outweighs the
+// snapshot. Once its record is in the log the write has happened: a
+// compaction that fails after it does not fail the write. Its error is
+// kept for Close, and the next write tries the compaction again.
 func (s *DurableStore) Apply(batch []Mutation) error {
 	if err := valid(batch); err != nil || len(batch) == 0 {
 		return err
@@ -161,8 +188,9 @@ func (s *DurableStore) Apply(batch []Mutation) error {
 		return err
 	}
 	s.walN++
-	if codec.Compactable(s.wal.Size(), s.snap) {
-		s.compactErr = s.compactLocked()
+	// Segments a failed copy left are owed a compaction.
+	if s.copying == nil && (len(s.segs) > 0 || codec.Compactable(s.wal.Size(), s.snap)) {
+		s.compactErr = s.seal()
 	}
 	return nil
 }
@@ -184,63 +212,111 @@ func (s *DurableStore) Len(table string) int { return s.mem.Len(table) }
 // Rows hands out every row as a put (RowStore.Rows).
 func (s *DurableStore) Rows() ([]Mutation, error) { return s.mem.Rows() }
 
-// WALRecords reports the records appended since the last compaction (the
-// length of the replay a crash right now would pay on top of the snapshot).
+// WALRecords reports the records appended since the last seal (the
+// length of the replay a crash would pay once the compaction ends).
 func (s *DurableStore) WALRecords() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walN
 }
 
-// Compact checkpoints the store: the full state is written to a fresh
-// snapshot and the WAL starts again, each published by a rename. After a
-// crash, recovery replays the snapshot plus only the WAL since.
+// Compact checkpoints the store and waits for it: the WAL is sealed, the
+// full state written to a fresh snapshot, and the sealed segments removed.
+// After a crash, recovery replays the snapshot plus only the WAL since.
 func (s *DurableStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lockIdle()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.compactErr = s.compactLocked()
+	s.compactErr = s.seal()
+	s.mu.Unlock()
+	s.lockIdle()
+	defer s.mu.Unlock()
 	return s.compactErr
 }
 
-func (s *DurableStore) compactLocked() error {
-	rows, err := s.mem.Rows()
-	if err != nil {
-		return err
+// seal renames the WAL to the next sealed segment, opens a fresh one, and
+// starts the copy. s.mu is held, and no copy runs.
+func (s *DurableStore) seal() error {
+	n := 1
+	if len(s.segs) > 0 {
+		n = s.segs[len(s.segs)-1] + 1
 	}
-	snap, err := codec.NextLog(filepath.Join(s.dir, snapshotFile), logHeader, true, func(w *bufio.Writer) error {
-		for i := range rows {
-			s.rec = appendRecord(s.rec[:0], rows[i:i+1])
-			w.Write(s.rec)
-		}
-		return nil
-	})
-	if err != nil {
+	path, seg := filepath.Join(s.dir, walFile), s.segment(n)
+	if err := os.Rename(path, seg); err != nil {
 		return fmt.Errorf("db: compact: %w", err)
 	}
-	s.snap = snap.Size()
-	snap.Close()
-	// Start the WAL again: everything up to this instant is in the snapshot.
-	wal, err := codec.NextLog(filepath.Join(s.dir, walFile), logHeader, false, func(*bufio.Writer) error { return nil })
+	wal, err := codec.OpenLog(path, logHeader, nil)
 	if err != nil {
-		return fmt.Errorf("db: compact: start wal: %w", err)
+		return fmt.Errorf("db: compact: start wal: %w", errors.Join(err, os.Rename(seg, path)))
 	}
 	s.wal.Close()
-	s.wal, s.walN = wal, 0
+	s.wal, s.walN, s.segs = wal, 0, append(s.segs, n)
+	s.copying = make(chan struct{})
+	go s.copy(s.copying)
 	return nil
 }
 
-// Close flushes the WAL file and closes the store, and reports a failed
-// compaction that no later one repaired. Operations after Close return
-// ErrClosed.
-func (s *DurableStore) Close() error {
+// copy writes the rows, as of now, to the next snapshot (fsynced before its
+// rename), then removes the sealed segments, oldest first: those left are
+// the newest. It takes the lock only to publish, and closes done at its end.
+func (s *DurableStore) copy(done chan struct{}) {
+	defer close(done)
+	if s.hold != nil {
+		s.hold()
+	}
+	rows, err := s.mem.Rows()
+	var snap *codec.Log
+	if err == nil {
+		snap, err = codec.NextLog(filepath.Join(s.dir, snapshotFile), logHeader, true, func(w *bufio.Writer) error {
+			for i := range rows {
+				s.copyRec = appendRecord(s.copyRec[:0], rows[i:i+1])
+				w.Write(s.copyRec)
+			}
+			return nil
+		})
+	}
+	segs := s.segs
+	for err == nil && len(segs) > 0 {
+		if err = os.Remove(s.segment(segs[0])); err == nil {
+			segs = segs[1:]
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if snap != nil {
+		s.snap = snap.Size()
+		snap.Close()
+	}
+	if err != nil {
+		err = fmt.Errorf("db: compact: %w", err)
+	}
+	s.segs, s.compactErr, s.copying = segs, err, nil
+}
+
+// lockIdle locks s.mu once no copy runs.
+func (s *DurableStore) lockIdle() {
+	s.mu.Lock()
+	for c := s.copying; c != nil; c = s.copying {
+		s.mu.Unlock()
+		<-c
+		s.mu.Lock()
+	}
+}
+
+// Close waits for a copy in flight, flushes the WAL file and closes the
+// store, and reports a failed compaction that no later one repaired.
+// Operations after Close return ErrClosed.
+func (s *DurableStore) Close() error {
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	s.closed = true
+	s.lockIdle()
+	defer s.mu.Unlock()
 	return errors.Join(s.compactErr, s.wal.Sync(), s.wal.Close(), s.mem.Close())
 }

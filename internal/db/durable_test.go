@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// settle waits for the compaction's copy in flight, if any.
+func settle(s *DurableStore) {
+	s.lockIdle()
+	s.mu.Unlock()
+}
+
 func TestDurableRecoversAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDurable(dir)
@@ -62,6 +68,7 @@ func TestDurableCompactionRotatesWAL(t *testing.T) {
 	if n := s.WALRecords(); n != puts-32 {
 		t.Fatalf("WAL holds %d records after auto-compaction, want %d", n, puts-32)
 	}
+	settle(s) // the snapshot is written beside the writes
 	if fi, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil || fi.Size() < 8*32<<10 {
 		t.Fatalf("snapshot missing or short after compaction: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,29 +28,35 @@ import (
 // The index of extents lives in memory and is rebuilt at open by replaying
 // the journal, dropping a torn last record the way db's WAL does.
 //
-// A generation is a pack and its journal, pack.N and journal.N. Once the
-// pack's dead bytes outweigh its live ones (codec.Compactable), compaction
-// copies the live extents into generation N+1 and publishes its journal
-// (codec.NextLog), which is the switch. Nothing is fsynced: content
+// A generation is a pack and its journal, pack.N and journal.N, whose
+// records name extents of pack.N. Once the packs' dead bytes outweigh the
+// live ones (codec.Compactable), a seal opens generation N+1 for writes,
+// and a goroutine copies the refs left in older ones into it (copy). Open
+// replays every generation, oldest first. Nothing is fsynced: content
 // survives the process being killed, not the machine losing power.
 type DirBackend struct {
 	root    string
 	mu      sync.RWMutex
-	g       *generation // nil until the first write, and after Close
-	journal *codec.Log
+	g       *generation   // the current one; nil until the first write, and after Close
+	old     []*generation // the older ones, oldest first
+	journal *codec.Log    // the current generation's
 	index   map[string]extent
-	live    int64  // the bytes the index covers; the rest of the pack is dead
-	stamp   uint64 // counts publications
-	rec     []byte // one journal record, built under mu
-	closed  bool
+	live    int64         // the bytes the index covers; the rest of the packs is dead
+	stamp   uint64        // counts publications
+	rec     []byte        // one journal record, built under mu
+	copying chan struct{} // closed when the copy in flight ends; nil while none runs
+	hold    func()        // if set, each copy calls it first: a test's seam
+	// compactErr is the last compaction's failure, for Close to report.
+	compactErr error
+	closed     bool
 }
 
-// extent is the stretch of the current pack a ref holds. stamp names the
-// publication that made it and survives compaction, which notes in next
-// where the extent goes in the pack it writes.
+// extent is the stretch of a pack a ref holds. stamp names the publication
+// that made it and survives the copy into a newer generation.
 type extent struct {
-	off, n, next int64
-	stamp        uint64
+	g      *generation
+	off, n int64
+	stamp  uint64
 }
 
 // generation is one pack file. The backend holds a use of it while it is
@@ -86,7 +93,7 @@ func NewDirBackend(root string) (*DirBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
-	var gen uint64
+	var gens []uint64 // those with a journal
 	for _, e := range entries {
 		kind, n, ok := packName(e.Name())
 		if !ok {
@@ -95,21 +102,29 @@ func NewDirBackend(root string) (*DirBackend, error) {
 				root, e.Name())
 		}
 		if kind == "journal" {
-			gen = max(gen, n)
+			gens = append(gens, n)
 		}
 	}
+	slices.Sort(gens)
 	b := &DirBackend{root: root, index: make(map[string]extent)}
 	for _, e := range entries {
-		// What a compaction cut short, or did not clean up, left.
-		if kind, n, _ := packName(e.Name()); n != gen || kind == "tmp" {
+		// What a seal or a removal cut short left.
+		if kind, n, _ := packName(e.Name()); kind == "tmp" || kind == "pack" && !slices.Contains(gens, n) {
 			err = errors.Join(err, os.Remove(filepath.Join(root, e.Name())))
 		}
 	}
-	if err == nil && gen > 0 {
-		err = b.load(gen)
+	for i := 0; i < len(gens) && err == nil; i++ {
+		err = b.load(gens[i])
+	}
+	if err == nil {
+		err = b.dropOld()
 	}
 	if err != nil {
+		b.Close()
 		return nil, fmt.Errorf("repository: %w", err)
+	}
+	if len(b.old) > 0 {
+		b.startCopy()
 	}
 	return b, nil
 }
@@ -128,20 +143,23 @@ func (b *DirBackend) file(kind string, gen uint64) string {
 	return filepath.Join(b.root, kind+"."+strconv.FormatUint(gen, 10))
 }
 
-// load opens generation gen and replays its journal.
+// load opens generation gen as the current one and replays its journal.
 func (b *DirBackend) load(gen uint64) error {
 	pack, err := os.OpenFile(b.file("pack", gen), os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
 	st, err := pack.Stat()
-	if err == nil {
-		b.g = newGeneration(gen, pack, st.Size())
-		b.journal, err = codec.OpenLog(b.file("journal", gen), "", b.replay)
-	}
 	if err != nil {
 		pack.Close()
+		return err
 	}
+	if b.g != nil {
+		b.journal.Close()
+		b.old = append(b.old, b.g)
+	}
+	b.g = newGeneration(gen, pack, st.Size())
+	b.journal, err = codec.OpenLog(b.file("journal", gen), "", b.replay)
 	return err
 }
 
@@ -169,18 +187,20 @@ func (b *DirBackend) replay(body []byte) (bool, error) {
 	} else if size := uint64(b.g.tail); body[0] != 'P' || off > size || n > size-off {
 		return false, nil
 	} else {
-		b.set(ref, extent{off: int64(off), n: int64(n)})
+		b.set(ref, extent{g: b.g, off: int64(off), n: int64(n)})
 	}
 	return true, nil
 }
 
-// set and drop change the index and the live count with it.
+// set and drop change the index, and the live count with it. A new
+// publication gets the next stamp; a copy keeps the one it had.
 func (b *DirBackend) set(ref string, e extent) {
-	b.drop(ref)
-	b.stamp++
-	e.stamp = b.stamp
+	if e.stamp == 0 {
+		b.stamp++
+		e.stamp = b.stamp
+	}
+	b.live += e.n - b.index[ref].n
 	b.index[ref] = e
-	b.live += e.n
 }
 
 func (b *DirBackend) drop(ref string) {
@@ -206,15 +226,14 @@ func (b *DirBackend) lookup(ref string) (extent, error) {
 	return e, nil
 }
 
-// next makes generation n: its pack, and its journal, which fill writes
-// beside the pack and codec.NextLog publishes. On failure it leaves
-// neither.
-func (b *DirBackend) next(n uint64, fill func(pack *os.File, journal *bufio.Writer) error) (*generation, *codec.Log, error) {
+// next makes generation n, its pack and its journal, empty. On failure it
+// leaves neither.
+func (b *DirBackend) next(n uint64) (*generation, *codec.Log, error) {
 	pack, err := os.OpenFile(b.file("pack", n), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	journal, err := codec.NextLog(b.file("journal", n), "", false, func(w *bufio.Writer) error { return fill(pack, w) })
+	journal, err := codec.NextLog(b.file("journal", n), "", false, func(*bufio.Writer) error { return nil })
 	if err != nil {
 		pack.Close()
 		return nil, nil, errors.Join(err, os.Remove(pack.Name()))
@@ -232,7 +251,7 @@ func (b *DirBackend) current() (*generation, error) {
 	if b.closed {
 		return nil, errClosed
 	}
-	g, journal, err := b.next(1, func(*os.File, *bufio.Writer) error { return nil })
+	g, journal, err := b.next(1)
 	if err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
@@ -240,8 +259,10 @@ func (b *DirBackend) current() (*generation, error) {
 	return g, nil
 }
 
-// record journals one publication or tombstone and applies it to the index,
-// then compacts if the pack is mostly dead. b.mu is held.
+// record journals one publication, in the current generation, or one
+// tombstone and applies it to the index, then starts a compaction if the
+// packs are mostly dead; a failed one fails no write, is kept for Close,
+// and the next write tries again. b.mu is held.
 func (b *DirBackend) record(op byte, ref string, e extent) error {
 	b.rec = appendRecord(b.rec[:0], op, ref, e.off, e.n)
 	if err := b.journal.Append(b.rec); err != nil {
@@ -250,64 +271,111 @@ func (b *DirBackend) record(op byte, ref string, e extent) error {
 	if op == 'D' {
 		b.drop(ref)
 	} else {
+		e.g = b.g
 		b.set(ref, e)
 	}
-	if codec.Compactable(b.g.tail-b.live, b.live) {
-		if err := b.compact(); err != nil {
-			return fmt.Errorf("repository: %s is stored, but compacting the pack failed: %w", ref, err)
-		}
+	switch {
+	case b.copying != nil:
+	case len(b.old) > 0: // what a failed copy left
+		b.startCopy()
+	case codec.Compactable(b.g.tail-b.live, b.live):
+		b.compactErr = b.seal()
 	}
 	return nil
 }
 
-// compact copies every live extent into the next generation's pack and
-// publishes that generation's journal. It allocates the same whatever the
-// number of live refs. Readers and writers of the old pack keep its
-// descriptor. b.mu is held.
-func (b *DirBackend) compact() error {
-	old := b.g
-	var tail int64
-	next, journal, err := b.next(old.n+1, func(pack *os.File, jw *bufio.Writer) error {
-		// A small buffer: a compaction's allocations land in whatever
-		// requests are being served at the time.
-		pw := bufio.NewWriterSize(pack, 16<<10)
-		var err error
-		for ref, e := range b.index {
-			for at, end := e.off, e.off+e.n; at < end && err == nil; {
-				if pw.Available() == 0 {
-					err = pw.Flush()
-					continue
-				}
-				buf := pw.AvailableBuffer()[:min(end-at, int64(pw.Available()))]
-				if _, err = old.f.ReadAt(buf, at); err == nil {
-					pw.Write(buf)
-					at += int64(len(buf))
-				}
-			}
-			if err != nil {
-				break
-			}
-			e.next, tail = tail, tail+e.n
-			b.index[ref] = e
-			b.rec = appendRecord(b.rec[:0], 'P', ref, e.next, e.n)
-			jw.Write(b.rec)
-		}
-		return errors.Join(err, pw.Flush())
-	})
+// seal makes generation N+1 the current one, and starts the copy. b.mu is
+// held, and no copy runs.
+func (b *DirBackend) seal() error {
+	g, journal, err := b.next(b.g.n + 1)
 	if err != nil {
-		return err
-	}
-	for ref, e := range b.index {
-		e.off = e.next
-		b.index[ref] = e
+		return fmt.Errorf("repository: compacting the pack: %w", err)
 	}
 	b.journal.Close()
-	b.journal = journal
-	next.tail, b.g = tail, next
-	old.release()
-	os.Remove(b.file("journal", old.n))
-	os.Remove(old.f.Name())
+	b.old, b.g, b.journal = append(b.old, b.g), g, journal
+	b.startCopy()
 	return nil
+}
+
+func (b *DirBackend) startCopy() {
+	b.copying = make(chan struct{})
+	go b.copy(b.copying)
+}
+
+// copy moves each ref left in an older generation to the current one
+// through one buffer, off the lock, and re-publishes it there with its
+// stamp, unless a write or a delete changed it meanwhile. Then no ref lies
+// in the older generations, and dropOld removes them. It allocates the
+// same whatever the number of live refs, and closes done at its end.
+func (b *DirBackend) copy(done chan struct{}) {
+	defer close(done)
+	if b.hold != nil {
+		b.hold()
+	}
+	buf := make([]byte, 16<<10)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var err error
+	// The map changes between two steps of the range, under the lock: a ref
+	// published meanwhile is current, and one left behind is met once.
+	for ref, e := range b.index {
+		if err != nil || b.closed {
+			break
+		}
+		if e.g == b.g {
+			continue
+		}
+		g, off := b.g, b.g.tail
+		g.tail += e.n
+		b.mu.Unlock()
+		for at := int64(0); at < e.n && err == nil; at += int64(len(buf)) {
+			chunk := buf[:min(e.n-at, int64(len(buf)))]
+			if _, err = e.g.f.ReadAt(chunk, e.off+at); err == nil {
+				_, err = g.f.WriteAt(chunk, off+at)
+			}
+		}
+		b.mu.Lock()
+		if cur, ok := b.index[ref]; err == nil && !b.closed && ok && cur.stamp == e.stamp {
+			err = b.record('P', ref, extent{off: off, n: e.n, stamp: e.stamp})
+		}
+	}
+	if err == nil && !b.closed {
+		err = b.dropOld()
+	}
+	if err != nil {
+		err = fmt.Errorf("repository: compacting the pack: %w", err)
+	}
+	b.compactErr, b.copying = err, nil
+}
+
+// dropOld removes the older generations that no ref lies in, oldest
+// first, up to the first one that a ref does: a tombstone in a generation
+// matters only while an older one is left. b.mu is held.
+func (b *DirBackend) dropOld() error {
+	for len(b.old) > 0 {
+		old := b.old[0]
+		for _, e := range b.index {
+			if e.g == old {
+				return nil
+			}
+		}
+		if err := errors.Join(os.Remove(b.file("journal", old.n)), os.Remove(old.f.Name())); err != nil {
+			return err
+		}
+		b.old = b.old[1:]
+		old.release()
+	}
+	return nil
+}
+
+// lockIdle locks b.mu once no copy runs.
+func (b *DirBackend) lockIdle() {
+	b.mu.Lock()
+	for c := b.copying; c != nil; c = b.copying {
+		b.mu.Unlock()
+		<-c
+		b.mu.Lock()
+	}
 }
 
 func (b *DirBackend) Put(ref string, content []byte) error {
@@ -388,8 +456,8 @@ type packWriter struct {
 
 // adopt makes the writer's region ref's extent e. b.mu is held.
 func (w *packWriter) adopt(e extent) {
-	w.b.g.uses.Add(1)
-	w.g, w.off, w.n, w.cap, w.stored = w.b.g, e.off, e.n, e.n, e
+	e.g.uses.Add(1)
+	w.g, w.off, w.n, w.cap, w.stored = e.g, e.off, e.n, e.n, e
 }
 
 // grow makes room for need more bytes: in place when the region ends at the
@@ -466,8 +534,7 @@ func (w *packWriter) publish() error {
 }
 
 // publishLocked makes what landed the ref's content and journals it; a
-// region a compaction left in the old pack is copied over first. b.mu is
-// held.
+// region a seal left in an older pack is copied over first. b.mu is held.
 func (w *packWriter) publishLocked() error {
 	b := w.b
 	if cur, ok := b.index[w.ref]; w.resume && (!ok || cur.stamp != w.stored.stamp) {
@@ -512,8 +579,8 @@ func (b *DirBackend) OpenReader(ref string) (Reader, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	b.g.uses.Add(1)
-	return &packReader{SectionReader: *io.NewSectionReader(b.g.f, e.off, e.n), g: b.g}, e.n, nil
+	e.g.uses.Add(1)
+	return &packReader{SectionReader: *io.NewSectionReader(e.g.f, e.off, e.n), g: e.g}, e.n, nil
 }
 
 func (b *DirBackend) Get(ref string) ([]byte, error) { return b.GetRange(ref, 0, math.MaxInt64) }
@@ -530,7 +597,7 @@ func (b *DirBackend) GetRange(ref string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, min(n, e.n-off))
-	if _, err := b.g.f.ReadAt(buf, e.off+off); err != nil {
+	if _, err := e.g.f.ReadAt(buf, e.off+off); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -570,18 +637,27 @@ func (b *DirBackend) Refs() ([]string, error) {
 	return out, nil
 }
 
-// Close releases the pack and the journal; readers still open keep the
-// pack until they close. Writes after Close fail.
+// Close stops a copy in flight, releases the packs and the journal, and
+// reports a failed compaction that no later one repaired. Readers still
+// open keep their pack until they close. Writes after Close fail.
 func (b *DirBackend) Close() error {
 	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.lockIdle()
 	defer b.mu.Unlock()
-	b.closed, b.index = true, nil
+	b.index = nil
 	if b.g == nil {
 		return nil
 	}
-	b.g.release()
-	b.g = nil
-	return b.journal.Close()
+	for _, g := range append(b.old, b.g) {
+		g.release()
+	}
+	b.g, b.old = nil, nil
+	if b.journal == nil {
+		return b.compactErr
+	}
+	return errors.Join(b.compactErr, b.journal.Close())
 }
 
 // packReader reads one extent of a pack, which nothing writes again.

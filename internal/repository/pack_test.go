@@ -75,14 +75,27 @@ func copyDir(t testing.TB, src, dst string) {
 	}
 }
 
+// compact seals the current generation and waits for the copy: a
+// synchronous compaction.
 func compact(t testing.TB, b *DirBackend) {
 	t.Helper()
-	b.mu.Lock()
-	err := b.compact()
+	b.lockIdle()
+	err := b.seal()
 	b.mu.Unlock()
+	if err == nil {
+		b.lockIdle()
+		err = b.compactErr
+		b.mu.Unlock()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// settle waits for the copy in flight, if any.
+func settle(b *DirBackend) {
+	b.lockIdle()
+	b.mu.Unlock()
 }
 
 // TestDirBackendKeepsRefsApart: refs that a file name would fold together
@@ -151,6 +164,7 @@ func TestPackPutOpensNoFile(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		settle(b)
 		if got := names(t, dir); len(got) != files {
 			t.Fatalf("after round %d the directory holds %q, want %d files", round, got, files)
 		}

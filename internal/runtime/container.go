@@ -289,16 +289,6 @@ func (c *Container) Membership() Membership { return c.node.Members() }
 // Repl returns the container's range-ownership node.
 func (c *Container) Repl() *repl.Node { return c.node }
 
-// Checkpoint forces a compaction of the container's durable store (a full
-// snapshot plus WAL rotation), bounding the replay a subsequent restart
-// pays. It is a no-op for containers without a StateDir-opened store.
-func (c *Container) Checkpoint() error {
-	if c.ownStore == nil {
-		return nil
-	}
-	return c.ownStore.Compact()
-}
-
 // Addr returns the rpc listen address ("" when serving in-process only).
 func (c *Container) Addr() string {
 	if c.rpcServer == nil {

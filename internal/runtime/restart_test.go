@@ -5,7 +5,6 @@ import (
 
 	"bitdew/internal/attr"
 	"bitdew/internal/core"
-	"bitdew/internal/data"
 )
 
 // TestContainerRestartFromStateDir kills a container and rebuilds it over
@@ -74,26 +73,5 @@ func TestContainerRestartFromStateDir(t *testing.T) {
 	content, err := node2.BitDew.GetBytes(got)
 	if err != nil || string(content) != "durable payload" {
 		t.Fatalf("content after restart = %q, %v", content, err)
-	}
-}
-
-// TestContainerCheckpoint verifies Checkpoint compacts the durable store.
-func TestContainerCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewContainer(ContainerConfig{StateDir: dir, DisableFTP: true, DisableHTTP: true, DisableSwarm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 10; i++ {
-		if err := c.DC.Register(*data.New("d")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.ownStore.WALRecords(); n != 0 {
-		t.Fatalf("WAL records after Checkpoint = %d, want 0", n)
 	}
 }
