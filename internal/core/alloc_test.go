@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -45,8 +46,9 @@ func TestTransferAllocAcceptance(t *testing.T) {
 // net/http's per-exchange bookkeeping was 6.6 and 6.9 KB; with httpx
 // speaking HTTP/1.1 itself 12.8 and 5.4 KB, of which gob describing types
 // both ends share was more than half; with the schema codec and pooled rpc
-// call slots 5.5 and 3.5 KB. The bars are those plus a quarter. CI runs this
-// test by name, without -race.
+// call slots 5.5 and 3.5 KB. A one-datum DeleteData, a plain call to its
+// home shard before deletes were batched, allocated 6 times and 0.31 KB. The
+// bars are those plus a quarter. CI runs this test by name, without -race.
 func TestSmallOpAllocAcceptance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -60,6 +62,40 @@ func TestSmallOpAllocAcceptance(t *testing.T) {
 	if got := fetch / 1024; got > 4.4 {
 		t.Errorf("a 256 B fetch allocates %.1f KB, want ≤ 4.4 (measured 3.5, 5.4 through gob)", got)
 	}
+	allocs, del := deleteAlloc(t, n, randBytes(256, 79), 300)
+	if allocs > 7.5 || del/1024 > 0.39 {
+		t.Errorf("a one-datum DeleteData allocates %.1f times, %.2f KB; want ≤ 7.5 and ≤ 0.39 KB (measured 6 and 0.31)", allocs, del/1024)
+	}
+}
+
+// deleteAlloc returns the process-wide allocations and bytes per op of
+// deleting, one DeleteData at a time, runs data put with content through n,
+// after one delete that pays for anything built lazily.
+func deleteAlloc(t *testing.T, n *core.Node, content []byte, runs int) (allocs, bytes float64) {
+	t.Helper()
+	names := make([]string, runs+1)
+	contents := make([][]byte, runs+1)
+	for i := range names {
+		names[i], contents[i] = fmt.Sprintf("delete-%03d", i), content
+	}
+	ds, err := n.BitDew.CreateDataBatch(names)
+	if err == nil {
+		err = n.BitDew.PutAll(ds, contents)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for i, d := range ds {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := n.BitDew.DeleteData(*d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // putFetchAlloc returns the process-wide TotalAlloc delta, in bytes per op,

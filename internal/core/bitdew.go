@@ -72,10 +72,9 @@ func (b *BitDew) CreateDataBatch(names []string) ([]*data.Data, error) {
 	// Registration is put-overwrite idempotent, so the whole fan-out can
 	// rerun when an elastic rebalance moves a UID mid-batch; the rollback
 	// only happens once the retries are exhausted or the failure is real.
-	var registered map[int][]*Comms // index -> connections that registered it
+	landed := make([]bool, len(ds))
 	err := b.set.retryElastic(func(v *shardView) error {
 		groups := v.partition(len(ds), func(i int) data.UID { return ds[i].UID })
-		var mu sync.Mutex
 		return v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
 			part := make([]data.Data, len(idx))
 			for j, i := range idx {
@@ -84,30 +83,23 @@ func (b *BitDew) CreateDataBatch(names []string) ([]*data.Data, error) {
 			if err := c.DC.RegisterBatch(part); err != nil {
 				return fmt.Errorf("bitdew: createData batch of %d on shard %d: %w", len(part), shard, err)
 			}
-			mu.Lock()
-			if registered == nil {
-				registered = make(map[int][]*Comms)
-			}
 			for _, i := range idx {
-				registered[i] = append(registered[i], c)
+				landed[i] = true
 			}
-			mu.Unlock()
 			return nil
 		})
 	})
 	if err != nil {
-		// Best-effort rollback everywhere a registration landed (a retried
-		// batch may have registered a UID on its old and new home).
-		rollback := make(map[*Comms][]*rpc.Call)
-		for i, conns := range registered {
-			for _, c := range conns {
-				rollback[c] = append(rollback[c], c.DC.DeleteCall(ds[i].UID))
+		var undo []data.Data
+		for i, ok := range landed {
+			if ok {
+				undo = append(undo, regs[i])
 			}
 		}
-		for c, calls := range rollback {
-			//vet:ignore errlost rollback is best-effort: the create already failed and is being reported; a shard that also fails the delete leaves an orphan slot, which is harmless
-			c.CallBatch(calls)
-		}
+		// Best-effort: the create already failed and is being reported; a
+		// shard that also refuses the delete leaves an orphan slot, which is
+		// harmless.
+		_ = b.DeleteAll(undo)
 		return nil, err
 	}
 	return ds, nil
@@ -300,8 +292,9 @@ func (b *BitDew) PutFile(d *data.Data, path string) error {
 // Get starts fetching the datum's content from the data space into local
 // storage and returns a transfer handle; block on it with the
 // TransferManager (transferManager.waitFor(data) in the paper's Listing 2).
-// The transfer's DT report leaves within one monitoring period, or in the
-// next frame to the datum's home shard, not before Wait returns.
+// Its lookup frame carries the DT reports parked for the datum's home shard.
+// The transfer's own report leaves within one monitoring period, or in the
+// next frame to that shard, not before Wait returns.
 func (b *BitDew) Get(d data.Data) (*transfer.Handle, error) {
 	locs, err := b.freshLocators(d, "")
 	if err != nil {
@@ -334,33 +327,36 @@ func (b *BitDew) Fetch(d data.Data, protocol string) error {
 // those data never touch the wire — and otherwise from one locator round
 // trip per home shard (the catalog's locator lists and the repository's
 // fallback locators share a multi-call frame), the per-shard frames in
-// parallel. Downloads then run concurrently through the engine, each datum
+// parallel, each carrying the shard's parked DT reports in front of its
+// calls. Downloads then run concurrently through the engine, each datum
 // falling back through its candidate locators; a datum whose *cached*
 // candidates all fail retries once with fresh locators from the wire, so a
 // stale cache heals instead of stranding the datum.
 //
-// Once the downloads end, their DT reports leave in one frame per home shard
-// rather than waiting for the monitoring period. That frame is deliberate: it
-// is the only one a warm-cache read sends the datum's home shard, so it is
-// what notices a dead owner and gets its range promoted. Parked like a worker
-// round's reports, a warm read costs no frame at all, and a range only such
-// reads touch stays on its dead owner. On a host that also heartbeats, the
-// heartbeat or the period may take the reports first and the flush sends
-// nothing; the frame that took them reached the home shard after the
-// downloads ended all the same.
+// Once the downloads end, their DT reports leave in one frame to each home
+// shard no lookup reached, rather than waiting for the monitoring period (a
+// cold shard's wait, like Get's, for the next frame to it). So a FetchAll
+// sends each home shard exactly one frame, and deliberately: it is what
+// notices a dead owner and gets its range promoted. Parked like a worker
+// round's reports, a warm read would cost no frame at all, and a range only
+// such reads touch would stay on its dead owner. On a host that also
+// heartbeats, the heartbeat or the period may take the reports first and the
+// flush sends nothing; the frame that took them reached the home shard after
+// the downloads ended all the same.
 func (b *BitDew) FetchAll(ds []data.Data, protocol string) error {
-	err := b.fetchAll(ds, protocol, func(int, error) {})
-	b.engine.Flush(ds)
+	reached, err := b.fetchAll(ds, protocol, func(int, error) {})
+	b.engine.Flush(ds, reached...)
 	return err
 }
 
 // fetchAll is FetchAll with a completion hook: landed is called once per
 // datum with its outcome as soon as that is known, from the goroutine that
-// fetched it. It sends no DT report: those wait for a frame that goes to
-// their shard anyway, or for the monitoring period.
-func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, err error)) error {
+// fetched it. It sends no DT report of its own downloads: those wait for a
+// frame that goes to their shard anyway, or for the monitoring period. It
+// returns the DT services its lookup frames reached.
+func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, err error)) (reached []*transfer.Client, err error) {
 	if len(ds) == 0 {
-		return nil
+		return nil, nil
 	}
 	candidates := make([][]data.Locator, len(ds))
 	fromCache := make([]bool, len(ds))
@@ -374,7 +370,7 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 		miss = append(miss, i)
 	}
 	errs := make([]error, len(ds))
-	b.lookupLocators(ds, protocol, miss, candidates, errs)
+	reached = b.lookupLocators(ds, protocol, miss, candidates, errs)
 
 	var wg sync.WaitGroup
 	for i, d := range ds {
@@ -407,94 +403,59 @@ func (b *BitDew) fetchAll(ds []data.Data, protocol string, landed func(i int, er
 		}(i, d)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return reached, errors.Join(errs...)
 }
 
 // lookupLocators fills candidates[i] for every i in miss with the merged
-// catalog + repository locators of ds[i], one multi-call frame per home
-// shard (frames in parallel), feeding the results into the locator cache.
-// A shard whose frame fails outright marks only its own data's errs slots
-// — shards fail independently, exactly like the heartbeat fan-out. Data
-// refused as not-owner (their range moved mid-lookup) are retried through
-// retryElastic, recomputing the pending set each pass so only the moved data
-// go back to the wire.
-func (b *BitDew) lookupLocators(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) {
-	pending := miss
-	// The verdict per datum is in errs; the loop's own error only says that
-	// some data were still refused when the retry budget ran out.
-	_ = b.set.retryElastic(func(v *shardView) error {
-		pending = b.lookupLocatorsOnce(v, ds, protocol, pending, candidates, errs)
-		if len(pending) > 0 {
-			return repl.ErrNotOwner
-		}
-		return nil
-	})
-}
-
-// lookupLocatorsOnce runs one lookup pass over view v and returns the miss
-// entries that failed with a not-owner handoff.
-func (b *BitDew) lookupLocatorsOnce(v *shardView, ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) []int {
+// catalog + repository locators of ds[i], feeding the locator cache, in one
+// frame per home shard (homeFrames) behind the shard's parked DT reports, and
+// returns the DT services reached. A shard whose frame fails marks only its
+// own data's errs slots, exactly like the heartbeat fan-out.
+func (b *BitDew) lookupLocators(ds []data.Data, protocol string, miss []int, candidates [][]data.Locator, errs []error) []*transfer.Client {
 	if len(miss) == 0 {
 		return nil
 	}
-	var (
-		mu    sync.Mutex
-		retry []int
-	)
-	groups := v.partition(len(miss), func(j int) data.UID { return ds[miss[j]].UID })
-	v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
+	return b.set.homeFrames(miss, func(i int) data.UID { return ds[i].UID }, errs, func(shard int, c *Comms, idx []int) {
 		uids := make([]data.UID, len(idx))
-		for k, j := range idx {
-			uids[k] = ds[miss[j]].UID
+		for k, i := range idx {
+			uids[k] = ds[i].UID
 		}
-
-		// One frame: catalog locator lists + repository fallbacks.
+		// The reports are monitoring only, so their per-call errors are dropped.
 		var catLocs [][]data.Locator
 		var repLocs []data.Locator
-		calls := []*rpc.Call{
+		calls := append(b.engine.TakeReports(c.DT),
 			c.DC.LocatorsBatchCall(uids, &catLocs),
-			c.DR.LocatorAnyBatchCall(uids, protocol, &repLocs),
-		}
-		if err := c.CallBatch(calls); err != nil {
-			for _, j := range idx {
-				errs[miss[j]] = fmt.Errorf("bitdew: fetch %s: shard %d: %w", ds[miss[j]].Name, shard, err)
+			c.DR.LocatorAnyBatchCall(uids, protocol, &repLocs))
+		err := c.CallBatch(calls)
+		if err != nil {
+			for _, i := range idx {
+				errs[i] = fmt.Errorf("bitdew: fetch %s: shard %d: %w", ds[i].Name, shard, err)
 			}
-			return nil
+			return
 		}
 		// Either source may fail independently (a stale catalog, a repository
 		// with no endpoints); a datum only errors when it ends up with no
 		// candidate at all: the merge is best-effort.
 		// A not-owner refusal from the catalog means the whole range moved:
-		// mark those data retryable instead of caching an empty answer.
-		notOwner := repl.IsNotOwner(calls[0].Err)
-		for k, j := range idx {
-			var cat []data.Locator
+		// keep it as the verdict, to retry, instead of caching an empty answer.
+		cat, rep := calls[len(calls)-2], calls[len(calls)-1]
+		for k, i := range idx {
+			var listed []data.Locator
 			var fallback data.Locator
-			if calls[0].Err == nil && k < len(catLocs) {
-				cat = catLocs[k]
+			if cat.Err == nil && k < len(catLocs) {
+				listed = catLocs[k]
 			}
-			if calls[1].Err == nil && k < len(repLocs) {
+			if rep.Err == nil && k < len(repLocs) {
 				fallback = repLocs[k]
 			}
-			out := data.Candidates(cat, fallback, protocol)
-			i := miss[j]
-			errs[i] = nil
-			candidates[i] = out
-			if notOwner && len(out) == 0 {
-				mu.Lock()
-				retry = append(retry, j)
-				mu.Unlock()
+			errs[i], candidates[i] = nil, data.Candidates(listed, fallback, protocol)
+			if len(candidates[i]) == 0 && repl.IsNotOwner(cat.Err) {
+				errs[i] = cat.Err
 				continue
 			}
-			b.set.cache.put(ds[i].UID, protocol, out)
+			b.set.cache.put(ds[i].UID, protocol, candidates[i])
 		}
-		return nil
 	})
-	out := make([]int, len(retry))
-	for i, j := range retry {
-		out[i] = miss[j]
-	}
-	return out
 }
 
 // download waits for d's transfer h and, while that fails, tries the rest of
@@ -641,15 +602,67 @@ func (b *BitDew) SearchDataFirst(name string) (data.Data, error) {
 // schedule entry and the content with it, and only once the catalog rows
 // are gone — a refused delete leaves the datum fully intact for a retry.
 // Followers drop their copies as the delete replicates. Data holding a
-// relative lifetime on it will expire at their owners' next sync.
+// relative lifetime on it will expire at their owners' next sync. It is
+// DeleteAll of one datum, sent to its home shard without a partition.
 func (b *BitDew) DeleteData(d data.Data) error {
-	err := b.set.homeCall(d.UID, func(c *Comms) error { return c.DC.Delete(d.UID) })
-	if err != nil {
-		return err
+	ds, idx, errs := []data.Data{d}, []int{0}, []error{nil}
+	_ = b.set.homeCall(d.UID, func(c *Comms) error {
+		b.deleteFrame(c, ds, idx, errs)
+		return errs[0]
+	})
+	return b.forgetDeleted(ds, errs)
+}
+
+// DeleteAll is DeleteData for many data: one frame per home shard
+// (homeFrames), each the shard's parked DT reports in front of one catalog
+// delete per datum homed there. Each datum is deleted or refused on its own,
+// as by DeleteData, and the error names every refused datum.
+func (b *BitDew) DeleteAll(ds []data.Data) error {
+	errs := make([]error, len(ds))
+	all := make([]int, len(ds))
+	for i := range all {
+		all[i] = i
 	}
-	b.set.cache.invalidate(d.UID)
-	b.engine.Forget(d.UID)
-	return b.backend.Delete(string(d.UID))
+	b.set.homeFrames(all, func(i int) data.UID { return ds[i].UID }, errs, func(_ int, c *Comms, idx []int) {
+		b.deleteFrame(c, ds, idx, errs)
+	})
+	return b.forgetDeleted(ds, errs)
+}
+
+// deleteFrame deletes ds[i] for every i in idx, all homed on c's shard, in
+// one frame behind the shard's parked DT reports, setting errs[i] to each
+// delete's outcome. A lone delete with no report to carry goes as a plain
+// call: the same frame without a batch envelope.
+func (b *BitDew) deleteFrame(c *Comms, ds []data.Data, idx []int, errs []error) {
+	if calls := b.engine.TakeReports(c.DT); len(calls) == 0 && len(idx) == 1 {
+		errs[idx[0]] = c.DC.Delete(ds[idx[0]].UID)
+	} else {
+		for _, i := range idx {
+			calls = append(calls, c.DC.DeleteCall(ds[i].UID))
+		}
+		err := c.CallBatch(calls)
+		for k, i := range idx {
+			if errs[i] = err; err == nil {
+				errs[i] = calls[len(calls)-len(idx)+k].Err
+			}
+		}
+	}
+}
+
+// forgetDeleted drops the node's own books on each datum deleted (its cached
+// locators, its transfers) and its local copy, and returns the refusals,
+// each naming its datum.
+func (b *BitDew) forgetDeleted(ds []data.Data, errs []error) error {
+	for i, d := range ds {
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("bitdew: delete %s: %w", d.Name, errs[i])
+			continue
+		}
+		b.set.cache.invalidate(d.UID)
+		b.engine.Forget(d.UID)
+		errs[i] = b.backend.Delete(string(d.UID))
+	}
+	return errors.Join(errs...)
 }
 
 // Local reports whether the datum's content is in this node's local cache.

@@ -2,16 +2,20 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bitdew/internal/attr"
+	"bitdew/internal/catalog"
 	"bitdew/internal/core"
 	"bitdew/internal/data"
+	"bitdew/internal/rpc"
 	"bitdew/internal/runtime"
 	"bitdew/internal/workload"
 )
@@ -457,8 +461,21 @@ func TestDeleteDataClearsEverywhere(t *testing.T) {
 // transfer engines of the client that deletes it and of a worker whose
 // heartbeat drops it. WaitFor then returns nil, as for a datum never moved,
 // though each side's last transfer of it failed: the engines used to keep
-// that transfer, one per datum ever moved, for the life of the process.
+// that transfer, one per datum ever moved, for the life of the process. It
+// runs through DeleteData and through a DeleteAll of one.
 func TestDeletedDataLeaveNoTransfers(t *testing.T) {
+	for _, del := range []struct {
+		name string
+		fn   func(*core.BitDew, data.Data) error
+	}{
+		{"DeleteData", (*core.BitDew).DeleteData},
+		{"DeleteAll", func(bd *core.BitDew, d data.Data) error { return bd.DeleteAll([]data.Data{d}) }},
+	} {
+		t.Run(del.name, func(t *testing.T) { deletedDataLeaveNoTransfers(t, del.fn) })
+	}
+}
+
+func deletedDataLeaveNoTransfers(t *testing.T, del func(*core.BitDew, data.Data) error) {
 	h := newHarness(t, false)
 	client, worker := h.node("client"), h.node("worker")
 	client.SetClientOnly(true)
@@ -483,7 +500,7 @@ func TestDeletedDataLeaveNoTransfers(t *testing.T) {
 				t.Fatal("a fetch from nowhere succeeded")
 			}
 		}
-		if err := client.BitDew.DeleteData(*d); err != nil {
+		if err := del(client.BitDew, *d); err != nil {
 			t.Fatal(err)
 		}
 		if err := worker.SyncWait(1); err != nil || worker.Holds(d.UID) {
@@ -494,6 +511,52 @@ func TestDeletedDataLeaveNoTransfers(t *testing.T) {
 				t.Fatalf("cycle %d: %s still has a transfer of the deleted %s: %v", i, n.Host, d.Name, err)
 			}
 		}
+	}
+}
+
+// TestDeleteAllRefusalNamesItsDatum: a DeleteAll whose batch holds one datum
+// its home shard refuses to delete deletes every other datum and leaves that
+// one intact; its error names that datum and no other.
+func TestDeleteAllRefusalNamesItsDatum(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	set := h.connect()
+	n, err := core.NewNode(core.NodeConfig{Host: "client", Shards: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	n.SetClientOnly(true)
+	ds, contents := putWave(t, n, 8)
+	victim := ds[0]
+	home := h.plane.Shard(set.ShardOf(victim.UID))
+	rpc.Register(home.Mux, catalog.ServiceName, "Delete", func(uid data.UID) (struct{}, error) {
+		if uid == victim.UID {
+			return struct{}{}, errors.New("delete refused")
+		}
+		return struct{}{}, home.DC.Delete(uid)
+	})
+
+	batch := make([]data.Data, len(ds))
+	for i, d := range ds {
+		batch[i] = *d
+	}
+	err = n.BitDew.DeleteAll(batch)
+	if err == nil || !strings.Contains(err.Error(), victim.Name+": delete refused") {
+		t.Fatalf("DeleteAll = %v, want the refusal of %s", err, victim.Name)
+	}
+	for _, d := range ds[1:] {
+		if strings.Contains(err.Error(), d.Name) {
+			t.Errorf("the error names %s, which was deleted: %v", d.Name, err)
+		}
+		if found, _ := n.BitDew.SearchData(d.Name); len(found) != 0 || n.BitDew.Local(*d) {
+			t.Errorf("%s survived its delete: %d in the catalog, local %v", d.Name, len(found), n.BitDew.Local(*d))
+		}
+	}
+	if err := n.Backend().Delete(string(victim.UID)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := n.BitDew.GetBytes(*victim); err != nil || !bytes.Equal(got, contents[0]) {
+		t.Errorf("the refused %s reads back %q, %v; want it intact", victim.Name, got, err)
 	}
 }
 

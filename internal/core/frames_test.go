@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,9 +85,10 @@ func (r *frameRig) create(prefix string, count int) ([]*data.Data, [][]byte) {
 // TestFrameBudget pins what each operation costs in request frames — on a
 // desktop grid, WAN round trips: the floor under every latency a user sees.
 // Every row is exact. The DT costs a transfer no frame of its own except on a
-// fetch, which sends one report frame per home shard however many data move:
-// a put's reports ride its commit frame, a worker round's its next heartbeat,
-// and a bare Get's whichever frame goes to that shard next.
+// warm fetch, which sends one report frame per home shard however many data
+// move: a put's reports ride its commit frame, a worker round's its next
+// heartbeat, and a cold fetch's or a bare Get's whichever frame goes to that
+// shard next — a lookup, a delete, a commit.
 func TestFrameBudget(t *testing.T) {
 	h := newShardedHarness(t, 2)
 	c := newFrameRig(t, h, "client")
@@ -105,16 +108,17 @@ func TestFrameBudget(t *testing.T) {
 		t.Errorf("PutAll of 12 over %d shards = %d frames, want %d", s, got, 2*s)
 	}
 
-	// Fetch: one lookup frame on a cold locator cache, none on a warm one,
-	// and the transfer's one DT report.
+	// Fetch: one frame either way. On a cold locator cache it is the lookup,
+	// and the transfer's DT report waits for the next frame to the shard; on
+	// a warm one it is that report.
 	drop := func(d *data.Data) {
 		if err := c.node.Backend().Delete(string(d.UID)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drop(ds[0])
-	if got := c.frames(func() error { return bd.Fetch(*ds[0], "") }); got != 2 {
-		t.Errorf("cold Fetch = %d frames, want 2", got)
+	if got := c.frames(func() error { return bd.Fetch(*ds[0], "") }); got != 1 {
+		t.Errorf("cold Fetch = %d frames, want 1", got)
 	}
 	drop(ds[0])
 	if got := c.frames(func() error { return bd.Fetch(*ds[0], "") }); got != 1 {
@@ -186,6 +190,208 @@ func TestFrameBudget(t *testing.T) {
 	// and the content with it.
 	if got := c.frames(func() error { return bd.DeleteData(*ds[0]) }); got != 1 {
 		t.Errorf("DeleteData = %d frames, want 1", got)
+	}
+
+	// DeleteAll: one frame per home shard, however many data.
+	doomed := make([]data.Data, len(wave))
+	for i, d := range wave {
+		doomed[i] = *d
+	}
+	if got := c.frames(func() error { return bd.DeleteAll(doomed) }); got != s {
+		t.Errorf("DeleteAll of 12 over %d shards = %d frames, want %d", s, got, s)
+	}
+}
+
+// TestFetchFramesPerHomeShard: a FetchAll sends each home shard of its data
+// exactly one frame, whichever of them missed the locator cache. A shard with
+// a miss gets the lookup frame, which carries its parked DT reports; the
+// report flush after the downloads goes only to the shards no lookup reached.
+func TestFetchFramesPerHomeShard(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	for _, tc := range []struct {
+		name       string
+		cold, warm [2]int // how many data homed on shard 0 and on shard 1
+	}{
+		{"all cold", [2]int{2, 2}, [2]int{}},
+		{"all warm", [2]int{}, [2]int{2, 2}},
+		{"cold and warm on one shard", [2]int{1, 0}, [2]int{1, 0}},
+		{"cold and warm across two shards", [2]int{1, 0}, [2]int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newFrameRig(t, h, "client")
+			c.node.SetClientOnly(true)
+			bd := c.node.BitDew
+			ds, contents := c.create("fetch", 32) // at least 2 per shard, but for one draw in sixty million
+			if err := bd.PutAll(ds, contents); err != nil {
+				t.Fatal(err)
+			}
+			var home [2][]int
+			for i, d := range ds {
+				shard := c.set.ShardOf(d.UID)
+				home[shard] = append(home[shard], i)
+			}
+			var cold, warm []data.Data
+			var picked []int
+			s := uint64(0)
+			for shard, idx := range home {
+				n := tc.cold[shard] + tc.warm[shard]
+				if n > 0 {
+					s++
+				}
+				for k, i := range idx[:n] {
+					picked = append(picked, i)
+					if k < tc.cold[shard] {
+						cold = append(cold, *ds[i])
+					} else {
+						warm = append(warm, *ds[i])
+					}
+				}
+			}
+			if err := bd.FetchAll(warm, ""); err != nil { // fills the locator cache
+				t.Fatal(err)
+			}
+			for _, i := range picked {
+				if err := c.node.Backend().Delete(string(ds[i].UID)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := c.frames(func() error { return bd.FetchAll(append(cold, warm...), "") }); got != s {
+				t.Errorf("FetchAll of %d cold and %d warm data over %d home shards = %d frames, want %d", len(cold), len(warm), s, got, s)
+			}
+			for _, i := range picked {
+				if got, err := c.node.Backend().Get(string(ds[i].UID)); err != nil || !bytes.Equal(got, contents[i]) {
+					t.Errorf("%s landed as %q, %v; want %q", ds[i].Name, got, err, contents[i])
+				}
+			}
+		})
+	}
+}
+
+// dtStats sums the DT services' completed bytes and report calls over h's
+// shards.
+func dtStats(h *shardedHarness) (moved, reports int64) {
+	for i := 0; i < h.plane.N(); i++ {
+		b, r := h.plane.Shard(i).DT.Stats()
+		moved, reports = moved+b, reports+r
+	}
+	return moved, reports
+}
+
+// TestColdFetchReportRidesNextFrame: a cold fetch sends no report frame, and
+// its download's terminal report is neither lost nor sent twice: it waits for
+// the next frame to the shard, here a warm fetch's report flush, and reaches
+// the DT service exactly once.
+func TestColdFetchReportRidesNextFrame(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	c := newFrameRig(t, h, "client")
+	c.node.SetClientOnly(true)
+	bd := c.node.BitDew
+	ds, contents := c.create("report", 3)
+	if err := bd.PutAll(ds, contents); err != nil {
+		t.Fatal(err)
+	}
+	// Two of any three data share a home shard: a is fetched cold, b warm.
+	var a, b *data.Data
+	for i := range ds {
+		for _, d := range ds[i+1:] {
+			if a == nil && c.set.ShardOf(d.UID) == c.set.ShardOf(ds[i].UID) {
+				a, b = ds[i], d
+			}
+		}
+	}
+	fetch := func(d *data.Data) uint64 {
+		t.Helper()
+		if err := c.node.Backend().Delete(string(d.UID)); err != nil {
+			t.Fatal(err)
+		}
+		return c.frames(func() error { return bd.Fetch(*d, "") })
+	}
+	fetch(b)
+	fetch(b) // b's locators are cached, and its reports sent
+	moved0, reports0 := dtStats(h)
+
+	if got := fetch(a); got != 1 {
+		t.Errorf("cold Fetch = %d frames, want 1", got)
+	}
+	if moved, reports := dtStats(h); moved != moved0 || reports != reports0 {
+		t.Errorf("the cold fetch sent %d reports, want them parked", reports-reports0)
+	}
+	if got := fetch(b); got != 1 {
+		t.Errorf("warm Fetch = %d frames, want 1", got)
+	}
+	if moved, reports := dtStats(h); reports-reports0 != 2 || moved-moved0 != a.Size+b.Size {
+		t.Errorf("the next frame delivered %d reports of %d bytes, want the cold and the warm fetch's 2 of %d", reports-reports0, moved-moved0, a.Size+b.Size)
+	}
+	fetch(b)
+	if _, reports := dtStats(h); reports-reports0 != 3 {
+		t.Errorf("the DT heard %d reports of 3 downloads", reports-reports0)
+	}
+}
+
+// TestFetchAllConcurrentReports: two goroutines run FetchAll over one
+// BitDew, cold then warm, each taking the other's parked reports into its
+// lookup or its flush (a flush also samples the other's downloads in flight).
+// Every download lands, and its terminal report reaches the DT service.
+func TestFetchAllConcurrentReports(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	c := newFrameRig(t, h, "client")
+	c.node.SetClientOnly(true)
+	bd := c.node.BitDew
+	ds, contents := c.create("concurrent", 16)
+	if err := bd.PutAll(ds, contents); err != nil {
+		t.Fatal(err)
+	}
+	moved0, _ := dtStats(h)
+	const rounds = 4
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		part := ds[g*8 : (g+1)*8]
+		batch := make([]data.Data, len(part))
+		for i, d := range part {
+			batch[i] = *d
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, d := range part {
+					c.node.Backend().Delete(string(d.UID))
+				}
+				if err := bd.FetchAll(batch, ""); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var want int64
+	for i, d := range ds {
+		if got, err := c.node.Backend().Get(string(d.UID)); err != nil || !bytes.Equal(got, contents[i]) {
+			t.Errorf("%s landed as %q, %v; want %q", d.Name, got, err, contents[i])
+		}
+		want += rounds * d.Size
+	}
+	// A warm fetch of every datum flushes what is still parked, and moves
+	// each once more.
+	for _, d := range ds {
+		c.node.Backend().Delete(string(d.UID))
+	}
+	all := make([]data.Data, len(ds))
+	for i, d := range ds {
+		all[i] = *d
+		want += d.Size
+	}
+	if err := bd.FetchAll(all, ""); err != nil {
+		t.Fatal(err)
+	}
+	if moved, _ := dtStats(h); moved-moved0 != want {
+		t.Errorf("the DT heard of %d bytes moved, want %d", moved-moved0, want)
+	}
+	for i := 0; i < h.plane.N(); i++ {
+		if act := h.plane.Shard(i).DT.Active(); len(act) != 0 {
+			t.Errorf("shard %d's DT holds %d transfers in flight after every fetch ended", i, len(act))
+		}
 	}
 }
 
@@ -270,10 +476,31 @@ func TestWorkerRoundLooksUpWhenLocateRefused(t *testing.T) {
 // TestPlaceFramesPerPhase is the frame budget of one wave-distribute place
 // (bench/README.md): a broadcast datum and 64 tasks over 4 workers on 2
 // shards, the workers stepped round-robin one SyncWait(1) at a time until
-// every wanted replica has landed, then every datum deleted. It logs the
-// frames of each phase, counted over the client's and the workers'
-// connections, and pins each phase to its TestFrameBudget row.
+// every wanted replica has landed, then every datum deleted, one DeleteData
+// at a time or in one DeleteAll. It logs the frames of each phase, counted
+// over the client's and the workers' connections, and pins each phase to its
+// TestFrameBudget row.
 func TestPlaceFramesPerPhase(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		del  func(bd *core.BitDew, ds []data.Data) error
+		want func(n, shards uint64) uint64 // the delete phase's frames for n data
+	}{
+		{"DeleteData", func(bd *core.BitDew, ds []data.Data) error {
+			for _, d := range ds {
+				if err := bd.DeleteData(d); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(n, _ uint64) uint64 { return n }},
+		{"DeleteAll", (*core.BitDew).DeleteAll, func(_, shards uint64) uint64 { return shards }},
+	} {
+		t.Run(v.name, func(t *testing.T) { placeFramesPerPhase(t, v.del, v.want) })
+	}
+}
+
+func placeFramesPerPhase(t *testing.T, del func(*core.BitDew, []data.Data) error, wantDeletes func(n, shards uint64) uint64) {
 	h := newShardedHarness(t, 2)
 	c := newFrameRig(t, h, "client")
 	c.node.SetClientOnly(true)
@@ -359,14 +586,7 @@ func TestPlaceFramesPerPhase(t *testing.T) {
 			}
 		}
 	}
-	deletes := frames(func() error {
-		for _, d := range ds {
-			if err := c.node.BitDew.DeleteData(*d); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	deletes := frames(func() error { return del(c.node.BitDew, scheduled) })
 
 	t.Logf("place of %d data over %d home shards: create %d, put %d, schedule %d, worker rounds %d (%d rounds), deletes %d; total %d frames",
 		len(ds), s, create, put, schedule, rounds, steps, deletes, create+put+schedule+rounds+deletes)
@@ -378,7 +598,7 @@ func TestPlaceFramesPerPhase(t *testing.T) {
 		{"put", put, 2 * s},
 		{"schedule", schedule, s},
 		{"worker rounds", rounds, 2 * uint64(steps)},
-		{"deletes", deletes, uint64(len(ds))},
+		{"deletes", deletes, wantDeletes(uint64(len(ds)), s)},
 	} {
 		if row.got != row.want {
 			t.Errorf("%s = %d frames, want %d", row.phase, row.got, row.want)

@@ -466,7 +466,7 @@ func (n *Node) startFetches(assigned []scheduler.Assignment) {
 		go func() {
 			defer n.wg.Done()
 			// Each datum's verdict arrives through the hook, as it lands.
-			_ = n.BitDew.fetchAll(ds, protocol, func(i int, err error) {
+			_, _ = n.BitDew.fetchAll(ds, protocol, func(i int, err error) {
 				n.landed(fetching[i], err == nil)
 			})
 		}()

@@ -183,7 +183,7 @@ func TestFetchBatchIsOneReportFrame(t *testing.T) {
 	base := n.set.RoundTrips()
 	verdicts := make([]error, len(batch))
 	// FetchAll is fetchAll then Flush; the hook is what the test adds.
-	_ = n.BitDew.fetchAll(batch, "instant", func(i int, err error) {
+	_, _ = n.BitDew.fetchAll(batch, "instant", func(i int, err error) {
 		verdicts[i] = err
 		if i == 1 {
 			if err := n.Transfers.WaitFor(batch[0]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"bitdew/internal/dht"
 	"bitdew/internal/repl"
 	"bitdew/internal/rpc"
+	"bitdew/internal/transfer"
 )
 
 // ShardSet is the client side of a sharded D* service plane: the
@@ -397,6 +399,34 @@ func (v *shardView) partition(n int, uidAt func(int) data.UID) map[int][]int {
 		groups[shard] = append(groups[shard], i)
 	}
 	return groups
+}
+
+// homeFrames runs frame once per home range of the data pending indexes
+// (uid names each one's datum), the frames in parallel, handing each its
+// range's slot and its data; a frame leaves each datum's verdict in errs.
+// Data whose frame never ran for them (a retryable verdict) go again under a
+// newer view while retryElastic allows. It returns the slots' DT services.
+func (s *ShardSet) homeFrames(pending []int, uid func(int) data.UID, errs []error, frame func(shard int, c *Comms, idx []int)) (reached []*transfer.Client) {
+	_ = s.retryElastic(func(v *shardView) error {
+		groups := v.partition(len(pending), func(j int) data.UID { return uid(pending[j]) })
+		v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
+			for k, j := range idx {
+				idx[k] = pending[j]
+			}
+			frame(shard, c, idx)
+			return nil
+		})
+		for shard := range groups {
+			reached = append(reached, v.slots[shard].DT)
+		}
+		var again []error
+		pending = slices.DeleteFunc(slices.Clone(pending), func(i int) bool { return !retryable(errs[i]) })
+		for _, i := range pending {
+			again = append(again, errs[i])
+		}
+		return errors.Join(again...)
+	})
+	return reached
 }
 
 // eachShard runs fn once per shard group, concurrently when more than one

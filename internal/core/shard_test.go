@@ -272,14 +272,14 @@ func TestLocatorCacheSkipsWire(t *testing.T) {
 	if hits != uint64(len(ds)) {
 		t.Fatalf("second fetch: %d cache hits for %d data", hits, len(ds))
 	}
-	// The warm fetch drops the per-shard lookup frames; what remains is the
-	// one DT report frame per home shard.
+	// Either fetch sends each home shard one frame: the cold one its lookup,
+	// which carries the parked DT reports, the warm one its DT reports.
 	homes := map[int]bool{}
 	for _, d := range ds {
 		homes[set.ShardOf(d.UID)] = true
 	}
-	if s := uint64(len(homes)); coldTrips != 2*s || warmTrips != s {
-		t.Fatalf("cold fetch cost %d round trips, cached fetch %d; want %d and %d", coldTrips, warmTrips, 2*s, s)
+	if s := uint64(len(homes)); coldTrips != s || warmTrips != s {
+		t.Fatalf("cold fetch cost %d round trips, cached fetch %d; want %d and %d", coldTrips, warmTrips, s, s)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -60,6 +61,71 @@ func fileNames(t *testing.T, dir string) []string {
 		out = append(out, e.Name())
 	}
 	return out
+}
+
+// TestFailingCompactionSealsNoSegmentPerWrite: while a compaction's copy keeps
+// failing, the writes after it seal no segment each, and do not each retry
+// the copy: it restarts over the segments already sealed, once the WAL
+// written since outweighs the snapshot again. Once the failure clears, the
+// next compaction leaves only the snapshot and the WAL, and a reopen reads
+// back every row byte-exact.
+func TestFailingCompactionSealsNoSegmentPerWrite(t *testing.T) {
+	dir := t.TempDir()
+	blocked := filepath.Join(dir, snapshotFile+".tmp")
+	if err := os.Mkdir(blocked, 0o755); err != nil { // no snapshot can be written
+		t.Fatal(err)
+	}
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("t", "first", []byte("row")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("Compact succeeded onto a blocked snapshot")
+	}
+	var copies atomic.Int32
+	s.hold = func() { copies.Add(1) }
+	value := bytes.Repeat([]byte("v"), 32<<10) // 100 puts pass the compaction threshold three times
+	for i := 0; i < 100; i++ {
+		if err := s.Put("t", key(i), value); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		s.lockIdle() // the copy a write started has failed before the next
+		s.mu.Unlock()
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal.*.gob")); len(segs) > 2 {
+		t.Errorf("100 writes after a failed compaction left %d sealed segments, want at most 2", len(segs))
+	}
+	if n := copies.Load(); n < 1 || n > 8 {
+		t.Errorf("100 writes of 3.2 MB in all ran %d copies, want the retry and then a restart per MB, not a copy per write", n)
+	}
+
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("the compaction after the failure cleared: %v", err)
+	}
+	if got := fileNames(t, dir); !reflect.DeepEqual(got, []string{snapshotFile, walFile}) {
+		t.Errorf("the compaction left %v, want only %s and %s", got, snapshotFile, walFile)
+	}
+	want := rowsOf(t, s)
+	if len(want) != 101 {
+		t.Fatalf("%d rows, want 101", len(want))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := rowsOf(t, re); !maps.Equal(got, want) {
+		t.Errorf("reopened with %d rows, not the %d written", len(got), len(want))
+	}
 }
 
 // TestDurableCompactionBesideWrites: while a compaction's copy is held, a

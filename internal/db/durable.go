@@ -52,6 +52,8 @@ type DurableStore struct {
 	walN    int           // records appended since the last seal
 	segs    []int         // the sealed segments present, oldest first
 	snap    int64         // the last snapshot's size, the live bytes the WAL's weigh against
+	retried bool          // the last seal found segments left: a retry
+	tried   int64         // the WAL's size when a failed retry's copy last restarted; 0 since a seal
 	rec     []byte        // one framed record, built under mu
 	copying chan struct{} // closed when the copy in flight ends; nil while none runs
 	copyRec []byte        // the copy's record buffer
@@ -168,7 +170,9 @@ func appendRecord(b []byte, batch []Mutation) []byte {
 // in-memory state, and starts a compaction when the log outweighs the
 // snapshot. Once its record is in the log the write has happened: a
 // compaction that fails after it does not fail the write. Its error is
-// kept for Close, and the next write tries the compaction again.
+// kept for Close, and the next write seals again to retry; once a retry
+// fails, the copy restarts, over the segments already sealed, whenever the
+// WAL written since outweighs the snapshot again.
 func (s *DurableStore) Apply(batch []Mutation) error {
 	if err := valid(batch); err != nil || len(batch) == 0 {
 		return err
@@ -188,9 +192,17 @@ func (s *DurableStore) Apply(batch []Mutation) error {
 		return err
 	}
 	s.walN++
-	// Segments a failed copy left are owed a compaction.
-	if s.copying == nil && (len(s.segs) > 0 || codec.Compactable(s.wal.Size(), s.snap)) {
+	switch {
+	case s.copying != nil:
+	case len(s.segs) == 0:
+		if codec.Compactable(s.wal.Size(), s.snap) {
+			s.compactErr = s.seal()
+		}
+	case !s.retried: // segments a crash or a failed copy left
 		s.compactErr = s.seal()
+	case codec.Compactable(s.wal.Size()-s.tried, s.snap):
+		s.tried, s.copying = s.wal.Size(), make(chan struct{})
+		go s.copy(s.copying)
 	}
 	return nil
 }
@@ -252,8 +264,8 @@ func (s *DurableStore) seal() error {
 		return fmt.Errorf("db: compact: start wal: %w", errors.Join(err, os.Rename(seg, path)))
 	}
 	s.wal.Close()
-	s.wal, s.walN, s.segs = wal, 0, append(s.segs, n)
-	s.copying = make(chan struct{})
+	s.wal, s.walN, s.retried, s.tried = wal, 0, len(s.segs) > 0, 0
+	s.segs, s.copying = append(s.segs, n), make(chan struct{})
 	go s.copy(s.copying)
 	return nil
 }

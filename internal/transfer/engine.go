@@ -208,9 +208,13 @@ func (e *Engine) TakeReports(dt *Client) []*rpc.Call {
 }
 
 // Flush sends the reports waiting to leave for the DT services of ds now,
-// one frame per service, for a caller with no frame of its own to carry them.
-func (e *Engine) Flush(ds []data.Data) {
+// one frame per service, for a caller with no frame of its own to carry them,
+// skipping the services in reached, which one of the caller's frames reached.
+func (e *Engine) Flush(ds []data.Data, reached ...*Client) {
 	seen := make(map[*reporter]bool)
+	for _, dt := range reached {
+		seen[e.reporter(dt)] = true
+	}
 	var wg sync.WaitGroup
 	for _, d := range ds {
 		if r := e.reporter(e.dtFor(d.UID)); r != nil && !seen[r] {

@@ -13,8 +13,9 @@ import (
 //
 //   - a frame the host sends that service anyway, which takes the outbox
 //     (TakeReports) and carries it in front of its own calls — a put's
-//     commit, a worker's next heartbeat — or which the outbox is (Flush: a
-//     fetch's one report frame per home shard, once its downloads end);
+//     commit, a fetch's lookup, a delete, a worker's next heartbeat — or
+//     which the outbox is (Flush: once a fetch's downloads end, one report
+//     frame to each home shard its lookup did not reach);
 //   - the monitoring period, one frame with a progress sample of every
 //     transfer still running — a finished transfer is at most one period
 //     stale at the DT, a long one shows up with advancing bytes.
