@@ -15,7 +15,7 @@
 // evaluation (§4) shows throughput bounded by per-datum service round
 // trips. The rpc layer carries many logical calls in one frame
 // (rpc.CallBatch); the services expose native batch endpoints (catalog
-// RegisterBatch/AddLocatorBatch/LocatorsBatch, repository LocatorBatch,
+// RegisterBatch/AddLocatorBatch/LocatorsBatch, repository LocatorAnyBatch,
 // scheduler delta synchronization, the DT's report upsert, which a
 // transfer engine sends one frame of per service and round); and the core
 // APIs build

@@ -47,6 +47,7 @@ var ErrNotFound = errors.New("catalog: data not found")
 type Service struct {
 	store   db.Store
 	cascade func(uid data.UID, rows []db.Mutation) error // see SetDeleteCascade
+	check   func(l data.Locator) error                   // see SetLocatorCheck
 }
 
 // NewService builds a Data Catalog over the given persistent store.
@@ -88,6 +89,13 @@ func (s *Service) Get(uid data.UID) (data.Data, error) {
 // in its batch, and deletes its repository content. Call it before Mount.
 func (s *Service) SetDeleteCascade(cascade func(uid data.UID, rows []db.Mutation) error) {
 	s.cascade = cascade
+}
+
+// SetLocatorCheck installs what a locator must pass to be published: the
+// service container refuses one that claims its own repository's copy at
+// another endpoint, or a copy that is not there. Call it before Mount.
+func (s *Service) SetLocatorCheck(check func(l data.Locator) error) {
+	s.check = check
 }
 
 // Delete removes a datum and its locators, in one batch with the rows the
@@ -192,6 +200,11 @@ func (s *Service) LocatorsBatch(uids []data.UID) ([][]data.Locator, error) {
 func (s *Service) AddLocator(l data.Locator) error {
 	if err := l.Validate(); err != nil {
 		return err
+	}
+	if s.check != nil {
+		if err := s.check(l); err != nil {
+			return err
+		}
 	}
 	// Only presence matters: the datum's row is not decoded.
 	if _, ok, err := s.store.Get(tableData, string(l.DataUID)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,7 +13,6 @@ import (
 	"bitdew/internal/data"
 	"bitdew/internal/repl"
 	"bitdew/internal/repository"
-	"bitdew/internal/rpc"
 	"bitdew/internal/transfer"
 )
 
@@ -165,19 +165,20 @@ func (b *BitDew) storeFile(d *data.Data, path string) error {
 // Put copies content into the datum's slot: local storage, upload to the
 // Data Repository, and catalog registration of meta-information and
 // locator. It blocks until the permanent copy is safe, mirroring
-// bitdew.put(data, file). It is the single-datum wrapper over PutAll: two
-// service round trips, as for a whole batch homed on one shard — prefer
+// bitdew.put(data, file). It is the single-datum wrapper over PutAll: one
+// service round trip, as for a whole batch homed on one shard — prefer
 // PutAll when several data move together.
 func (b *BitDew) Put(d *data.Data, content []byte) error {
 	return b.PutAll([]*data.Data{d}, [][]byte{content})
 }
 
 // PutAll is the batch-first Put: the data are partitioned onto their home
-// shards and each shard runs the two-round-trip batch protocol
-// (RegisterBatch + LocatorBatch in one frame, uploads out-of-band, their DT
-// reports + AddLocatorBatch in the second) — the per-shard frames in
-// parallel, so N shards see N-way concurrent distribution of one wave. Each
-// datum's meta-information is updated in place.
+// shards and each shard runs the one-round-trip batch protocol (uploads
+// out-of-band to the shard's repository first, then their DT reports,
+// RegisterBatch and AddLocatorBatch in one frame; a slot's first put asks
+// for the upload endpoint before) — the shards in parallel, so N shards see
+// N-way concurrent distribution of one wave. Each datum's meta-information
+// is updated in place.
 func (b *BitDew) PutAll(ds []*data.Data, contents [][]byte) error {
 	if len(ds) != len(contents) {
 		return fmt.Errorf("bitdew: putAll: %d data but %d contents", len(ds), len(contents))
@@ -197,9 +198,9 @@ func (b *BitDew) PutAll(ds []*data.Data, contents [][]byte) error {
 // putStored is PutAll for data whose content is in local storage and whose
 // meta-information describes it.
 func (b *BitDew) putStored(ds []*data.Data) error {
-	// The per-shard protocol (register, locators, upload, publish) is
-	// put-overwrite idempotent end to end, so a wave caught mid-rebalance
-	// simply reruns against the refreshed placement.
+	// The per-shard protocol (upload, register, publish) is put-overwrite
+	// idempotent end to end, so a wave caught mid-rebalance simply reruns
+	// against the refreshed placement.
 	return b.set.retryElastic(func(v *shardView) error {
 		groups := v.partition(len(ds), func(i int) data.UID { return ds[i].UID })
 		return v.eachShard(groups, func(shard int, c *Comms, idx []int) error {
@@ -212,73 +213,85 @@ func (b *BitDew) putStored(ds []*data.Data) error {
 	})
 }
 
-// putShard runs the batch Put protocol for data homed on one shard.
+// putShard runs the batch Put protocol for data homed on one shard: every
+// datum uploads out-of-band to the shard's repository, at the endpoint c
+// remembers, and then ONE frame carries the uploads' DT reports, registers
+// the data whose upload succeeded and publishes their locators. A datum
+// whose upload failed is neither registered nor published. The endpoint is
+// dropped when it proves stale, and the shard's part reruns once against a
+// fresh one: when an upload fails at the transport level (the shard came
+// back on a new port, or its range failed over to a successor), or when the
+// shard refuses to publish a locator naming it.
 func (b *BitDew) putShard(c *Comms, ds []*data.Data) error {
+	rerun, err := b.putOnce(c, ds, false)
+	if rerun {
+		_, err = b.putOnce(c, ds, true)
+	}
+	return err
+}
+
+// putOnce is one pass of putShard, reporting whether to rerun it: on a pass
+// that is not the last, a stale upload sends no frame, and its reports wait
+// for the rerun's.
+func (b *BitDew) putOnce(c *Comms, ds []*data.Data, last bool) (rerun bool, err error) {
+	host := c.upload.Load()
+	if host == nil {
+		loc, err := c.DR.Locator(ds[0].UID, UploadProtocol)
+		if err != nil {
+			return false, fmt.Errorf("bitdew: putAll: upload endpoint: %w", err)
+		}
+		host = &loc.Host
+		c.upload.Store(host)
+	}
+	stale := func() bool {
+		c.upload.CompareAndSwap(host, nil) // unless a concurrent put learned a fresh one
+		return !last
+	}
 	regs := make([]data.Data, len(ds))
-	uids := make([]data.UID, len(ds))
+	locs := make([]data.Locator, len(ds))
+	handles := make([]*transfer.Handle, len(ds))
 	for i, d := range ds {
 		regs[i] = *d
-		uids[i] = d.UID
-	}
-
-	// Round trip 1: register meta-information and ask for upload locators,
-	// batched across the dc and dr services in one frame.
-	var locs []data.Locator
-	calls := []*rpc.Call{
-		c.DC.RegisterBatchCall(regs),
-		c.DR.LocatorBatchCall(uids, UploadProtocol, &locs),
-	}
-	if err := c.CallBatch(calls); err != nil {
-		return fmt.Errorf("bitdew: putAll: %w", err)
-	}
-	if err := calls[0].Err; err != nil {
-		return fmt.Errorf("bitdew: putAll: register: %w", err)
-	}
-	if err := calls[1].Err; err != nil {
-		return fmt.Errorf("bitdew: putAll: locators: %w", err)
-	}
-	if len(locs) != len(ds) {
-		return fmt.Errorf("bitdew: putAll: repository issued %d locators for %d data", len(locs), len(ds))
-	}
-	for i, loc := range locs {
-		if loc == (data.Locator{}) {
-			return fmt.Errorf("bitdew: put %s: locator: protocol %q not served", ds[i].Name, UploadProtocol)
-		}
-	}
-
-	// Uploads go out-of-band, concurrently, bounded by the engine, which
-	// parks their DT reports for the frame below.
-	handles := make([]*transfer.Handle, len(regs))
-	for i := range regs {
+		locs[i] = repository.LocatorAt(d.UID, UploadProtocol, *host)
 		handles[i] = b.engine.Upload(regs[i], locs[i])
 	}
 	var errs []error
+	landed, transport := 0, false
 	for i, h := range handles {
 		if err := h.Wait(); err != nil {
+			var ne net.Error
+			transport = transport || errors.As(err, &ne)
 			errs = append(errs, fmt.Errorf("bitdew: put %s: upload: %w", ds[i].Name, err))
+			continue
 		}
+		regs[landed], locs[landed] = regs[i], locs[i]
+		landed++
+	}
+	if transport && stale() {
+		return true, nil
 	}
 
-	// Round trip 2: the uploads' DT reports and, behind them (a frame's calls
-	// run in order), every locator published at once. After a failed upload
-	// the reports go out alone and nothing is published.
+	// The one frame: the DT reports, then (a frame's calls run in order) the
+	// landed data's registration and locators.
 	commit := b.engine.TakeReports(c.DT)
-	publish := c.DC.AddLocatorBatchCall(locs)
-	if len(errs) == 0 {
-		commit = append(commit, publish)
+	register, publish := c.DC.RegisterBatchCall(regs[:landed]), c.DC.AddLocatorBatchCall(locs[:landed])
+	if landed > 0 {
+		commit = append(commit, register, publish)
 	}
-	//vet:ignore errlost the DT reports riding in front are monitoring only, so their per-call errors are dropped by design; the publish call's own Err is checked below
-	err := c.CallBatch(commit)
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	if len(commit) > 0 {
+		//vet:ignore errlost the DT reports riding in front are monitoring only, so their per-call errors are dropped by design; register's and publish's own Err are checked below
+		if err := c.CallBatch(commit); err != nil {
+			errs = append(errs, fmt.Errorf("bitdew: putAll: %w", err))
+		} else if err := register.Err; err != nil {
+			errs = append(errs, fmt.Errorf("bitdew: putAll: register: %w", err))
+		} else if err := publish.Err; err != nil {
+			// Refused, and not for an ownership move: the locators name
+			// another repository, or content this one does not hold.
+			rerun = !retryable(err) && stale()
+			errs = append(errs, fmt.Errorf("bitdew: putAll: publish locators: %w", err))
+		}
 	}
-	if err == nil {
-		err = publish.Err
-	}
-	if err != nil {
-		return fmt.Errorf("bitdew: putAll: publish locators: %w", err)
-	}
-	return nil
+	return rerun, errors.Join(errs...)
 }
 
 // PutFile is Put streaming content from a local file.

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"bitdew/internal/catalog"
@@ -43,6 +44,9 @@ type Comms struct {
 	DS *scheduler.Client
 
 	client rpc.Client // the one connection all four share
+	// upload is the DR's UploadProtocol endpoint, learned by the first put
+	// through these Comms and dropped when a put finds it stale.
+	upload atomic.Pointer[string]
 }
 
 // DefaultCallTimeout bounds every call made over a Connect*-built

@@ -3,9 +3,11 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"bitdew/internal/core"
+	"bitdew/internal/data"
 	"bitdew/internal/repository"
 	"bitdew/internal/rpc"
 	"bitdew/internal/transfer"
@@ -25,9 +27,11 @@ func (b *dropBackend) Put(ref string, content []byte) error {
 	return b.MemBackend.Put(ref, content)
 }
 
-// TestReportPutUploadFailure: when an upload fails, the put's second frame
-// carries the transfers' DT reports alone — the failure is on record, and no
-// locator is published for content that never arrived.
+// TestReportPutUploadFailure: when an upload fails, the put's one frame
+// still carries both transfers' DT reports — the failure is on record — and
+// no locator is published for content that never arrived: the datum that
+// landed has its home repository's locator, the lost one none, and the error
+// names the lost one.
 func TestReportPutUploadFailure(t *testing.T) {
 	h := newHarness(t, true)
 	comms := h.comms()
@@ -37,19 +41,24 @@ func TestReportPutUploadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Transfers.SetMaxAttempts(1)
-	ds, err := n.BitDew.CreateDataBatch([]string{"lands", "lost"})
+	ds, err := n.BitDew.CreateDataBatch([]string{"lands", "lost", "warm"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := n.BitDew.Put(ds[2], []byte("warms the slot")); err != nil {
+		t.Fatal(err)
+	}
+	ds = ds[:2]
 	backend.drop = string(ds[1].UID)
 
 	_, before := h.c.DT.Stats()
 	base := comms.RoundTrips()
-	if err := n.BitDew.PutAll(ds, [][]byte{[]byte("content"), []byte("gone")}); err == nil {
-		t.Fatal("PutAll succeeded with an upload that had nothing to send")
+	err = n.BitDew.PutAll(ds, [][]byte{[]byte("content"), []byte("gone")})
+	if err == nil || !strings.Contains(err.Error(), "put lost:") || strings.Contains(err.Error(), "put lands") {
+		t.Fatalf("PutAll with an upload that had nothing to send = %v, want an error naming lost alone", err)
 	}
-	if got := comms.RoundTrips() - base; got != 2 {
-		t.Errorf("the failed put cost %d frames, want 2", got)
+	if got := comms.RoundTrips() - base; got != 1 {
+		t.Errorf("the failed put cost %d frames, want 1", got)
 	}
 	if _, after := h.c.DT.Stats(); after-before != 2 {
 		t.Errorf("the DT heard %d reports, want 2 (one per upload)", after-before)
@@ -57,10 +66,12 @@ func TestReportPutUploadFailure(t *testing.T) {
 	if act := h.c.DT.Active(); len(act) != 0 {
 		t.Errorf("transfers still in flight at the DT after the put returned: %+v", act)
 	}
-	for _, d := range ds {
-		if locs, err := h.c.DC.Locators(d.UID); err != nil || len(locs) != 0 {
-			t.Errorf("%s has locators %v (%v) after a failed put: nothing may be published", d.Name, locs, err)
-		}
+	home := data.Locator{DataUID: ds[0].UID, Protocol: core.UploadProtocol, Host: h.c.HTTP.Addr(), Ref: string(ds[0].UID)}
+	if locs, err := h.c.DC.Locators(ds[0].UID); err != nil || len(locs) != 1 || locs[0] != home {
+		t.Errorf("%s has locators %v (%v), want its home repository's alone: %s", ds[0].Name, locs, err, home)
+	}
+	if locs, err := h.c.DC.Locators(ds[1].UID); err != nil || len(locs) != 0 {
+		t.Errorf("%s has locators %v (%v) though its content never arrived", ds[1].Name, locs, err)
 	}
 }
 

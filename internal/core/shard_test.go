@@ -376,3 +376,45 @@ func TestShardGetLooksUpInOneRoundTrip(t *testing.T) {
 		t.Errorf("a fetch after Get hit the locator cache %d times, want 1: Get's lookup must feed it", hits)
 	}
 }
+
+// TestPutStaleEndpointPublishesHome: a slot that remembers another live
+// shard's repository as its upload endpoint uploads there, and its home shard
+// refuses to publish a locator naming it. The put drops the endpoint, learns
+// the home one and reruns its part, all without the caller retrying: the
+// datum lands byte-exact on its home shard under the home endpoint, and no
+// locator for it names the other repository.
+func TestPutStaleEndpointPublishesHome(t *testing.T) {
+	h := newShardedHarness(t, 2)
+	c := newFrameRig(t, h, "client")
+	c.node.SetClientOnly(true)
+	ds, contents := c.create("stale", 32) // one on shard 0, but for one draw in four billion
+	var d *data.Data
+	var content []byte
+	for i := range ds {
+		if c.set.ShardOf(ds[i].UID) == 0 {
+			d, content = ds[i], contents[i]
+			break
+		}
+	}
+	home, other := h.plane.Shard(0), h.plane.Shard(1)
+	c.set.Shard(0).SetUploadHost(other.HTTP.Addr())
+
+	// The refused frame, the home endpoint's dr/Locator, the frame that
+	// publishes.
+	if got := c.frames(func() error { return c.node.BitDew.Put(d, content) }); got != 3 {
+		t.Errorf("a put through a stale endpoint = %d frames, want 3", got)
+	}
+	if got, err := home.DR.Backend().Get(string(d.UID)); err != nil || string(got) != string(content) {
+		t.Errorf("home repository holds %q, %v; want %q", got, err, content)
+	}
+	// Only the home shard's catalog may list the datum (the other refuses a
+	// key it does not home).
+	want := data.Locator{DataUID: d.UID, Protocol: core.UploadProtocol, Host: home.HTTP.Addr(), Ref: string(d.UID)}
+	if locs, err := home.DC.Locators(d.UID); err != nil || len(locs) != 1 || locs[0] != want {
+		t.Errorf("home shard lists %v (%v), want %s alone, none naming the other repository at %s", locs, err, want, other.HTTP.Addr())
+	}
+	// The slot now remembers the home endpoint: the next put is one frame.
+	if got := c.frames(func() error { return c.node.BitDew.Put(d, content) }); got != 1 {
+		t.Errorf("the next put = %d frames, want 1", got)
+	}
+}

@@ -112,8 +112,14 @@ func (s *Service) SetLocatorHook(fn func(uid data.UID, protocol string) error) {
 	s.locatorHook = fn
 }
 
-// Locator builds the remote-access description for uid over protocol. The
-// ref is the data UID: protocol servers address repository content by UID.
+// LocatorAt is the locator of uid's content in a repository serving protocol
+// at host. The ref is the data UID: protocol servers address repository
+// content by UID.
+func LocatorAt(uid data.UID, protocol, host string) data.Locator {
+	return data.Locator{DataUID: uid, Protocol: protocol, Host: host, Ref: string(uid)}
+}
+
+// Locator builds the remote-access description for uid over protocol.
 func (s *Service) Locator(uid data.UID, protocol string) (data.Locator, error) {
 	s.mu.RLock()
 	addr, ok := s.endpoints[protocol]
@@ -127,7 +133,7 @@ func (s *Service) Locator(uid data.UID, protocol string) (data.Locator, error) {
 			return data.Locator{}, err
 		}
 	}
-	return data.Locator{DataUID: uid, Protocol: protocol, Host: addr, Ref: string(uid)}, nil
+	return LocatorAt(uid, protocol, addr), nil
 }
 
 // LocatorAny returns a locator over the preferred protocol when served,
@@ -145,37 +151,8 @@ func (s *Service) LocatorAny(uid data.UID, preferred string) (data.Locator, erro
 	return s.Locator(uid, protos[0])
 }
 
-// LocatorBatch issues locators for many data in one call, aligned with
-// uids: each entry delegates to Locator (protocol set) or LocatorAny
-// (protocol empty). An unserved protocol yields a zero Locator at its slot
-// (callers fall back per datum, as with sequential calls); any other
-// per-datum failure — a locator hook erroring, say — is a real fault and
-// fails the batch with the datum named, exactly as its sequential call
-// would have surfaced it.
-func (s *Service) LocatorBatch(uids []data.UID, protocol string) ([]data.Locator, error) {
-	out := make([]data.Locator, len(uids))
-	for i, uid := range uids {
-		var l data.Locator
-		var err error
-		if protocol != "" {
-			l, err = s.Locator(uid, protocol)
-		} else {
-			l, err = s.LocatorAny(uid, "")
-		}
-		switch {
-		case err == nil:
-			out[i] = l
-		case errors.Is(err, ErrProtocolNotServed):
-			// leave the zero Locator
-		default:
-			return nil, fmt.Errorf("repository: locator of %s: %w", uid, err)
-		}
-	}
-	return out, nil
-}
-
-// LocatorAnyBatch is LocatorBatch with LocatorAny's fallback semantics:
-// each slot gets a locator over the preferred protocol when served,
+// LocatorAnyBatch issues locators for many data in one call, aligned with
+// uids: each slot gets a locator over the preferred protocol when served,
 // otherwise over any served protocol, or the zero Locator when none.
 func (s *Service) LocatorAnyBatch(uids []data.UID, preferred string) ([]data.Locator, error) {
 	out := make([]data.Locator, len(uids))
@@ -193,6 +170,25 @@ func (s *Service) Has(uid data.UID) bool {
 	return err == nil
 }
 
+// CheckLocator refuses a locator that claims this repository's copy of its
+// datum (one of its protocols, the datum's own ref) unless it names the
+// endpoint serving that protocol now and the content is here. Any other
+// locator passes.
+func (s *Service) CheckLocator(l data.Locator) error {
+	s.mu.RLock()
+	addr, ok := s.endpoints[l.Protocol]
+	s.mu.RUnlock()
+	switch {
+	case !ok || l.Ref != string(l.DataUID):
+		return nil
+	case l.Host != addr:
+		return fmt.Errorf("repository: locator %s: this repository serves %s at %s", l, l.Protocol, addr)
+	case !s.Has(l.DataUID):
+		return fmt.Errorf("repository: locator %s: no such content here", l)
+	}
+	return nil
+}
+
 // Mount registers the Data Repository methods on an rpc Mux under "dr".
 func (s *Service) Mount(m *rpc.Mux) {
 	rpc.Register(m, ServiceName, "Locator", func(a locatorArgs) (data.Locator, error) {
@@ -200,9 +196,6 @@ func (s *Service) Mount(m *rpc.Mux) {
 	})
 	rpc.Register(m, ServiceName, "LocatorAny", func(a locatorArgs) (data.Locator, error) {
 		return s.LocatorAny(a.UID, a.Protocol)
-	})
-	rpc.Register(m, ServiceName, "LocatorBatch", func(a locatorBatchArgs) ([]data.Locator, error) {
-		return s.LocatorBatch(a.UIDs, a.Protocol)
 	})
 	rpc.Register(m, ServiceName, "LocatorAnyBatch", func(a locatorBatchArgs) ([]data.Locator, error) {
 		return s.LocatorAnyBatch(a.UIDs, a.Protocol)
@@ -245,28 +238,11 @@ func (c *Client) LocatorAny(uid data.UID, preferred string) (data.Locator, error
 	return l, err
 }
 
-// locatorBatchArgs is the wire argument of the batch locator endpoints,
+// locatorBatchArgs is the wire argument of the batch locator endpoint,
 // shared by the Mount handlers and the client methods.
 type locatorBatchArgs struct {
 	UIDs     []data.UID
 	Protocol string
-}
-
-// LocatorBatch asks for locators of many data in one round trip, aligned
-// with uids; unservable data come back as zero Locators.
-func (c *Client) LocatorBatch(uids []data.UID, protocol string) ([]data.Locator, error) {
-	if len(uids) == 0 {
-		return nil, nil
-	}
-	var out []data.Locator
-	err := c.c.Call(ServiceName, "LocatorBatch", locatorBatchArgs{uids, protocol}, &out)
-	return out, err
-}
-
-// LocatorBatchCall builds the batchable form of LocatorBatch for a
-// cross-service rpc.CallBatch frame, decoding into reply.
-func (c *Client) LocatorBatchCall(uids []data.UID, protocol string, reply *[]data.Locator) *rpc.Call {
-	return rpc.NewCall(ServiceName, "LocatorBatch", locatorBatchArgs{uids, protocol}, reply)
 }
 
 // LocatorAnyBatchCall builds the batchable form of LocatorAnyBatch.

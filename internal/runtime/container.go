@@ -225,6 +225,9 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		}
 		return backend.Delete(string(uid))
 	})
+	// A client publishes the locators of its own uploads: one naming this
+	// repository must name its current endpoint and content that is here.
+	c.DC.SetLocatorCheck(c.DR.CheckLocator)
 	// A heartbeat's assignments carry the lookup the worker would otherwise
 	// send this shard: the catalog's copies and the repository's fallback.
 	c.DS.SetLocate(func(uid data.UID, protocol string) ([]data.Locator, error) {

@@ -112,6 +112,36 @@ func TestSeederHookStartsOnce(t *testing.T) {
 	}
 }
 
+// TestAddLocatorRefusesContentNotHeld: over rpc, as a client publishes, the
+// catalog refuses a locator that names this shard's own repository endpoint
+// for content the repository does not hold, and lists nothing for it; once
+// the content is there, the same locator is published.
+func TestAddLocatorRefusesContentNotHeld(t *testing.T) {
+	c, err := NewContainer(ContainerConfig{DisableFTP: true, DisableSwarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	comms := core.ConnectLocal(c.Mux)
+	d := data.NewFromBytes("absent", []byte("never uploaded"))
+	if err := comms.DC.Register(*d); err != nil {
+		t.Fatal(err)
+	}
+	l := data.Locator{DataUID: d.UID, Protocol: "http", Host: c.HTTP.Addr(), Ref: string(d.UID)}
+	if err := comms.DC.AddLocator(l); err == nil {
+		t.Errorf("AddLocator(%s) for content the repository does not hold was accepted", l)
+	}
+	if locs, err := comms.DC.Locators(d.UID); err != nil || len(locs) != 0 {
+		t.Errorf("Locators = %v, %v; want none", locs, err)
+	}
+	if err := c.DR.Backend().Put(string(d.UID), []byte("never uploaded")); err != nil {
+		t.Fatal(err)
+	}
+	if err := comms.DC.AddLocator(l); err != nil {
+		t.Errorf("AddLocator(%s) for content held here: %v", l, err)
+	}
+}
+
 func TestContainerCloseIdempotent(t *testing.T) {
 	c, err := NewContainer(ContainerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {

@@ -222,7 +222,7 @@ func (e *Engine) Flush(ds []data.Data, reached ...*Client) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.flush()
+				r.flush(false)
 			}()
 		}
 	}
@@ -279,7 +279,7 @@ func (e *Engine) launch(h *Handle, d data.Data, loc data.Locator) {
 	e.retire(h)
 	h.settle(state, err)
 	// Park the report before the waiters wake too: the frame a waiter sends
-	// next (a put's commit, a fetch's Flush) must carry it.
+	// next (a put's frame, a fetch's Flush) must carry it.
 	if h.rep != nil {
 		h.rep.end(h)
 	}

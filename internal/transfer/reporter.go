@@ -13,9 +13,10 @@ import (
 //
 //   - a frame the host sends that service anyway, which takes the outbox
 //     (TakeReports) and carries it in front of its own calls — a put's
-//     commit, a fetch's lookup, a delete, a worker's next heartbeat — or
+//     frame, a fetch's lookup, a delete, a worker's next heartbeat — or
 //     which the outbox is (Flush: once a fetch's downloads end, one report
-//     frame to each home shard its lookup did not reach);
+//     frame to each home shard its lookup did not reach, carrying the
+//     outbox alone);
 //   - the monitoring period, one frame with a progress sample of every
 //     transfer still running — a finished transfer is at most one period
 //     stale at the DT, a long one shows up with advancing bytes.
@@ -84,7 +85,7 @@ func (r *reporter) take() []reportArgs {
 
 // beat is the heartbeat: one frame, then another period if anything is left.
 func (r *reporter) beat() {
-	r.flush()
+	r.flush(true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.active) > 0 || len(r.outbox) > 0 {
@@ -92,15 +93,20 @@ func (r *reporter) beat() {
 	}
 }
 
-// flush ships the outbox and a progress sample of every transfer in flight
-// as one frame, and sends nothing when there is neither.
-func (r *reporter) flush() {
+// flush ships the outbox as one frame, with a progress sample of every
+// transfer in flight when sample is set (the heartbeat's), and sends nothing
+// when there is nothing to send. A fetch's deliberate flush sends only the
+// outbox: the samples are the period's.
+func (r *reporter) flush(sample bool) {
 	r.sending <- struct{}{}
 	defer func() { <-r.sending }()
 	r.mu.Lock()
 	reports := r.outbox
 	r.outbox = nil
 	for h := range r.active {
+		if !sample {
+			break
+		}
 		// A transfer that has settled is skipped: its terminal report is on
 		// its way into the outbox and leaves in a later frame.
 		if a := h.report(); a.State == StatePending || a.State == StateActive {
